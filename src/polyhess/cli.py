@@ -18,9 +18,13 @@ character is ``{`` are parsed as JSON):
                          deform_tol = 3e-05
                          seed = 0
                          fit_samples = 48
+                         krylov_rtol = 0.001
+                         krylov_restart = 40
+                         krylov_outer = 5
 
-Unknown sections or keys are rejected.  Exit codes: 0 success, 2 config
-error, 3 solver nonconvergence/geometry failure, 4 invariant-suite failure.
+The ``[solver]`` keys are the fields of ``SolverConfig``.  Unknown sections
+or keys are rejected.  Exit codes: 0 success, 2 config error, 3 solver
+nonconvergence/geometry failure, 4 invariant-suite failure.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -39,7 +43,7 @@ import numpy as np
 
 from .energy import EnergySetting, Form, make_setting
 from .errors import CapabilityError, ConfigError, PolyhessError
-from .exponents import ProblemParams, alpha_main, alpha_weak, regime_report
+from .exponents import ProblemParams, regime_report
 from .grid import BoxDomain, ScalarField, dump_field, from_function, load_field
 from .solvers import SolverConfig, continuation_in_lambda, solve_run
 from .verify import run_suites
@@ -113,20 +117,7 @@ _SCHEMA = {
         "value": ("lam", float),
         "schedule": ("lambda_schedule", _parse_float_list),
     },
-    "solver": {
-        "grad_tol": ("grad_tol", float),
-        "max_iters": ("max_iters", int),
-        "step_rule": ("step_rule", str),
-        "ls_c": ("ls_c", float),
-        "ls_rho": ("ls_rho", float),
-        "step0": ("step0", float),
-        "path_points": ("path_points", int),
-        "deform_tol": ("deform_tol", float),
-        "seed": ("seed", int),
-        "fit_samples": ("fit_samples", int),
-        "newton_max": ("newton_max", int),
-        "krylov_rtol": ("krylov_rtol", float),
-    },
+    "solver": {f.name: (f.name, type(f.default)) for f in fields(SolverConfig)},
     "output": {
         "directory": ("out_dir", str),
         "dump_fields": ("dump_fields", _parse_bool),
@@ -220,20 +211,8 @@ def config_to_ini(cfg: RunConfig) -> str:
             "schedule": None if cfg.lambda_schedule is None
             else " ".join(repr(v) for v in cfg.lambda_schedule),
         },
-        "solver": {
-            "grad_tol": repr(cfg.solver.grad_tol),
-            "max_iters": cfg.solver.max_iters,
-            "step_rule": cfg.solver.step_rule,
-            "ls_c": repr(cfg.solver.ls_c),
-            "ls_rho": repr(cfg.solver.ls_rho),
-            "step0": repr(cfg.solver.step0),
-            "path_points": cfg.solver.path_points,
-            "deform_tol": repr(cfg.solver.deform_tol),
-            "seed": cfg.solver.seed,
-            "fit_samples": cfg.solver.fit_samples,
-            "newton_max": cfg.solver.newton_max,
-            "krylov_rtol": repr(cfg.solver.krylov_rtol),
-        },
+        "solver": {key: repr(val) if isinstance(val, float) else val
+                   for key, val in asdict(cfg.solver).items()},
         "output": {
             "directory": cfg.out_dir,
             "dump_fields": "true" if cfg.dump_fields else "false",
@@ -248,12 +227,6 @@ def config_to_ini(cfg: RunConfig) -> str:
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
-
-
-def config_to_json_dict(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    d["solver"] = asdict(cfg.solver)
-    return d
 
 
 def build_domain(cfg: RunConfig) -> BoxDomain:
@@ -300,9 +273,8 @@ def build_setting(cfg: RunConfig, lam: Optional[float] = None) -> EnergySetting:
         params = ProblemParams(cfg.n, cfg.k)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    form = Form.WEAK if cfg.form == "weak" else Form.STRONG
-    expected = alpha_weak(params) if form is Form.WEAK else alpha_main(params)
-    alpha = cfg.alpha if cfg.alpha is not None else expected
+    form = Form(cfg.form)
+    alpha = cfg.alpha if cfg.alpha is not None else form.alpha_formula(params)
     domain = build_domain(cfg)
     f = build_datum(cfg, domain, ghost_width=alpha)
     try:
@@ -312,20 +284,20 @@ def build_setting(cfg: RunConfig, lam: Optional[float] = None) -> EnergySetting:
         raise ConfigError(str(exc)) from exc
 
 
-def _alpha_source(cfg: RunConfig, s: EnergySetting) -> str:
+def _alpha_source(s: EnergySetting) -> str:
     if s.alpha_overridden:
         return "override"
-    return "alpha_weak formula" if s.form is Form.WEAK else "alpha_main formula"
+    return f"{s.form.alpha_formula.__name__} formula"
 
 
 def _summary_base(cfg: RunConfig, s: EnergySetting, command: str) -> dict:
     report = regime_report(s.params)
     return {
         "command": command,
-        "config": config_to_json_dict(cfg),
+        "config": asdict(cfg),
         "seed": cfg.solver.seed,
         "regime_report": report.to_json_dict(),
-        "alpha": {"value": s.alpha, "source": _alpha_source(cfg, s)},
+        "alpha": {"value": s.alpha, "source": _alpha_source(s)},
     }
 
 
@@ -381,10 +353,6 @@ def cmd_solve(args) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         s = build_setting(cfg)
-        if s.form is Form.WEAK and s.alpha != alpha_weak(s.params):
-            raise ConfigError(
-                f"weak runs use alpha={alpha_weak(s.params)} for "
-                f"(N, k)=({s.params.N}, {s.params.k}); drop the alpha override")
     except (ConfigError, CapabilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -492,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--form", choices=("strong", "weak"), default=None)
     p_sol.add_argument("--seed", type=int, default=None)
     p_sol.add_argument("--out", default=None)
-    p_sol.add_argument("--jobs", type=int, default=1)
     p_sol.set_defaults(func=cmd_solve)
 
     p_con = sub.add_parser("continuation", help="sweep lambda per the config schedule")
@@ -500,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--form", choices=("strong", "weak"), default=None)
     p_con.add_argument("--seed", type=int, default=None)
     p_con.add_argument("--out", default=None)
-    p_con.add_argument("--jobs", type=int, default=1)
     p_con.set_defaults(func=cmd_continuation)
     return parser
 

@@ -28,11 +28,17 @@ Neither residual is the exact gradient of the corresponding discrete energy:
 the discrete divergence structure of S_k holds only to O(h^2).  Directional-
 derivative consistency is therefore asserted at a 1e-4 relative tolerance on
 smooth moderate-amplitude fields, not to roundoff.
+
+Form dispatch.  This module makes every strong-versus-weak choice:
+``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
+``residual`` and ``residual_jacobian`` select the form's action, residual
+and Jacobian action for the solvers.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +54,7 @@ from .grid import (
     half_order,
     inner,
     invert_polyharmonic,
+    l2_norm,
     polyharmonic,
     random_smooth_field,
     seminorm,
@@ -61,6 +68,11 @@ class Form(enum.Enum):
     STRONG = "strong"
     WEAK = "weak"
 
+    @property
+    def alpha_formula(self):
+        """The regime formula giving this form's alpha (``alpha_weak`` or ``alpha_main``)."""
+        return alpha_weak if self is Form.WEAK else alpha_main
+
 
 @dataclass(frozen=True)
 class EnergySetting:
@@ -68,6 +80,7 @@ class EnergySetting:
 
     ``alpha`` must match the regime formula for the chosen form unless
     ``alpha_overridden`` is set; the flag is recorded so runs stay auditable.
+    The weak form admits no override.
     """
 
     params: ProblemParams
@@ -80,7 +93,11 @@ class EnergySetting:
     def __post_init__(self):
         if self.alpha < 2:
             raise ValueError(f"alpha={self.alpha} violates the sharp bound alpha >= 2")
-        expected = alpha_weak(self.params) if self.form is Form.WEAK else alpha_main(self.params)
+        expected = self.form.alpha_formula(self.params)
+        if self.form is Form.WEAK and self.alpha != expected:
+            raise ValueError(
+                f"weak runs use alpha={expected} for "
+                f"(N, k)=({self.params.N}, {self.params.k}); drop the alpha override")
         if not self.alpha_overridden and self.alpha != expected:
             raise ValueError(
                 f"alpha={self.alpha} differs from the regime formula value {expected}; "
@@ -240,6 +257,56 @@ def residual_weak_field(u: ScalarField, s: EnergySetting) -> ScalarField:
         - s.lam * s.f.values
     )
     return ScalarField(u.domain, vals, 0)
+
+
+def action(u: ScalarField, s: EnergySetting) -> float:
+    """Action value of the setting's form."""
+    if s.form is Form.WEAK:
+        return evaluate_J_weak(u, s)
+    return evaluate_J(u, s)
+
+
+def residual(u: ScalarField, s: EnergySetting) -> ScalarField:
+    """Residual field of the setting's form."""
+    if s.form is Form.WEAK:
+        return residual_weak_field(u, s)
+    return residual_strong(u, s)
+
+
+def residual_jacobian(u: ScalarField, s: EnergySetting):
+    """Jacobian action v -> R'(u) v of the setting's residual, on node arrays.
+
+    The pointwise-form Jacobian acts analytically through the sigma_k
+    gradient matrices; the divergence form falls back to a Jacobian-free
+    central difference of the weak residual.
+    """
+    dom = u.domain
+    alpha = s.alpha
+    k = s.params.k
+    sign_a = -1.0 if alpha % 2 else 1.0
+    sign_k = _sign_k(k)
+
+    if s.form is Form.STRONG:
+        partials = sk_partials_stack(hessian(u).values, k)
+
+        def apply(v_vals: np.ndarray) -> np.ndarray:
+            v = ScalarField(dom, v_vals, u.ghost_width)
+            dsk = np.einsum("...ab,...ab->...", partials, hessian(v).values)
+            return sign_a * polyharmonic(v, alpha).values - sign_k * dsk
+        return apply
+
+    base_norm = l2_norm(u)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        vn = math.sqrt(dom.cell_volume * float(np.vdot(v, v)))
+        if vn == 0.0:
+            return np.zeros(dom.nodes)
+        eps = 1e-7 * (1.0 + base_norm) / vn
+        up = ScalarField(dom, u.values + eps * v, u.ghost_width)
+        dn = ScalarField(dom, u.values - eps * v, u.ghost_width)
+        return (residual_weak_field(up, s).values
+                - residual_weak_field(dn, s).values) / (2.0 * eps)
+    return apply
 
 
 @dataclass(frozen=True)
@@ -501,7 +568,7 @@ def geometry_witnesses(s: EnergySetting) -> GeometryWitnesses:
 def make_setting(params: ProblemParams, lam: float, f: ScalarField,
                  form: Form = Form.STRONG, alpha: int | None = None) -> EnergySetting:
     """Convenience constructor applying the regime formula when alpha is omitted."""
-    expected = alpha_weak(params) if form is Form.WEAK else alpha_main(params)
+    expected = form.alpha_formula(params)
     if alpha is None:
         alpha = expected
     return EnergySetting(

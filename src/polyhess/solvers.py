@@ -14,9 +14,12 @@ the preconditioned residual orthogonalized against the path tangent (in the
 seminorm inner product, which keeps the step a descent direction), and
 re-equidistributes the path by seminorm arc length.  Once the max-point
 energy stabilizes (relative change below ``deform_tol`` on three consecutive
-sweeps) the point is handed to a damped Jacobian-free Newton-Krylov
-refinement that drives the residual to ``grad_tol``; acceptance requires a
-strict residual-norm decrease, so the refinement cannot run away.
+sweeps) the point is handed to a damped Newton-Krylov refinement that
+drives the residual to ``grad_tol``; acceptance requires a strict
+residual-norm decrease, so the refinement cannot run away.
+
+Action, residual and the Newton Jacobian action of the setting's form come
+from ``energy`` (``action``, ``residual``, ``residual_jacobian``).
 
 Determinism: all randomness flows from ``SolverConfig.seed`` through a
 single generator per call; identical configs and inputs reproduce outputs
@@ -28,7 +31,6 @@ generators and may run concurrently.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -42,31 +44,26 @@ from .energy import (
     GeometryWitnesses,
     MinorantCoefficients,
     MinorantGeometry,
+    action,
     evaluate_H,
-    evaluate_J,
-    evaluate_J_weak,
     fit_minorant,
     geometry_witnesses,
     minorant_geometry,
-    residual_strong,
-    residual_weak_field,
+    residual,
+    residual_jacobian,
     with_lambda,
 )
 from .errors import GeometryError, NonconvergenceError, PolyhessError
-from .exponents import alpha_weak
 from .grid import (
     ScalarField,
-    hessian,
     invert_polyharmonic,
     inner,
     l2_norm,
-    polyharmonic,
     random_smooth_field,
     seminorm,
     seminorm_inner,
     zeros,
 )
-from .hessian_algebra import sk_partials_stack
 
 
 @dataclass
@@ -157,18 +154,6 @@ class SolveRun:
     record_mountain: PSRecord
 
 
-def _energy_value(u: ScalarField, s: EnergySetting) -> float:
-    if s.form is Form.WEAK:
-        return evaluate_J_weak(u, s)
-    return evaluate_J(u, s)
-
-
-def _residual_field(u: ScalarField, s: EnergySetting) -> ScalarField:
-    if s.form is Form.WEAK:
-        return residual_weak_field(u, s)
-    return residual_strong(u, s)
-
-
 def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
                    c: CutoffSpec) -> tuple[ScalarField, PSRecord]:
     """Backtracking descent on the truncated functional from inside the small ball.
@@ -187,7 +172,7 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
     h_val = evaluate_H(u, s, c)
     converged = False
     for _ in range(cfg.max_iters):
-        r = _residual_field(u, s)
+        r = residual(u, s)
         rn = l2_norm(r)
         rec.append(h_val, rn, seminorm(u, alpha))
         if rn <= cfg.grad_tol:
@@ -269,12 +254,12 @@ def _locate_path_max(path: np.ndarray, wrap, s: EnergySetting):
     in [0, 1] along that segment, max energy); parameter 0 marks a node.
     """
     P = path.shape[0]
-    node_vals = [_energy_value(wrap(path[i]), s) for i in range(P)]
+    node_vals = [action(wrap(path[i]), s) for i in range(P)]
     best = (int(np.argmax(node_vals)), 0.0, max(node_vals))
     for i in range(P - 1):
         for t in _SEGMENT_SAMPLES:
             cand = (1.0 - t) * path[i] + t * path[i + 1]
-            e = _energy_value(wrap(cand), s)
+            e = action(wrap(cand), s)
             if e > best[2]:
                 best = (i, t, e)
     return best
@@ -284,42 +269,20 @@ def _newton_step(u: ScalarField, r: ScalarField, s: EnergySetting,
                  cfg: SolverConfig, rtol: float) -> ScalarField:
     """Inexact Newton step, preconditioned by the sine-basis polyharmonic inverse.
 
-    The pointwise-form Jacobian acts analytically through the sigma_k
-    gradient matrices; the divergence form falls back to a Jacobian-free
-    central-difference matvec.
+    The Jacobian action of the setting's residual comes from
+    ``energy.residual_jacobian``; this step only preconditions it and runs
+    restarted GMRES.
     """
     dom = u.domain
     shape = dom.nodes
     m = int(np.prod(shape))
     alpha = s.alpha
-    k = s.params.k
-    sign_a = -1.0 if alpha % 2 else 1.0
-    sign_k = -1.0 if k % 2 else 1.0
+    jac = residual_jacobian(u, s)
 
-    if s.form is Form.STRONG:
-        partials = sk_partials_stack(hessian(u).values, k)
-
-        def matvec(vflat: np.ndarray) -> np.ndarray:
-            v = ScalarField(dom, vflat.reshape(shape), u.ghost_width)
-            dsk = np.einsum("...ab,...ab->...", partials, hessian(v).values)
-            jv = sign_a * polyharmonic(v, alpha).values - sign_k * dsk
-            pre = invert_polyharmonic(ScalarField(dom, jv, 0), alpha)
-            return pre.values.reshape(m)
-    else:
-        base_norm = l2_norm(u)
-
-        def matvec(vflat: np.ndarray) -> np.ndarray:
-            v = vflat.reshape(shape)
-            vn = math.sqrt(dom.cell_volume * float(np.vdot(v, v)))
-            if vn == 0.0:
-                return np.zeros(m)
-            eps = 1e-7 * (1.0 + base_norm) / vn
-            up = ScalarField(dom, u.values + eps * v, u.ghost_width)
-            dn = ScalarField(dom, u.values - eps * v, u.ghost_width)
-            jv = (_residual_field(up, s).values
-                  - _residual_field(dn, s).values) / (2.0 * eps)
-            pre = invert_polyharmonic(ScalarField(dom, jv, 0), alpha)
-            return pre.values.reshape(m)
+    def matvec(vflat: np.ndarray) -> np.ndarray:
+        jv = jac(vflat.reshape(shape))
+        pre = invert_polyharmonic(ScalarField(dom, jv, 0), alpha)
+        return pre.values.reshape(m)
 
     op = LinearOperator((m, m), matvec=matvec, dtype=float)
     rhs = -invert_polyharmonic(r, s.alpha).values.reshape(m)
@@ -340,11 +303,11 @@ def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
     away from the starting basin.
     """
     alpha = s.alpha
-    rn = l2_norm(_residual_field(u, s))
+    rn = l2_norm(residual(u, s))
     for _ in range(cfg.newton_max):
-        r = _residual_field(u, s)
+        r = residual(u, s)
         rn = l2_norm(r)
-        rec.append(_energy_value(u, s), rn, seminorm(u, alpha))
+        rec.append(action(u, s), rn, seminorm(u, alpha))
         if rn <= cfg.grad_tol:
             return u, rn, True
         stepped = False
@@ -354,7 +317,7 @@ def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
             t = 1.0
             for _ in range(10):
                 cand = u + t * delta
-                if l2_norm(_residual_field(cand, s)) < rn:
+                if l2_norm(residual(cand, s)) < rn:
                     stepped = True
                     break
                 t *= 0.5
@@ -377,8 +340,8 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
     s.check_field(u_m)
     s.check_field(v_far)
     alpha = s.alpha
-    j_m = _energy_value(u_m, s)
-    j_far = _energy_value(v_far, s)
+    j_m = action(u_m, s)
+    j_far = action(v_far, s)
     if not j_far < j_m:
         raise ValueError("far endpoint must have energy below the minimizer")
     P = cfg.path_points
@@ -421,7 +384,7 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
             tan = wrap(path[i_seg + 1] - path[i_seg])
             seg_len = seminorm(tan, alpha)
         u = wrap(u_vals.copy())
-        r = _residual_field(u, s)
+        r = residual(u, s)
         rn = l2_norm(r)
         rec.append(j_max, rn, seminorm(u, alpha))
         if rn <= cfg.grad_tol:
@@ -448,7 +411,7 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
                 t = min(t, 0.5 * seg_len / dn)
             while t >= 1e-10 * cfg.step0:
                 cand = u - t * d
-                if _energy_value(cand, s) < j_max:
+                if action(cand, s) < j_max:
                     moved = True
                     break
                 t *= cfg.ls_rho
@@ -492,13 +455,13 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     if warm is not None and seminorm(warm.u_m, alpha) <= geom.R0:
         u0 = warm.u_m
     u_m, rec_min = minimize_local(s, u0, cfg, cutoff)
-    j_m = _energy_value(u_m, s)
+    j_m = action(u_m, s)
 
     far = None
     t = 1.0
     for _ in range(64):
         cand = t * wit.psi
-        if _energy_value(cand, s) < j_m and seminorm(cand, alpha) > geom.R_M:
+        if action(cand, s) < j_m and seminorm(cand, alpha) > geom.R_M:
             far = cand
             break
         t *= 2.0
@@ -508,9 +471,9 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     through = warm.u_star if warm is not None else None
     u_star, rec_mp = mountain_pass(s, u_m, far, cfg, through=through)
 
-    j_star = _energy_value(u_star, s)
-    rn_m = l2_norm(_residual_field(u_m, s))
-    rn_star = l2_norm(_residual_field(u_star, s))
+    j_star = action(u_star, s)
+    rn_m = l2_norm(residual(u_m, s))
+    rn_star = l2_norm(residual(u_star, s))
     sep = seminorm(u_m - u_star, alpha)
     if rn_m > cfg.grad_tol or rn_star > cfg.grad_tol:
         raise NonconvergenceError("accepted iterates exceed the residual tolerance")
@@ -544,10 +507,6 @@ def weak_two_solutions(s: EnergySetting, cfg: SolverConfig) -> SolutionPair:
     s.validate_grid()
     if s.form is not Form.WEAK:
         raise ValueError("weak_two_solutions requires a WEAK-form setting")
-    expected = alpha_weak(s.params)
-    if s.alpha != expected:
-        raise ValueError(
-            f"weak runs use alpha={expected} for (N, k)=({s.params.N}, {s.params.k})")
     return solve_run(s, cfg).pair
 
 
@@ -588,7 +547,7 @@ def ball_uniqueness_probe(s: EnergySetting, cfg: SolverConfig,
         try:
             u, _ = minimize_local(s, u0, cfg, cutoff)
             minimizers.append(u)
-            energies.append(_energy_value(u, s))
+            energies.append(action(u, s))
         except PolyhessError as exc:
             failures.append(f"trial {trial}: {exc}")
     max_pair = 0.0

@@ -52,7 +52,9 @@ def write_cfg(tmp_path, text=None, **fmt):
 
 
 def test_config_roundtrip_ini(tmp_path):
-    cfg = load_config(write_cfg(tmp_path))
+    text = SMALL_INI.replace("seed = 0\n", "seed = 0\nkrylov_restart = 20\nkrylov_outer = 3\n")
+    cfg = load_config(write_cfg(tmp_path, text=text))
+    assert (cfg.solver.krylov_restart, cfg.solver.krylov_outer) == (20, 3)
     canon = config_to_ini(cfg)
     cfg2 = parse_config_text(canon)
     assert cfg2 == cfg
@@ -116,6 +118,15 @@ def test_build_setting_alpha_provenance(tmp_path):
         "[problem]\nn = 2\nk = 2\nalpha = 4\n[domain]\nnodes = 16\n")
     s2 = build_setting(override)
     assert s2.alpha == 4 and s2.alpha_overridden
+
+
+def test_weak_alpha_override_rejected(tmp_path):
+    text = SMALL_INI.replace("form = strong\n", "form = weak\nalpha = 3\n")
+    with pytest.raises(ConfigError):
+        build_setting(parse_config_text(text.format(out=tmp_path / "out")))
+    cfg_path = write_cfg(tmp_path, text=text)
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert main(["continuation", "--config", str(cfg_path)]) == 2
 
 
 def test_cmd_exponents(capsys):

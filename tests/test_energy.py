@@ -32,7 +32,7 @@ from polyhess import (
     zeros,
 )
 from polyhess.energy import _nonlinear_strong, _nonlinear_weak, _quadratic_term, _datum_term
-from polyhess.energy import minorant_sample_family
+from polyhess.energy import minorant_sample_family, residual_jacobian
 from polyhess.verify import consistency_worst_errors
 
 from conftest import constant_datum, flagship_setting
@@ -328,3 +328,19 @@ def test_domain_mismatch_errors(s64):
     other = zeros(unit_box(2, 32), 2)
     with pytest.raises(ValueError):
         evaluate_J(other, s64)
+
+
+def test_strong_residual_jacobian_matches_central_difference():
+    # For k = 2 the strong residual is quadratic in u, so the central
+    # difference equals the Jacobian action up to roundoff.
+    s = flagship_setting(32)
+    dom = s.f.domain
+    rng = np.random.default_rng(3)
+    eps = 1e-3
+    for _ in range(3):
+        u = random_smooth_field(dom, rng, amplitude=0.5, ghost_width=2)
+        v = random_smooth_field(dom, rng, amplitude=0.5, ghost_width=2)
+        jv = residual_jacobian(u, s)(v.values)
+        fd = (residual_strong(u + eps * v, s).values
+              - residual_strong(u - eps * v, s).values) / (2.0 * eps)
+        assert np.max(np.abs(jv - fd)) <= 1e-7 * np.max(np.abs(fd))

@@ -275,10 +275,9 @@ def test_weak_two_solutions_guards():
     with pytest.raises(ValueError):
         weak_two_solutions(s_strong, SolverConfig(seed=0))
     dom = s_strong.f.domain
-    s_override = make_setting(ProblemParams(2, 2), 0.05, constant_datum(dom),
-                              form=Form.WEAK, alpha=3)
-    with pytest.raises(ValueError):
-        weak_two_solutions(s_override, SolverConfig(seed=0))
+    with pytest.raises(ValueError):  # the setting itself refuses a weak alpha override
+        make_setting(ProblemParams(2, 2), 0.05, constant_datum(dom),
+                     form=Form.WEAK, alpha=3)
 
 
 def test_capability_rejection_high_dimension():
