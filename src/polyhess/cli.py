@@ -33,6 +33,7 @@ import argparse
 import configparser
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -75,6 +76,11 @@ class RunConfig:
             raise ConfigError(f"form must be strong or weak, got {self.form!r}")
         if self.datum_kind not in _DATUM_KINDS:
             raise ConfigError(f"datum kind must be one of {_DATUM_KINDS}")
+        if not math.isfinite(self.lam):
+            raise ConfigError(f"lambda.value must be finite, got {self.lam!r}")
+        if self.lambda_schedule is not None and not all(
+                math.isfinite(v) for v in self.lambda_schedule):
+            raise ConfigError(f"lambda.schedule must be finite, got {self.lambda_schedule!r}")
 
 
 def _parse_float_list(text: str) -> tuple:
@@ -247,7 +253,10 @@ def build_datum(cfg: RunConfig, domain: BoxDomain, ghost_width: int) -> ScalarFi
     if kind == "file":
         if not cfg.datum_path:
             raise ConfigError("datum kind 'file' needs datum.path")
-        f = load_field(cfg.datum_path)
+        try:
+            f = load_field(cfg.datum_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load datum dump {cfg.datum_path}: {exc}") from exc
         if f.domain != domain:
             raise ConfigError("datum dump does not match the configured domain")
         return ScalarField(domain, f.values, ghost_width)
@@ -276,7 +285,8 @@ def build_setting(cfg: RunConfig, lam: Optional[float] = None) -> EnergySetting:
     form = Form(cfg.form)
     alpha = cfg.alpha if cfg.alpha is not None else form.alpha_formula(params)
     domain = build_domain(cfg)
-    f = build_datum(cfg, domain, ghost_width=alpha)
+    # a negative alpha is left for make_setting to reject with its own reason
+    f = build_datum(cfg, domain, ghost_width=max(alpha, 0))
     try:
         return make_setting(params, cfg.lam if lam is None else lam, f,
                             form=form, alpha=alpha)

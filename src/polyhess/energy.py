@@ -31,8 +31,9 @@ smooth moderate-amplitude fields, not to roundoff.
 
 Form dispatch.  This module makes every strong-versus-weak choice:
 ``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
-``residual`` and ``residual_jacobian`` select the form's action, residual
-and Jacobian action for the solvers.
+``segment_actions``, ``residual`` and ``residual_jacobian`` select the
+form's action, its values along a discrete path, residual and Jacobian
+action for the solvers.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .grid import (
     sk_field,
     zeros,
 )
-from .hessian_algebra import sk_partials_stack
+from .hessian_algebra import sk_of_stack, sk_partials_stack
 
 
 class Form(enum.Enum):
@@ -141,27 +142,47 @@ def _sign_k(k: int) -> float:
     return -1.0 if k % 2 else 1.0
 
 
+# The terms of J from the linear stencil images of u (node values, half-order
+# components, Hessian, centered gradient); the field versions below and
+# ``segment_actions`` both evaluate J through these.
+
+def _quadratic_of(comps: np.ndarray, s: EnergySetting) -> float:
+    return 0.5 * s.f.domain.cell_volume * float(np.vdot(comps, comps))
+
+
+def _datum_of(u_vals: np.ndarray, s: EnergySetting) -> float:
+    return s.lam * float(s.f.domain.cell_volume * np.vdot(s.f.values, u_vals))
+
+
+def _nonlinear_strong_of(u_vals: np.ndarray, hess: np.ndarray, s: EnergySetting) -> float:
+    k = s.params.k
+    sk = sk_of_stack(hess, k)
+    return _sign_k(k) / (k + 1) * float(s.f.domain.cell_volume * np.vdot(u_vals, sk))
+
+
+def _nonlinear_weak_of(grads: np.ndarray, hess: np.ndarray, s: EnergySetting) -> float:
+    k = s.params.k
+    g = np.moveaxis(grads, 0, -1)  # nodes + (dim,)
+    partials = sk_partials_stack(hess, k)  # nodes + (dim, dim)
+    density = np.einsum("...ab,...a,...b->...", partials, g, g)
+    divergence_sum = s.f.domain.cell_volume * float(density.sum())
+    return -_sign_k(k) / ((k + 1) * k) * divergence_sum
+
+
 def _quadratic_term(u: ScalarField, s: EnergySetting) -> float:
-    comps = half_order(u, s.alpha).components
-    return 0.5 * u.domain.cell_volume * float(np.vdot(comps, comps))
+    return _quadratic_of(half_order(u, s.alpha).components, s)
 
 
 def _datum_term(u: ScalarField, s: EnergySetting) -> float:
-    return s.lam * inner(s.f, u)
+    return _datum_of(u.values, s)
 
 
 def _nonlinear_strong(u: ScalarField, s: EnergySetting) -> float:
-    k = s.params.k
-    return _sign_k(k) / (k + 1) * inner(u, sk_field(u, k))
+    return _nonlinear_strong_of(u.values, hessian(u).values, s)
 
 
 def _nonlinear_weak(u: ScalarField, s: EnergySetting) -> float:
-    k = s.params.k
-    grads = np.moveaxis(gradient_centered(u), 0, -1)  # nodes + (dim,)
-    partials = sk_partials_stack(hessian(u).values, k)  # nodes + (dim, dim)
-    density = np.einsum("...ab,...a,...b->...", partials, grads, grads)
-    divergence_sum = u.domain.cell_volume * float(density.sum())
-    return -_sign_k(k) / ((k + 1) * k) * divergence_sum
+    return _nonlinear_weak_of(gradient_centered(u), hessian(u).values, s)
 
 
 def _nonlinear_term(u: ScalarField, s: EnergySetting) -> float:
@@ -264,6 +285,45 @@ def action(u: ScalarField, s: EnergySetting) -> float:
     if s.form is Form.WEAK:
         return evaluate_J_weak(u, s)
     return evaluate_J(u, s)
+
+
+def segment_actions(path: np.ndarray, ghost_width: int, s: EnergySetting,
+                    ts) -> tuple[np.ndarray, np.ndarray]:
+    """Action of the setting's form along a piecewise-linear path of node arrays.
+
+    Returns ``(at_nodes, in_segments)``: ``at_nodes[i]`` is the action of
+    ``path[i]`` and ``in_segments[i, j]`` that of
+    ``(1 - ts[j]) * path[i] + ts[j] * path[i + 1]`` (fields declared with
+    ``ghost_width``).  The half-order operator, the Hessian and the centered
+    gradient are linear, so each node's images are computed once and a
+    sample interpolates the images of its segment's end nodes; only sigma_k
+    (or its gradient contraction) and the reductions run per sample.  Node
+    values equal ``action`` bit for bit, samples agree with it to roundoff.
+    The images of two nodes are alive at a time.
+    """
+    weak = s.form is Form.WEAK
+    at_nodes = np.empty(path.shape[0])
+    in_segments = np.empty((path.shape[0] - 1, len(ts)))
+
+    def value(u_vals, comps, hess, grads):
+        nl = (_nonlinear_weak_of(grads, hess, s) if weak
+              else _nonlinear_strong_of(u_vals, hess, s))
+        return _quadratic_of(comps, s) - _datum_of(u_vals, s) - nl
+
+    prev = None
+    for i, row in enumerate(path):
+        u = ScalarField(s.f.domain, row, ghost_width)
+        s.check_field(u)
+        cur = (u.values, half_order(u, s.alpha).components, hessian(u).values,
+               gradient_centered(u) if weak else None)
+        at_nodes[i] = value(*cur)
+        if prev is not None:
+            for j, t in enumerate(ts):
+                in_segments[i - 1, j] = value(*(
+                    None if a is None else (1.0 - t) * a + t * b
+                    for a, b in zip(prev, cur)))
+        prev = cur
+    return at_nodes, in_segments
 
 
 def residual(u: ScalarField, s: EnergySetting) -> ScalarField:

@@ -16,7 +16,10 @@ module hold (e.g. sum_ij A_ij * sk_partials(A, k)_ij == k * sk_of_matrix(A, k)).
 
 ``sk_of_stack`` / ``sk_partials_stack`` are vectorized variants over a
 leading batch of matrices; they exist for the grid hot path and are
-cross-checked against the scalar versions in the test suite.
+cross-checked against the scalar versions in the test suite.  For k = 2,
+``sk_of_stack`` sums the entrywise minors m_ii m_jj - m_ij m_ji over the
+pairs i < j, in the same order and with the same operations as
+``sk_of_matrix``, so on exactly symmetric input the two agree bit for bit.
 
 Every operation is a pure function of its arguments; there is no shared
 mutable state, so concurrent callers need no coordination.
@@ -166,8 +169,10 @@ def shifted_trace_identity(a, mu: float, k: int) -> tuple[float, float]:
 def sk_of_stack(mats: np.ndarray, k: int) -> np.ndarray:
     """sigma_k of every matrix in a (..., N, N) stack of symmetric matrices.
 
-    Principal-minor enumeration vectorized over the batch axes; the batched
-    determinants go through LAPACK.  Matches sk_of_matrix elementwise.
+    Principal-minor enumeration vectorized over the batch axes.  For k = 2
+    each 2 x 2 minor is read entrywise from the stack (no sub-block copies);
+    larger blocks go through LAPACK's batched determinant.  Matches
+    sk_of_matrix elementwise.
     """
     m = np.asarray(mats, dtype=float)
     n = m.shape[-1]
@@ -184,11 +189,11 @@ def sk_of_stack(mats: np.ndarray, k: int) -> np.ndarray:
         return np.trace(m, axis1=-2, axis2=-1)
     total = np.zeros(batch)
     for subset in itertools.combinations(range(n), k):
-        sel = np.ix_(subset, subset)
-        sub = m[(Ellipsis,) + sel]
         if k == 2:
-            total += sub[..., 0, 0] * sub[..., 1, 1] - sub[..., 0, 1] * sub[..., 1, 0]
+            i, j = subset
+            total += m[..., i, i] * m[..., j, j] - m[..., i, j] * m[..., j, i]
         else:
+            sub = m[(Ellipsis,) + np.ix_(subset, subset)]
             # exactly singular blocks (zero Hessians) trip a spurious numpy warning
             with np.errstate(divide="ignore", invalid="ignore"):
                 total += np.linalg.det(sub)

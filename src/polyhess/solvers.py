@@ -9,7 +9,9 @@ diagonal.  Residual norms reported and tested are still the plain discrete
 L^2 norms of the residual field; the preconditioner only shapes directions.
 
 Mountain pass.  The connecting path is discretized into ``path_points``
-fields; each sweep locates the maximum-energy point, moves it downhill along
+fields; each sweep locates the highest of the nodes and three interior
+samples per segment (evaluated by ``energy.segment_actions`` from stencil
+images computed once per node), moves it downhill along
 the preconditioned residual orthogonalized against the path tangent (in the
 seminorm inner product, which keeps the step a descent direction), and
 re-equidistributes the path by seminorm arc length.  Once the max-point
@@ -18,8 +20,9 @@ sweeps) the point is handed to a damped Newton-Krylov refinement that
 drives the residual to ``grad_tol``; acceptance requires a strict
 residual-norm decrease, so the refinement cannot run away.
 
-Action, residual and the Newton Jacobian action of the setting's form come
-from ``energy`` (``action``, ``residual``, ``residual_jacobian``).
+Action, path values, residual and the Newton Jacobian action of the
+setting's form come from ``energy`` (``action``, ``segment_actions``,
+``residual``, ``residual_jacobian``).
 
 Determinism: all randomness flows from ``SolverConfig.seed`` through a
 single generator per call; identical configs and inputs reproduce outputs
@@ -51,6 +54,7 @@ from .energy import (
     minorant_geometry,
     residual,
     residual_jacobian,
+    segment_actions,
     with_lambda,
 )
 from .errors import GeometryError, NonconvergenceError, PolyhessError
@@ -196,7 +200,9 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
             if not accepted:
                 raise NonconvergenceError(
                     "backtracking stalled before the residual tolerance", rec)
-            assert h_cand <= h_val + 1e-12 * (1.0 + abs(h_val)), "descent not monotone"
+            if not h_cand <= h_val + 1e-12 * (1.0 + abs(h_val)):
+                raise NonconvergenceError(
+                    f"descent not monotone: H rose from {h_val!r} to {h_cand!r}", rec)
             u, h_val = cand, h_cand
         if seminorm(u, alpha) >= c.R1:
             raise GeometryError(
@@ -226,7 +232,7 @@ def _redistribute(path: np.ndarray, wrap, alpha: int,
         lengths[i] = seminorm(seg, alpha)
     total = float(lengths.sum())
     if total <= 0.0:
-        return path[:P] if m >= P else path
+        return np.repeat(path[:1], P, axis=0)
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
     targets = np.linspace(0.0, total, P)
     out = np.empty((P,) + path.shape[1:])
@@ -246,22 +252,24 @@ def _redistribute(path: np.ndarray, wrap, alpha: int,
 _SEGMENT_SAMPLES = (0.25, 0.5, 0.75)
 
 
-def _locate_path_max(path: np.ndarray, wrap, s: EnergySetting):
-    """Maximum of the energy along the piecewise-linear path.
+def _locate_path_max(path: np.ndarray, ghost_width: int, s: EnergySetting):
+    """Highest sampled energy along the piecewise-linear path.
 
-    Samples every node and three interior points per segment, so a ridge
-    crossing cannot hide between nodes.  Returns (segment index, parameter
-    in [0, 1] along that segment, max energy); parameter 0 marks a node.
+    A heuristic over the nodes and the ``_SEGMENT_SAMPLES`` interior points
+    of each segment, all evaluated by ``energy.segment_actions`` from
+    per-node stencil images; a ridge between samples can be missed.  The
+    highest node is the start and a segment sample replaces it only when
+    strictly higher, scanning segments and samples in order.  Returns
+    (segment index, parameter in [0, 1] along that segment, max energy);
+    parameter 0 marks a node.
     """
-    P = path.shape[0]
-    node_vals = [action(wrap(path[i]), s) for i in range(P)]
-    best = (int(np.argmax(node_vals)), 0.0, max(node_vals))
-    for i in range(P - 1):
-        for t in _SEGMENT_SAMPLES:
-            cand = (1.0 - t) * path[i] + t * path[i + 1]
-            e = action(wrap(cand), s)
+    at_nodes, in_segments = segment_actions(path, ghost_width, s, _SEGMENT_SAMPLES)
+    top = int(np.argmax(at_nodes))
+    best = (top, 0.0, float(at_nodes[top]))
+    for i, row in enumerate(in_segments):
+        for t, e in zip(_SEGMENT_SAMPLES, row):
             if e > best[2]:
-                best = (i, t, e)
+                best = (i, t, float(e))
     return best
 
 
@@ -371,7 +379,7 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
     while sweeps_left > 0:
         sweeps_left -= 1
         since_refine += 1
-        i_seg, tpar, j_max = _locate_path_max(path, wrap, s)
+        i_seg, tpar, j_max = _locate_path_max(path, gw, s)
         if tpar == 0.0 and i_seg in (0, P - 1):
             raise GeometryError("path maximum collapsed onto an endpoint")
         if tpar == 0.0:

@@ -229,6 +229,19 @@ def test_cmd_solve_config_error_exit_code(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("edit", [
+    ("[problem]\n", "[problem]\nalpha = -1\n"),
+    ("value = 0.05\n", "value = nan\n"),
+    ("schedule = 0.0 0.05\n", "schedule = 0.0 inf\n"),
+    ("kind = constant\n", "kind = file\npath = {out}/no_such_dump\n"),
+], ids=["negative-alpha", "nan-lambda", "inf-schedule", "missing-datum-file"])
+def test_bad_config_values_exit_2(tmp_path, capsys, edit):
+    cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace(*edit))
+    for command in ("solve", "continuation"):
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_cmd_continuation(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "out"

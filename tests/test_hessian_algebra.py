@@ -136,6 +136,14 @@ def test_stack_versions_match_scalar():
                                    rtol=1e-11, atol=1e-11)
 
 
+def test_sk2_stack_bitwise_equals_scalar():
+    rng = np.random.default_rng(17)
+    for n in (2, 3):
+        stack = np.stack([random_sym(rng, n) for _ in range(50)])
+        svals = sk_of_stack(stack, 2)
+        assert np.array_equal(svals, [sk_of_matrix(m, 2) for m in stack])
+
+
 def test_shifted_trace_examples():
     for mu in (-1.3, 0.4, 2.0):
         lhs, rhs = shifted_trace_identity(np.eye(2), mu, 2)

@@ -1,0 +1,87 @@
+"""Path-sweep evaluation: segment actions from per-node stencil images,
+the path-maximum search built on them, and arc-length redistribution."""
+
+import numpy as np
+import pytest
+
+from polyhess import (
+    Form,
+    ProblemParams,
+    ScalarField,
+    make_setting,
+    random_smooth_field,
+    unit_box,
+)
+from polyhess.energy import action, segment_actions
+from polyhess.solvers import _SEGMENT_SAMPLES, _locate_path_max, _redistribute
+
+from conftest import constant_datum
+
+CASES = [
+    (2, 32, 2, Form.STRONG),
+    (2, 32, 2, Form.WEAK),
+    (3, 16, 2, Form.STRONG),
+    (3, 16, 2, Form.WEAK),
+    (3, 16, 3, Form.STRONG),
+    (3, 16, 3, Form.WEAK),
+]
+CASE_IDS = [f"{d}d-n{n}-k{k}-{form.value}" for d, n, k, form in CASES]
+
+
+def case_path(dim, n, k, form, points=6):
+    """A setting and a path of random smooth rows of mixed amplitude."""
+    dom = unit_box(dim, n)
+    s = make_setting(ProblemParams(dim, k), 0.05, constant_datum(dom), form=form)
+    rng = np.random.default_rng(100 * dim + 10 * k + (form is Form.WEAK))
+    rows = [random_smooth_field(dom, rng, amplitude=rng.uniform(0.2, 4.0),
+                                ghost_width=s.alpha).values for _ in range(points)]
+    return s, np.stack(rows)
+
+
+def wrap(s, row):
+    return ScalarField(s.f.domain, row, s.alpha)
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_segment_actions_match_action(case):
+    s, path = case_path(*case)
+    at_nodes, in_segments = segment_actions(path, s.alpha, s, _SEGMENT_SAMPLES)
+    assert at_nodes.shape == (path.shape[0],)
+    assert in_segments.shape == (path.shape[0] - 1, len(_SEGMENT_SAMPLES))
+    for i, row in enumerate(path):
+        assert at_nodes[i] == action(wrap(s, row), s)  # bit for bit
+    for i in range(path.shape[0] - 1):
+        for j, t in enumerate(_SEGMENT_SAMPLES):
+            direct = action(wrap(s, (1.0 - t) * path[i] + t * path[i + 1]), s)
+            assert in_segments[i, j] == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_locate_path_max_matches_brute_force(case):
+    s, path = case_path(*case)
+    node_vals = [action(wrap(s, row), s) for row in path]
+    best = (int(np.argmax(node_vals)), 0.0, max(node_vals))
+    for i in range(path.shape[0] - 1):
+        for t in _SEGMENT_SAMPLES:
+            e = action(wrap(s, (1.0 - t) * path[i] + t * path[i + 1]), s)
+            if e > best[2]:
+                best = (i, t, e)
+    i_seg, tpar, j_max = _locate_path_max(path, s.alpha, s)
+    assert (i_seg, tpar) == best[:2]
+    assert j_max == pytest.approx(best[2], rel=1e-12)
+
+
+def test_redistribute_zero_length_path_keeps_point_count():
+    dom = unit_box(2, 8)
+
+    def wrap0(row):
+        return ScalarField(dom, row, 2)
+
+    for m, out_points in ((3, 17), (5, 5), (20, 17)):
+        out = _redistribute(np.zeros((m, 8, 8)), wrap0, 2, out_points=out_points)
+        assert out.shape == (out_points, 8, 8)
+        assert np.all(out == 0.0)
+    row = np.full((8, 8), 0.5)
+    out = _redistribute(np.stack([row] * 3), wrap0, 2, out_points=17)
+    assert out.shape == (17, 8, 8)
+    assert np.all(out == row)

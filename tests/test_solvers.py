@@ -35,6 +35,7 @@ from polyhess import (
     weak_two_solutions,
     zeros,
 )
+import polyhess.solvers as solvers
 from polyhess.errors import PolyhessError
 
 from conftest import constant_datum, flagship_setting
@@ -84,6 +85,19 @@ def test_minimize_local_start_validation(run32):
 def test_minimize_local_monotone_descent(run64):
     js = run64.record_minimize.J
     assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(js, js[1:]))
+
+
+def test_minimize_local_non_monotone_step_raises(run32, monkeypatch):
+    """The monotone-descent guard is an explicit check, not an assert."""
+    s = flagship_setting(32)
+    cutoff = CutoffSpec.quintic(run32.geometry.R0, run32.geometry.R1)
+    energies = iter([0.0])
+    # a negative slope makes the Armijo test accept the rising candidate
+    monkeypatch.setattr(solvers, "evaluate_H", lambda u, s, c: next(energies, 1.0))
+    monkeypatch.setattr(solvers, "inner", lambda a, b: -1e12)
+    with pytest.raises(NonconvergenceError, match=r"0\.0 to 1\.0") as info:
+        minimize_local(s, zeros(s.f.domain, 2), SolverConfig(seed=0), cutoff)
+    assert len(info.value.record) == 1
 
 
 def test_flagship_pair_regression(run32, run64):
