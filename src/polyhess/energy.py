@@ -29,6 +29,12 @@ the discrete divergence structure of S_k holds only to O(h^2).  Directional-
 derivative consistency is therefore asserted at a 1e-4 relative tolerance on
 smooth moderate-amplitude fields, not to roundoff.
 
+The weak form has one flux definition, ``_flux_of``: F_a = sum_b
+S_k^{ab}[u] u_b from the Hessian and gradient components (for k = 2,
+sigma_1 g_a - sum_b A_ab g_b, with no sigma_k gradient matrix).  The weak
+action's density sum_a F_a u_a, the weak residual's divergence and the
+weak pairing all use it.
+
 Form dispatch.  This module makes every strong-versus-weak choice:
 ``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
 ``segment_actions``, ``residual`` and ``residual_jacobian`` select the
@@ -160,12 +166,23 @@ def _nonlinear_strong_of(u_vals: np.ndarray, hess: np.ndarray, s: EnergySetting)
     return _sign_k(k) / (k + 1) * float(s.f.domain.cell_volume * np.vdot(u_vals, sk))
 
 
+def _flux_of(grads: np.ndarray, hess: np.ndarray, k: int) -> np.ndarray:
+    """F_a = sum_b S_k^{ab} g_b, shape (dim,) + nodes, from the gradient
+    components ``grads`` ((dim,) + nodes) and the Hessian ``hess`` (nodes + (dim, dim))."""
+    if k != 2:
+        return np.einsum("...ab,b...->a...", sk_partials_stack(hess, k), grads)
+    # S_2 = sigma_1 I - A
+    flux = sk_of_stack(hess, 1) * grads
+    for a in range(grads.shape[0]):
+        for b in range(grads.shape[0]):
+            flux[a] -= hess[..., a, b] * grads[b]
+    return flux
+
+
 def _nonlinear_weak_of(grads: np.ndarray, hess: np.ndarray, s: EnergySetting) -> float:
     k = s.params.k
-    g = np.moveaxis(grads, 0, -1)  # nodes + (dim,)
-    partials = sk_partials_stack(hess, k)  # nodes + (dim, dim)
-    density = np.einsum("...ab,...a,...b->...", partials, g, g)
-    divergence_sum = s.f.domain.cell_volume * float(density.sum())
+    # density sum_a F_a g_a, summed over the nodes
+    divergence_sum = s.f.domain.cell_volume * float(np.vdot(_flux_of(grads, hess, k), grads))
     return -_sign_k(k) / ((k + 1) * k) * divergence_sum
 
 
@@ -233,12 +250,7 @@ def residual_strong(u: ScalarField, s: EnergySetting) -> ScalarField:
 
 def _weak_flux(u: ScalarField, s: EnergySetting) -> np.ndarray:
     """Components F_i = sum_j u_{x_j} S_k^{ij}[u], shape (dim,) + nodes."""
-    k = s.params.k
-    grads = gradient_centered(u)  # (dim,) + nodes
-    partials = sk_partials_stack(hessian(u).values, k)  # nodes + (dim, dim)
-    gt = np.moveaxis(grads, 0, -1)
-    flux = np.einsum("...ij,...j->...i", partials, gt)
-    return np.moveaxis(flux, -1, 0)
+    return _flux_of(gradient_centered(u), hessian(u).values, s.params.k)
 
 
 def residual_weak_pairing(u: ScalarField, w: ScalarField, s: EnergySetting) -> float:

@@ -8,7 +8,12 @@ an order-``alpha`` problem needs fields declared with ``ghost_width >= alpha``.
 
 All stencils are the standard second-order centered ones.  Mixed second
 derivatives use the 4-point cross stencil; one-sided formulas are never
-needed because the extension by zero supplies every exterior value.
+needed because the extension by zero supplies every exterior value.  The
+stencils read that extension from one zero-filled buffer, one node wider on
+every side, into whose core the field is slice-assigned (no ``np.pad``
+call); the buffer holds exactly what padding with zeros would, so the
+stencil arithmetic is unchanged.  A domain computes its spacing and cell
+volume once and keeps them.
 
 The grid is a tensor product, so the discrete Dirichlet Laplacian is
 diagonal in the sine basis; ``invert_polyharmonic`` exploits this to apply
@@ -27,6 +32,7 @@ seminorm consistently on both sides of every comparison.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -71,11 +77,13 @@ class BoxDomain:
     def dim(self) -> int:
         return len(self.nodes)
 
-    @property
+    # cached in the instance __dict__, outside the dataclass fields, so
+    # equality and hashing still see only nodes and extent
+    @functools.cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(e / (n + 1) for e, n in zip(self.extent, self.nodes))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -180,8 +188,15 @@ def _core(ndim: int):
     return tuple(slice(1, -1) for _ in range(ndim))
 
 
+def _zero_extended(vals: np.ndarray) -> np.ndarray:
+    """The values inside a one-node border of zeros (what ``np.pad(vals, 1)`` gives)."""
+    p = np.zeros(tuple(n + 2 for n in vals.shape))
+    p[_core(vals.ndim)] = vals
+    return p
+
+
 def _laplacian_values(vals: np.ndarray, spacing) -> np.ndarray:
-    p = np.pad(vals, 1)
+    p = _zero_extended(vals)
     core = _core(vals.ndim)
     out = np.zeros_like(vals)
     for a in range(vals.ndim):
@@ -216,7 +231,7 @@ def polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
 
 def gradient_centered(u: ScalarField) -> np.ndarray:
     """Centered first differences, shape (dim,) + nodes, zero extension."""
-    p = np.pad(u.values, 1)
+    p = _zero_extended(u.values)
     core = _core(u.values.ndim)
     h = u.domain.spacing
     comps = np.empty((u.domain.dim,) + u.domain.nodes)
@@ -234,7 +249,7 @@ def hessian(u: ScalarField) -> MatrixField:
     vals = u.values
     d = u.domain.dim
     h = u.domain.spacing
-    p = np.pad(vals, 1)
+    p = _zero_extended(vals)
     core = _core(d)
     out = np.zeros(u.domain.nodes + (d, d))
     for a in range(d):
@@ -418,13 +433,34 @@ def dump_field(u: ScalarField, base: str | Path) -> tuple[Path, Path]:
 
 
 def load_field(base: str | Path) -> ScalarField:
+    """Read a field written by ``dump_field``.
+
+    The sidecar is checked, not trusted: a layout other than ``<f8`` in C
+    order, a raw file whose size does not match the node counts, a
+    non-finite value, a negative ghost width or a missing key raises
+    ``ValueError``.
+    """
     base = Path(base)
     raw = base if base.suffix == ".f64" else base.with_suffix(".f64")
     meta = raw.with_suffix(".meta.json")
     header = json.loads(meta.read_text())
-    domain = BoxDomain(nodes=tuple(header["nodes"]), extent=tuple(header["extent"]))
+    try:
+        layout = (header["dtype"], header["order"])
+        domain = BoxDomain(nodes=tuple(header["nodes"]), extent=tuple(header["extent"]))
+        ghost_width = int(header["ghost_width"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{meta}: malformed field header ({exc!r})") from exc
+    if layout != ("<f8", "C"):
+        raise ValueError(f"{meta}: unsupported layout dtype={layout[0]!r}, order={layout[1]!r}; "
+                         "expected '<f8' in 'C' order")
+    expected = math.prod(domain.nodes) * 8
+    size = raw.stat().st_size
+    if size != expected:
+        raise ValueError(f"{raw}: {size} bytes, expected {expected} for nodes {domain.nodes}")
     vals = np.fromfile(raw, dtype="<f8").reshape(domain.nodes)
-    return ScalarField(domain, vals, int(header["ghost_width"]))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{raw}: field has non-finite values")
+    return ScalarField(domain, vals, ghost_width)  # rejects a negative ghost width
 
 
 def export_csv(u: ScalarField, path: str | Path):

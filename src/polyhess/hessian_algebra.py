@@ -16,10 +16,20 @@ module hold (e.g. sum_ij A_ij * sk_partials(A, k)_ij == k * sk_of_matrix(A, k)).
 
 ``sk_of_stack`` / ``sk_partials_stack`` are vectorized variants over a
 leading batch of matrices; they exist for the grid hot path and are
-cross-checked against the scalar versions in the test suite.  For k = 2,
-``sk_of_stack`` sums the entrywise minors m_ii m_jj - m_ij m_ji over the
-pairs i < j, in the same order and with the same operations as
-``sk_of_matrix``, so on exactly symmetric input the two agree bit for bit.
+cross-checked against the scalar versions in the test suite.  For k = 1,
+``sk_of_stack`` sums the diagonal entries left to right (the order
+``np.trace`` uses); for k = 2 it sums the entrywise minors
+m_ii m_jj - m_ij m_ji over the pairs i < j, in the same order and with the
+same operations as ``sk_of_matrix``, so on exactly symmetric input the two
+agree bit for bit.
+
+``sk_partials_stack`` evaluates the closed form
+sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j directly: I for k = 1, sigma_1 I - A
+for k = 2 and sigma_2 I - sigma_1 A + A A for k = 3 (every order a grid of
+dimension <= 3 reaches), with no identity stack, no multiplication by
+sigma_0 = 1 and no product with I.  The terms are added in increasing
+powers of A; tests pin the result bit for bit to the series accumulated
+from an identity stack, which the strong-form Jacobian relies on.
 
 Every operation is a pure function of its arguments; there is no shared
 mutable state, so concurrent callers need no coordination.
@@ -186,7 +196,10 @@ def sk_of_stack(mats: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
         return np.ones(batch)
     if k == 1:
-        return np.trace(m, axis1=-2, axis2=-1)
+        total = m[..., 0, 0].copy()
+        for i in range(1, n):
+            total += m[..., i, i]
+        return total
     total = np.zeros(batch)
     for subset in itertools.combinations(range(n), k):
         if k == 2:
@@ -203,9 +216,10 @@ def sk_of_stack(mats: np.ndarray, k: int) -> np.ndarray:
 def sk_partials_stack(mats: np.ndarray, k: int) -> np.ndarray:
     """Gradient matrices of sigma_k for a (..., N, N) stack of symmetric matrices.
 
-    Uses the polynomial-in-A form sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j, which
-    for symmetric A gives the same matrix as per-entry minor differentiation;
-    the equivalence is pinned down by tests against sk_partials.
+    Evaluates sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j term by term (see the
+    module docstring), which for symmetric A gives the same matrix as
+    per-entry minor differentiation; the equivalence is pinned down by tests
+    against sk_partials.
     """
     m = np.asarray(mats, dtype=float)
     n = m.shape[-1]
@@ -213,13 +227,18 @@ def sk_partials_stack(mats: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"expected a (..., N, N) stack, got shape {m.shape}")
     if not 1 <= k <= n:
         raise ValueError(f"order k={k} out of range for dimension {n}")
-    batch = m.shape[:-2]
-    eye = np.broadcast_to(np.eye(n), batch + (n, n))
-    out = np.zeros(batch + (n, n))
-    power = eye.copy()
-    for j in range(k):
-        coeff = sk_of_stack(m, k - 1 - j)
-        out += (-1.0) ** j * coeff[..., None, None] * power
-        if j + 1 < k:
+    out = np.zeros(m.shape)
+    lead = sk_of_stack(m, k - 1)
+    for i in range(n):
+        out[..., i, i] += lead
+    power = m
+    for j in range(1, k):
+        if j > 1:
             power = power @ m
+        # sigma_0 = 1: the last term is the bare power
+        term = power if j == k - 1 else sk_of_stack(m, k - 1 - j)[..., None, None] * power
+        if j % 2:
+            out -= term
+        else:
+            out += term
     return out

@@ -34,6 +34,7 @@ generators and may run concurrently.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -96,6 +97,15 @@ class SolverConfig:
             raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        # backtracking needs a shrinking, finite trial step (with ls_rho >= 1
+        # the loops in minimize_local and mountain_pass never end) and an
+        # Armijo factor in (0, 1)
+        if not 0.0 < self.ls_rho < 1.0:
+            raise ValueError(f"ls_rho must lie in (0, 1), got {self.ls_rho}")
+        if not 0.0 < self.ls_c < 1.0:
+            raise ValueError(f"ls_c must lie in (0, 1), got {self.ls_c}")
+        if not 0.0 < self.step0 < math.inf:
+            raise ValueError(f"step0 must be positive and finite, got {self.step0}")
 
 
 @dataclass

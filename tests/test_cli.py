@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from polyhess import ConfigError, load_field
+from polyhess import ConfigError, dump_field, load_field, random_smooth_field, unit_box
 from polyhess.cli import (
     build_datum,
     build_domain,
@@ -241,6 +241,49 @@ def test_bad_config_values_exit_2(tmp_path, capsys, edit):
         assert main([command, "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+
+
+def test_line_search_that_never_shrinks_exits_2(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace("seed = 0\n", "seed = 0\nls_rho = 1.0\n"))
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def _truncate(raw, meta):
+    raw.write_bytes(raw.read_bytes()[:-8])
+
+
+def _write_nan(raw, meta):
+    vals = np.fromfile(raw, dtype="<f8")
+    vals[17] = np.nan
+    vals.tofile(raw)
+
+
+def _edit_sidecar(key, value):
+    def edit(raw, meta):
+        header = json.loads(meta.read_text())
+        header[key] = value
+        meta.write_text(json.dumps(header))
+    return edit
+
+
+@pytest.mark.parametrize("damage", [
+    _truncate,
+    _write_nan,
+    _edit_sidecar("dtype", ">f8"),
+    _edit_sidecar("order", "F"),
+    _edit_sidecar("ghost_width", -1),
+], ids=["truncated", "nan-value", "big-endian-dtype", "fortran-order", "negative-ghost-width"])
+def test_damaged_datum_dump_exits_2(tmp_path, capsys, damage):
+    u = random_smooth_field(unit_box(2, 32), np.random.default_rng(5))
+    raw, meta = dump_field(u, tmp_path / "datum")
+    damage(raw, meta)
+    with pytest.raises(ValueError):
+        load_field(raw)
+    text = SMALL_INI.replace("kind = constant\n", f"kind = file\npath = {raw}\n")
+    cfg_path = write_cfg(tmp_path, text=text)
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 def test_cmd_continuation(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)

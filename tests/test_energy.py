@@ -32,7 +32,9 @@ from polyhess import (
     zeros,
 )
 from polyhess.energy import _nonlinear_strong, _nonlinear_weak, _quadratic_term, _datum_term
-from polyhess.energy import minorant_sample_family, residual_jacobian
+from polyhess.energy import _flux_of, _nonlinear_weak_of, minorant_sample_family, residual_jacobian
+from polyhess.grid import BoxDomain, gradient_centered, hessian
+from polyhess.hessian_algebra import sk_partials_stack
 from polyhess.verify import consistency_worst_errors
 
 from conftest import constant_datum, flagship_setting
@@ -133,6 +135,23 @@ def test_weak_matches_strong_under_refinement():
     order = math.log(diffs[0] / diffs[2]) / math.log(hs[0] / hs[2])
     assert order >= 1.5
 
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (3, 3)])
+def test_weak_flux_and_density_match_einsum_contraction(n, k):
+    nodes, extent = ((40, 33), (1.0, 1.5)) if n == 2 else ((15, 12, 13), (1.0, 0.7, 1.2))
+    dom = BoxDomain(nodes=nodes, extent=extent)
+    u = random_smooth_field(dom, np.random.default_rng(31), modes=4, amplitude=2.0)
+    s = make_setting(ProblemParams(n, k), 0.05, constant_datum(dom), form=Form.WEAK)
+    grads, hess = gradient_centered(u), hessian(u).values
+    g = np.moveaxis(grads, 0, -1)
+    partials = sk_partials_stack(hess, k)
+    flux_ref = np.moveaxis(np.einsum("...ij,...j->...i", partials, g), -1, 0)
+    density_ref = np.einsum("...ab,...a,...b->...", partials, g, g)
+    nl_ref = -(-1.0) ** k / ((k + 1) * k) * dom.cell_volume * float(density_ref.sum())
+    flux = _flux_of(grads, hess, k)
+    assert np.max(np.abs(flux - flux_ref)) <= 1e-13 * np.max(np.abs(flux_ref))
+    assert _nonlinear_weak_of(grads, hess, s) == pytest.approx(nl_ref, rel=1e-13)
 
 def test_nonlinear_term_homogeneity(s64, s64w):
     dom = s64.f.domain

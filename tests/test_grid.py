@@ -12,6 +12,7 @@ from polyhess import (
     dump_field,
     export_csv,
     from_function,
+    gradient_centered,
     half_order,
     hessian,
     inner,
@@ -45,6 +46,15 @@ def test_domain_validation():
     dom = BoxDomain(nodes=(10, 20), extent=(1.0, 2.0))
     assert dom.spacing == (1.0 / 11, 2.0 / 21)
 
+
+
+def test_domain_geometry_cache_keeps_equality_and_hash():
+    a = BoxDomain(nodes=(10, 20), extent=(1.0, 2.0))
+    b = BoxDomain(nodes=(10, 20), extent=(1.0, 2.0))
+    assert a.cell_volume == pytest.approx(1.0 / 11 * 2.0 / 21, rel=1e-15)
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != BoxDomain(nodes=(10, 20), extent=(1.0, 3.0))
 
 def test_laplacian_exact_on_quadratics():
     dom = unit_box(2, 32)
@@ -112,6 +122,66 @@ def test_hessian_layout_is_node_major():
         assert h.shape == dom.nodes + (dim, dim)
         assert h.flags["C_CONTIGUOUS"]
 
+
+
+# The stencils as first written, reading the zero extension from np.pad.
+
+def _padded_laplacian(vals, h):
+    p = np.pad(vals, 1)
+    core = tuple(slice(1, -1) for _ in range(vals.ndim))
+    out = np.zeros_like(vals)
+    for a in range(vals.ndim):
+        up, dn = list(core), list(core)
+        up[a], dn[a] = slice(2, None), slice(0, -2)
+        out += (p[tuple(up)] - 2.0 * vals + p[tuple(dn)]) / h[a] ** 2
+    return out
+
+
+def _padded_gradient(vals, h):
+    p = np.pad(vals, 1)
+    core = tuple(slice(1, -1) for _ in range(vals.ndim))
+    comps = np.empty((vals.ndim,) + vals.shape)
+    for a in range(vals.ndim):
+        up, dn = list(core), list(core)
+        up[a], dn[a] = slice(2, None), slice(0, -2)
+        comps[a] = (p[tuple(up)] - p[tuple(dn)]) / (2.0 * h[a])
+    return comps
+
+
+def _padded_hessian(vals, h):
+    d = vals.ndim
+    p = np.pad(vals, 1)
+    core = tuple(slice(1, -1) for _ in range(d))
+    out = np.zeros(vals.shape + (d, d))
+    for a in range(d):
+        up, dn = list(core), list(core)
+        up[a], dn[a] = slice(2, None), slice(0, -2)
+        out[..., a, a] = (p[tuple(up)] - 2.0 * vals + p[tuple(dn)]) / h[a] ** 2
+    for a in range(d):
+        for b in range(a + 1, d):
+            pp, pm, mp, mm = list(core), list(core), list(core), list(core)
+            pp[a], pp[b] = slice(2, None), slice(2, None)
+            pm[a], pm[b] = slice(2, None), slice(0, -2)
+            mp[a], mp[b] = slice(0, -2), slice(2, None)
+            mm[a], mm[b] = slice(0, -2), slice(0, -2)
+            cross = (p[tuple(pp)] - p[tuple(pm)] - p[tuple(mp)] + p[tuple(mm)]) / (4.0 * h[a] * h[b])
+            out[..., a, b] = cross
+            out[..., b, a] = cross
+    return out
+
+
+@pytest.mark.parametrize("nodes, extent", [
+    ((16, 17), (1.0, 2.5)),
+    ((13, 10, 9), (0.5, 1.0, 3.0)),
+    ((12, 12, 12), (1.0, 1.0, 1.0)),
+], ids=["2d", "3d-odd", "3d-even"])
+def test_pad_free_stencils_equal_padded(nodes, extent):
+    dom = BoxDomain(nodes=nodes, extent=extent)
+    u = random_smooth_field(dom, np.random.default_rng(26), modes=4)
+    h = dom.spacing
+    assert np.array_equal(laplacian(u).values, _padded_laplacian(u.values, h))
+    assert np.array_equal(gradient_centered(u), _padded_gradient(u.values, h))
+    assert np.array_equal(hessian(u).values, _padded_hessian(u.values, h))
 
 def test_hessian_refinement():
     errs = []

@@ -144,6 +144,33 @@ def test_sk2_stack_bitwise_equals_scalar():
         assert np.array_equal(svals, [sk_of_matrix(m, 2) for m in stack])
 
 
+
+def _partials_polynomial_loop(mats, k):
+    """sk_partials_stack as first written: the series summed from an identity stack."""
+    m = np.asarray(mats, dtype=float)
+    n = m.shape[-1]
+    batch = m.shape[:-2]
+    eye = np.broadcast_to(np.eye(n), batch + (n, n))
+    out = np.zeros(batch + (n, n))
+    power = eye.copy()
+    for j in range(k):
+        coeff = (np.trace(m, axis1=-2, axis2=-1) if k - 1 - j == 1
+                 else sk_of_stack(m, k - 1 - j))
+        out += (-1.0) ** j * coeff[..., None, None] * power
+        if j + 1 < k:
+            power = power @ m
+    return out
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("batch", [(40,), (16, 12), (6, 5, 7)])
+def test_sk_partials_stack_closed_form_bitwise(n, k, batch):
+    rng = np.random.default_rng(18)
+    a = rng.standard_normal(batch + (n, n)) * 10.0 ** rng.uniform(-4, 4, batch + (n, n))
+    stack = 0.5 * (a + np.swapaxes(a, -1, -2))
+    assert np.array_equal(sk_partials_stack(stack, k), _partials_polynomial_loop(stack, k))
+    assert np.array_equal(sk_of_stack(stack, 1), np.trace(stack, axis1=-2, axis2=-1))
+
 def test_shifted_trace_examples():
     for mu in (-1.3, 0.4, 2.0):
         lhs, rhs = shifted_trace_identity(np.eye(2), mu, 2)

@@ -50,6 +50,15 @@ def test_solver_config_validation():
         SolverConfig(step_rule="wild")
 
 
+@pytest.mark.parametrize("bad", [
+    {"ls_rho": 1.0}, {"ls_rho": 0.0}, {"ls_rho": float("nan")},
+    {"ls_c": 1.0}, {"ls_c": 0.0}, {"step0": 0.0}, {"step0": float("inf")},
+])
+def test_solver_config_rejects_line_search_that_never_shrinks(bad):
+    with pytest.raises(ValueError):
+        SolverConfig(**bad)
+
+
 def test_psrecord_contract():
     rec = PSRecord()
     rec.append(1.0, 0.5, 2.0)
