@@ -56,6 +56,7 @@ from .exponents import ProblemParams, alpha_main, alpha_weak
 from .grid import (
     ScalarField,
     bump_field,
+    divergence_centered,
     gradient_centered,
     hessian,
     half_order,
@@ -280,13 +281,9 @@ def residual_weak_field(u: ScalarField, s: EnergySetting) -> ScalarField:
     k = s.params.k
     sign_a = -1.0 if s.alpha % 2 else 1.0
     flux = _weak_flux(u, s)
-    div = np.zeros(u.domain.nodes)
-    for a in range(u.domain.dim):
-        comp = ScalarField(u.domain, flux[a], 1)
-        div += gradient_centered(comp)[a]
     vals = (
         sign_a * polyharmonic(u, s.alpha).values
-        - _sign_k(k) / k * div
+        - _sign_k(k) / k * divergence_centered(flux, u.domain)
         - s.lam * s.f.values
     )
     return ScalarField(u.domain, vals, 0)
@@ -611,11 +608,15 @@ def geometry_witnesses(s: EnergySetting) -> GeometryWitnesses:
     # the pairing is sign-invariant, while for even k only the positive bump
     # verifies (sigma_k of the negative-definite Hessian at the peak is then
     # positive, so the radial computation gives int psi S_k[psi] > 0 there).
+    # A bump with a support margin under alpha nodes cannot be a mountain-pass
+    # endpoint, which encodes boundary conditions to order alpha.
     psi = None
     psi_pairing = 0.0
     for frac in (0.3, 0.25, 0.35, 0.2, 0.4):
         for sign_exp in (k, k + 1):
             cand = bump_field(dom, center, frac * minext, 1.0, sign_exp)
+            if cand.ghost_width < s.alpha:
+                continue
             val = _sign_k(k) * inner(cand, sk_field(cand, k))
             if val > 0.0:
                 psi, psi_pairing = cand, val

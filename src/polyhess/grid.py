@@ -184,27 +184,32 @@ def from_function(domain: BoxDomain, fn: Callable, ghost_width: int = 2) -> Scal
     return ScalarField(domain, np.asarray(fn(*mesh), dtype=float), ghost_width)
 
 
-def _core(ndim: int):
-    return tuple(slice(1, -1) for _ in range(ndim))
-
-
 def _zero_extended(vals: np.ndarray) -> np.ndarray:
     """The values inside a one-node border of zeros (what ``np.pad(vals, 1)`` gives)."""
     p = np.zeros(tuple(n + 2 for n in vals.shape))
-    p[_core(vals.ndim)] = vals
+    p[(slice(1, -1),) * vals.ndim] = vals
     return p
+
+
+def _shifted(p: np.ndarray, moves: dict[int, int]) -> np.ndarray:
+    """View of zero-extended values ``p`` moved ``moves[a]`` (+1 or -1) nodes
+    along each axis a named in ``moves``: the neighbour of every interior node."""
+    index = [slice(1, -1)] * p.ndim
+    for a, m in moves.items():
+        index[a] = slice(1 + m, p.shape[a] - 1 + m)
+    return p[tuple(index)]
+
+
+def _second_difference(p: np.ndarray, vals: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Centered second difference along one axis; ``p`` is ``vals`` zero-extended."""
+    return (_shifted(p, {axis: 1}) - 2.0 * vals + _shifted(p, {axis: -1})) / h ** 2
 
 
 def _laplacian_values(vals: np.ndarray, spacing) -> np.ndarray:
     p = _zero_extended(vals)
-    core = _core(vals.ndim)
     out = np.zeros_like(vals)
     for a in range(vals.ndim):
-        up = list(core)
-        dn = list(core)
-        up[a] = slice(2, None)
-        dn[a] = slice(0, -2)
-        out += (p[tuple(up)] - 2.0 * vals + p[tuple(dn)]) / spacing[a] ** 2
+        out += _second_difference(p, vals, a, spacing[a])
     return out
 
 
@@ -229,19 +234,27 @@ def polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
     return ScalarField(u.domain, vals, u.ghost_width - alpha)
 
 
+def _centered_difference(p: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Centered first difference along one axis of zero-extended node values ``p``."""
+    return (_shifted(p, {axis: 1}) - _shifted(p, {axis: -1})) / (2.0 * h)
+
+
 def gradient_centered(u: ScalarField) -> np.ndarray:
     """Centered first differences, shape (dim,) + nodes, zero extension."""
     p = _zero_extended(u.values)
-    core = _core(u.values.ndim)
     h = u.domain.spacing
     comps = np.empty((u.domain.dim,) + u.domain.nodes)
     for a in range(u.domain.dim):
-        up = list(core)
-        dn = list(core)
-        up[a] = slice(2, None)
-        dn[a] = slice(0, -2)
-        comps[a] = (p[tuple(up)] - p[tuple(dn)]) / (2.0 * h[a])
+        comps[a] = _centered_difference(p, a, h[a])
     return comps
+
+
+def divergence_centered(flux: np.ndarray, domain: BoxDomain) -> np.ndarray:
+    """Sum over a of the centered difference of ``flux[a]`` along axis a, zero extension."""
+    div = np.zeros(domain.nodes)
+    for a in range(domain.dim):
+        div += _centered_difference(_zero_extended(flux[a]), a, domain.spacing[a])
+    return div
 
 
 def hessian(u: ScalarField) -> MatrixField:
@@ -250,24 +263,12 @@ def hessian(u: ScalarField) -> MatrixField:
     d = u.domain.dim
     h = u.domain.spacing
     p = _zero_extended(vals)
-    core = _core(d)
     out = np.zeros(u.domain.nodes + (d, d))
     for a in range(d):
-        up = list(core)
-        dn = list(core)
-        up[a] = slice(2, None)
-        dn[a] = slice(0, -2)
-        out[..., a, a] = (p[tuple(up)] - 2.0 * vals + p[tuple(dn)]) / h[a] ** 2
+        out[..., a, a] = _second_difference(p, vals, a, h[a])
     for a, b in itertools.combinations(range(d), 2):
-        pp = list(core)
-        pm = list(core)
-        mp = list(core)
-        mm = list(core)
-        pp[a] = slice(2, None); pp[b] = slice(2, None)
-        pm[a] = slice(2, None); pm[b] = slice(0, -2)
-        mp[a] = slice(0, -2); mp[b] = slice(2, None)
-        mm[a] = slice(0, -2); mm[b] = slice(0, -2)
-        cross = (p[tuple(pp)] - p[tuple(pm)] - p[tuple(mp)] + p[tuple(mm)]) / (4.0 * h[a] * h[b])
+        cross = (_shifted(p, {a: 1, b: 1}) - _shifted(p, {a: 1, b: -1})
+                 - _shifted(p, {a: -1, b: 1}) + _shifted(p, {a: -1, b: -1})) / (4.0 * h[a] * h[b])
         out[..., a, b] = cross
         out[..., b, a] = cross
     return MatrixField(u.domain, out)

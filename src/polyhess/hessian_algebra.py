@@ -1,10 +1,14 @@
 """Pointwise algebra of the k-Hessian nonlinearity.
 
 Everything here acts on small dense symmetric matrices (the pointwise Hessian
-of a scalar field), with the dimension capped at ``MAX_DIM = 8``: the matrix
-side is the spatial dimension, never the grid size, so combinatorial
-principal-minor enumeration is cheap and we avoid dragging an eigensolver
-into the hot path.
+of a scalar field), with the matrix side capped at ``MAX_DIM = 8``: the side
+is the spatial dimension, never the grid size.
+
+There is one sigma_k kernel, ``sk_of_stack``, and one gradient kernel,
+``sk_partials_stack``, both batched over the leading axes of a (..., N, N)
+stack; ``sk_of_matrix`` and ``sk_partials`` are their single-matrix front
+ends, which validate and symmetrize the input first.  ``sigma_k`` of the
+eigenvalues is the independent oracle the checks compare against.
 
 Derivative convention for ``sk_partials``: the (i, j) entry is the derivative
 of sigma_k with respect to entry a_ij treating entries as independent, which
@@ -14,14 +18,11 @@ and a_ji together therefore has to halve its off-diagonal quotients to match.
 Under this convention the divergence-form identities used by the energy
 module hold (e.g. sum_ij A_ij * sk_partials(A, k)_ij == k * sk_of_matrix(A, k)).
 
-``sk_of_stack`` / ``sk_partials_stack`` are vectorized variants over a
-leading batch of matrices; they exist for the grid hot path and are
-cross-checked against the scalar versions in the test suite.  For k = 1,
-``sk_of_stack`` sums the diagonal entries left to right (the order
-``np.trace`` uses); for k = 2 it sums the entrywise minors
-m_ii m_jj - m_ij m_ji over the pairs i < j, in the same order and with the
-same operations as ``sk_of_matrix``, so on exactly symmetric input the two
-agree bit for bit.
+``sk_of_stack`` sums the k x k principal minors.  For k = 1 it sums the
+diagonal entries left to right (the order ``np.trace`` uses); for k = 2 it
+sums the entrywise minors m_ii m_jj - m_ij m_ji over the pairs i < j; for
+k >= 3 it gathers every principal block with one fancy index and makes one
+batched LAPACK determinant call.
 
 ``sk_partials_stack`` evaluates the closed form
 sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j directly: I for k = 1, sigma_1 I - A
@@ -69,7 +70,7 @@ def sigma_k(values, k: int) -> float:
     """k-th elementary symmetric polynomial of a sequence of eigenvalues.
 
     Computed by multiplying out prod_i (1 + lambda_i t) one factor at a time
-    and reading off the t^k coefficient: O(N k), stable, no sorting or subset
+    and reading off the t^k coefficient: O(N k), stable, no subset
     enumeration.  k = 0 returns 1 by convention.
     """
     lam = np.sort(np.asarray(values, dtype=float).ravel())  # canonical order:
@@ -80,36 +81,8 @@ def sigma_k(values, k: int) -> float:
     e = np.zeros(k + 1)
     e[0] = 1.0
     for x in lam:
-        upto = min(k, n)
-        e[1 : upto + 1] = e[1 : upto + 1] + x * e[0:upto]
+        e[1 : k + 1] = e[1 : k + 1] + x * e[0:k]
     return float(e[k])
-
-
-def _det_cofactor(m: np.ndarray) -> float:
-    """Determinant by cofactor expansion; intended for sides <= 4."""
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0])
-    if n == 2:
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    if n == 3:
-        return float(
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-    rest = np.arange(1, n)
-    acc = 0.0
-    for j in range(n):
-        cols = [c for c in range(n) if c != j]
-        acc += (-1.0) ** j * m[0, j] * _det_cofactor(m[np.ix_(rest, cols)])
-    return float(acc)
-
-
-def _principal_det(m: np.ndarray) -> float:
-    if m.shape[0] <= 4:
-        return _det_cofactor(m)
-    return float(np.linalg.det(m))  # LU with partial pivoting
 
 
 def sk_of_matrix(a, k: int) -> float:
@@ -117,45 +90,15 @@ def sk_of_matrix(a, k: int) -> float:
 
     Agrees with sigma_k of the eigenvalues; k = 0 returns 1.
     """
-    m = as_symmetric(a)
-    n = m.shape[0]
-    if not 0 <= k <= n:
-        raise ValueError(f"order k={k} out of range for dimension {n}")
-    if k == 0:
-        return 1.0
-    idx = np.arange(n)
-    total = 0.0
-    for subset in itertools.combinations(idx, k):
-        sub = m[np.ix_(subset, subset)]
-        total += _principal_det(sub)
-    return float(total)
+    return float(sk_of_stack(as_symmetric(a), k))
 
 
 def sk_partials(a, k: int) -> np.ndarray:
     """Matrix of partial derivatives of sigma_k with respect to matrix entries.
 
-    Entry (i, j) sums, over every k-subset containing both i and j, the signed
-    (k-1)-minor complementary to position (i, j) inside that principal block.
     See the module docstring for the symmetric-perturbation convention.
     """
-    m = as_symmetric(a)
-    n = m.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"order k={k} out of range for dimension {n}")
-    out = np.zeros((n, n))
-    idx = np.arange(n)
-    for subset in itertools.combinations(idx, k):
-        sub = m[np.ix_(subset, subset)]
-        for p, i in enumerate(subset):
-            rows = [r for r in range(k) if r != p]
-            for q, j in enumerate(subset):
-                cols = [c for c in range(k) if c != q]
-                if k == 1:
-                    minor = 1.0
-                else:
-                    minor = _principal_det(sub[np.ix_(rows, cols)])
-                out[i, j] += (-1.0) ** (p + q) * minor
-    return 0.5 * (out + out.T)
+    return sk_partials_stack(as_symmetric(a), k)
 
 
 def shifted_trace_identity(a, mu: float, k: int) -> tuple[float, float]:
@@ -167,9 +110,7 @@ def shifted_trace_identity(a, mu: float, k: int) -> tuple[float, float]:
     """
     m = as_symmetric(a)
     n = m.shape[0]
-    if not 0 <= k <= n:
-        raise ValueError(f"order k={k} out of range for dimension {n}")
-    lhs = sk_of_matrix(m - mu * np.eye(n), k)
+    lhs = sk_of_matrix(m - mu * np.eye(n), k)  # rejects k outside 0..N
     rhs = 0.0
     for i in range(k + 1):
         rhs += math.comb(n - i, k - i) * sk_of_matrix(m, i) * (-mu) ** (k - i)
@@ -179,10 +120,9 @@ def shifted_trace_identity(a, mu: float, k: int) -> tuple[float, float]:
 def sk_of_stack(mats: np.ndarray, k: int) -> np.ndarray:
     """sigma_k of every matrix in a (..., N, N) stack of symmetric matrices.
 
-    Principal-minor enumeration vectorized over the batch axes.  For k = 2
-    each 2 x 2 minor is read entrywise from the stack (no sub-block copies);
-    larger blocks go through LAPACK's batched determinant.  Matches
-    sk_of_matrix elementwise.
+    Sums the k x k principal minors over the batch axes: for k = 2 each
+    2 x 2 minor is read entrywise from the stack (no sub-block copies);
+    larger blocks go through one batched LAPACK determinant call.
     """
     m = np.asarray(mats, dtype=float)
     n = m.shape[-1]
@@ -200,26 +140,25 @@ def sk_of_stack(mats: np.ndarray, k: int) -> np.ndarray:
         for i in range(1, n):
             total += m[..., i, i]
         return total
-    total = np.zeros(batch)
-    for subset in itertools.combinations(range(n), k):
-        if k == 2:
-            i, j = subset
+    if k == 2:
+        total = np.zeros(batch)
+        for i, j in itertools.combinations(range(n), 2):
             total += m[..., i, i] * m[..., j, j] - m[..., i, j] * m[..., j, i]
-        else:
-            sub = m[(Ellipsis,) + np.ix_(subset, subset)]
-            # exactly singular blocks (zero Hessians) trip a spurious numpy warning
-            with np.errstate(divide="ignore", invalid="ignore"):
-                total += np.linalg.det(sub)
-    return total
+        return total
+    idx = np.array(list(itertools.combinations(range(n), k)))
+    blocks = m[..., idx[:, :, None], idx[:, None, :]]  # batch + (subsets, k, k)
+    # exactly singular blocks (zero Hessians) trip a spurious numpy warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.linalg.det(blocks).sum(axis=-1)
 
 
 def sk_partials_stack(mats: np.ndarray, k: int) -> np.ndarray:
     """Gradient matrices of sigma_k for a (..., N, N) stack of symmetric matrices.
 
     Evaluates sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j term by term (see the
-    module docstring), which for symmetric A gives the same matrix as
-    per-entry minor differentiation; the equivalence is pinned down by tests
-    against sk_partials.
+    module docstring), which for symmetric A is the matrix of per-entry
+    minor derivatives; tests check it against central differences of
+    sigma_k.
     """
     m = np.asarray(mats, dtype=float)
     n = m.shape[-1]

@@ -2,7 +2,9 @@
 
 Each suite returns a list of CheckResult rows; a run passes when every row
 does.  All randomness is drawn from the seed passed in, so repeated runs are
-identical.
+identical.  The algebra checks are public functions of ``(rng, count)`` that
+return the worst error, and the acceptance tests call them (and
+``suite_exponents``) with their own seeds instead of repeating the loops.
 """
 
 from __future__ import annotations
@@ -81,56 +83,69 @@ def symmetric_fd_partials(a: np.ndarray, k: int, step: float = 1e-6) -> np.ndarr
     return out
 
 
-def suite_algebra(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    rows = []
-
+def eigen_oracle_error(rng: np.random.Generator, count: int) -> float:
+    """Worst relative gap of sk_of_matrix to sigma_k of the eigenvalues (sides 2..6, every k)."""
     worst = 0.0
-    for _ in range(1000):
+    for _ in range(count):
         n = int(rng.integers(2, 7))
         a = _random_symmetric(rng, n)
         eig = np.linalg.eigvalsh(a)
         for k in range(0, n + 1):
-            direct = sk_of_matrix(a, k)
-            via_eig = sigma_k(eig, k)
-            err = abs(direct - via_eig) / max(abs(via_eig), 1.0)
-            worst = max(worst, err)
-    rows.append(_result("algebra", "eigen_oracle_equivalence", worst < 1e-10,
-                        f"worst rel err {worst:.3e} (tol 1e-10)"))
+            ref = sigma_k(eig, k)
+            worst = max(worst, abs(sk_of_matrix(a, k) - ref) / max(abs(ref), 1.0))
+    return worst
 
+
+def shifted_trace_error(rng: np.random.Generator, count: int) -> float:
+    """Worst scaled gap between the sides of the shifted-trace identity (sides 2..6)."""
     worst = 0.0
-    for _ in range(1000):
-        n = 5
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
         a = _random_symmetric(rng, n)
         mu = float(rng.uniform(-2.0, 2.0))
         k = int(rng.integers(1, n + 1))
         lhs, rhs = shifted_trace_identity(a, mu, k)
-        err = abs(lhs - rhs) / (1.0 + abs(lhs))
-        worst = max(worst, err)
-    rows.append(_result("algebra", "shifted_trace_identity", worst < 1e-9,
-                        f"worst scaled err {worst:.3e} (tol 1e-9)"))
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return worst
 
+
+def fd_partials_error(rng: np.random.Generator, count: int) -> float:
+    """Worst absolute gap of sk_partials to its finite-difference oracle (sides 2..4)."""
     worst = 0.0
-    for _ in range(200):
+    for _ in range(count):
         n = int(rng.integers(2, 5))
         a = _random_symmetric(rng, n)
         k = int(rng.integers(1, n + 1))
-        exact = sk_partials(a, k)
         fd = symmetric_fd_partials(a, k)
-        worst = max(worst, float(np.max(np.abs(exact - fd))))
-    rows.append(_result("algebra", "cofactor_derivative_fd", worst < 1e-7,
-                        f"worst abs err {worst:.3e} (tol 1e-7)"))
+        worst = max(worst, float(np.max(np.abs(sk_partials(a, k) - fd))))
+    return worst
 
+
+def homogeneity_error(rng: np.random.Generator, count: int) -> float:
+    """Worst relative defect of Euler's sum_ij A_ij S_k^ij = k sigma_k(A) (sides 2..6)."""
     worst = 0.0
-    for _ in range(200):
+    for _ in range(count):
         n = int(rng.integers(2, 7))
         a = _random_symmetric(rng, n)
         k = int(rng.integers(1, n + 1))
         lhs = float(np.sum(a * sk_partials(a, k)))
         rhs = k * sk_of_matrix(a, k)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    rows.append(_result("algebra", "degree_k_homogeneity", worst < 1e-10,
-                        f"worst rel err {worst:.3e} (tol 1e-10)"))
+    return worst
+
+
+def suite_algebra(seed: int = 0) -> list[CheckResult]:
+    rng = np.random.default_rng(seed)
+    rows = []
+    for name, check, count, tol, what in (
+        ("eigen_oracle_equivalence", eigen_oracle_error, 1000, "1e-10", "rel err"),
+        ("shifted_trace_identity", shifted_trace_error, 1000, "1e-9", "scaled err"),
+        ("cofactor_derivative_fd", fd_partials_error, 200, "1e-7", "abs err"),
+        ("degree_k_homogeneity", homogeneity_error, 200, "1e-10", "rel err"),
+    ):
+        worst = check(rng, count)  # in this order, on the one generator
+        rows.append(_result("algebra", name, worst < float(tol),
+                            f"worst {what} {worst:.3e} (tol {tol})"))
     return rows
 
 

@@ -24,17 +24,15 @@ from polyhess import (
     ball_uniqueness_probe,
     continuation_in_lambda,
     seminorm,
-    shifted_trace_identity,
-    sigma_k,
-    sk_of_matrix,
-    sk_partials,
 )
-from polyhess import exponents as xp
 from polyhess.verify import (
     consistency_worst_errors,
     divergence_values,
+    eigen_oracle_error,
+    fd_partials_error,
     observed_order,
-    symmetric_fd_partials,
+    shifted_trace_error,
+    suite_exponents,
 )
 
 from conftest import flagship_setting
@@ -44,23 +42,9 @@ def _announce(name, detail):
     print(f"ACCEPTANCE {name}: PASS ({detail})")
 
 
-def _rand_sym(rng, n):
-    a = rng.standard_normal((n, n))
-    return 0.5 * (a + a.T)
-
-
 def test_acceptance_algebra_oracle_equivalence():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 7))
-        a = _rand_sym(rng, n)
-        eig = np.linalg.eigvalsh(a)
-        for k in range(0, n + 1):
-            ref = sigma_k(eig, k)
-            err = abs(sk_of_matrix(a, k) - ref) / max(abs(ref), 1.0)
-            worst = max(worst, err)
+    worst = eigen_oracle_error(np.random.default_rng(2024), 1000)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-10
     assert elapsed < 10.0
@@ -70,15 +54,7 @@ def test_acceptance_algebra_oracle_equivalence():
 
 def test_acceptance_shifted_trace_identity():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(2025)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 7))
-        a = _rand_sym(rng, n)
-        mu = float(rng.uniform(-2.0, 2.0))
-        k = int(rng.integers(1, n + 1))
-        lhs, rhs = shifted_trace_identity(a, mu, k)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    worst = shifted_trace_error(np.random.default_rng(2025), 1000)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-9
     assert elapsed < 10.0
@@ -88,14 +64,7 @@ def test_acceptance_shifted_trace_identity():
 
 def test_acceptance_cofactor_derivative():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(2026)
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(2, 5))
-        a = _rand_sym(rng, n)
-        k = int(rng.integers(1, n + 1))
-        fd = symmetric_fd_partials(a, k, step=1e-6)
-        worst = max(worst, float(np.max(np.abs(sk_partials(a, k) - fd))))
+    worst = fd_partials_error(np.random.default_rng(2026), 200)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-7
     assert elapsed < 10.0
@@ -105,27 +74,9 @@ def test_acceptance_cofactor_derivative():
 
 def test_acceptance_exponent_suite():
     t0 = time.perf_counter()
-    for n in range(2, 31):
-        for k in range(2, n + 1):
-            p = xp.ProblemParams(n, k)
-            am, aw = xp.alpha_main(p), xp.alpha_weak(p)
-            assert am >= 2 and aw >= 2
-            regime = xp.classify_regime(p)
-            if regime is xp.Regime.SUPER:
-                if n % 2 == 0:
-                    assert am == (n + 2) // 2
-                elif k <= (2 * n) // 3:
-                    assert am == (n + 1) // 2
-                else:
-                    assert am == (n + 3) // 2
-            ex = xp.lebesgue_exponents(p)
-            if regime is xp.Regime.SUB:
-                assert 1 < ex.p_star < 1.5
-                assert 1 / ex.p_star + 1 / ex.q_star == 1
-        if n % 2 == 0 and n >= 4:
-            p = xp.ProblemParams(n, n // 2)
-            assert xp.alpha_weak(p) == xp.alpha_main(p)
+    rows = suite_exponents()
     elapsed = time.perf_counter() - t0
+    assert all(row.passed for row in rows), [row.name for row in rows if not row.passed]
     assert elapsed < 1.0
     _announce("exponent_suite", f"exhaustive N <= 30, {elapsed:.2f}s")
 

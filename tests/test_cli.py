@@ -242,6 +242,14 @@ def test_bad_config_values_exit_2(tmp_path, capsys, edit):
         assert "config error" in capsys.readouterr().err
 
 
+def test_coarse_grid_solves_and_continues(tmp_path, capsys):
+    # at n = 8 the first witness bump's support margin is one node, short of alpha = 2
+    cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace("nodes = 32", "nodes = 8"))
+    for form in ("strong", "weak"):
+        assert main(["solve", "--config", str(cfg_path), "--form", form]) == 0
+    assert main(["continuation", "--config", str(cfg_path)]) == 0
+    assert "config error" not in capsys.readouterr().err
+
 
 def test_line_search_that_never_shrinks_exits_2(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace("seed = 0\n", "seed = 0\nls_rho = 1.0\n"))

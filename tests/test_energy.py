@@ -33,7 +33,7 @@ from polyhess import (
 )
 from polyhess.energy import _nonlinear_strong, _nonlinear_weak, _quadratic_term, _datum_term
 from polyhess.energy import _flux_of, _nonlinear_weak_of, minorant_sample_family, residual_jacobian
-from polyhess.grid import BoxDomain, gradient_centered, hessian
+from polyhess.grid import BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian
 from polyhess.hessian_algebra import sk_partials_stack
 from polyhess.verify import consistency_worst_errors
 
@@ -152,6 +152,26 @@ def test_weak_flux_and_density_match_einsum_contraction(n, k):
     flux = _flux_of(grads, hess, k)
     assert np.max(np.abs(flux - flux_ref)) <= 1e-13 * np.max(np.abs(flux_ref))
     assert _nonlinear_weak_of(grads, hess, s) == pytest.approx(nl_ref, rel=1e-13)
+
+
+def _divergence_per_component_gradient(flux, dom):
+    """The weak divergence as first written: a full centered gradient of each
+    flux component, of which one axis is kept."""
+    div = np.zeros(dom.nodes)
+    for a in range(dom.dim):
+        div += gradient_centered(ScalarField(dom, flux[a], 1))[a]
+    return div
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (3, 3)])
+def test_divergence_centered_equals_per_component_gradient(n, k):
+    nodes, extent = ((40, 33), (1.0, 1.5)) if n == 2 else ((15, 12, 13), (1.0, 0.7, 1.2))
+    dom = BoxDomain(nodes=nodes, extent=extent)
+    u = random_smooth_field(dom, np.random.default_rng(32), modes=4, amplitude=2.0)
+    flux = _flux_of(gradient_centered(u), hessian(u).values, k)
+    assert np.array_equal(divergence_centered(flux, dom),
+                          _divergence_per_component_gradient(flux, dom))
+
 
 def test_nonlinear_term_homogeneity(s64, s64w):
     dom = s64.f.domain

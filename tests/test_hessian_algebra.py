@@ -144,6 +144,20 @@ def test_sk2_stack_bitwise_equals_scalar():
         assert np.array_equal(svals, [sk_of_matrix(m, 2) for m in stack])
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sk_of_stack_gathered_blocks_eigen_oracle(n):
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((4, 5, n, n))
+    stack = 0.5 * (a + np.swapaxes(a, -1, -2))
+    eig = np.linalg.eigvalsh(stack)
+    for k in range(3, n + 1):
+        vals = sk_of_stack(stack, k)
+        assert vals.shape == (4, 5)
+        for idx in np.ndindex(4, 5):
+            ref = sigma_k(eig[idx], k)
+            assert abs(vals[idx] - ref) <= 1e-10 * max(abs(ref), 1.0)
+
+
 
 def _partials_polynomial_loop(mats, k):
     """sk_partials_stack as first written: the series summed from an identity stack."""
