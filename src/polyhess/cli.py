@@ -13,7 +13,6 @@ character is ``{`` are parsed as JSON):
     [lambda]             [solver]                        [output]
     value = 0.05         grad_tol = 1e-06                directory = runs
     schedule = 0.0,0.01  max_iters = 400                 dump_fields = false
-                         step_rule = backtracking
                          path_points = 17
                          deform_tol = 3e-05
                          seed = 0
@@ -22,8 +21,11 @@ character is ``{`` are parsed as JSON):
                          krylov_restart = 40
                          krylov_outer = 5
 
-The ``[solver]`` keys are the fields of ``SolverConfig``.  Unknown sections
-or keys are rejected.  Exit codes: 0 success, 2 config error, 3 solver
+The keys come from the dataclass fields: each ``RunConfig`` field names its
+``(section, key)`` in its metadata, and the ``[solver]`` keys are the fields
+of ``SolverConfig``.  Values are checked when the config is built, so a bad
+value exits 2 before any solve starts.  Unknown sections or keys are
+rejected.  Exit codes: 0 success, 2 config error, 3 solver
 nonconvergence/geometry failure, 4 invariant-suite failure.
 """
 
@@ -46,41 +48,10 @@ from .energy import EnergySetting, Form, make_setting
 from .errors import CapabilityError, ConfigError, PolyhessError
 from .exponents import ProblemParams, regime_report
 from .grid import BoxDomain, ScalarField, dump_field, from_function, load_field
-from .solvers import SolverConfig, continuation_in_lambda, solve_run
+from .solvers import SolverConfig, check_lambda_schedule, continuation_in_lambda, solve_run
 from .verify import run_suites
 
 _DATUM_KINDS = ("constant", "gaussian", "checker", "file")
-
-
-@dataclass
-class RunConfig:
-    n: int = 2
-    k: int = 2
-    alpha: Optional[int] = None
-    form: str = "strong"
-    nodes: tuple = (64,)
-    extent: tuple = (1.0,)
-    datum_kind: str = "constant"
-    datum_value: float = 1.0
-    datum_width: float = 0.1
-    datum_blocks: int = 2
-    datum_path: Optional[str] = None
-    lam: float = 0.0
-    lambda_schedule: Optional[tuple] = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    out_dir: str = "runs"
-    dump_fields: bool = False
-
-    def __post_init__(self):
-        if self.form not in ("strong", "weak"):
-            raise ConfigError(f"form must be strong or weak, got {self.form!r}")
-        if self.datum_kind not in _DATUM_KINDS:
-            raise ConfigError(f"datum kind must be one of {_DATUM_KINDS}")
-        if not math.isfinite(self.lam):
-            raise ConfigError(f"lambda.value must be finite, got {self.lam!r}")
-        if self.lambda_schedule is not None and not all(
-                math.isfinite(v) for v in self.lambda_schedule):
-            raise ConfigError(f"lambda.schedule must be finite, got {self.lambda_schedule!r}")
 
 
 def _parse_float_list(text: str) -> tuple:
@@ -100,92 +71,99 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"cannot parse boolean from {text!r}")
 
 
-# section -> key -> (target attribute, converter)
-_SCHEMA = {
-    "problem": {
-        "n": ("n", int),
-        "k": ("k", int),
-        "alpha": ("alpha", int),
-        "form": ("form", str),
-    },
-    "domain": {
-        "nodes": ("nodes", _parse_int_list),
-        "extent": ("extent", _parse_float_list),
-    },
-    "datum": {
-        "kind": ("datum_kind", str),
-        "value": ("datum_value", float),
-        "width": ("datum_width", float),
-        "blocks": ("datum_blocks", int),
-        "path": ("datum_path", str),
-    },
-    "lambda": {
-        "value": ("lam", float),
-        "schedule": ("lambda_schedule", _parse_float_list),
-    },
-    "solver": {f.name: (f.name, type(f.default)) for f in fields(SolverConfig)},
-    "output": {
-        "directory": ("out_dir", str),
-        "dump_fields": ("dump_fields", _parse_bool),
-    },
-}
+def _ini(section: str, key: str, default, parse=None):
+    """A field read from ``[section] key``, parsed by ``parse`` or its default's type."""
+    return field(default=default, metadata={"ini": (section, key), "parse": parse})
+
+
+@dataclass
+class RunConfig:
+    n: int = _ini("problem", "n", 2)
+    k: int = _ini("problem", "k", 2)
+    alpha: Optional[int] = _ini("problem", "alpha", None, int)
+    form: str = _ini("problem", "form", "strong")
+    nodes: tuple = _ini("domain", "nodes", (64,), _parse_int_list)
+    extent: tuple = _ini("domain", "extent", (1.0,), _parse_float_list)
+    datum_kind: str = _ini("datum", "kind", "constant")
+    datum_value: float = _ini("datum", "value", 1.0)
+    datum_width: float = _ini("datum", "width", 0.1)
+    datum_blocks: int = _ini("datum", "blocks", 2)
+    datum_path: Optional[str] = _ini("datum", "path", None, str)
+    lam: float = _ini("lambda", "value", 0.0)
+    lambda_schedule: Optional[tuple] = _ini("lambda", "schedule", None, _parse_float_list)
+    solver: SolverConfig = field(default_factory=SolverConfig)  # the [solver] section
+    out_dir: str = _ini("output", "directory", "runs")
+    dump_fields: bool = _ini("output", "dump_fields", False, _parse_bool)
+
+    def __post_init__(self):
+        if self.form not in ("strong", "weak"):
+            raise ConfigError(f"form must be strong or weak, got {self.form!r}")
+        if self.datum_kind not in _DATUM_KINDS:
+            raise ConfigError(f"datum kind must be one of {_DATUM_KINDS}")
+        if not math.isfinite(self.datum_value):
+            raise ConfigError(f"datum.value must be finite, got {self.datum_value!r}")
+        if not 0.0 < self.datum_width < math.inf:
+            raise ConfigError(
+                f"datum.width must be positive and finite, got {self.datum_width!r}")
+        if not math.isfinite(self.lam):
+            raise ConfigError(f"lambda.value must be finite, got {self.lam!r}")
+        if self.lambda_schedule is not None:
+            if not all(math.isfinite(v) for v in self.lambda_schedule):
+                raise ConfigError(f"lambda.schedule must be finite, got {self.lambda_schedule!r}")
+            check_lambda_schedule(self.lambda_schedule)
+
+
+def _build_schema() -> dict:
+    """section -> key -> (attribute, parser), sections and keys in field order."""
+    schema = {}
+    for f in fields(RunConfig):
+        if f.name == "solver":
+            schema["solver"] = {g.name: (g.name, type(g.default)) for g in fields(SolverConfig)}
+        else:
+            section, key = f.metadata["ini"]
+            schema.setdefault(section, {})[key] = (f.name, f.metadata["parse"] or type(f.default))
+    return schema
+
+
+_SCHEMA = _build_schema()
 
 
 def parse_config_text(text: str) -> RunConfig:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
-            nested = json.loads(text)
+            sections = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
-        flat = {}
-        for section, entries in nested.items():
-            if section not in _SCHEMA:
-                raise ConfigError(f"unknown config section {section!r}")
-            if not isinstance(entries, dict):
-                raise ConfigError(f"section {section!r} must be an object")
-            for key, value in entries.items():
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"unknown key {key!r} in section {section!r}")
-                flat[(section, key)] = value if isinstance(value, str) else json.dumps(value)
-        return _config_from_flat(flat)
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    else:
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            parser.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
     flat = {}
-    for section in parser.sections():
+    for section, entries in sections.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section {section!r}")
-        for key, value in parser.items(section):
+        if not isinstance(entries, dict):
+            raise ConfigError(f"section {section!r} must be an object")
+        for key, value in entries.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section {section!r}")
-            flat[(section, key)] = value
-    return _config_from_flat(flat)
-
-
-def _config_from_flat(flat: dict) -> RunConfig:
-    cfg_kwargs = {}
-    solver_kwargs = {}
+            flat[(section, key)] = value if isinstance(value, str) else json.dumps(value)
+    cfg_kwargs, solver_kwargs = {}, {}
     for (section, key), raw in flat.items():
         attr, conv = _SCHEMA[section][key]
-        if isinstance(raw, str):
-            raw = raw.strip()
+        raw = raw.strip()
         try:
-            value = conv(raw) if conv is not str else str(raw)
+            value = conv(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
-        if section == "solver":
-            solver_kwargs[attr] = value
-        else:
-            cfg_kwargs[attr] = value
+        (solver_kwargs if section == "solver" else cfg_kwargs)[attr] = value
     try:
-        solver = SolverConfig(**solver_kwargs)
-        cfg = RunConfig(solver=solver, **cfg_kwargs)
+        return RunConfig(solver=SolverConfig(**solver_kwargs), **cfg_kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -196,40 +174,28 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config_text(text)
 
 
+def _render(value) -> Optional[str]:
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return " ".join(_render(v) for v in value)
+    return str(value)
+
+
 def config_to_ini(cfg: RunConfig) -> str:
-    """Canonical INI rendering: fixed section order, every non-None value written."""
+    """Canonical INI rendering: schema order, every non-None value written."""
     parser = configparser.ConfigParser(interpolation=None)
-    values = {
-        "problem": {
-            "n": cfg.n, "k": cfg.k, "alpha": cfg.alpha, "form": cfg.form,
-        },
-        "domain": {
-            "nodes": " ".join(str(v) for v in cfg.nodes),
-            "extent": " ".join(repr(v) for v in cfg.extent),
-        },
-        "datum": {
-            "kind": cfg.datum_kind, "value": repr(cfg.datum_value),
-            "width": repr(cfg.datum_width), "blocks": cfg.datum_blocks,
-            "path": cfg.datum_path,
-        },
-        "lambda": {
-            "value": repr(cfg.lam),
-            "schedule": None if cfg.lambda_schedule is None
-            else " ".join(repr(v) for v in cfg.lambda_schedule),
-        },
-        "solver": {key: repr(val) if isinstance(val, float) else val
-                   for key, val in asdict(cfg.solver).items()},
-        "output": {
-            "directory": cfg.out_dir,
-            "dump_fields": "true" if cfg.dump_fields else "false",
-        },
-    }
-    for section in ("problem", "domain", "datum", "lambda", "solver", "output"):
+    for section, keys in _SCHEMA.items():
+        owner = cfg.solver if section == "solver" else cfg
         parser[section] = {}
-        for key, val in values[section].items():
-            if val is None:
-                continue
-            parser[section][key] = str(val)
+        for key, (attr, _) in keys.items():
+            text = _render(getattr(owner, attr))
+            if text is not None:
+                parser[section][key] = text
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -274,7 +240,10 @@ def build_datum(cfg: RunConfig, domain: BoxDomain, ghost_width: int) -> ScalarFi
             for x, e in zip(mesh, domain.extent):
                 total = total + np.floor(x * cfg.datum_blocks / e).astype(int)
             return cfg.datum_value * np.where(total % 2 == 0, 1.0, -1.0)
-    return from_function(domain, fn, ghost_width)
+    f = from_function(domain, fn, ghost_width)
+    if not np.all(np.isfinite(f.values)):
+        raise ConfigError(f"the {kind} datum has non-finite values")
+    return f
 
 
 def build_setting(cfg: RunConfig, lam: Optional[float] = None) -> EnergySetting:
@@ -294,12 +263,6 @@ def build_setting(cfg: RunConfig, lam: Optional[float] = None) -> EnergySetting:
         raise ConfigError(str(exc)) from exc
 
 
-def _alpha_source(s: EnergySetting) -> str:
-    if s.alpha_overridden:
-        return "override"
-    return f"{s.form.alpha_formula.__name__} formula"
-
-
 def _summary_base(cfg: RunConfig, s: EnergySetting, command: str) -> dict:
     report = regime_report(s.params)
     return {
@@ -307,7 +270,8 @@ def _summary_base(cfg: RunConfig, s: EnergySetting, command: str) -> dict:
         "config": asdict(cfg),
         "seed": cfg.solver.seed,
         "regime_report": report.to_json_dict(),
-        "alpha": {"value": s.alpha, "source": _alpha_source(s)},
+        "alpha": {"value": s.alpha, "source": "override" if s.alpha_overridden
+                  else f"{s.form.alpha_formula.__name__} formula"},
     }
 
 
@@ -324,8 +288,7 @@ def cmd_exponents(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = regime_report(params)
-    print(json.dumps(report.to_json_dict(), indent=2))
+    print(json.dumps(regime_report(params).to_json_dict(), indent=2))
     return 0
 
 
@@ -418,11 +381,7 @@ def cmd_continuation(args) -> int:
         return 2
     out_dir = Path(cfg.out_dir)
     summary = _summary_base(cfg, s, "continuation")
-    try:
-        table = continuation_in_lambda(s, cfg.lambda_schedule, cfg.solver)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    table = continuation_in_lambda(s, cfg.lambda_schedule, cfg.solver)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "continuation.csv"
     csv_path.write_text(table.to_csv_text())

@@ -45,7 +45,6 @@ action for the solvers.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,7 +61,6 @@ from .grid import (
     half_order,
     inner,
     invert_polyharmonic,
-    l2_norm,
     polyharmonic,
     random_smooth_field,
     seminorm,
@@ -345,18 +343,21 @@ def residual(u: ScalarField, s: EnergySetting) -> ScalarField:
 def residual_jacobian(u: ScalarField, s: EnergySetting):
     """Jacobian action v -> R'(u) v of the setting's residual, on node arrays.
 
-    The pointwise-form Jacobian acts analytically through the sigma_k
-    gradient matrices; the divergence form falls back to a Jacobian-free
-    central difference of the weak residual.
+    The pointwise-form Jacobian acts through the sigma_k gradient matrices.
+    The divergence form linearizes the flux F(g, H) = ``_flux_of``, linear in
+    the gradient g and of degree k - 1 <= 2 in the Hessian H:
+    F(grad v, Hu) + (F(grad u, Hu + Hv) - F(grad u, Hu - Hv)) / 2, where the
+    half difference is the exact H-derivative of a quadratic.
     """
     dom = u.domain
     alpha = s.alpha
     k = s.params.k
     sign_a = -1.0 if alpha % 2 else 1.0
     sign_k = _sign_k(k)
+    hess_u = hessian(u).values
 
     if s.form is Form.STRONG:
-        partials = sk_partials_stack(hessian(u).values, k)
+        partials = sk_partials_stack(hess_u, k)
 
         def apply(v_vals: np.ndarray) -> np.ndarray:
             v = ScalarField(dom, v_vals, u.ghost_width)
@@ -364,17 +365,15 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
             return sign_a * polyharmonic(v, alpha).values - sign_k * dsk
         return apply
 
-    base_norm = l2_norm(u)
+    grads_u = gradient_centered(u)
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        vn = math.sqrt(dom.cell_volume * float(np.vdot(v, v)))
-        if vn == 0.0:
-            return np.zeros(dom.nodes)
-        eps = 1e-7 * (1.0 + base_norm) / vn
-        up = ScalarField(dom, u.values + eps * v, u.ghost_width)
-        dn = ScalarField(dom, u.values - eps * v, u.ghost_width)
-        return (residual_weak_field(up, s).values
-                - residual_weak_field(dn, s).values) / (2.0 * eps)
+    def apply(v_vals: np.ndarray) -> np.ndarray:
+        v = ScalarField(dom, v_vals, u.ghost_width)
+        hess_v = hessian(v).values
+        dflux = _flux_of(gradient_centered(v), hess_u, k) + 0.5 * (
+            _flux_of(grads_u, hess_u + hess_v, k) - _flux_of(grads_u, hess_u - hess_v, k))
+        return (sign_a * polyharmonic(v, alpha).values
+                - sign_k / k * divergence_centered(dflux, dom))
     return apply
 
 

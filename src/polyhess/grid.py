@@ -70,8 +70,8 @@ class BoxDomain:
             raise ValueError("extent and nodes must have matching lengths")
         if any(n < 8 for n in self.nodes):
             raise ValueError(f"need at least 8 interior nodes per axis, got {self.nodes}")
-        if any(e <= 0 for e in self.extent):
-            raise ValueError("extents must be positive")
+        if not all(0.0 < e < math.inf for e in self.extent):
+            raise ValueError(f"extents must be positive and finite, got {self.extent}")
 
     @property
     def dim(self) -> int:

@@ -75,7 +75,6 @@ from .grid import (
 class SolverConfig:
     grad_tol: float = 1e-6
     max_iters: int = 400
-    step_rule: str = "backtracking"  # "backtracking" or "fixed"
     ls_c: float = 1e-4
     ls_rho: float = 0.5
     step0: float = 1.0
@@ -89,14 +88,19 @@ class SolverConfig:
     krylov_outer: int = 5
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.deform_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.grad_tol < math.inf and 0.0 < self.deform_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.path_points < 16:
             raise ValueError("need at least 16 path points")
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        if self.fit_samples < 10:
+            raise ValueError("need at least 10 samples for the minorant fit")
+        for name in ("max_iters", "newton_max", "krylov_restart", "krylov_outer"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not 0.0 < self.krylov_rtol < 1.0:
+            raise ValueError(f"krylov_rtol must lie in (0, 1), got {self.krylov_rtol}")
         # backtracking needs a shrinking, finite trial step (with ls_rho >= 1
         # the loops in minimize_local and mountain_pass never end) and an
         # Armijo factor in (0, 1)
@@ -194,26 +198,22 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
             break
         d = invert_polyharmonic(r, alpha)
         slope = inner(r, d)  # squared preconditioned norm, positive
-        if cfg.step_rule == "fixed":
-            u = u - cfg.step0 * d
-            h_val = evaluate_H(u, s, c)
-        else:
-            t = cfg.step0
-            accepted = False
-            while t >= 1e-14 * cfg.step0:
-                cand = u - t * d
-                h_cand = evaluate_H(cand, s, c)
-                if h_cand <= h_val - cfg.ls_c * t * slope:
-                    accepted = True
-                    break
-                t *= cfg.ls_rho
-            if not accepted:
-                raise NonconvergenceError(
-                    "backtracking stalled before the residual tolerance", rec)
-            if not h_cand <= h_val + 1e-12 * (1.0 + abs(h_val)):
-                raise NonconvergenceError(
-                    f"descent not monotone: H rose from {h_val!r} to {h_cand!r}", rec)
-            u, h_val = cand, h_cand
+        t = cfg.step0
+        accepted = False
+        while t >= 1e-14 * cfg.step0:
+            cand = u - t * d
+            h_cand = evaluate_H(cand, s, c)
+            if h_cand <= h_val - cfg.ls_c * t * slope:
+                accepted = True
+                break
+            t *= cfg.ls_rho
+        if not accepted:
+            raise NonconvergenceError(
+                "backtracking stalled before the residual tolerance", rec)
+        if not h_cand <= h_val + 1e-12 * (1.0 + abs(h_val)):
+            raise NonconvergenceError(
+                f"descent not monotone: H rose from {h_val!r} to {h_cand!r}", rec)
+        u, h_val = cand, h_cand
         if seminorm(u, alpha) >= c.R1:
             raise GeometryError(
                 "descent iterate escaped the cutoff ball; lambda is too large")
@@ -321,7 +321,6 @@ def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
     away from the starting basin.
     """
     alpha = s.alpha
-    rn = l2_norm(residual(u, s))
     for _ in range(cfg.newton_max):
         r = residual(u, s)
         rn = l2_norm(r)
@@ -604,15 +603,21 @@ class ContinuationTable:
         return best
 
 
-def continuation_in_lambda(s: EnergySetting, lambdas, cfg: SolverConfig) -> ContinuationTable:
-    """Run the two-solution orchestration along an increasing lambda schedule,
-    warm-starting each row from the previous pair; failures are recorded per
-    row, never raised."""
+def check_lambda_schedule(lambdas) -> list:
+    """The schedule as floats; ValueError unless it starts at 0 and increases strictly."""
     lams = [float(x) for x in lambdas]
     if not lams or lams[0] != 0.0:
         raise ValueError("lambda schedule must start at 0")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda schedule must be strictly increasing")
+    return lams
+
+
+def continuation_in_lambda(s: EnergySetting, lambdas, cfg: SolverConfig) -> ContinuationTable:
+    """Run the two-solution orchestration along an increasing lambda schedule,
+    warm-starting each row from the previous pair; failures are recorded per
+    row, never raised."""
+    lams = check_lambda_schedule(lambdas)
     rows = []
     warm = None
     for lam in lams:

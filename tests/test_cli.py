@@ -1,12 +1,17 @@
 """Config parsing, canonical round-trips, subcommands, artifacts, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from polyhess import ConfigError, dump_field, load_field, random_smooth_field, unit_box
+from polyhess import (
+    CapabilityError, ConfigError, dump_field, load_field, random_smooth_field, unit_box,
+)
 from polyhess.cli import (
+    _SCHEMA,
     build_datum,
     build_domain,
     build_setting,
@@ -234,7 +239,21 @@ def test_cmd_solve_config_error_exit_code(tmp_path):
     ("value = 0.05\n", "value = nan\n"),
     ("schedule = 0.0 0.05\n", "schedule = 0.0 inf\n"),
     ("kind = constant\n", "kind = file\npath = {out}/no_such_dump\n"),
-], ids=["negative-alpha", "nan-lambda", "inf-schedule", "missing-datum-file"])
+    ("seed = 0\n", "seed = 0\nfit_samples = 5\n"),
+    ("seed = 0\n", "seed = 0\nkrylov_restart = 0\n"),
+    ("seed = 0\n", "seed = 0\nkrylov_outer = 0\n"),
+    ("seed = 0\n", "seed = 0\nkrylov_rtol = -1\n"),
+    ("seed = 0\n", "seed = 0\nnewton_max = -1\n"),
+    ("nodes = 32\n", "nodes = 32\nextent = nan\n"),
+    ("nodes = 32\n", "nodes = 32\nextent = inf\n"),
+    ("value = 1.0\n", "value = nan\n"),
+    ("kind = constant\n", "kind = gaussian\nwidth = 0.0\n"),
+    ("schedule = 0.0 0.05\n", "schedule = 0.01 0.05\n"),
+    ("schedule = 0.0 0.05\n", "schedule = 0.0 0.05 0.05\n"),
+], ids=["negative-alpha", "nan-lambda", "inf-schedule", "missing-datum-file",
+        "few-fit-samples", "zero-krylov-restart", "zero-krylov-outer", "negative-krylov-rtol",
+        "negative-newton-max", "nan-extent", "inf-extent", "nan-datum-value",
+        "zero-gaussian-width", "schedule-not-from-zero", "schedule-not-increasing"])
 def test_bad_config_values_exit_2(tmp_path, capsys, edit):
     cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace(*edit))
     for command in ("solve", "continuation"):
@@ -321,3 +340,32 @@ def test_bundled_configs_parse():
         cfg = load_config(name)
         s = build_setting(cfg)
         assert s.alpha == 2
+
+
+_SCHEMA_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys]
+_INI_VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=64).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "0.0", "-1.0", "nan", "inf", "-inf", "2 3", "0.0 0.05"]),
+    st.text(alphabet="abcdefgnorstuw.-_ ", max_size=8),  # no digits: no large node counts
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(_SCHEMA_KEYS), _INI_VALUES, max_size=8))
+@example({("domain", "extent"): "nan"})
+# width**2 underflows to 0, so the node at the center of an odd grid gets 0/0
+@example({("domain", "nodes"): "31", ("datum", "kind"): "gaussian", ("datum", "width"): "1e-200"})
+def test_config_boundary_rejects_or_builds_finite_setting(entries):
+    # every integer drawn is at most 64, so no grid exceeds 64 nodes per axis
+    sections = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+    try:
+        s = build_setting(parse_config_text(text))
+    except (ConfigError, CapabilityError):
+        return
+    assert np.all(np.isfinite(s.f.values))
+    assert all(math.isfinite(h) for h in s.f.domain.spacing)

@@ -32,7 +32,8 @@ from polyhess import (
     zeros,
 )
 from polyhess.energy import _nonlinear_strong, _nonlinear_weak, _quadratic_term, _datum_term
-from polyhess.energy import _flux_of, _nonlinear_weak_of, minorant_sample_family, residual_jacobian
+from polyhess.energy import _flux_of, _nonlinear_weak_of, minorant_sample_family
+from polyhess.energy import residual, residual_jacobian
 from polyhess.grid import BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian
 from polyhess.hessian_algebra import sk_partials_stack
 from polyhess.verify import consistency_worst_errors
@@ -369,10 +370,11 @@ def test_domain_mismatch_errors(s64):
         evaluate_J(other, s64)
 
 
-def test_strong_residual_jacobian_matches_central_difference():
-    # For k = 2 the strong residual is quadratic in u, so the central
+@pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
+def test_residual_jacobian_matches_central_difference(form):
+    # For k = 2 both residuals are quadratic in u, so the central
     # difference equals the Jacobian action up to roundoff.
-    s = flagship_setting(32)
+    s = flagship_setting(32, form=form)
     dom = s.f.domain
     rng = np.random.default_rng(3)
     eps = 1e-3
@@ -380,6 +382,5 @@ def test_strong_residual_jacobian_matches_central_difference():
         u = random_smooth_field(dom, rng, amplitude=0.5, ghost_width=2)
         v = random_smooth_field(dom, rng, amplitude=0.5, ghost_width=2)
         jv = residual_jacobian(u, s)(v.values)
-        fd = (residual_strong(u + eps * v, s).values
-              - residual_strong(u - eps * v, s).values) / (2.0 * eps)
+        fd = (residual(u + eps * v, s).values - residual(u - eps * v, s).values) / (2.0 * eps)
         assert np.max(np.abs(jv - fd)) <= 1e-7 * np.max(np.abs(fd))
