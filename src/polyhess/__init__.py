@@ -43,8 +43,6 @@ from .hessian_algebra import (
 )
 from .grid import (
     BoxDomain,
-    HalfOrderField,
-    MatrixField,
     ScalarField,
     bump_field,
     dump_field,

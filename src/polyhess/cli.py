@@ -24,7 +24,8 @@ character is ``{`` are parsed as JSON):
 The keys come from the dataclass fields: each ``RunConfig`` field names its
 ``(section, key)`` in its metadata, and the ``[solver]`` keys are the fields
 of ``SolverConfig``.  Values are checked when the config is built, so a bad
-value exits 2 before any solve starts.  Unknown sections or keys are
+value (a gaussian ``width`` so narrow that the datum vanishes at every node
+among them) exits 2 before any solve starts.  Unknown sections or keys are
 rejected.  Exit codes: 0 success, 2 config error, 3 solver
 nonconvergence/geometry failure, 4 invariant-suite failure.
 """
@@ -233,7 +234,12 @@ def build_datum(cfg: RunConfig, domain: BoxDomain, ghost_width: int) -> ScalarFi
 
         def fn(*mesh):
             s2 = sum((x - c) ** 2 for x, c in zip(mesh, center))
-            return cfg.datum_value * np.exp(-s2 / (2.0 * cfg.datum_width**2))
+            with np.errstate(divide="ignore", invalid="ignore"):  # width**2 may underflow
+                bump = np.exp(-s2 / (2.0 * cfg.datum_width**2))
+            if not np.any(bump):
+                raise ConfigError(f"datum.width = {cfg.datum_width!r} is too narrow: "
+                                  "the gaussian datum vanishes at every node")
+            return cfg.datum_value * bump
     else:  # checker
         def fn(*mesh):
             total = np.zeros_like(mesh[0], dtype=int)
@@ -294,7 +300,7 @@ def cmd_exponents(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        results = run_suites(args.suite or None, seed=args.seed, jobs=args.jobs)
+        results = run_suites(args.suite or None, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -420,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", action="append",
                        help="restrict to a suite (repeatable): algebra, exponents, grid, energy")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.set_defaults(func=cmd_verify)
 
     p_sol = sub.add_parser("solve", help="run a two-solution solve from a config file")

@@ -29,11 +29,24 @@ the discrete divergence structure of S_k holds only to O(h^2).  Directional-
 derivative consistency is therefore asserted at a 1e-4 relative tolerance on
 smooth moderate-amplitude fields, not to roundoff.
 
+One evaluation path.  ``_images`` computes a field's linear stencil images
+(node values, half-order components, Hessian, and in the divergence form
+the centered gradient), and ``_terms`` turns images into the quadratic,
+datum and nonlinear terms.  ``evaluate_J``, ``evaluate_J_weak``,
+``energy_report``, ``evaluate_H``, ``fit_minorant`` and every sample of
+``segment_actions`` go through these two, and the seminorm they report or
+cut off is taken from the same half-order components, so equal inputs give
+bit-identical values in all of them.  Both residuals share one
+Euler-Lagrange assembly, (-1)^alpha Delta^alpha u - nonlinear - lambda f.
+
 The weak form has one flux definition, ``_flux_of``: F_a = sum_b
 S_k^{ab}[u] u_b from the Hessian and gradient components (for k = 2,
 sigma_1 g_a - sum_b A_ab g_b, with no sigma_k gradient matrix).  The weak
 action's density sum_a F_a u_a, the weak residual's divergence and the
 weak pairing all use it.
+
+The truncation ``CutoffSpec`` is the quintic smoothstep between R0 and R1;
+it is exactly 1 inside the R0 ball, where ``evaluate_H`` equals the action.
 
 Form dispatch.  This module makes every strong-versus-weak choice:
 ``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
@@ -63,7 +76,7 @@ from .grid import (
     invert_polyharmonic,
     polyharmonic,
     random_smooth_field,
-    seminorm,
+    seminorm_of,
     sk_field,
     zeros,
 )
@@ -143,26 +156,42 @@ class EnergyReport:
         }
 
 
-def _sign_k(k: int) -> float:
-    return -1.0 if k % 2 else 1.0
+def _sign(n: int) -> float:
+    """(-1)^n."""
+    return -1.0 if n % 2 else 1.0
 
 
-# The terms of J from the linear stencil images of u (node values, half-order
-# components, Hessian, centered gradient); the field versions below and
-# ``segment_actions`` both evaluate J through these.
+# Every value of J goes through these two: the linear stencil images of a
+# field, and the terms of J read from images (of a field, or interpolated
+# between the images of two fields along a path segment).
 
-def _quadratic_of(comps: np.ndarray, s: EnergySetting) -> float:
-    return 0.5 * s.f.domain.cell_volume * float(np.vdot(comps, comps))
+def _images(u: ScalarField, s: EnergySetting, form: Form | None = None) -> tuple:
+    """(node values, half-order components, Hessian, centered gradient) of
+    ``u``; the gradient is None unless ``form`` (default: the setting's) is weak."""
+    s.check_field(u)
+    weak = (form or s.form) is Form.WEAK
+    return u.values, half_order(u, s.alpha), hessian(u), gradient_centered(u) if weak else None
 
 
-def _datum_of(u_vals: np.ndarray, s: EnergySetting) -> float:
-    return s.lam * float(s.f.domain.cell_volume * np.vdot(s.f.values, u_vals))
-
-
-def _nonlinear_strong_of(u_vals: np.ndarray, hess: np.ndarray, s: EnergySetting) -> float:
+def _terms(images: tuple, s: EnergySetting) -> tuple[float, float, float]:
+    """(quadratic, datum, nonlinear) terms of J from ``_images`` output: the
+    pointwise nonlinear term without a gradient, the divergence form with one."""
+    u_vals, comps, hess, grads = images
     k = s.params.k
-    sk = sk_of_stack(hess, k)
-    return _sign_k(k) / (k + 1) * float(s.f.domain.cell_volume * np.vdot(u_vals, sk))
+    vol = s.f.domain.cell_volume
+    quad = 0.5 * vol * float(np.vdot(comps, comps))
+    datum = s.lam * float(vol * np.vdot(s.f.values, u_vals))
+    if grads is None:
+        nl = _sign(k) / (k + 1) * float(vol * np.vdot(u_vals, sk_of_stack(hess, k)))
+    else:
+        # density sum_a F_a g_a, summed over the nodes
+        nl = -_sign(k) / ((k + 1) * k) * (vol * float(np.vdot(_flux_of(grads, hess, k), grads)))
+    return quad, datum, nl
+
+
+def _J_of(images: tuple, s: EnergySetting) -> float:
+    quad, datum, nl = _terms(images, s)
+    return quad - datum - nl
 
 
 def _flux_of(grads: np.ndarray, hess: np.ndarray, k: int) -> np.ndarray:
@@ -178,78 +207,45 @@ def _flux_of(grads: np.ndarray, hess: np.ndarray, k: int) -> np.ndarray:
     return flux
 
 
-def _nonlinear_weak_of(grads: np.ndarray, hess: np.ndarray, s: EnergySetting) -> float:
-    k = s.params.k
-    # density sum_a F_a g_a, summed over the nodes
-    divergence_sum = s.f.domain.cell_volume * float(np.vdot(_flux_of(grads, hess, k), grads))
-    return -_sign_k(k) / ((k + 1) * k) * divergence_sum
-
-
-def _quadratic_term(u: ScalarField, s: EnergySetting) -> float:
-    return _quadratic_of(half_order(u, s.alpha).components, s)
-
-
-def _datum_term(u: ScalarField, s: EnergySetting) -> float:
-    return _datum_of(u.values, s)
-
-
-def _nonlinear_strong(u: ScalarField, s: EnergySetting) -> float:
-    return _nonlinear_strong_of(u.values, hessian(u).values, s)
-
-
-def _nonlinear_weak(u: ScalarField, s: EnergySetting) -> float:
-    return _nonlinear_weak_of(gradient_centered(u), hessian(u).values, s)
-
-
-def _nonlinear_term(u: ScalarField, s: EnergySetting) -> float:
-    if s.form is Form.WEAK:
-        return _nonlinear_weak(u, s)
-    return _nonlinear_strong(u, s)
-
-
 def evaluate_J(u: ScalarField, s: EnergySetting) -> float:
     """Pointwise-form action value."""
-    s.check_field(u)
-    return _quadratic_term(u, s) - _datum_term(u, s) - _nonlinear_strong(u, s)
+    return _J_of(_images(u, s, Form.STRONG), s)
 
 
 def evaluate_J_weak(u: ScalarField, s: EnergySetting) -> float:
     """Divergence-form action value (agrees with evaluate_J up to O(h^2))."""
-    s.check_field(u)
-    return _quadratic_term(u, s) - _datum_term(u, s) - _nonlinear_weak(u, s)
+    return _J_of(_images(u, s, Form.WEAK), s)
 
 
 def energy_report(u: ScalarField, s: EnergySetting) -> EnergyReport:
-    s.check_field(u)
-    quad = _quadratic_term(u, s)
-    datum = _datum_term(u, s)
-    nl = _nonlinear_term(u, s)
+    images = _images(u, s)
+    quad, datum, nl = _terms(images, s)
     return EnergyReport(
         J=quad - datum - nl,
         quadratic_term=quad,
         datum_term=datum,
         nonlinear_term=nl,
-        seminorm=seminorm(u, s.alpha),
+        seminorm=seminorm_of(images[1], u.domain),
         form=s.form.value,
     )
+
+
+def _euler_lagrange(u: ScalarField, s: EnergySetting, nonlinear: np.ndarray) -> ScalarField:
+    """(-1)^alpha Delta^alpha u - ``nonlinear`` - lambda f."""
+    vals = _sign(s.alpha) * polyharmonic(u, s.alpha).values - nonlinear - s.lam * s.f.values
+    return ScalarField(u.domain, vals, 0)
 
 
 def residual_strong(u: ScalarField, s: EnergySetting) -> ScalarField:
     """(-1)^alpha Delta^alpha u - (-1)^k S_k[u] - lambda f."""
     s.check_field(u)
     k = s.params.k
-    sign_a = -1.0 if s.alpha % 2 else 1.0
-    vals = (
-        sign_a * polyharmonic(u, s.alpha).values
-        - _sign_k(k) * sk_field(u, k).values
-        - s.lam * s.f.values
-    )
-    return ScalarField(u.domain, vals, 0)
+    return _euler_lagrange(u, s, _sign(k) * sk_field(u, k).values)
 
 
 def _weak_flux(u: ScalarField, s: EnergySetting) -> np.ndarray:
     """Components F_i = sum_j u_{x_j} S_k^{ij}[u], shape (dim,) + nodes."""
-    return _flux_of(gradient_centered(u), hessian(u).values, s.params.k)
+    return _flux_of(gradient_centered(u), hessian(u), s.params.k)
 
 
 def residual_weak_pairing(u: ScalarField, w: ScalarField, s: EnergySetting) -> float:
@@ -257,15 +253,12 @@ def residual_weak_pairing(u: ScalarField, w: ScalarField, s: EnergySetting) -> f
     s.check_field(u)
     s.check_field(w)
     k = s.params.k
-    sign_a = -1.0 if s.alpha % 2 else 1.0
-    linear = (
-        sign_a * polyharmonic(u, s.alpha).values - s.lam * s.f.values
-    )
+    linear = _sign(s.alpha) * polyharmonic(u, s.alpha).values - s.lam * s.f.values
     flux = _weak_flux(u, s)
     grads_w = gradient_centered(w)
     vol = u.domain.cell_volume
     return float(
-        vol * (np.vdot(linear, w.values) + _sign_k(k) / k * np.vdot(flux, grads_w))
+        vol * (np.vdot(linear, w.values) + _sign(k) / k * np.vdot(flux, grads_w))
     )
 
 
@@ -277,14 +270,8 @@ def residual_weak_field(u: ScalarField, s: EnergySetting) -> ScalarField:
     """
     s.check_field(u)
     k = s.params.k
-    sign_a = -1.0 if s.alpha % 2 else 1.0
-    flux = _weak_flux(u, s)
-    vals = (
-        sign_a * polyharmonic(u, s.alpha).values
-        - _sign_k(k) / k * divergence_centered(flux, u.domain)
-        - s.lam * s.f.values
-    )
-    return ScalarField(u.domain, vals, 0)
+    return _euler_lagrange(
+        u, s, _sign(k) / k * divergence_centered(_weak_flux(u, s), u.domain))
 
 
 def action(u: ScalarField, s: EnergySetting) -> float:
@@ -308,27 +295,17 @@ def segment_actions(path: np.ndarray, ghost_width: int, s: EnergySetting,
     values equal ``action`` bit for bit, samples agree with it to roundoff.
     The images of two nodes are alive at a time.
     """
-    weak = s.form is Form.WEAK
     at_nodes = np.empty(path.shape[0])
     in_segments = np.empty((path.shape[0] - 1, len(ts)))
-
-    def value(u_vals, comps, hess, grads):
-        nl = (_nonlinear_weak_of(grads, hess, s) if weak
-              else _nonlinear_strong_of(u_vals, hess, s))
-        return _quadratic_of(comps, s) - _datum_of(u_vals, s) - nl
-
     prev = None
     for i, row in enumerate(path):
-        u = ScalarField(s.f.domain, row, ghost_width)
-        s.check_field(u)
-        cur = (u.values, half_order(u, s.alpha).components, hessian(u).values,
-               gradient_centered(u) if weak else None)
-        at_nodes[i] = value(*cur)
+        cur = _images(ScalarField(s.f.domain, row, ghost_width), s)
+        at_nodes[i] = _J_of(cur, s)
         if prev is not None:
             for j, t in enumerate(ts):
-                in_segments[i - 1, j] = value(*(
+                in_segments[i - 1, j] = _J_of(tuple(
                     None if a is None else (1.0 - t) * a + t * b
-                    for a, b in zip(prev, cur)))
+                    for a, b in zip(prev, cur)), s)
         prev = cur
     return at_nodes, in_segments
 
@@ -352,16 +329,16 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
     dom = u.domain
     alpha = s.alpha
     k = s.params.k
-    sign_a = -1.0 if alpha % 2 else 1.0
-    sign_k = _sign_k(k)
-    hess_u = hessian(u).values
+    sign_a = _sign(alpha)
+    sign_k = _sign(k)
+    hess_u = hessian(u)
 
     if s.form is Form.STRONG:
         partials = sk_partials_stack(hess_u, k)
 
         def apply(v_vals: np.ndarray) -> np.ndarray:
             v = ScalarField(dom, v_vals, u.ghost_width)
-            dsk = np.einsum("...ab,...ab->...", partials, hessian(v).values)
+            dsk = np.einsum("...ab,...ab->...", partials, hessian(v))
             return sign_a * polyharmonic(v, alpha).values - sign_k * dsk
         return apply
 
@@ -369,7 +346,7 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
 
     def apply(v_vals: np.ndarray) -> np.ndarray:
         v = ScalarField(dom, v_vals, u.ghost_width)
-        hess_v = hessian(v).values
+        hess_v = hessian(v)
         dflux = _flux_of(gradient_centered(v), hess_u, k) + 0.5 * (
             _flux_of(grads_u, hess_u + hess_v, k) - _flux_of(grads_u, hess_u - hess_v, k))
         return (sign_a * polyharmonic(v, alpha).values
@@ -379,47 +356,28 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Radial cutoff profile: 1 on [0, R0], 0 on [R1, inf), monotone between."""
+    """Radial cutoff: 1 on [0, R0], 0 on [R1, inf), and between them the
+    quintic smoothstep (C^2, monotone) rescaled to [R0, R1]."""
 
     R0: float
     R1: float
-    profile: object  # Callable[[float], float]
 
     def __post_init__(self):
         if not 0.0 < self.R0 < self.R1:
             raise ValueError(f"need 0 < R0 < R1, got R0={self.R0}, R1={self.R1}")
-        rs = np.linspace(0.0, 1.5 * self.R1, 64)
-        vals = np.array([self.profile(r) for r in rs])
-        if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
-            raise ValueError("cutoff profile leaves [0, 1]")
-        if np.any(np.diff(vals) > 1e-12):
-            raise ValueError("cutoff profile is not nonincreasing")
 
-    @classmethod
-    def quintic(cls, R0: float, R1: float) -> "CutoffSpec":
-        """Quintic smoothstep transition (C^2, monotone) rescaled to [R0, R1]."""
-
-        def profile(r: float, _r0=float(R0), _r1=float(R1)) -> float:
-            x = (r - _r0) / (_r1 - _r0)
-            x = min(max(x, 0.0), 1.0)
-            return 1.0 - x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
-
-        return cls(float(R0), float(R1), profile)
+    def profile(self, r: float) -> float:
+        """Exactly 1.0 for r <= R0 and exactly 0.0 for r >= R1."""
+        x = min(max((r - self.R0) / (self.R1 - self.R0), 0.0), 1.0)
+        return 1.0 - x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
 
 
 def evaluate_H(u: ScalarField, s: EnergySetting, c: CutoffSpec) -> float:
     """Truncated action: quadratic and datum terms kept, nonlinear term scaled
     by the cutoff of the seminorm.  Coincides with the action inside the R0 ball."""
-    s.check_field(u)
-    quad = _quadratic_term(u, s)
-    datum = _datum_term(u, s)
-    r = seminorm(u, s.alpha)
-    theta = c.profile(r)
-    if r <= c.R0:
-        theta = 1.0
-    elif r >= c.R1:
-        theta = 0.0
-    return quad - datum - theta * _nonlinear_term(u, s)
+    images = _images(u, s)
+    quad, datum, nl = _terms(images, s)
+    return quad - datum - c.profile(seminorm_of(images[1], u.domain)) * nl
 
 
 @dataclass(frozen=True)
@@ -565,12 +523,12 @@ def fit_minorant(s: EnergySetting, samples: int,
     c2 = 0.0
     usable = 0
     for u in minorant_sample_family(s, samples, rng):
-        r = seminorm(u, s.alpha)
+        images = _images(u, s)
+        r = seminorm_of(images[1], u.domain)
         if r <= 0.0:
             continue
         usable += 1
-        datum = _datum_term(u, s)
-        nl = _nonlinear_term(u, s)
+        _, datum, nl = _terms(images, s)
         c1 = max(c1, datum / r)
         c2 = max(c2, nl / r ** (k + 1))
     if usable < 10:
@@ -616,7 +574,7 @@ def geometry_witnesses(s: EnergySetting) -> GeometryWitnesses:
             cand = bump_field(dom, center, frac * minext, 1.0, sign_exp)
             if cand.ghost_width < s.alpha:
                 continue
-            val = _sign_k(k) * inner(cand, sk_field(cand, k))
+            val = _sign(k) * inner(cand, sk_field(cand, k))
             if val > 0.0:
                 psi, psi_pairing = cand, val
                 break

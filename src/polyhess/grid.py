@@ -13,7 +13,10 @@ stencils read that extension from one zero-filled buffer, one node wider on
 every side, into whose core the field is slice-assigned (no ``np.pad``
 call); the buffer holds exactly what padding with zeros would, so the
 stencil arithmetic is unchanged.  A domain computes its spacing and cell
-volume once and keeps them.
+volume once and keeps them.  Stencils that yield more than one value per
+node return plain arrays: ``hessian`` has shape nodes + (dim, dim),
+``half_order`` shape (m,) + nodes with m = 1 for even order and dim for
+odd, and ``gradient_centered`` shape (dim,) + nodes.
 
 The grid is a tensor product, so the discrete Dirichlet Laplacian is
 diagonal in the sine basis; ``invert_polyharmonic`` exploits this to apply
@@ -150,30 +153,6 @@ class ScalarField:
         return ScalarField(self.domain, -self.values, self.ghost_width)
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixField:
-    """One symmetric dim x dim matrix per interior node, shape nodes + (dim, dim)."""
-
-    domain: BoxDomain
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        d = self.domain.dim
-        if vals.shape != self.domain.nodes + (d, d):
-            raise ValueError(f"matrix field shape {vals.shape} is inconsistent with the domain")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True, eq=False)
-class HalfOrderField:
-    """Result of the half-order operator: one component for even order, dim for odd."""
-
-    kind: str  # "scalar" or "vector"
-    components: np.ndarray  # shape (m,) + nodes
-    domain: BoxDomain
-
-
 def zeros(domain: BoxDomain, ghost_width: int = 2) -> ScalarField:
     return ScalarField(domain, np.zeros(domain.nodes), ghost_width)
 
@@ -257,8 +236,9 @@ def divergence_centered(flux: np.ndarray, domain: BoxDomain) -> np.ndarray:
     return div
 
 
-def hessian(u: ScalarField) -> MatrixField:
-    """Discrete Hessian: centered second differences and the 4-point cross stencil."""
+def hessian(u: ScalarField) -> np.ndarray:
+    """Discrete Hessian, shape nodes + (dim, dim): centered second differences
+    and the 4-point cross stencil."""
     vals = u.values
     d = u.domain.dim
     h = u.domain.spacing
@@ -271,7 +251,7 @@ def hessian(u: ScalarField) -> MatrixField:
                  - _shifted(p, {a: -1, b: 1}) + _shifted(p, {a: -1, b: -1})) / (4.0 * h[a] * h[b])
         out[..., a, b] = cross
         out[..., b, a] = cross
-    return MatrixField(u.domain, out)
+    return out
 
 
 def sk_field(u: ScalarField, k: int) -> ScalarField:
@@ -279,12 +259,13 @@ def sk_field(u: ScalarField, k: int) -> ScalarField:
     d = u.domain.dim
     if not 1 <= k <= d:
         raise ValueError(f"order k={k} out of range for dimension {d}")
-    vals = sk_of_stack(hessian(u).values, k)
+    vals = sk_of_stack(hessian(u), k)
     return ScalarField(u.domain, vals, 0)
 
 
-def half_order(u: ScalarField, alpha: int) -> HalfOrderField:
-    """Half of the order-2*alpha operator: Delta^{alpha/2} u for even alpha,
+def half_order(u: ScalarField, alpha: int) -> np.ndarray:
+    """Half of the order-2*alpha operator, shape (m,) + nodes: the m = 1
+    component Delta^{alpha/2} u for even alpha, the m = dim components of
     grad Delta^{(alpha-1)/2} u (centered differences) for odd alpha."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
@@ -297,9 +278,8 @@ def half_order(u: ScalarField, alpha: int) -> HalfOrderField:
     for _ in range(alpha // 2):
         vals = _laplacian_values(vals, u.domain.spacing)
     if alpha % 2 == 0:
-        return HalfOrderField("scalar", vals[None], u.domain)
-    inter = ScalarField(u.domain, vals, 1)
-    return HalfOrderField("vector", gradient_centered(inter), u.domain)
+        return vals[None]
+    return gradient_centered(ScalarField(u.domain, vals, 1))
 
 
 def integrate(u: ScalarField) -> float:
@@ -319,15 +299,17 @@ def l2_norm(u: ScalarField) -> float:
 
 def seminorm(u: ScalarField, alpha: int) -> float:
     """Discrete L^2 norm of the half-order operator (the W^{alpha,2} seminorm)."""
-    comps = half_order(u, alpha).components
-    return math.sqrt(u.domain.cell_volume * float(np.vdot(comps, comps)))
+    return seminorm_of(half_order(u, alpha), u.domain)
+
+
+def seminorm_of(comps: np.ndarray, domain: BoxDomain) -> float:
+    """The seminorm from the half-order components ``comps`` of a field."""
+    return math.sqrt(domain.cell_volume * float(np.vdot(comps, comps)))
 
 
 def seminorm_inner(u: ScalarField, w: ScalarField, alpha: int) -> float:
     """Inner product associated with the seminorm."""
-    cu = half_order(u, alpha).components
-    cw = half_order(w, alpha).components
-    return float(u.domain.cell_volume * np.vdot(cu, cw))
+    return float(u.domain.cell_volume * np.vdot(half_order(u, alpha), half_order(w, alpha)))
 
 
 def bump_field(domain: BoxDomain, center: Sequence[float], radius: float,

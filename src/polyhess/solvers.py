@@ -463,7 +463,7 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     rng = np.random.default_rng(cfg.seed)
     fit = fit_minorant(s, cfg.fit_samples, rng)
     geom = minorant_geometry(fit)
-    cutoff = CutoffSpec.quintic(geom.R0, geom.R1)
+    cutoff = CutoffSpec(geom.R0, geom.R1)
     wit = geometry_witnesses(s)
     alpha = s.alpha
     dom = s.f.domain
@@ -550,7 +550,7 @@ def ball_uniqueness_probe(s: EnergySetting, cfg: SolverConfig,
     rng = np.random.default_rng(cfg.seed)
     fit = fit_minorant(s, cfg.fit_samples, rng)
     geom = minorant_geometry(fit)
-    cutoff = CutoffSpec.quintic(geom.R0, geom.R1)
+    cutoff = CutoffSpec(geom.R0, geom.R1)
     alpha = s.alpha
     dom = s.f.domain
     minimizers = []

@@ -344,17 +344,9 @@ SUITES = {
 }
 
 
-def run_suites(names=None, seed: int = 0, jobs: int = 1) -> list[CheckResult]:
+def run_suites(names=None, seed: int = 0) -> list[CheckResult]:
     chosen = list(SUITES) if not names else list(names)
     for name in chosen:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(SUITES[name], seed) for name in chosen]
-            results = [f.result() for f in futures]  # merged in input order
-    else:
-        results = [SUITES[name](seed) for name in chosen]
-    return [row for block in results for row in block]
+    return [row for name in chosen for row in SUITES[name](seed)]

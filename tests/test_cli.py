@@ -157,14 +157,6 @@ def test_cmd_verify_filter_and_determinism(capsys):
     assert main(["verify", "--suite", "nosuch"]) == 2
 
 
-def test_cmd_verify_jobs_merge_order(capsys):
-    assert main(["verify", "--suite", "algebra", "--suite", "exponents"]) == 0
-    seq = capsys.readouterr().out
-    assert main(["verify", "--suite", "algebra", "--suite", "exponents",
-                 "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == seq  # worker pool merges in input order
-
-
 def test_cmd_verify_failure_exit_code(capsys, monkeypatch):
     import polyhess.verify as verify_mod
     from polyhess.verify import CheckResult
@@ -248,12 +240,16 @@ def test_cmd_solve_config_error_exit_code(tmp_path):
     ("nodes = 32\n", "nodes = 32\nextent = inf\n"),
     ("value = 1.0\n", "value = nan\n"),
     ("kind = constant\n", "kind = gaussian\nwidth = 0.0\n"),
+    ("kind = constant\n", "kind = gaussian\nwidth = 5e-324\n"),
+    ("kind = constant\n", "kind = gaussian\nwidth = 1e-10\n"),
     ("schedule = 0.0 0.05\n", "schedule = 0.01 0.05\n"),
     ("schedule = 0.0 0.05\n", "schedule = 0.0 0.05 0.05\n"),
 ], ids=["negative-alpha", "nan-lambda", "inf-schedule", "missing-datum-file",
         "few-fit-samples", "zero-krylov-restart", "zero-krylov-outer", "negative-krylov-rtol",
         "negative-newton-max", "nan-extent", "inf-extent", "nan-datum-value",
-        "zero-gaussian-width", "schedule-not-from-zero", "schedule-not-increasing"])
+        "zero-gaussian-width", "subnormal-gaussian-width", "narrow-gaussian-width",
+        "schedule-not-from-zero", "schedule-not-increasing"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_config_values_exit_2(tmp_path, capsys, edit):
     cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace(*edit))
     for command in ("solve", "continuation"):

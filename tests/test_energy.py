@@ -31,9 +31,8 @@ from polyhess import (
     unit_box,
     zeros,
 )
-from polyhess.energy import _nonlinear_strong, _nonlinear_weak, _quadratic_term, _datum_term
-from polyhess.energy import _flux_of, _nonlinear_weak_of, minorant_sample_family
-from polyhess.energy import residual, residual_jacobian
+from polyhess.energy import _flux_of, minorant_sample_family
+from polyhess.energy import action, residual, residual_jacobian, segment_actions
 from polyhess.grid import BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian
 from polyhess.hessian_algebra import sk_partials_stack
 from polyhess.verify import consistency_worst_errors
@@ -86,6 +85,26 @@ def test_energy_report_term_orientation(s64):
     d = rep.to_json_dict()
     assert set(d) == {"J", "quadratic_term", "datum_term", "nonlinear_term",
                       "seminorm", "form"}
+
+
+@pytest.mark.parametrize("dim, n", [(2, 24), (3, 12)], ids=["2d", "3d"])
+@pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
+def test_action_entry_points_agree_exactly(dim, n, form):
+    # every entry point evaluates J through the same stencil images and terms
+    dom = unit_box(dim, n)
+    s = make_setting(ProblemParams(dim, 2), 0.05, constant_datum(dom), form=form)
+    rng = np.random.default_rng(35)
+    fields = [random_smooth_field(dom, rng, amplitude=a, ghost_width=s.alpha)
+              for a in (0.3, 1.0, 2.5)]
+    at_nodes, _ = segment_actions(np.stack([u.values for u in fields]), s.alpha, s,
+                                  (0.5,))
+    for u, at_node in zip(fields, at_nodes):
+        j = action(u, s)
+        r = seminorm(u, s.alpha)
+        assert energy_report(u, s).J == j
+        assert energy_report(u, s).seminorm == r
+        assert evaluate_H(u, s, CutoffSpec(2.0 * r, 3.0 * r)) == j
+        assert at_node == j
 
 
 def test_residual_strong_trivials(s64):
@@ -144,7 +163,7 @@ def test_weak_flux_and_density_match_einsum_contraction(n, k):
     dom = BoxDomain(nodes=nodes, extent=extent)
     u = random_smooth_field(dom, np.random.default_rng(31), modes=4, amplitude=2.0)
     s = make_setting(ProblemParams(n, k), 0.05, constant_datum(dom), form=Form.WEAK)
-    grads, hess = gradient_centered(u), hessian(u).values
+    grads, hess = gradient_centered(u), hessian(u)
     g = np.moveaxis(grads, 0, -1)
     partials = sk_partials_stack(hess, k)
     flux_ref = np.moveaxis(np.einsum("...ij,...j->...i", partials, g), -1, 0)
@@ -152,7 +171,7 @@ def test_weak_flux_and_density_match_einsum_contraction(n, k):
     nl_ref = -(-1.0) ** k / ((k + 1) * k) * dom.cell_volume * float(density_ref.sum())
     flux = _flux_of(grads, hess, k)
     assert np.max(np.abs(flux - flux_ref)) <= 1e-13 * np.max(np.abs(flux_ref))
-    assert _nonlinear_weak_of(grads, hess, s) == pytest.approx(nl_ref, rel=1e-13)
+    assert energy_report(u, s).nonlinear_term == pytest.approx(nl_ref, rel=1e-13)
 
 
 def _divergence_per_component_gradient(flux, dom):
@@ -169,7 +188,7 @@ def test_divergence_centered_equals_per_component_gradient(n, k):
     nodes, extent = ((40, 33), (1.0, 1.5)) if n == 2 else ((15, 12, 13), (1.0, 0.7, 1.2))
     dom = BoxDomain(nodes=nodes, extent=extent)
     u = random_smooth_field(dom, np.random.default_rng(32), modes=4, amplitude=2.0)
-    flux = _flux_of(gradient_centered(u), hessian(u).values, k)
+    flux = _flux_of(gradient_centered(u), hessian(u), k)
     assert np.array_equal(divergence_centered(flux, dom),
                           _divergence_per_component_gradient(flux, dom))
 
@@ -177,11 +196,14 @@ def test_divergence_centered_equals_per_component_gradient(n, k):
 def test_nonlinear_term_homogeneity(s64, s64w):
     dom = s64.f.domain
     u = bump_field(dom, (0.5, 0.5), 0.3, 1.0, 1)
-    base_s = _nonlinear_strong(u, s64)
-    base_w = _nonlinear_weak(u, s64w)
+    def nl(v, s):
+        return energy_report(v, s).nonlinear_term
+
+    base_s = nl(u, s64)
+    base_w = nl(u, s64w)
     for t in (0.5, 2.0, 7.0):
-        assert _nonlinear_strong(t * u, s64) == pytest.approx(t**3 * base_s, rel=1e-12)
-        assert _nonlinear_weak(t * u, s64w) == pytest.approx(t**3 * base_w, rel=1e-12)
+        assert nl(t * u, s64) == pytest.approx(t**3 * base_s, rel=1e-12)
+        assert nl(t * u, s64w) == pytest.approx(t**3 * base_w, rel=1e-12)
 
 
 def test_J_scan_in_t_lambda_zero():
@@ -211,22 +233,21 @@ def test_J_axis_permutation_invariance_even_k(s64):
 
 def test_evaluate_H_truncation(s64):
     dom = s64.f.domain
-    c = CutoffSpec.quintic(0.01, 0.02)
+    c = CutoffSpec(0.01, 0.02)
     psi = bump_field(dom, (0.5, 0.5), 0.3, 1.0, 2)
     small = psi * (0.005 / seminorm(psi, 2))
     assert evaluate_H(small, s64, c) == evaluate_J(small, s64)
     big = psi  # seminorm far above R1
-    expected = _quadratic_term(big, s64) - _datum_term(big, s64)
+    report = energy_report(big, s64)
+    expected = report.quadratic_term - report.datum_term
     assert evaluate_H(big, s64, c) == pytest.approx(expected, rel=1e-14)
     assert evaluate_H(zeros(dom, 2), s64, c) == 0.0
 
 
 def test_cutoff_spec_validation():
     with pytest.raises(ValueError):
-        CutoffSpec.quintic(0.5, 0.2)
-    with pytest.raises(ValueError):
-        CutoffSpec(0.5, 1.0, lambda r: r)  # increasing, leaves [0, 1]
-    c = CutoffSpec.quintic(1.0, 2.0)
+        CutoffSpec(0.5, 0.2)
+    c = CutoffSpec(1.0, 2.0)
     assert c.profile(0.5) == 1.0
     assert c.profile(2.5) == 0.0
     assert 0.0 < c.profile(1.5) < 1.0
@@ -316,7 +337,7 @@ def test_truncation_confines_negative_levels(s64):
     # forces the seminorm inside the R0 ball
     fit = fit_minorant(s64, 24, np.random.default_rng(42))
     geom = minorant_geometry(fit)
-    c = CutoffSpec.quintic(geom.R0, geom.R1)
+    c = CutoffSpec(geom.R0, geom.R1)
     assert radial_minorant(geom.R0, fit) == pytest.approx(0.0, abs=1e-9)
     assert radial_minorant(geom.R1, fit) > 0.0
     for u in minorant_sample_family(s64, 24, np.random.default_rng(43)):

@@ -84,7 +84,7 @@ def test_psrecord_contract():
 def test_minimize_local_trivial_at_lambda_zero():
     s = flagship_setting(32, lam=0.0)
     cfg = SolverConfig(seed=0)
-    cutoff = CutoffSpec.quintic(1e-6, 2e-6)
+    cutoff = CutoffSpec(1e-6, 2e-6)
     u, rec = minimize_local(s, zeros(s.f.domain, 2), cfg, cutoff)
     assert np.all(u.values == 0.0)
     assert len(rec) == 1
@@ -94,7 +94,7 @@ def test_minimize_local_trivial_at_lambda_zero():
 def test_minimize_local_start_validation(run32):
     s = flagship_setting(32)
     cfg = SolverConfig(seed=0)
-    cutoff = CutoffSpec.quintic(run32.geometry.R0, run32.geometry.R1)
+    cutoff = CutoffSpec(run32.geometry.R0, run32.geometry.R1)
     far = 100.0 * run32.witnesses.psi
     with pytest.raises(ValueError):
         minimize_local(s, far, cfg, cutoff)
@@ -108,7 +108,7 @@ def test_minimize_local_monotone_descent(run64):
 def test_minimize_local_non_monotone_step_raises(run32, monkeypatch):
     """The monotone-descent guard is an explicit check, not an assert."""
     s = flagship_setting(32)
-    cutoff = CutoffSpec.quintic(run32.geometry.R0, run32.geometry.R1)
+    cutoff = CutoffSpec(run32.geometry.R0, run32.geometry.R1)
     energies = iter([0.0])
     # a negative slope makes the Armijo test accept the rising candidate
     monkeypatch.setattr(solvers, "evaluate_H", lambda u, s, c: next(energies, 1.0))
@@ -349,7 +349,7 @@ def test_nonconvergence_carries_record():
     cfg = SolverConfig(seed=0, max_iters=1, grad_tol=1e-14)
     fit = fit_minorant(s, 24, np.random.default_rng(0))
     geom = minorant_geometry(fit)
-    cutoff = CutoffSpec.quintic(geom.R0, geom.R1)
+    cutoff = CutoffSpec(geom.R0, geom.R1)
     with pytest.raises(NonconvergenceError) as err:
         minimize_local(s, zeros(s.f.domain, 2), cfg, cutoff)
     assert err.value.record is not None
