@@ -101,7 +101,6 @@ from .solvers import (
     mountain_pass,
     solve_run,
     two_solutions,
-    weak_two_solutions,
 )
 
 __version__ = "0.1.0"

@@ -16,10 +16,6 @@ character is ``{`` are parsed as JSON):
                          path_points = 17
                          deform_tol = 3e-05
                          seed = 0
-                         fit_samples = 48
-                         krylov_rtol = 0.001
-                         krylov_restart = 40
-                         krylov_outer = 5
 
 The keys come from the dataclass fields: each ``RunConfig`` field names its
 ``(section, key)`` in its metadata, and the ``[solver]`` keys are the fields
@@ -34,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import io
 import json
 import math
@@ -129,6 +126,15 @@ def _build_schema() -> dict:
 _SCHEMA = _build_schema()
 
 
+@contextlib.contextmanager
+def _config_values():
+    """Report a value that ``RunConfig`` or ``SolverConfig`` rejects as a ConfigError."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_config_text(text: str) -> RunConfig:
     if text.lstrip().startswith("{"):
         try:
@@ -161,10 +167,8 @@ def parse_config_text(text: str) -> RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
         (solver_kwargs if section == "solver" else cfg_kwargs)[attr] = value
-    try:
+    with _config_values():
         return RunConfig(solver=SolverConfig(**solver_kwargs), **cfg_kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -316,14 +320,15 @@ def cmd_verify(args) -> int:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "lam", None) is not None:
-        cfg = replace(cfg, lam=args.lam)
-    if getattr(args, "form", None) is not None:
-        cfg = replace(cfg, form=args.form)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
-    if getattr(args, "out", None) is not None:
-        cfg = replace(cfg, out_dir=args.out)
+    with _config_values():
+        if getattr(args, "lam", None) is not None:
+            cfg = replace(cfg, lam=args.lam)
+        if getattr(args, "form", None) is not None:
+            cfg = replace(cfg, form=args.form)
+        if getattr(args, "seed", None) is not None:
+            cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
+        if getattr(args, "out", None) is not None:
+            cfg = replace(cfg, out_dir=args.out)
     return cfg
 
 

@@ -412,14 +412,14 @@ class MinorantGeometry:
     h_max: float
 
 
-def _bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
+def _bisect(fn, lo: float, hi: float) -> float:
     flo = fn(lo)
     if flo == 0.0:
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
-        if fm == 0.0 or hi - lo < tol * max(1.0, abs(mid)):
+        if fm == 0.0 or hi - lo < 1e-12 * max(1.0, abs(mid)):
             return mid
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm

@@ -345,16 +345,15 @@ def bump_field(domain: BoxDomain, center: Sequence[float], radius: float,
 
 def random_smooth_field(domain: BoxDomain, rng: np.random.Generator,
                         modes: int = 3, amplitude: float = 1.0,
-                        ghost_width: int = 2, decay: float = 1.0) -> ScalarField:
+                        ghost_width: int = 2) -> ScalarField:
     """Random low-frequency sine combination, normalized to the given sup amplitude.
 
-    Mode coefficients fall off like 1/prod(multi)^decay; larger decay gives
-    smoother draws.
+    Mode coefficients fall off like 1/prod(multi).
     """
     vals = np.zeros(domain.nodes)
     axes = [domain.axis_coords(a) / domain.extent[a] for a in range(domain.dim)]
     for multi in itertools.product(range(1, modes + 1), repeat=domain.dim):
-        coeff = rng.standard_normal() / float(np.prod(multi)) ** decay
+        coeff = rng.standard_normal() / float(np.prod(multi))
         term = coeff
         for m, t in zip(multi, np.ix_(*axes)):
             term = term * np.sin(np.pi * m * t)

@@ -44,7 +44,6 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .energy import (
     CutoffSpec,
     EnergySetting,
-    Form,
     GeometryWitnesses,
     MinorantCoefficients,
     MinorantGeometry,
@@ -75,41 +74,19 @@ from .grid import (
 class SolverConfig:
     grad_tol: float = 1e-6
     max_iters: int = 400
-    ls_c: float = 1e-4
-    ls_rho: float = 0.5
-    step0: float = 1.0
     path_points: int = 17
     deform_tol: float = 3e-5
     seed: int = 0
-    fit_samples: int = 48
-    newton_max: int = 60
-    krylov_rtol: float = 1e-3
-    krylov_restart: int = 40
-    krylov_outer: int = 5
 
     def __post_init__(self):
         if not (0.0 < self.grad_tol < math.inf and 0.0 < self.deform_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
         if self.path_points < 16:
             raise ValueError("need at least 16 path points")
-        if self.fit_samples < 10:
-            raise ValueError("need at least 10 samples for the minorant fit")
-        for name in ("max_iters", "newton_max", "krylov_restart", "krylov_outer"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not 0.0 < self.krylov_rtol < 1.0:
-            raise ValueError(f"krylov_rtol must lie in (0, 1), got {self.krylov_rtol}")
-        # backtracking needs a shrinking, finite trial step (with ls_rho >= 1
-        # the loops in minimize_local and mountain_pass never end) and an
-        # Armijo factor in (0, 1)
-        if not 0.0 < self.ls_rho < 1.0:
-            raise ValueError(f"ls_rho must lie in (0, 1), got {self.ls_rho}")
-        if not 0.0 < self.ls_c < 1.0:
-            raise ValueError(f"ls_c must lie in (0, 1), got {self.ls_c}")
-        if not 0.0 < self.step0 < math.inf:
-            raise ValueError(f"step0 must be positive and finite, got {self.step0}")
 
 
 @dataclass
@@ -172,6 +149,14 @@ class SolveRun:
     record_mountain: PSRecord
 
 
+# Backtracking line search of the descent and the path deformation: first
+# trial step, shrink factor and Armijo factor.
+_STEP0 = 1.0
+_LS_RHO = 0.5
+_LS_C = 1e-4
+_FIT_SAMPLES = 48  # fields in the minorant fit's sample family
+
+
 def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
                    c: CutoffSpec) -> tuple[ScalarField, PSRecord]:
     """Backtracking descent on the truncated functional from inside the small ball.
@@ -198,15 +183,15 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
             break
         d = invert_polyharmonic(r, alpha)
         slope = inner(r, d)  # squared preconditioned norm, positive
-        t = cfg.step0
+        t = _STEP0
         accepted = False
-        while t >= 1e-14 * cfg.step0:
+        while t >= 1e-14 * _STEP0:
             cand = u - t * d
             h_cand = evaluate_H(cand, s, c)
-            if h_cand <= h_val - cfg.ls_c * t * slope:
+            if h_cand <= h_val - _LS_C * t * slope:
                 accepted = True
                 break
-            t *= cfg.ls_rho
+            t *= _LS_RHO
         if not accepted:
             raise NonconvergenceError(
                 "backtracking stalled before the residual tolerance", rec)
@@ -231,11 +216,10 @@ def _interp_rows(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
     return np.stack([(1.0 - t) * a + t * b for t in ts])
 
 
-def _redistribute(path: np.ndarray, wrap, alpha: int,
-                  out_points: int | None = None) -> np.ndarray:
-    """Reparametrize the discrete path to equal seminorm arc length."""
+def _redistribute(path: np.ndarray, wrap, alpha: int, out_points: int) -> np.ndarray:
+    """Reparametrize the discrete path to ``out_points`` nodes at equal seminorm arc length."""
     m = path.shape[0]
-    P = m if out_points is None else out_points
+    P = out_points
     lengths = np.empty(m - 1)
     for i in range(m - 1):
         seg = wrap(path[i + 1] - path[i])
@@ -283,8 +267,12 @@ def _locate_path_max(path: np.ndarray, ghost_width: int, s: EnergySetting):
     return best
 
 
+_KRYLOV_RESTART = 40
+_KRYLOV_OUTER = 5
+
+
 def _newton_step(u: ScalarField, r: ScalarField, s: EnergySetting,
-                 cfg: SolverConfig, rtol: float) -> ScalarField:
+                 rtol: float) -> ScalarField:
     """Inexact Newton step, preconditioned by the sine-basis polyharmonic inverse.
 
     The Jacobian action of the setting's residual comes from
@@ -305,11 +293,18 @@ def _newton_step(u: ScalarField, r: ScalarField, s: EnergySetting,
     op = LinearOperator((m, m), matvec=matvec, dtype=float)
     rhs = -invert_polyharmonic(r, s.alpha).values.reshape(m)
     x, info = gmres(op, rhs, rtol=rtol, atol=0.0,
-                    restart=cfg.krylov_restart,
-                    maxiter=cfg.krylov_outer)
+                    restart=_KRYLOV_RESTART, maxiter=_KRYLOV_OUTER)
     if info < 0:
         raise NonconvergenceError("Krylov solve broke down inside Newton")
     return ScalarField(dom, x.reshape(shape), u.ghost_width)
+
+
+_NEWTON_MAX = 60
+# GMRES rtols, in order: a failed step is retried with a sharper Krylov solve
+# before giving up.  The products are kept as written: 1e-4 * 1e-3 is
+# 1.0000000000000001e-07, not 1e-07, and strong solves at the residual
+# roundoff floor are sensitive to that last bit.
+_KRYLOV_RTOLS = (1e-3, 1e-2 * 1e-3, 1e-4 * 1e-3)
 
 
 def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
@@ -321,16 +316,15 @@ def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
     away from the starting basin.
     """
     alpha = s.alpha
-    for _ in range(cfg.newton_max):
+    for _ in range(_NEWTON_MAX):
         r = residual(u, s)
         rn = l2_norm(r)
         rec.append(action(u, s), rn, seminorm(u, alpha))
         if rn <= cfg.grad_tol:
             return u, rn, True
         stepped = False
-        # a failed step is retried with a sharper Krylov solve before giving up
-        for rtol in (cfg.krylov_rtol, 1e-2 * cfg.krylov_rtol, 1e-4 * cfg.krylov_rtol):
-            delta = _newton_step(u, r, s, cfg, rtol)
+        for rtol in _KRYLOV_RTOLS:
+            delta = _newton_step(u, r, s, rtol)
             t = 1.0
             for _ in range(10):
                 cand = u + t * delta
@@ -378,7 +372,7 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
         first = _interp_rows(u_m.values, through.values, half)
         second = _interp_rows(through.values, v_far.values, P - half + 1)
         path = np.concatenate([first, second[1:]])
-        path = _redistribute(path, wrap, alpha)
+        path = _redistribute(path, wrap, alpha, P)
 
     rec = PSRecord()
     sweeps_left = cfg.max_iters
@@ -423,22 +417,22 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
                 d = d - (seminorm_inner(d, tan, alpha) / tau_sq) * tan
             # cap the move by the local path resolution so deformation stays local
             dn = seminorm(d, alpha)
-            t = cfg.step0
+            t = _STEP0
             if dn > 0.0 and seg_len > 0.0:
                 t = min(t, 0.5 * seg_len / dn)
-            while t >= 1e-10 * cfg.step0:
+            while t >= 1e-10 * _STEP0:
                 cand = u - t * d
                 if action(cand, s) < j_max:
                     moved = True
                     break
-                t *= cfg.ls_rho
+                t *= _LS_RHO
             if moved:
                 if tpar == 0.0:
                     path[i_seg] = cand.values
                     poly = path
                 else:
                     poly = np.insert(path, i_seg + 1, cand.values, axis=0)
-                path = _redistribute(poly, wrap, alpha, out_points=P)
+                path = _redistribute(poly, wrap, alpha, P)
 
         if refine or not moved:
             since_refine = 0
@@ -451,7 +445,7 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
             if not ok and separated:
                 # improved but unconverged: fold back into the path and resume
                 poly = np.insert(path, i_seg + 1, u_ref.values, axis=0)
-                path = _redistribute(poly, wrap, alpha, out_points=P)
+                path = _redistribute(poly, wrap, alpha, P)
             # Newton fell back to the minimizer basin: plain deformation resumes
     raise NonconvergenceError("mountain pass exhausted its iteration budget", rec)
 
@@ -461,7 +455,7 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     """Full orchestration: minorant fit, witnesses, descent, far scan, minimax."""
     s.validate_grid()
     rng = np.random.default_rng(cfg.seed)
-    fit = fit_minorant(s, cfg.fit_samples, rng)
+    fit = fit_minorant(s, _FIT_SAMPLES, rng)
     geom = minorant_geometry(fit)
     cutoff = CutoffSpec(geom.R0, geom.R1)
     wit = geometry_witnesses(s)
@@ -519,14 +513,6 @@ def two_solutions(s: EnergySetting, cfg: SolverConfig) -> SolutionPair:
     return solve_run(s, cfg).pair
 
 
-def weak_two_solutions(s: EnergySetting, cfg: SolverConfig) -> SolutionPair:
-    """Two-solution run for the divergence-form problem."""
-    s.validate_grid()
-    if s.form is not Form.WEAK:
-        raise ValueError("weak_two_solutions requires a WEAK-form setting")
-    return solve_run(s, cfg).pair
-
-
 @dataclass
 class ProbeReport:
     """Outcome of repeated descents from random starts in the small ball."""
@@ -548,7 +534,7 @@ def ball_uniqueness_probe(s: EnergySetting, cfg: SolverConfig,
         raise ValueError("need at least 5 trials")
     s.validate_grid()
     rng = np.random.default_rng(cfg.seed)
-    fit = fit_minorant(s, cfg.fit_samples, rng)
+    fit = fit_minorant(s, _FIT_SAMPLES, rng)
     geom = minorant_geometry(fit)
     cutoff = CutoffSpec(geom.R0, geom.R1)
     alpha = s.alpha

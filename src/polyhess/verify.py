@@ -196,19 +196,15 @@ def suite_exponents(seed: int = 0) -> list[CheckResult]:
     return rows
 
 
-def divergence_values(dim: int, k: int, node_counts,
-                      radius: float = 0.45) -> tuple[list[float], list[float]]:
-    """|integrate(S_k[bump])| across a refinement ladder, with the spacings.
-
-    The standard bump for this check fills the box (radius 0.45 on the unit
-    box): the profile's steep shoulder is the resolution bottleneck, and the
-    larger radius puts the most grid points across it.
-    """
+def divergence_values(dim: int, k: int, node_counts) -> tuple[list[float], list[float]]:
+    """|integrate(S_k[bump])| across a refinement ladder, with the spacings."""
     values = []
     spacings = []
     for n in node_counts:
         dom = unit_box(dim, n)
-        psi = bump_field(dom, (0.5,) * dim, radius, 1.0, k)
+        # the bump fills the unit box: its steep shoulder is the resolution
+        # bottleneck, and radius 0.45 puts the most grid points across it
+        psi = bump_field(dom, (0.5,) * dim, 0.45, 1.0, k)
         values.append(abs(integrate(sk_field(psi, k))))
         spacings.append(1.0 / (n + 1))
     return values, spacings
@@ -274,11 +270,10 @@ def suite_grid(seed: int = 0) -> list[CheckResult]:
     return rows
 
 
-def consistency_worst_errors(seed: int = 0, pairs: int = 50,
-                             n: int = 64, lam: float = 0.05,
-                             eps: float = 1e-5) -> tuple[float, float]:
+def consistency_worst_errors(seed: int = 0, pairs: int = 50) -> tuple[float, float]:
     """Worst relative mismatch of the strong/weak pairings against central
-    finite differences of the respective actions over a seeded pair family.
+    finite differences (step 1e-5) of the respective actions over a seeded
+    pair family, on the 2-D n=64 flagship at lambda = 0.05.
 
     Test fields are smooth two-mode combinations of moderate amplitude; the
     mismatch being measured is the O(h^2) discrete-divergence defect, which
@@ -287,12 +282,13 @@ def consistency_worst_errors(seed: int = 0, pairs: int = 50,
     median are dropped: a relative comparison is ill-conditioned at a zero of
     the denominator, not evidence about the pairing.
     """
+    eps = 1e-5
     rng = np.random.default_rng(seed)
-    dom = unit_box(2, n)
+    dom = unit_box(2, 64)
     f = from_function(dom, lambda x, y: np.ones_like(x), ghost_width=2)
     params = xp.ProblemParams(2, 2)
-    s = make_setting(params, lam, f)
-    s_weak = make_setting(params, lam, f, form=Form.WEAK)
+    s = make_setting(params, 0.05, f)
+    s_weak = make_setting(params, 0.05, f, form=Form.WEAK)
     cands = []
     for _ in range(2 * pairs):
         u = random_smooth_field(dom, rng, modes=2, amplitude=0.025, ghost_width=2)
@@ -310,7 +306,7 @@ def consistency_worst_errors(seed: int = 0, pairs: int = 50,
     return worst_strong, worst_weak
 
 
-def suite_energy(seed: int = 0, pairs: int = 50) -> list[CheckResult]:
+def suite_energy(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     rows = []
     dom = unit_box(2, 64)
@@ -318,7 +314,7 @@ def suite_energy(seed: int = 0, pairs: int = 50) -> list[CheckResult]:
     params = xp.ProblemParams(2, 2)
     s_weak = make_setting(params, 0.05, f, form=Form.WEAK)
 
-    worst_strong, worst_weak = consistency_worst_errors(seed=seed, pairs=pairs)
+    worst_strong, worst_weak = consistency_worst_errors(seed=seed)
     rows.append(_result("energy", "gradient_consistency_strong", worst_strong < 1e-4,
                         f"worst rel err {worst_strong:.3e} (tol 1e-4)"))
     rows.append(_result("energy", "gradient_consistency_weak", worst_weak < 1e-4,

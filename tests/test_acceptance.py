@@ -126,7 +126,7 @@ def test_acceptance_divergence_structure_3d_attainable_ladder():
 
 def test_acceptance_gradient_consistency():
     t0 = time.perf_counter()
-    worst_strong, worst_weak = consistency_worst_errors(seed=0, pairs=50, n=64)
+    worst_strong, worst_weak = consistency_worst_errors(seed=0, pairs=50)
     elapsed = time.perf_counter() - t0
     assert worst_strong < 1e-4
     assert worst_weak < 1e-4

@@ -57,9 +57,9 @@ def write_cfg(tmp_path, text=None, **fmt):
 
 
 def test_config_roundtrip_ini(tmp_path):
-    text = SMALL_INI.replace("seed = 0\n", "seed = 0\nkrylov_restart = 20\nkrylov_outer = 3\n")
+    text = SMALL_INI.replace("seed = 0\n", "seed = 0\npath_points = 21\ndeform_tol = 1e-05\n")
     cfg = load_config(write_cfg(tmp_path, text=text))
-    assert (cfg.solver.krylov_restart, cfg.solver.krylov_outer) == (20, 3)
+    assert (cfg.solver.path_points, cfg.solver.deform_tol) == (21, 1e-5)
     canon = config_to_ini(cfg)
     cfg2 = parse_config_text(canon)
     assert cfg2 == cfg
@@ -257,6 +257,13 @@ def test_bad_config_values_exit_2(tmp_path, capsys, edit):
         assert "config error" in capsys.readouterr().err
 
 
+def test_bad_command_line_override_exits_2(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    for command in ("solve", "continuation"):
+        assert main([command, "--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_coarse_grid_solves_and_continues(tmp_path, capsys):
     # at n = 8 the first witness bump's support margin is one node, short of alpha = 2
     cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace("nodes = 32", "nodes = 8"))
@@ -332,7 +339,7 @@ def test_cmd_continuation_requires_schedule(tmp_path):
 
 
 def test_bundled_configs_parse():
-    for name in ("configs/ma2d.cfg", "configs/hess3d.cfg"):
+    for name in ("configs/ma2d.cfg", "configs/hess3d.cfg", "perfbench/configs/strong128.cfg"):
         cfg = load_config(name)
         s = build_setting(cfg)
         assert s.alpha == 2
