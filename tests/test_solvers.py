@@ -47,9 +47,12 @@ def test_solver_config_validation():
         SolverConfig(path_points=8)
 
 
+# The last three cases keep the ids they had when the list was longer.
 @pytest.mark.parametrize("bad", [
-    {"max_iters": 0}, {"seed": -1}, {"grad_tol": float("nan")},
-    {"deform_tol": float("inf")},
+    {"max_iters": 0}, {"max_iters": -1}, {"path_points": 15}, {"grad_tol": -1.0},
+    pytest.param({"seed": -1}, id="bad9"),
+    pytest.param({"grad_tol": float("nan")}, id="bad10"),
+    pytest.param({"deform_tol": float("inf")}, id="bad11"),
 ])
 def test_solver_config_rejects_values_a_solve_cannot_use(bad):
     with pytest.raises(ValueError):
