@@ -21,8 +21,9 @@ The keys come from the dataclass fields: each ``RunConfig`` field names its
 ``(section, key)`` in its metadata, and the ``[solver]`` keys are the fields
 of ``SolverConfig``.  Values are checked when the config is built, so a bad
 value (a gaussian ``width`` so narrow that the datum vanishes at every node
-among them) exits 2 before any solve starts.  Unknown sections or keys are
-rejected.  Exit codes: 0 success, 2 config error, 3 solver
+among them) exits 2 before any solve starts, and so does an output directory
+that cannot be created.  Unknown sections or keys are rejected.  Exit codes:
+0 success, 2 config error (``config error: ...`` on stderr), 3 solver
 nonconvergence/geometry failure, 4 invariant-suite failure.
 """
 
@@ -212,11 +213,7 @@ def build_domain(cfg: RunConfig) -> BoxDomain:
         nodes = nodes * cfg.n
     if len(nodes) != cfg.n:
         raise ConfigError(f"{len(nodes)} node counts given for an N={cfg.n} problem")
-    try:
-        return BoxDomain(nodes=nodes, extent=cfg.extent if len(cfg.extent) > 1
-                         else cfg.extent * cfg.n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return BoxDomain(nodes=nodes, extent=cfg.extent)
 
 
 def build_datum(cfg: RunConfig, domain: BoxDomain, ghost_width: int) -> ScalarField:
@@ -257,38 +254,59 @@ def build_datum(cfg: RunConfig, domain: BoxDomain, ghost_width: int) -> ScalarFi
 
 
 def build_setting(cfg: RunConfig, lam: Optional[float] = None) -> EnergySetting:
-    try:
+    with _config_values():
         params = ProblemParams(cfg.n, cfg.k)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    form = Form(cfg.form)
-    alpha = cfg.alpha if cfg.alpha is not None else form.alpha_formula(params)
-    domain = build_domain(cfg)
-    # a negative alpha is left for make_setting to reject with its own reason
-    f = build_datum(cfg, domain, ghost_width=max(alpha, 0))
-    try:
+        form = Form(cfg.form)
+        alpha = cfg.alpha if cfg.alpha is not None else form.alpha_formula(params)
+        domain = build_domain(cfg)
+        # a negative alpha is left for make_setting to reject with its own reason
+        f = build_datum(cfg, domain, ghost_width=max(alpha, 0))
         return make_setting(params, cfg.lam if lam is None else lam, f,
                             form=form, alpha=alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
-def _summary_base(cfg: RunConfig, s: EnergySetting, command: str) -> dict:
-    report = regime_report(s.params)
-    return {
+def _start(args, command: str) -> tuple[RunConfig, EnergySetting, Path, dict]:
+    """Config with the command-line overrides, setting, output directory, summary head."""
+    cfg = load_config(args.config)
+    overrides = {name: getattr(args, name) for name in ("lam", "form", "out_dir")
+                 if getattr(args, name, None) is not None}
+    with _config_values():
+        if args.seed is not None:
+            overrides["solver"] = replace(cfg.solver, seed=args.seed)
+        cfg = replace(cfg, **overrides)
+    if command == "continuation" and cfg.lambda_schedule is None:
+        raise ConfigError("continuation needs lambda.schedule in the config")
+    s = build_setting(cfg, lam=cfg.lambda_schedule[0] if command == "continuation" else None)
+    out_dir = Path(cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+    return cfg, s, out_dir, {
         "command": command,
         "config": asdict(cfg),
         "seed": cfg.solver.seed,
-        "regime_report": report.to_json_dict(),
+        "regime_report": regime_report(s.params).to_json_dict(),
         "alpha": {"value": s.alpha, "source": "override" if s.alpha_overridden
                   else f"{s.form.alpha_formula.__name__} formula"},
     }
 
 
-def _write_summary(out_dir: Path, summary: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _finite(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _finish(out_dir: Path, summary: dict, t0: float) -> Path:
+    """Stamp the wall time and write ``run.json`` as strict JSON (NaN and inf as null)."""
+    summary["wall_clock_s"] = time.perf_counter() - t0
     path = out_dir / "run.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_finite(summary), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
     return path
 
 
@@ -319,29 +337,9 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 4
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    with _config_values():
-        if getattr(args, "lam", None) is not None:
-            cfg = replace(cfg, lam=args.lam)
-        if getattr(args, "form", None) is not None:
-            cfg = replace(cfg, form=args.form)
-        if getattr(args, "seed", None) is not None:
-            cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
-        if getattr(args, "out", None) is not None:
-            cfg = replace(cfg, out_dir=args.out)
-    return cfg
-
-
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        s = build_setting(cfg)
-    except (ConfigError, CapabilityError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(cfg.out_dir)
-    summary = _summary_base(cfg, s, "solve")
+    cfg, s, out_dir, summary = _start(args, "solve")
     try:
         run = solve_run(s, cfg.solver)
     except PolyhessError as exc:
@@ -349,8 +347,7 @@ def cmd_solve(args) -> int:
         record = getattr(exc, "record", None)
         if record is not None:
             summary["partial_record"] = record.to_json_dict()
-        summary["wall_clock_s"] = time.perf_counter() - t0
-        path = _write_summary(out_dir, summary)
+        path = _finish(out_dir, summary, t0)
         print(f"solve failed: {exc} (summary at {path})", file=sys.stderr)
         return 3
     pair = run.pair
@@ -373,8 +370,7 @@ def cmd_solve(args) -> int:
         "record_mountain": run.record_mountain.to_json_dict(),
     }
     summary["artifacts"] = artifacts
-    summary["wall_clock_s"] = time.perf_counter() - t0
-    path = _write_summary(out_dir, summary)
+    path = _finish(out_dir, summary, t0)
     print(f"J_m={pair.J_m:.6e}  J_star={pair.J_star:.6e}  sep={pair.sep:.6e}")
     print(f"summary written to {path}")
     return 0
@@ -382,18 +378,8 @@ def cmd_solve(args) -> int:
 
 def cmd_continuation(args) -> int:
     t0 = time.perf_counter()
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        if cfg.lambda_schedule is None:
-            raise ConfigError("continuation needs lambda.schedule in the config")
-        s = build_setting(cfg, lam=cfg.lambda_schedule[0])
-    except (ConfigError, CapabilityError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(cfg.out_dir)
-    summary = _summary_base(cfg, s, "continuation")
+    cfg, s, out_dir, summary = _start(args, "continuation")
     table = continuation_in_lambda(s, cfg.lambda_schedule, cfg.solver)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "continuation.csv"
     csv_path.write_text(table.to_csv_text())
     converged = [r for r in table.rows if r.converged]
@@ -408,8 +394,7 @@ def cmd_continuation(args) -> int:
         ],
     }
     summary["artifacts"] = [str(csv_path)]
-    summary["wall_clock_s"] = time.perf_counter() - t0
-    path = _write_summary(out_dir, summary)
+    path = _finish(out_dir, summary, t0)
     print(f"{len(converged)}/{len(table.rows)} rows converged; table at {csv_path}")
     print(f"summary written to {path}")
     return 0 if converged else 3
@@ -438,21 +423,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--lambda", dest="lam", type=float, default=None)
     p_sol.add_argument("--form", choices=("strong", "weak"), default=None)
     p_sol.add_argument("--seed", type=int, default=None)
-    p_sol.add_argument("--out", default=None)
+    p_sol.add_argument("--out", dest="out_dir", default=None)
     p_sol.set_defaults(func=cmd_solve)
 
     p_con = sub.add_parser("continuation", help="sweep lambda per the config schedule")
     p_con.add_argument("--config", required=True)
     p_con.add_argument("--form", choices=("strong", "weak"), default=None)
     p_con.add_argument("--seed", type=int, default=None)
-    p_con.add_argument("--out", default=None)
+    p_con.add_argument("--out", dest="out_dir", default=None)
     p_con.set_defaults(func=cmd_continuation)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, CapabilityError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -273,6 +273,59 @@ def test_coarse_grid_solves_and_continues(tmp_path, capsys):
     assert "config error" not in capsys.readouterr().err
 
 
+def test_command_line_overrides_reach_run_json(tmp_path):
+    cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace("nodes = 32", "nodes = 8"))
+    runs = {
+        "solve": (["--lambda", "0"], 0.0),
+        "continuation": ([], 0.05),  # continuation has no --lambda; the config value stays
+    }
+    for command, (extra, lam) in runs.items():
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), *extra, "--form", "weak",
+                     "--seed", "3", "--out", str(out)]) == 0
+        summary = json.loads((out / "run.json").read_text())
+        assert summary["seed"] == summary["config"]["solver"]["seed"] == 3
+        assert summary["config"]["form"] == "weak"
+        assert summary["config"]["lam"] == lam
+        assert summary["config"]["out_dir"] == str(out)
+
+
+@pytest.mark.parametrize("command", ["solve", "continuation"])
+def test_uncreatable_output_directory_exits_2_before_solving(tmp_path, capsys, monkeypatch,
+                                                            command):
+    import polyhess.cli as cli_mod
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the solver ran before the output directory was checked")
+
+    monkeypatch.setattr(cli_mod, "solve_run", no_solver)
+    monkeypatch.setattr(cli_mod, "continuation_in_lambda", no_solver)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    cfg_path = write_cfg(tmp_path)
+    assert main([command, "--config", str(cfg_path), "--out", str(blocker / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_failed_continuation_rows_are_null_in_strict_run_json(tmp_path):
+    text = SMALL_INI.replace("grad_tol = 1e-06", "grad_tol = 1e-06\nmax_iters = 1")
+    cfg_path = write_cfg(tmp_path, text=text)
+    out = tmp_path / "out"
+    assert main(["continuation", "--config", str(cfg_path)]) == 3
+    summary = json.loads((out / "run.json").read_text(), parse_constant=_reject_constant)
+    res = summary["results"]
+    assert res["converged_rows"] == 0
+    assert res["largest_converged_lambda"] is None
+    for row in res["table"]:
+        assert not row["converged"]
+        assert row["J_m"] is None and row["J_star"] is None and row["sep"] is None
+    assert "nan" in (out / "continuation.csv").read_text()
+
+
 def test_line_search_that_never_shrinks_exits_2(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace("seed = 0\n", "seed = 0\nls_rho = 1.0\n"))
     assert main(["solve", "--config", str(cfg_path)]) == 2
