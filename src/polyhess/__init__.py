@@ -36,6 +36,7 @@ from .hessian_algebra import (
     as_symmetric,
     shifted_trace_identity,
     sigma_k,
+    sk_of_entries,
     sk_of_matrix,
     sk_of_stack,
     sk_partials,
@@ -51,6 +52,7 @@ from .grid import (
     gradient_centered,
     half_order,
     hessian,
+    hessian_entries,
     inner,
     integrate,
     invert_polyharmonic,

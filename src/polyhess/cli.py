@@ -46,7 +46,7 @@ import numpy as np
 from .energy import EnergySetting, Form, make_setting
 from .errors import CapabilityError, ConfigError, PolyhessError
 from .exponents import ProblemParams, regime_report
-from .grid import BoxDomain, ScalarField, dump_field, from_function, load_field
+from .grid import BoxDomain, ScalarField, dump_field, from_function, inner, load_field
 from .solvers import SolverConfig, check_lambda_schedule, continuation_in_lambda, solve_run
 from .verify import run_suites
 
@@ -253,7 +253,19 @@ def build_datum(cfg: RunConfig, domain: BoxDomain, ghost_width: int) -> ScalarFi
     return f
 
 
-def build_setting(cfg: RunConfig, lam: Optional[float] = None) -> EnergySetting:
+def build_setting(cfg: RunConfig, lam: Optional[float] = None,
+                  sweep: bool = False) -> EnergySetting:
+    """The setting at ``lam`` (default ``cfg.lam``; with ``sweep``, the first
+    value of ``cfg.lambda_schedule``).
+
+    Every nonzero lambda the run uses (that one, or with ``sweep`` the whole
+    schedule) must pair with a nonzero datum: when lambda * int f^2
+    underflows to 0 the mountain-pass geometry has no datum witness, so the
+    config is rejected here rather than after the minorant fit.
+    """
+    if sweep and cfg.lambda_schedule is None:
+        raise ConfigError("continuation needs lambda.schedule in the config")
+    lams = cfg.lambda_schedule if sweep else (cfg.lam if lam is None else lam,)
     with _config_values():
         params = ProblemParams(cfg.n, cfg.k)
         form = Form(cfg.form)
@@ -261,8 +273,13 @@ def build_setting(cfg: RunConfig, lam: Optional[float] = None) -> EnergySetting:
         domain = build_domain(cfg)
         # a negative alpha is left for make_setting to reject with its own reason
         f = build_datum(cfg, domain, ghost_width=max(alpha, 0))
-        return make_setting(params, cfg.lam if lam is None else lam, f,
-                            form=form, alpha=alpha)
+        s = make_setting(params, lams[0], f, form=form, alpha=alpha)
+    pairing = inner(f, f)
+    for value in lams:
+        if value != 0.0 and np.any(f.values) and not abs(value) * pairing > 0.0:
+            raise ConfigError(f"lambda * int f^2 underflows to 0 at lambda = {value!r}: "
+                              "the datum is too small to pair with lambda")
+    return s
 
 
 def _start(args, command: str) -> tuple[RunConfig, EnergySetting, Path, dict]:
@@ -274,9 +291,7 @@ def _start(args, command: str) -> tuple[RunConfig, EnergySetting, Path, dict]:
         if args.seed is not None:
             overrides["solver"] = replace(cfg.solver, seed=args.seed)
         cfg = replace(cfg, **overrides)
-    if command == "continuation" and cfg.lambda_schedule is None:
-        raise ConfigError("continuation needs lambda.schedule in the config")
-    s = build_setting(cfg, lam=cfg.lambda_schedule[0] if command == "continuation" else None)
+    s = build_setting(cfg, sweep=command == "continuation")
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -389,12 +404,15 @@ def cmd_continuation(args) -> int:
         "largest_converged_lambda": table.largest_converged_lambda(),
         "table": [
             {"lambda": r.lam, "J_m": r.J_m, "J_star": r.J_star,
-             "sep": r.sep, "converged": r.converged}
+             "sep": r.sep, "converged": r.converged, "reason": r.reason}
             for r in table.rows
         ],
     }
     summary["artifacts"] = [str(csv_path)]
     path = _finish(out_dir, summary, t0)
+    for r in table.rows:
+        if not r.converged:
+            print(f"lambda={r.lam!r} failed: {r.reason}", file=sys.stderr)
     print(f"{len(converged)}/{len(table.rows)} rows converged; table at {csv_path}")
     print(f"summary written to {path}")
     return 0 if converged else 3

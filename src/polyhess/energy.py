@@ -30,20 +30,29 @@ derivative consistency is therefore asserted at a 1e-4 relative tolerance on
 smooth moderate-amplitude fields, not to roundoff.
 
 One evaluation path.  ``_images`` computes a field's linear stencil images
-(node values, half-order components, Hessian, and in the divergence form
-the centered gradient), and ``_terms`` turns images into the quadratic,
-datum and nonlinear terms.  ``evaluate_J``, ``evaluate_J_weak``,
-``energy_report``, ``evaluate_H``, ``fit_minorant`` and every sample of
-``segment_actions`` go through these two, and the seminorm they report or
-cut off is taken from the same half-order components, so equal inputs give
-bit-identical values in all of them.  Both residuals share one
-Euler-Lagrange assembly, (-1)^alpha Delta^alpha u - nonlinear - lambda f.
+(node values, half-order components, the Hessian's unique entries
+component-first, and in the divergence form the centered gradient), and
+``_terms`` turns images into the quadratic, datum and nonlinear terms.
+``evaluate_J``, ``evaluate_J_weak``, ``energy_report``, ``evaluate_H``,
+``fit_minorant`` and every sample of ``segment_actions`` go through these
+two, and the seminorm they report or cut off is taken from the same
+half-order components, so equal inputs give bit-identical values in all of
+them.  Both residuals share one Euler-Lagrange assembly,
+(-1)^alpha Delta^alpha u - nonlinear - lambda f.
 
 The weak form has one flux definition, ``_flux_of``: F_a = sum_b
-S_k^{ab}[u] u_b from the Hessian and gradient components (for k = 2,
-sigma_1 g_a - sum_b A_ab g_b, with no sigma_k gradient matrix).  The weak
-action's density sum_a F_a u_a, the weak residual's divergence and the
-weak pairing all use it.
+S_k^{ab}[u] u_b from the Hessian entries and gradient components (for
+k = 2, sigma_1 g_a - sum_b A_ab g_b, with no sigma_k gradient matrix).  The
+weak action's density sum_a F_a u_a, the weak residual's divergence, the
+weak pairing and the weak Jacobian all use it.
+
+Hessian layout.  Everything above reads the entries (``hessian_entries``):
+sigma_k and the k = 2 flux read whole contiguous planes, and a path sample
+interpolates d(d+1)/2 planes instead of d^2 strided ones.  Only the
+strong-form Jacobian (and the k = 3 flux) builds the node-major stack
+(``hessian``), because it contracts ``sk_partials_stack`` with
+``np.einsum``, and an explicit sum over entries differs from einsum in the
+last bit; the strong solves at the residual roundoff floor need that bit.
 
 The truncation ``CutoffSpec`` is the quintic smoothstep between R0 and R1;
 it is exactly 1 inside the R0 ball, where ``evaluate_H`` equals the action.
@@ -71,6 +80,7 @@ from .grid import (
     divergence_centered,
     gradient_centered,
     hessian,
+    hessian_entries,
     half_order,
     inner,
     invert_polyharmonic,
@@ -80,7 +90,7 @@ from .grid import (
     sk_field,
     zeros,
 )
-from .hessian_algebra import sk_of_stack, sk_partials_stack
+from .hessian_algebra import entry_table, sk_of_entries, sk_partials_stack, stack_of_entries
 
 
 class Form(enum.Enum):
@@ -166,26 +176,28 @@ def _sign(n: int) -> float:
 # between the images of two fields along a path segment).
 
 def _images(u: ScalarField, s: EnergySetting, form: Form | None = None) -> tuple:
-    """(node values, half-order components, Hessian, centered gradient) of
-    ``u``; the gradient is None unless ``form`` (default: the setting's) is weak."""
+    """(node values, half-order components, Hessian entries, centered
+    gradient) of ``u``; the gradient is None unless ``form`` (default: the
+    setting's) is weak."""
     s.check_field(u)
     weak = (form or s.form) is Form.WEAK
-    return u.values, half_order(u, s.alpha), hessian(u), gradient_centered(u) if weak else None
+    return (u.values, half_order(u, s.alpha), hessian_entries(u),
+            gradient_centered(u) if weak else None)
 
 
 def _terms(images: tuple, s: EnergySetting) -> tuple[float, float, float]:
     """(quadratic, datum, nonlinear) terms of J from ``_images`` output: the
     pointwise nonlinear term without a gradient, the divergence form with one."""
-    u_vals, comps, hess, grads = images
+    u_vals, comps, ents, grads = images
     k = s.params.k
     vol = s.f.domain.cell_volume
     quad = 0.5 * vol * float(np.vdot(comps, comps))
     datum = s.lam * float(vol * np.vdot(s.f.values, u_vals))
     if grads is None:
-        nl = _sign(k) / (k + 1) * float(vol * np.vdot(u_vals, sk_of_stack(hess, k)))
+        nl = _sign(k) / (k + 1) * float(vol * np.vdot(u_vals, sk_of_entries(ents, k)))
     else:
         # density sum_a F_a g_a, summed over the nodes
-        nl = -_sign(k) / ((k + 1) * k) * (vol * float(np.vdot(_flux_of(grads, hess, k), grads)))
+        nl = -_sign(k) / ((k + 1) * k) * (vol * float(np.vdot(_flux_of(grads, ents, k), grads)))
     return quad, datum, nl
 
 
@@ -194,16 +206,18 @@ def _J_of(images: tuple, s: EnergySetting) -> float:
     return quad - datum - nl
 
 
-def _flux_of(grads: np.ndarray, hess: np.ndarray, k: int) -> np.ndarray:
+def _flux_of(grads: np.ndarray, ents: np.ndarray, k: int) -> np.ndarray:
     """F_a = sum_b S_k^{ab} g_b, shape (dim,) + nodes, from the gradient
-    components ``grads`` ((dim,) + nodes) and the Hessian ``hess`` (nodes + (dim, dim))."""
+    components ``grads`` ((dim,) + nodes) and the Hessian entries ``ents``
+    (``hessian_entries``)."""
     if k != 2:
-        return np.einsum("...ab,b...->a...", sk_partials_stack(hess, k), grads)
+        return np.einsum("...ab,b...->a...", sk_partials_stack(stack_of_entries(ents), k), grads)
     # S_2 = sigma_1 I - A
-    flux = sk_of_stack(hess, 1) * grads
+    flux = sk_of_entries(ents, 1) * grads
+    table = entry_table(grads.shape[0])
     for a in range(grads.shape[0]):
         for b in range(grads.shape[0]):
-            flux[a] -= hess[..., a, b] * grads[b]
+            flux[a] -= ents[table[a, b]] * grads[b]
     return flux
 
 
@@ -245,7 +259,7 @@ def residual_strong(u: ScalarField, s: EnergySetting) -> ScalarField:
 
 def _weak_flux(u: ScalarField, s: EnergySetting) -> np.ndarray:
     """Components F_i = sum_j u_{x_j} S_k^{ij}[u], shape (dim,) + nodes."""
-    return _flux_of(gradient_centered(u), hessian(u), s.params.k)
+    return _flux_of(gradient_centered(u), hessian_entries(u), s.params.k)
 
 
 def residual_weak_pairing(u: ScalarField, w: ScalarField, s: EnergySetting) -> float:
@@ -293,7 +307,8 @@ def segment_actions(path: np.ndarray, ghost_width: int, s: EnergySetting,
     sample interpolates the images of its segment's end nodes; only sigma_k
     (or its gradient contraction) and the reductions run per sample.  Node
     values equal ``action`` bit for bit, samples agree with it to roundoff.
-    The images of two nodes are alive at a time.
+    The images of two nodes are alive at a time, and each sample is
+    interpolated into two buffers per image that the whole sweep reuses.
     """
     at_nodes = np.empty(path.shape[0])
     in_segments = np.empty((path.shape[0] - 1, len(ts)))
@@ -301,11 +316,18 @@ def segment_actions(path: np.ndarray, ghost_width: int, s: EnergySetting,
     for i, row in enumerate(path):
         cur = _images(ScalarField(s.f.domain, row, ghost_width), s)
         at_nodes[i] = _J_of(cur, s)
-        if prev is not None:
+        if prev is None:
+            # two buffers per image, reused by every sample of the sweep
+            lo = tuple(None if a is None else np.empty_like(a) for a in cur)
+            hi = tuple(None if a is None else np.empty_like(a) for a in cur)
+        else:
             for j, t in enumerate(ts):
-                in_segments[i - 1, j] = _J_of(tuple(
-                    None if a is None else (1.0 - t) * a + t * b
-                    for a, b in zip(prev, cur)), s)
+                for a, b, x, y in zip(prev, cur, lo, hi):
+                    if a is not None:  # x = (1 - t) a + t b
+                        np.multiply(a, 1.0 - t, out=x)
+                        np.multiply(b, t, out=y)
+                        np.add(x, y, out=x)
+                in_segments[i - 1, j] = _J_of(lo, s)
         prev = cur
     return at_nodes, in_segments
 
@@ -331,10 +353,10 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
     k = s.params.k
     sign_a = _sign(alpha)
     sign_k = _sign(k)
-    hess_u = hessian(u)
 
     if s.form is Form.STRONG:
-        partials = sk_partials_stack(hess_u, k)
+        # the node-major stacks: einsum's sum, bit for bit
+        partials = sk_partials_stack(hessian(u), k)
 
         def apply(v_vals: np.ndarray) -> np.ndarray:
             v = ScalarField(dom, v_vals, u.ghost_width)
@@ -343,12 +365,13 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
         return apply
 
     grads_u = gradient_centered(u)
+    ents_u = hessian_entries(u)
 
     def apply(v_vals: np.ndarray) -> np.ndarray:
         v = ScalarField(dom, v_vals, u.ghost_width)
-        hess_v = hessian(v)
-        dflux = _flux_of(gradient_centered(v), hess_u, k) + 0.5 * (
-            _flux_of(grads_u, hess_u + hess_v, k) - _flux_of(grads_u, hess_u - hess_v, k))
+        ents_v = hessian_entries(v)
+        dflux = _flux_of(gradient_centered(v), ents_u, k) + 0.5 * (
+            _flux_of(grads_u, ents_u + ents_v, k) - _flux_of(grads_u, ents_u - ents_v, k))
         return (sign_a * polyharmonic(v, alpha).values
                 - sign_k / k * divergence_centered(dflux, dom))
     return apply

@@ -12,11 +12,21 @@ needed because the extension by zero supplies every exterior value.  The
 stencils read that extension from one zero-filled buffer, one node wider on
 every side, into whose core the field is slice-assigned (no ``np.pad``
 call); the buffer holds exactly what padding with zeros would, so the
-stencil arithmetic is unchanged.  A domain computes its spacing and cell
-volume once and keeps them.  Stencils that yield more than one value per
-node return plain arrays: ``hessian`` has shape nodes + (dim, dim),
-``half_order`` shape (m,) + nodes with m = 1 for even order and dim for
-odd, and ``gradient_centered`` shape (dim,) + nodes.
+stencil arithmetic is unchanged.  A domain computes its spacing, cell
+volume and sine symbol once and keeps them.  Stencils that yield more than
+one value per node return plain arrays: ``half_order`` has shape (m,) +
+nodes with m = 1 for even order and dim for odd, and ``gradient_centered``
+shape (dim,) + nodes.
+
+The Hessian is computed once, by one stencil, as its dim(dim+1)/2 unique
+entries: ``hessian_entries`` has shape (dim(dim+1)/2,) + nodes, the
+diagonal first and then the pairs a < b (``hessian_algebra.entry_pairs``).
+Component-first planes are what sigma_k, the action and the path sweeps
+read and interpolate, plane by plane and contiguously.  ``hessian``
+expands the entries into the node-major stack, shape nodes + (dim, dim),
+one C-contiguous (dim, dim) block per node; the strong-form Jacobian
+contracts that stack with ``np.einsum``, whose sum an explicit loop over
+entries does not reproduce bit for bit.
 
 The grid is a tensor product, so the discrete Dirichlet Laplacian is
 diagonal in the sine basis; ``invert_polyharmonic`` exploits this to apply
@@ -47,7 +57,7 @@ import numpy as np
 from scipy.fft import dstn, idstn
 
 from .errors import ContractError
-from .hessian_algebra import sk_of_stack
+from .hessian_algebra import entry_pairs, sk_of_entries, stack_of_entries
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,21 @@ class BoxDomain:
     @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
+
+    @functools.cached_property
+    def sine_symbol(self) -> np.ndarray:
+        """Eigenvalues of the discrete (-Laplacian) on the sine basis, full
+        grid shape (read-only)."""
+        parts = []
+        for a in range(self.dim):
+            n = self.nodes[a]
+            m = np.arange(1, n + 1)
+            parts.append((2.0 - 2.0 * np.cos(np.pi * m / (n + 1))) / self.spacing[a]**2)
+        total = parts[0]
+        for p in parts[1:]:
+            total = np.add.outer(total, p)
+        total.flags.writeable = False
+        return total
 
     def axis_coords(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
@@ -179,9 +204,25 @@ def _shifted(p: np.ndarray, moves: dict[int, int]) -> np.ndarray:
     return p[tuple(index)]
 
 
-def _second_difference(p: np.ndarray, vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered second difference along one axis; ``p`` is ``vals`` zero-extended."""
-    return (_shifted(p, {axis: 1}) - 2.0 * vals + _shifted(p, {axis: -1})) / h ** 2
+def _second_difference(p: np.ndarray, vals: np.ndarray, axis: int, h: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Centered second difference along one axis; ``p`` is ``vals`` zero-extended.
+
+    The four operations of (p[+1] - 2 vals + p[-1]) / h^2 run in that order
+    through one output array (``out``, or a new one)."""
+    out = np.multiply(vals, 2.0, out=out)
+    np.subtract(_shifted(p, {axis: 1}), out, out=out)
+    np.add(out, _shifted(p, {axis: -1}), out=out)
+    return np.divide(out, h ** 2, out=out)
+
+
+def _cross_difference(p: np.ndarray, a: int, b: int, h: tuple, out: np.ndarray) -> np.ndarray:
+    """4-point mixed second difference along axes a and b into ``out``:
+    (p[+1,+1] - p[+1,-1] - p[-1,+1] + p[-1,-1]) / (4 h_a h_b), in that order."""
+    np.subtract(_shifted(p, {a: 1, b: 1}), _shifted(p, {a: 1, b: -1}), out=out)
+    np.subtract(out, _shifted(p, {a: -1, b: 1}), out=out)
+    np.add(out, _shifted(p, {a: -1, b: -1}), out=out)
+    return np.divide(out, 4.0 * h[a] * h[b], out=out)
 
 
 def _laplacian_values(vals: np.ndarray, spacing) -> np.ndarray:
@@ -236,22 +277,27 @@ def divergence_centered(flux: np.ndarray, domain: BoxDomain) -> np.ndarray:
     return div
 
 
-def hessian(u: ScalarField) -> np.ndarray:
-    """Discrete Hessian, shape nodes + (dim, dim): centered second differences
-    and the 4-point cross stencil."""
+def hessian_entries(u: ScalarField) -> np.ndarray:
+    """Unique entries of the discrete Hessian, component-first: shape
+    (dim(dim+1)/2,) + nodes, the centered second differences first and then
+    the 4-point cross differences of the axis pairs a < b (``entry_pairs`` order)."""
     vals = u.values
     d = u.domain.dim
     h = u.domain.spacing
     p = _zero_extended(vals)
-    out = np.zeros(u.domain.nodes + (d, d))
-    for a in range(d):
-        out[..., a, a] = _second_difference(p, vals, a, h[a])
-    for a, b in itertools.combinations(range(d), 2):
-        cross = (_shifted(p, {a: 1, b: 1}) - _shifted(p, {a: 1, b: -1})
-                 - _shifted(p, {a: -1, b: 1}) + _shifted(p, {a: -1, b: -1})) / (4.0 * h[a] * h[b])
-        out[..., a, b] = cross
-        out[..., b, a] = cross
+    out = np.empty((d * (d + 1) // 2,) + u.domain.nodes)
+    for e, (a, b) in enumerate(entry_pairs(d)):
+        if a == b:
+            _second_difference(p, vals, a, h[a], out=out[e])
+        else:
+            _cross_difference(p, a, b, h, out[e])
     return out
+
+
+def hessian(u: ScalarField) -> np.ndarray:
+    """Discrete Hessian as a node-major stack, shape nodes + (dim, dim):
+    ``hessian_entries`` expanded."""
+    return stack_of_entries(hessian_entries(u))
 
 
 def sk_field(u: ScalarField, k: int) -> ScalarField:
@@ -259,7 +305,7 @@ def sk_field(u: ScalarField, k: int) -> ScalarField:
     d = u.domain.dim
     if not 1 <= k <= d:
         raise ValueError(f"order k={k} out of range for dimension {d}")
-    vals = sk_of_stack(hessian(u), k)
+    vals = sk_of_entries(hessian_entries(u), k)
     return ScalarField(u.domain, vals, 0)
 
 
@@ -364,20 +410,6 @@ def random_smooth_field(domain: BoxDomain, rng: np.random.Generator,
     return ScalarField(domain, vals, ghost_width)
 
 
-def _sine_symbol(domain: BoxDomain) -> np.ndarray:
-    """Eigenvalues of the discrete (-Laplacian) on the sine basis, full grid shape."""
-    parts = []
-    for a in range(domain.dim):
-        n = domain.nodes[a]
-        h = domain.spacing[a]
-        m = np.arange(1, n + 1)
-        parts.append((2.0 - 2.0 * np.cos(np.pi * m / (n + 1))) / h**2)
-    total = parts[0]
-    for p in parts[1:]:
-        total = np.add.outer(total, p)
-    return total
-
-
 def invert_polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
     """Exact inverse of the discrete (-Delta)^alpha with clamped-zero data.
 
@@ -387,7 +419,7 @@ def invert_polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    sym = _sine_symbol(u.domain) ** alpha
+    sym = u.domain.sine_symbol ** alpha
     coeffs = dstn(u.values, type=1, norm="ortho")
     coeffs /= sym
     vals = idstn(coeffs, type=1, norm="ortho")

@@ -4,11 +4,23 @@ Everything here acts on small dense symmetric matrices (the pointwise Hessian
 of a scalar field), with the matrix side capped at ``MAX_DIM = 8``: the side
 is the spatial dimension, never the grid size.
 
-There is one sigma_k kernel, ``sk_of_stack``, and one gradient kernel,
-``sk_partials_stack``, both batched over the leading axes of a (..., N, N)
-stack; ``sk_of_matrix`` and ``sk_partials`` are their single-matrix front
-ends, which validate and symmetrize the input first.  ``sigma_k`` of the
-eigenvalues is the independent oracle the checks compare against.
+A symmetric N x N matrix has N(N+1)/2 unique entries.  The grid stores a
+Hessian as those entries, component-first (one array per entry, in
+``entry_pairs`` order: the diagonal first, then the pairs a < b in
+``itertools.combinations`` order), because every sigma_k reads a few whole
+planes of it and a path sweep interpolates it plane by plane; a node-major
+(..., N, N) stack holds N^2 - N(N+1)/2 duplicates and makes each of those
+reads strided.  ``stack_of_entries`` expands entries into that stack.
+
+There is one sigma_k kernel, ``sk_of_entries``, and one gradient kernel,
+``sk_partials_stack``, both batched over the node axes.  ``sk_of_stack`` is
+the kernel's front end for symmetric (..., N, N) stacks (it reads the upper
+triangle as views), and ``sk_of_matrix`` and ``sk_partials`` are the
+single-matrix front ends, which validate and symmetrize the input first.
+``sigma_k`` of the eigenvalues is the independent oracle the checks compare
+against.  The gradient kernel keeps the node-major stack: the strong-form
+Jacobian contracts its output with ``np.einsum``, and an explicit sum over
+entries differs from einsum in the last bit.
 
 Derivative convention for ``sk_partials``: the (i, j) entry is the derivative
 of sigma_k with respect to entry a_ij treating entries as independent, which
@@ -18,11 +30,11 @@ and a_ji together therefore has to halve its off-diagonal quotients to match.
 Under this convention the divergence-form identities used by the energy
 module hold (e.g. sum_ij A_ij * sk_partials(A, k)_ij == k * sk_of_matrix(A, k)).
 
-``sk_of_stack`` sums the k x k principal minors.  For k = 1 it sums the
+``sk_of_entries`` sums the k x k principal minors.  For k = 1 it sums the
 diagonal entries left to right (the order ``np.trace`` uses); for k = 2 it
-sums the entrywise minors m_ii m_jj - m_ij m_ji over the pairs i < j; for
-k >= 3 it gathers every principal block with one fancy index and makes one
-batched LAPACK determinant call.
+sums the entrywise minors a_ii a_jj - a_ij a_ij over the pairs i < j; for
+k >= 3 it gathers every principal block straight from the entries and makes
+one batched LAPACK determinant call.
 
 ``sk_partials_stack`` evaluates the closed form
 sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j directly: I for k = 1, sigma_1 I - A
@@ -32,12 +44,14 @@ sigma_0 = 1 and no product with I.  The terms are added in increasing
 powers of A; tests pin the result bit for bit to the series accumulated
 from an identity stack, which the strong-form Jacobian relies on.
 
-Every operation is a pure function of its arguments; there is no shared
-mutable state, so concurrent callers need no coordination.
+Every operation is a pure function of its arguments; the only shared
+state is the cached, read-only entry index tables, so concurrent callers
+need no coordination.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -117,39 +131,93 @@ def shifted_trace_identity(a, mu: float, k: int) -> tuple[float, float]:
     return lhs, float(rhs)
 
 
-def sk_of_stack(mats: np.ndarray, k: int) -> np.ndarray:
-    """sigma_k of every matrix in a (..., N, N) stack of symmetric matrices.
+@functools.cache
+def entry_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Matrix position (a, b) of each unique entry of a symmetric n x n
+    matrix, in entries order: the diagonal, then the pairs a < b."""
+    return tuple((a, a) for a in range(n)) + tuple(itertools.combinations(range(n), 2))
 
-    Sums the k x k principal minors over the batch axes: for k = 2 each
-    2 x 2 minor is read entrywise from the stack (no sub-block copies);
-    larger blocks go through one batched LAPACK determinant call.
+
+@functools.cache
+def entry_table(n: int) -> np.ndarray:
+    """Read-only n x n table whose (a, b) and (b, a) cells hold the index of entry (a, b)."""
+    table = np.empty((n, n), dtype=int)
+    for e, (a, b) in enumerate(entry_pairs(n)):
+        table[a, b] = table[b, a] = e
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _block_entries(n: int, k: int) -> np.ndarray:
+    """Read-only (subsets, k, k) entry indices of every k x k principal block."""
+    idx = np.array(list(itertools.combinations(range(n), k)))
+    picks = entry_table(n)[idx[:, :, None], idx[:, None, :]]
+    picks.flags.writeable = False
+    return picks
+
+
+def _side(count: int) -> int:
+    """The matrix side N of N(N+1)/2 = ``count`` unique entries."""
+    n = (math.isqrt(8 * count + 1) - 1) // 2
+    if n < 1 or n * (n + 1) // 2 != count:
+        raise ValueError(f"{count} entries are not the unique entries of a symmetric matrix")
+    if n > MAX_DIM:
+        raise ValueError(f"matrix dimension {n} exceeds the supported cap {MAX_DIM}")
+    return n
+
+
+def stack_of_entries(entries) -> np.ndarray:
+    """The C-contiguous (..., N, N) stack of the symmetric matrices whose
+    unique entries are ``entries`` (component-first, in ``entry_pairs`` order)."""
+    n = _side(len(entries))
+    out = np.empty(np.shape(entries[0]) + (n, n))
+    for e, (a, b) in enumerate(entry_pairs(n)):
+        out[..., a, b] = entries[e]
+        out[..., b, a] = entries[e]
+    return out
+
+
+def sk_of_entries(entries, k: int) -> np.ndarray:
+    """sigma_k of every symmetric matrix given by its unique entries.
+
+    ``entries`` holds one array per entry, component-first in
+    ``entry_pairs`` order (an (N(N+1)/2,) + batch array or a sequence of
+    batch-shaped arrays).  For k <= 2 the minors are read entrywise from
+    whole planes; larger principal blocks are gathered from the entries by
+    one fancy index into one batched LAPACK determinant call.
     """
+    n = _side(len(entries))
+    if not 0 <= k <= n:
+        raise ValueError(f"order k={k} out of range for dimension {n}")
+    batch = np.shape(entries[0])
+    if k == 0:
+        return np.ones(batch)
+    if k == 1:
+        total = np.array(entries[0], dtype=float)
+        for i in range(1, n):
+            total += entries[i]
+        return total
+    if k == 2:
+        total = np.zeros(batch)
+        for e, (i, j) in enumerate(entry_pairs(n)[n:], start=n):
+            total += entries[i] * entries[j] - entries[e] * entries[e]
+        return total
+    gathered = np.asarray(entries)[_block_entries(n, k)]  # (subsets, k, k) + batch
+    blocks = gathered.transpose(tuple(range(3, gathered.ndim)) + (0, 1, 2))
+    # exactly singular blocks (zero Hessians) trip a spurious numpy warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.linalg.det(blocks).sum(axis=-1)
+
+
+def sk_of_stack(mats: np.ndarray, k: int) -> np.ndarray:
+    """sigma_k of every matrix in a (..., N, N) stack of symmetric matrices:
+    ``sk_of_entries`` of its upper triangle, read as views."""
     m = np.asarray(mats, dtype=float)
     n = m.shape[-1]
     if m.ndim < 2 or m.shape[-2] != n:
         raise ValueError(f"expected a (..., N, N) stack, got shape {m.shape}")
-    if n > MAX_DIM:
-        raise ValueError(f"matrix dimension {n} exceeds the supported cap {MAX_DIM}")
-    if not 0 <= k <= n:
-        raise ValueError(f"order k={k} out of range for dimension {n}")
-    batch = m.shape[:-2]
-    if k == 0:
-        return np.ones(batch)
-    if k == 1:
-        total = m[..., 0, 0].copy()
-        for i in range(1, n):
-            total += m[..., i, i]
-        return total
-    if k == 2:
-        total = np.zeros(batch)
-        for i, j in itertools.combinations(range(n), 2):
-            total += m[..., i, i] * m[..., j, j] - m[..., i, j] * m[..., j, i]
-        return total
-    idx = np.array(list(itertools.combinations(range(n), k)))
-    blocks = m[..., idx[:, :, None], idx[:, None, :]]  # batch + (subsets, k, k)
-    # exactly singular blocks (zero Hessians) trip a spurious numpy warning
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.linalg.det(blocks).sum(axis=-1)
+    return sk_of_entries([m[..., a, b] for a, b in entry_pairs(n)], k)
 
 
 def sk_partials_stack(mats: np.ndarray, k: int) -> np.ndarray:

@@ -48,6 +48,7 @@ from .energy import (
     MinorantCoefficients,
     MinorantGeometry,
     action,
+    energy_report,
     evaluate_H,
     fit_minorant,
     geometry_witnesses,
@@ -271,13 +272,13 @@ _KRYLOV_RESTART = 40
 _KRYLOV_OUTER = 5
 
 
-def _newton_step(u: ScalarField, r: ScalarField, s: EnergySetting,
-                 rtol: float) -> ScalarField:
-    """Inexact Newton step, preconditioned by the sine-basis polyharmonic inverse.
+def _newton_steps(u: ScalarField, r: ScalarField, s: EnergySetting):
+    """Inexact Newton steps at ``u``, one per ``_KRYLOV_RTOLS`` entry, each
+    sharper than the last; preconditioned by the sine-basis polyharmonic inverse.
 
     The Jacobian action of the setting's residual comes from
-    ``energy.residual_jacobian``; this step only preconditions it and runs
-    restarted GMRES.
+    ``energy.residual_jacobian``.  The preconditioned system is built once,
+    on the first step; each step runs restarted GMRES on it.
     """
     dom = u.domain
     shape = dom.nodes
@@ -292,11 +293,12 @@ def _newton_step(u: ScalarField, r: ScalarField, s: EnergySetting,
 
     op = LinearOperator((m, m), matvec=matvec, dtype=float)
     rhs = -invert_polyharmonic(r, s.alpha).values.reshape(m)
-    x, info = gmres(op, rhs, rtol=rtol, atol=0.0,
-                    restart=_KRYLOV_RESTART, maxiter=_KRYLOV_OUTER)
-    if info < 0:
-        raise NonconvergenceError("Krylov solve broke down inside Newton")
-    return ScalarField(dom, x.reshape(shape), u.ghost_width)
+    for rtol in _KRYLOV_RTOLS:
+        x, info = gmres(op, rhs, rtol=rtol, atol=0.0,
+                        restart=_KRYLOV_RESTART, maxiter=_KRYLOV_OUTER)
+        if info < 0:
+            raise NonconvergenceError("Krylov solve broke down inside Newton")
+        yield ScalarField(dom, x.reshape(shape), u.ghost_width)
 
 
 _NEWTON_MAX = 60
@@ -313,22 +315,24 @@ def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
 
     Returns (last iterate, its residual norm, reached_tolerance).  Acceptance
     demands a strict residual-norm decrease, so the refinement never runs
-    away from the starting basin.
+    away from the starting basin; the accepted candidate's residual, already
+    computed by the line search, starts the next iteration.
     """
-    alpha = s.alpha
+    r = residual(u, s)
+    rn = l2_norm(r)
     for _ in range(_NEWTON_MAX):
-        r = residual(u, s)
-        rn = l2_norm(r)
-        rec.append(action(u, s), rn, seminorm(u, alpha))
+        report = energy_report(u, s)
+        rec.append(report.J, rn, report.seminorm)
         if rn <= cfg.grad_tol:
             return u, rn, True
         stepped = False
-        for rtol in _KRYLOV_RTOLS:
-            delta = _newton_step(u, r, s, rtol)
+        for delta in _newton_steps(u, r, s):
             t = 1.0
             for _ in range(10):
                 cand = u + t * delta
-                if l2_norm(residual(cand, s)) < rn:
+                r_cand = residual(cand, s)
+                rn_cand = l2_norm(r_cand)
+                if rn_cand < rn:
                     stepped = True
                     break
                 t *= 0.5
@@ -336,7 +340,7 @@ def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
                 break
         if not stepped:
             return u, rn, False
-        u = cand
+        u, r, rn = cand, r_cand, rn_cand
     return u, rn, rn <= cfg.grad_tol
 
 
@@ -568,6 +572,7 @@ class ContinuationRow:
     J_star: float
     sep: float
     converged: bool
+    reason: Optional[str] = None  # why the row failed; None when it converged
 
 
 @dataclass
@@ -613,7 +618,7 @@ def continuation_in_lambda(s: EnergySetting, lambdas, cfg: SolverConfig) -> Cont
             p = run.pair
             rows.append(ContinuationRow(lam, p.J_m, p.J_star, p.sep, True))
             warm = p
-        except PolyhessError:
+        except PolyhessError as exc:
             rows.append(ContinuationRow(lam, float("nan"), float("nan"),
-                                        float("nan"), False))
+                                        float("nan"), False, str(exc)))
     return ContinuationTable(rows)

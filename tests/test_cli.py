@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -324,6 +325,47 @@ def test_failed_continuation_rows_are_null_in_strict_run_json(tmp_path):
         assert not row["converged"]
         assert row["J_m"] is None and row["J_star"] is None and row["sep"] is None
     assert "nan" in (out / "continuation.csv").read_text()
+
+
+def test_continuation_rows_record_why_they_failed(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace("nodes = 32", "nodes = 8"))
+    out = tmp_path / "out"
+    assert main(["continuation", "--config", str(cfg_path)]) == 0
+    table = json.loads((out / "run.json").read_text())["results"]["table"]
+    assert [row["reason"] for row in table] == [None, None]
+    assert "failed" not in capsys.readouterr().err
+
+    text = SMALL_INI.replace("grad_tol = 1e-06", "grad_tol = 1e-06\nmax_iters = 1")
+    cfg_path = write_cfg(tmp_path, text=text)
+    assert main(["continuation", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    table = json.loads((out / "run.json").read_text())["results"]["table"]
+    for row in table:
+        assert not row["converged"]
+        assert "exhausted" in row["reason"]
+        assert f"lambda={row['lambda']!r} failed: {row['reason']}" in err
+    header = (out / "continuation.csv").read_text().splitlines()[0]
+    assert header == "lambda,J_m,J_star,sep,converged"
+
+
+@pytest.mark.parametrize("value", ["5e-324", "1e-300"])
+def test_datum_too_small_to_pair_with_lambda_exits_2(tmp_path, capsys, value):
+    cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace("value = 1.0\n", f"value = {value}\n"))
+    for command in ("solve", "continuation"):
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert "config error: lambda * int f^2 underflows" in capsys.readouterr().err
+
+
+def test_every_lambda_of_a_sweep_must_pair_with_the_datum(tmp_path):
+    # int f^2 is about 0.24: lambda = 0.05 pairs with the datum, 5e-324 underflows
+    text = (SMALL_INI.replace("schedule = 0.0 0.05", "schedule = 0.0 5e-324 0.05")
+            .replace("value = 1.0", "value = 0.5"))
+    cfg = parse_config_text(text.format(out=tmp_path))
+    assert build_setting(cfg).lam == 0.05
+    with pytest.raises(ConfigError, match="underflows"):
+        build_setting(cfg, sweep=True)
+    zero_datum = replace(cfg, datum_value=0.0)
+    assert build_setting(zero_datum, sweep=True).lam == 0.0
 
 
 def test_line_search_that_never_shrinks_exits_2(tmp_path, capsys):

@@ -33,7 +33,9 @@ from polyhess import (
 )
 from polyhess.energy import _flux_of, minorant_sample_family
 from polyhess.energy import action, residual, residual_jacobian, segment_actions
-from polyhess.grid import BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian
+from polyhess.grid import (
+    BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian, hessian_entries,
+)
 from polyhess.hessian_algebra import sk_partials_stack
 from polyhess.verify import consistency_worst_errors
 
@@ -169,7 +171,7 @@ def test_weak_flux_and_density_match_einsum_contraction(n, k):
     flux_ref = np.moveaxis(np.einsum("...ij,...j->...i", partials, g), -1, 0)
     density_ref = np.einsum("...ab,...a,...b->...", partials, g, g)
     nl_ref = -(-1.0) ** k / ((k + 1) * k) * dom.cell_volume * float(density_ref.sum())
-    flux = _flux_of(grads, hess, k)
+    flux = _flux_of(grads, hessian_entries(u), k)
     assert np.max(np.abs(flux - flux_ref)) <= 1e-13 * np.max(np.abs(flux_ref))
     assert energy_report(u, s).nonlinear_term == pytest.approx(nl_ref, rel=1e-13)
 
@@ -188,7 +190,7 @@ def test_divergence_centered_equals_per_component_gradient(n, k):
     nodes, extent = ((40, 33), (1.0, 1.5)) if n == 2 else ((15, 12, 13), (1.0, 0.7, 1.2))
     dom = BoxDomain(nodes=nodes, extent=extent)
     u = random_smooth_field(dom, np.random.default_rng(32), modes=4, amplitude=2.0)
-    flux = _flux_of(gradient_centered(u), hessian(u), k)
+    flux = _flux_of(gradient_centered(u), hessian_entries(u), k)
     assert np.array_equal(divergence_centered(flux, dom),
                           _divergence_per_component_gradient(flux, dom))
 

@@ -15,6 +15,7 @@ from polyhess import (
     gradient_centered,
     half_order,
     hessian,
+    hessian_entries,
     inner,
     integrate,
     invert_polyharmonic,
@@ -28,6 +29,8 @@ from polyhess import (
     unit_box,
     zeros,
 )
+from polyhess.grid import _cross_difference, _second_difference, _shifted, _zero_extended
+from polyhess.hessian_algebra import entry_pairs, stack_of_entries
 from polyhess.verify import divergence_values, observed_order
 
 
@@ -107,13 +110,15 @@ def test_hessian_exactness():
 def test_hessian_layout_is_node_major():
     """grid.hessian stores one C-contiguous (d, d) block per node.
 
-    The sigma_k kernels, the path-sweep interpolation and the reductions of
-    the action read this layout; their summation order follows it.  Storing
-    the Hessian component-first instead left every value equal to roundoff
-    but changed the seed-0 n=128 strong-form solve, whose Newton iteration
-    sits at the residual roundoff floor: its mountain-pass record went from
-    361 to 207 rows and its final residual came out at 9.9955e-7 against the
-    1e-6 tolerance.  A layout change has to be judged on that solve.
+    The strong-form Jacobian's einsum reads this layout; its summation order
+    follows it.  Storing the Hessian component-first for every reader left
+    every value equal to roundoff but changed the seed-0 n=128 strong-form
+    solve, whose Newton iteration sits at the residual roundoff floor: its
+    mountain-pass record went from 361 to 207 rows and its final residual
+    came out at 9.9955e-7 against the 1e-6 tolerance.  sigma_k, the action
+    and the path sweeps read ``hessian_entries`` instead, whose arithmetic
+    is entrywise and so the same bit for bit in either layout.  A layout
+    change has to be judged on that solve.
     """
     for dim, n in ((2, 12), (3, 9)):
         dom = unit_box(dim, n)
@@ -182,6 +187,63 @@ def test_pad_free_stencils_equal_padded(nodes, extent):
     assert np.array_equal(laplacian(u).values, _padded_laplacian(u.values, h))
     assert np.array_equal(gradient_centered(u), _padded_gradient(u.values, h))
     assert np.array_equal(hessian(u), _padded_hessian(u.values, h))
+
+
+_STENCIL_GRIDS = pytest.mark.parametrize("nodes, extent", [
+    ((16, 17), (1.0, 2.5)),
+    ((13, 10, 9), (0.5, 1.0, 3.0)),
+    ((12, 12, 12), (1.0, 1.0, 1.0)),
+], ids=["2d", "3d-odd", "3d-even"])
+
+
+@_STENCIL_GRIDS
+def test_hessian_entries_equal_padded(nodes, extent):
+    """The unique entries, component-first, are the padded stencils' values
+    bit for bit, and their expansion is the padded node-major Hessian."""
+    dom = BoxDomain(nodes=nodes, extent=extent)
+    u = random_smooth_field(dom, np.random.default_rng(27), modes=4)
+    ref = _padded_hessian(u.values, dom.spacing)
+    ents = hessian_entries(u)
+    d = dom.dim
+    assert ents.shape == (d * (d + 1) // 2,) + dom.nodes
+    assert ents.flags["C_CONTIGUOUS"]
+    for e, (a, b) in enumerate(entry_pairs(d)):
+        assert np.array_equal(ents[e], ref[..., a, b])
+    assert np.array_equal(stack_of_entries(ents), ref)
+
+
+@_STENCIL_GRIDS
+def test_chained_differences_equal_their_expressions(nodes, extent):
+    """_second_difference and the cross difference run through one output
+    array; each equals its one-expression form bit for bit, with or without
+    a given output buffer."""
+    rng = np.random.default_rng(28)
+    vals = rng.standard_normal(nodes) * 10.0 ** rng.uniform(-4, 4, nodes)
+    h = BoxDomain(nodes=nodes, extent=extent).spacing
+    p = _zero_extended(vals)
+    for a in range(len(nodes)):
+        expr = (_shifted(p, {a: 1}) - 2.0 * vals + _shifted(p, {a: -1})) / h[a] ** 2
+        assert np.array_equal(_second_difference(p, vals, a, h[a]), expr)
+        buf = np.full(nodes, np.nan)
+        assert _second_difference(p, vals, a, h[a], out=buf) is buf
+        assert np.array_equal(buf, expr)
+        for b in range(a + 1, len(nodes)):
+            expr = (_shifted(p, {a: 1, b: 1}) - _shifted(p, {a: 1, b: -1})
+                    - _shifted(p, {a: -1, b: 1}) + _shifted(p, {a: -1, b: -1})) / (4.0 * h[a] * h[b])
+            assert np.array_equal(_cross_difference(p, a, b, h, np.full(nodes, np.nan)), expr)
+
+
+def test_sine_symbol_is_kept_per_domain():
+    dom = BoxDomain(nodes=(10, 13), extent=(1.0, 2.0))
+    sym = dom.sine_symbol
+    assert dom.sine_symbol is sym
+    assert not sym.flags.writeable
+    # the symbol as computed on every inverse before it was kept
+    parts = [(2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h**2
+             for n, h in zip(dom.nodes, dom.spacing)]
+    assert np.array_equal(sym, np.add.outer(*parts))
+    assert dom == BoxDomain(nodes=(10, 13), extent=(1.0, 2.0))
+    assert hash(dom) == hash(BoxDomain(nodes=(10, 13), extent=(1.0, 2.0)))
 
 def test_hessian_refinement():
     errs = []

@@ -15,11 +15,13 @@ from polyhess import (
     as_symmetric,
     shifted_trace_identity,
     sigma_k,
+    sk_of_entries,
     sk_of_matrix,
     sk_of_stack,
     sk_partials,
     sk_partials_stack,
 )
+from polyhess.hessian_algebra import entry_pairs, entry_table, stack_of_entries
 from polyhess.verify import symmetric_fd_partials
 
 
@@ -205,3 +207,56 @@ def test_shifted_trace_random():
         k = int(rng.integers(1, 6))
         lhs, rhs = shifted_trace_identity(a, mu, k)
         assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(lhs))
+
+
+def _sk_of_stack_as_first_written(m, k):
+    """The sigma_k kernel on node-major stacks, before it read entries."""
+    n = m.shape[-1]
+    batch = m.shape[:-2]
+    if k == 0:
+        return np.ones(batch)
+    if k == 1:
+        total = m[..., 0, 0].copy()
+        for i in range(1, n):
+            total += m[..., i, i]
+        return total
+    if k == 2:
+        total = np.zeros(batch)
+        for i, j in itertools.combinations(range(n), 2):
+            total += m[..., i, i] * m[..., j, j] - m[..., i, j] * m[..., j, i]
+        return total
+    idx = np.array(list(itertools.combinations(range(n), k)))
+    blocks = m[..., idx[:, :, None], idx[:, None, :]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.linalg.det(blocks).sum(axis=-1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("batch", [(40,), (9, 8, 7)])
+def test_sk_of_entries_bitwise_equals_stack_kernel(n, batch):
+    """sigma_k from component-first entries, for every k <= n, equals the
+    stack kernel on the expanded stack bit for bit, and so does the
+    ``sk_of_stack`` front end."""
+    rng = np.random.default_rng(20)
+    count = n * (n + 1) // 2
+    ents = rng.standard_normal((count,) + batch) * 10.0 ** rng.uniform(-4, 4, (count,) + batch)
+    stack = stack_of_entries(ents)
+    assert stack.shape == batch + (n, n) and stack.flags["C_CONTIGUOUS"]
+    assert np.array_equal(stack, np.swapaxes(stack, -1, -2))
+    for k in range(0, n + 1):
+        ref = _sk_of_stack_as_first_written(stack, k)
+        assert np.array_equal(sk_of_entries(ents, k), ref)
+        assert np.array_equal(sk_of_entries(list(ents), k), ref)
+        assert np.array_equal(sk_of_stack(stack, k), ref)
+
+
+def test_entry_order_and_table():
+    assert entry_pairs(3) == ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    table = entry_table(3)
+    assert table.tolist() == [[0, 3, 4], [3, 1, 5], [4, 5, 2]]
+    assert not table.flags.writeable  # cached, so shared by every caller
+    for count in (0, 2, 4, 5, 7):
+        with pytest.raises(ValueError):
+            sk_of_entries(np.zeros((count, 3)), 1)
+    with pytest.raises(ValueError):
+        sk_of_entries(np.zeros((6, 3)), 4)

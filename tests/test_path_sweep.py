@@ -12,7 +12,7 @@ from polyhess import (
     random_smooth_field,
     unit_box,
 )
-from polyhess.energy import action, segment_actions
+from polyhess.energy import _images, _J_of, action, segment_actions
 from polyhess.solvers import _SEGMENT_SAMPLES, _locate_path_max, _redistribute
 
 from conftest import constant_datum
@@ -54,6 +54,34 @@ def test_segment_actions_match_action(case):
         for j, t in enumerate(_SEGMENT_SAMPLES):
             direct = action(wrap(s, (1.0 - t) * path[i] + t * path[i + 1]), s)
             assert in_segments[i, j] == pytest.approx(direct, rel=1e-12)
+
+
+def _segment_actions_unbuffered(path, ghost_width, s, ts):
+    """segment_actions as first written: each sample's images built by one
+    expression, (1 - t) * a + t * b, into fresh arrays."""
+    at_nodes = np.empty(path.shape[0])
+    in_segments = np.empty((path.shape[0] - 1, len(ts)))
+    prev = None
+    for i, row in enumerate(path):
+        cur = _images(ScalarField(s.f.domain, row, ghost_width), s)
+        at_nodes[i] = _J_of(cur, s)
+        if prev is not None:
+            for j, t in enumerate(ts):
+                in_segments[i - 1, j] = _J_of(tuple(
+                    None if a is None else (1.0 - t) * a + t * b
+                    for a, b in zip(prev, cur)), s)
+        prev = cur
+    return at_nodes, in_segments
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_buffered_segment_actions_equal_unbuffered(case):
+    s, path = case_path(*case)
+    ts = _SEGMENT_SAMPLES + (0.1, 0.9)
+    got = segment_actions(path, s.alpha, s, ts)
+    ref = _segment_actions_unbuffered(path, s.alpha, s, ts)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
