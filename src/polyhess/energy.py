@@ -37,8 +37,14 @@ component-first, and in the divergence form the centered gradient), and
 ``fit_minorant`` and every sample of ``segment_actions`` go through these
 two, and the seminorm they report or cut off is taken from the same
 half-order components, so equal inputs give bit-identical values in all of
-them.  Both residuals share one Euler-Lagrange assembly,
-(-1)^alpha Delta^alpha u - nonlinear - lambda f.
+them.  Samples a sweep does not evaluate are inferred from evaluated ones:
+J along a segment is a polynomial of degree k + 1 in t, which
+``solvers._locate_path_max`` reads off the node values and k samples.
+Both residuals share one Euler-Lagrange assembly,
+(-1)^alpha Delta^alpha u - nonlinear - lambda f.  Wherever the Hessian
+entries are computed (``_images``, both residuals, the weak pairing, both
+Jacobian actions), the first Laplacian is their diagonal, through
+``grid.laplacian_power``, bit for bit equal to the stencil's.
 
 The weak form has one flux definition, ``_flux_of``: F_a = sum_b
 S_k^{ab}[u] u_b from the Hessian entries and gradient components (for
@@ -50,7 +56,7 @@ Hessian layout.  Everything above reads the entries (``hessian_entries``):
 sigma_k and the k = 2 flux read whole contiguous planes, and a path sample
 interpolates d(d+1)/2 planes instead of d^2 strided ones.  Only the
 strong-form Jacobian (and the k = 3 flux) builds the node-major stack
-(``hessian``), because it contracts ``sk_partials_stack`` with
+(``stack_of_entries``), because it contracts ``sk_partials_stack`` with
 ``np.einsum``, and an explicit sum over entries differs from einsum in the
 last bit; the strong solves at the residual roundoff floor need that bit.
 
@@ -84,7 +90,7 @@ from .grid import (
     half_order,
     inner,
     invert_polyharmonic,
-    polyharmonic,
+    laplacian_power,
     random_smooth_field,
     seminorm_of,
     sk_field,
@@ -178,11 +184,15 @@ def _sign(n: int) -> float:
 def _images(u: ScalarField, s: EnergySetting, form: Form | None = None) -> tuple:
     """(node values, half-order components, Hessian entries, centered
     gradient) of ``u``; the gradient is None unless ``form`` (default: the
-    setting's) is weak."""
+    setting's) is weak.  The half-order components equal ``half_order(u,
+    alpha)`` bit for bit, their first Laplacian read off the entries."""
     s.check_field(u)
     weak = (form or s.form) is Form.WEAK
-    return (u.values, half_order(u, s.alpha), hessian_entries(u),
-            gradient_centered(u) if weak else None)
+    ents = hessian_entries(u)
+    lap = laplacian_power(u, ents, s.alpha // 2)
+    # odd alpha: the centered gradient of Delta^((alpha-1)/2) u
+    comps = lap.values[None] if s.alpha % 2 == 0 else half_order(lap, 1)
+    return (u.values, comps, ents, gradient_centered(u) if weak else None)
 
 
 def _terms(images: tuple, s: EnergySetting) -> tuple[float, float, float]:
@@ -244,9 +254,12 @@ def energy_report(u: ScalarField, s: EnergySetting) -> EnergyReport:
     )
 
 
-def _euler_lagrange(u: ScalarField, s: EnergySetting, nonlinear: np.ndarray) -> ScalarField:
-    """(-1)^alpha Delta^alpha u - ``nonlinear`` - lambda f."""
-    vals = _sign(s.alpha) * polyharmonic(u, s.alpha).values - nonlinear - s.lam * s.f.values
+def _euler_lagrange(u: ScalarField, ents: np.ndarray, s: EnergySetting,
+                    nonlinear: np.ndarray) -> ScalarField:
+    """(-1)^alpha Delta^alpha u - ``nonlinear`` - lambda f, from ``u`` and
+    its Hessian entries ``ents``."""
+    vals = (_sign(s.alpha) * laplacian_power(u, ents, s.alpha).values
+            - nonlinear - s.lam * s.f.values)
     return ScalarField(u.domain, vals, 0)
 
 
@@ -254,12 +267,8 @@ def residual_strong(u: ScalarField, s: EnergySetting) -> ScalarField:
     """(-1)^alpha Delta^alpha u - (-1)^k S_k[u] - lambda f."""
     s.check_field(u)
     k = s.params.k
-    return _euler_lagrange(u, s, _sign(k) * sk_field(u, k).values)
-
-
-def _weak_flux(u: ScalarField, s: EnergySetting) -> np.ndarray:
-    """Components F_i = sum_j u_{x_j} S_k^{ij}[u], shape (dim,) + nodes."""
-    return _flux_of(gradient_centered(u), hessian_entries(u), s.params.k)
+    ents = hessian_entries(u)
+    return _euler_lagrange(u, ents, s, _sign(k) * sk_of_entries(ents, k))
 
 
 def residual_weak_pairing(u: ScalarField, w: ScalarField, s: EnergySetting) -> float:
@@ -267,8 +276,9 @@ def residual_weak_pairing(u: ScalarField, w: ScalarField, s: EnergySetting) -> f
     s.check_field(u)
     s.check_field(w)
     k = s.params.k
-    linear = _sign(s.alpha) * polyharmonic(u, s.alpha).values - s.lam * s.f.values
-    flux = _weak_flux(u, s)
+    ents = hessian_entries(u)
+    linear = _sign(s.alpha) * laplacian_power(u, ents, s.alpha).values - s.lam * s.f.values
+    flux = _flux_of(gradient_centered(u), ents, k)
     grads_w = gradient_centered(w)
     vol = u.domain.cell_volume
     return float(
@@ -284,8 +294,9 @@ def residual_weak_field(u: ScalarField, s: EnergySetting) -> ScalarField:
     """
     s.check_field(u)
     k = s.params.k
-    return _euler_lagrange(
-        u, s, _sign(k) / k * divergence_centered(_weak_flux(u, s), u.domain))
+    ents = hessian_entries(u)
+    flux = _flux_of(gradient_centered(u), ents, k)
+    return _euler_lagrange(u, ents, s, _sign(k) / k * divergence_centered(flux, u.domain))
 
 
 def action(u: ScalarField, s: EnergySetting) -> float:
@@ -295,8 +306,15 @@ def action(u: ScalarField, s: EnergySetting) -> float:
     return evaluate_J(u, s)
 
 
+def end_images(path: np.ndarray, ghost_width: int, s: EnergySetting) -> tuple:
+    """The images of ``path[0]`` and ``path[-1]`` (copied rows), for the
+    ``ends`` of ``segment_actions`` on paths whose end rows stay put."""
+    return tuple(_images(ScalarField(s.f.domain, row.copy(), ghost_width), s)
+                 for row in (path[0], path[-1]))
+
+
 def segment_actions(path: np.ndarray, ghost_width: int, s: EnergySetting,
-                    ts) -> tuple[np.ndarray, np.ndarray]:
+                    ts, ends: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Action of the setting's form along a piecewise-linear path of node arrays.
 
     Returns ``(at_nodes, in_segments)``: ``at_nodes[i]`` is the action of
@@ -309,12 +327,18 @@ def segment_actions(path: np.ndarray, ghost_width: int, s: EnergySetting,
     values equal ``action`` bit for bit, samples agree with it to roundoff.
     The images of two nodes are alive at a time, and each sample is
     interpolated into two buffers per image that the whole sweep reuses.
+    ``ends``, from ``end_images`` of an earlier path with the same end rows,
+    stands in for the images of ``path[0]`` and ``path[-1]``.
     """
+    last = path.shape[0] - 1
     at_nodes = np.empty(path.shape[0])
-    in_segments = np.empty((path.shape[0] - 1, len(ts)))
+    in_segments = np.empty((last, len(ts)))
     prev = None
     for i, row in enumerate(path):
-        cur = _images(ScalarField(s.f.domain, row, ghost_width), s)
+        if ends is not None and i in (0, last):
+            cur = ends[0] if i == 0 else ends[1]
+        else:
+            cur = _images(ScalarField(s.f.domain, row, ghost_width), s)
         at_nodes[i] = _J_of(cur, s)
         if prev is None:
             # two buffers per image, reused by every sample of the sweep
@@ -360,8 +384,9 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
 
         def apply(v_vals: np.ndarray) -> np.ndarray:
             v = ScalarField(dom, v_vals, u.ghost_width)
-            dsk = np.einsum("...ab,...ab->...", partials, hessian(v))
-            return sign_a * polyharmonic(v, alpha).values - sign_k * dsk
+            ents_v = hessian_entries(v)
+            dsk = np.einsum("...ab,...ab->...", partials, stack_of_entries(ents_v))
+            return sign_a * laplacian_power(v, ents_v, alpha).values - sign_k * dsk
         return apply
 
     grads_u = gradient_centered(u)
@@ -372,7 +397,7 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
         ents_v = hessian_entries(v)
         dflux = _flux_of(gradient_centered(v), ents_u, k) + 0.5 * (
             _flux_of(grads_u, ents_u + ents_v, k) - _flux_of(grads_u, ents_u - ents_v, k))
-        return (sign_a * polyharmonic(v, alpha).values
+        return (sign_a * laplacian_power(v, ents_v, alpha).values
                 - sign_k / k * divergence_centered(dflux, dom))
     return apply
 

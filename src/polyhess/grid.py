@@ -28,6 +28,13 @@ one C-contiguous (dim, dim) block per node; the strong-form Jacobian
 contracts that stack with ``np.einsum``, whose sum an explicit loop over
 entries does not reproduce bit for bit.
 
+The Laplacian is shared with the Hessian: the diagonal entries are the
+very second differences the Laplacian sums, and ``_laplacian_values`` sums
+them in axis order with the first axis as its accumulator, as sigma_1 of
+the entries does.  So a caller that holds a field's entries gets
+``polyharmonic`` from ``laplacian_power`` with one stencil pass fewer and
+bit-identical values.
+
 The grid is a tensor product, so the discrete Dirichlet Laplacian is
 diagonal in the sine basis; ``invert_polyharmonic`` exploits this to apply
 the exact inverse of (-Delta)^alpha with a pair of DSTs.  This is the
@@ -226,9 +233,11 @@ def _cross_difference(p: np.ndarray, a: int, b: int, h: tuple, out: np.ndarray) 
 
 
 def _laplacian_values(vals: np.ndarray, spacing) -> np.ndarray:
+    """The second differences summed in axis order; the first axis's is the
+    accumulator."""
     p = _zero_extended(vals)
-    out = np.zeros_like(vals)
-    for a in range(vals.ndim):
+    out = _second_difference(p, vals, 0, spacing[0])
+    for a in range(1, vals.ndim):
         out += _second_difference(p, vals, a, spacing[a])
     return out
 
@@ -239,8 +248,7 @@ def laplacian(u: ScalarField) -> ScalarField:
     return ScalarField(u.domain, out, max(u.ghost_width - 1, 0))
 
 
-def polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
-    """alpha-fold Laplacian (the caller applies the (-1)^alpha sign)."""
+def _check_order(u: ScalarField, alpha: int):
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     if u.ghost_width < alpha:
@@ -248,8 +256,25 @@ def polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
             f"field declares ghost_width={u.ghost_width} < alpha={alpha}; "
             "the clamped conditions are not encoded to the required order"
         )
+
+
+def polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
+    """alpha-fold Laplacian (the caller applies the (-1)^alpha sign)."""
+    _check_order(u, alpha)
     vals = u.values
     for _ in range(alpha):
+        vals = _laplacian_values(vals, u.domain.spacing)
+    return ScalarField(u.domain, vals, u.ghost_width - alpha)
+
+
+def laplacian_power(u: ScalarField, ents: np.ndarray, alpha: int) -> ScalarField:
+    """``polyharmonic(u, alpha)`` bit for bit, the first Laplacian read off
+    ``ents = hessian_entries(u)``: its diagonal planes are the second
+    differences ``_laplacian_values`` sums, and sigma_1 sums them in the
+    same axis order, so one stencil pass is saved."""
+    _check_order(u, alpha)
+    vals = sk_of_entries(ents, 1)
+    for _ in range(alpha - 1):
         vals = _laplacian_values(vals, u.domain.spacing)
     return ScalarField(u.domain, vals, u.ghost_width - alpha)
 

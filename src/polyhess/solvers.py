@@ -10,15 +10,21 @@ L^2 norms of the residual field; the preconditioner only shapes directions.
 
 Mountain pass.  The connecting path is discretized into ``path_points``
 fields; each sweep locates the highest of the nodes and three interior
-samples per segment (evaluated by ``energy.segment_actions`` from stencil
-images computed once per node), moves it downhill along
-the preconditioned residual orthogonalized against the path tangent (in the
-seminorm inner product, which keeps the step a descent direction), and
-re-equidistributes the path by seminorm arc length.  Once the max-point
-energy stabilizes (relative change below ``deform_tol`` on three consecutive
-sweeps) the point is handed to a damped Newton-Krylov refinement that
-drives the residual to ``grad_tol``; acceptance requires a strict
-residual-norm decrease, so the refinement cannot run away.
+samples per segment, moves it downhill along the preconditioned residual
+orthogonalized against the path tangent (in the seminorm inner product,
+which keeps the step a descent direction), and re-equidistributes the path
+by seminorm arc length.  ``energy.segment_actions`` evaluates nodes and
+samples from stencil images computed once per node, and once per call for
+the two end rows, which never move.  J along a segment is a polynomial of
+degree k + 1 in t, so only k samples per segment are evaluated; for k = 2
+the midpoint is read off the cubic through the quarter points and the
+nodes.  Once the max-point energy stabilizes (relative change below
+``deform_tol`` on three consecutive sweeps) the point and its residual are
+handed to a damped Newton-Krylov refinement that drives the residual to
+``grad_tol``; acceptance requires a strict residual-norm decrease, so the
+refinement cannot run away.  The record gets one row per sweep and one per
+accepted Newton iterate.  A violated precondition of a solver raises
+``ContractError``.
 
 Action, path values, residual and the Newton Jacobian action of the
 setting's form come from ``energy`` (``action``, ``segment_actions``,
@@ -48,6 +54,7 @@ from .energy import (
     MinorantCoefficients,
     MinorantGeometry,
     action,
+    end_images,
     energy_report,
     evaluate_H,
     fit_minorant,
@@ -58,7 +65,7 @@ from .energy import (
     segment_actions,
     with_lambda,
 )
-from .errors import GeometryError, NonconvergenceError, PolyhessError
+from .errors import ContractError, GeometryError, NonconvergenceError, PolyhessError
 from .grid import (
     ScalarField,
     invert_polyharmonic,
@@ -170,7 +177,7 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
     alpha = s.alpha
     sn0 = seminorm(u0, alpha)
     if sn0 > c.R0 and float(np.max(np.abs(u0.values))) != 0.0:
-        raise ValueError("start point must be the zero field or lie inside the R0 ball")
+        raise ContractError("start point must be the zero field or lie inside the R0 ball")
     rec = PSRecord()
     u = u0
     h_val = evaluate_H(u, s, c)
@@ -245,20 +252,49 @@ def _redistribute(path: np.ndarray, wrap, alpha: int, out_points: int) -> np.nda
 
 
 _SEGMENT_SAMPLES = (0.25, 0.5, 0.75)
+_CUBIC_SAMPLES = (0.25, 0.75)  # the samples evaluated when k = 2
 
 
-def _locate_path_max(path: np.ndarray, ghost_width: int, s: EnergySetting):
+def _segment_cubic(j0, j1, j_quarter, j_three_quarters, t):
+    """Value at ``t`` of the cubic through (0, j0), (1/4, j_quarter),
+    (3/4, j_three_quarters) and (1, j1); scalars or arrays.
+
+    For k = 2 this is J along a segment, every image being linear in t.  In
+    x = 2t - 1 the cubic is mid + c x + b x^2 + d x^3, and the value at the
+    midpoint, mid = 2/3 (J(1/4) + J(3/4)) - (J(0) + J(1))/6, is returned as
+    computed when t = 1/2.
+    """
+    mid = 2.0 / 3.0 * (j_quarter + j_three_quarters) - (j0 + j1) / 6.0
+    b = 0.5 * (j0 + j1) - mid
+    d = 4.0 / 3.0 * (0.5 * (j1 - j0) - (j_three_quarters - j_quarter))
+    c = 0.5 * (j1 - j0) - d
+    x = 2.0 * t - 1.0
+    return mid + x * (c + x * (b + x * d))
+
+
+def _locate_path_max(path: np.ndarray, ghost_width: int, s: EnergySetting,
+                     ends: Optional[tuple] = None):
     """Highest sampled energy along the piecewise-linear path.
 
     A heuristic over the nodes and the ``_SEGMENT_SAMPLES`` interior points
-    of each segment, all evaluated by ``energy.segment_actions`` from
-    per-node stencil images; a ridge between samples can be missed.  The
-    highest node is the start and a segment sample replaces it only when
-    strictly higher, scanning segments and samples in order.  Returns
-    (segment index, parameter in [0, 1] along that segment, max energy);
-    parameter 0 marks a node.
+    of each segment; a ridge between samples can be missed.  J along a
+    segment is a polynomial of degree k + 1 in t, fixed by the two node
+    values and k samples, so ``energy.segment_actions`` evaluates the nodes
+    and k of the samples from per-node stencil images (``ends``: the end
+    rows' images, passed on to it).  For k = 2 that is t = 1/4 and 3/4, and
+    the midpoint is inferred by ``_segment_cubic``; for k >= 3 all three
+    samples are evaluated.  The highest node is the start and a segment
+    sample replaces it only when strictly higher, scanning segments and
+    samples in order.  Returns (segment index, parameter in [0, 1] along
+    that segment, max energy); parameter 0 marks a node.
     """
-    at_nodes, in_segments = segment_actions(path, ghost_width, s, _SEGMENT_SAMPLES)
+    if s.params.k == 2:
+        at_nodes, quarters = segment_actions(path, ghost_width, s, _CUBIC_SAMPLES, ends)
+        middle = _segment_cubic(at_nodes[:-1], at_nodes[1:],
+                                quarters[:, 0], quarters[:, 1], 0.5)
+        in_segments = np.column_stack((quarters[:, 0], middle, quarters[:, 1]))
+    else:
+        at_nodes, in_segments = segment_actions(path, ghost_width, s, _SEGMENT_SAMPLES, ends)
     top = int(np.argmax(at_nodes))
     best = (top, 0.0, float(at_nodes[top]))
     for i, row in enumerate(in_segments):
@@ -309,20 +345,18 @@ _NEWTON_MAX = 60
 _KRYLOV_RTOLS = (1e-3, 1e-2 * 1e-3, 1e-4 * 1e-3)
 
 
-def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
-                   rec: PSRecord) -> tuple[ScalarField, float, bool]:
-    """Damped Newton iterations on the residual from a path point.
+def _newton_refine(u: ScalarField, r: ScalarField, rn: float, s: EnergySetting,
+                   cfg: SolverConfig, rec: PSRecord) -> tuple[ScalarField, float, bool]:
+    """Damped Newton iterations on the residual from a path point ``u``, with
+    residual ``r`` of norm ``rn``; the caller has recorded ``u``, and each
+    accepted iterate appends its own row to ``rec``.
 
     Returns (last iterate, its residual norm, reached_tolerance).  Acceptance
     demands a strict residual-norm decrease, so the refinement never runs
     away from the starting basin; the accepted candidate's residual, already
     computed by the line search, starts the next iteration.
     """
-    r = residual(u, s)
-    rn = l2_norm(r)
     for _ in range(_NEWTON_MAX):
-        report = energy_report(u, s)
-        rec.append(report.J, rn, report.seminorm)
         if rn <= cfg.grad_tol:
             return u, rn, True
         stepped = False
@@ -341,6 +375,8 @@ def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
         if not stepped:
             return u, rn, False
         u, r, rn = cand, r_cand, rn_cand
+        report = energy_report(u, s)
+        rec.append(report.J, rn, report.seminorm)
     return u, rn, rn <= cfg.grad_tol
 
 
@@ -358,11 +394,11 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
     j_m = action(u_m, s)
     j_far = action(v_far, s)
     if not j_far < j_m:
-        raise ValueError("far endpoint must have energy below the minimizer")
+        raise ContractError("far endpoint must have energy below the minimizer")
     P = cfg.path_points
     gw = min(u_m.ghost_width, v_far.ghost_width)
     if gw < alpha:
-        raise ValueError("endpoints must encode boundary conditions to order alpha")
+        raise ContractError("endpoints must encode boundary conditions to order alpha")
     dom = u_m.domain
 
     def wrap(row: np.ndarray) -> ScalarField:
@@ -378,6 +414,7 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
         path = np.concatenate([first, second[1:]])
         path = _redistribute(path, wrap, alpha, P)
 
+    ends = end_images(path, gw, s)  # no sweep moves the end rows
     rec = PSRecord()
     sweeps_left = cfg.max_iters
     since_refine = 0
@@ -386,7 +423,7 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
     while sweeps_left > 0:
         sweeps_left -= 1
         since_refine += 1
-        i_seg, tpar, j_max = _locate_path_max(path, gw, s)
+        i_seg, tpar, j_max = _locate_path_max(path, gw, s, ends)
         if tpar == 0.0 and i_seg in (0, P - 1):
             raise GeometryError("path maximum collapsed onto an endpoint")
         if tpar == 0.0:
@@ -442,7 +479,7 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
             since_refine = 0
             stable = 0
             j_prev = None
-            u_ref, rn_ref, ok = _newton_refine(u, s, cfg, rec)
+            u_ref, rn_ref, ok = _newton_refine(u, r, rn, s, cfg, rec)
             separated = seminorm(u_ref - u_m, alpha) > 100.0 * cfg.grad_tol
             if ok and separated:
                 return u_ref, rec

@@ -8,6 +8,7 @@ import pytest
 from polyhess import (
     BoxDomain,
     ContractError,
+    ScalarField,
     bump_field,
     dump_field,
     export_csv,
@@ -29,7 +30,13 @@ from polyhess import (
     unit_box,
     zeros,
 )
-from polyhess.grid import _cross_difference, _second_difference, _shifted, _zero_extended
+from polyhess.grid import (
+    _cross_difference,
+    _second_difference,
+    _shifted,
+    _zero_extended,
+    laplacian_power,
+)
 from polyhess.hessian_algebra import entry_pairs, stack_of_entries
 from polyhess.verify import divergence_values, observed_order
 
@@ -231,6 +238,28 @@ def test_chained_differences_equal_their_expressions(nodes, extent):
             expr = (_shifted(p, {a: 1, b: 1}) - _shifted(p, {a: 1, b: -1})
                     - _shifted(p, {a: -1, b: 1}) + _shifted(p, {a: -1, b: -1})) / (4.0 * h[a] * h[b])
             assert np.array_equal(_cross_difference(p, a, b, h, np.full(nodes, np.nan)), expr)
+
+
+@_STENCIL_GRIDS
+def test_laplacian_power_equals_polyharmonic(nodes, extent):
+    """The first Laplacian read off the Hessian diagonal gives polyharmonic
+    byte for byte, signs of zeros included (a negated bump is -0.0 off its
+    support)."""
+    dom = BoxDomain(nodes=nodes, extent=extent)
+    smooth = random_smooth_field(dom, np.random.default_rng(29), modes=4, ghost_width=3)
+    center = tuple(0.5 * e for e in dom.extent)
+    bump = bump_field(dom, center, 0.3 * min(dom.extent), 1.0, 1)
+    bump = ScalarField(dom, -bump.values, 3)
+    assert np.any(np.signbit(bump.values) & (bump.values == 0.0))
+    for u in (smooth, bump):
+        ents = hessian_entries(u)
+        for alpha in (1, 2, 3):
+            got = laplacian_power(u, ents, alpha)
+            ref = polyharmonic(u, alpha)
+            assert got.ghost_width == ref.ghost_width
+            assert got.values.tobytes() == ref.values.tobytes()
+        with pytest.raises(ContractError):
+            laplacian_power(u, ents, 4)
 
 
 def test_sine_symbol_is_kept_per_domain():

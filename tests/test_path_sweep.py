@@ -12,8 +12,14 @@ from polyhess import (
     random_smooth_field,
     unit_box,
 )
-from polyhess.energy import _images, _J_of, action, segment_actions
-from polyhess.solvers import _SEGMENT_SAMPLES, _locate_path_max, _redistribute
+from polyhess.energy import _images, _J_of, action, end_images, segment_actions
+from polyhess.solvers import (
+    _CUBIC_SAMPLES,
+    _SEGMENT_SAMPLES,
+    _locate_path_max,
+    _redistribute,
+    _segment_cubic,
+)
 
 from conftest import constant_datum
 
@@ -97,6 +103,47 @@ def test_locate_path_max_matches_brute_force(case):
     i_seg, tpar, j_max = _locate_path_max(path, s.alpha, s)
     assert (i_seg, tpar) == best[:2]
     assert j_max == pytest.approx(best[2], rel=1e-12)
+
+
+K2_CASES = [case for case in CASES if case[2] == 2]
+
+
+@pytest.mark.parametrize("case", K2_CASES, ids=[f"{d}d-{form.value}" for d, _, _, form in K2_CASES])
+def test_segment_cubic_from_evaluated_samples_matches_action(case):
+    """For k = 2, J along a segment is the cubic through the node values and
+    the samples the sweep evaluates, so it gives J anywhere on the segment."""
+    s, path = case_path(*case)
+    at_nodes, quarters = segment_actions(path, s.alpha, s, _CUBIC_SAMPLES)
+    for i in range(path.shape[0] - 1):
+        for t in (0.1, 0.5, 0.9):
+            direct = action(wrap(s, (1.0 - t) * path[i] + t * path[i + 1]), s)
+            got = _segment_cubic(at_nodes[i], at_nodes[i + 1],
+                                 quarters[i, 0], quarters[i, 1], t)
+            assert got == pytest.approx(direct, rel=1e-12)
+
+
+def test_segment_cubic_passes_through_its_knots():
+    for j0, j1, jq, j3q in ((1.0, -2.0, 0.5, 3.0), (0.0, 0.0, 1e-3, -4e5)):
+        scale = max(abs(j0), abs(j1), abs(jq), abs(j3q))
+        for t, value in ((0.0, j0), (0.25, jq), (0.75, j3q), (1.0, j1)):
+            assert _segment_cubic(j0, j1, jq, j3q, t) == pytest.approx(value, abs=1e-14 * scale)
+        assert _segment_cubic(j0, j1, jq, j3q, 0.5) == 2.0 / 3.0 * (jq + j3q) - (j0 + j1) / 6.0
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_end_images_stand_in_for_the_end_rows(case):
+    """Images kept from an earlier path with the same end rows give the
+    sweep values bit for bit."""
+    s, path = case_path(*case)
+    ends = end_images(path, s.alpha, s)
+    moved = path.copy()
+    moved[1:-1] = 0.5 * path[1:-1] + 0.5 * path[2:][::-1]
+    for p in (path, moved):
+        got = segment_actions(p, s.alpha, s, _SEGMENT_SAMPLES, ends)
+        ref = segment_actions(p, s.alpha, s, _SEGMENT_SAMPLES)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+        assert _locate_path_max(p, s.alpha, s, ends) == _locate_path_max(p, s.alpha, s)
 
 
 def test_redistribute_zero_length_path_keeps_point_count():

@@ -15,6 +15,7 @@ from polyhess import (
     NonconvergenceError,
     ProblemParams,
     PSRecord,
+    ScalarField,
     SolverConfig,
     ball_uniqueness_probe,
     continuation_in_lambda,
@@ -35,7 +36,7 @@ from polyhess import (
     zeros,
 )
 import polyhess.solvers as solvers
-from polyhess.errors import PolyhessError
+from polyhess.errors import ContractError, PolyhessError
 
 from conftest import constant_datum, flagship_setting
 
@@ -87,7 +88,7 @@ def test_minimize_local_start_validation(run32):
     cfg = SolverConfig(seed=0)
     cutoff = CutoffSpec(run32.geometry.R0, run32.geometry.R1)
     far = 100.0 * run32.witnesses.psi
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         minimize_local(s, far, cfg, cutoff)
 
 
@@ -192,8 +193,39 @@ def test_mountain_pass_far_endpoint_precondition(run32):
     cfg = SolverConfig(seed=0)
     u_m = run32.pair.u_m
     bad_far = 0.1 * run32.witnesses.psi  # J(bad_far) > J(u_m)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         mountain_pass(s, u_m, bad_far, cfg)
+
+
+def test_mountain_pass_ghost_width_precondition(run32):
+    s = flagship_setting(32)
+    far = 100.0 * run32.witnesses.psi
+    thin = ScalarField(s.f.domain, run32.pair.u_m.values, 1)
+    with pytest.raises(ContractError, match="order alpha"):
+        mountain_pass(s, thin, far, SolverConfig(seed=0))
+
+
+def test_newton_refine_records_each_accepted_iterate_once(run32):
+    """The caller records the start point; the refinement appends one row
+    per accepted iterate, never the start point again."""
+    s = flagship_setting(32)
+    cfg = SolverConfig(seed=0)
+    rng = np.random.default_rng(51)
+    u = run32.pair.u_star + 1e-3 * random_smooth_field(s.f.domain, rng, ghost_width=2)
+    r = residual_strong(u, s)
+    rn = l2_norm(r)
+    rec = PSRecord()
+    u_ref, rn_ref, ok = solvers._newton_refine(u, r, rn, s, cfg, rec)
+    assert ok and rn_ref <= cfg.grad_tol
+    assert len(rec) >= 1
+    assert rec.residual_norm[-1] == rn_ref
+    assert all(b < a for a, b in zip([rn] + rec.residual_norm, rec.residual_norm))
+
+
+def test_mountain_record_has_no_repeated_rows(run32, run64, run32_weak):
+    for run in (run32, run64, run32_weak):
+        rn = run.record_mountain.residual_norm
+        assert all(a != b for a, b in zip(rn, rn[1:]))
 
 
 def test_three_dimensional_pair():
