@@ -47,7 +47,6 @@ from .grid import (
     ScalarField,
     bump_field,
     dump_field,
-    export_csv,
     from_function,
     gradient_centered,
     half_order,

@@ -34,12 +34,13 @@ One evaluation path.  ``_images`` computes a field's linear stencil images
 component-first, and in the divergence form the centered gradient), and
 ``_terms`` turns images into the quadratic, datum and nonlinear terms.
 ``evaluate_J``, ``evaluate_J_weak``, ``energy_report``, ``evaluate_H``,
-``fit_minorant`` and every sample of ``segment_actions`` go through these
-two, and the seminorm they report or cut off is taken from the same
-half-order components, so equal inputs give bit-identical values in all of
-them.  Samples a sweep does not evaluate are inferred from evaluated ones:
-J along a segment is a polynomial of degree k + 1 in t, which
-``solvers._locate_path_max`` reads off the node values and k samples.
+``fit_minorant`` and every value of ``ray_actions`` go through these two,
+and the seminorm they report or cut off is taken from the same half-order
+components, so equal inputs give bit-identical values in all of them.
+Every image is linear in the field, so J(base + t v) is a polynomial of
+degree k + 1 in t in both forms: ``ray_actions`` reads its values from the
+images of base and v as a + t b, and ``solvers`` fixes the polynomial from
+k + 2 of them and maximizes it.
 Both residuals share one Euler-Lagrange assembly,
 (-1)^alpha Delta^alpha u - nonlinear - lambda f.  Wherever the Hessian
 entries are computed (``_images``, both residuals, the weak pairing, both
@@ -53,8 +54,8 @@ weak action's density sum_a F_a u_a, the weak residual's divergence, the
 weak pairing and the weak Jacobian all use it.
 
 Hessian layout.  Everything above reads the entries (``hessian_entries``):
-sigma_k and the k = 2 flux read whole contiguous planes, and a path sample
-interpolates d(d+1)/2 planes instead of d^2 strided ones.  Only the
+sigma_k and the k = 2 flux read whole contiguous planes, and a value on a ray
+combines d(d+1)/2 planes instead of d^2 strided ones.  Only the
 strong-form Jacobian (and the k = 3 flux) builds the node-major stack
 (``stack_of_entries``), because it contracts ``sk_partials_stack`` with
 ``np.einsum``, and an explicit sum over entries differs from einsum in the
@@ -65,9 +66,9 @@ it is exactly 1 inside the R0 ball, where ``evaluate_H`` equals the action.
 
 Form dispatch.  This module makes every strong-versus-weak choice:
 ``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
-``segment_actions``, ``residual`` and ``residual_jacobian`` select the
-form's action, its values along a discrete path, residual and Jacobian
-action for the solvers.
+``ray_actions``, ``residual`` and ``residual_jacobian`` select the form's
+action, its values along a ray, residual and Jacobian action for the
+solvers.
 """
 
 from __future__ import annotations
@@ -178,8 +179,8 @@ def _sign(n: int) -> float:
 
 
 # Every value of J goes through these two: the linear stencil images of a
-# field, and the terms of J read from images (of a field, or interpolated
-# between the images of two fields along a path segment).
+# field, and the terms of J read from images (of a field, or combined from
+# the images of two fields along a ray).
 
 def _images(u: ScalarField, s: EnergySetting, form: Form | None = None) -> tuple:
     """(node values, half-order components, Hessian entries, centered
@@ -306,54 +307,30 @@ def action(u: ScalarField, s: EnergySetting) -> float:
     return evaluate_J(u, s)
 
 
-def end_images(path: np.ndarray, ghost_width: int, s: EnergySetting) -> tuple:
-    """The images of ``path[0]`` and ``path[-1]`` (copied rows), for the
-    ``ends`` of ``segment_actions`` on paths whose end rows stay put."""
-    return tuple(_images(ScalarField(s.f.domain, row.copy(), ghost_width), s)
-                 for row in (path[0], path[-1]))
+def ray_actions(base: ScalarField, s: EnergySetting):
+    """Action of the setting's form along rays from ``base``.
 
-
-def segment_actions(path: np.ndarray, ghost_width: int, s: EnergySetting,
-                    ts, ends: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Action of the setting's form along a piecewise-linear path of node arrays.
-
-    Returns ``(at_nodes, in_segments)``: ``at_nodes[i]`` is the action of
-    ``path[i]`` and ``in_segments[i, j]`` that of
-    ``(1 - ts[j]) * path[i] + ts[j] * path[i + 1]`` (fields declared with
-    ``ghost_width``).  The half-order operator, the Hessian and the centered
-    gradient are linear, so each node's images are computed once and a
-    sample interpolates the images of its segment's end nodes; only sigma_k
-    (or its gradient contraction) and the reductions run per sample.  Node
-    values equal ``action`` bit for bit, samples agree with it to roundoff.
-    The images of two nodes are alive at a time, and each sample is
-    interpolated into two buffers per image that the whole sweep reuses.
-    ``ends``, from ``end_images`` of an earlier path with the same end rows,
-    stands in for the images of ``path[0]`` and ``path[-1]``.
+    Returns ``along(v, ts)``, the action at ``base + t v`` for each ``t`` in
+    ``ts``.  The stencil images are linear, so the images of ``base`` are
+    computed here once, those of ``v`` once per call, and each value is read
+    through ``_J_of`` from the images ``a + t b`` in one reused buffer per
+    image; only sigma_k (or the flux) and the reductions run per ``t``.  At
+    t = 0 the value equals ``action(base)`` bit for bit.
     """
-    last = path.shape[0] - 1
-    at_nodes = np.empty(path.shape[0])
-    in_segments = np.empty((last, len(ts)))
-    prev = None
-    for i, row in enumerate(path):
-        if ends is not None and i in (0, last):
-            cur = ends[0] if i == 0 else ends[1]
-        else:
-            cur = _images(ScalarField(s.f.domain, row, ghost_width), s)
-        at_nodes[i] = _J_of(cur, s)
-        if prev is None:
-            # two buffers per image, reused by every sample of the sweep
-            lo = tuple(None if a is None else np.empty_like(a) for a in cur)
-            hi = tuple(None if a is None else np.empty_like(a) for a in cur)
-        else:
-            for j, t in enumerate(ts):
-                for a, b, x, y in zip(prev, cur, lo, hi):
-                    if a is not None:  # x = (1 - t) a + t b
-                        np.multiply(a, 1.0 - t, out=x)
-                        np.multiply(b, t, out=y)
-                        np.add(x, y, out=x)
-                in_segments[i - 1, j] = _J_of(lo, s)
-        prev = cur
-    return at_nodes, in_segments
+    a = _images(base, s)
+
+    def along(v: ScalarField, ts) -> np.ndarray:
+        b = _images(v, s)
+        x = tuple(None if p is None else np.empty_like(p) for p in a)
+        out = np.empty(len(ts))
+        for j, t in enumerate(ts):
+            for p, q, y in zip(a, b, x):
+                if p is not None:  # y = a + t b
+                    np.multiply(q, t, out=y)
+                    np.add(p, y, out=y)
+            out[j] = _J_of(x, s)
+        return out
+    return along
 
 
 def residual(u: ScalarField, s: EnergySetting) -> ScalarField:

@@ -500,16 +500,3 @@ def load_field(base: str | Path) -> ScalarField:
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{raw}: field has non-finite values")
     return ScalarField(domain, vals, ghost_width)  # rejects a negative ghost width
-
-
-def export_csv(u: ScalarField, path: str | Path):
-    """CSV export (x, y, value) for 2-D fields."""
-    if u.domain.dim != 2:
-        raise ValueError("CSV export is only defined for 2-D fields")
-    xs = u.domain.axis_coords(0)
-    ys = u.domain.axis_coords(1)
-    lines = ["x,y,value"]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            lines.append(f"{float(x)!r},{float(y)!r},{float(u.values[i, j])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

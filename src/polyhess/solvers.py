@@ -1,5 +1,5 @@
 """Two-solution solvers: descent to the isolated local minimizer and a
-path-deformation search for the mountain-pass critical point.
+local minimax search for the mountain-pass critical point.
 
 Descent metric.  The raw L^2 residual of the order-2*alpha operator is
 hopelessly ill-conditioned as a descent direction (condition ~ h^(-2 alpha)),
@@ -8,26 +8,32 @@ so every step is preconditioned with the exact inverse of the discrete
 diagonal.  Residual norms reported and tested are still the plain discrete
 L^2 norms of the residual field; the preconditioner only shapes directions.
 
-Mountain pass.  The connecting path is discretized into ``path_points``
-fields; each sweep locates the highest of the nodes and three interior
-samples per segment, moves it downhill along the preconditioned residual
-orthogonalized against the path tangent (in the seminorm inner product,
-which keeps the step a descent direction), and re-equidistributes the path
-by seminorm arc length.  ``energy.segment_actions`` evaluates nodes and
-samples from stencil images computed once per node, and once per call for
-the two end rows, which never move.  J along a segment is a polynomial of
-degree k + 1 in t, so only k samples per segment are evaluated; for k = 2
-the midpoint is read off the cubic through the quarter points and the
-nodes.  Once the max-point energy stabilizes (relative change below
-``deform_tol`` on three consecutive sweeps) the point and its residual are
-handed to a damped Newton-Krylov refinement that drives the residual to
-``grad_tol``; acceptance requires a strict residual-norm decrease, so the
-refinement cannot run away.  The record gets one row per sweep and one per
-accepted Newton iterate.  A violated precondition of a solver raises
+Mountain pass.  A local minimax on rays from the minimizer u_m (Li and
+Zhou, SIAM J. Sci. Comput. 23:840, 2001): one direction field v replaces a
+discrete path, and each iterate is the peak of J on the ray u_m + t v.
+Every stencil image is linear in t, so J(u_m + t v) is a polynomial of
+degree k + 1 in t in both forms, fixed exactly by its values at k + 2
+points (``energy.ray_actions``, from the images of u_m computed once per
+call and those of v); the peak is the highest local maximum at t > 0 among
+the roots of its derivative, so no ridge between samples can be missed.  A
+ray with no such peak is a rejected step.  From the peak w the search tries
+w - s d, with d the preconditioned residual, and takes the new ray through
+it, v = w - s d - u_m: the first s is min(1, 1/2 |w - u_m| / |d|) in the
+seminorm, and Armijo backtracking on the new ray's peak value shrinks it
+down to 1e-10.  When the line search stalls, or once the peak value is
+stable (relative change below ``deform_tol`` on three consecutive steps),
+the peak and its residual are handed to a damped Newton-Krylov refinement
+that drives the residual to ``grad_tol``; acceptance requires a strict
+residual-norm decrease, so the refinement cannot run away.  An unconverged
+refinement that stays separated from u_m restarts the minimax on the ray
+through its last iterate.  The mountain record gets one row per minimax
+step (phase ``minimax``) and one per accepted Newton iterate (``newton``),
+the descent record one per iterate (``descent``); ``max_iters`` bounds the
+rows of each.  A violated precondition of a solver raises
 ``ContractError``.
 
-Action, path values, residual and the Newton Jacobian action of the
-setting's form come from ``energy`` (``action``, ``segment_actions``,
+Action, ray values, residual and the Newton Jacobian action of the
+setting's form come from ``energy`` (``action``, ``ray_actions``,
 ``residual``, ``residual_jacobian``).
 
 Determinism: all randomness flows from ``SolverConfig.seed`` through a
@@ -45,6 +51,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .energy import (
@@ -54,15 +61,14 @@ from .energy import (
     MinorantCoefficients,
     MinorantGeometry,
     action,
-    end_images,
     energy_report,
     evaluate_H,
     fit_minorant,
     geometry_witnesses,
     minorant_geometry,
+    ray_actions,
     residual,
     residual_jacobian,
-    segment_actions,
     with_lambda,
 )
 from .errors import ContractError, GeometryError, NonconvergenceError, PolyhessError
@@ -73,13 +79,16 @@ from .grid import (
     l2_norm,
     random_smooth_field,
     seminorm,
-    seminorm_inner,
     zeros,
 )
 
 
 @dataclass
 class SolverConfig:
+    """What a run sets.  ``path_points`` is validated but no longer read: the
+    mountain pass has no discrete path.  ``max_iters`` bounds the rows of
+    each phase record."""
+
     grad_tol: float = 1e-6
     max_iters: int = 400
     path_points: int = 17
@@ -97,20 +106,28 @@ class SolverConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
+PHASES = ("descent", "minimax", "newton")
+
+
 @dataclass
 class PSRecord:
-    """Per-iterate (energy value, residual L2 norm, seminorm) triples."""
+    """Per-iterate (energy value, residual L2 norm, seminorm, phase) rows;
+    the phase is one of ``PHASES``."""
 
     J: list = dc_field(default_factory=list)
     residual_norm: list = dc_field(default_factory=list)
     seminorm: list = dc_field(default_factory=list)
+    phase: list = dc_field(default_factory=list)
 
-    def append(self, j: float, rn: float, sn: float):
+    def append(self, j: float, rn: float, sn: float, phase: str):
         if rn < 0:
             raise ValueError("residual norm cannot be negative")
+        if phase not in PHASES:
+            raise ValueError(f"unknown phase {phase!r}")
         self.J.append(float(j))
         self.residual_norm.append(float(rn))
         self.seminorm.append(float(sn))
+        self.phase.append(phase)
 
     def __len__(self) -> int:
         return len(self.J)
@@ -130,6 +147,7 @@ class PSRecord:
             "J": [self.J[i] for i in idx],
             "residual_norm": [self.residual_norm[i] for i in idx],
             "seminorm": [self.seminorm[i] for i in idx],
+            "phase": [self.phase[i] for i in idx],
         }
 
 
@@ -157,7 +175,7 @@ class SolveRun:
     record_mountain: PSRecord
 
 
-# Backtracking line search of the descent and the path deformation: first
+# Backtracking line search of the descent and the minimax: first
 # trial step, shrink factor and Armijo factor.
 _STEP0 = 1.0
 _LS_RHO = 0.5
@@ -185,7 +203,7 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
     for _ in range(cfg.max_iters):
         r = residual(u, s)
         rn = l2_norm(r)
-        rec.append(h_val, rn, seminorm(u, alpha))
+        rec.append(h_val, rn, seminorm(u, alpha), "descent")
         if rn <= cfg.grad_tol:
             converged = True
             break
@@ -219,89 +237,26 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
     return u, rec
 
 
-def _interp_rows(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
-    ts = np.linspace(0.0, 1.0, count)
-    return np.stack([(1.0 - t) * a + t * b for t in ts])
+def _ray_polynomial(ray, v: ScalarField, k: int) -> np.ndarray:
+    """Coefficients, lowest degree first, of t -> J(u_m + t v), the
+    polynomial of degree k + 1 through its values at ``linspace(0, 2, k + 2)``
+    (``ray`` from ``energy.ray_actions(u_m, s)``)."""
+    ts = np.linspace(0.0, 2.0, k + 2)
+    return npoly.polyfit(ts, ray(v, ts), k + 1)
 
 
-def _redistribute(path: np.ndarray, wrap, alpha: int, out_points: int) -> np.ndarray:
-    """Reparametrize the discrete path to ``out_points`` nodes at equal seminorm arc length."""
-    m = path.shape[0]
-    P = out_points
-    lengths = np.empty(m - 1)
-    for i in range(m - 1):
-        seg = wrap(path[i + 1] - path[i])
-        lengths[i] = seminorm(seg, alpha)
-    total = float(lengths.sum())
-    if total <= 0.0:
-        return np.repeat(path[:1], P, axis=0)
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    targets = np.linspace(0.0, total, P)
-    out = np.empty((P,) + path.shape[1:])
-    out[0] = path[0]
-    out[-1] = path[-1]
-    j = 0
-    for i in range(1, P - 1):
-        t = targets[i]
-        while j < m - 2 and cum[j + 1] < t:
-            j += 1
-        span = cum[j + 1] - cum[j]
-        theta = 0.0 if span <= 0.0 else (t - cum[j]) / span
-        out[i] = (1.0 - theta) * path[j] + theta * path[j + 1]
-    return out
-
-
-_SEGMENT_SAMPLES = (0.25, 0.5, 0.75)
-_CUBIC_SAMPLES = (0.25, 0.75)  # the samples evaluated when k = 2
-
-
-def _segment_cubic(j0, j1, j_quarter, j_three_quarters, t):
-    """Value at ``t`` of the cubic through (0, j0), (1/4, j_quarter),
-    (3/4, j_three_quarters) and (1, j1); scalars or arrays.
-
-    For k = 2 this is J along a segment, every image being linear in t.  In
-    x = 2t - 1 the cubic is mid + c x + b x^2 + d x^3, and the value at the
-    midpoint, mid = 2/3 (J(1/4) + J(3/4)) - (J(0) + J(1))/6, is returned as
-    computed when t = 1/2.
-    """
-    mid = 2.0 / 3.0 * (j_quarter + j_three_quarters) - (j0 + j1) / 6.0
-    b = 0.5 * (j0 + j1) - mid
-    d = 4.0 / 3.0 * (0.5 * (j1 - j0) - (j_three_quarters - j_quarter))
-    c = 0.5 * (j1 - j0) - d
-    x = 2.0 * t - 1.0
-    return mid + x * (c + x * (b + x * d))
-
-
-def _locate_path_max(path: np.ndarray, ghost_width: int, s: EnergySetting,
-                     ends: Optional[tuple] = None):
-    """Highest sampled energy along the piecewise-linear path.
-
-    A heuristic over the nodes and the ``_SEGMENT_SAMPLES`` interior points
-    of each segment; a ridge between samples can be missed.  J along a
-    segment is a polynomial of degree k + 1 in t, fixed by the two node
-    values and k samples, so ``energy.segment_actions`` evaluates the nodes
-    and k of the samples from per-node stencil images (``ends``: the end
-    rows' images, passed on to it).  For k = 2 that is t = 1/4 and 3/4, and
-    the midpoint is inferred by ``_segment_cubic``; for k >= 3 all three
-    samples are evaluated.  The highest node is the start and a segment
-    sample replaces it only when strictly higher, scanning segments and
-    samples in order.  Returns (segment index, parameter in [0, 1] along
-    that segment, max energy); parameter 0 marks a node.
-    """
-    if s.params.k == 2:
-        at_nodes, quarters = segment_actions(path, ghost_width, s, _CUBIC_SAMPLES, ends)
-        middle = _segment_cubic(at_nodes[:-1], at_nodes[1:],
-                                quarters[:, 0], quarters[:, 1], 0.5)
-        in_segments = np.column_stack((quarters[:, 0], middle, quarters[:, 1]))
-    else:
-        at_nodes, in_segments = segment_actions(path, ghost_width, s, _SEGMENT_SAMPLES, ends)
-    top = int(np.argmax(at_nodes))
-    best = (top, 0.0, float(at_nodes[top]))
-    for i, row in enumerate(in_segments):
-        for t, e in zip(_SEGMENT_SAMPLES, row):
-            if e > best[2]:
-                best = (i, t, float(e))
-    return best
+def _ray_peak(coefs: np.ndarray) -> Optional[tuple[float, float]]:
+    """(t, value) of the highest local maximum at t > 0 of the polynomial
+    with coefficients ``coefs``, or None when it has none."""
+    slope = npoly.polyder(coefs)
+    roots = npoly.polyroots(slope)
+    ts = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+    ts = ts[npoly.polyval(ts, npoly.polyder(slope)) < 0.0]
+    if ts.size == 0:
+        return None
+    values = npoly.polyval(ts, coefs)
+    top = int(np.argmax(values))
+    return float(ts[top]), float(values[top])
 
 
 _KRYLOV_RESTART = 40
@@ -347,16 +302,17 @@ _KRYLOV_RTOLS = (1e-3, 1e-2 * 1e-3, 1e-4 * 1e-3)
 
 def _newton_refine(u: ScalarField, r: ScalarField, rn: float, s: EnergySetting,
                    cfg: SolverConfig, rec: PSRecord) -> tuple[ScalarField, float, bool]:
-    """Damped Newton iterations on the residual from a path point ``u``, with
-    residual ``r`` of norm ``rn``; the caller has recorded ``u``, and each
-    accepted iterate appends its own row to ``rec``.
+    """Damped Newton iterations on the residual from a minimax peak ``u``,
+    with residual ``r`` of norm ``rn``; the caller has recorded ``u``, and
+    each accepted iterate appends its own row to ``rec``, at most until it
+    holds ``max_iters`` rows.
 
     Returns (last iterate, its residual norm, reached_tolerance).  Acceptance
     demands a strict residual-norm decrease, so the refinement never runs
     away from the starting basin; the accepted candidate's residual, already
     computed by the line search, starts the next iteration.
     """
-    for _ in range(_NEWTON_MAX):
+    for _ in range(min(_NEWTON_MAX, cfg.max_iters - len(rec))):
         if rn <= cfg.grad_tol:
             return u, rn, True
         stepped = False
@@ -376,118 +332,79 @@ def _newton_refine(u: ScalarField, r: ScalarField, rn: float, s: EnergySetting,
             return u, rn, False
         u, r, rn = cand, r_cand, rn_cand
         report = energy_report(u, s)
-        rec.append(report.J, rn, report.seminorm)
+        rec.append(report.J, rn, report.seminorm, "newton")
     return u, rn, rn <= cfg.grad_tol
 
 
 def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
                   cfg: SolverConfig,
                   through: Optional[ScalarField] = None) -> tuple[ScalarField, PSRecord]:
-    """Path-deformation minimax search between the minimizer and the far endpoint.
-
-    ``through`` optionally threads the initial path via a warm-start interior
-    point (used by the continuation driver).
+    """Local minimax on rays from the minimizer ``u_m``, starting on the ray
+    through ``through`` (a warm-start point, used by the continuation driver)
+    or else through the far point ``v_far``, which must lie below ``u_m``.
     """
     s.check_field(u_m)
     s.check_field(v_far)
     alpha = s.alpha
-    j_m = action(u_m, s)
-    j_far = action(v_far, s)
-    if not j_far < j_m:
+    k = s.params.k
+    if not action(v_far, s) < action(u_m, s):
         raise ContractError("far endpoint must have energy below the minimizer")
-    P = cfg.path_points
-    gw = min(u_m.ghost_width, v_far.ghost_width)
-    if gw < alpha:
+    if min(u_m.ghost_width, v_far.ghost_width) < alpha:
         raise ContractError("endpoints must encode boundary conditions to order alpha")
-    dom = u_m.domain
-
-    def wrap(row: np.ndarray) -> ScalarField:
-        return ScalarField(dom, row, gw)
-
-    if through is None:
-        path = _interp_rows(u_m.values, v_far.values, P)
-    else:
+    if through is not None:
         s.check_field(through)
-        half = P // 2 + 1
-        first = _interp_rows(u_m.values, through.values, half)
-        second = _interp_rows(through.values, v_far.values, P - half + 1)
-        path = np.concatenate([first, second[1:]])
-        path = _redistribute(path, wrap, alpha, P)
-
-    ends = end_images(path, gw, s)  # no sweep moves the end rows
+    ray = ray_actions(u_m, s)
+    v = (v_far if through is None else through) - u_m
+    peak = _ray_peak(_ray_polynomial(ray, v, k))
     rec = PSRecord()
-    sweeps_left = cfg.max_iters
-    since_refine = 0
     j_prev = None
     stable = 0
-    while sweeps_left > 0:
-        sweeps_left -= 1
-        since_refine += 1
-        i_seg, tpar, j_max = _locate_path_max(path, gw, s, ends)
-        if tpar == 0.0 and i_seg in (0, P - 1):
-            raise GeometryError("path maximum collapsed onto an endpoint")
-        if tpar == 0.0:
-            u_vals = path[i_seg]
-            tan = wrap(path[i_seg + 1] - path[i_seg - 1])
-            seg_len = min(seminorm(wrap(path[i_seg + 1] - path[i_seg]), alpha),
-                          seminorm(wrap(path[i_seg] - path[i_seg - 1]), alpha))
-        else:
-            u_vals = (1.0 - tpar) * path[i_seg] + tpar * path[i_seg + 1]
-            tan = wrap(path[i_seg + 1] - path[i_seg])
-            seg_len = seminorm(tan, alpha)
-        u = wrap(u_vals.copy())
-        r = residual(u, s)
+    while len(rec) < cfg.max_iters:
+        if peak is None:
+            raise GeometryError("the ray from the minimizer has no positive peak")
+        t_top, j_top = peak
+        w = u_m + t_top * v
+        r = residual(w, s)
         rn = l2_norm(r)
-        rec.append(j_max, rn, seminorm(u, alpha))
+        rec.append(j_top, rn, seminorm(w, alpha), "minimax")
         if rn <= cfg.grad_tol:
-            return u, rec
-
-        if j_prev is not None and abs(j_max - j_prev) <= \
-                cfg.deform_tol * (1.0 + abs(j_max)):
+            return w, rec
+        if j_prev is not None and abs(j_top - j_prev) <= cfg.deform_tol * (1.0 + abs(j_top)):
             stable += 1
         else:
             stable = 0
-        j_prev = j_max
-
-        refine = stable >= 3 or since_refine >= 50
-        moved = False
-        if not refine:
+        j_prev = j_top
+        stalled = False
+        if stable < 3:
             d = invert_polyharmonic(r, alpha)
-            tau_sq = seminorm_inner(tan, tan, alpha)
-            if tau_sq > 0.0:
-                d = d - (seminorm_inner(d, tan, alpha) / tau_sq) * tan
-            # cap the move by the local path resolution so deformation stays local
+            slope = inner(r, d)  # squared preconditioned norm, positive
             dn = seminorm(d, alpha)
-            t = _STEP0
-            if dn > 0.0 and seg_len > 0.0:
-                t = min(t, 0.5 * seg_len / dn)
-            while t >= 1e-10 * _STEP0:
-                cand = u - t * d
-                if action(cand, s) < j_max:
-                    moved = True
+            step = _STEP0
+            if dn > 0.0:  # half the distance from u_m caps the first step
+                step = min(step, 0.5 * t_top * seminorm(v, alpha) / dn)
+            while step >= 1e-10 * _STEP0:
+                v_cand = w - step * d - u_m
+                cand = _ray_peak(_ray_polynomial(ray, v_cand, k))
+                if cand is not None and cand[1] <= j_top - _LS_C * step * slope:
                     break
-                t *= _LS_RHO
-            if moved:
-                if tpar == 0.0:
-                    path[i_seg] = cand.values
-                    poly = path
-                else:
-                    poly = np.insert(path, i_seg + 1, cand.values, axis=0)
-                path = _redistribute(poly, wrap, alpha, P)
-
-        if refine or not moved:
-            since_refine = 0
-            stable = 0
-            j_prev = None
-            u_ref, rn_ref, ok = _newton_refine(u, r, rn, s, cfg, rec)
-            separated = seminorm(u_ref - u_m, alpha) > 100.0 * cfg.grad_tol
-            if ok and separated:
-                return u_ref, rec
-            if not ok and separated:
-                # improved but unconverged: fold back into the path and resume
-                poly = np.insert(path, i_seg + 1, u_ref.values, axis=0)
-                path = _redistribute(poly, wrap, alpha, P)
-            # Newton fell back to the minimizer basin: plain deformation resumes
+                step *= _LS_RHO
+            else:
+                stalled = True
+            if not stalled:
+                v, peak = v_cand, cand
+                continue
+        stable = 0
+        j_prev = None
+        u_ref, rn_ref, ok = _newton_refine(w, r, rn, s, cfg, rec)
+        if not seminorm(u_ref - u_m, alpha) > 100.0 * cfg.grad_tol:
+            raise NonconvergenceError("Newton refinement fell back to the minimizer", rec)
+        if ok:
+            return u_ref, rec
+        if stalled and u_ref is w:
+            raise NonconvergenceError(
+                "minimax line search stalled and Newton accepted no step", rec)
+        v = u_ref - u_m
+        peak = _ray_peak(_ray_polynomial(ray, v, k))
     raise NonconvergenceError("mountain pass exhausted its iteration budget", rec)
 
 

@@ -32,7 +32,7 @@ from polyhess import (
     zeros,
 )
 from polyhess.energy import _flux_of, minorant_sample_family
-from polyhess.energy import action, residual, residual_jacobian, segment_actions
+from polyhess.energy import action, ray_actions, residual, residual_jacobian
 from polyhess.grid import (
     BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian, hessian_entries,
 )
@@ -98,15 +98,13 @@ def test_action_entry_points_agree_exactly(dim, n, form):
     rng = np.random.default_rng(35)
     fields = [random_smooth_field(dom, rng, amplitude=a, ghost_width=s.alpha)
               for a in (0.3, 1.0, 2.5)]
-    at_nodes, _ = segment_actions(np.stack([u.values for u in fields]), s.alpha, s,
-                                  (0.5,))
-    for u, at_node in zip(fields, at_nodes):
+    for u, v in zip(fields, fields[1:] + fields[:1]):
         j = action(u, s)
         r = seminorm(u, s.alpha)
         assert energy_report(u, s).J == j
         assert energy_report(u, s).seminorm == r
         assert evaluate_H(u, s, CutoffSpec(2.0 * r, 3.0 * r)) == j
-        assert at_node == j
+        assert ray_actions(u, s)(v, (0.0,))[0] == j
 
 
 def test_residual_strong_trivials(s64):

@@ -11,7 +11,6 @@ from polyhess import (
     ScalarField,
     bump_field,
     dump_field,
-    export_csv,
     from_function,
     gradient_centered,
     half_order,
@@ -435,20 +434,6 @@ def test_field_dump_roundtrip(tmp_path):
     assert v.domain == dom
     assert v.ghost_width == 3
     assert np.array_equal(v.values, u.values)
-
-
-def test_csv_export(tmp_path):
-    dom = unit_box(2, 8)
-    u = from_function(dom, lambda x, y: x + 10 * y)
-    path = tmp_path / "field.csv"
-    export_csv(u, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x,y,value"
-    assert len(lines) == 1 + 64
-    x, y, val = (float(tok) for tok in lines[1].split(","))
-    assert val == pytest.approx(x + 10 * y)
-    with pytest.raises(ValueError):
-        export_csv(from_function(unit_box(3, 8), lambda x, y, z: x), tmp_path / "bad.csv")
 
 
 def test_field_arithmetic_and_ghost_combination():

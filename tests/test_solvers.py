@@ -60,17 +60,27 @@ def test_solver_config_rejects_values_a_solve_cannot_use(bad):
         SolverConfig(**bad)
 
 
-def test_psrecord_contract():
+def test_psrecord_contract(run64):
     rec = PSRecord()
-    rec.append(1.0, 0.5, 2.0)
+    rec.append(1.0, 0.5, 2.0, "descent")
     with pytest.raises(ValueError):
-        rec.append(1.0, -0.5, 2.0)
+        rec.append(1.0, -0.5, 2.0, "descent")
+    with pytest.raises(ValueError, match="phase"):
+        rec.append(1.0, 0.5, 2.0, "sweep")
     for i in range(2500):
-        rec.append(float(i), 1.0, 1.0)
+        rec.append(float(i), 1.0, 1.0, "minimax" if i < 2000 else "newton")
     d = rec.to_json_dict(max_rows=1000)
     assert d["rows"] <= 1001
     assert d["total_iterations"] == 2501
     assert d["J"][-1] == 2499.0  # final iterate always kept
+    assert len(d["phase"]) == d["rows"]
+    assert (d["phase"][0], d["phase"][-1]) == ("descent", "newton")
+    assert {rec.phase[i] for i in range(1, 2001)} == {"minimax"}
+    # every phase record is tagged, and the mountain pass ends in Newton rows
+    assert set(run64.record_minimize.phase) == {"descent"}
+    phases = run64.record_mountain.phase
+    assert phases[0] == "minimax" and phases[-1] == "newton"
+    assert set(phases) == {"minimax", "newton"}
 
 
 def test_minimize_local_trivial_at_lambda_zero():
