@@ -1,5 +1,8 @@
-"""Path-sweep evaluation: segment actions from per-node stencil images,
-the path-maximum search built on them, and arc-length redistribution."""
+"""Segment sweeps: the action along the segments of a path of random rows,
+read from per-field stencil images through ``energy.ray_actions``.
+
+The segment from row a to row b is the ray from a with direction b - a,
+for t in [0, 1]; the mountain pass sweeps rays from u_m the same way."""
 
 import numpy as np
 import pytest
@@ -12,14 +15,8 @@ from polyhess import (
     random_smooth_field,
     unit_box,
 )
-from polyhess.energy import _images, _J_of, action, end_images, segment_actions
-from polyhess.solvers import (
-    _CUBIC_SAMPLES,
-    _SEGMENT_SAMPLES,
-    _locate_path_max,
-    _redistribute,
-    _segment_cubic,
-)
+from polyhess.energy import _images, _J_of, action, ray_actions
+from polyhess.solvers import _ray_peak, _ray_polynomial
 
 from conftest import constant_datum
 
@@ -32,6 +29,8 @@ CASES = [
     (3, 16, 3, Form.WEAK),
 ]
 CASE_IDS = [f"{d}d-n{n}-k{k}-{form.value}" for d, n, k, form in CASES]
+
+SAMPLES = (0.0, 0.25, 0.5, 2.0 / 3.0, 0.75, 1.0)
 
 
 def case_path(dim, n, k, form, points=6):
@@ -48,115 +47,83 @@ def wrap(s, row):
     return ScalarField(s.f.domain, row, s.alpha)
 
 
+def segments(s, path):
+    """(start field, direction field, start row, end row) of each segment."""
+    for a, b in zip(path[:-1], path[1:]):
+        yield wrap(s, a), wrap(s, b - a), a, b
+
+
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_segment_actions_match_action(case):
     s, path = case_path(*case)
-    at_nodes, in_segments = segment_actions(path, s.alpha, s, _SEGMENT_SAMPLES)
-    assert at_nodes.shape == (path.shape[0],)
-    assert in_segments.shape == (path.shape[0] - 1, len(_SEGMENT_SAMPLES))
-    for i, row in enumerate(path):
-        assert at_nodes[i] == action(wrap(s, row), s)  # bit for bit
-    for i in range(path.shape[0] - 1):
-        for j, t in enumerate(_SEGMENT_SAMPLES):
-            direct = action(wrap(s, (1.0 - t) * path[i] + t * path[i + 1]), s)
-            assert in_segments[i, j] == pytest.approx(direct, rel=1e-12)
-
-
-def _segment_actions_unbuffered(path, ghost_width, s, ts):
-    """segment_actions as first written: each sample's images built by one
-    expression, (1 - t) * a + t * b, into fresh arrays."""
-    at_nodes = np.empty(path.shape[0])
-    in_segments = np.empty((path.shape[0] - 1, len(ts)))
-    prev = None
-    for i, row in enumerate(path):
-        cur = _images(ScalarField(s.f.domain, row, ghost_width), s)
-        at_nodes[i] = _J_of(cur, s)
-        if prev is not None:
-            for j, t in enumerate(ts):
-                in_segments[i - 1, j] = _J_of(tuple(
-                    None if a is None else (1.0 - t) * a + t * b
-                    for a, b in zip(prev, cur)), s)
-        prev = cur
-    return at_nodes, in_segments
+    for start, direction, a, b in segments(s, path):
+        got = ray_actions(start, s)(direction, SAMPLES)
+        assert got.shape == (len(SAMPLES),)
+        assert got[0] == action(start, s)  # bit for bit
+        for t, value in zip(SAMPLES, got):
+            direct = action(wrap(s, (1.0 - t) * a + t * b), s)
+            assert value == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_buffered_segment_actions_equal_unbuffered(case):
+    """The reused buffers give the values of images built by one expression,
+    a + t * b, into fresh arrays, bit for bit, also at t outside [0, 1]."""
     s, path = case_path(*case)
-    ts = _SEGMENT_SAMPLES + (0.1, 0.9)
-    got = segment_actions(path, s.alpha, s, ts)
-    ref = _segment_actions_unbuffered(path, s.alpha, s, ts)
-    assert np.array_equal(got[0], ref[0])
-    assert np.array_equal(got[1], ref[1])
+    ts = SAMPLES + (0.1, 0.9, 2.6)
+    for start, direction, _, _ in segments(s, path):
+        a, b = _images(start, s), _images(direction, s)
+        ref = [_J_of(tuple(None if p is None else p + t * q for p, q in zip(a, b)), s)
+               for t in ts]
+        assert np.array_equal(ray_actions(start, s)(direction, ts), ref)
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_locate_path_max_matches_brute_force(case):
+    """On every ray from a path row toward the next, the peak lies within one
+    step of the highest local maximum of a dense scan of ``action``, no scan
+    value rises above it, and its value is the action at its t up to
+    roundoff; a ray without a peak shows no local maximum in the scan."""
     s, path = case_path(*case)
-    node_vals = [action(wrap(s, row), s) for row in path]
-    best = (int(np.argmax(node_vals)), 0.0, max(node_vals))
-    for i in range(path.shape[0] - 1):
-        for t in _SEGMENT_SAMPLES:
-            e = action(wrap(s, (1.0 - t) * path[i] + t * path[i + 1]), s)
-            if e > best[2]:
-                best = (i, t, e)
-    i_seg, tpar, j_max = _locate_path_max(path, s.alpha, s)
-    assert (i_seg, tpar) == best[:2]
-    assert j_max == pytest.approx(best[2], rel=1e-12)
-
-
-K2_CASES = [case for case in CASES if case[2] == 2]
-
-
-@pytest.mark.parametrize("case", K2_CASES, ids=[f"{d}d-{form.value}" for d, _, _, form in K2_CASES])
-def test_segment_cubic_from_evaluated_samples_matches_action(case):
-    """For k = 2, J along a segment is the cubic through the node values and
-    the samples the sweep evaluates, so it gives J anywhere on the segment."""
-    s, path = case_path(*case)
-    at_nodes, quarters = segment_actions(path, s.alpha, s, _CUBIC_SAMPLES)
-    for i in range(path.shape[0] - 1):
-        for t in (0.1, 0.5, 0.9):
-            direct = action(wrap(s, (1.0 - t) * path[i] + t * path[i + 1]), s)
-            got = _segment_cubic(at_nodes[i], at_nodes[i + 1],
-                                 quarters[i, 0], quarters[i, 1], t)
-            assert got == pytest.approx(direct, rel=1e-12)
-
-
-def test_segment_cubic_passes_through_its_knots():
-    for j0, j1, jq, j3q in ((1.0, -2.0, 0.5, 3.0), (0.0, 0.0, 1e-3, -4e5)):
-        scale = max(abs(j0), abs(j1), abs(jq), abs(j3q))
-        for t, value in ((0.0, j0), (0.25, jq), (0.75, j3q), (1.0, j1)):
-            assert _segment_cubic(j0, j1, jq, j3q, t) == pytest.approx(value, abs=1e-14 * scale)
-        assert _segment_cubic(j0, j1, jq, j3q, 0.5) == 2.0 / 3.0 * (jq + j3q) - (j0 + j1) / 6.0
+    found = 0
+    for start, direction, _, _ in segments(s, path):
+        along = ray_actions(start, s)
+        peak = _ray_peak(_ray_polynomial(along, direction, s.params.k))
+        t_end = 4.0 if peak is None else 2.0 * peak[0]
+        ts = np.linspace(0.0, t_end, 201)
+        scan = np.array([action(wrap(s, start.values + t * direction.values), s)
+                         for t in ts])
+        interior = np.flatnonzero((scan[1:-1] > scan[:-2]) & (scan[1:-1] > scan[2:])) + 1
+        if peak is None:
+            assert interior.size == 0
+            continue
+        found += 1
+        t_top, j_top = peak
+        best = interior[np.argmax(scan[interior])]
+        assert abs(ts[best] - t_top) <= ts[1]
+        assert scan[best] <= j_top + 1e-12 * np.max(np.abs(scan))
+        # a far peak is extrapolated from the samples at t in [0, 2], so the
+        # roundoff grows with their size times (1 + t) ** (k + 1)
+        sampled = along(direction, np.linspace(0.0, 2.0, s.params.k + 2))
+        growth = np.max(np.abs(sampled)) * (1.0 + t_top) ** (s.params.k + 1)
+        direct = action(wrap(s, start.values + t_top * direction.values), s)
+        assert j_top == pytest.approx(direct, abs=1e-14 * growth)
+    assert found >= 1
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_end_images_stand_in_for_the_end_rows(case):
-    """Images kept from an earlier path with the same end rows give the
-    sweep values bit for bit."""
+    """The images of the fixed end row, computed once, serve every ray from
+    it: evaluating other rays leaves them untouched, so one evaluator gives a
+    fresh one's values bit for bit, and at t = 0 the action of that row."""
     s, path = case_path(*case)
-    ends = end_images(path, s.alpha, s)
-    moved = path.copy()
-    moved[1:-1] = 0.5 * path[1:-1] + 0.5 * path[2:][::-1]
-    for p in (path, moved):
-        got = segment_actions(p, s.alpha, s, _SEGMENT_SAMPLES, ends)
-        ref = segment_actions(p, s.alpha, s, _SEGMENT_SAMPLES)
-        assert np.array_equal(got[0], ref[0])
-        assert np.array_equal(got[1], ref[1])
-        assert _locate_path_max(p, s.alpha, s, ends) == _locate_path_max(p, s.alpha, s)
-
-
-def test_redistribute_zero_length_path_keeps_point_count():
-    dom = unit_box(2, 8)
-
-    def wrap0(row):
-        return ScalarField(dom, row, 2)
-
-    for m, out_points in ((3, 17), (5, 5), (20, 17)):
-        out = _redistribute(np.zeros((m, 8, 8)), wrap0, 2, out_points=out_points)
-        assert out.shape == (out_points, 8, 8)
-        assert np.all(out == 0.0)
-    row = np.full((8, 8), 0.5)
-    out = _redistribute(np.stack([row] * 3), wrap0, 2, out_points=17)
-    assert out.shape == (17, 8, 8)
-    assert np.all(out == row)
+    end = wrap(s, path[0])
+    ts = np.linspace(0.0, 2.0, s.params.k + 2)
+    along = ray_actions(end, s)
+    for row in path[1:]:
+        direction = wrap(s, row - path[0])
+        fresh = ray_actions(end, s)(direction, ts)
+        assert np.array_equal(along(direction, ts), fresh)
+        along(wrap(s, -0.5 * row), (0.7,))
+        assert np.array_equal(along(direction, ts), fresh)
+        assert fresh[0] == action(end, s)

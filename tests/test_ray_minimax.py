@@ -1,5 +1,6 @@
-"""Ray minimax: the action along rays from per-field stencil images, its
-exact polynomial, the peak search on it, and the mountain pass built on them."""
+"""Ray minimax: the exact polynomial of the action along rays, the peak
+search on it, and the mountain pass built on them.  The ray evaluator's
+buffers and base images are checked in test_path_sweep.py."""
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -16,7 +17,7 @@ from polyhess import (
     random_smooth_field,
     unit_box,
 )
-from polyhess.energy import _images, _J_of, action, ray_actions
+from polyhess.energy import action, ray_actions
 import polyhess.solvers as solvers
 from polyhess.solvers import _ray_peak, _ray_polynomial
 
@@ -52,35 +53,6 @@ def test_ray_polynomial_matches_action(case):
     assert coefs.shape == (s.params.k + 2,)
     for t in (0.3, 1.7, 2.6):
         assert npoly.polyval(t, coefs) == pytest.approx(action(base + t * v, s), rel=1e-12)
-
-
-@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-def test_buffered_ray_actions_equal_unbuffered(case):
-    """The reused buffers give the values of images built by one expression,
-    a + t * b, into fresh arrays, bit for bit."""
-    s, base, v = case_ray(*case)
-    ts = (0.0, 0.25, 2.0 / 3.0, 1.0, 2.6)
-    a, b = _images(base, s), _images(v, s)
-    ref = [_J_of(tuple(None if p is None else p + t * q for p, q in zip(a, b)), s)
-           for t in ts]
-    assert np.array_equal(ray_actions(base, s)(v, ts), ref)
-
-
-@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-def test_base_images_serve_every_ray(case):
-    """The base images, computed once, are not touched by evaluating rays:
-    one evaluator gives a fresh one's values bit for bit, before and after
-    other rays, and at t = 0 the action of the base."""
-    s, base, v = case_ray(*case)
-    ts = np.linspace(0.0, 2.0, s.params.k + 2)
-    fresh = ray_actions(base, s)(v, ts)
-    along = ray_actions(base, s)
-    first = along(v, ts)
-    along(-0.5 * v, ts)
-    along(base, (0.7,))
-    assert np.array_equal(first, fresh)
-    assert np.array_equal(along(v, ts), fresh)
-    assert fresh[0] == action(base, s)
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
