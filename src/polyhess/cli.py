@@ -1,8 +1,9 @@
 """Batch front end: exponent reports, invariant suites, solve and continuation runs.
 
 Config files are flat key/value INI text with the sections below (JSON with
-the same nested structure is accepted too; files whose first non-blank
-character is ``{`` are parsed as JSON):
+the same nested structure is accepted too, a list standing for a
+space-separated value and ``null`` for the key's default; files whose first
+non-blank character is ``{`` are parsed as JSON):
 
     [problem]            [domain]          [datum]
     n = 2                nodes = 64        kind = constant | gaussian | checker | file
@@ -158,7 +159,10 @@ def parse_config_text(text: str) -> RunConfig:
         for key, value in entries.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section {section!r}")
-            flat[(section, key)] = value if isinstance(value, str) else json.dumps(value)
+            if isinstance(value, list):  # a JSON list: its items space-separated
+                value = " ".join(v if isinstance(v, str) else json.dumps(v) for v in value)
+            if value is not None:  # JSON null keeps the key's default
+                flat[(section, key)] = value if isinstance(value, str) else json.dumps(value)
     cfg_kwargs, solver_kwargs = {}, {}
     for (section, key), raw in flat.items():
         attr, conv = _SCHEMA[section][key]

@@ -39,8 +39,8 @@ and the seminorm they report or cut off is taken from the same half-order
 components, so equal inputs give bit-identical values in all of them.
 Every image is linear in the field, so J(base + t v) is a polynomial of
 degree k + 1 in t in both forms: ``ray_actions`` reads its values from the
-images of base and v as a + t b, and ``solvers`` fixes the polynomial from
-k + 2 of them and maximizes it.
+images of base and v as a + t b, ``solvers`` fixes the polynomial from
+k + 2 of them, and ``polynomial_peak`` finds its highest local maximum.
 Both residuals share one Euler-Lagrange assembly,
 (-1)^alpha Delta^alpha u - nonlinear - lambda f.  Wherever the Hessian
 entries are computed (``_images``, both residuals, the weak pairing, both
@@ -64,6 +64,11 @@ last bit; the strong solves at the residual roundoff floor need that bit.
 The truncation ``CutoffSpec`` is the quintic smoothstep between R0 and R1;
 it is exactly 1 inside the R0 ball, where ``evaluate_H`` equals the action.
 
+Mountain-pass geometry from exact forms: the minorant h is a polynomial, so
+its radii come from ``polynomial_peak`` and the roots of h(R)/R, and the
+datum witness is phi = sign(lambda) G f, G the sine-basis inverse of
+(-Delta)^alpha.
+
 Form dispatch.  This module makes every strong-versus-weak choice:
 ``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
 ``ray_actions``, ``residual`` and ``residual_jacobian`` select the form's
@@ -77,7 +82,7 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+import numpy.polynomial.polynomial as npoly
 
 from .errors import CapabilityError, FitError, GeometryError
 from .exponents import ProblemParams, alpha_main, alpha_weak
@@ -333,6 +338,21 @@ def ray_actions(base: ScalarField, s: EnergySetting):
     return along
 
 
+def polynomial_peak(coefs: np.ndarray) -> tuple[float, float] | None:
+    """(t, value) of the highest local maximum at t > 0 of the polynomial
+    with coefficients ``coefs`` (lowest degree first), or None when it has
+    none: the peak of J along a ray, and the radial minorant's maximum."""
+    slope = npoly.polyder(coefs)
+    roots = npoly.polyroots(slope)
+    ts = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+    ts = ts[npoly.polyval(ts, npoly.polyder(slope)) < 0.0]
+    if ts.size == 0:
+        return None
+    values = npoly.polyval(ts, coefs)
+    top = int(np.argmax(values))
+    return float(ts[top]), float(values[top])
+
+
 def residual(u: ScalarField, s: EnergySetting) -> ScalarField:
     """Residual field of the setting's form."""
     if s.form is Form.WEAK:
@@ -437,52 +457,26 @@ class MinorantGeometry:
     h_max: float
 
 
-def _bisect(fn, lo: float, hi: float) -> float:
-    flo = fn(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0 or hi - lo < 1e-12 * max(1.0, abs(mid)):
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def minorant_geometry(m: MinorantCoefficients) -> MinorantGeometry:
-    """Roots and maximizer of the fitted minorant; raises when the positive
-    hump does not exist (the smallness condition on lambda fails)."""
-    k = m.k
-    c = (k + 1) * m.C2
-
-    def h(r):
-        return radial_minorant(r, m)
-
-    def dh(r):
-        return r - m.C1 - c * r**k
-
-    r_peak = (1.0 / (c * k)) ** (1.0 / (k - 1))  # argmax of dh
-    if dh(r_peak) <= 0.0:
-        raise GeometryError(
-            "fitted minorant has no positive hump (h' <= 0 everywhere); reduce lambda"
-        )
-    r1 = _bisect(dh, 0.0, r_peak)
-    hi = r_peak
-    while dh(hi) > 0.0:
-        hi *= 2.0
-    r_m = _bisect(dh, r_peak, hi)
-    h_max = h(r_m)
+    """(R_M, h_max) from ``polynomial_peak``, R0 the smallest positive real
+    root of h(R)/R; a ``GeometryError`` when the positive hump does not exist
+    (the smallness condition on lambda fails) or is too flat to resolve."""
+    coefs = np.r_[0.0, -m.C1, 0.5, np.zeros(m.k - 2), -m.C2]
+    peak = polynomial_peak(coefs)
+    if peak is None:
+        raise GeometryError("fitted minorant has no positive hump (h' <= 0 everywhere); "
+                            "reduce lambda")
+    r_m, h_max = peak
     if h_max <= 0.0:
-        raise GeometryError(
-            "fitted minorant maximum is nonpositive; the two-level geometry "
-            "is absent at this lambda — reduce lambda"
-        )
-    r0 = _bisect(h, r1, r_m)
-    return MinorantGeometry(R0=r0, R1=0.5 * (r0 + r_m), R_M=r_m, h_max=h_max)
+        raise GeometryError("fitted minorant maximum is nonpositive; the two-level "
+                            "geometry is absent at this lambda — reduce lambda")
+    roots = npoly.polyroots(coefs[1:])
+    r0 = float(np.min(roots.real[(roots.imag == 0.0) & (roots.real > 0.0)], initial=np.inf))
+    r1 = 0.5 * (r0 + r_m)
+    if not r0 < r1 < r_m:
+        raise GeometryError("fitted minorant has no real zero below its maximizer R_M "
+                            "(the hump is flat to roundoff); reduce lambda")
+    return MinorantGeometry(R0=r0, R1=r1, R_M=r_m, h_max=h_max)
 
 
 # safety factor applied to the fitted constants so fresh samples from the
@@ -578,8 +572,10 @@ def geometry_witnesses(s: EnergySetting) -> GeometryWitnesses:
     """Construct and verify the witness fields.
 
     psi is the compact radial bump with the sign flip that makes
-    (-1)^k int psi S_k[psi] positive; phi is a mollification of the datum,
-    signed by lambda, widened until lambda int f phi is positive.
+    (-1)^k int psi S_k[psi] positive; phi is the polyharmonic inverse G f of
+    the datum, signed by lambda.  G is symmetric positive definite, so
+    lambda int f phi = |lambda| <f, G f> > 0 for every nonzero datum, and phi
+    meets the clamped conditions to order alpha.
     """
     s.validate_grid()
     dom = s.f.domain
@@ -610,14 +606,12 @@ def geometry_witnesses(s: EnergySetting) -> GeometryWitnesses:
 
     if s.lam == 0.0:
         return GeometryWitnesses(zeros(dom, s.alpha), psi, 0.0, psi_pairing, True)
-    sgn = 1.0 if s.lam > 0 else -1.0
-    for sigma in (3.0, 6.0, 12.0, 24.0):
-        smoothed = gaussian_filter(s.f.values, sigma=sigma, mode="constant")
-        phi = ScalarField(dom, sgn * smoothed, s.alpha)
-        val = s.lam * inner(s.f, phi)
-        if val > 0.0:
-            return GeometryWitnesses(phi, psi, val, psi_pairing, False)
-    raise GeometryError("mollification sweep failed to produce a positive datum pairing")
+    phi = invert_polyharmonic(s.f, s.alpha) * (1.0 if s.lam > 0 else -1.0)
+    val = s.lam * inner(s.f, phi)
+    if not val > 0.0:
+        raise GeometryError("lambda * int f phi is not positive: the datum is zero "
+                            "(or too small to pair with lambda), so no datum witness exists")
+    return GeometryWitnesses(phi, psi, val, psi_pairing, False)
 
 
 def make_setting(params: ProblemParams, lam: float, f: ScalarField,

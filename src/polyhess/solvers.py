@@ -66,6 +66,7 @@ from .energy import (
     fit_minorant,
     geometry_witnesses,
     minorant_geometry,
+    polynomial_peak as _ray_peak,
     ray_actions,
     residual,
     residual_jacobian,
@@ -243,20 +244,6 @@ def _ray_polynomial(ray, v: ScalarField, k: int) -> np.ndarray:
     (``ray`` from ``energy.ray_actions(u_m, s)``)."""
     ts = np.linspace(0.0, 2.0, k + 2)
     return npoly.polyfit(ts, ray(v, ts), k + 1)
-
-
-def _ray_peak(coefs: np.ndarray) -> Optional[tuple[float, float]]:
-    """(t, value) of the highest local maximum at t > 0 of the polynomial
-    with coefficients ``coefs``, or None when it has none."""
-    slope = npoly.polyder(coefs)
-    roots = npoly.polyroots(slope)
-    ts = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
-    ts = ts[npoly.polyval(ts, npoly.polyder(slope)) < 0.0]
-    if ts.size == 0:
-        return None
-    values = npoly.polyval(ts, coefs)
-    top = int(np.argmax(values))
-    return float(ts[top]), float(values[top])
 
 
 _KRYLOV_RESTART = 40

@@ -79,6 +79,14 @@ def test_config_json_equivalent(tmp_path):
     })
     cfg2 = parse_config_text(as_json)
     assert cfg2 == cfg
+    # a JSON list is a space-separated value, and null keeps the key's default
+    with_arrays = json.loads(as_json)
+    with_arrays["problem"]["alpha"] = None
+    with_arrays["domain"]["nodes"] = [32, 32]
+    with_arrays["lambda"]["schedule"] = [0.0, 0.05]
+    cfg3 = parse_config_text(json.dumps(with_arrays))
+    assert cfg3 == replace(cfg, nodes=(32, 32))
+    assert build_domain(cfg3) == build_domain(cfg)
 
 
 def test_config_rejects_unknown_keys():

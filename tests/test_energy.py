@@ -266,12 +266,13 @@ def test_radial_minorant_formula():
         MinorantCoefficients(C1=0.0, C2=0.1, k=2)
 
 
-def test_minorant_geometry_against_bisection_oracle():
-    m = MinorantCoefficients(C1=0.01, C2=0.1, k=2)
+@pytest.mark.parametrize("k", [2, 3])
+def test_minorant_geometry_against_bisection_oracle(k):
+    m = MinorantCoefficients(C1=0.01, C2=0.1, k=k)
     geom = minorant_geometry(m)
 
     def h(r):
-        return 0.5 * r * r - 0.01 * r - 0.1 * r**3
+        return 0.5 * r * r - 0.01 * r - 0.1 * r**(k + 1)
 
     # independent oracle: sign-change scan then bisection to 1e-10
     rs = np.linspace(0.0, 10.0, 20001)
@@ -294,6 +295,26 @@ def test_minorant_geometry_against_bisection_oracle():
     assert roots[0] < geom.R1 < geom.R_M < roots[1]
     assert geom.h_max > 0
     assert h(geom.R_M) == pytest.approx(geom.h_max, rel=1e-10)
+    # R_M is where h' vanishes
+    assert geom.R_M - 0.01 - 0.1 * (k + 1) * geom.R_M**k == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k, c2", [(2, 0.1), (3, 0.1), (3, 1e-4)])
+@pytest.mark.parametrize("rel", [-1e-8, -1e-15, -4e-16, 0.0, 1e-12])
+def test_minorant_geometry_flat_hump(k, c2, rel):
+    """C1 at the edge where h's hump is flat (h_max at roundoff): ordered
+    radii with h_max > 0, or a GeometryError, and nothing else.  At k = 3,
+    C2 = 1e-4 and rel = -4e-16 the roots of h(R)/R near R_M come back as a
+    complex pair although h_max > 0."""
+    r_star = (1.0 / (2 * k * c2)) ** (1.0 / (k - 1))  # argmax of h(R)/R
+    c1 = 0.5 * r_star * (1.0 - 1.0 / k) * (1.0 + rel)  # h(R)/R peaks at 0 there
+    try:
+        geom = minorant_geometry(MinorantCoefficients(C1=c1, C2=c2, k=k))
+    except GeometryError as exc:
+        assert str(exc)
+        return
+    assert 0.0 < geom.R0 < geom.R1 < geom.R_M
+    assert geom.h_max > 0.0
 
 
 def test_minorant_geometry_infeasible_when_c1_large():
@@ -367,6 +388,7 @@ def test_geometry_witnesses_all_cases():
     # re-verify the certificates independently
     from polyhess import sk_field
     assert s.lam * inner(s.f, wit.phi) > 0.0
+    assert wit.phi.ghost_width >= s.alpha  # clamped to order alpha
     assert inner(wit.psi, sk_field(wit.psi, 2)) > 0.0  # (-1)^2 = +1
     # negative lambda flips phi's sign but keeps the pairing positive
     sm = flagship_setting(64, lam=-0.05)
@@ -378,6 +400,10 @@ def test_geometry_witnesses_all_cases():
     assert wit0.phi_trivial
     assert np.all(wit0.phi.values == 0.0)
     assert wit0.nonlinear_pairing > 0.0
+    # a zero datum at nonzero lambda has no datum witness
+    sz = make_setting(ProblemParams(2, 2), 0.05, zeros(s.f.domain, 2))
+    with pytest.raises(GeometryError, match="datum"):
+        geometry_witnesses(sz)
     # odd k in 3-D
     dom3 = unit_box(3, 16)
     s3 = make_setting(ProblemParams(3, 3), 0.05, constant_datum(dom3, ghost_width=3))
