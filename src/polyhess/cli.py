@@ -340,11 +340,7 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = run_suites(args.suite or None, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = run_suites(args.suite or None, seed=args.seed)  # ConfigError: exit 2 in main
     width = max(len(f"{r.suite}.{r.name}") for r in results)
     failed = 0
     for r in results:

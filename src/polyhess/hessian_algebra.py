@@ -18,9 +18,11 @@ the kernel's front end for symmetric (..., N, N) stacks (it reads the upper
 triangle as views), and ``sk_of_matrix`` and ``sk_partials`` are the
 single-matrix front ends, which validate and symmetrize the input first.
 ``sigma_k`` of the eigenvalues is the independent oracle the checks compare
-against.  The gradient kernel keeps the node-major stack: the strong-form
-Jacobian contracts its output with ``np.einsum``, and an explicit sum over
-entries differs from einsum in the last bit.
+against.  All but the single-matrix front ends accept leading batch axes,
+and give each matrix of a stack the bits it gets alone.  The gradient kernel
+keeps the node-major stack: the strong-form Jacobian contracts its output
+with ``np.einsum``, and an explicit sum over entries differs from einsum in
+the last bit.
 
 Derivative convention for ``sk_partials``: the (i, j) entry is the derivative
 of sigma_k with respect to entry a_ij treating entries as independent, which
@@ -33,8 +35,9 @@ module hold (e.g. sum_ij A_ij * sk_partials(A, k)_ij == k * sk_of_matrix(A, k)).
 ``sk_of_entries`` sums the k x k principal minors.  For k = 1 it sums the
 diagonal entries left to right (the order ``np.trace`` uses); for k = 2 it
 sums the entrywise minors a_ii a_jj - a_ij a_ij over the pairs i < j; for
-k >= 3 it gathers every principal block straight from the entries and makes
-one batched LAPACK determinant call.
+k >= 3 it gathers every principal block straight from the entries, makes
+one batched LAPACK determinant call and sums the determinants along a
+contiguous subset axis, in an order that does not depend on the batch.
 
 ``sk_partials_stack`` evaluates the closed form
 sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j directly: I for k = 1, sigma_1 I - A
@@ -61,42 +64,45 @@ MAX_DIM = 8
 
 
 def as_symmetric(a, *, tol: float = 0.0) -> np.ndarray:
-    """Validate a square symmetric matrix and return its symmetrized float copy.
+    """Validate a square symmetric matrix, or a (..., N, N) stack of them,
+    and return its symmetrized float copy.
 
-    Asymmetry beyond ``tol`` (absolute, relative to the largest entry) is an
-    error; the returned copy is exactly symmetric.
+    Asymmetry beyond ``tol`` (absolute, relative to the largest entry of the
+    same matrix) is an error; the returned copy is exactly symmetric.
     """
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    n = m.shape[-1]
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
     if n > MAX_DIM:
         raise ValueError(f"matrix dimension {n} exceeds the supported cap {MAX_DIM}")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if float(np.max(np.abs(m - m.T))) > tol * max(scale, 1.0):
+    mt = np.swapaxes(m, -1, -2)
+    scale = np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+    if np.any(np.max(np.abs(m - mt), axis=(-2, -1), initial=0.0) > tol * np.maximum(scale, 1.0)):
         raise ValueError("matrix is not symmetric")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
 
 
-def sigma_k(values, k: int) -> float:
-    """k-th elementary symmetric polynomial of a sequence of eigenvalues.
+def sigma_k(values, k: int):
+    """k-th elementary symmetric polynomial of eigenvalues along the last axis.
 
     Computed by multiplying out prod_i (1 + lambda_i t) one factor at a time
     and reading off the t^k coefficient: O(N k), stable, no subset
-    enumeration.  k = 0 returns 1 by convention.
+    enumeration.  k = 0 returns 1 by convention.  A 1-D input returns a
+    float, a (..., N) stack an array of the leading shape.
     """
-    lam = np.sort(np.asarray(values, dtype=float).ravel())  # canonical order:
+    lam = np.sort(np.asarray(values, dtype=float), axis=-1)  # canonical order:
     # permutations of the input then give bit-identical results
-    n = lam.size
+    n = lam.shape[-1]
     if not 0 <= k <= n:
         raise ValueError(f"order k={k} out of range for {n} eigenvalues")
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for x in lam:
-        e[1 : k + 1] = e[1 : k + 1] + x * e[0:k]
-    return float(e[k])
+    e = np.zeros(lam.shape[:-1] + (k + 1,))
+    e[..., 0] = 1.0
+    for i in range(n):
+        e[..., 1 : k + 1] = e[..., 1 : k + 1] + lam[..., i, None] * e[..., 0:k]
+    return float(e[k]) if lam.ndim == 1 else e[..., k]
 
 
 def sk_of_matrix(a, k: int) -> float:
@@ -104,6 +110,8 @@ def sk_of_matrix(a, k: int) -> float:
 
     Agrees with sigma_k of the eigenvalues; k = 0 returns 1.
     """
+    if np.ndim(a) != 2:
+        raise ValueError(f"expected one square matrix, got shape {np.shape(a)}")
     return float(sk_of_stack(as_symmetric(a), k))
 
 
@@ -112,23 +120,30 @@ def sk_partials(a, k: int) -> np.ndarray:
 
     See the module docstring for the symmetric-perturbation convention.
     """
+    if np.ndim(a) != 2:
+        raise ValueError(f"expected one square matrix, got shape {np.shape(a)}")
     return sk_partials_stack(as_symmetric(a), k)
 
 
-def shifted_trace_identity(a, mu: float, k: int) -> tuple[float, float]:
+def shifted_trace_identity(a, mu, k: int):
     """Both sides of the shifted principal-minor identity.
 
-    lhs = sk_of_matrix(A - mu*I, k);
-    rhs = sum_{i=0}^{k} C(N-i, k-i) * sk_of_matrix(A, i) * (-mu)^{k-i}.
+    lhs = sigma_k(A - mu*I);
+    rhs = sum_{i=0}^{k} C(N-i, k-i) * sigma_i(A) * (-mu)^{k-i}.
     The two agree identically; the caller asserts |lhs - rhs| is small.
+    ``a`` is one symmetric matrix (floats returned) or a (..., N, N) stack
+    with a shift per matrix in ``mu`` (arrays returned).  The powers of -mu
+    are Python float powers, which can differ from numpy's in the last bit.
     """
     m = as_symmetric(a)
-    n = m.shape[0]
-    lhs = sk_of_matrix(m - mu * np.eye(n), k)  # rejects k outside 0..N
+    n = m.shape[-1]
+    mus = np.asarray(mu, dtype=float)
+    lhs = sk_of_stack(m - mus[..., None, None] * np.eye(n), k)  # rejects k outside 0..N
     rhs = 0.0
     for i in range(k + 1):
-        rhs += math.comb(n - i, k - i) * sk_of_matrix(m, i) * (-mu) ** (k - i)
-    return lhs, float(rhs)
+        powers = np.reshape([(-x) ** (k - i) for x in mus.ravel().tolist()], mus.shape)
+        rhs = rhs + math.comb(n - i, k - i) * sk_of_stack(m, i) * powers
+    return (float(lhs), float(rhs)) if m.ndim == 2 else (lhs, rhs)
 
 
 @functools.cache
@@ -207,7 +222,10 @@ def sk_of_entries(entries, k: int) -> np.ndarray:
     blocks = gathered.transpose(tuple(range(3, gathered.ndim)) + (0, 1, 2))
     # exactly singular blocks (zero Hessians) trip a spurious numpy warning
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.linalg.det(blocks).sum(axis=-1)
+        dets = np.linalg.det(blocks)
+    # det lays its output out subset-major, and numpy sums a strided axis in
+    # another order than a contiguous one from 8 subsets on (N = 5, k = 3)
+    return np.ascontiguousarray(dets).sum(axis=-1)
 
 
 def sk_of_stack(mats: np.ndarray, k: int) -> np.ndarray:

@@ -5,6 +5,9 @@ does.  All randomness is drawn from the seed passed in, so repeated runs are
 identical.  The algebra checks are public functions of ``(rng, count)`` that
 return the worst error, and the acceptance tests call them (and
 ``suite_exponents``) with their own seeds instead of repeating the loops.
+The algebra checks draw their samples one by one, as a per-sample loop
+would, and evaluate them per (side, k) in one stack call, which gives each
+matrix the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exponents as xp
+from .errors import ConfigError
 from .energy import (
     Form,
     evaluate_J,
@@ -24,22 +28,25 @@ from .energy import (
     residual_weak_pairing,
 )
 from .grid import (
+    ScalarField,
     bump_field,
     from_function,
+    hessian_entries,
     inner,
     integrate,
     invert_polyharmonic,
     laplacian,
     polyharmonic,
     random_smooth_field,
-    sk_field,
     unit_box,
 )
 from .hessian_algebra import (
+    as_symmetric,
     shifted_trace_identity,
     sigma_k,
-    sk_of_matrix,
-    sk_partials,
+    sk_of_entries,
+    sk_of_stack,
+    sk_partials_stack,
 )
 
 
@@ -55,83 +62,82 @@ def _result(suite, name, passed, detail):
     return CheckResult(suite, name, bool(passed), detail)
 
 
-def _random_symmetric(rng, n):
-    a = rng.standard_normal((n, n))
-    return 0.5 * (a + a.T)
+def _samples(rng, count, high, *, shift=False, order=True):
+    """{(n, k): (matrices, shifts)} of ``count`` samples drawn one by one:
+    a side n in 2..high-1, a random symmetric n x n matrix, then a shift
+    (if ``shift``, else 0) and an order k in 1..n (if ``order``, else None)."""
+    groups = {}
+    for _ in range(count):
+        n = int(rng.integers(2, high))
+        a = rng.standard_normal((n, n))
+        a = 0.5 * (a + a.T)
+        mu = float(rng.uniform(-2.0, 2.0)) if shift else 0.0
+        k = int(rng.integers(1, n + 1)) if order else None
+        groups.setdefault((n, k), []).append((a, mu))
+    return {key: (np.stack([a for a, _ in rows]), np.array([mu for _, mu in rows]))
+            for key, rows in groups.items()}
 
 
 def symmetric_fd_partials(a: np.ndarray, k: int, step: float = 1e-6) -> np.ndarray:
-    """Finite-difference oracle for sk_partials.
+    """Finite-difference oracle for sk_partials, on one matrix or a (..., N, N) stack.
 
     Perturbs a_ij and a_ji together and halves the off-diagonal quotient, per
     the symmetric-perturbation convention of the algebra module.
     """
-    n = a.shape[0]
-    out = np.zeros((n, n))
+    a = as_symmetric(a)
+    n = a.shape[-1]
+    out = np.zeros(a.shape)
     for i in range(n):
         for j in range(i, n):
             e = np.zeros((n, n))
             e[i, j] = 1.0
             e[j, i] = 1.0
-            plus = sk_of_matrix(a + step * e, k)
-            minus = sk_of_matrix(a - step * e, k)
+            plus = sk_of_stack(a + step * e, k)
+            minus = sk_of_stack(a - step * e, k)
             d = (plus - minus) / (2.0 * step)
             if i != j:
                 d *= 0.5
-            out[i, j] = d
-            out[j, i] = d
+            out[..., i, j] = d
+            out[..., j, i] = d
     return out
 
 
 def eigen_oracle_error(rng: np.random.Generator, count: int) -> float:
-    """Worst relative gap of sk_of_matrix to sigma_k of the eigenvalues (sides 2..6, every k)."""
+    """Worst relative gap of sk_of_stack to sigma_k of the eigenvalues (sides 2..6, every k)."""
     worst = 0.0
-    for _ in range(count):
-        n = int(rng.integers(2, 7))
-        a = _random_symmetric(rng, n)
+    for (n, _), (a, _) in _samples(rng, count, 7, order=False).items():
         eig = np.linalg.eigvalsh(a)
         for k in range(0, n + 1):
             ref = sigma_k(eig, k)
-            worst = max(worst, abs(sk_of_matrix(a, k) - ref) / max(abs(ref), 1.0))
-    return worst
+            err = np.abs(sk_of_stack(a, k) - ref) / np.maximum(np.abs(ref), 1.0)
+            worst = max(worst, np.max(err))
+    return float(worst)
 
 
 def shifted_trace_error(rng: np.random.Generator, count: int) -> float:
     """Worst scaled gap between the sides of the shifted-trace identity (sides 2..6)."""
     worst = 0.0
-    for _ in range(count):
-        n = int(rng.integers(2, 7))
-        a = _random_symmetric(rng, n)
-        mu = float(rng.uniform(-2.0, 2.0))
-        k = int(rng.integers(1, n + 1))
+    for (_, k), (a, mu) in _samples(rng, count, 7, shift=True).items():
         lhs, rhs = shifted_trace_identity(a, mu, k)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst
+        worst = max(worst, np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
+    return float(worst)
 
 
 def fd_partials_error(rng: np.random.Generator, count: int) -> float:
-    """Worst absolute gap of sk_partials to its finite-difference oracle (sides 2..4)."""
-    worst = 0.0
-    for _ in range(count):
-        n = int(rng.integers(2, 5))
-        a = _random_symmetric(rng, n)
-        k = int(rng.integers(1, n + 1))
-        fd = symmetric_fd_partials(a, k)
-        worst = max(worst, float(np.max(np.abs(sk_partials(a, k) - fd))))
-    return worst
+    """Worst absolute gap of sk_partials_stack to its finite-difference oracle (sides 2..4)."""
+    return max((float(np.max(np.abs(sk_partials_stack(a, k) - symmetric_fd_partials(a, k))))
+                for (_, k), (a, _) in _samples(rng, count, 5).items()), default=0.0)
 
 
 def homogeneity_error(rng: np.random.Generator, count: int) -> float:
     """Worst relative defect of Euler's sum_ij A_ij S_k^ij = k sigma_k(A) (sides 2..6)."""
     worst = 0.0
-    for _ in range(count):
-        n = int(rng.integers(2, 7))
-        a = _random_symmetric(rng, n)
-        k = int(rng.integers(1, n + 1))
-        lhs = float(np.sum(a * sk_partials(a, k)))
-        rhs = k * sk_of_matrix(a, k)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    return worst
+    for (n, k), (a, _) in _samples(rng, count, 7).items():
+        # each matrix's n * n products summed as one contiguous run, as np.sum of one matrix
+        lhs = (a * sk_partials_stack(a, k)).reshape(-1, n * n).sum(axis=-1)
+        rhs = k * sk_of_stack(a, k)
+        worst = max(worst, np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0)))
+    return float(worst)
 
 
 def suite_algebra(seed: int = 0) -> list[CheckResult]:
@@ -196,16 +202,21 @@ def suite_exponents(seed: int = 0) -> list[CheckResult]:
     return rows
 
 
-def divergence_values(dim: int, k: int, node_counts) -> tuple[list[float], list[float]]:
-    """|integrate(S_k[bump])| across a refinement ladder, with the spacings."""
-    values = []
+def divergence_values(dim: int, orders, node_counts) -> tuple[dict, list[float]]:
+    """{k: |integrate(S_k[bump])| per rung} for k in ``orders``, and the spacings.
+
+    The bump depends on k only through its sign, so each rung builds one bump
+    and one Hessian: sigma_k(-A) = (-1)^k sigma_k(A) holds exactly in floating
+    point, so the values are those of each order's own bump, bit for bit."""
+    values = {k: [] for k in orders}
     spacings = []
     for n in node_counts:
         dom = unit_box(dim, n)
         # the bump fills the unit box: its steep shoulder is the resolution
         # bottleneck, and radius 0.45 puts the most grid points across it
-        psi = bump_field(dom, (0.5,) * dim, 0.45, 1.0, k)
-        values.append(abs(integrate(sk_field(psi, k))))
+        ents = hessian_entries(bump_field(dom, (0.5,) * dim, 0.45, 1.0, orders[0]))
+        for k in orders:
+            values[k].append(abs(integrate(ScalarField(dom, sk_of_entries(ents, k), 0))))
         spacings.append(1.0 / (n + 1))
     return values, spacings
 
@@ -251,17 +262,17 @@ def suite_grid(seed: int = 0) -> list[CheckResult]:
     rows.append(_result("grid", "sine_inverse_roundtrip", err < 1e-10,
                         f"scaled defect {err:.3e}"))
 
-    vals2, hs2 = divergence_values(2, 2, (32, 64, 128))
-    order2 = observed_order(vals2, hs2)
+    vals2, hs2 = divergence_values(2, (2,), (32, 64, 128))
+    order2 = observed_order(vals2[2], hs2)
     rows.append(_result("grid", "divergence_structure_2d", order2 >= 1.5,
                         f"observed order {order2:.2f} over n=32..128 (need >= 1.5)"))
     # the profile's shoulder is unresolved below ~50 nodes/axis in 3-D, so the
     # asymptotic ladder starts at n=48 (see the acceptance notes)
     ok3 = True
     det3 = []
+    vals3, hs3 = divergence_values(3, (2, 3), (48, 64, 96))
     for k in (2, 3):
-        vals3, hs3 = divergence_values(3, k, (48, 64, 96))
-        order3 = observed_order(vals3, hs3)
+        order3 = observed_order(vals3[k], hs3)
         det3.append(f"k={k}: {order3:.2f}")
         ok3 = ok3 and order3 >= 1.5
     rows.append(_result("grid", "divergence_structure_3d", ok3,
@@ -341,8 +352,12 @@ SUITES = {
 
 
 def run_suites(names=None, seed: int = 0) -> list[CheckResult]:
+    """Run the named suites (all when ``names`` is empty); bad names or a
+    negative seed are a ``ConfigError`` raised before any suite runs."""
     chosen = list(SUITES) if not names else list(names)
     for name in chosen:
         if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
+            raise ConfigError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     return [row for name in chosen for row in SUITES[name](seed)]

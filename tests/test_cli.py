@@ -178,6 +178,22 @@ def test_cmd_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cmd_verify_reports_only_bad_arguments_as_config_errors(capsys, monkeypatch):
+    import polyhess.verify as verify_mod
+
+    assert main(["verify", "--suite", "algebra", "--seed", "-1"]) == 2
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert main(["verify", "--suite", "nosuch"]) == 2
+    assert "unknown suite 'nosuch'" in capsys.readouterr().err
+
+    def faulty_suite(seed=0):
+        raise ValueError("shape bug inside a check")
+
+    monkeypatch.setitem(verify_mod.SUITES, "faulty", faulty_suite)
+    with pytest.raises(ValueError, match="shape bug"):
+        main(["verify", "--suite", "faulty"])
+
+
 def test_cmd_solve_artifacts(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "out"

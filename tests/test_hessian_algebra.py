@@ -21,8 +21,16 @@ from polyhess import (
     sk_partials,
     sk_partials_stack,
 )
+from polyhess.grid import bump_field, integrate, sk_field, unit_box
 from polyhess.hessian_algebra import entry_pairs, entry_table, stack_of_entries
-from polyhess.verify import symmetric_fd_partials
+from polyhess.verify import (
+    divergence_values,
+    eigen_oracle_error,
+    fd_partials_error,
+    homogeneity_error,
+    shifted_trace_error,
+    symmetric_fd_partials,
+)
 
 
 def brute_sigma_k(values, k):
@@ -63,6 +71,16 @@ def test_sigma_k_permutation_invariance():
             assert sigma_k(rng.permutation(lam), k) == base
 
 
+def test_sigma_k_along_last_axis():
+    rng = np.random.default_rng(21)
+    lam = rng.standard_normal((4, 3, 5))
+    for k in range(0, 6):
+        vals = sigma_k(lam, k)
+        assert vals.shape == (4, 3)
+        assert all(vals[idx] == sigma_k(lam[idx], k) for idx in np.ndindex(4, 3))
+    assert isinstance(sigma_k(lam[0, 0], 2), float)
+
+
 def test_sigma_k_range_errors():
     with pytest.raises(ValueError):
         sigma_k((1.0, 2.0), 3)
@@ -93,7 +111,19 @@ def test_symmetry_and_dimension_validation():
     with pytest.raises(ValueError):
         as_symmetric(np.zeros((2, 3)))
     with pytest.raises(ValueError):
+        as_symmetric(np.zeros(3))
+    with pytest.raises(ValueError):
         sk_of_matrix(np.eye(9), 1)  # dimension cap
+    # a stack is checked matrix by matrix, each against its own scale
+    big, small = 1e6 * np.eye(3), np.eye(3)
+    big[0, 1] = small[0, 1] = 1.0  # asymmetry 1e-6 and 1 of their own scales
+    assert as_symmetric(np.stack([big, np.eye(3)]), tol=1e-5).shape == (2, 3, 3)
+    with pytest.raises(ValueError):
+        as_symmetric(np.stack([1e6 * np.eye(3), small]), tol=1e-5)
+    # the single-matrix front ends take exactly one matrix
+    for front in (sk_of_matrix, sk_partials):
+        with pytest.raises(ValueError):
+            front(np.stack([np.eye(3)] * 2), 1)
 
 
 def test_sk_partials_examples():
@@ -144,6 +174,101 @@ def test_sk2_stack_bitwise_equals_scalar():
         stack = np.stack([random_sym(rng, n) for _ in range(50)])
         svals = sk_of_stack(stack, 2)
         assert np.array_equal(svals, [sk_of_matrix(m, 2) for m in stack])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stack_kernels_bitwise_equal_single_matrix(n):
+    """Every matrix of a stack gets the bits it gets alone: sigma_k for every
+    k, the gradient matrices, the shifted-trace sides and the FD oracle."""
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal((12, 10, n, n))
+    stack = 0.5 * (a + np.swapaxes(a, -1, -2))
+    mus = rng.uniform(-2.0, 2.0, (12, 10))
+    for k in range(0, n + 1):
+        vals = sk_of_stack(stack, k)
+        parts = sk_partials_stack(stack, k) if k else None
+        lhs, rhs = shifted_trace_identity(stack, mus, k)
+        fd = symmetric_fd_partials(stack[:2], k) if k else None
+        for idx in np.ndindex(12, 10):
+            assert vals[idx] == sk_of_matrix(stack[idx], k)
+            assert (lhs[idx], rhs[idx]) == shifted_trace_identity(stack[idx], mus[idx], k)
+            if k:
+                assert np.array_equal(parts[idx], sk_partials(stack[idx], k))
+                if idx[0] < 2:
+                    assert np.array_equal(fd[idx], symmetric_fd_partials(stack[idx], k))
+
+
+def _eigen_oracle_loop(rng, count):
+    worst = 0.0
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        a = random_sym(rng, n)
+        eig = np.linalg.eigvalsh(a)
+        for k in range(0, n + 1):
+            ref = sigma_k(eig, k)
+            worst = max(worst, abs(sk_of_matrix(a, k) - ref) / max(abs(ref), 1.0))
+    return worst
+
+
+def _shifted_trace_loop(rng, count):
+    worst = 0.0
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        a = random_sym(rng, n)
+        mu = float(rng.uniform(-2.0, 2.0))
+        k = int(rng.integers(1, n + 1))
+        lhs, rhs = shifted_trace_identity(a, mu, k)
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return worst
+
+
+def _fd_partials_loop(rng, count):
+    worst = 0.0
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        a = random_sym(rng, n)
+        k = int(rng.integers(1, n + 1))
+        fd = symmetric_fd_partials(a, k)
+        worst = max(worst, float(np.max(np.abs(sk_partials(a, k) - fd))))
+    return worst
+
+
+def _homogeneity_loop(rng, count):
+    worst = 0.0
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        a = random_sym(rng, n)
+        k = int(rng.integers(1, n + 1))
+        lhs = float(np.sum(a * sk_partials(a, k)))
+        rhs = k * sk_of_matrix(a, k)
+        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
+    return worst
+
+
+@pytest.mark.parametrize("check, loop", [
+    (eigen_oracle_error, _eigen_oracle_loop),
+    (shifted_trace_error, _shifted_trace_loop),
+    (fd_partials_error, _fd_partials_loop),
+    (homogeneity_error, _homogeneity_loop),
+], ids=["eigen", "shifted", "fd", "homogeneity"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_batched_checks_equal_per_matrix_loops(check, loop, seed):
+    """Each verify check, evaluated per (side, k) stack, returns the worst
+    error of the per-matrix loop bit for bit, and leaves the generator in
+    the same state."""
+    rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert check(rng, 40) == loop(rng_loop, 40)
+    assert rng.random() == rng_loop.random()
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (3, 2)])
+def test_divergence_values_share_each_rung_bitwise(orders):
+    node_counts = (12, 16, 20)
+    values, spacings = divergence_values(3, orders, node_counts)
+    assert spacings == [1.0 / (n + 1) for n in node_counts]
+    for k in orders:
+        bumps = [bump_field(unit_box(3, n), (0.5,) * 3, 0.45, 1.0, k) for n in node_counts]
+        assert values[k] == [abs(integrate(sk_field(psi, k))) for psi in bumps]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
