@@ -398,10 +398,10 @@ def bump_field(domain: BoxDomain, center: Sequence[float], radius: float,
     for c, e in zip(center, domain.extent):
         if not (c - radius > 0.0 and c + radius < e):
             raise ValueError("bump support must lie strictly inside the box")
-    mesh = domain.meshgrid()
     s2 = np.zeros(domain.nodes)
-    for x, c in zip(mesh, center):
-        s2 += ((x - c) / radius) ** 2
+    for term in np.ix_(*(((domain.axis_coords(a) - c) / radius) ** 2
+                         for a, c in enumerate(center))):
+        s2 += term
     vals = np.zeros(domain.nodes)
     inside = s2 < 1.0
     vals[inside] = np.exp(-1.0 / (1.0 - s2[inside]))

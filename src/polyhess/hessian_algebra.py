@@ -32,12 +32,19 @@ and a_ji together therefore has to halve its off-diagonal quotients to match.
 Under this convention the divergence-form identities used by the energy
 module hold (e.g. sum_ij A_ij * sk_partials(A, k)_ij == k * sk_of_matrix(A, k)).
 
-``sk_of_entries`` sums the k x k principal minors.  For k = 1 it sums the
-diagonal entries left to right (the order ``np.trace`` uses); for k = 2 it
-sums the entrywise minors a_ii a_jj - a_ij a_ij over the pairs i < j; for
-k >= 3 it gathers every principal block straight from the entries, makes
-one batched LAPACK determinant call and sums the determinants along a
-contiguous subset axis, in an order that does not depend on the batch.
+``sk_of_entries`` sums the k x k principal minors.  For k <= 3 it reads them
+entrywise from whole planes: for k = 1 it sums the diagonal entries left to
+right (the order ``np.trace`` uses); for k = 2 it sums the minors
+a_ii a_jj - a_ij a_ij over the pairs i < j; for k = 3 it sums the cofactor
+expansions a(df - e^2) - b(bf - ce) + c(be - cd) of the blocks
+[[a, b, c], [b, d, e], [c, e, f]] over the subsets in
+``itertools.combinations`` order.  These closed forms are elementwise, so
+sigma_k(-A) = (-1)^k sigma_k(A) holds exactly, and the k = 3 sum stays
+within (5 + C(N, 3)) eps of the summed block permanents of |A|, which a
+determinant by LU factorization need not.  Only for k >= 4 does it gather
+every principal block from the entries, make one batched LAPACK
+determinant call and sum the determinants along a contiguous subset axis,
+in an order that does not depend on the batch.
 
 ``sk_partials_stack`` evaluates the closed form
 sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j directly: I for k = 1, sigma_1 I - A
@@ -198,9 +205,10 @@ def sk_of_entries(entries, k: int) -> np.ndarray:
 
     ``entries`` holds one array per entry, component-first in
     ``entry_pairs`` order (an (N(N+1)/2,) + batch array or a sequence of
-    batch-shaped arrays).  For k <= 2 the minors are read entrywise from
-    whole planes; larger principal blocks are gathered from the entries by
-    one fancy index into one batched LAPACK determinant call.
+    batch-shaped arrays).  For k <= 3 the minors are read entrywise from
+    whole planes (closed forms, see the module docstring); for k >= 4 the
+    principal blocks are gathered from the entries by one fancy index into
+    one batched LAPACK determinant call.
     """
     n = _side(len(entries))
     if not 0 <= k <= n:
@@ -218,9 +226,16 @@ def sk_of_entries(entries, k: int) -> np.ndarray:
         for e, (i, j) in enumerate(entry_pairs(n)[n:], start=n):
             total += entries[i] * entries[j] - entries[e] * entries[e]
         return total
+    if k == 3:
+        total = np.zeros(batch)
+        for block in _block_entries(n, 3).tolist():  # [[a, b, c], [b, d, e], [c, e, f]]
+            a, b, c = (entries[x] for x in block[0])
+            d, e, f = entries[block[1][1]], entries[block[1][2]], entries[block[2][2]]
+            total += a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+        return total
     gathered = np.asarray(entries)[_block_entries(n, k)]  # (subsets, k, k) + batch
     blocks = gathered.transpose(tuple(range(3, gathered.ndim)) + (0, 1, 2))
-    # exactly singular blocks (zero Hessians) trip a spurious numpy warning
+    # exactly singular blocks (zero matrices) trip a spurious numpy warning
     with np.errstate(divide="ignore", invalid="ignore"):
         dets = np.linalg.det(blocks)
     # det lays its output out subset-major, and numpy sums a strided axis in

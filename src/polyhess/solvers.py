@@ -113,7 +113,10 @@ PHASES = ("descent", "minimax", "newton")
 @dataclass
 class PSRecord:
     """Per-iterate (energy value, residual L2 norm, seminorm, phase) rows;
-    the phase is one of ``PHASES``."""
+    the phase is one of ``PHASES``.  Every iterate of the descent, the
+    minimax and the Newton refinement is appended here, so a non-finite
+    energy value or residual norm ends the solve with a
+    ``NonconvergenceError`` that names its phase."""
 
     J: list = dc_field(default_factory=list)
     residual_norm: list = dc_field(default_factory=list)
@@ -125,6 +128,10 @@ class PSRecord:
             raise ValueError("residual norm cannot be negative")
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}")
+        if not (math.isfinite(j) and math.isfinite(rn)):
+            raise NonconvergenceError(
+                f"{phase} iterate has a non-finite energy ({j!r}) or residual norm ({rn!r})",
+                self)
         self.J.append(float(j))
         self.residual_norm.append(float(rn))
         self.seminorm.append(float(sn))

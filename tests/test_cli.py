@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polyhess import solvers
 from polyhess import (
     CapabilityError, ConfigError, dump_field, load_field, random_smooth_field, unit_box,
 )
@@ -244,6 +245,45 @@ def test_cmd_solve_nonconvergence_exit_code(tmp_path, capsys):
     assert summary["partial_record"]["total_iterations"] >= 1
 
 
+def _poison_after(monkeypatch, phase):
+    """Make the solve go non-finite once it reaches ``phase``: residual
+    fields turn NaN from the descent's third residual or from the start of
+    the mountain pass, or the Newton iterates' energy turns NaN."""
+    calls = {"residual": 0, "mountain": False}
+    residual, mountain_pass = solvers.residual, solvers.mountain_pass
+
+    def poisoned_residual(u, s):
+        r = residual(u, s)
+        calls["residual"] += 1
+        if (phase == "descent" and calls["residual"] >= 3) or (
+                phase == "minimax" and calls["mountain"]):
+            return r * math.nan
+        return r
+
+    def flagged_mountain_pass(*args, **kwargs):
+        calls["mountain"] = True
+        return mountain_pass(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "residual", poisoned_residual)
+    monkeypatch.setattr(solvers, "mountain_pass", flagged_mountain_pass)
+    if phase == "newton":
+        report = solvers.energy_report
+        monkeypatch.setattr(solvers, "energy_report",
+                            lambda u, s: replace(report(u, s), J=math.nan))
+
+
+@pytest.mark.parametrize("phase", ["descent", "minimax", "newton"])
+def test_non_finite_iterate_exits_3_naming_its_phase(tmp_path, capsys, monkeypatch, phase):
+    _poison_after(monkeypatch, phase)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(write_cfg(tmp_path))]) == 3
+    err = capsys.readouterr().err
+    assert f"{phase} iterate has a non-finite energy" in err
+    assert "Traceback" not in err
+    summary = json.loads((out / "run.json").read_text())
+    assert summary["error"].startswith(f"{phase} iterate has a non-finite")
+
+
 def test_cmd_solve_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[problem]\nn = 2\nk = 9\n")
@@ -462,6 +502,8 @@ def test_bundled_configs_parse():
         cfg = load_config(name)
         s = build_setting(cfg)
         assert s.alpha == 2
+    s = build_setting(load_config("configs/hess3d_k3.cfg"))
+    assert (s.params.N, s.params.k, s.alpha) == (3, 3, 3)
 
 
 _SCHEMA_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys]

@@ -342,6 +342,31 @@ def test_bump_field_values_and_errors():
         bump_field(dom, (0.9, 0.5), 0.3, 1.0, 2)  # support exits the box
 
 
+def _bump_values_from_meshgrid(domain, center, radius, amplitude, sign_exponent):
+    """bump_field's values as first written, from full-grid coordinate arrays."""
+    s2 = np.zeros(domain.nodes)
+    for x, c in zip(domain.meshgrid(), center):
+        s2 += ((x - c) / radius) ** 2
+    vals = np.zeros(domain.nodes)
+    inside = s2 < 1.0
+    vals[inside] = np.exp(-1.0 / (1.0 - s2[inside]))
+    vals *= amplitude * (-1.0) ** (sign_exponent + 1)
+    return vals
+
+
+@pytest.mark.parametrize("dom, center, radius", [
+    (unit_box(2, 17), (0.5, 0.5), 0.3),
+    (unit_box(2, 128), (0.45, 0.55), 0.4),
+    (unit_box(3, 24), (0.5, 0.5, 0.5), 0.45),
+    (BoxDomain(nodes=(20, 13, 31), extent=(2.0, 1.0, 3.5)), (1.1, 0.5, 1.7), 0.45),
+])
+def test_bump_field_bitwise_equals_meshgrid_form(dom, center, radius):
+    for sign_exponent in (1, 2):
+        psi = bump_field(dom, center, radius, 1.5, sign_exponent)
+        ref = _bump_values_from_meshgrid(dom, center, radius, 1.5, sign_exponent)
+        assert psi.values.tobytes() == ref.tobytes()
+
+
 def test_bump_nonlinear_pairing_sign():
     # positive bump orientation: (-1)^k int psi S_k[psi] > 0
     dom = unit_box(2, 128)

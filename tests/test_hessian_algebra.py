@@ -7,6 +7,7 @@ matrices, and literal evaluation of both sides of the shifted-trace identity.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -350,6 +351,13 @@ def _sk_of_stack_as_first_written(m, k):
         for i, j in itertools.combinations(range(n), 2):
             total += m[..., i, i] * m[..., j, j] - m[..., i, j] * m[..., j, i]
         return total
+    if k == 3:  # the cofactor expansion of each principal block, subset by subset
+        total = np.zeros(batch)
+        for i, j, l in itertools.combinations(range(n), 3):
+            a, b, c = m[..., i, i], m[..., i, j], m[..., i, l]
+            d, e, f = m[..., j, j], m[..., j, l], m[..., l, l]
+            total += a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+        return total
     idx = np.array(list(itertools.combinations(range(n), k)))
     blocks = m[..., idx[:, :, None], idx[:, None, :]]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -373,6 +381,34 @@ def test_sk_of_entries_bitwise_equals_stack_kernel(n, batch):
         assert np.array_equal(sk_of_entries(ents, k), ref)
         assert np.array_equal(sk_of_entries(list(ents), k), ref)
         assert np.array_equal(sk_of_stack(stack, k), ref)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sigma3_within_rounding_bound_of_exact(n):
+    """sigma_3 of badly scaled matrices against exact rational arithmetic.
+
+    Each 3 x 3 minor a(df - e^2) - b(bf - ce) + c(be - cd) rounds every
+    monomial at most 5 times, and summing the C(N, 3) minors adds at most
+    C(N, 3) more, so the error is at most gamma_{5 + C(N, 3)} times the sum
+    over the blocks of their permanents of absolute values; eps (twice the
+    unit roundoff) makes the bound below a safe upper bound on gamma.
+    """
+    rng = np.random.default_rng(23)
+    count, samples = n * (n + 1) // 2, 64
+    ents = rng.standard_normal((count, samples)) * 10.0 ** rng.uniform(-4, 4, (count, samples))
+    vals = sk_of_entries(ents, 3)
+    table = entry_table(n)
+    signs = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
+    bound_factor = (5 + math.comb(n, 3)) * Fraction(np.finfo(float).eps)
+    for col in range(samples):
+        exact = perm_sum = Fraction(0)
+        for sub in itertools.combinations(range(n), 3):
+            block = [[Fraction(ents[table[p, q], col]) for q in sub] for p in sub]
+            for p, sign in signs.items():
+                term = block[0][p[0]] * block[1][p[1]] * block[2][p[2]]
+                exact += sign * term
+                perm_sum += abs(term)
+        assert abs(Fraction(vals[col]) - exact) <= bound_factor * perm_sum
 
 
 def test_entry_order_and_table():

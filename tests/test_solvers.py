@@ -5,6 +5,8 @@ asserted with loose relative tolerances (1e-3) so legitimate BLAS spread
 cannot trip them while genuine regressions do.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,10 @@ def test_psrecord_contract(run64):
         rec.append(1.0, -0.5, 2.0, "descent")
     with pytest.raises(ValueError, match="phase"):
         rec.append(1.0, 0.5, 2.0, "sweep")
+    for j, rn in ((math.nan, 0.5), (1.0, math.nan), (-math.inf, 0.5), (1.0, math.inf)):
+        with pytest.raises(NonconvergenceError, match="^newton iterate has a non-finite") as err:
+            rec.append(j, rn, 2.0, "newton")
+        assert err.value.record is rec and len(rec) == 1
     for i in range(2500):
         rec.append(float(i), 1.0, 1.0, "minimax" if i < 2000 else "newton")
     d = rec.to_json_dict(max_rows=1000)
