@@ -1,6 +1,7 @@
 """Numerical two-solution theory for polyharmonic k-Hessian boundary value problems.
 
-The package solves and cross-checks the clamped problem
+The package solves and cross-checks the problem (with the Navier boundary
+conditions the grid imposes, see ``grid``)
 
     (-1)^alpha Delta^alpha u = (-1)^k S_k[u] + lambda f   on a box,
 

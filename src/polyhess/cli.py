@@ -220,7 +220,7 @@ def build_domain(cfg: RunConfig) -> BoxDomain:
     return BoxDomain(nodes=nodes, extent=cfg.extent)
 
 
-def build_datum(cfg: RunConfig, domain: BoxDomain, ghost_width: int) -> ScalarField:
+def build_datum(cfg: RunConfig, domain: BoxDomain) -> ScalarField:
     kind = cfg.datum_kind
     if kind == "file":
         if not cfg.datum_path:
@@ -231,7 +231,7 @@ def build_datum(cfg: RunConfig, domain: BoxDomain, ghost_width: int) -> ScalarFi
             raise ConfigError(f"cannot load datum dump {cfg.datum_path}: {exc}") from exc
         if f.domain != domain:
             raise ConfigError("datum dump does not match the configured domain")
-        return ScalarField(domain, f.values, ghost_width)
+        return f
     if kind == "constant":
         fn = lambda *mesh: cfg.datum_value * np.ones_like(mesh[0])
     elif kind == "gaussian":
@@ -251,7 +251,7 @@ def build_datum(cfg: RunConfig, domain: BoxDomain, ghost_width: int) -> ScalarFi
             for x, e in zip(mesh, domain.extent):
                 total = total + np.floor(x * cfg.datum_blocks / e).astype(int)
             return cfg.datum_value * np.where(total % 2 == 0, 1.0, -1.0)
-    f = from_function(domain, fn, ghost_width)
+    f = from_function(domain, fn)
     if not np.all(np.isfinite(f.values)):
         raise ConfigError(f"the {kind} datum has non-finite values")
     return f
@@ -273,11 +273,8 @@ def build_setting(cfg: RunConfig, lam: Optional[float] = None,
     with _config_values():
         params = ProblemParams(cfg.n, cfg.k)
         form = Form(cfg.form)
-        alpha = cfg.alpha if cfg.alpha is not None else form.alpha_formula(params)
-        domain = build_domain(cfg)
-        # a negative alpha is left for make_setting to reject with its own reason
-        f = build_datum(cfg, domain, ghost_width=max(alpha, 0))
-        s = make_setting(params, lams[0], f, form=form, alpha=alpha)
+        f = build_datum(cfg, build_domain(cfg))
+        s = make_setting(params, lams[0], f, form=form, alpha=cfg.alpha)
     pairing = inner(f, f)
     for value in lams:
         if value != 0.0 and np.any(f.values) and not abs(value) * pairing > 0.0:

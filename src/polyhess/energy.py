@@ -19,7 +19,7 @@ The strong residual is the pointwise Euler-Lagrange field
 
     (-1)^alpha Delta^alpha u - (-1)^k S_k[u] - lambda f,
 
-whose zeros are discrete solutions of the clamped boundary value problem.
+whose zeros are discrete solutions of the boundary value problem.
 The weak residual is the Riesz representative (w.r.t. the plain grid inner
 product) of the divergence-form first-variation pairing; pairing and
 representative agree to roundoff by construction.
@@ -119,8 +119,8 @@ class Form(enum.Enum):
 class EnergySetting:
     """Everything needed to evaluate the action and its residuals.
 
-    ``alpha`` must match the regime formula for the chosen form unless
-    ``alpha_overridden`` is set; the flag is recorded so runs stay auditable.
+    An ``alpha`` other than the regime formula's value for the chosen form
+    is an override, reported by ``alpha_overridden`` so runs stay auditable.
     The weak form admits no override.
     """
 
@@ -129,21 +129,18 @@ class EnergySetting:
     lam: float
     f: ScalarField
     form: Form = Form.STRONG
-    alpha_overridden: bool = False
 
     def __post_init__(self):
         if self.alpha < 2:
             raise ValueError(f"alpha={self.alpha} violates the sharp bound alpha >= 2")
-        expected = self.form.alpha_formula(self.params)
-        if self.form is Form.WEAK and self.alpha != expected:
+        if self.form is Form.WEAK and self.alpha_overridden:
             raise ValueError(
-                f"weak runs use alpha={expected} for "
+                f"weak runs use alpha={self.form.alpha_formula(self.params)} for "
                 f"(N, k)=({self.params.N}, {self.params.k}); drop the alpha override")
-        if not self.alpha_overridden and self.alpha != expected:
-            raise ValueError(
-                f"alpha={self.alpha} differs from the regime formula value {expected}; "
-                "pass alpha_overridden=True to keep it"
-            )
+
+    @property
+    def alpha_overridden(self) -> bool:
+        return self.alpha != self.form.alpha_formula(self.params)
 
     def validate_grid(self):
         if self.params.N != self.f.domain.dim:
@@ -266,7 +263,7 @@ def _euler_lagrange(u: ScalarField, ents: np.ndarray, s: EnergySetting,
     its Hessian entries ``ents``."""
     vals = (_sign(s.alpha) * laplacian_power(u, ents, s.alpha).values
             - nonlinear - s.lam * s.f.values)
-    return ScalarField(u.domain, vals, 0)
+    return ScalarField(u.domain, vals)
 
 
 def residual_strong(u: ScalarField, s: EnergySetting) -> ScalarField:
@@ -380,7 +377,7 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
         partials = sk_partials_stack(hessian(u), k)
 
         def apply(v_vals: np.ndarray) -> np.ndarray:
-            v = ScalarField(dom, v_vals, u.ghost_width)
+            v = ScalarField(dom, v_vals)
             ents_v = hessian_entries(v)
             dsk = np.einsum("...ab,...ab->...", partials, stack_of_entries(ents_v))
             return sign_a * laplacian_power(v, ents_v, alpha).values - sign_k * dsk
@@ -390,7 +387,7 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
     ents_u = hessian_entries(u)
 
     def apply(v_vals: np.ndarray) -> np.ndarray:
-        v = ScalarField(dom, v_vals, u.ghost_width)
+        v = ScalarField(dom, v_vals)
         ents_v = hessian_entries(v)
         dflux = _flux_of(gradient_centered(v), ents_u, k) + 0.5 * (
             _flux_of(grads_u, ents_u + ents_v, k) - _flux_of(grads_u, ents_u - ents_v, k))
@@ -514,14 +511,13 @@ def minorant_sample_family(s: EnergySetting, samples: int,
                                   int(rng.integers(0, 2))))
         elif kind == 1:
             fam.append(random_smooth_field(dom, rng, modes=3,
-                                           amplitude=rng.uniform(0.2, 1.5),
-                                           ghost_width=s.alpha))
+                                           amplitude=rng.uniform(0.2, 1.5)))
         else:
             if len(fam) >= 2:
                 i, j = rng.integers(0, len(fam), size=2)
                 fam.append(fam[int(i)] + fam[int(j)])
             else:
-                fam.append(random_smooth_field(dom, rng, ghost_width=s.alpha))
+                fam.append(random_smooth_field(dom, rng))
     return fam[:samples]
 
 
@@ -574,8 +570,7 @@ def geometry_witnesses(s: EnergySetting) -> GeometryWitnesses:
     psi is the compact radial bump with the sign flip that makes
     (-1)^k int psi S_k[psi] positive; phi is the polyharmonic inverse G f of
     the datum, signed by lambda.  G is symmetric positive definite, so
-    lambda int f phi = |lambda| <f, G f> > 0 for every nonzero datum, and phi
-    meets the clamped conditions to order alpha.
+    lambda int f phi = |lambda| <f, G f> > 0 for every nonzero datum.
     """
     s.validate_grid()
     dom = s.f.domain
@@ -586,15 +581,17 @@ def geometry_witnesses(s: EnergySetting) -> GeometryWitnesses:
     # the pairing is sign-invariant, while for even k only the positive bump
     # verifies (sigma_k of the negative-definite Hessian at the peak is then
     # positive, so the radial computation gives int psi S_k[psi] > 0 there).
-    # A bump with a support margin under alpha nodes cannot be a mountain-pass
-    # endpoint, which encodes boundary conditions to order alpha.
+    # psi's support keeps at least alpha nodes clear of every wall: a radius
+    # that leaves fewer is skipped.
     psi = None
     psi_pairing = 0.0
     for frac in (0.3, 0.25, 0.35, 0.2, 0.4):
+        r = frac * minext
+        if min(min(c - r, e - (c + r)) / h
+               for c, e, h in zip(center, dom.extent, dom.spacing)) < s.alpha:
+            continue
         for sign_exp in (k, k + 1):
-            cand = bump_field(dom, center, frac * minext, 1.0, sign_exp)
-            if cand.ghost_width < s.alpha:
-                continue
+            cand = bump_field(dom, center, r, 1.0, sign_exp)
             val = _sign(k) * inner(cand, sk_field(cand, k))
             if val > 0.0:
                 psi, psi_pairing = cand, val
@@ -605,7 +602,7 @@ def geometry_witnesses(s: EnergySetting) -> GeometryWitnesses:
         raise GeometryError("no bump orientation/radius produced a positive nonlinear pairing")
 
     if s.lam == 0.0:
-        return GeometryWitnesses(zeros(dom, s.alpha), psi, 0.0, psi_pairing, True)
+        return GeometryWitnesses(zeros(dom), psi, 0.0, psi_pairing, True)
     phi = invert_polyharmonic(s.f, s.alpha) * (1.0 if s.lam > 0 else -1.0)
     val = s.lam * inner(s.f, phi)
     if not val > 0.0:
@@ -617,17 +614,9 @@ def geometry_witnesses(s: EnergySetting) -> GeometryWitnesses:
 def make_setting(params: ProblemParams, lam: float, f: ScalarField,
                  form: Form = Form.STRONG, alpha: int | None = None) -> EnergySetting:
     """Convenience constructor applying the regime formula when alpha is omitted."""
-    expected = form.alpha_formula(params)
     if alpha is None:
-        alpha = expected
-    return EnergySetting(
-        params=params,
-        alpha=alpha,
-        lam=lam,
-        f=f,
-        form=form,
-        alpha_overridden=(alpha != expected),
-    )
+        alpha = form.alpha_formula(params)
+    return EnergySetting(params=params, alpha=alpha, lam=lam, f=f, form=form)
 
 
 def with_lambda(s: EnergySetting, lam: float) -> EnergySetting:

@@ -10,7 +10,7 @@ class CapabilityError(PolyhessError):
 
 
 class ContractError(PolyhessError):
-    """A caller violated an operation precondition (e.g. insufficient ghost width)."""
+    """A caller violated an operation precondition (e.g. a start point outside the R0 ball)."""
 
 
 class GeometryError(PolyhessError):

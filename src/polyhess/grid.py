@@ -1,10 +1,12 @@
-"""Finite-difference fields on a box with clamped boundary conditions.
+"""Finite-difference fields on a box, zero outside its interior nodes.
 
 Fields live on the interior nodes of a box grid; everything outside the
-interior is implicitly zero.  The ``ghost_width`` attribute records how many
-layers of that zero extension the field is entitled to use, which is the
-discrete encoding of the clamped conditions u = d_n u = ... = d_n^{g-1} u = 0:
-an order-``alpha`` problem needs fields declared with ``ghost_width >= alpha``.
+interior is implicitly zero.  That is the only boundary condition the
+stencils impose: each Laplacian reads one zero node past the wall, so it is
+the Dirichlet Laplacian, and the order-2*alpha operator is its alpha-th
+power, diagonal in the sine basis.  In the limit this carries the Navier
+conditions u = Delta u = ... = Delta^{alpha-1} u = 0, not the clamped
+conditions u = d_n u = ... = d_n^{alpha-1} u = 0 of the continuous problem.
 
 All stencils are the standard second-order centered ones.  Mixed second
 derivatives use the 4-point cross stencil; one-sided formulas are never
@@ -63,7 +65,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .errors import ContractError
 from .hessian_algebra import entry_pairs, sk_of_entries, stack_of_entries
 
 
@@ -138,15 +139,13 @@ def unit_box(dim: int, n: int) -> BoxDomain:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Interior node values plus the declared zero-extension order.
+    """Interior node values on a box domain.
 
-    Treated as immutable: operations return new fields.  Arithmetic combines
-    ghost widths pessimistically (minimum of the operands).
+    Treated as immutable: operations return new fields.
     """
 
     domain: BoxDomain
     values: np.ndarray
-    ghost_width: int = 2
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -154,13 +153,7 @@ class ScalarField:
             raise ValueError(
                 f"value shape {vals.shape} does not match domain nodes {self.domain.nodes}"
             )
-        if self.ghost_width < 0:
-            raise ValueError("ghost_width must be nonnegative")
         object.__setattr__(self, "values", vals)
-
-    def with_values(self, values: np.ndarray, ghost_width: int | None = None) -> "ScalarField":
-        gw = self.ghost_width if ghost_width is None else ghost_width
-        return ScalarField(self.domain, values, gw)
 
     def _check_same_domain(self, other: "ScalarField"):
         if self.domain != other.domain:
@@ -168,31 +161,29 @@ class ScalarField:
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         self._check_same_domain(other)
-        return ScalarField(self.domain, self.values + other.values,
-                           min(self.ghost_width, other.ghost_width))
+        return ScalarField(self.domain, self.values + other.values)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         self._check_same_domain(other)
-        return ScalarField(self.domain, self.values - other.values,
-                           min(self.ghost_width, other.ghost_width))
+        return ScalarField(self.domain, self.values - other.values)
 
     def __mul__(self, c: float) -> "ScalarField":
-        return ScalarField(self.domain, self.values * float(c), self.ghost_width)
+        return ScalarField(self.domain, self.values * float(c))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "ScalarField":
-        return ScalarField(self.domain, -self.values, self.ghost_width)
+        return ScalarField(self.domain, -self.values)
 
 
-def zeros(domain: BoxDomain, ghost_width: int = 2) -> ScalarField:
-    return ScalarField(domain, np.zeros(domain.nodes), ghost_width)
+def zeros(domain: BoxDomain) -> ScalarField:
+    return ScalarField(domain, np.zeros(domain.nodes))
 
 
-def from_function(domain: BoxDomain, fn: Callable, ghost_width: int = 2) -> ScalarField:
+def from_function(domain: BoxDomain, fn: Callable) -> ScalarField:
     """Sample ``fn(*coords)`` on the interior nodes (coords are meshgrid arrays)."""
     mesh = domain.meshgrid()
-    return ScalarField(domain, np.asarray(fn(*mesh), dtype=float), ghost_width)
+    return ScalarField(domain, np.asarray(fn(*mesh), dtype=float))
 
 
 def _zero_extended(vals: np.ndarray) -> np.ndarray:
@@ -245,26 +236,21 @@ def _laplacian_values(vals: np.ndarray, spacing) -> np.ndarray:
 def laplacian(u: ScalarField) -> ScalarField:
     """Centered (2*dim+1)-point Laplacian with zero extension."""
     out = _laplacian_values(u.values, u.domain.spacing)
-    return ScalarField(u.domain, out, max(u.ghost_width - 1, 0))
+    return ScalarField(u.domain, out)
 
 
-def _check_order(u: ScalarField, alpha: int):
+def _check_order(alpha: int):
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    if u.ghost_width < alpha:
-        raise ContractError(
-            f"field declares ghost_width={u.ghost_width} < alpha={alpha}; "
-            "the clamped conditions are not encoded to the required order"
-        )
 
 
 def polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
     """alpha-fold Laplacian (the caller applies the (-1)^alpha sign)."""
-    _check_order(u, alpha)
+    _check_order(alpha)
     vals = u.values
     for _ in range(alpha):
         vals = _laplacian_values(vals, u.domain.spacing)
-    return ScalarField(u.domain, vals, u.ghost_width - alpha)
+    return ScalarField(u.domain, vals)
 
 
 def laplacian_power(u: ScalarField, ents: np.ndarray, alpha: int) -> ScalarField:
@@ -272,11 +258,11 @@ def laplacian_power(u: ScalarField, ents: np.ndarray, alpha: int) -> ScalarField
     ``ents = hessian_entries(u)``: its diagonal planes are the second
     differences ``_laplacian_values`` sums, and sigma_1 sums them in the
     same axis order, so one stencil pass is saved."""
-    _check_order(u, alpha)
+    _check_order(alpha)
     vals = sk_of_entries(ents, 1)
     for _ in range(alpha - 1):
         vals = _laplacian_values(vals, u.domain.spacing)
-    return ScalarField(u.domain, vals, u.ghost_width - alpha)
+    return ScalarField(u.domain, vals)
 
 
 def _centered_difference(p: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -331,26 +317,20 @@ def sk_field(u: ScalarField, k: int) -> ScalarField:
     if not 1 <= k <= d:
         raise ValueError(f"order k={k} out of range for dimension {d}")
     vals = sk_of_entries(hessian_entries(u), k)
-    return ScalarField(u.domain, vals, 0)
+    return ScalarField(u.domain, vals)
 
 
 def half_order(u: ScalarField, alpha: int) -> np.ndarray:
     """Half of the order-2*alpha operator, shape (m,) + nodes: the m = 1
     component Delta^{alpha/2} u for even alpha, the m = dim components of
     grad Delta^{(alpha-1)/2} u (centered differences) for odd alpha."""
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    need = -(-alpha // 2)
-    if u.ghost_width < need:
-        raise ContractError(
-            f"field declares ghost_width={u.ghost_width} < ceil(alpha/2)={need}"
-        )
+    _check_order(alpha)
     vals = u.values
     for _ in range(alpha // 2):
         vals = _laplacian_values(vals, u.domain.spacing)
     if alpha % 2 == 0:
         return vals[None]
-    return gradient_centered(ScalarField(u.domain, vals, 1))
+    return gradient_centered(ScalarField(u.domain, vals))
 
 
 def integrate(u: ScalarField) -> float:
@@ -406,17 +386,11 @@ def bump_field(domain: BoxDomain, center: Sequence[float], radius: float,
     inside = s2 < 1.0
     vals[inside] = np.exp(-1.0 / (1.0 - s2[inside]))
     vals *= amplitude * (-1.0) ** (sign_exponent + 1)
-    # support margin in nodes bounds the encodable boundary-condition order
-    margin = min(
-        min(c - radius, e - (c + radius)) / h
-        for c, e, h in zip(center, domain.extent, domain.spacing)
-    )
-    return ScalarField(domain, vals, max(int(margin), 0))
+    return ScalarField(domain, vals)
 
 
 def random_smooth_field(domain: BoxDomain, rng: np.random.Generator,
-                        modes: int = 3, amplitude: float = 1.0,
-                        ghost_width: int = 2) -> ScalarField:
+                        modes: int = 3, amplitude: float = 1.0) -> ScalarField:
     """Random low-frequency sine combination, normalized to the given sup amplitude.
 
     Mode coefficients fall off like 1/prod(multi).
@@ -432,23 +406,22 @@ def random_smooth_field(domain: BoxDomain, rng: np.random.Generator,
     top = np.max(np.abs(vals))
     if top > 0:
         vals *= amplitude / top
-    return ScalarField(domain, vals, ghost_width)
+    return ScalarField(domain, vals)
 
 
 def invert_polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
-    """Exact inverse of the discrete (-Delta)^alpha with clamped-zero data.
+    """Exact inverse of the discrete (-Delta)^alpha with zero extension.
 
     Diagonalizes the operator with a type-I DST per axis and divides by the
     symbol; applying (-1)^alpha * polyharmonic to the result reproduces the
     input to roundoff.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+    _check_order(alpha)
     sym = u.domain.sine_symbol ** alpha
     coeffs = dstn(u.values, type=1, norm="ortho")
     coeffs /= sym
     vals = idstn(coeffs, type=1, norm="ortho")
-    return ScalarField(u.domain, vals, max(u.ghost_width, alpha))
+    return ScalarField(u.domain, vals)
 
 
 def dump_field(u: ScalarField, base: str | Path) -> tuple[Path, Path]:
@@ -463,7 +436,6 @@ def dump_field(u: ScalarField, base: str | Path) -> tuple[Path, Path]:
         "nodes": list(u.domain.nodes),
         "extent": list(u.domain.extent),
         "spacing": list(u.domain.spacing),
-        "ghost_width": u.ghost_width,
         "order": "C",
         "dtype": "<f8",
     }
@@ -476,8 +448,8 @@ def load_field(base: str | Path) -> ScalarField:
 
     The sidecar is checked, not trusted: a layout other than ``<f8`` in C
     order, a raw file whose size does not match the node counts, a
-    non-finite value, a negative ghost width or a missing key raises
-    ``ValueError``.
+    non-finite value or a missing key raises ``ValueError``.  Keys it does
+    not read, such as the ``ghost_width`` of older sidecars, are ignored.
     """
     base = Path(base)
     raw = base if base.suffix == ".f64" else base.with_suffix(".f64")
@@ -486,7 +458,6 @@ def load_field(base: str | Path) -> ScalarField:
     try:
         layout = (header["dtype"], header["order"])
         domain = BoxDomain(nodes=tuple(header["nodes"]), extent=tuple(header["extent"]))
-        ghost_width = int(header["ghost_width"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{meta}: malformed field header ({exc!r})") from exc
     if layout != ("<f8", "C"):
@@ -499,4 +470,4 @@ def load_field(base: str | Path) -> ScalarField:
     vals = np.fromfile(raw, dtype="<f8").reshape(domain.nodes)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{raw}: field has non-finite values")
-    return ScalarField(domain, vals, ghost_width)  # rejects a negative ghost width
+    return ScalarField(domain, vals)

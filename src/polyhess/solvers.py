@@ -273,7 +273,7 @@ def _newton_steps(u: ScalarField, r: ScalarField, s: EnergySetting):
 
     def matvec(vflat: np.ndarray) -> np.ndarray:
         jv = jac(vflat.reshape(shape))
-        pre = invert_polyharmonic(ScalarField(dom, jv, 0), alpha)
+        pre = invert_polyharmonic(ScalarField(dom, jv), alpha)
         return pre.values.reshape(m)
 
     op = LinearOperator((m, m), matvec=matvec, dtype=float)
@@ -283,7 +283,7 @@ def _newton_steps(u: ScalarField, r: ScalarField, s: EnergySetting):
                         restart=_KRYLOV_RESTART, maxiter=_KRYLOV_OUTER)
         if info < 0:
             raise NonconvergenceError("Krylov solve broke down inside Newton")
-        yield ScalarField(dom, x.reshape(shape), u.ghost_width)
+        yield ScalarField(dom, x.reshape(shape))
 
 
 _NEWTON_MAX = 60
@@ -343,8 +343,6 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
     k = s.params.k
     if not action(v_far, s) < action(u_m, s):
         raise ContractError("far endpoint must have energy below the minimizer")
-    if min(u_m.ghost_width, v_far.ghost_width) < alpha:
-        raise ContractError("endpoints must encode boundary conditions to order alpha")
     if through is not None:
         s.check_field(through)
     ray = ray_actions(u_m, s)
@@ -414,7 +412,7 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     alpha = s.alpha
     dom = s.f.domain
 
-    u0 = zeros(dom, alpha)
+    u0 = zeros(dom)
     if warm is not None and seminorm(warm.u_m, alpha) <= geom.R0:
         u0 = warm.u_m
     u_m, rec_min = minimize_local(s, u0, cfg, cutoff)
@@ -495,10 +493,10 @@ def ball_uniqueness_probe(s: EnergySetting, cfg: SolverConfig,
     energies = []
     failures = []
     for trial in range(trials):
-        w = random_smooth_field(dom, rng, modes=3, amplitude=1.0, ghost_width=alpha)
+        w = random_smooth_field(dom, rng, modes=3, amplitude=1.0)
         sn = seminorm(w, alpha)
         rho = rng.uniform(0.1, 0.8)
-        u0 = w * (rho * geom.R0 / sn) if sn > 0 else zeros(dom, alpha)
+        u0 = w * (rho * geom.R0 / sn) if sn > 0 else zeros(dom)
         try:
             u, _ = minimize_local(s, u0, cfg, cutoff)
             minimizers.append(u)

@@ -216,7 +216,7 @@ def divergence_values(dim: int, orders, node_counts) -> tuple[dict, list[float]]
         # bottleneck, and radius 0.45 puts the most grid points across it
         ents = hessian_entries(bump_field(dom, (0.5,) * dim, 0.45, 1.0, orders[0]))
         for k in orders:
-            values[k].append(abs(integrate(ScalarField(dom, sk_of_entries(ents, k), 0))))
+            values[k].append(abs(integrate(ScalarField(dom, sk_of_entries(ents, k)))))
         spacings.append(1.0 / (n + 1))
     return values, spacings
 
@@ -234,8 +234,8 @@ def suite_grid(seed: int = 0) -> list[CheckResult]:
     rows = []
     dom = unit_box(2, 32)
 
-    u = random_smooth_field(dom, rng, amplitude=1.0, ghost_width=2)
-    w = random_smooth_field(dom, rng, amplitude=1.0, ghost_width=2)
+    u = random_smooth_field(dom, rng, amplitude=1.0)
+    w = random_smooth_field(dom, rng, amplitude=1.0)
     lhs = inner(w, laplacian(u))
     rhs = inner(u, laplacian(w))
     scale = max(abs(lhs), abs(rhs), 1.0)
@@ -255,7 +255,7 @@ def suite_grid(seed: int = 0) -> list[CheckResult]:
     rows.append(_result("grid", "biharmonic_form_psd", quad >= 0.0,
                         f"quadratic form value {quad:.3e}"))
 
-    v = random_smooth_field(dom, rng, amplitude=1.0, ghost_width=4)
+    v = random_smooth_field(dom, rng, amplitude=1.0)
     forward = polyharmonic(invert_polyharmonic(v, 2), 2)  # (-1)^2 Delta^2 = (-Delta)^2
     err = float(np.max(np.abs(forward.values - v.values)))
     err /= max(float(np.max(np.abs(v.values))), 1.0)
@@ -296,14 +296,14 @@ def consistency_worst_errors(seed: int = 0, pairs: int = 50) -> tuple[float, flo
     eps = 1e-5
     rng = np.random.default_rng(seed)
     dom = unit_box(2, 64)
-    f = from_function(dom, lambda x, y: np.ones_like(x), ghost_width=2)
+    f = from_function(dom, lambda x, y: np.ones_like(x))
     params = xp.ProblemParams(2, 2)
     s = make_setting(params, 0.05, f)
     s_weak = make_setting(params, 0.05, f, form=Form.WEAK)
     cands = []
     for _ in range(2 * pairs):
-        u = random_smooth_field(dom, rng, modes=2, amplitude=0.025, ghost_width=2)
-        w = random_smooth_field(dom, rng, modes=2, amplitude=0.025, ghost_width=2)
+        u = random_smooth_field(dom, rng, modes=2, amplitude=0.025)
+        w = random_smooth_field(dom, rng, modes=2, amplitude=0.025)
         pairing = inner(residual_strong(u, s), w)
         fd = (evaluate_J(u + eps * w, s) - evaluate_J(u - eps * w, s)) / (2 * eps)
         pairing_w = residual_weak_pairing(u, w, s_weak)
@@ -321,7 +321,7 @@ def suite_energy(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     rows = []
     dom = unit_box(2, 64)
-    f = from_function(dom, lambda x, y: np.ones_like(x), ghost_width=2)
+    f = from_function(dom, lambda x, y: np.ones_like(x))
     params = xp.ProblemParams(2, 2)
     s_weak = make_setting(params, 0.05, f, form=Form.WEAK)
 
@@ -331,10 +331,10 @@ def suite_energy(seed: int = 0) -> list[CheckResult]:
     rows.append(_result("energy", "gradient_consistency_weak", worst_weak < 1e-4,
                         f"worst rel err {worst_weak:.3e} (tol 1e-4)"))
 
-    u = random_smooth_field(dom, rng, amplitude=0.5, ghost_width=2)
+    u = random_smooth_field(dom, rng, amplitude=0.5)
     worst = 0.0
     for _ in range(10):
-        w = random_smooth_field(dom, rng, amplitude=0.5, ghost_width=2)
+        w = random_smooth_field(dom, rng, amplitude=0.5)
         lhs = residual_weak_pairing(u, w, s_weak)
         rhs = inner(residual_weak_field(u, s_weak), w)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))

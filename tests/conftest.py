@@ -18,9 +18,8 @@ from polyhess import (
 )
 
 
-def constant_datum(dom, value=1.0, ghost_width=2):
-    return from_function(dom, lambda *mesh: value * np.ones_like(mesh[0]),
-                         ghost_width=ghost_width)
+def constant_datum(dom, value=1.0):
+    return from_function(dom, lambda *mesh: value * np.ones_like(mesh[0]))
 
 
 def flagship_setting(n, lam=0.05, form=Form.STRONG):

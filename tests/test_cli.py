@@ -107,13 +107,13 @@ def test_build_domain_and_datum(tmp_path):
     cfg = load_config(write_cfg(tmp_path))
     dom = build_domain(cfg)
     assert dom.nodes == (32, 32)
-    f = build_datum(cfg, dom, ghost_width=2)
+    f = build_datum(cfg, dom)
     assert np.all(f.values == 1.0)
 
     gauss = parse_config_text(
         "[problem]\nn = 2\nk = 2\n[domain]\nnodes = 16\n"
         "[datum]\nkind = gaussian\nvalue = 2.0\nwidth = 0.2\n")
-    dg = build_datum(gauss, build_domain(gauss), 2)
+    dg = build_datum(gauss, build_domain(gauss))
     assert dg.values.max() <= 2.0
     # nearest node sits h/2 off the center on an even grid
     assert dg.values.max() == pytest.approx(2.0, rel=5e-2)
@@ -121,7 +121,7 @@ def test_build_domain_and_datum(tmp_path):
     checker = parse_config_text(
         "[problem]\nn = 2\nk = 2\n[domain]\nnodes = 16\n"
         "[datum]\nkind = checker\nblocks = 2\n")
-    dc = build_datum(checker, build_domain(checker), 2)
+    dc = build_datum(checker, build_domain(checker))
     assert set(np.unique(dc.values)) == {-1.0, 1.0}
 
 
@@ -461,8 +461,7 @@ def _edit_sidecar(key, value):
     _write_nan,
     _edit_sidecar("dtype", ">f8"),
     _edit_sidecar("order", "F"),
-    _edit_sidecar("ghost_width", -1),
-], ids=["truncated", "nan-value", "big-endian-dtype", "fortran-order", "negative-ghost-width"])
+], ids=["truncated", "nan-value", "big-endian-dtype", "fortran-order"])
 def test_damaged_datum_dump_exits_2(tmp_path, capsys, damage):
     u = random_smooth_field(unit_box(2, 32), np.random.default_rng(5))
     raw, meta = dump_field(u, tmp_path / "datum")

@@ -56,28 +56,29 @@ def test_setting_validation():
     dom = unit_box(2, 16)
     f = constant_datum(dom)
     params = ProblemParams(2, 2)
+    # an alpha off the formula value (2 here) is an override, read off alpha
+    s = EnergySetting(params, alpha=3, lam=0.1, f=f)
+    assert s.alpha == 3 and s.alpha_overridden
+    assert not EnergySetting(params, alpha=2, lam=0.1, f=f).alpha_overridden
+    with pytest.raises(TypeError):  # no flag can claim an override at the formula value
+        EnergySetting(params, alpha=2, lam=0.1, f=f, alpha_overridden=True)
     with pytest.raises(ValueError):
-        EnergySetting(params, alpha=3, lam=0.1, f=f)  # formula value is 2
-    s = EnergySetting(params, alpha=3, lam=0.1, f=f, alpha_overridden=True)
-    assert s.alpha == 3
-    with pytest.raises(ValueError):
-        EnergySetting(params, alpha=1, lam=0.1, f=f, alpha_overridden=True)
-    # make_setting records the override flag automatically
+        EnergySetting(params, alpha=1, lam=0.1, f=f)
     assert make_setting(params, 0.1, f).alpha_overridden is False
     assert make_setting(params, 0.1, f, alpha=4).alpha_overridden is True
 
 
 def test_trivial_energies(s64):
     dom = s64.f.domain
-    assert evaluate_J(zeros(dom, 2), s64) == 0.0
-    assert evaluate_J_weak(zeros(dom, 2), s64) == 0.0
-    rep = energy_report(zeros(dom, 2), s64)
+    assert evaluate_J(zeros(dom), s64) == 0.0
+    assert evaluate_J_weak(zeros(dom), s64) == 0.0
+    rep = energy_report(zeros(dom), s64)
     assert rep.J == rep.quadratic_term == rep.datum_term == rep.nonlinear_term == 0.0
 
 
 def test_energy_report_term_orientation(s64):
     rng = np.random.default_rng(31)
-    u = random_smooth_field(s64.f.domain, rng, amplitude=0.3, ghost_width=2)
+    u = random_smooth_field(s64.f.domain, rng, amplitude=0.3)
     rep = energy_report(u, s64)
     assert rep.J == pytest.approx(
         rep.quadratic_term - rep.datum_term - rep.nonlinear_term, rel=1e-12)
@@ -96,7 +97,7 @@ def test_action_entry_points_agree_exactly(dim, n, form):
     dom = unit_box(dim, n)
     s = make_setting(ProblemParams(dim, 2), 0.05, constant_datum(dom), form=form)
     rng = np.random.default_rng(35)
-    fields = [random_smooth_field(dom, rng, amplitude=a, ghost_width=s.alpha)
+    fields = [random_smooth_field(dom, rng, amplitude=a)
               for a in (0.3, 1.0, 2.5)]
     for u, v in zip(fields, fields[1:] + fields[:1]):
         j = action(u, s)
@@ -110,28 +111,28 @@ def test_action_entry_points_agree_exactly(dim, n, form):
 def test_residual_strong_trivials(s64):
     dom = s64.f.domain
     s0 = flagship_setting(64, lam=0.0)
-    assert np.all(residual_strong(zeros(dom, 2), s0).values == 0.0)
-    r = residual_strong(zeros(dom, 2), s64)
+    assert np.all(residual_strong(zeros(dom), s0).values == 0.0)
+    r = residual_strong(zeros(dom), s64)
     assert np.allclose(r.values, -s64.lam * s64.f.values)
 
 
 def test_residual_weak_trivials(s64w):
     dom = s64w.f.domain
     rng = np.random.default_rng(32)
-    w = random_smooth_field(dom, rng, ghost_width=2)
+    w = random_smooth_field(dom, rng)
     s0 = flagship_setting(64, lam=0.0, form=Form.WEAK)
-    assert residual_weak_pairing(zeros(dom, 2), w, s0) == 0.0
-    val = residual_weak_pairing(zeros(dom, 2), w, s64w)
+    assert residual_weak_pairing(zeros(dom), w, s0) == 0.0
+    val = residual_weak_pairing(zeros(dom), w, s64w)
     assert val == pytest.approx(-s64w.lam * inner(s64w.f, w), rel=1e-12)
 
 
 def test_weak_riesz_representative_exact(s64w):
     rng = np.random.default_rng(33)
     dom = s64w.f.domain
-    u = random_smooth_field(dom, rng, amplitude=0.5, ghost_width=2)
+    u = random_smooth_field(dom, rng, amplitude=0.5)
     g = residual_weak_field(u, s64w)
     for _ in range(20):
-        w = random_smooth_field(dom, rng, amplitude=0.5, ghost_width=2)
+        w = random_smooth_field(dom, rng, amplitude=0.5)
         lhs = residual_weak_pairing(u, w, s64w)
         assert abs(lhs - inner(g, w)) <= 1e-12 * max(abs(lhs), 1.0)
 
@@ -179,7 +180,7 @@ def _divergence_per_component_gradient(flux, dom):
     flux component, of which one axis is kept."""
     div = np.zeros(dom.nodes)
     for a in range(dom.dim):
-        div += gradient_centered(ScalarField(dom, flux[a], 1))[a]
+        div += gradient_centered(ScalarField(dom, flux[a]))[a]
     return div
 
 
@@ -226,8 +227,8 @@ def test_J_scan_in_t_lambda_zero():
 
 def test_J_axis_permutation_invariance_even_k(s64):
     rng = np.random.default_rng(34)
-    u = random_smooth_field(s64.f.domain, rng, amplitude=0.4, ghost_width=2)
-    ut = u.with_values(u.values.T.copy())
+    u = random_smooth_field(s64.f.domain, rng, amplitude=0.4)
+    ut = ScalarField(u.domain, u.values.T.copy())
     assert evaluate_J(ut, s64) == pytest.approx(evaluate_J(u, s64), rel=1e-13)
 
 
@@ -241,7 +242,7 @@ def test_evaluate_H_truncation(s64):
     report = energy_report(big, s64)
     expected = report.quadratic_term - report.datum_term
     assert evaluate_H(big, s64, c) == pytest.approx(expected, rel=1e-14)
-    assert evaluate_H(zeros(dom, 2), s64, c) == 0.0
+    assert evaluate_H(zeros(dom), s64, c) == 0.0
 
 
 def test_cutoff_spec_validation():
@@ -388,7 +389,6 @@ def test_geometry_witnesses_all_cases():
     # re-verify the certificates independently
     from polyhess import sk_field
     assert s.lam * inner(s.f, wit.phi) > 0.0
-    assert wit.phi.ghost_width >= s.alpha  # clamped to order alpha
     assert inner(wit.psi, sk_field(wit.psi, 2)) > 0.0  # (-1)^2 = +1
     # negative lambda flips phi's sign but keeps the pairing positive
     sm = flagship_setting(64, lam=-0.05)
@@ -401,18 +401,29 @@ def test_geometry_witnesses_all_cases():
     assert np.all(wit0.phi.values == 0.0)
     assert wit0.nonlinear_pairing > 0.0
     # a zero datum at nonzero lambda has no datum witness
-    sz = make_setting(ProblemParams(2, 2), 0.05, zeros(s.f.domain, 2))
+    sz = make_setting(ProblemParams(2, 2), 0.05, zeros(s.f.domain))
     with pytest.raises(GeometryError, match="datum"):
         geometry_witnesses(sz)
     # odd k in 3-D
     dom3 = unit_box(3, 16)
-    s3 = make_setting(ProblemParams(3, 3), 0.05, constant_datum(dom3, ghost_width=3))
+    s3 = make_setting(ProblemParams(3, 3), 0.05, constant_datum(dom3))
     wit3 = geometry_witnesses(s3)
     assert wit3.nonlinear_pairing > 0.0
 
 
+@pytest.mark.parametrize("n, alpha, radius", [(16, 2, 0.3), (8, 2, 0.25), (12, 3, 0.25)])
+def test_geometry_witnesses_keep_psi_alpha_nodes_from_the_walls(n, alpha, radius):
+    """Radius 0.3 leaves 0.2 / h nodes to each wall: 3.4 at n = 16, but
+    1.8 < 2 at n = 8 and 2.6 < 3 at n = 12, where 0.25 is the next try."""
+    dom = unit_box(2, n)
+    s = make_setting(ProblemParams(2, 2), 0.05, constant_datum(dom), alpha=alpha)
+    psi = geometry_witnesses(s).psi
+    support = bump_field(dom, (0.5, 0.5), radius, 1.0, 0).values != 0.0
+    assert np.array_equal(psi.values != 0.0, support)
+
+
 def test_domain_mismatch_errors(s64):
-    other = zeros(unit_box(2, 32), 2)
+    other = zeros(unit_box(2, 32))
     with pytest.raises(ValueError):
         evaluate_J(other, s64)
 
@@ -426,8 +437,8 @@ def test_residual_jacobian_matches_central_difference(form):
     rng = np.random.default_rng(3)
     eps = 1e-3
     for _ in range(3):
-        u = random_smooth_field(dom, rng, amplitude=0.5, ghost_width=2)
-        v = random_smooth_field(dom, rng, amplitude=0.5, ghost_width=2)
+        u = random_smooth_field(dom, rng, amplitude=0.5)
+        v = random_smooth_field(dom, rng, amplitude=0.5)
         jv = residual_jacobian(u, s)(v.values)
         fd = (residual(u + eps * v, s).values - residual(u - eps * v, s).values) / (2.0 * eps)
         assert np.max(np.abs(jv - fd)) <= 1e-7 * np.max(np.abs(fd))

@@ -1,13 +1,16 @@
 """Stencils, quadrature, bump construction, transforms, and field I/O."""
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyhess import (
     BoxDomain,
-    ContractError,
     ScalarField,
     bump_field,
     dump_field,
@@ -40,9 +43,8 @@ from polyhess.hessian_algebra import entry_pairs, stack_of_entries
 from polyhess.verify import divergence_values, observed_order
 
 
-def sinsin(dom, ghost_width=2):
-    return from_function(dom, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
-                         ghost_width=ghost_width)
+def sinsin(dom):
+    return from_function(dom, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
 
 
 def test_domain_validation():
@@ -87,10 +89,8 @@ def test_laplacian_refinement_second_order():
 
 def test_polyharmonic_contract_and_values():
     dom = unit_box(2, 32)
-    u = from_function(dom, lambda x, y: x * x - 2 * y * y, ghost_width=2)
+    u = from_function(dom, lambda x, y: x * x - 2 * y * y)
     assert np.allclose(polyharmonic(u, 2).values[8:-8, 8:-8], 0.0, atol=1e-8)
-    with pytest.raises(ContractError):
-        polyharmonic(from_function(dom, lambda x, y: x, ghost_width=1), 2)
     errs = []
     for n in (32, 64):
         d = unit_box(2, n)
@@ -245,20 +245,17 @@ def test_laplacian_power_equals_polyharmonic(nodes, extent):
     byte for byte, signs of zeros included (a negated bump is -0.0 off its
     support)."""
     dom = BoxDomain(nodes=nodes, extent=extent)
-    smooth = random_smooth_field(dom, np.random.default_rng(29), modes=4, ghost_width=3)
+    smooth = random_smooth_field(dom, np.random.default_rng(29), modes=4)
     center = tuple(0.5 * e for e in dom.extent)
     bump = bump_field(dom, center, 0.3 * min(dom.extent), 1.0, 1)
-    bump = ScalarField(dom, -bump.values, 3)
+    bump = ScalarField(dom, -bump.values)
     assert np.any(np.signbit(bump.values) & (bump.values == 0.0))
     for u in (smooth, bump):
         ents = hessian_entries(u)
         for alpha in (1, 2, 3):
             got = laplacian_power(u, ents, alpha)
             ref = polyharmonic(u, alpha)
-            assert got.ghost_width == ref.ghost_width
             assert got.values.tobytes() == ref.values.tobytes()
-        with pytest.raises(ContractError):
-            laplacian_power(u, ents, 4)
 
 
 def test_sine_symbol_is_kept_per_domain():
@@ -304,16 +301,14 @@ def test_sk_field_quadratic_exact():
 
 def test_half_order_variants():
     dom = unit_box(2, 32)
-    u = from_function(dom, lambda x, y: 3 * x**2 + 5 * y**2, ghost_width=4)
+    u = from_function(dom, lambda x, y: 3 * x**2 + 5 * y**2)
     h2 = half_order(u, 2)
     assert h2.shape == (1,) + dom.nodes
     assert np.allclose(h2[0], laplacian(u).values)
     assert np.allclose(h2[0][5:-5, 5:-5], 16.0, atol=1e-9)
     h3 = half_order(u, 3)
     assert h3.shape == (2,) + dom.nodes
-    assert np.all(half_order(zeros(dom, 4), 3) == 0.0)
-    with pytest.raises(ContractError):
-        half_order(from_function(dom, lambda x, y: x, ghost_width=0), 2)
+    assert np.all(half_order(zeros(dom), 3) == 0.0)
 
 
 def test_integrate_values():
@@ -391,7 +386,7 @@ def test_discrete_integration_by_parts_exact():
 def test_even_alpha_quadratic_form_identities():
     rng = np.random.default_rng(22)
     dom = unit_box(2, 32)
-    u = random_smooth_field(dom, rng, ghost_width=2)
+    u = random_smooth_field(dom, rng)
     quad = inner(u, polyharmonic(u, 2))
     assert quad >= 0.0
     # for even alpha the half-order identity is exact
@@ -405,8 +400,7 @@ def test_odd_alpha_half_order_mismatch_first_order():
     mismatches = []
     for n in (32, 64, 128):
         dom = unit_box(2, n)
-        u = from_function(dom, lambda x, y: 4096 * (x * (1 - x) * y * (1 - y)) ** 3,
-                          ghost_width=4)
+        u = from_function(dom, lambda x, y: 4096 * (x * (1 - x) * y * (1 - y)) ** 3)
         pair = -inner(u, polyharmonic(u, 3))
         mismatches.append(abs(pair - seminorm(u, 3) ** 2))
     assert mismatches[0] / mismatches[1] > 1.6
@@ -435,14 +429,14 @@ def test_trace_of_hessian_telescopes_exactly():
     psi = bump_field(dom, (0.5, 0.5), 0.3, 1.0, 1)
     scale = np.max(np.abs(psi.values)) / dom.spacing[0] ** 2
     assert abs(integrate(sk_field(psi, 1))) < 1e-12 * scale
-    assert np.all(polyharmonic(zeros(dom, 4), 2).values == 0.0)
+    assert np.all(polyharmonic(zeros(dom), 2).values == 0.0)
 
 
 def test_invert_polyharmonic_roundtrip():
     rng = np.random.default_rng(24)
     dom = unit_box(2, 32)
     for alpha in (2, 3):
-        u = random_smooth_field(dom, rng, ghost_width=4)
+        u = random_smooth_field(dom, rng)
         back = polyharmonic(invert_polyharmonic(u, alpha), alpha)
         sign = (-1.0) ** alpha
         err = np.max(np.abs(sign * back.values - u.values))
@@ -453,26 +447,77 @@ def test_invert_polyharmonic_roundtrip():
 def test_field_dump_roundtrip(tmp_path):
     rng = np.random.default_rng(25)
     dom = BoxDomain(nodes=(12, 20), extent=(1.0, 2.0))
-    u = random_smooth_field(dom, rng, ghost_width=3)
+    u = random_smooth_field(dom, rng)
     dump_field(u, tmp_path / "field")
     v = load_field(tmp_path / "field")
     assert v.domain == dom
-    assert v.ghost_width == 3
     assert np.array_equal(v.values, u.values)
 
 
-def test_field_arithmetic_and_ghost_combination():
+_SIDECAR_KEYS = {"dim", "nodes", "extent", "spacing", "order", "dtype"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda dim: st.tuples(
+           st.lists(st.integers(8, 20), min_size=dim, max_size=dim),
+           st.lists(st.floats(0.5, 3.0, exclude_min=True, exclude_max=True),
+                    min_size=dim, max_size=dim))),
+       st.integers(0, 2**32 - 1))
+def test_field_dump_roundtrip_property(box, seed):
+    """dump_field then load_field gives the same domain and the same bits."""
+    nodes, extent = box
+    dom = BoxDomain(nodes=nodes, extent=extent)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(dom.nodes) * 10.0 ** rng.integers(-300, 300, size=dom.nodes)
+    vals.flat[0] = -0.0
+    u = ScalarField(dom, vals)
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, meta = dump_field(u, Path(tmp) / "field")
+        assert set(json.loads(meta.read_text())) == _SIDECAR_KEYS
+        v = load_field(raw)
+    assert v.domain == dom
+    assert v.values.tobytes() == u.values.tobytes()
+
+
+def test_field_dump_with_legacy_ghost_width_key_loads(tmp_path):
+    """Sidecars once carried a ghost_width key; it is ignored on load."""
+    u = random_smooth_field(BoxDomain(nodes=(12, 9, 10), extent=(1.0, 2.0, 0.7)),
+                            np.random.default_rng(26))
+    raw, meta = dump_field(u, tmp_path / "field")
+    header = json.loads(meta.read_text())
+    header["ghost_width"] = 2
+    meta.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    v = load_field(raw)
+    assert v.domain == u.domain
+    assert v.values.tobytes() == u.values.tobytes()
+
+
+@pytest.mark.xfail(strict=True, reason="operator carries Navier, not clamped, conditions")
+def test_biharmonic_lowest_eigenvalue_is_the_clamped_plates():
+    """The clamped plate's lowest eigenvalue on the unit square is about
+    1294.93; the hinged (Navier) plate's is (2 pi^2)^2 = 389.64.  The
+    assembled alpha = 2 operator gives about 388 at n = 24; a first-order
+    clamped scheme would give about 1100."""
+    dom = unit_box(2, 24)
+    m = math.prod(dom.nodes)
+    mat = np.empty((m, m))
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = 1.0
+        mat[:, j] = polyharmonic(ScalarField(dom, e.reshape(dom.nodes)), 2).values.ravel()
+    assert np.linalg.eigvalsh(mat)[0] > 0.75 * 1294.93
+
+
+def test_field_arithmetic():
     dom = unit_box(2, 16)
-    a = zeros(dom, 4)
-    b = from_function(dom, lambda x, y: x, ghost_width=2)
-    assert (a + b).ghost_width == 2
-    assert (2.0 * b).ghost_width == 2
+    a = zeros(dom)
+    b = from_function(dom, lambda x, y: x)
     assert np.allclose((b - b).values, 0.0)
     with pytest.raises(ValueError):
-        _ = a + zeros(unit_box(2, 24), 4)
+        _ = a + zeros(unit_box(2, 24))
 
 
 def test_l2_norm_and_seminorm_basics():
     dom = unit_box(2, 16)
     assert l2_norm(zeros(dom)) == 0.0
-    assert seminorm(zeros(dom, 2), 2) == 0.0
+    assert seminorm(zeros(dom), 2) == 0.0

@@ -38,13 +38,13 @@ def case_path(dim, n, k, form, points=6):
     dom = unit_box(dim, n)
     s = make_setting(ProblemParams(dim, k), 0.05, constant_datum(dom), form=form)
     rng = np.random.default_rng(100 * dim + 10 * k + (form is Form.WEAK))
-    rows = [random_smooth_field(dom, rng, amplitude=rng.uniform(0.2, 4.0),
-                                ghost_width=s.alpha).values for _ in range(points)]
+    rows = [random_smooth_field(dom, rng, amplitude=rng.uniform(0.2, 4.0)).values
+            for _ in range(points)]
     return s, np.stack(rows)
 
 
 def wrap(s, row):
-    return ScalarField(s.f.domain, row, s.alpha)
+    return ScalarField(s.f.domain, row)
 
 
 def segments(s, path):

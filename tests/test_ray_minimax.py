@@ -39,8 +39,8 @@ def case_ray(dim, n, k, form):
     dom = unit_box(dim, n)
     s = make_setting(ProblemParams(dim, k), 0.05, constant_datum(dom), form=form)
     rng = np.random.default_rng(100 * dim + 10 * k + (form is Form.WEAK))
-    base = random_smooth_field(dom, rng, amplitude=0.2, ghost_width=s.alpha)
-    v = random_smooth_field(dom, rng, amplitude=rng.uniform(1.0, 4.0), ghost_width=s.alpha)
+    base = random_smooth_field(dom, rng, amplitude=0.2)
+    v = random_smooth_field(dom, rng, amplitude=rng.uniform(1.0, 4.0))
     return s, base, v
 
 

@@ -17,7 +17,6 @@ from polyhess import (
     NonconvergenceError,
     ProblemParams,
     PSRecord,
-    ScalarField,
     SolverConfig,
     ball_uniqueness_probe,
     continuation_in_lambda,
@@ -93,7 +92,7 @@ def test_minimize_local_trivial_at_lambda_zero():
     s = flagship_setting(32, lam=0.0)
     cfg = SolverConfig(seed=0)
     cutoff = CutoffSpec(1e-6, 2e-6)
-    u, rec = minimize_local(s, zeros(s.f.domain, 2), cfg, cutoff)
+    u, rec = minimize_local(s, zeros(s.f.domain), cfg, cutoff)
     assert np.all(u.values == 0.0)
     assert len(rec) == 1
     assert rec.residual_norm[0] == 0.0
@@ -122,7 +121,7 @@ def test_minimize_local_non_monotone_step_raises(run32, monkeypatch):
     monkeypatch.setattr(solvers, "evaluate_H", lambda u, s, c: next(energies, 1.0))
     monkeypatch.setattr(solvers, "inner", lambda a, b: -1e12)
     with pytest.raises(NonconvergenceError, match=r"0\.0 to 1\.0") as info:
-        minimize_local(s, zeros(s.f.domain, 2), SolverConfig(seed=0), cutoff)
+        minimize_local(s, zeros(s.f.domain), SolverConfig(seed=0), cutoff)
     assert len(info.value.record) == 1
 
 
@@ -159,7 +158,7 @@ def test_weak_pair_validates_against_pairing(run64_weak):
     assert abs(l2_norm(g) - p.residual_star) <= 1e-12
     rng = np.random.default_rng(50)
     for _ in range(20):
-        w = random_smooth_field(s.f.domain, rng, ghost_width=2)
+        w = random_smooth_field(s.f.domain, rng)
         lhs = residual_weak_pairing(p.u_star, w, s)
         assert abs(lhs - inner(g, w)) <= 1e-12 * max(abs(lhs), 1.0)
 
@@ -213,21 +212,13 @@ def test_mountain_pass_far_endpoint_precondition(run32):
         mountain_pass(s, u_m, bad_far, cfg)
 
 
-def test_mountain_pass_ghost_width_precondition(run32):
-    s = flagship_setting(32)
-    far = 100.0 * run32.witnesses.psi
-    thin = ScalarField(s.f.domain, run32.pair.u_m.values, 1)
-    with pytest.raises(ContractError, match="order alpha"):
-        mountain_pass(s, thin, far, SolverConfig(seed=0))
-
-
 def test_newton_refine_records_each_accepted_iterate_once(run32):
     """The caller records the start point; the refinement appends one row
     per accepted iterate, never the start point again."""
     s = flagship_setting(32)
     cfg = SolverConfig(seed=0)
     rng = np.random.default_rng(51)
-    u = run32.pair.u_star + 1e-3 * random_smooth_field(s.f.domain, rng, ghost_width=2)
+    u = run32.pair.u_star + 1e-3 * random_smooth_field(s.f.domain, rng)
     r = residual_strong(u, s)
     rn = l2_norm(r)
     rec = PSRecord()
@@ -266,7 +257,7 @@ def test_odd_alpha_pair():
     # N = k = 3 selects alpha = 3; the Delta^3 evaluation floor at n = 16 is
     # ~ eps * |u| * (6/h^2)^3 ~ 5e-6, so the tolerance sits just above it
     dom = unit_box(3, 16)
-    s = make_setting(ProblemParams(3, 3), 0.02, constant_datum(dom, ghost_width=3))
+    s = make_setting(ProblemParams(3, 3), 0.02, constant_datum(dom))
     assert s.alpha == 3
     p = two_solutions(s, SolverConfig(seed=0, grad_tol=2e-5))
     assert p.residual_m <= 2e-5 and p.residual_star <= 2e-5
@@ -350,14 +341,14 @@ def test_weak_two_solutions_guards():
 def test_capability_rejection_high_dimension():
     # N = 5 problem on a 2-D surrogate grid is refused outright
     dom = unit_box(2, 32)
-    s5 = make_setting(ProblemParams(5, 2), 0.05, constant_datum(dom, ghost_width=3),
+    s5 = make_setting(ProblemParams(5, 2), 0.05, constant_datum(dom),
                       form=Form.WEAK)
     assert s5.alpha == 3
     with pytest.raises(CapabilityError):
         two_solutions(s5, SolverConfig(seed=0))
     with pytest.raises(CapabilityError):
         two_solutions(make_setting(ProblemParams(5, 2), 0.05,
-                                   constant_datum(dom, ghost_width=3)),
+                                   constant_datum(dom)),
                       SolverConfig(seed=0))
 
 
@@ -386,6 +377,6 @@ def test_nonconvergence_carries_record():
     geom = minorant_geometry(fit)
     cutoff = CutoffSpec(geom.R0, geom.R1)
     with pytest.raises(NonconvergenceError) as err:
-        minimize_local(s, zeros(s.f.domain, 2), cfg, cutoff)
+        minimize_local(s, zeros(s.f.domain), cfg, cutoff)
     assert err.value.record is not None
     assert len(err.value.record) >= 1
