@@ -40,7 +40,14 @@ bit-identical values.
 The grid is a tensor product, so the discrete Dirichlet Laplacian is
 diagonal in the sine basis; ``invert_polyharmonic`` exploits this to apply
 the exact inverse of (-Delta)^alpha with a pair of DSTs.  This is the
-"diagonal polyharmonic preconditioner" used by the solvers.
+"diagonal polyharmonic preconditioner" used by the solvers.  The
+orthonormal type-I DST is its own inverse; ``_dst1`` computes it with numpy
+alone, one axis at a time, as the imaginary part of a real FFT of the odd
+extension [0, x, 0, -reverse(x)] of length 2(n+1) (the classical reduction
+of a sine transform to an FFT; see e.g. Press et al., *Numerical Recipes*,
+section 12.3).  It performs, operation for operation, what pocketfft's
+``T_dst1`` does inside ``scipy.fft.dstn(..., type=1, norm="ortho")``, so its
+output matches that of scipy bit for bit (the tests compare the two).
 
 For even alpha the seminorm built from ``half_order`` satisfies
 seminorm(u)^2 == integrate(u * (-1)^alpha * polyharmonic(u, alpha)) exactly
@@ -63,7 +70,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from .hessian_algebra import entry_pairs, sk_of_entries, stack_of_entries
 
@@ -409,18 +415,45 @@ def random_smooth_field(domain: BoxDomain, rng: np.random.Generator,
     return ScalarField(domain, vals)
 
 
+def _dst1(values: np.ndarray) -> np.ndarray:
+    """Orthonormal type-I DST over every axis of ``values``, its own inverse.
+
+    Along each axis a in turn, the n_a values x of a line are transformed as
+    -Im rfft([0, x, 0, -reverse(x)])[1:n_a + 1]; the orthonormal scale
+    1/sqrt(prod 2(n_a + 1)), rounded once from long double, is applied on
+    the first axis only.  Those are pocketfft's steps (``T_dst1`` under
+    ``general_nd``), which is why the result equals scipy's ``dstn`` and
+    ``idstn(type=1, norm="ortho")`` bit for bit.  Each pass works along the
+    native axis: the extension is filled by slab assignments and the FFT
+    runs with ``axis=a``, with no transposes or flipped copies.
+    """
+    total = np.longdouble(math.prod(2 * (n + 1) for n in values.shape))
+    scale = float(np.longdouble(1) / np.sqrt(total))
+    x = values
+    for a, n in enumerate(values.shape):
+        lead = (slice(None),) * a
+        ext = np.empty(x.shape[:a] + (2 * (n + 1),) + x.shape[a + 1:])
+        ext[lead + (0,)] = 0.0
+        ext[lead + (n + 1,)] = 0.0
+        ext[lead + (slice(1, n + 1),)] = x
+        np.negative(x[lead + (slice(None, None, -1),)], out=ext[lead + (slice(n + 2, None),)])
+        spectrum = np.fft.rfft(ext, axis=a)
+        x = np.multiply(spectrum.imag[lead + (slice(1, n + 1),)], -scale if a == 0 else -1.0)
+    return x
+
+
 def invert_polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
     """Exact inverse of the discrete (-Delta)^alpha with zero extension.
 
-    Diagonalizes the operator with a type-I DST per axis and divides by the
-    symbol; applying (-1)^alpha * polyharmonic to the result reproduces the
-    input to roundoff.
+    Diagonalizes the operator with a type-I DST per axis (``_dst1``) and
+    divides by the symbol; applying (-1)^alpha * polyharmonic to the result
+    reproduces the input to roundoff.
     """
     _check_order(alpha)
     sym = u.domain.sine_symbol ** alpha
-    coeffs = dstn(u.values, type=1, norm="ortho")
+    coeffs = _dst1(u.values)
     coeffs /= sym
-    vals = idstn(coeffs, type=1, norm="ortho")
+    vals = _dst1(coeffs)
     return ScalarField(u.domain, vals)
 
 

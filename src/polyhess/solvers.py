@@ -36,6 +36,14 @@ Action, ray values, residual and the Newton Jacobian action of the
 setting's form come from ``energy`` (``action``, ``ray_actions``,
 ``residual``, ``residual_jacobian``).
 
+Krylov solver.  Each Newton step solves the preconditioned Jacobian system
+with ``gmres``, restarted GMRES (Saad and Schultz, SIAM J. Sci. Stat.
+Comput. 7:856, 1986) written here on numpy: modified Gram-Schmidt Arnoldi
+and Givens rotations from ``_lartg``, LAPACK's safe-scaling ``dlartg``.  It
+performs scipy's ``sparse.linalg.gmres`` operations in scipy's order, so
+the iterates, and every solver output, are those of the scipy path bit for
+bit.
+
 Determinism: all randomness flows from ``SolverConfig.seed`` through a
 single generator per call; identical configs and inputs reproduce outputs
 bit for bit.  A single solve is sequential; independent solves (probe
@@ -52,7 +60,6 @@ from typing import Optional
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .energy import (
     CutoffSpec,
@@ -256,6 +263,121 @@ def _ray_polynomial(ray, v: ScalarField, k: int) -> np.ndarray:
 _KRYLOV_RESTART = 40
 _KRYLOV_OUTER = 5
 
+_SAFMIN = float(np.finfo(float).tiny)
+_SAFMAX = 1.0 / _SAFMIN
+_RTMIN = math.sqrt(_SAFMIN)
+_RTMAX = math.sqrt(_SAFMAX / 2)
+
+
+def _lartg(f: float, g: float) -> tuple[float, float, float]:
+    """Plane rotation (c, s, r) with c f + s g = r and -s f + c g = 0.
+
+    LAPACK's ``dlartg`` as of 3.10 (safe scaling, Anderson, ACM TOMS
+    44:12, 2017): returns what it returns, bit for bit.
+    """
+    f1, g1 = abs(f), abs(g)
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), g1
+    if _RTMIN < f1 < _RTMAX and _RTMIN < g1 < _RTMAX:
+        d = math.sqrt(f * f + g * g)
+        r = math.copysign(d, f)
+        return f1 / d, g / r, r
+    u = min(_SAFMAX, max(_SAFMIN, f1, g1))
+    fs, gs = f / u, g / u
+    d = math.sqrt(fs * fs + gs * gs)
+    r = math.copysign(d, f)
+    return abs(fs) / d, gs / r, r * u
+
+
+def gmres(matvec, b: np.ndarray, rtol: float, restart: int, maxiter: int) -> np.ndarray:
+    """Restarted GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7:856,
+    1986) for A x = b from x0 = 0, with ``matvec(v)`` returning A v as a new
+    array; stops once |b - A x| <= rtol |b|.
+
+    Modified Gram-Schmidt Arnoldi, Givens rotations, at most ``restart``
+    inner steps per cycle and ``maxiter`` cycles.  The inner tolerance ptol
+    adapts between cycles to the ratio of the true residual to the
+    rotated-system estimate.  An exact solution of the Krylov problem (a
+    breakdown) ends the solve.  This is scipy's ``sparse.linalg.gmres``
+    (1.12 and later) step for step for that case (no preconditioner,
+    atol = 0), so its iterates match scipy's bit for bit; the tests compare
+    the two.
+    """
+    n = len(b)
+    x = np.zeros(n)
+    bnrm2 = np.linalg.norm(b)
+    atol = rtol * float(bnrm2)
+    if bnrm2 == 0:
+        return b.copy()
+    eps = np.finfo(float).eps
+    restart = min(restart, n)
+    if bnrm2 < atol:
+        return x
+    ptol_max_factor = 1.0
+    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))
+    givens = np.zeros((restart, 2))
+    r = b
+    for _ in range(maxiter):
+        v[0] = r
+        tmp = np.linalg.norm(v[0])
+        v[0] *= 1 / tmp
+        S = np.zeros(restart + 1)
+        S[0] = tmp
+        breakdown = False
+        for col in range(restart):
+            w = matvec(v[col])
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                tmp = np.dot(v[k], w)
+                h[col, k] = tmp
+                w -= tmp * v[k]
+            h1 = np.linalg.norm(w)
+            h[col, col + 1] = h1
+            v[col + 1] = w
+            if h1 <= eps * h0:
+                h[col, col + 1] = 0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+            for k in range(col):
+                c, s = givens[k]
+                n0, n1 = h[col, [k, k + 1]]
+                h[col, [k, k + 1]] = [c * n0 + s * n1, -s * n0 + c * n1]
+            c, s, mag = _lartg(h[col, col], h[col, col + 1])
+            givens[col] = c, s
+            h[col, [col, col + 1]] = mag, 0
+            tmp = -s * S[col]
+            S[[col, col + 1]] = [c * S[col], tmp]
+            presid = abs(tmp)
+            if presid <= ptol or breakdown:
+                break
+        # Back substitution on the triangular h, with a zero pivot read as
+        # a zero component (a pseudo-solve of the singular case).
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x
+
 
 def _newton_steps(u: ScalarField, r: ScalarField, s: EnergySetting):
     """Inexact Newton steps at ``u``, one per ``_KRYLOV_RTOLS`` entry, each
@@ -263,26 +385,32 @@ def _newton_steps(u: ScalarField, r: ScalarField, s: EnergySetting):
 
     The Jacobian action of the setting's residual comes from
     ``energy.residual_jacobian``.  The preconditioned system is built once,
-    on the first step; each step runs restarted GMRES on it.
+    on the first step; each step runs restarted GMRES on it from x0 = 0.  A
+    sharper solve of the same system repeats the first Arnoldi cycle of the
+    one before it, bit for bit, until the looser tolerance would have
+    stopped it, so the operator's images are kept (keyed by the exact bytes
+    of the Krylov vector, at most one restart cycle's worth) and reused.
     """
     dom = u.domain
     shape = dom.nodes
     m = int(np.prod(shape))
     alpha = s.alpha
     jac = residual_jacobian(u, s)
+    images = {}
 
     def matvec(vflat: np.ndarray) -> np.ndarray:
+        key = vflat.tobytes()
+        if key in images:
+            return images[key].copy()  # gmres updates its image in place
         jv = jac(vflat.reshape(shape))
-        pre = invert_polyharmonic(ScalarField(dom, jv), alpha)
-        return pre.values.reshape(m)
+        image = invert_polyharmonic(ScalarField(dom, jv), alpha).values.reshape(m)
+        if len(images) <= _KRYLOV_RESTART:
+            images[key] = image.copy()
+        return image
 
-    op = LinearOperator((m, m), matvec=matvec, dtype=float)
     rhs = -invert_polyharmonic(r, s.alpha).values.reshape(m)
     for rtol in _KRYLOV_RTOLS:
-        x, info = gmres(op, rhs, rtol=rtol, atol=0.0,
-                        restart=_KRYLOV_RESTART, maxiter=_KRYLOV_OUTER)
-        if info < 0:
-            raise NonconvergenceError("Krylov solve broke down inside Newton")
+        x = gmres(matvec, rhs, rtol, _KRYLOV_RESTART, _KRYLOV_OUTER)
         yield ScalarField(dom, x.reshape(shape))
 
 

@@ -1,8 +1,12 @@
 """Config parsing, canonical round-trips, subcommands, artifacts, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,3 +536,56 @@ def test_config_boundary_rejects_or_builds_finite_setting(entries):
         return
     assert np.all(np.isfinite(s.f.values))
     assert all(math.isfinite(h) for h in s.f.domain.spacing)
+
+
+_RUN_INI = """\
+[problem]
+n = {dim}
+k = {k}
+form = {form}
+
+[domain]
+nodes = {nodes}
+
+[datum]
+kind = constant
+value = 1.0
+
+[lambda]
+value = {lam!r}
+schedule = {schedule}
+
+[solver]
+max_iters = {max_iters}
+seed = {seed}
+
+[output]
+directory = {out}
+dump_fields = false
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@given(command=st.sampled_from(["solve", "continuation"]),
+       dim_k=st.sampled_from([(2, 2), (3, 2), (3, 3)]),
+       nodes=st.integers(min_value=8, max_value=12),
+       form=st.sampled_from(["strong", "weak"]),
+       lam=st.one_of(st.sampled_from([0.0, 0.05]),
+                     st.floats(min_value=-0.5, max_value=1.0, allow_subnormal=False)),
+       max_iters=st.integers(min_value=1, max_value=400),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_whole_small_runs_keep_the_exit_code_contract(command, dim_k, nodes, form, lam,
+                                                      max_iters, seed):
+    # exit 0 converged, 2 config or capability error, 3 solve failed, 4 verify
+    # failed; anything else, or a traceback, breaks the command-line contract
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "run.cfg"
+        cfg_path.write_text(_RUN_INI.format(
+            dim=dim_k[0], k=dim_k[1], form=form, nodes=nodes, lam=lam,
+            schedule="0.0" if lam <= 0 else f"0.0 {lam!r}",
+            max_iters=max_iters, seed=seed, out=Path(tmp) / "out"))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(cfg_path)])
+    assert code in (0, 2, 3, 4)

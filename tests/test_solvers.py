@@ -17,6 +17,7 @@ from polyhess import (
     NonconvergenceError,
     ProblemParams,
     PSRecord,
+    ScalarField,
     SolverConfig,
     ball_uniqueness_probe,
     continuation_in_lambda,
@@ -227,6 +228,43 @@ def test_newton_refine_records_each_accepted_iterate_once(run32):
     assert len(rec) >= 1
     assert rec.residual_norm[-1] == rn_ref
     assert all(b < a for a, b in zip([rn] + rec.residual_norm, rec.residual_norm))
+
+
+def test_newton_retries_reuse_krylov_images_bit_for_bit(run32, monkeypatch):
+    """Each sharper GMRES solve of a Newton system gives the step a solve
+    from scratch gives, while the operator runs fewer times than GMRES asks
+    for its action: the images of the repeated first Arnoldi cycle are kept."""
+    s = flagship_setting(32)
+    u = run32.pair.u_star + 1e-3 * random_smooth_field(s.f.domain, np.random.default_rng(51))
+    r = residual_strong(u, s)
+    shape, m = u.domain.nodes, u.values.size
+    jac = solvers.residual_jacobian(u, s)
+
+    def plain(vflat):
+        plain.calls += 1
+        jv = jac(vflat.reshape(shape))
+        return solvers.invert_polyharmonic(ScalarField(u.domain, jv), s.alpha).values.reshape(m)
+
+    plain.calls = 0
+    rhs = -solvers.invert_polyharmonic(r, s.alpha).values.reshape(m)
+    expected = [solvers.gmres(plain, rhs, rtol, solvers._KRYLOV_RESTART, solvers._KRYLOV_OUTER)
+                for rtol in solvers._KRYLOV_RTOLS]
+
+    applied = []
+    residual_jacobian = solvers.residual_jacobian
+
+    def counted_jacobian(u, s):
+        action = residual_jacobian(u, s)
+
+        def counted(v):
+            applied.append(1)
+            return action(v)
+        return counted
+
+    monkeypatch.setattr(solvers, "residual_jacobian", counted_jacobian)
+    steps = list(solvers._newton_steps(u, r, s))
+    assert all(np.array_equal(step.values.reshape(m), x) for step, x in zip(steps, expected))
+    assert len(steps) == len(expected) and len(applied) < plain.calls
 
 
 def test_mountain_record_has_no_repeated_rows(run32, run64, run32_weak):
