@@ -74,7 +74,9 @@ from .energy import (
     Form,
     GeometryWitnesses,
     MinorantCoefficients,
+    MinorantFit,
     MinorantGeometry,
+    WitnessBasis,
     energy_report,
     evaluate_H,
     evaluate_J,
@@ -90,6 +92,7 @@ from .energy import (
     with_lambda,
 )
 from .solvers import (
+    Calibration,
     ContinuationRow,
     ContinuationTable,
     PSRecord,
@@ -98,6 +101,7 @@ from .solvers import (
     SolveRun,
     SolverConfig,
     ball_uniqueness_probe,
+    calibrate,
     continuation_in_lambda,
     minimize_local,
     mountain_pass,

@@ -69,6 +69,18 @@ its radii come from ``polynomial_peak`` and the roots of h(R)/R, and the
 datum witness is phi = sign(lambda) G f, G the sine-basis inverse of
 (-Delta)^alpha.
 
+Lambda enters the action only through the datum term lambda int f u, so the
+geometry is calibrated in two steps.  The lambda-free step does all the
+stencil work: ``fit_minorant`` reads each sample's seminorm r, int f u and
+nonlinear term (hence C2), and ``geometry_witnesses`` searches psi and
+computes G f, which also gives the sample family its +-G f anchors.  The
+lambda step is cheap: ``MinorantFit.coefficients`` forms C1 from
+lambda * int f u / r in the order a per-lambda fit used, so C1 and C2 are
+bit for bit those of fitting at that lambda, and ``WitnessBasis.witnesses``
+signs phi and checks lambda int f phi > 0.  A psi search that found no bump
+is kept as psi = None and raised by ``witnesses``, after the minorant's
+own checks, as when each lambda fitted its own.
+
 Form dispatch.  This module makes every strong-versus-weak choice:
 ``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
 ``ray_actions``, ``residual`` and ``residual_jacobian`` select the form's
@@ -199,19 +211,28 @@ def _images(u: ScalarField, s: EnergySetting, form: Form | None = None) -> tuple
 
 
 def _terms(images: tuple, s: EnergySetting) -> tuple[float, float, float]:
-    """(quadratic, datum, nonlinear) terms of J from ``_images`` output: the
-    pointwise nonlinear term without a gradient, the divergence form with one."""
-    u_vals, comps, ents, grads = images
-    k = s.params.k
+    """(quadratic, datum, nonlinear) terms of J from ``_images`` output."""
+    u_vals, comps, _, _ = images
     vol = s.f.domain.cell_volume
     quad = 0.5 * vol * float(np.vdot(comps, comps))
-    datum = s.lam * float(vol * np.vdot(s.f.values, u_vals))
+    return quad, s.lam * _datum_pairing(u_vals, s), _nonlinear(images, s)
+
+
+def _datum_pairing(u_vals: np.ndarray, s: EnergySetting) -> float:
+    """int f u, the datum term without its lambda."""
+    return float(s.f.domain.cell_volume * np.vdot(s.f.values, u_vals))
+
+
+def _nonlinear(images: tuple, s: EnergySetting) -> float:
+    """The nonlinear term of J from ``_images`` output: the pointwise form
+    without a gradient, the divergence form with one."""
+    u_vals, _, ents, grads = images
+    k = s.params.k
+    vol = s.f.domain.cell_volume
     if grads is None:
-        nl = _sign(k) / (k + 1) * float(vol * np.vdot(u_vals, sk_of_entries(ents, k)))
-    else:
-        # density sum_a F_a g_a, summed over the nodes
-        nl = -_sign(k) / ((k + 1) * k) * (vol * float(np.vdot(_flux_of(grads, ents, k), grads)))
-    return quad, datum, nl
+        return _sign(k) / (k + 1) * float(vol * np.vdot(u_vals, sk_of_entries(ents, k)))
+    # density sum_a F_a g_a, summed over the nodes
+    return -_sign(k) / ((k + 1) * k) * (vol * float(np.vdot(_flux_of(grads, ents, k), grads)))
 
 
 def _J_of(images: tuple, s: EnergySetting) -> float:
@@ -482,14 +503,15 @@ _FIT_MARGIN = 1.25
 _C_FLOOR = 1e-12
 
 
-def minorant_sample_family(s: EnergySetting, samples: int,
-                           rng: np.random.Generator) -> list[ScalarField]:
+def minorant_sample_family(s: EnergySetting, samples: int, rng: np.random.Generator,
+                           gf: ScalarField | None = None) -> list[ScalarField]:
     """Field family used to calibrate the minorant.
 
     Deterministic anchors (center bump of either sign, the polyharmonic
-    inverse of the datum) are always included so the constants that control
-    the inner ball are reproduced by every draw; the remainder are random
-    bumps, smooth fields, and pairwise combinations.
+    inverse G f of the datum, passed as ``gf`` or computed here) are always
+    included so the constants that control the inner ball are reproduced by
+    every draw; the remainder are random bumps, smooth fields, and pairwise
+    combinations.
     """
     dom = s.f.domain
     minext = min(dom.extent)
@@ -497,7 +519,7 @@ def minorant_sample_family(s: EnergySetting, samples: int,
     fam: list[ScalarField] = []
     for sign_exp in (s.params.k, s.params.k + 1):
         fam.append(bump_field(dom, center, 0.3 * minext, 1.0, sign_exp))
-    pf = invert_polyharmonic(s.f, s.alpha)
+    pf = invert_polyharmonic(s.f, s.alpha) if gf is None else gf
     top = float(np.max(np.abs(pf.values)))
     if top > 0:
         fam.append(pf * (1.0 / top))
@@ -521,36 +543,51 @@ def minorant_sample_family(s: EnergySetting, samples: int,
     return fam[:samples]
 
 
-def fit_minorant(s: EnergySetting, samples: int,
-                 rng: np.random.Generator) -> MinorantCoefficients:
+@dataclass(frozen=True)
+class MinorantFit:
+    """The lambda-free part of the minorant fit: C2, and for each usable
+    sample its datum pairing int f u and seminorm r, from which
+    ``coefficients`` forms C1 at any lambda."""
+
+    k: int
+    C2: float
+    datum_samples: tuple  # (int f u, r) per usable sample
+
+    def coefficients(self, lam: float) -> MinorantCoefficients:
+        c1 = 0.0
+        for fu, r in self.datum_samples:
+            c1 = max(c1, lam * fu / r)
+        c1 = max(_FIT_MARGIN * c1, _C_FLOOR * (1.0 + abs(lam)))
+        return MinorantCoefficients(C1=c1, C2=self.C2, k=self.k)
+
+
+def fit_minorant(s: EnergySetting, samples: int, rng: np.random.Generator,
+                 gf: ScalarField | None = None) -> MinorantFit:
     """Empirical minorant constants for the sampled family and all its scalings.
 
     Because the datum and nonlinear terms are homogeneous of degree 1 and
     k+1 in the field, requiring the bound along every ray through a sample
     splits exactly into the two termwise ratios maximized here; a fixed
-    margin then covers fresh draws from the same family.
+    margin then covers fresh draws from the same family.  The setting's
+    lambda is not read: ``MinorantFit.coefficients`` applies it.  ``gf``
+    is G f for the family's anchors (``minorant_sample_family``).
     """
     if samples < 10:
         raise ValueError("need at least 10 samples for the minorant fit")
     s.validate_grid()
     k = s.params.k
-    c1 = 0.0
     c2 = 0.0
-    usable = 0
-    for u in minorant_sample_family(s, samples, rng):
+    datum_samples = []
+    for u in minorant_sample_family(s, samples, rng, gf):
         images = _images(u, s)
         r = seminorm_of(images[1], u.domain)
         if r <= 0.0:
             continue
-        usable += 1
-        _, datum, nl = _terms(images, s)
-        c1 = max(c1, datum / r)
-        c2 = max(c2, nl / r ** (k + 1))
-    if usable < 10:
+        datum_samples.append((_datum_pairing(u.values, s), r))
+        c2 = max(c2, _nonlinear(images, s) / r ** (k + 1))
+    if len(datum_samples) < 10:
         raise FitError("minorant fit degenerate: fewer than 10 nonzero samples")
-    c1 = max(_FIT_MARGIN * c1, _C_FLOOR * (1.0 + abs(s.lam)))
-    c2 = max(_FIT_MARGIN * c2, _C_FLOOR)
-    return MinorantCoefficients(C1=c1, C2=c2, k=k)
+    return MinorantFit(k, max(_FIT_MARGIN * c2, _C_FLOOR), tuple(datum_samples))
 
 
 @dataclass(frozen=True)
@@ -564,8 +601,33 @@ class GeometryWitnesses:
     phi_trivial: bool
 
 
-def geometry_witnesses(s: EnergySetting) -> GeometryWitnesses:
-    """Construct and verify the witness fields.
+@dataclass(frozen=True)
+class WitnessBasis:
+    """The lambda-free part of the geometry witnesses: psi with its
+    nonlinear pairing (psi None when no bump verified), and G f, from which
+    ``witnesses`` forms phi at any lambda."""
+
+    psi: ScalarField | None
+    nonlinear_pairing: float
+    gf: ScalarField
+
+    def witnesses(self, s: EnergySetting) -> GeometryWitnesses:
+        """The witnesses at ``s.lam``; a ``GeometryError`` when psi or phi
+        does not verify."""
+        if self.psi is None:
+            raise GeometryError("no bump orientation/radius produced a positive nonlinear pairing")
+        if s.lam == 0.0:
+            return GeometryWitnesses(zeros(s.f.domain), self.psi, 0.0, self.nonlinear_pairing, True)
+        phi = self.gf * (1.0 if s.lam > 0 else -1.0)
+        val = s.lam * inner(s.f, phi)
+        if not val > 0.0:
+            raise GeometryError("lambda * int f phi is not positive: the datum is zero "
+                                "(or too small to pair with lambda), so no datum witness exists")
+        return GeometryWitnesses(phi, self.psi, val, self.nonlinear_pairing, False)
+
+
+def geometry_witnesses(s: EnergySetting) -> WitnessBasis:
+    """Search psi and compute G f; ``WitnessBasis.witnesses`` verifies them at a lambda.
 
     psi is the compact radial bump with the sign flip that makes
     (-1)^k int psi S_k[psi] positive; phi is the polyharmonic inverse G f of
@@ -583,8 +645,6 @@ def geometry_witnesses(s: EnergySetting) -> GeometryWitnesses:
     # positive, so the radial computation gives int psi S_k[psi] > 0 there).
     # psi's support keeps at least alpha nodes clear of every wall: a radius
     # that leaves fewer is skipped.
-    psi = None
-    psi_pairing = 0.0
     for frac in (0.3, 0.25, 0.35, 0.2, 0.4):
         r = frac * minext
         if min(min(c - r, e - (c + r)) / h
@@ -594,21 +654,8 @@ def geometry_witnesses(s: EnergySetting) -> GeometryWitnesses:
             cand = bump_field(dom, center, r, 1.0, sign_exp)
             val = _sign(k) * inner(cand, sk_field(cand, k))
             if val > 0.0:
-                psi, psi_pairing = cand, val
-                break
-        if psi is not None:
-            break
-    if psi is None:
-        raise GeometryError("no bump orientation/radius produced a positive nonlinear pairing")
-
-    if s.lam == 0.0:
-        return GeometryWitnesses(zeros(dom), psi, 0.0, psi_pairing, True)
-    phi = invert_polyharmonic(s.f, s.alpha) * (1.0 if s.lam > 0 else -1.0)
-    val = s.lam * inner(s.f, phi)
-    if not val > 0.0:
-        raise GeometryError("lambda * int f phi is not positive: the datum is zero "
-                            "(or too small to pair with lambda), so no datum witness exists")
-    return GeometryWitnesses(phi, psi, val, psi_pairing, False)
+                return WitnessBasis(cand, val, invert_polyharmonic(s.f, s.alpha))
+    return WitnessBasis(None, 0.0, invert_polyharmonic(s.f, s.alpha))
 
 
 def make_setting(params: ProblemParams, lam: float, f: ScalarField,

@@ -46,9 +46,13 @@ bit.
 
 Determinism: all randomness flows from ``SolverConfig.seed`` through a
 single generator per call; identical configs and inputs reproduce outputs
-bit for bit.  A single solve is sequential; independent solves (probe
-trials, continuation rows run without warm starts) own their fields and
-generators and may run concurrently.
+bit for bit.  Only the minorant fit draws from the generator of a solve
+(``calibrate``).  Continuation rows share one read-only ``Calibration``,
+built once from a fresh generator, so every row sees the sample family a
+solve of its own would draw.  A single solve is sequential; independent
+solves (probe trials, continuation rows run without warm starts) own their
+fields and generators, only read a shared calibration, and may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -66,7 +70,9 @@ from .energy import (
     EnergySetting,
     GeometryWitnesses,
     MinorantCoefficients,
+    MinorantFit,
     MinorantGeometry,
+    WitnessBasis,
     action,
     energy_report,
     evaluate_H,
@@ -432,16 +438,26 @@ def _newton_refine(u: ScalarField, r: ScalarField, rn: float, s: EnergySetting,
     Returns (last iterate, its residual norm, reached_tolerance).  Acceptance
     demands a strict residual-norm decrease, so the refinement never runs
     away from the starting basin; the accepted candidate's residual, already
-    computed by the line search, starts the next iteration.
+    computed by the line search, starts the next iteration.  Trials whose
+    rejection is already known are not evaluated: a candidate equal to ``u``
+    (its residual norm is ``rn``), and every trial of a sharper step equal
+    to the one before it.
     """
     for _ in range(min(_NEWTON_MAX, cfg.max_iters - len(rec))):
         if rn <= cfg.grad_tol:
             return u, rn, True
         stepped = False
+        prev = None
         for delta in _newton_steps(u, r, s):
+            if prev is not None and np.array_equal(delta.values, prev.values):
+                continue
+            prev = delta
             t = 1.0
             for _ in range(10):
                 cand = u + t * delta
+                if np.array_equal(cand.values, u.values):
+                    t *= 0.5
+                    continue
                 r_cand = residual(cand, s)
                 rn_cand = l2_norm(r_cand)
                 if rn_cand < rn:
@@ -528,15 +544,39 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
     raise NonconvergenceError("mountain pass exhausted its iteration budget", rec)
 
 
+@dataclass(frozen=True)
+class Calibration:
+    """The lambda-free part of a solve's geometry: the minorant fit's
+    samples and the witness fields.  Every setting that differs only in
+    lambda shares one; it is read, never written."""
+
+    fit: MinorantFit
+    basis: WitnessBasis
+
+
+def calibrate(s: EnergySetting, cfg: SolverConfig) -> Calibration:
+    """The calibration of ``s`` (its lambda is not read), with the minorant
+    samples drawn from a fresh ``default_rng(cfg.seed)``."""
+    basis = geometry_witnesses(s)
+    fit = fit_minorant(s, _FIT_SAMPLES, np.random.default_rng(cfg.seed), basis.gf)
+    return Calibration(fit, basis)
+
+
 def solve_run(s: EnergySetting, cfg: SolverConfig,
-              warm: Optional[SolutionPair] = None) -> SolveRun:
-    """Full orchestration: minorant fit, witnesses, descent, far scan, minimax."""
+              warm: Optional[SolutionPair] = None,
+              calibration: Optional[Calibration] = None) -> SolveRun:
+    """Full orchestration: minorant fit, witnesses, descent, far scan, minimax.
+
+    ``calibration`` is ``calibrate(s, cfg)`` (computed here when omitted)
+    or that of a setting differing from ``s`` only in lambda.
+    """
     s.validate_grid()
-    rng = np.random.default_rng(cfg.seed)
-    fit = fit_minorant(s, _FIT_SAMPLES, rng)
+    if calibration is None:
+        calibration = calibrate(s, cfg)
+    fit = calibration.fit.coefficients(s.lam)
     geom = minorant_geometry(fit)
     cutoff = CutoffSpec(geom.R0, geom.R1)
-    wit = geometry_witnesses(s)
+    wit = calibration.basis.witnesses(s)
     alpha = s.alpha
     dom = s.f.domain
 
@@ -612,8 +652,7 @@ def ball_uniqueness_probe(s: EnergySetting, cfg: SolverConfig,
         raise ValueError("need at least 5 trials")
     s.validate_grid()
     rng = np.random.default_rng(cfg.seed)
-    fit = fit_minorant(s, _FIT_SAMPLES, rng)
-    geom = minorant_geometry(fit)
+    geom = minorant_geometry(fit_minorant(s, _FIT_SAMPLES, rng).coefficients(s.lam))
     cutoff = CutoffSpec(geom.R0, geom.R1)
     alpha = s.alpha
     dom = s.f.domain
@@ -668,6 +707,10 @@ class ContinuationTable:
         return best
 
 
+def _failed_row(lam: float, exc: PolyhessError) -> ContinuationRow:
+    return ContinuationRow(lam, float("nan"), float("nan"), float("nan"), False, str(exc))
+
+
 def check_lambda_schedule(lambdas) -> list:
     """The schedule as floats; ValueError unless it starts at 0 and increases strictly."""
     lams = [float(x) for x in lambdas]
@@ -680,19 +723,23 @@ def check_lambda_schedule(lambdas) -> list:
 
 def continuation_in_lambda(s: EnergySetting, lambdas, cfg: SolverConfig) -> ContinuationTable:
     """Run the two-solution orchestration along an increasing lambda schedule,
-    warm-starting each row from the previous pair; failures are recorded per
-    row, never raised."""
+    warm-starting each row from the previous pair; every row shares one
+    calibration.  Failures are recorded per row, never raised; a failed
+    calibration fails every row with its reason."""
     lams = check_lambda_schedule(lambdas)
+    try:
+        cal = calibrate(s, cfg)
+    except PolyhessError as exc:
+        return ContinuationTable([_failed_row(lam, exc) for lam in lams])
     rows = []
     warm = None
     for lam in lams:
         s_i = with_lambda(s, lam)
         try:
-            run = solve_run(s_i, cfg, warm=warm)
+            run = solve_run(s_i, cfg, warm=warm, calibration=cal)
             p = run.pair
             rows.append(ContinuationRow(lam, p.J_m, p.J_star, p.sep, True))
             warm = p
         except PolyhessError as exc:
-            rows.append(ContinuationRow(lam, float("nan"), float("nan"),
-                                        float("nan"), False, str(exc)))
+            rows.append(_failed_row(lam, exc))
     return ContinuationTable(rows)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from polyhess import solvers
 from polyhess import (
-    CapabilityError, ConfigError, dump_field, load_field, random_smooth_field, unit_box,
+    CapabilityError, ConfigError, FitError, dump_field, load_field, random_smooth_field, unit_box,
 )
 from polyhess.cli import (
     _SCHEMA,
@@ -414,6 +414,24 @@ def test_continuation_rows_record_why_they_failed(tmp_path, capsys):
         assert f"lambda={row['lambda']!r} failed: {row['reason']}" in err
     header = (out / "continuation.csv").read_text().splitlines()[0]
     assert header == "lambda,J_m,J_star,sep,converged"
+
+
+def test_failed_calibration_fails_every_row_and_exits_3(tmp_path, capsys, monkeypatch):
+    reason = "minorant fit degenerate: fewer than 10 nonzero samples"
+
+    def degenerate(*args, **kwargs):
+        raise FitError(reason)
+
+    monkeypatch.setattr(solvers, "fit_minorant", degenerate)
+    out = tmp_path / "out"
+    assert main(["continuation", "--config", str(write_cfg(tmp_path))]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    table = json.loads((out / "run.json").read_text())["results"]["table"]
+    assert [row["lambda"] for row in table] == [0.0, 0.05]
+    for row in table:
+        assert not row["converged"] and row["reason"] == reason
+        assert f"lambda={row['lambda']!r} failed: {reason}" in err
 
 
 @pytest.mark.parametrize("value", ["5e-324", "1e-300"])

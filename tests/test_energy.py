@@ -209,8 +209,7 @@ def test_nonlinear_term_homogeneity(s64, s64w):
 
 def test_J_scan_in_t_lambda_zero():
     s0 = flagship_setting(64, lam=0.0)
-    wit = geometry_witnesses(s0)
-    psi = wit.psi
+    psi = geometry_witnesses(s0).psi
     # sign flip under doubling (frozen from the first successful run)
     t = 1.0
     while evaluate_J(t * psi, s0) >= 0.0:
@@ -327,22 +326,21 @@ def test_fit_minorant_properties(s64):
     rng = np.random.default_rng(40)
     with pytest.raises(ValueError):
         fit_minorant(s64, 5, rng)
-    fit = fit_minorant(s64, 24, np.random.default_rng(40))
+    fit = fit_minorant(s64, 24, np.random.default_rng(40)).coefficients(s64.lam)
     assert fit.C1 > 0 and fit.C2 > 0
     # lambda = 0 family: no datum term, C1 collapses to the positivity floor
     s0 = flagship_setting(64, lam=0.0)
-    fit0 = fit_minorant(s0, 24, np.random.default_rng(40))
+    fit0 = fit_minorant(s0, 24, np.random.default_rng(40)).coefficients(s0.lam)
     assert fit0.C1 <= 1e-11
     # doubling lambda doubles C1 (same seeded family)
     s2 = flagship_setting(64, lam=0.1)
-    fit2 = fit_minorant(s2, 24, np.random.default_rng(40))
+    fit2 = fit_minorant(s2, 24, np.random.default_rng(40)).coefficients(s2.lam)
     assert fit2.C1 == pytest.approx(2.0 * fit.C1, rel=1e-12)
     assert fit2.C2 == pytest.approx(fit.C2, rel=1e-12)
 
 
 def test_fit_minorant_verification_on_fresh_samples(s64):
-    fit = fit_minorant(s64, 32, np.random.default_rng(41))
-    m = fit
+    m = fit_minorant(s64, 32, np.random.default_rng(41)).coefficients(s64.lam)
     fresh = minorant_sample_family(s64, 32, np.random.default_rng(97))
     for u in fresh:
         r = seminorm(u, s64.alpha)
@@ -357,7 +355,7 @@ def test_truncation_confines_negative_levels(s64):
     # discrete restatement of the confinement property: whenever the fitted
     # minorant certifies h >= 0 on [R0, R1], a negative truncated level
     # forces the seminorm inside the R0 ball
-    fit = fit_minorant(s64, 24, np.random.default_rng(42))
+    fit = fit_minorant(s64, 24, np.random.default_rng(42)).coefficients(s64.lam)
     geom = minorant_geometry(fit)
     c = CutoffSpec(geom.R0, geom.R1)
     assert radial_minorant(geom.R0, fit) == pytest.approx(0.0, abs=1e-9)
@@ -382,7 +380,7 @@ def test_small_ball_nonnegative_at_lambda_zero():
 def test_geometry_witnesses_all_cases():
     # flagship 2-D even k
     s = flagship_setting(64)
-    wit = geometry_witnesses(s)
+    wit = geometry_witnesses(s).witnesses(s)
     assert wit.datum_pairing > 0.0
     assert wit.nonlinear_pairing > 0.0
     assert not wit.phi_trivial
@@ -392,22 +390,22 @@ def test_geometry_witnesses_all_cases():
     assert inner(wit.psi, sk_field(wit.psi, 2)) > 0.0  # (-1)^2 = +1
     # negative lambda flips phi's sign but keeps the pairing positive
     sm = flagship_setting(64, lam=-0.05)
-    witm = geometry_witnesses(sm)
+    witm = geometry_witnesses(sm).witnesses(sm)
     assert witm.datum_pairing > 0.0
     # lambda = 0 returns the flagged trivial phi
     s0 = flagship_setting(64, lam=0.0)
-    wit0 = geometry_witnesses(s0)
+    wit0 = geometry_witnesses(s0).witnesses(s0)
     assert wit0.phi_trivial
     assert np.all(wit0.phi.values == 0.0)
     assert wit0.nonlinear_pairing > 0.0
     # a zero datum at nonzero lambda has no datum witness
     sz = make_setting(ProblemParams(2, 2), 0.05, zeros(s.f.domain))
     with pytest.raises(GeometryError, match="datum"):
-        geometry_witnesses(sz)
+        geometry_witnesses(sz).witnesses(sz)
     # odd k in 3-D
     dom3 = unit_box(3, 16)
     s3 = make_setting(ProblemParams(3, 3), 0.05, constant_datum(dom3))
-    wit3 = geometry_witnesses(s3)
+    wit3 = geometry_witnesses(s3).witnesses(s3)
     assert wit3.nonlinear_pairing > 0.0
 
 

@@ -5,7 +5,9 @@ asserted with loose relative tolerances (1e-3) so legitimate BLAS spread
 cannot trip them while genuine regressions do.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,12 +37,15 @@ from polyhess import (
     seminorm,
     two_solutions,
     unit_box,
+    with_lambda,
     zeros,
 )
+import polyhess.energy as energy
 import polyhess.solvers as solvers
-from polyhess.errors import ContractError, PolyhessError
+from polyhess.errors import ContractError, FitError, GeometryError, PolyhessError
 
 from conftest import constant_datum, flagship_setting
+from polyhess.cli import main
 
 
 def test_solver_config_validation():
@@ -352,6 +357,150 @@ def test_continuation_table():
     assert tab2.to_csv_text() == csv
 
 
+# The minorant fit and the geometry witnesses as they were computed for
+# every setting before the lambda-free part moved into a shared
+# calibration: the oracles of the bit-identity tests below.
+def _fit_as_first_written(s, samples, rng):
+    k = s.params.k
+    c1 = 0.0
+    c2 = 0.0
+    usable = 0
+    for u in energy.minorant_sample_family(s, samples, rng):
+        images = energy._images(u, s)
+        r = energy.seminorm_of(images[1], u.domain)
+        if r <= 0.0:
+            continue
+        usable += 1
+        _, datum, nl = energy._terms(images, s)
+        c1 = max(c1, datum / r)
+        c2 = max(c2, nl / r ** (k + 1))
+    if usable < 10:
+        raise FitError("minorant fit degenerate: fewer than 10 nonzero samples")
+    c1 = max(energy._FIT_MARGIN * c1, energy._C_FLOOR * (1.0 + abs(s.lam)))
+    c2 = max(energy._FIT_MARGIN * c2, energy._C_FLOOR)
+    return energy.MinorantCoefficients(C1=c1, C2=c2, k=k)
+
+
+def _witnesses_as_first_written(s):
+    dom = s.f.domain
+    k = s.params.k
+    minext = min(dom.extent)
+    center = tuple(0.5 * e for e in dom.extent)
+    psi = None
+    psi_pairing = 0.0
+    for frac in (0.3, 0.25, 0.35, 0.2, 0.4):
+        r = frac * minext
+        if min(min(c - r, e - (c + r)) / h
+               for c, e, h in zip(center, dom.extent, dom.spacing)) < s.alpha:
+            continue
+        for sign_exp in (k, k + 1):
+            cand = energy.bump_field(dom, center, r, 1.0, sign_exp)
+            val = energy._sign(k) * inner(cand, energy.sk_field(cand, k))
+            if val > 0.0:
+                psi, psi_pairing = cand, val
+                break
+        if psi is not None:
+            break
+    if psi is None:
+        raise GeometryError("no bump orientation/radius produced a positive nonlinear pairing")
+    if s.lam == 0.0:
+        return energy.GeometryWitnesses(zeros(dom), psi, 0.0, psi_pairing, True)
+    phi = energy.invert_polyharmonic(s.f, s.alpha) * (1.0 if s.lam > 0 else -1.0)
+    val = s.lam * inner(s.f, phi)
+    if not val > 0.0:
+        raise GeometryError("lambda * int f phi is not positive: the datum is zero "
+                            "(or too small to pair with lambda), so no datum witness exists")
+    return energy.GeometryWitnesses(phi, psi, val, psi_pairing, False)
+
+
+def _first_failure_as_first_written(s, cfg):
+    """The reason a solve of ``s`` fails in its fit or geometry, or None."""
+    try:
+        fit = _fit_as_first_written(s, solvers._FIT_SAMPLES, np.random.default_rng(cfg.seed))
+        minorant_geometry(fit)
+        _witnesses_as_first_written(s)
+    except PolyhessError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK])
+def test_calibration_equals_per_lambda_fit_bitwise(form):
+    base = flagship_setting(32, lam=0.05, form=form)
+    cfg = SolverConfig(seed=3)
+    cal = solvers.calibrate(base, cfg)
+    for lam in (0.0, 0.0125, 0.05, -0.05):
+        s = with_lambda(base, lam)
+        rng = np.random.default_rng(cfg.seed)
+        want = _fit_as_first_written(s, solvers._FIT_SAMPLES, rng)
+        got = cal.fit.coefficients(lam)
+        assert (got.C1, got.C2, got.k) == (want.C1, want.C2, want.k)
+        # the probe draws its trial starts after the fit: same generator state
+        rng_new = np.random.default_rng(cfg.seed)
+        fit_minorant(s, solvers._FIT_SAMPLES, rng_new)
+        assert rng_new.bit_generator.state == rng.bit_generator.state
+        want_w = _witnesses_as_first_written(s)
+        got_w = cal.basis.witnesses(s)
+        assert np.array_equal(got_w.phi.values, want_w.phi.values)
+        assert np.array_equal(got_w.psi.values, want_w.psi.values)
+        assert got_w.datum_pairing == want_w.datum_pairing
+        assert got_w.nonlinear_pairing == want_w.nonlinear_pairing
+        assert got_w.phi_trivial == want_w.phi_trivial
+
+
+def test_continuation_calibrates_once(monkeypatch):
+    calls = {"family": 0, "G": 0}
+    family = energy.minorant_sample_family
+    invert = energy.invert_polyharmonic
+
+    def counted_family(*args, **kwargs):
+        calls["family"] += 1
+        return family(*args, **kwargs)
+
+    def counted_invert(*args, **kwargs):
+        calls["G"] += 1
+        return invert(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "minorant_sample_family", counted_family)
+    s = flagship_setting(32, lam=0.0)
+    cfg = SolverConfig(seed=0)
+    monkeypatch.setattr(energy, "invert_polyharmonic", counted_invert)
+    solvers.calibrate(s, cfg)
+    assert calls == {"family": 1, "G": 1}  # one G f for the fit's anchors and the witnesses
+    calls["family"] = 0
+    tab = continuation_in_lambda(s, [0.0, 0.0125, 0.025, 0.05], cfg)
+    assert [r.converged for r in tab.rows] == [True] * 4
+    assert calls["family"] == 1
+
+
+def test_failed_fit_fails_every_continuation_row(monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise FitError("minorant fit degenerate: fewer than 10 nonzero samples")
+
+    monkeypatch.setattr(solvers, "fit_minorant", degenerate)
+    lams = [0.0, 0.0125, 0.025, 0.05]
+    tab = continuation_in_lambda(flagship_setting(32, lam=0.0), lams, SolverConfig(seed=0))
+    assert [r.lam for r in tab.rows] == lams
+    for row in tab.rows:
+        assert not row.converged
+        assert row.reason == "minorant fit degenerate: fewer than 10 nonzero samples"
+        assert all(math.isnan(x) for x in (row.J_m, row.J_star, row.sep))
+
+
+def test_witness_failure_keeps_each_rows_reason():
+    """At n = 8 no psi keeps alpha = 4 nodes from the walls.  At lambda = 0
+    the minorant geometry fails first, as it did when each row built its own
+    witnesses; at 0.05 the psi search's reason is the row's."""
+    s = make_setting(ProblemParams(2, 2), 0.0, constant_datum(unit_box(2, 8)), alpha=4)
+    cfg = SolverConfig(seed=0)
+    lams = [0.0, 0.05]
+    tab = continuation_in_lambda(s, lams, cfg)
+    reasons = [_first_failure_as_first_written(with_lambda(s, lam), cfg) for lam in lams]
+    assert [r.reason for r in tab.rows] == reasons
+    assert "no real zero" in reasons[0] and "no bump" in reasons[1]
+    assert not any(r.converged for r in tab.rows)
+
+
 def test_continuation_schedule_validation():
     s = flagship_setting(32, lam=0.0)
     cfg = SolverConfig(seed=0)
@@ -411,10 +560,61 @@ def test_weak_strong_minimizer_agreement(run32, run64, run32_weak, run64_weak):
 def test_nonconvergence_carries_record():
     s = flagship_setting(32)
     cfg = SolverConfig(seed=0, max_iters=1, grad_tol=1e-14)
-    fit = fit_minorant(s, 24, np.random.default_rng(0))
-    geom = minorant_geometry(fit)
+    geom = minorant_geometry(fit_minorant(s, 24, np.random.default_rng(0)).coefficients(s.lam))
     cutoff = CutoffSpec(geom.R0, geom.R1)
     with pytest.raises(NonconvergenceError) as err:
         minimize_local(s, zeros(s.f.domain), cfg, cutoff)
     assert err.value.record is not None
     assert len(err.value.record) >= 1
+
+
+def _newton_refine_as_first_written(u, r, rn, s, cfg, rec):
+    """``solvers._newton_refine`` evaluating every line-search trial."""
+    for _ in range(min(solvers._NEWTON_MAX, cfg.max_iters - len(rec))):
+        if rn <= cfg.grad_tol:
+            return u, rn, True
+        stepped = False
+        for delta in solvers._newton_steps(u, r, s):
+            t = 1.0
+            for _ in range(10):
+                cand = u + t * delta
+                r_cand = solvers.residual(cand, s)
+                rn_cand = l2_norm(r_cand)
+                if rn_cand < rn:
+                    stepped = True
+                    break
+                t *= 0.5
+            if stepped:
+                break
+        if not stepped:
+            return u, rn, False
+        u, r, rn = cand, r_cand, rn_cand
+        report = solvers.energy_report(u, s)
+        rec.append(report.J, rn, report.seminorm, "newton")
+    return u, rn, rn <= cfg.grad_tol
+
+
+def test_newton_skips_trials_of_known_outcome(tmp_path, monkeypatch):
+    """On the n = 128 flagship the line search meets candidates equal to the
+    iterate and sharper retries equal to their predecessor; skipping them
+    saves residual evaluations and changes no output."""
+    cfg_path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "strong128.cfg"
+    calls = [0]
+    residual_of = solvers.residual
+
+    def counted(u, s):
+        calls[0] += 1
+        return residual_of(u, s)
+
+    monkeypatch.setattr(solvers, "residual", counted)
+    outputs = {}
+    for name, refine in (("first", _newton_refine_as_first_written),
+                         ("skipping", solvers._newton_refine)):
+        monkeypatch.setattr(solvers, "_newton_refine", refine)
+        calls[0] = 0
+        out = tmp_path / name
+        assert main(["solve", "--config", str(cfg_path), "--seed", "0", "--out", str(out)]) == 0
+        results = json.loads((out / "run.json").read_text())["results"]
+        outputs[name] = (calls[0], results, (out / "u_star.f64").read_bytes())
+    assert outputs["skipping"][1:] == outputs["first"][1:]
+    assert outputs["skipping"][0] < outputs["first"][0]
