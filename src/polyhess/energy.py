@@ -48,18 +48,19 @@ Jacobian actions), the first Laplacian is their diagonal, through
 ``grid.laplacian_power``, bit for bit equal to the stencil's.
 
 The weak form has one flux definition, ``_flux_of``: F_a = sum_b
-S_k^{ab}[u] u_b from the Hessian entries and gradient components (for
-k = 2, sigma_1 g_a - sum_b A_ab g_b, with no sigma_k gradient matrix).  The
-weak action's density sum_a F_a u_a, the weak residual's divergence, the
-weak pairing and the weak Jacobian all use it.
+S_k^{ab}[u] u_b by the Newton-tensor recursion on the Hessian entries and
+gradient components (for k = 2, sigma_1 g_a - sum_b A_ab g_b), with no
+sigma_k gradient matrix.  The weak action's density sum_a F_a u_a, the weak
+residual's divergence, the weak pairing and the weak Jacobian all use it.
 
 Hessian layout.  Everything above reads the entries (``hessian_entries``):
-sigma_k and the k = 2 flux read whole contiguous planes, and a value on a ray
+sigma_k and the flux read whole contiguous planes, and a value on a ray
 combines d(d+1)/2 planes instead of d^2 strided ones.  Only the
-strong-form Jacobian (and the k = 3 flux) builds the node-major stack
-(``stack_of_entries``), because it contracts ``sk_partials_stack`` with
-``np.einsum``, and an explicit sum over entries differs from einsum in the
-last bit; the strong solves at the residual roundoff floor need that bit.
+strong-form Jacobian builds the node-major stack (``stack_of_entries``),
+because it contracts ``sk_partials_stack`` with ``np.einsum``, and an
+explicit sum over entries differs from einsum in the last bit; the strong
+solves at the residual roundoff floor need that bit.  The weak form never
+feeds a strong solve, so the flux needs no such bit.
 
 The truncation ``CutoffSpec`` is the quintic smoothstep between R0 and R1;
 it is exactly 1 inside the R0 ball, where ``evaluate_H`` equals the action.
@@ -242,16 +243,19 @@ def _J_of(images: tuple, s: EnergySetting) -> float:
 
 def _flux_of(grads: np.ndarray, ents: np.ndarray, k: int) -> np.ndarray:
     """F_a = sum_b S_k^{ab} g_b, shape (dim,) + nodes, from the gradient
-    components ``grads`` ((dim,) + nodes) and the Hessian entries ``ents``
-    (``hessian_entries``)."""
-    if k != 2:
-        return np.einsum("...ab,b...->a...", sk_partials_stack(stack_of_entries(ents), k), grads)
-    # S_2 = sigma_1 I - A
-    flux = sk_of_entries(ents, 1) * grads
-    table = entry_table(grads.shape[0])
-    for a in range(grads.shape[0]):
-        for b in range(grads.shape[0]):
-            flux[a] -= ents[table[a, b]] * grads[b]
+    components ``grads`` ((dim,) + nodes, read only) and the Hessian entries
+    ``ents``, by the Newton-tensor recursion S_{j+1} = sigma_j I - A S_j
+    (Reilly, Michigan Math. J. 20:373, 1973): F = g, then
+    F <- sigma_j g - A F for j = 1 ... k-1."""
+    dim = grads.shape[0]
+    table = entry_table(dim)
+    flux = grads
+    for j in range(1, k):
+        prev = flux
+        flux = sk_of_entries(ents, j) * grads
+        for a in range(dim):
+            for b in range(dim):
+                flux[a] -= ents[table[a, b]] * prev[b]
     return flux
 
 
@@ -534,12 +538,9 @@ def minorant_sample_family(s: EnergySetting, samples: int, rng: np.random.Genera
         elif kind == 1:
             fam.append(random_smooth_field(dom, rng, modes=3,
                                            amplitude=rng.uniform(0.2, 1.5)))
-        else:
-            if len(fam) >= 2:
-                i, j = rng.integers(0, len(fam), size=2)
-                fam.append(fam[int(i)] + fam[int(j)])
-            else:
-                fam.append(random_smooth_field(dom, rng))
+        else:  # the two center bumps are always in the family
+            i, j = rng.integers(0, len(fam), size=2)
+            fam.append(fam[int(i)] + fam[int(j)])
     return fam[:samples]
 
 

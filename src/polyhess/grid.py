@@ -23,9 +23,9 @@ shape (dim,) + nodes.
 The Hessian is computed once, by one stencil, as its dim(dim+1)/2 unique
 entries: ``hessian_entries`` has shape (dim(dim+1)/2,) + nodes, the
 diagonal first and then the pairs a < b (``hessian_algebra.entry_pairs``).
-Component-first planes are what sigma_k, the action and the path sweeps
-read and interpolate, plane by plane and contiguously.  ``hessian``
-expands the entries into the node-major stack, shape nodes + (dim, dim),
+Component-first planes are what sigma_k, the weak flux, the action and
+its values on a ray read and combine, plane by plane and contiguously.
+``hessian`` expands the entries into the node-major stack, shape nodes + (dim, dim),
 one C-contiguous (dim, dim) block per node; the strong-form Jacobian
 contracts that stack with ``np.einsum``, whose sum an explicit loop over
 entries does not reproduce bit for bit.

@@ -7,10 +7,11 @@ is the spatial dimension, never the grid size.
 A symmetric N x N matrix has N(N+1)/2 unique entries.  The grid stores a
 Hessian as those entries, component-first (one array per entry, in
 ``entry_pairs`` order: the diagonal first, then the pairs a < b in
-``itertools.combinations`` order), because every sigma_k reads a few whole
-planes of it and a path sweep interpolates it plane by plane; a node-major
-(..., N, N) stack holds N^2 - N(N+1)/2 duplicates and makes each of those
-reads strided.  ``stack_of_entries`` expands entries into that stack.
+``itertools.combinations`` order), because every sigma_k and the weak flux
+read a few whole planes of it and a value on a ray combines it plane by
+plane; a node-major (..., N, N) stack holds N^2 - N(N+1)/2 duplicates and
+makes each of those reads strided.  ``stack_of_entries`` expands entries
+into that stack.
 
 There is one sigma_k kernel, ``sk_of_entries``, and one gradient kernel,
 ``sk_partials_stack``, both batched over the node axes.  ``sk_of_stack`` is

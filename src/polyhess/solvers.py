@@ -386,16 +386,16 @@ def gmres(matvec, b: np.ndarray, rtol: float, restart: int, maxiter: int) -> np.
 
 
 def _newton_steps(u: ScalarField, r: ScalarField, s: EnergySetting):
-    """Inexact Newton steps at ``u``, one per ``_KRYLOV_RTOLS`` entry, each
-    sharper than the last; preconditioned by the sine-basis polyharmonic inverse.
+    """Inexact Newton steps at ``u``, one per ``_KRYLOV_RTOLS`` entry (a step,
+    then one sharper retry), preconditioned by the sine-basis polyharmonic inverse.
 
     The Jacobian action of the setting's residual comes from
     ``energy.residual_jacobian``.  The preconditioned system is built once,
-    on the first step; each step runs restarted GMRES on it from x0 = 0.  A
-    sharper solve of the same system repeats the first Arnoldi cycle of the
-    one before it, bit for bit, until the looser tolerance would have
-    stopped it, so the operator's images are kept (keyed by the exact bytes
-    of the Krylov vector, at most one restart cycle's worth) and reused.
+    on the first step; each step runs restarted GMRES on it from x0 = 0.  The
+    retry repeats the first step's first Arnoldi cycle, bit for bit, until
+    the looser tolerance would have stopped it, so the operator's images are
+    kept (keyed by the exact bytes of the Krylov vector, at most one restart
+    cycle's worth) and reused.
     """
     dom = u.domain
     shape = dom.nodes
@@ -421,11 +421,11 @@ def _newton_steps(u: ScalarField, r: ScalarField, s: EnergySetting):
 
 
 _NEWTON_MAX = 60
-# GMRES rtols, in order: a failed step is retried with a sharper Krylov solve
-# before giving up.  The products are kept as written: 1e-4 * 1e-3 is
+# GMRES rtols, in order: a failed step is retried once with a sharper Krylov
+# solve before giving up.  The product is kept as written: 1e-4 * 1e-3 is
 # 1.0000000000000001e-07, not 1e-07, and strong solves at the residual
 # roundoff floor are sensitive to that last bit.
-_KRYLOV_RTOLS = (1e-3, 1e-2 * 1e-3, 1e-4 * 1e-3)
+_KRYLOV_RTOLS = (1e-3, 1e-4 * 1e-3)
 
 
 def _newton_refine(u: ScalarField, r: ScalarField, rn: float, s: EnergySetting,
@@ -438,20 +438,15 @@ def _newton_refine(u: ScalarField, r: ScalarField, rn: float, s: EnergySetting,
     Returns (last iterate, its residual norm, reached_tolerance).  Acceptance
     demands a strict residual-norm decrease, so the refinement never runs
     away from the starting basin; the accepted candidate's residual, already
-    computed by the line search, starts the next iteration.  Trials whose
-    rejection is already known are not evaluated: a candidate equal to ``u``
-    (its residual norm is ``rn``), and every trial of a sharper step equal
-    to the one before it.
+    computed by the line search, starts the next iteration.  A candidate
+    equal to ``u`` is not evaluated: its residual norm is ``rn``, so its
+    rejection is already known.
     """
     for _ in range(min(_NEWTON_MAX, cfg.max_iters - len(rec))):
         if rn <= cfg.grad_tol:
             return u, rn, True
         stepped = False
-        prev = None
         for delta in _newton_steps(u, r, s):
-            if prev is not None and np.array_equal(delta.values, prev.values):
-                continue
-            prev = delta
             t = 1.0
             for _ in range(10):
                 cand = u + t * delta

@@ -31,6 +31,7 @@ from polyhess.verify import (
     eigen_oracle_error,
     fd_partials_error,
     observed_order,
+    run_suites,
     shifted_trace_error,
     suite_exponents,
 )
@@ -79,6 +80,19 @@ def test_acceptance_exponent_suite():
     assert all(row.passed for row in rows), [row.name for row in rows if not row.passed]
     assert elapsed < 1.0
     _announce("exponent_suite", f"exhaustive N <= 30, {elapsed:.2f}s")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grid_suite_passes(seed):
+    rows = run_suites(["grid"], seed=seed)
+    assert rows and all(row.passed for row in rows), [row for row in rows if not row.passed]
+
+
+# seed 1 fails gradient_consistency_strong; perfbench pins that with a strict xfail
+@pytest.mark.parametrize("seed", [0, 2])
+def test_energy_suite_passes(seed):
+    rows = run_suites(["energy"], seed=seed)
+    assert rows and all(row.passed for row in rows), [row for row in rows if not row.passed]
 
 
 def test_acceptance_divergence_structure_2d():

@@ -36,7 +36,7 @@ from polyhess.energy import action, ray_actions, residual, residual_jacobian
 from polyhess.grid import (
     BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian, hessian_entries,
 )
-from polyhess.hessian_algebra import sk_partials_stack
+from polyhess.hessian_algebra import entry_table, sk_of_entries, sk_partials_stack
 from polyhess.verify import consistency_worst_errors
 
 from conftest import constant_datum, flagship_setting
@@ -173,6 +173,31 @@ def test_weak_flux_and_density_match_einsum_contraction(n, k):
     flux = _flux_of(grads, hessian_entries(u), k)
     assert np.max(np.abs(flux - flux_ref)) <= 1e-13 * np.max(np.abs(flux_ref))
     assert energy_report(u, s).nonlinear_term == pytest.approx(nl_ref, rel=1e-13)
+
+
+def _flux_k2_closed_form(grads, ents):
+    """The k = 2 flux as first written: S_2 = sigma_1 I - A on the entries."""
+    flux = sk_of_entries(ents, 1) * grads
+    table = entry_table(grads.shape[0])
+    for a in range(grads.shape[0]):
+        for b in range(grads.shape[0]):
+            flux[a] -= ents[table[a, b]] * grads[b]
+    return flux
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flux_recursion_is_the_k2_closed_form_bitwise(n):
+    """For k = 2 the Newton-tensor recursion performs the closed form's
+    operations in its order, and it leaves the caller's gradient alone."""
+    nodes, extent = ((40, 33), (1.0, 1.5)) if n == 2 else ((15, 12, 13), (1.0, 0.7, 1.2))
+    dom = BoxDomain(nodes=nodes, extent=extent)
+    rng = np.random.default_rng(33)
+    for _ in range(3):
+        u = random_smooth_field(dom, rng, modes=4, amplitude=2.0)
+        grads, ents = gradient_centered(u), hessian_entries(u)
+        before = grads.copy()
+        assert np.array_equal(_flux_of(grads, ents, 2), _flux_k2_closed_form(grads, ents))
+        assert np.array_equal(grads, before)
 
 
 def _divergence_per_component_gradient(flux, dom):

@@ -218,6 +218,19 @@ def test_mountain_pass_far_endpoint_precondition(run32):
         mountain_pass(s, u_m, bad_far, cfg)
 
 
+def test_mountain_pass_returns_at_a_minimax_row(run32):
+    """On the ray through u_star at a loose tolerance the first peak's
+    residual already passes, so the minimax returns it: one ``minimax`` row
+    and no Newton refinement."""
+    s = flagship_setting(32)
+    far = run32.far_scale * run32.witnesses.psi
+    w, rec = mountain_pass(s, run32.pair.u_m, far, SolverConfig(grad_tol=1e-4),
+                           through=run32.pair.u_star)
+    assert rec.phase == ["minimax"]
+    assert rec.residual_norm == [l2_norm(residual_strong(w, s))]
+    assert rec.residual_norm[0] <= 1e-4
+
+
 def test_newton_refine_records_each_accepted_iterate_once(run32):
     """The caller records the start point; the refinement appends one row
     per accepted iterate, never the start point again."""
@@ -596,8 +609,7 @@ def _newton_refine_as_first_written(u, r, rn, s, cfg, rec):
 
 def test_newton_skips_trials_of_known_outcome(tmp_path, monkeypatch):
     """On the n = 128 flagship the line search meets candidates equal to the
-    iterate and sharper retries equal to their predecessor; skipping them
-    saves residual evaluations and changes no output."""
+    iterate; skipping them saves residual evaluations and changes no output."""
     cfg_path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "strong128.cfg"
     calls = [0]
     residual_of = solvers.residual
