@@ -64,6 +64,7 @@ from .grid import (
     seminorm,
     seminorm_inner,
     sk_field,
+    sk_fields,
     unit_box,
     zeros,
 )

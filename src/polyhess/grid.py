@@ -30,6 +30,18 @@ one C-contiguous (dim, dim) block per node; the strong-form Jacobian
 contracts that stack with ``np.einsum``, whose sum an explicit loop over
 entries does not reproduce bit for bit.
 
+A caller that needs only sigma_k of a field (``sk_field``, or several
+orders at once from ``sk_fields``) never holds the whole entry stack.
+``sk_fields`` walks axis 0 a slab of rows at a time, the slab height set
+by a private byte budget of about an L2 cache.  Each slab, with a one-node
+halo (the neighbouring rows of the field, or zeros at a wall), is
+zero-extended into one reused buffer; the same stencil code that fills
+``hessian_entries`` fills one reused slab entry stack from it, and every
+requested order's sigma_k of that stack is written into its full-size
+plane.  Each stencil and each sigma_k value is elementwise in the values it
+reads, and the halo supplies exactly the values the whole-array padding
+holds, so every node gets the bits of the whole-array pass.
+
 The Laplacian is shared with the Hessian: the diagonal entries are the
 very second differences the Laplacian sums, and ``_laplacian_values`` sums
 them in axis order with the first axis as its accumulator, as sigma_1 of
@@ -47,7 +59,8 @@ extension [0, x, 0, -reverse(x)] of length 2(n+1) (the classical reduction
 of a sine transform to an FFT; see e.g. Press et al., *Numerical Recipes*,
 section 12.3).  It performs, operation for operation, what pocketfft's
 ``T_dst1`` does inside ``scipy.fft.dstn(..., type=1, norm="ortho")``, so its
-output matches that of scipy bit for bit (the tests compare the two).
+output matches that of scipy bit for bit (the tests compare the two).  The
+inverse runs both of its transforms on one pair of work buffers.
 
 For even alpha the seminorm built from ``half_order`` satisfies
 seminorm(u)^2 == integrate(u * (-1)^alpha * polyharmonic(u, alpha)) exactly
@@ -294,21 +307,25 @@ def divergence_centered(flux: np.ndarray, domain: BoxDomain) -> np.ndarray:
     return div
 
 
+def _entries_into(p: np.ndarray, vals: np.ndarray, h: tuple, out: np.ndarray) -> np.ndarray:
+    """The unique Hessian entries of ``vals`` into ``out``, component-first in
+    ``entry_pairs`` order; ``p`` is ``vals`` zero-extended."""
+    for e, (a, b) in enumerate(entry_pairs(vals.ndim)):
+        if a == b:
+            _second_difference(p, vals, a, h[a], out=out[e])
+        else:
+            _cross_difference(p, a, b, h, out[e])
+    return out
+
+
 def hessian_entries(u: ScalarField) -> np.ndarray:
     """Unique entries of the discrete Hessian, component-first: shape
     (dim(dim+1)/2,) + nodes, the centered second differences first and then
     the 4-point cross differences of the axis pairs a < b (``entry_pairs`` order)."""
     vals = u.values
     d = u.domain.dim
-    h = u.domain.spacing
-    p = _zero_extended(vals)
     out = np.empty((d * (d + 1) // 2,) + u.domain.nodes)
-    for e, (a, b) in enumerate(entry_pairs(d)):
-        if a == b:
-            _second_difference(p, vals, a, h[a], out=out[e])
-        else:
-            _cross_difference(p, a, b, h, out[e])
-    return out
+    return _entries_into(_zero_extended(vals), vals, u.domain.spacing, out)
 
 
 def hessian(u: ScalarField) -> np.ndarray:
@@ -317,13 +334,41 @@ def hessian(u: ScalarField) -> np.ndarray:
     return stack_of_entries(hessian_entries(u))
 
 
+# Bytes of Hessian entries one slab of ``sk_fields`` holds; with the padded
+# slab and the sigma_k temporaries that stays within a 2 MiB L2 cache.
+_SLAB_BYTES = 1 << 20
+
+
+def sk_fields(u: ScalarField, orders: Sequence[int]) -> tuple[ScalarField, ...]:
+    """``sk_field(u, k)`` for every k in ``orders``, from one Hessian pass
+    over slabs of axis-0 rows (see the module docstring)."""
+    d = u.domain.dim
+    for k in orders:
+        if not 1 <= k <= d:
+            raise ValueError(f"order k={k} out of range for dimension {d}")
+    vals = u.values
+    n = vals.shape[0]
+    count = d * (d + 1) // 2
+    rows = max(1, min(n, _SLAB_BYTES // (count * vals[0].nbytes)))
+    p = np.zeros((rows + 2,) + tuple(m + 2 for m in vals.shape[1:]))
+    ents = np.empty((count, rows) + vals.shape[1:])
+    outs = [np.empty(vals.shape) for _ in orders]
+    core = (slice(1, -1),) * (d - 1)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        lo, hi = max(start - 1, 0), min(stop + 1, n)
+        slab = p[:stop - start + 2]
+        slab[0] = slab[-1] = 0.0  # the halo at a wall; field rows overwrite it inside
+        slab[(slice(lo - start + 1, hi - start + 1),) + core] = vals[lo:hi]
+        block = _entries_into(slab, vals[start:stop], u.domain.spacing, ents[:, :stop - start])
+        for out, k in zip(outs, orders):
+            out[start:stop] = sk_of_entries(block, k)
+    return tuple(ScalarField(u.domain, out) for out in outs)
+
+
 def sk_field(u: ScalarField, k: int) -> ScalarField:
     """Pointwise k-th symmetric polynomial of the discrete Hessian eigenvalues."""
-    d = u.domain.dim
-    if not 1 <= k <= d:
-        raise ValueError(f"order k={k} out of range for dimension {d}")
-    vals = sk_of_entries(hessian_entries(u), k)
-    return ScalarField(u.domain, vals)
+    return sk_fields(u, (k,))[0]
 
 
 def half_order(u: ScalarField, alpha: int) -> np.ndarray:
@@ -415,7 +460,16 @@ def random_smooth_field(domain: BoxDomain, rng: np.random.Generator,
     return ScalarField(domain, vals)
 
 
-def _dst1(values: np.ndarray) -> np.ndarray:
+def _dst1_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat work buffers for ``_dst1`` on arrays of ``shape``: room for the
+    odd extension (float) and the spectrum (complex) of the largest axis pass."""
+    def size(a, m):
+        return math.prod(shape[:a] + (m,) + shape[a + 1:])
+    return (np.empty(max(size(a, 2 * (n + 1)) for a, n in enumerate(shape))),
+            np.empty(max(size(a, n + 2) for a, n in enumerate(shape)), dtype=complex))
+
+
+def _dst1(values: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Orthonormal type-I DST over every axis of ``values``, its own inverse.
 
     Along each axis a in turn, the n_a values x of a line are transformed as
@@ -425,19 +479,25 @@ def _dst1(values: np.ndarray) -> np.ndarray:
     ``general_nd``), which is why the result equals scipy's ``dstn`` and
     ``idstn(type=1, norm="ortho")`` bit for bit.  Each pass works along the
     native axis: the extension is filled by slab assignments and the FFT
-    runs with ``axis=a``, with no transposes or flipped copies.
+    runs with ``axis=a``, with no transposes or flipped copies.  Every pass
+    reuses the extension and spectrum of ``buffers`` (``_dst1_buffers``,
+    allocated here when not given); pocketfft transforms each line alike
+    wherever its output lands, so they do not change the bits.
     """
+    ext_buf, spec_buf = _dst1_buffers(values.shape) if buffers is None else buffers
     total = np.longdouble(math.prod(2 * (n + 1) for n in values.shape))
     scale = float(np.longdouble(1) / np.sqrt(total))
     x = values
     for a, n in enumerate(values.shape):
         lead = (slice(None),) * a
-        ext = np.empty(x.shape[:a] + (2 * (n + 1),) + x.shape[a + 1:])
+        shape = x.shape[:a] + (2 * (n + 1),) + x.shape[a + 1:]
+        ext = ext_buf[:math.prod(shape)].reshape(shape)
         ext[lead + (0,)] = 0.0
         ext[lead + (n + 1,)] = 0.0
         ext[lead + (slice(1, n + 1),)] = x
         np.negative(x[lead + (slice(None, None, -1),)], out=ext[lead + (slice(n + 2, None),)])
-        spectrum = np.fft.rfft(ext, axis=a)
+        shape = x.shape[:a] + (n + 2,) + x.shape[a + 1:]
+        spectrum = np.fft.rfft(ext, axis=a, out=spec_buf[:math.prod(shape)].reshape(shape))
         x = np.multiply(spectrum.imag[lead + (slice(1, n + 1),)], -scale if a == 0 else -1.0)
     return x
 
@@ -445,15 +505,17 @@ def _dst1(values: np.ndarray) -> np.ndarray:
 def invert_polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
     """Exact inverse of the discrete (-Delta)^alpha with zero extension.
 
-    Diagonalizes the operator with a type-I DST per axis (``_dst1``) and
-    divides by the symbol; applying (-1)^alpha * polyharmonic to the result
-    reproduces the input to roundoff.
+    Diagonalizes the operator with a type-I DST per axis (``_dst1``, both
+    transforms on one pair of work buffers) and divides by the symbol;
+    applying (-1)^alpha * polyharmonic to the result reproduces the input
+    to roundoff.
     """
     _check_order(alpha)
     sym = u.domain.sine_symbol ** alpha
-    coeffs = _dst1(u.values)
+    buffers = _dst1_buffers(u.domain.nodes)
+    coeffs = _dst1(u.values, buffers)
     coeffs /= sym
-    vals = _dst1(coeffs)
+    vals = _dst1(coeffs, buffers)
     return ScalarField(u.domain, vals)
 
 

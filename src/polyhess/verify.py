@@ -28,23 +28,21 @@ from .energy import (
     residual_weak_pairing,
 )
 from .grid import (
-    ScalarField,
     bump_field,
     from_function,
-    hessian_entries,
     inner,
     integrate,
     invert_polyharmonic,
     laplacian,
     polyharmonic,
     random_smooth_field,
+    sk_fields,
     unit_box,
 )
 from .hessian_algebra import (
     as_symmetric,
     shifted_trace_identity,
     sigma_k,
-    sk_of_entries,
     sk_of_stack,
     sk_partials_stack,
 )
@@ -206,17 +204,18 @@ def divergence_values(dim: int, orders, node_counts) -> tuple[dict, list[float]]
     """{k: |integrate(S_k[bump])| per rung} for k in ``orders``, and the spacings.
 
     The bump depends on k only through its sign, so each rung builds one bump
-    and one Hessian: sigma_k(-A) = (-1)^k sigma_k(A) holds exactly in floating
-    point, so the values are those of each order's own bump, bit for bit."""
+    and makes one slab-wise Hessian pass for every order (``sk_fields``):
+    sigma_k(-A) = (-1)^k sigma_k(A) holds exactly in floating point, so the
+    values are those of each order's own bump, bit for bit."""
     values = {k: [] for k in orders}
     spacings = []
     for n in node_counts:
         dom = unit_box(dim, n)
         # the bump fills the unit box: its steep shoulder is the resolution
         # bottleneck, and radius 0.45 puts the most grid points across it
-        ents = hessian_entries(bump_field(dom, (0.5,) * dim, 0.45, 1.0, orders[0]))
-        for k in orders:
-            values[k].append(abs(integrate(ScalarField(dom, sk_of_entries(ents, k)))))
+        bump = bump_field(dom, (0.5,) * dim, 0.45, 1.0, orders[0])
+        for k, sk in zip(orders, sk_fields(bump, orders)):
+            values[k].append(abs(integrate(sk)))
         spacings.append(1.0 / (n + 1))
     return values, spacings
 

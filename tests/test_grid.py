@@ -29,17 +29,20 @@ from polyhess import (
     random_smooth_field,
     seminorm,
     sk_field,
+    sk_fields,
     unit_box,
     zeros,
 )
+from polyhess import grid
 from polyhess.grid import (
     _cross_difference,
+    _dst1,
     _second_difference,
     _shifted,
     _zero_extended,
     laplacian_power,
 )
-from polyhess.hessian_algebra import entry_pairs, stack_of_entries
+from polyhess.hessian_algebra import entry_pairs, sk_of_entries, stack_of_entries
 from polyhess.verify import divergence_values, observed_order
 
 
@@ -289,6 +292,39 @@ def test_hessian_refinement():
     assert errs[0] / errs[1] > 3.0
 
 
+@pytest.mark.parametrize("rows", [1, 3, 5, None], ids=lambda r: f"rows{r}")
+@pytest.mark.parametrize("nodes, extent", [
+    ((16, 17), (1.0, 2.5)),
+    ((9, 30), (1.0, 1.0)),
+    ((13, 10, 9), (0.5, 1.0, 3.0)),
+    ((12, 12, 12), (1.0, 1.0, 1.0)),
+    ((8, 11, 14), (1.0, 2.0, 1.5)),
+], ids=["2d", "2d-flat", "3d-odd", "3d-even", "3d-rising"])
+def test_slab_sk_fields_equal_whole_array_bitwise(nodes, extent, rows, monkeypatch):
+    """sigma_k from the slab-wise pass is sk_of_entries of the whole-array
+    Hessian entries byte for byte, signs of zeros included, for every order
+    and slab height: one row, heights that do not divide the first axis,
+    and the default budget, under which each of these grids is one slab."""
+    dom = BoxDomain(nodes=nodes, extent=extent)
+    d = dom.dim
+    if rows is not None:
+        monkeypatch.setattr(grid, "_SLAB_BYTES", rows * (d * (d + 1) // 2) * 8
+                            * math.prod(nodes[1:]))
+    center = tuple(0.5 * e for e in extent)
+    fields = [random_smooth_field(dom, np.random.default_rng(sum(nodes)), modes=4)]
+    fields += [bump_field(dom, center, 0.3 * min(extent), 1.0, sign) for sign in (1, 2)]
+    orders = tuple(range(1, d + 1))
+    for u in fields:
+        ents = hessian_entries(u)
+        for k, got in zip(orders, sk_fields(u, orders)):
+            ref = sk_of_entries(ents, k)
+            assert got.values.tobytes() == ref.tobytes()
+            assert sk_field(u, k).values.tobytes() == ref.tobytes()
+    for k in (0, d + 1):
+        with pytest.raises(ValueError):
+            sk_fields(fields[0], (1, k))
+
+
 def test_sk_field_quadratic_exact():
     dom = unit_box(2, 32)
     u = from_function(dom, lambda x, y: (x**2 + y**2) / 2)
@@ -442,6 +478,17 @@ def test_invert_polyharmonic_roundtrip():
         err = np.max(np.abs(sign * back.values - u.values))
         # alpha applications of the h^-2 stencil amplify roundoff
         assert err < 1e-8 * max(np.max(np.abs(u.values)), 1.0)
+
+
+@pytest.mark.parametrize("nodes", [(32, 32), (30, 17), (9, 8, 11), (12, 12, 12)])
+def test_invert_polyharmonic_is_two_dsts_bitwise(nodes):
+    """The inverse on one pair of shared DST work buffers is the pair of
+    transforms with their own buffers around the symbol division, byte for byte."""
+    dom = BoxDomain(nodes=nodes)
+    x = np.random.default_rng(sum(nodes)).standard_normal(nodes)
+    for alpha in (1, 2, 3):
+        ref = _dst1(_dst1(x) / dom.sine_symbol ** alpha)
+        assert invert_polyharmonic(ScalarField(dom, x), alpha).values.tobytes() == ref.tobytes()
 
 
 def test_field_dump_roundtrip(tmp_path):

@@ -7,6 +7,7 @@ matrices, and literal evaluation of both sides of the shifted-trace identity.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from polyhess import (
     sk_partials,
     sk_partials_stack,
 )
-from polyhess.grid import bump_field, integrate, sk_field, unit_box
+from polyhess.grid import ScalarField, bump_field, hessian_entries, integrate, unit_box
 from polyhess.hessian_algebra import entry_pairs, entry_table, stack_of_entries
 from polyhess.verify import (
     divergence_values,
@@ -264,12 +265,30 @@ def test_batched_checks_equal_per_matrix_loops(check, loop, seed):
 
 @pytest.mark.parametrize("orders", [(2, 3), (3, 2)])
 def test_divergence_values_share_each_rung_bitwise(orders):
+    """Each order's values from one shared slab-wise pass are those of the
+    whole-array kernel on that order's own bump."""
     node_counts = (12, 16, 20)
     values, spacings = divergence_values(3, orders, node_counts)
     assert spacings == [1.0 / (n + 1) for n in node_counts]
     for k in orders:
         bumps = [bump_field(unit_box(3, n), (0.5,) * 3, 0.45, 1.0, k) for n in node_counts]
-        assert values[k] == [abs(integrate(sk_field(psi, k))) for psi in bumps]
+        assert values[k] == [abs(integrate(ScalarField(psi.domain,
+                                                       sk_of_entries(hessian_entries(psi), k))))
+                             for psi in bumps]
+
+
+def test_divergence_values_peak_memory_in_full_planes():
+    """A 3-D rung never holds the full Hessian entry stack: its traced peak,
+    bump construction included, stays within 5 full planes (the whole-array
+    pass took 10)."""
+    n = 64
+    tracemalloc.start()
+    try:
+        divergence_values(3, (2, 3), (n,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * n ** 3
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
