@@ -522,7 +522,7 @@ def invert_polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
 def dump_field(u: ScalarField, base: str | Path) -> tuple[Path, Path]:
     """Write ``<base>.f64`` (little-endian float64, C order) and ``<base>.meta.json``."""
     base = Path(base)
-    raw = base.with_suffix(base.suffix + ".f64") if base.suffix else base.with_suffix(".f64")
+    raw = base.with_name(base.name + ".f64")
     meta = raw.with_suffix(".meta.json")
     raw.parent.mkdir(parents=True, exist_ok=True)
     u.values.astype("<f8").tofile(raw)
@@ -539,7 +539,8 @@ def dump_field(u: ScalarField, base: str | Path) -> tuple[Path, Path]:
 
 
 def load_field(base: str | Path) -> ScalarField:
-    """Read a field written by ``dump_field``.
+    """Read a field written by ``dump_field``, from its base (any dots in it
+    kept, as ``dump_field`` keeps them) or from its ``.f64`` file.
 
     The sidecar is checked, not trusted: a layout other than ``<f8`` in C
     order, a raw file whose size does not match the node counts, a
@@ -547,7 +548,7 @@ def load_field(base: str | Path) -> ScalarField:
     not read, such as the ``ghost_width`` of older sidecars, are ignored.
     """
     base = Path(base)
-    raw = base if base.suffix == ".f64" else base.with_suffix(".f64")
+    raw = base if base.suffix == ".f64" else base.with_name(base.name + ".f64")
     meta = raw.with_suffix(".meta.json")
     header = json.loads(meta.read_text())
     try:

@@ -36,8 +36,10 @@ Action, ray values, residual and the Newton Jacobian action of the
 setting's form come from ``energy`` (``action``, ``ray_actions``,
 ``residual``, ``residual_jacobian``).
 
-Krylov solver.  Each Newton step solves the preconditioned Jacobian system
-with ``gmres``, restarted GMRES (Saad and Schultz, SIAM J. Sci. Stat.
+Krylov solver.  Each Newton step is one solve of the preconditioned
+Jacobian system at one constant relative tolerance, ``_KRYLOV_RTOL``, with
+no retry, and its line search evaluates every trial.  The solver is
+``gmres``, restarted GMRES (Saad and Schultz, SIAM J. Sci. Stat.
 Comput. 7:856, 1986) written here on numpy: modified Gram-Schmidt Arnoldi
 and Givens rotations from ``_lartg``, LAPACK's safe-scaling ``dlartg``.  It
 performs scipy's ``sparse.linalg.gmres`` operations in scipy's order, so
@@ -385,47 +387,27 @@ def gmres(matvec, b: np.ndarray, rtol: float, restart: int, maxiter: int) -> np.
     return x
 
 
-def _newton_steps(u: ScalarField, r: ScalarField, s: EnergySetting):
-    """Inexact Newton steps at ``u``, one per ``_KRYLOV_RTOLS`` entry (a step,
-    then one sharper retry), preconditioned by the sine-basis polyharmonic inverse.
+_NEWTON_MAX = 60
+_KRYLOV_RTOL = 1e-7  # GMRES stops at |b - A x| <= _KRYLOV_RTOL |b|: a fixed forcing term
 
-    The Jacobian action of the setting's residual comes from
-    ``energy.residual_jacobian``.  The preconditioned system is built once,
-    on the first step; each step runs restarted GMRES on it from x0 = 0.  The
-    retry repeats the first step's first Arnoldi cycle, bit for bit, until
-    the looser tolerance would have stopped it, so the operator's images are
-    kept (keyed by the exact bytes of the Krylov vector, at most one restart
-    cycle's worth) and reused.
-    """
+
+def _newton_step(u: ScalarField, r: ScalarField, s: EnergySetting) -> ScalarField:
+    """Inexact Newton step at ``u`` with residual ``r`` (Dembo, Eisenstat and
+    Steihaug, SIAM J. Numer. Anal. 19:400, 1982): one GMRES solve from x0 = 0
+    of the Jacobian system of ``energy.residual_jacobian``, preconditioned by
+    the sine-basis polyharmonic inverse."""
     dom = u.domain
     shape = dom.nodes
     m = int(np.prod(shape))
-    alpha = s.alpha
     jac = residual_jacobian(u, s)
-    images = {}
 
     def matvec(vflat: np.ndarray) -> np.ndarray:
-        key = vflat.tobytes()
-        if key in images:
-            return images[key].copy()  # gmres updates its image in place
         jv = jac(vflat.reshape(shape))
-        image = invert_polyharmonic(ScalarField(dom, jv), alpha).values.reshape(m)
-        if len(images) <= _KRYLOV_RESTART:
-            images[key] = image.copy()
-        return image
+        return invert_polyharmonic(ScalarField(dom, jv), s.alpha).values.reshape(m)
 
     rhs = -invert_polyharmonic(r, s.alpha).values.reshape(m)
-    for rtol in _KRYLOV_RTOLS:
-        x = gmres(matvec, rhs, rtol, _KRYLOV_RESTART, _KRYLOV_OUTER)
-        yield ScalarField(dom, x.reshape(shape))
-
-
-_NEWTON_MAX = 60
-# GMRES rtols, in order: a failed step is retried once with a sharper Krylov
-# solve before giving up.  The product is kept as written: 1e-4 * 1e-3 is
-# 1.0000000000000001e-07, not 1e-07, and strong solves at the residual
-# roundoff floor are sensitive to that last bit.
-_KRYLOV_RTOLS = (1e-3, 1e-4 * 1e-3)
+    x = gmres(matvec, rhs, _KRYLOV_RTOL, _KRYLOV_RESTART, _KRYLOV_OUTER)
+    return ScalarField(dom, x.reshape(shape))
 
 
 def _newton_refine(u: ScalarField, r: ScalarField, rn: float, s: EnergySetting,
@@ -435,33 +417,26 @@ def _newton_refine(u: ScalarField, r: ScalarField, rn: float, s: EnergySetting,
     each accepted iterate appends its own row to ``rec``, at most until it
     holds ``max_iters`` rows.
 
-    Returns (last iterate, its residual norm, reached_tolerance).  Acceptance
-    demands a strict residual-norm decrease, so the refinement never runs
-    away from the starting basin; the accepted candidate's residual, already
-    computed by the line search, starts the next iteration.  A candidate
-    equal to ``u`` is not evaluated: its residual norm is ``rn``, so its
-    rejection is already known.
+    Returns (last iterate, its residual norm, reached_tolerance).  Each
+    iteration is one GMRES solve (``_newton_step``) and a line search on
+    t = 1, 1/2, ... (at most 10 trials, each one evaluated) for a strict
+    residual-norm decrease, so the refinement never runs away from the
+    starting basin; a step without one ends the refinement, with no retry.
+    The accepted candidate's residual starts the next iteration.
     """
     for _ in range(min(_NEWTON_MAX, cfg.max_iters - len(rec))):
         if rn <= cfg.grad_tol:
             return u, rn, True
-        stepped = False
-        for delta in _newton_steps(u, r, s):
-            t = 1.0
-            for _ in range(10):
-                cand = u + t * delta
-                if np.array_equal(cand.values, u.values):
-                    t *= 0.5
-                    continue
-                r_cand = residual(cand, s)
-                rn_cand = l2_norm(r_cand)
-                if rn_cand < rn:
-                    stepped = True
-                    break
-                t *= 0.5
-            if stepped:
+        delta = _newton_step(u, r, s)
+        t = 1.0
+        for _ in range(10):
+            cand = u + t * delta
+            r_cand = residual(cand, s)
+            rn_cand = l2_norm(r_cand)
+            if rn_cand < rn:
                 break
-        if not stepped:
+            t *= 0.5
+        else:
             return u, rn, False
         u, r, rn = cand, r_cand, rn_cand
         report = energy_report(u, s)

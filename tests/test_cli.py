@@ -288,10 +288,16 @@ def test_non_finite_iterate_exits_3_naming_its_phase(tmp_path, capsys, monkeypat
     assert summary["error"].startswith(f"{phase} iterate has a non-finite")
 
 
-def test_cmd_solve_config_error_exit_code(tmp_path):
+def test_cmd_solve_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[problem]\nn = 2\nk = 9\n")
-    assert main(["solve", "--config", str(bad)]) == 2
+    for text, error in (("[problem]\nn = 2\nk = 9\n", ""),
+                        ("[problem\nn = 2\n", "invalid config"),
+                        ('{"problem": {"n": 2,}}', "invalid JSON config"),
+                        ('{"problem": [2]}', "section 'problem' must be an object")):
+        bad.write_text(text)
+        assert main(["solve", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and error in err
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
@@ -313,11 +319,14 @@ def test_cmd_solve_config_error_exit_code(tmp_path):
     ("kind = constant\n", "kind = gaussian\nwidth = 1e-10\n"),
     ("schedule = 0.0 0.05\n", "schedule = 0.01 0.05\n"),
     ("schedule = 0.0 0.05\n", "schedule = 0.0 0.05 0.05\n"),
+    ("nodes = 32\n", "nodes = 32 32 32\n"),
+    ("kind = constant\n", "kind = file\n"),
 ], ids=["negative-alpha", "nan-lambda", "inf-schedule", "missing-datum-file",
         "few-fit-samples", "zero-krylov-restart", "zero-krylov-outer", "negative-krylov-rtol",
         "negative-newton-max", "nan-extent", "inf-extent", "nan-datum-value",
         "zero-gaussian-width", "subnormal-gaussian-width", "narrow-gaussian-width",
-        "schedule-not-from-zero", "schedule-not-increasing"])
+        "schedule-not-from-zero", "schedule-not-increasing", "node-counts-not-N",
+        "file-datum-without-path"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_config_values_exit_2(tmp_path, capsys, edit):
     cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace(*edit))
@@ -478,22 +487,29 @@ def _edit_sidecar(key, value):
     return edit
 
 
-@pytest.mark.parametrize("damage", [
-    _truncate,
-    _write_nan,
-    _edit_sidecar("dtype", ">f8"),
-    _edit_sidecar("order", "F"),
-], ids=["truncated", "nan-value", "big-endian-dtype", "fortran-order"])
-def test_damaged_datum_dump_exits_2(tmp_path, capsys, damage):
+def _dump_on_another_domain(raw, meta):
+    dump_field(random_smooth_field(unit_box(2, 24), np.random.default_rng(5)),
+               raw.with_suffix(""))
+
+
+@pytest.mark.parametrize("damage, error", [
+    (_truncate, "bytes, expected"),
+    (_write_nan, "non-finite values"),
+    (_edit_sidecar("dtype", ">f8"), "unsupported layout"),
+    (_edit_sidecar("order", "F"), "unsupported layout"),
+    (_dump_on_another_domain, "does not match the configured domain"),
+], ids=["truncated", "nan-value", "big-endian-dtype", "fortran-order", "other-domain"])
+def test_damaged_datum_dump_exits_2(tmp_path, capsys, damage, error):
+    """A dump that ``load_field`` refuses, or one on another domain, is a
+    config error that carries the refusing check's message."""
     u = random_smooth_field(unit_box(2, 32), np.random.default_rng(5))
     raw, meta = dump_field(u, tmp_path / "datum")
     damage(raw, meta)
-    with pytest.raises(ValueError):
-        load_field(raw)
     text = SMALL_INI.replace("kind = constant\n", f"kind = file\npath = {raw}\n")
     cfg_path = write_cfg(tmp_path, text=text)
     assert main(["solve", "--config", str(cfg_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and error in err
 
 def test_cmd_continuation(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)

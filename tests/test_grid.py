@@ -495,10 +495,11 @@ def test_field_dump_roundtrip(tmp_path):
     rng = np.random.default_rng(25)
     dom = BoxDomain(nodes=(12, 20), extent=(1.0, 2.0))
     u = random_smooth_field(dom, rng)
-    dump_field(u, tmp_path / "field")
-    v = load_field(tmp_path / "field")
-    assert v.domain == dom
-    assert np.array_equal(v.values, u.values)
+    for base in ("field", "u_star.v2"):  # a dot in the base is kept, not a suffix
+        dump_field(u, tmp_path / base)
+        v = load_field(tmp_path / base)
+        assert v.domain == dom
+        assert np.array_equal(v.values, u.values)
 
 
 _SIDECAR_KEYS = {"dim", "nodes", "extent", "spacing", "order", "dtype"}

@@ -74,7 +74,7 @@ def _cube_setting(n, k, lam):
 ], ids=["strong-2d", "weak-2d", "strong-3d", "strong-3d-k3"])
 def test_gmres_equals_scipy_on_newton_systems(make, monkeypatch):
     matvec, b = _first_newton_system(make(), monkeypatch)
-    for rtol in solvers._KRYLOV_RTOLS:
+    for rtol in (1e-3, solvers._KRYLOV_RTOL):
         ours = solvers.gmres(matvec, b, rtol, solvers._KRYLOV_RESTART, solvers._KRYLOV_OUTER)
         theirs = _scipy_gmres(matvec, b, rtol, solvers._KRYLOV_RESTART, solvers._KRYLOV_OUTER)
         assert np.array_equal(ours, theirs)

@@ -19,7 +19,6 @@ from polyhess import (
     NonconvergenceError,
     ProblemParams,
     PSRecord,
-    ScalarField,
     SolverConfig,
     ball_uniqueness_probe,
     continuation_in_lambda,
@@ -248,41 +247,24 @@ def test_newton_refine_records_each_accepted_iterate_once(run32):
     assert all(b < a for a, b in zip([rn] + rec.residual_norm, rec.residual_norm))
 
 
-def test_newton_retries_reuse_krylov_images_bit_for_bit(run32, monkeypatch):
-    """Each sharper GMRES solve of a Newton system gives the step a solve
-    from scratch gives, while the operator runs fewer times than GMRES asks
-    for its action: the images of the repeated first Arnoldi cycle are kept."""
-    s = flagship_setting(32)
-    u = run32.pair.u_star + 1e-3 * random_smooth_field(s.f.domain, np.random.default_rng(51))
-    r = residual_strong(u, s)
-    shape, m = u.domain.nodes, u.values.size
-    jac = solvers.residual_jacobian(u, s)
+def test_strong128_newton_iteration_is_one_gmres_solve(tmp_path, monkeypatch):
+    """On the n = 128 flagship, at the residual roundoff floor, every Newton
+    iteration (one Jacobian built at its iterate) runs exactly one GMRES solve."""
+    cfg_path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "strong128.cfg"
+    calls = {"jacobian": 0, "gmres": 0}
 
-    def plain(vflat):
-        plain.calls += 1
-        jv = jac(vflat.reshape(shape))
-        return solvers.invert_polyharmonic(ScalarField(u.domain, jv), s.alpha).values.reshape(m)
-
-    plain.calls = 0
-    rhs = -solvers.invert_polyharmonic(r, s.alpha).values.reshape(m)
-    expected = [solvers.gmres(plain, rhs, rtol, solvers._KRYLOV_RESTART, solvers._KRYLOV_OUTER)
-                for rtol in solvers._KRYLOV_RTOLS]
-
-    applied = []
-    residual_jacobian = solvers.residual_jacobian
-
-    def counted_jacobian(u, s):
-        action = residual_jacobian(u, s)
-
-        def counted(v):
-            applied.append(1)
-            return action(v)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
         return counted
 
-    monkeypatch.setattr(solvers, "residual_jacobian", counted_jacobian)
-    steps = list(solvers._newton_steps(u, r, s))
-    assert all(np.array_equal(step.values.reshape(m), x) for step, x in zip(steps, expected))
-    assert len(steps) == len(expected) and len(applied) < plain.calls
+    monkeypatch.setattr(solvers, "residual_jacobian",
+                        counting("jacobian", solvers.residual_jacobian))
+    monkeypatch.setattr(solvers, "gmres", counting("gmres", solvers.gmres))
+    assert main(["solve", "--config", str(cfg_path), "--seed", "0", "--out", str(tmp_path)]) == 0
+    phases = json.loads((tmp_path / "run.json").read_text())["results"]["record_mountain"]["phase"]
+    assert calls["gmres"] == calls["jacobian"] >= phases.count("newton") > 0
 
 
 def test_mountain_record_has_no_repeated_rows(run32, run64, run32_weak):
@@ -579,54 +561,3 @@ def test_nonconvergence_carries_record():
         minimize_local(s, zeros(s.f.domain), cfg, cutoff)
     assert err.value.record is not None
     assert len(err.value.record) >= 1
-
-
-def _newton_refine_as_first_written(u, r, rn, s, cfg, rec):
-    """``solvers._newton_refine`` evaluating every line-search trial."""
-    for _ in range(min(solvers._NEWTON_MAX, cfg.max_iters - len(rec))):
-        if rn <= cfg.grad_tol:
-            return u, rn, True
-        stepped = False
-        for delta in solvers._newton_steps(u, r, s):
-            t = 1.0
-            for _ in range(10):
-                cand = u + t * delta
-                r_cand = solvers.residual(cand, s)
-                rn_cand = l2_norm(r_cand)
-                if rn_cand < rn:
-                    stepped = True
-                    break
-                t *= 0.5
-            if stepped:
-                break
-        if not stepped:
-            return u, rn, False
-        u, r, rn = cand, r_cand, rn_cand
-        report = solvers.energy_report(u, s)
-        rec.append(report.J, rn, report.seminorm, "newton")
-    return u, rn, rn <= cfg.grad_tol
-
-
-def test_newton_skips_trials_of_known_outcome(tmp_path, monkeypatch):
-    """On the n = 128 flagship the line search meets candidates equal to the
-    iterate; skipping them saves residual evaluations and changes no output."""
-    cfg_path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "strong128.cfg"
-    calls = [0]
-    residual_of = solvers.residual
-
-    def counted(u, s):
-        calls[0] += 1
-        return residual_of(u, s)
-
-    monkeypatch.setattr(solvers, "residual", counted)
-    outputs = {}
-    for name, refine in (("first", _newton_refine_as_first_written),
-                         ("skipping", solvers._newton_refine)):
-        monkeypatch.setattr(solvers, "_newton_refine", refine)
-        calls[0] = 0
-        out = tmp_path / name
-        assert main(["solve", "--config", str(cfg_path), "--seed", "0", "--out", str(out)]) == 0
-        results = json.loads((out / "run.json").read_text())["results"]
-        outputs[name] = (calls[0], results, (out / "u_star.f64").read_bytes())
-    assert outputs["skipping"][1:] == outputs["first"][1:]
-    assert outputs["skipping"][0] < outputs["first"][0]
