@@ -47,20 +47,19 @@ entries are computed (``_images``, both residuals, the weak pairing, both
 Jacobian actions), the first Laplacian is their diagonal, through
 ``grid.laplacian_power``, bit for bit equal to the stencil's.
 
-The weak form has one flux definition, ``_flux_of``: F_a = sum_b
-S_k^{ab}[u] u_b by the Newton-tensor recursion on the Hessian entries and
-gradient components (for k = 2, sigma_1 g_a - sum_b A_ab g_b), with no
-sigma_k gradient matrix.  The weak action's density sum_a F_a u_a, the weak
-residual's divergence, the weak pairing and the weak Jacobian all use it.
+One Newton-tensor recursion, ``_flux_of``, gives F_a = sum_b S_k^{ab}[u] g_b
+from the Hessian entries (for k = 2, sigma_1 g_a - sum_b A_ab g_b).  The
+weak action's density sum_a F_a u_a, residual, pairing and Jacobian apply
+it to gradients; the strong Jacobian applies it to unit vectors, whose
+fluxes are the columns of T_{k-1}(Hu), the derivative of sigma_k at Hu.
 
 Hessian layout.  Everything above reads the entries (``hessian_entries``):
 sigma_k and the flux read whole contiguous planes, and a value on a ray
-combines d(d+1)/2 planes instead of d^2 strided ones.  Only the
-strong-form Jacobian builds the node-major stack (``stack_of_entries``),
-because it contracts ``sk_partials_stack`` with ``np.einsum``, and an
-explicit sum over entries differs from einsum in the last bit; the strong
-solves at the residual roundoff floor need that bit.  The weak form never
-feeds a strong solve, so the flux needs no such bit.
+combines d(d+1)/2 planes instead of d^2 strided ones; no node-major stack
+is built.  The strong Jacobian's sum_a (sum_b T_ab (Hv)_ab) adds in index
+order, which for 2 x 2 blocks is the einsum order it replaced,
+(p00 + p01) + (p10 + p11): the strong solves at the residual roundoff
+floor need those bits, and other orders move the n = 128 solve's rows.
 
 The truncation ``CutoffSpec`` is the quintic smoothstep between R0 and R1;
 it is exactly 1 inside the R0 ball, where ``evaluate_H`` equals the action.
@@ -72,12 +71,12 @@ datum witness is phi = sign(lambda) G f, G the sine-basis inverse of
 
 Lambda enters the action only through the datum term lambda int f u, so the
 geometry is calibrated in two steps.  The lambda-free step does all the
-stencil work: ``fit_minorant`` reads each sample's seminorm r, int f u and
-nonlinear term (hence C2), and ``geometry_witnesses`` searches psi and
-computes G f, which also gives the sample family its +-G f anchors.  The
+stencil work: ``fit_minorant`` reads each sample's seminorm r and
+nonlinear term (hence C2) and int f a and r of the anchor a = G f /
+max|G f|, and ``geometry_witnesses`` searches psi and computes G f.  The
 lambda step is cheap: ``MinorantFit.coefficients`` forms C1 from
-lambda * int f u / r in the order a per-lambda fit used, so C1 and C2 are
-bit for bit those of fitting at that lambda, and ``WitnessBasis.witnesses``
+|lambda| int f a / r, the largest lambda int f u / r of the samples, bit
+for bit what fitting at that lambda gives, and ``WitnessBasis.witnesses``
 signs phi and checks lambda int f phi > 0.  A psi search that found no bump
 is kept as psi = None and raised by ``witnesses``, after the minorant's
 own checks, as when each lambda fitted its own.
@@ -104,18 +103,18 @@ from .grid import (
     bump_field,
     divergence_centered,
     gradient_centered,
-    hessian,
     hessian_entries,
     half_order,
     inner,
     invert_polyharmonic,
     laplacian_power,
     random_smooth_field,
+    seminorm,
     seminorm_of,
     sk_field,
     zeros,
 )
-from .hessian_algebra import entry_table, sk_of_entries, sk_partials_stack, stack_of_entries
+from .hessian_algebra import entry_table, sk_of_entries
 
 
 class Form(enum.Enum):
@@ -242,11 +241,11 @@ def _J_of(images: tuple, s: EnergySetting) -> float:
 
 
 def _flux_of(grads: np.ndarray, ents: np.ndarray, k: int) -> np.ndarray:
-    """F_a = sum_b S_k^{ab} g_b, shape (dim,) + nodes, from the gradient
-    components ``grads`` ((dim,) + nodes, read only) and the Hessian entries
-    ``ents``, by the Newton-tensor recursion S_{j+1} = sigma_j I - A S_j
-    (Reilly, Michigan Math. J. 20:373, 1973): F = g, then
-    F <- sigma_j g - A F for j = 1 ... k-1."""
+    """F_a = sum_b S_k^{ab} g_b, shape (dim,) + nodes, from ``grads`` (read
+    only; a gradient, or a unit vector of shape (dim,) + (1,) * dim, whose
+    flux is a column of S_k) and the Hessian entries ``ents``, by the
+    Newton-tensor recursion S_{j+1} = sigma_j I - A S_j (Reilly, Michigan
+    Math. J. 20:373, 1973): F = g, then F <- sigma_j g - A F, j = 1 ... k-1."""
     dim = grads.shape[0]
     table = entry_table(dim)
     flux = grads
@@ -385,9 +384,10 @@ def residual(u: ScalarField, s: EnergySetting) -> ScalarField:
 def residual_jacobian(u: ScalarField, s: EnergySetting):
     """Jacobian action v -> R'(u) v of the setting's residual, on node arrays.
 
-    The pointwise-form Jacobian acts through the sigma_k gradient matrices.
-    The divergence form linearizes the flux F(g, H) = ``_flux_of``, linear in
-    the gradient g and of degree k - 1 <= 2 in the Hessian H:
+    The pointwise form reads d sigma_k(Hu)[Hv] = sum_ab T_ab (Hv)_ab off the
+    Newton tensor T = T_{k-1}(Hu), built once: column b is ``_flux_of`` of
+    the unit vector e_b.  The divergence form linearizes the flux F(g, H) =
+    ``_flux_of``, linear in the gradient g and of degree k - 1 <= 2 in H:
     F(grad v, Hu) + (F(grad u, Hu + Hv) - F(grad u, Hu - Hv)) / 2, where the
     half difference is the exact H-derivative of a quadratic.
     """
@@ -397,19 +397,28 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
     sign_a = _sign(alpha)
     sign_k = _sign(k)
 
+    ents_u = hessian_entries(u)
     if s.form is Form.STRONG:
-        # the node-major stacks: einsum's sum, bit for bit
-        partials = sk_partials_stack(hessian(u), k)
+        dim = dom.dim
+        table = entry_table(dim)
+        units = np.eye(dim).reshape((dim, dim) + (1,) * dim)
+        tensor = np.stack([_flux_of(e, ents_u, k) for e in units], axis=1)  # [a, b] = T_ab
 
         def apply(v_vals: np.ndarray) -> np.ndarray:
             v = ScalarField(dom, v_vals)
             ents_v = hessian_entries(v)
-            dsk = np.einsum("...ab,...ab->...", partials, stack_of_entries(ents_v))
+            # sum_a (sum_b T_ab (Hv)_ab), both sums in index order: for 2 x 2
+            # blocks einsum's (p00 + p01) + (p10 + p11), bit for bit
+            dsk = None
+            for a in range(dim):
+                row = tensor[a, 0] * ents_v[table[a, 0]]
+                for b in range(1, dim):
+                    row += tensor[a, b] * ents_v[table[a, b]]
+                dsk = row if dsk is None else np.add(dsk, row, out=dsk)
             return sign_a * laplacian_power(v, ents_v, alpha).values - sign_k * dsk
         return apply
 
     grads_u = gradient_centered(u)
-    ents_u = hessian_entries(u)
 
     def apply(v_vals: np.ndarray) -> np.ndarray:
         v = ScalarField(dom, v_vals)
@@ -546,19 +555,20 @@ def minorant_sample_family(s: EnergySetting, samples: int, rng: np.random.Genera
 
 @dataclass(frozen=True)
 class MinorantFit:
-    """The lambda-free part of the minorant fit: C2, and for each usable
-    sample its datum pairing int f u and seminorm r, from which
-    ``coefficients`` forms C1 at any lambda."""
+    """The lambda-free part of the minorant fit: C2, and int f a and the
+    seminorm r of the anchor a = G f / max|G f| (0 and 1 for a zero datum),
+    from which ``coefficients`` forms C1 at any lambda.  For even alpha
+    int f u is the seminorm's inner product of G f and u, so by
+    Cauchy-Schwarz +-a bound int f u / |u| over every field."""
 
     k: int
     C2: float
-    datum_samples: tuple  # (int f u, r) per usable sample
+    anchor_pairing: float
+    anchor_seminorm: float
 
     def coefficients(self, lam: float) -> MinorantCoefficients:
-        c1 = 0.0
-        for fu, r in self.datum_samples:
-            c1 = max(c1, lam * fu / r)
-        c1 = max(_FIT_MARGIN * c1, _C_FLOOR * (1.0 + abs(lam)))
+        c1 = max(_FIT_MARGIN * (abs(lam) * self.anchor_pairing / self.anchor_seminorm),
+                 _C_FLOOR * (1.0 + abs(lam)))
         return MinorantCoefficients(C1=c1, C2=self.C2, k=self.k)
 
 
@@ -568,27 +578,35 @@ def fit_minorant(s: EnergySetting, samples: int, rng: np.random.Generator,
 
     Because the datum and nonlinear terms are homogeneous of degree 1 and
     k+1 in the field, requiring the bound along every ray through a sample
-    splits exactly into the two termwise ratios maximized here; a fixed
-    margin then covers fresh draws from the same family.  The setting's
-    lambda is not read: ``MinorantFit.coefficients`` applies it.  ``gf``
-    is G f for the family's anchors (``minorant_sample_family``).
+    splits exactly into the two termwise ratios: C2 is maximized over the
+    samples here, C1 is read off the G f anchor (``MinorantFit``), and a
+    fixed margin then covers fresh draws from the same family.  The
+    setting's lambda is not read: ``MinorantFit.coefficients`` applies it.
+    ``gf`` is G f (computed here when omitted).
     """
     if samples < 10:
         raise ValueError("need at least 10 samples for the minorant fit")
     s.validate_grid()
     k = s.params.k
+    if gf is None:
+        gf = invert_polyharmonic(s.f, s.alpha)
     c2 = 0.0
-    datum_samples = []
+    usable = 0
     for u in minorant_sample_family(s, samples, rng, gf):
         images = _images(u, s)
         r = seminorm_of(images[1], u.domain)
         if r <= 0.0:
             continue
-        datum_samples.append((_datum_pairing(u.values, s), r))
+        usable += 1
         c2 = max(c2, _nonlinear(images, s) / r ** (k + 1))
-    if len(datum_samples) < 10:
+    if usable < 10:
         raise FitError("minorant fit degenerate: fewer than 10 nonzero samples")
-    return MinorantFit(k, max(_FIT_MARGIN * c2, _C_FLOOR), tuple(datum_samples))
+    top = float(np.max(np.abs(gf.values)))
+    fa, r = 0.0, 1.0
+    if top > 0:
+        anchor = gf * (1.0 / top)
+        fa, r = _datum_pairing(anchor.values, s), seminorm(anchor, s.alpha)
+    return MinorantFit(k, max(_FIT_MARGIN * c2, _C_FLOOR), fa, r)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ diagonal first and then the pairs a < b (``hessian_algebra.entry_pairs``).
 Component-first planes are what sigma_k, the weak flux, the action and
 its values on a ray read and combine, plane by plane and contiguously.
 ``hessian`` expands the entries into the node-major stack, shape nodes + (dim, dim),
-one C-contiguous (dim, dim) block per node; the strong-form Jacobian
-contracts that stack with ``np.einsum``, whose sum an explicit loop over
-entries does not reproduce bit for bit.
+one C-contiguous (dim, dim) block per node; no solver path reads it (the
+strong-form Jacobian reads the entries too), and it is kept for the tests'
+einsum oracles.
 
 A caller that needs only sigma_k of a field (``sk_field``, or several
 orders at once from ``sk_fields``) never holds the whole entry stack.
@@ -548,7 +548,9 @@ def load_field(base: str | Path) -> ScalarField:
     not read, such as the ``ghost_width`` of older sidecars, are ignored.
     """
     base = Path(base)
-    raw = base if base.suffix == ".f64" else base.with_name(base.name + ".f64")
+    raw = base.with_name(base.name + ".f64")
+    if base.suffix == ".f64" and not raw.exists():
+        raw = base
     meta = raw.with_suffix(".meta.json")
     header = json.loads(meta.read_text())
     try:

@@ -21,9 +21,9 @@ single-matrix front ends, which validate and symmetrize the input first.
 ``sigma_k`` of the eigenvalues is the independent oracle the checks compare
 against.  All but the single-matrix front ends accept leading batch axes,
 and give each matrix of a stack the bits it gets alone.  The gradient kernel
-keeps the node-major stack: the strong-form Jacobian contracts its output
-with ``np.einsum``, and an explicit sum over entries differs from einsum in
-the last bit.
+keeps the node-major stack; it backs ``sk_partials`` and the algebra
+checks, while the solver differentiates sigma_k through the Newton tensor
+on the entries (``energy._flux_of``).
 
 Derivative convention for ``sk_partials``: the (i, j) entry is the derivative
 of sigma_k with respect to entry a_ij treating entries as independent, which
@@ -53,7 +53,7 @@ for k = 2 and sigma_2 I - sigma_1 A + A A for k = 3 (every order a grid of
 dimension <= 3 reaches), with no identity stack, no multiplication by
 sigma_0 = 1 and no product with I.  The terms are added in increasing
 powers of A; tests pin the result bit for bit to the series accumulated
-from an identity stack, which the strong-form Jacobian relies on.
+from an identity stack, and against central differences of sigma_k.
 
 Every operation is a pure function of its arguments; the only shared
 state is the cached, read-only entry index tables, so concurrent callers
@@ -260,7 +260,8 @@ def sk_partials_stack(mats: np.ndarray, k: int) -> np.ndarray:
     Evaluates sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j term by term (see the
     module docstring), which for symmetric A is the matrix of per-entry
     minor derivatives; tests check it against central differences of
-    sigma_k.
+    sigma_k, and its einsum contraction is the tests' oracle for the
+    strong-form Jacobian action.
     """
     m = np.asarray(mats, dtype=float)
     n = m.shape[-1]

@@ -511,6 +511,21 @@ def test_damaged_datum_dump_exits_2(tmp_path, capsys, damage, error):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and error in err
 
+def test_file_datum_solves_like_the_datum_it_holds(tmp_path):
+    """A ``kind = file`` datum, dumped under a base that ends in .f64, gives
+    the run.json results of the constant datum it holds."""
+    const_out, file_out = tmp_path / "const", tmp_path / "file"
+    const_cfg = write_cfg(tmp_path, out=str(const_out))
+    cfg = load_config(const_cfg)
+    base = tmp_path / "datum.f64"
+    dump_field(build_datum(cfg, build_domain(cfg)), base)
+    assert main(["solve", "--config", str(const_cfg)]) == 0
+    text = SMALL_INI.replace("kind = constant\n", f"kind = file\npath = {base}\n")
+    assert main(["solve", "--config", str(write_cfg(tmp_path, text=text, out=str(file_out)))]) == 0
+    const, file = (json.loads((d / "run.json").read_text())["results"] for d in (const_out, file_out))
+    assert file == const
+
+
 def test_cmd_continuation(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "out"

@@ -31,12 +31,13 @@ from polyhess import (
     unit_box,
     zeros,
 )
-from polyhess.energy import _flux_of, minorant_sample_family
+from polyhess.energy import _flux_of, _sign, minorant_sample_family
 from polyhess.energy import action, ray_actions, residual, residual_jacobian
 from polyhess.grid import (
     BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian, hessian_entries,
+    laplacian_power,
 )
-from polyhess.hessian_algebra import entry_table, sk_of_entries, sk_partials_stack
+from polyhess.hessian_algebra import entry_table, sk_of_entries, sk_partials_stack, stack_of_entries
 from polyhess.verify import consistency_worst_errors
 
 from conftest import constant_datum, flagship_setting
@@ -451,17 +452,62 @@ def test_domain_mismatch_errors(s64):
         evaluate_J(other, s64)
 
 
-@pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
-def test_residual_jacobian_matches_central_difference(form):
-    # For k = 2 both residuals are quadratic in u, so the central
-    # difference equals the Jacobian action up to roundoff.
-    s = flagship_setting(32, form=form)
+@pytest.mark.parametrize("form, dim, k", [
+    (Form.STRONG, 2, 2), (Form.WEAK, 2, 2),
+    (Form.STRONG, 3, 2), (Form.WEAK, 3, 2), (Form.STRONG, 3, 3), (Form.WEAK, 3, 3),
+], ids=["strong", "weak", "strong-3d-k2", "weak-3d-k2", "strong-3d-k3", "weak-3d-k3"])
+def test_residual_jacobian_matches_central_difference(form, dim, k):
+    # The residuals are polynomials of degree k in u.  For k = 2 the central
+    # difference D(eps) equals the Jacobian action up to roundoff; for k = 3
+    # its error is c eps^2, which (4 D(eps/2) - D(eps)) / 3 cancels exactly.
+    if dim == 2:
+        s = flagship_setting(32, form=form)
+    else:
+        dom = unit_box(3, 12)
+        s = make_setting(ProblemParams(3, k), 0.05, constant_datum(dom), form=form)
     dom = s.f.domain
     rng = np.random.default_rng(3)
     eps = 1e-3
+
+    def central(u, v, e):
+        return (residual(u + e * v, s).values - residual(u - e * v, s).values) / (2.0 * e)
+
     for _ in range(3):
         u = random_smooth_field(dom, rng, amplitude=0.5)
         v = random_smooth_field(dom, rng, amplitude=0.5)
         jv = residual_jacobian(u, s)(v.values)
-        fd = (residual(u + eps * v, s).values - residual(u - eps * v, s).values) / (2.0 * eps)
+        fd = central(u, v, eps)
+        if k == 3:
+            fd = (4.0 * central(u, v, 0.5 * eps) - fd) / 3.0
         assert np.max(np.abs(jv - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+def _strong_action_by_einsum(u, s, v_vals):
+    """The strong Jacobian action as first written: the node-major gradient
+    matrices of sigma_k contracted with the Hessian of v by ``np.einsum``."""
+    k = s.params.k
+    v = ScalarField(u.domain, v_vals)
+    ents_v = hessian_entries(v)
+    dsk = np.einsum("...ab,...ab->...", sk_partials_stack(hessian(u), k), stack_of_entries(ents_v))
+    return _sign(s.alpha) * laplacian_power(v, ents_v, s.alpha).values - _sign(k) * dsk
+
+
+@pytest.mark.parametrize("nodes, k", [
+    ((128, 128), 2), ((64, 64), 2), ((40, 33), 2), ((24, 24, 24), 2), ((15, 12, 13), 3),
+])
+def test_strong_jacobian_action_equals_einsum_contraction(nodes, k):
+    """The action read through the Newton tensor equals the einsum
+    contraction of ``sk_partials_stack``: bit for bit on 2-D grids, where
+    its two-level sum is einsum's order, and to 1e-14 relative in 3-D."""
+    dom = BoxDomain(nodes=nodes)
+    s = make_setting(ProblemParams(len(nodes), k), 0.05, constant_datum(dom))
+    rng = np.random.default_rng(len(nodes) + k)
+    for _ in range(3):
+        u = random_smooth_field(dom, rng, modes=4, amplitude=2.0)
+        v = rng.standard_normal(nodes)
+        got = residual_jacobian(u, s)(v)
+        want = _strong_action_by_einsum(u, s, v)
+        if len(nodes) == 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -119,15 +119,17 @@ def test_hessian_exactness():
 def test_hessian_layout_is_node_major():
     """grid.hessian stores one C-contiguous (d, d) block per node.
 
-    The strong-form Jacobian's einsum reads this layout; its summation order
-    follows it.  Storing the Hessian component-first for every reader left
-    every value equal to roundoff but changed the seed-0 n=128 strong-form
-    solve, whose Newton iteration sits at the residual roundoff floor: its
-    mountain-pass record went from 361 to 207 rows and its final residual
-    came out at 9.9955e-7 against the 1e-6 tolerance.  sigma_k, the action
-    and the path sweeps read ``hessian_entries`` instead, whose arithmetic
-    is entrywise and so the same bit for bit in either layout.  A layout
-    change has to be judged on that solve.
+    No solver path reads this layout any more.  The strong-form Jacobian
+    once contracted it with ``np.einsum``; it now reads ``hessian_entries``
+    through the Newton tensor, summing T_ab (Hv)_ab over b in each row and
+    then over the rows, in index order, which is einsum's order for 2 x 2
+    blocks.  The seed-0 n=128 strong-form solve, whose Newton iteration sits
+    at the residual roundoff floor, depends on that order: other entrywise
+    sums, each equal to roundoff, moved its mountain-pass record from 24 rows
+    to 206 or 222 or past its row budget (and an earlier change of this
+    layout moved it from 361 to 207).  A change of summation order has to be
+    judged on that solve.  The stack stays for ``sk_partials`` and for the
+    tests' einsum oracles.
     """
     for dim, n in ((2, 12), (3, 9)):
         dom = unit_box(dim, n)
@@ -494,12 +496,18 @@ def test_invert_polyharmonic_is_two_dsts_bitwise(nodes):
 def test_field_dump_roundtrip(tmp_path):
     rng = np.random.default_rng(25)
     dom = BoxDomain(nodes=(12, 20), extent=(1.0, 2.0))
-    u = random_smooth_field(dom, rng)
-    for base in ("field", "u_star.v2"):  # a dot in the base is kept, not a suffix
-        dump_field(u, tmp_path / base)
-        v = load_field(tmp_path / base)
-        assert v.domain == dom
-        assert np.array_equal(v.values, u.values)
+    # each case dumps distinct fields under its bases, in its own directory,
+    # then loads every base back: a dot in a base is kept, not a suffix, and
+    # a base ending in .f64 names its own dump, also beside the dump it extends
+    cases = (("field",), ("u_star.v2",), ("field.f64",), ("field", "field.f64"))
+    for i, bases in enumerate(cases):
+        fields = [random_smooth_field(dom, rng) for _ in bases]
+        for base, u in zip(bases, fields):
+            dump_field(u, tmp_path / str(i) / base)
+        for base, u in zip(bases, fields):
+            v = load_field(tmp_path / str(i) / base)
+            assert v.domain == dom
+            assert np.array_equal(v.values, u.values)
 
 
 _SIDECAR_KEYS = {"dim", "nodes", "extent", "spacing", "order", "dtype"}

@@ -267,6 +267,26 @@ def test_strong128_newton_iteration_is_one_gmres_solve(tmp_path, monkeypatch):
     assert calls["gmres"] == calls["jacobian"] >= phases.count("newton") > 0
 
 
+def test_strong_flagship_solve_needs_no_einsum(monkeypatch, cfg0):
+    """The strong Jacobian reads Hessian entries, so the n = 32 flagship
+    solve, Newton polish included, converges with ``np.einsum`` unavailable."""
+    built = {"jacobian": 0}
+    jacobian = solvers.residual_jacobian
+
+    def counted(*args):
+        built["jacobian"] += 1
+        return jacobian(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum is not part of the solver")
+
+    monkeypatch.setattr(solvers, "residual_jacobian", counted)
+    monkeypatch.setattr(np, "einsum", refuse)
+    pair = solvers.solve_run(flagship_setting(32), cfg0).pair
+    assert built["jacobian"] > 0
+    assert pair.residual_m <= 1e-6 and pair.residual_star <= 1e-6
+
+
 def test_mountain_record_has_no_repeated_rows(run32, run64, run32_weak):
     for run in (run32, run64, run32_weak):
         rn = run.record_mountain.residual_norm
