@@ -35,6 +35,7 @@ from .exponents import (
 from .hessian_algebra import (
     MAX_DIM,
     as_symmetric,
+    newton_flux,
     shifted_trace_identity,
     sigma_k,
     sk_of_entries,

@@ -105,6 +105,8 @@ class RunConfig:
         if not 0.0 < self.datum_width < math.inf:
             raise ConfigError(
                 f"datum.width must be positive and finite, got {self.datum_width!r}")
+        if self.datum_blocks < 1:
+            raise ConfigError(f"datum.blocks must be at least 1, got {self.datum_blocks!r}")
         if not math.isfinite(self.lam):
             raise ConfigError(f"lambda.value must be finite, got {self.lam!r}")
         if self.lambda_schedule is not None:

@@ -47,11 +47,12 @@ entries are computed (``_images``, both residuals, the weak pairing, both
 Jacobian actions), the first Laplacian is their diagonal, through
 ``grid.laplacian_power``, bit for bit equal to the stencil's.
 
-One Newton-tensor recursion, ``_flux_of``, gives F_a = sum_b S_k^{ab}[u] g_b
+The Newton tensor T_{k-1}(Hu), the derivative of sigma_k at Hu, comes from
+one kernel, ``hessian_algebra.newton_flux``: F_a = sum_b S_k^{ab}[u] g_b
 from the Hessian entries (for k = 2, sigma_1 g_a - sum_b A_ab g_b).  The
 weak action's density sum_a F_a u_a, residual, pairing and Jacobian apply
-it to gradients; the strong Jacobian applies it to unit vectors, whose
-fluxes are the columns of T_{k-1}(Hu), the derivative of sigma_k at Hu.
+it to gradients; the strong Jacobian applies it once to the identity,
+whose flux is T itself.
 
 Hessian layout.  Everything above reads the entries (``hessian_entries``):
 sigma_k and the flux read whole contiguous planes, and a value on a ray
@@ -114,7 +115,7 @@ from .grid import (
     sk_field,
     zeros,
 )
-from .hessian_algebra import entry_table, sk_of_entries
+from .hessian_algebra import entry_table, newton_flux, sk_of_entries
 
 
 class Form(enum.Enum):
@@ -232,30 +233,13 @@ def _nonlinear(images: tuple, s: EnergySetting) -> float:
     if grads is None:
         return _sign(k) / (k + 1) * float(vol * np.vdot(u_vals, sk_of_entries(ents, k)))
     # density sum_a F_a g_a, summed over the nodes
-    return -_sign(k) / ((k + 1) * k) * (vol * float(np.vdot(_flux_of(grads, ents, k), grads)))
+    density = np.vdot(newton_flux(grads, ents, k), grads)
+    return -_sign(k) / ((k + 1) * k) * (vol * float(density))
 
 
 def _J_of(images: tuple, s: EnergySetting) -> float:
     quad, datum, nl = _terms(images, s)
     return quad - datum - nl
-
-
-def _flux_of(grads: np.ndarray, ents: np.ndarray, k: int) -> np.ndarray:
-    """F_a = sum_b S_k^{ab} g_b, shape (dim,) + nodes, from ``grads`` (read
-    only; a gradient, or a unit vector of shape (dim,) + (1,) * dim, whose
-    flux is a column of S_k) and the Hessian entries ``ents``, by the
-    Newton-tensor recursion S_{j+1} = sigma_j I - A S_j (Reilly, Michigan
-    Math. J. 20:373, 1973): F = g, then F <- sigma_j g - A F, j = 1 ... k-1."""
-    dim = grads.shape[0]
-    table = entry_table(dim)
-    flux = grads
-    for j in range(1, k):
-        prev = flux
-        flux = sk_of_entries(ents, j) * grads
-        for a in range(dim):
-            for b in range(dim):
-                flux[a] -= ents[table[a, b]] * prev[b]
-    return flux
 
 
 def evaluate_J(u: ScalarField, s: EnergySetting) -> float:
@@ -305,7 +289,7 @@ def residual_weak_pairing(u: ScalarField, w: ScalarField, s: EnergySetting) -> f
     k = s.params.k
     ents = hessian_entries(u)
     linear = _sign(s.alpha) * laplacian_power(u, ents, s.alpha).values - s.lam * s.f.values
-    flux = _flux_of(gradient_centered(u), ents, k)
+    flux = newton_flux(gradient_centered(u), ents, k)
     grads_w = gradient_centered(w)
     vol = u.domain.cell_volume
     return float(
@@ -322,7 +306,7 @@ def residual_weak_field(u: ScalarField, s: EnergySetting) -> ScalarField:
     s.check_field(u)
     k = s.params.k
     ents = hessian_entries(u)
-    flux = _flux_of(gradient_centered(u), ents, k)
+    flux = newton_flux(gradient_centered(u), ents, k)
     return _euler_lagrange(u, ents, s, _sign(k) / k * divergence_centered(flux, u.domain))
 
 
@@ -385,9 +369,9 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
     """Jacobian action v -> R'(u) v of the setting's residual, on node arrays.
 
     The pointwise form reads d sigma_k(Hu)[Hv] = sum_ab T_ab (Hv)_ab off the
-    Newton tensor T = T_{k-1}(Hu), built once: column b is ``_flux_of`` of
-    the unit vector e_b.  The divergence form linearizes the flux F(g, H) =
-    ``_flux_of``, linear in the gradient g and of degree k - 1 <= 2 in H:
+    Newton tensor T = T_{k-1}(Hu), built once as ``newton_flux`` of the
+    identity.  The divergence form linearizes the flux F(g, H) =
+    ``newton_flux``, linear in the gradient g and of degree k - 1 <= 2 in H:
     F(grad v, Hu) + (F(grad u, Hu + Hv) - F(grad u, Hu - Hv)) / 2, where the
     half difference is the exact H-derivative of a quadratic.
     """
@@ -401,8 +385,8 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
     if s.form is Form.STRONG:
         dim = dom.dim
         table = entry_table(dim)
-        units = np.eye(dim).reshape((dim, dim) + (1,) * dim)
-        tensor = np.stack([_flux_of(e, ents_u, k) for e in units], axis=1)  # [a, b] = T_ab
+        eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
+        tensor = newton_flux(eye, ents_u, k)  # [a, b] = T_ab
 
         def apply(v_vals: np.ndarray) -> np.ndarray:
             v = ScalarField(dom, v_vals)
@@ -423,8 +407,8 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
     def apply(v_vals: np.ndarray) -> np.ndarray:
         v = ScalarField(dom, v_vals)
         ents_v = hessian_entries(v)
-        dflux = _flux_of(gradient_centered(v), ents_u, k) + 0.5 * (
-            _flux_of(grads_u, ents_u + ents_v, k) - _flux_of(grads_u, ents_u - ents_v, k))
+        dflux = newton_flux(gradient_centered(v), ents_u, k) + 0.5 * (
+            newton_flux(grads_u, ents_u + ents_v, k) - newton_flux(grads_u, ents_u - ents_v, k))
         return (sign_a * laplacian_power(v, ents_v, alpha).values
                 - sign_k / k * divergence_centered(dflux, dom))
     return apply

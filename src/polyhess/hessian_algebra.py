@@ -13,17 +13,16 @@ plane; a node-major (..., N, N) stack holds N^2 - N(N+1)/2 duplicates and
 makes each of those reads strided.  ``stack_of_entries`` expands entries
 into that stack.
 
-There is one sigma_k kernel, ``sk_of_entries``, and one gradient kernel,
-``sk_partials_stack``, both batched over the node axes.  ``sk_of_stack`` is
-the kernel's front end for symmetric (..., N, N) stacks (it reads the upper
-triangle as views), and ``sk_of_matrix`` and ``sk_partials`` are the
-single-matrix front ends, which validate and symmetrize the input first.
-``sigma_k`` of the eigenvalues is the independent oracle the checks compare
-against.  All but the single-matrix front ends accept leading batch axes,
-and give each matrix of a stack the bits it gets alone.  The gradient kernel
-keeps the node-major stack; it backs ``sk_partials`` and the algebra
-checks, while the solver differentiates sigma_k through the Newton tensor
-on the entries (``energy._flux_of``).
+There is one sigma_k kernel, ``sk_of_entries``, and one Newton-tensor
+kernel, ``newton_flux``, both on the entries and batched over the node
+axes; the solver calls both directly.  ``sk_of_stack`` and
+``sk_partials_stack`` are their front ends for symmetric (..., N, N)
+stacks (they read the upper triangle as views), and ``sk_of_matrix`` and
+``sk_partials`` are the single-matrix front ends, which validate and
+symmetrize the input first.  ``sigma_k`` of the eigenvalues is the
+independent oracle the checks compare against.  All but the single-matrix
+front ends accept leading batch axes, and give each matrix of a stack the
+bits it gets alone.
 
 Derivative convention for ``sk_partials``: the (i, j) entry is the derivative
 of sigma_k with respect to entry a_ij treating entries as independent, which
@@ -47,13 +46,12 @@ every principal block from the entries, make one batched LAPACK
 determinant call and sum the determinants along a contiguous subset axis,
 in an order that does not depend on the batch.
 
-``sk_partials_stack`` evaluates the closed form
-sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j directly: I for k = 1, sigma_1 I - A
-for k = 2 and sigma_2 I - sigma_1 A + A A for k = 3 (every order a grid of
-dimension <= 3 reaches), with no identity stack, no multiplication by
-sigma_0 = 1 and no product with I.  The terms are added in increasing
-powers of A; tests pin the result bit for bit to the series accumulated
-from an identity stack, and against central differences of sigma_k.
+``newton_flux`` applies the Newton tensor T_{k-1}(A) =
+sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j, the gradient of sigma_k, to vectors
+by the recursion T_j = sigma_j I - A T_{j-1} on the entries, with no matrix
+product: sigma_1 I - A for k = 2, whose bits equal the closed form's.  The
+gradient of a stack is its flux on the identity.  Tests compare it with
+that power series and with central differences of sigma_k.
 
 Every operation is a pure function of its arguments; the only shared
 state is the cached, read-only entry index tables, so concurrent callers
@@ -244,43 +242,54 @@ def sk_of_entries(entries, k: int) -> np.ndarray:
     return np.ascontiguousarray(dets).sum(axis=-1)
 
 
+def _stack_entries(mats) -> list[np.ndarray]:
+    """The upper triangle of a (..., N, N) stack, as views in ``entry_pairs`` order."""
+    m = np.asarray(mats, dtype=float)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a (..., N, N) stack, got shape {m.shape}")
+    return [m[..., a, b] for a, b in entry_pairs(m.shape[-1])]
+
+
 def sk_of_stack(mats: np.ndarray, k: int) -> np.ndarray:
     """sigma_k of every matrix in a (..., N, N) stack of symmetric matrices:
     ``sk_of_entries`` of its upper triangle, read as views."""
-    m = np.asarray(mats, dtype=float)
-    n = m.shape[-1]
-    if m.ndim < 2 or m.shape[-2] != n:
-        raise ValueError(f"expected a (..., N, N) stack, got shape {m.shape}")
-    return sk_of_entries([m[..., a, b] for a, b in entry_pairs(n)], k)
+    return sk_of_entries(_stack_entries(mats), k)
+
+
+def newton_flux(vectors: np.ndarray, entries, k: int) -> np.ndarray:
+    """F_a = sum_b T^{ab} g_b for the Newton tensor T = T_{k-1}(A), the
+    gradient of sigma_k at A, given ``vectors`` g (read only; axis 0 of
+    length N, the rest broadcast against the batch) and the unique entries
+    of A as ``sk_of_entries`` reads them.  The recursion T_j = sigma_j I -
+    A T_{j-1} (Reilly, Michigan Math. J. 20:373, 1973) gives F = g, then
+    F <- sigma_j g - A F, j = 1 ... k-1; for k = 1 it returns ``vectors``."""
+    n = _side(len(entries))
+    if len(vectors) != n:
+        raise ValueError(f"{len(vectors)} vectors along axis 0 for dimension {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"order k={k} out of range for dimension {n}")
+    table = entry_table(n)
+    flux = vectors
+    for j in range(1, k):
+        prev = flux
+        flux = sk_of_entries(entries, j) * vectors
+        for a in range(n):
+            for b in range(n):
+                flux[a] -= entries[table[a, b]] * prev[b]
+    return flux
 
 
 def sk_partials_stack(mats: np.ndarray, k: int) -> np.ndarray:
     """Gradient matrices of sigma_k for a (..., N, N) stack of symmetric matrices.
 
-    Evaluates sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j term by term (see the
-    module docstring), which for symmetric A is the matrix of per-entry
-    minor derivatives; tests check it against central differences of
-    sigma_k, and its einsum contraction is the tests' oracle for the
-    strong-form Jacobian action.
+    The Newton tensor T_{k-1}(A) of each matrix, as ``newton_flux`` of the
+    identity on the stack's upper triangle: for symmetric A the matrix of
+    per-entry minor derivatives (see the module docstring).  Returns a new
+    C-contiguous stack.
     """
-    m = np.asarray(mats, dtype=float)
-    n = m.shape[-1]
-    if m.ndim < 2 or m.shape[-2] != n:
-        raise ValueError(f"expected a (..., N, N) stack, got shape {m.shape}")
-    if not 1 <= k <= n:
-        raise ValueError(f"order k={k} out of range for dimension {n}")
-    out = np.zeros(m.shape)
-    lead = sk_of_stack(m, k - 1)
-    for i in range(n):
-        out[..., i, i] += lead
-    power = m
-    for j in range(1, k):
-        if j > 1:
-            power = power @ m
-        # sigma_0 = 1: the last term is the bare power
-        term = power if j == k - 1 else sk_of_stack(m, k - 1 - j)[..., None, None] * power
-        if j % 2:
-            out -= term
-        else:
-            out += term
-    return out
+    ents = _stack_entries(mats)
+    n = _side(len(ents))
+    batch = np.shape(ents[0])
+    eye = np.eye(n).reshape((n, n) + (1,) * len(batch))
+    flux = np.broadcast_to(newton_flux(eye, ents, k), (n, n) + batch)
+    return np.moveaxis(flux, (0, 1), (-2, -1)).copy()

@@ -13,6 +13,7 @@ from polyhess import (
     SolverConfig,
     from_function,
     make_setting,
+    sk_of_stack,
     solve_run,
     unit_box,
 )
@@ -26,6 +27,25 @@ def flagship_setting(n, lam=0.05, form=Form.STRONG):
     dom = unit_box(2, n)
     f = constant_datum(dom)
     return make_setting(ProblemParams(2, 2), lam, f, form=form)
+
+
+def partials_polynomial_loop(mats, k):
+    """Gradient matrices of sigma_k on a (..., N, N) stack by the power series
+    sum_{j<k} (-1)^j sigma_{k-1-j}(A) A^j, summed from an identity stack: an
+    oracle independent of the Newton-tensor recursion."""
+    m = np.asarray(mats, dtype=float)
+    n = m.shape[-1]
+    batch = m.shape[:-2]
+    eye = np.broadcast_to(np.eye(n), batch + (n, n))
+    out = np.zeros(batch + (n, n))
+    power = eye.copy()
+    for j in range(k):
+        coeff = (np.trace(m, axis1=-2, axis2=-1) if k - 1 - j == 1
+                 else sk_of_stack(m, k - 1 - j))
+        out += (-1.0) ** j * coeff[..., None, None] * power
+        if j + 1 < k:
+            power = power @ m
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -317,6 +317,8 @@ def test_cmd_solve_config_error_exit_code(tmp_path, capsys):
     ("kind = constant\n", "kind = gaussian\nwidth = 0.0\n"),
     ("kind = constant\n", "kind = gaussian\nwidth = 5e-324\n"),
     ("kind = constant\n", "kind = gaussian\nwidth = 1e-10\n"),
+    ("kind = constant\n", "kind = checker\nblocks = 0\n"),
+    ("kind = constant\n", "kind = checker\nblocks = -1\n"),
     ("schedule = 0.0 0.05\n", "schedule = 0.01 0.05\n"),
     ("schedule = 0.0 0.05\n", "schedule = 0.0 0.05 0.05\n"),
     ("nodes = 32\n", "nodes = 32 32 32\n"),
@@ -325,6 +327,7 @@ def test_cmd_solve_config_error_exit_code(tmp_path, capsys):
         "few-fit-samples", "zero-krylov-restart", "zero-krylov-outer", "negative-krylov-rtol",
         "negative-newton-max", "nan-extent", "inf-extent", "nan-datum-value",
         "zero-gaussian-width", "subnormal-gaussian-width", "narrow-gaussian-width",
+        "zero-checker-blocks", "negative-checker-blocks",
         "schedule-not-from-zero", "schedule-not-increasing", "node-counts-not-N",
         "file-datum-without-path"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -31,16 +31,16 @@ from polyhess import (
     unit_box,
     zeros,
 )
-from polyhess.energy import _flux_of, _sign, minorant_sample_family
+from polyhess.energy import _sign, minorant_sample_family
 from polyhess.energy import action, ray_actions, residual, residual_jacobian
 from polyhess.grid import (
     BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian, hessian_entries,
     laplacian_power,
 )
-from polyhess.hessian_algebra import entry_table, sk_of_entries, sk_partials_stack, stack_of_entries
+from polyhess.hessian_algebra import entry_table, newton_flux, sk_of_entries, stack_of_entries
 from polyhess.verify import consistency_worst_errors
 
-from conftest import constant_datum, flagship_setting
+from conftest import constant_datum, flagship_setting, partials_polynomial_loop
 
 
 @pytest.fixture(scope="module")
@@ -167,11 +167,11 @@ def test_weak_flux_and_density_match_einsum_contraction(n, k):
     s = make_setting(ProblemParams(n, k), 0.05, constant_datum(dom), form=Form.WEAK)
     grads, hess = gradient_centered(u), hessian(u)
     g = np.moveaxis(grads, 0, -1)
-    partials = sk_partials_stack(hess, k)
+    partials = partials_polynomial_loop(hess, k)
     flux_ref = np.moveaxis(np.einsum("...ij,...j->...i", partials, g), -1, 0)
     density_ref = np.einsum("...ab,...a,...b->...", partials, g, g)
     nl_ref = -(-1.0) ** k / ((k + 1) * k) * dom.cell_volume * float(density_ref.sum())
-    flux = _flux_of(grads, hessian_entries(u), k)
+    flux = newton_flux(grads, hessian_entries(u), k)
     assert np.max(np.abs(flux - flux_ref)) <= 1e-13 * np.max(np.abs(flux_ref))
     assert energy_report(u, s).nonlinear_term == pytest.approx(nl_ref, rel=1e-13)
 
@@ -197,7 +197,7 @@ def test_flux_recursion_is_the_k2_closed_form_bitwise(n):
         u = random_smooth_field(dom, rng, modes=4, amplitude=2.0)
         grads, ents = gradient_centered(u), hessian_entries(u)
         before = grads.copy()
-        assert np.array_equal(_flux_of(grads, ents, 2), _flux_k2_closed_form(grads, ents))
+        assert np.array_equal(newton_flux(grads, ents, 2), _flux_k2_closed_form(grads, ents))
         assert np.array_equal(grads, before)
 
 
@@ -215,7 +215,7 @@ def test_divergence_centered_equals_per_component_gradient(n, k):
     nodes, extent = ((40, 33), (1.0, 1.5)) if n == 2 else ((15, 12, 13), (1.0, 0.7, 1.2))
     dom = BoxDomain(nodes=nodes, extent=extent)
     u = random_smooth_field(dom, np.random.default_rng(32), modes=4, amplitude=2.0)
-    flux = _flux_of(gradient_centered(u), hessian_entries(u), k)
+    flux = newton_flux(gradient_centered(u), hessian_entries(u), k)
     assert np.array_equal(divergence_centered(flux, dom),
                           _divergence_per_component_gradient(flux, dom))
 
@@ -484,11 +484,13 @@ def test_residual_jacobian_matches_central_difference(form, dim, k):
 
 def _strong_action_by_einsum(u, s, v_vals):
     """The strong Jacobian action as first written: the node-major gradient
-    matrices of sigma_k contracted with the Hessian of v by ``np.einsum``."""
+    matrices of sigma_k (by the power series) contracted with the Hessian of
+    v by ``np.einsum``."""
     k = s.params.k
     v = ScalarField(u.domain, v_vals)
     ents_v = hessian_entries(v)
-    dsk = np.einsum("...ab,...ab->...", sk_partials_stack(hessian(u), k), stack_of_entries(ents_v))
+    partials = partials_polynomial_loop(hessian(u), k)
+    dsk = np.einsum("...ab,...ab->...", partials, stack_of_entries(ents_v))
     return _sign(s.alpha) * laplacian_power(v, ents_v, s.alpha).values - _sign(k) * dsk
 
 
@@ -497,7 +499,7 @@ def _strong_action_by_einsum(u, s, v_vals):
 ])
 def test_strong_jacobian_action_equals_einsum_contraction(nodes, k):
     """The action read through the Newton tensor equals the einsum
-    contraction of ``sk_partials_stack``: bit for bit on 2-D grids, where
+    contraction of the power-series gradient: bit for bit on 2-D grids, where
     its two-level sum is einsum's order, and to 1e-14 relative in 3-D."""
     dom = BoxDomain(nodes=nodes)
     s = make_setting(ProblemParams(len(nodes), k), 0.05, constant_datum(dom))

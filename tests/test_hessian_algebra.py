@@ -1,8 +1,9 @@
 """Pointwise k-Hessian algebra against independent oracles.
 
 Oracles used here: direct subset enumeration for sigma_k, eigendecomposition
-for the minor sums, joint-perturbation central differences for the gradient
-matrices, and literal evaluation of both sides of the shifted-trace identity.
+for the minor sums, joint-perturbation central differences and the power
+series (``conftest.partials_polynomial_loop``) for the gradient matrices, and
+literal evaluation of both sides of the shifted-trace identity.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import pytest
 
 from polyhess import (
     as_symmetric,
+    newton_flux,
     shifted_trace_identity,
     sigma_k,
     sk_of_entries,
@@ -23,7 +25,9 @@ from polyhess import (
     sk_partials,
     sk_partials_stack,
 )
-from polyhess.grid import ScalarField, bump_field, hessian_entries, integrate, unit_box
+from polyhess.grid import (
+    BoxDomain, ScalarField, bump_field, hessian_entries, integrate, random_smooth_field, unit_box,
+)
 from polyhess.hessian_algebra import entry_pairs, entry_table, stack_of_entries
 from polyhess.verify import (
     divergence_values,
@@ -33,6 +37,8 @@ from polyhess.verify import (
     shifted_trace_error,
     symmetric_fd_partials,
 )
+
+from conftest import partials_polynomial_loop
 
 
 def brute_sigma_k(values, k):
@@ -306,31 +312,42 @@ def test_sk_of_stack_gathered_blocks_eigen_oracle(n):
 
 
 
-def _partials_polynomial_loop(mats, k):
-    """sk_partials_stack as first written: the series summed from an identity stack."""
-    m = np.asarray(mats, dtype=float)
-    n = m.shape[-1]
-    batch = m.shape[:-2]
-    eye = np.broadcast_to(np.eye(n), batch + (n, n))
-    out = np.zeros(batch + (n, n))
-    power = eye.copy()
-    for j in range(k):
-        coeff = (np.trace(m, axis1=-2, axis2=-1) if k - 1 - j == 1
-                 else sk_of_stack(m, k - 1 - j))
-        out += (-1.0) ** j * coeff[..., None, None] * power
-        if j + 1 < k:
-            power = power @ m
-    return out
-
-
 @pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 2), (3, 3)])
 @pytest.mark.parametrize("batch", [(40,), (16, 12), (6, 5, 7)])
 def test_sk_partials_stack_closed_form_bitwise(n, k, batch):
+    """The Newton-tensor recursion equals the power series bit for bit for
+    k <= 2, and for k = 3 within 4 eps max|A|^2 per matrix."""
     rng = np.random.default_rng(18)
     a = rng.standard_normal(batch + (n, n)) * 10.0 ** rng.uniform(-4, 4, batch + (n, n))
     stack = 0.5 * (a + np.swapaxes(a, -1, -2))
-    assert np.array_equal(sk_partials_stack(stack, k), _partials_polynomial_loop(stack, k))
+    got, want = sk_partials_stack(stack, k), partials_polynomial_loop(stack, k)
+    if k <= 2:
+        assert np.array_equal(got, want)
+    else:
+        bound = 4 * np.finfo(float).eps * np.max(np.abs(stack), axis=(-2, -1)) ** 2
+        assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= bound)
     assert np.array_equal(sk_of_stack(stack, 1), np.trace(stack, axis1=-2, axis2=-1))
+
+
+@pytest.mark.parametrize("nodes, k", [((40, 33), 2), ((15, 12, 13), 2), ((15, 12, 13), 3)])
+def test_newton_flux_of_identity_is_its_unit_vector_columns_bitwise(nodes, k):
+    """One call on the identity gives, bit for bit, the stack of the calls on
+    each unit vector: the strong Jacobian's tensor keeps its bits."""
+    dim = len(nodes)
+    u = random_smooth_field(BoxDomain(nodes=nodes), np.random.default_rng(34), modes=4,
+                            amplitude=2.0)
+    ents = hessian_entries(u)
+    eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
+    columns = np.stack([newton_flux(e, ents, k) for e in eye], axis=1)
+    assert newton_flux(eye, ents, k).tobytes() == columns.tobytes()
+
+
+def test_sk_partials_stack_first_order_is_an_owned_identity():
+    stack = np.random.default_rng(35).standard_normal((4, 3, 3))
+    parts = sk_partials_stack(stack, 1)
+    assert parts.flags.writeable and parts.flags.c_contiguous
+    assert not np.shares_memory(parts, stack)
+    assert np.array_equal(parts, np.broadcast_to(np.eye(3), (4, 3, 3)))
 
 def test_shifted_trace_examples():
     for mu in (-1.3, 0.4, 2.0):
