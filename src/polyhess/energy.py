@@ -150,6 +150,10 @@ class EnergySetting:
             raise ValueError(
                 f"weak runs use alpha={self.form.alpha_formula(self.params)} for "
                 f"(N, k)=({self.params.N}, {self.params.k}); drop the alpha override")
+        sym = self.f.domain.sine_symbol  # its alpha-th power divides the sine inverse
+        with np.errstate(over="ignore", under="ignore"):
+            if not 0.0 < sym.min() ** self.alpha <= sym.max() ** self.alpha < np.inf:
+                raise ValueError(f"the box's sine symbol to the power {self.alpha} is 0 or inf")
 
     @property
     def alpha_overridden(self) -> bool:
@@ -321,24 +325,27 @@ def ray_actions(base: ScalarField, s: EnergySetting):
     """Action of the setting's form along rays from ``base``.
 
     Returns ``along(v, ts)``, the action at ``base + t v`` for each ``t`` in
-    ``ts``.  The stencil images are linear, so the images of ``base`` are
-    computed here once, those of ``v`` once per call, and each value is read
-    through ``_J_of`` from the images ``a + t b`` in one reused buffer per
-    image; only sigma_k (or the flux) and the reductions run per ``t``.  At
-    t = 0 the value equals ``action(base)`` bit for bit.
+    ``ts``.  The stencil images are linear, so the images a of ``base`` and
+    J(base) = ``action(base)`` are computed here once, those of ``v`` once per
+    call, and each value at t != 0 through ``_J_of`` from a + t b in buffers
+    that every call reuses; only sigma_k (or the flux) and the reductions
+    run per ``t``.  At t = 0 it returns J(base): a + 0 b differs from a only
+    in signs of zero, which J does not see.
     """
     a = _images(base, s)
+    j_base = _J_of(a, s)
+    x = tuple(None if p is None else np.empty_like(p) for p in a)
 
     def along(v: ScalarField, ts) -> np.ndarray:
         b = _images(v, s)
-        x = tuple(None if p is None else np.empty_like(p) for p in a)
-        out = np.empty(len(ts))
+        out = np.full(len(ts), j_base)
         for j, t in enumerate(ts):
-            for p, q, y in zip(a, b, x):
-                if p is not None:  # y = a + t b
-                    np.multiply(q, t, out=y)
-                    np.add(p, y, out=y)
-            out[j] = _J_of(x, s)
+            if t != 0.0:
+                for p, q, y in zip(a, b, x):
+                    if p is not None:  # y = a + t b
+                        np.multiply(q, t, out=y)
+                        np.add(p, y, out=y)
+                out[j] = _J_of(x, s)
         return out
     return along
 

@@ -13,12 +13,17 @@ derivatives use the 4-point cross stencil; one-sided formulas are never
 needed because the extension by zero supplies every exterior value.  The
 stencils read that extension from one zero-filled buffer, one node wider on
 every side, into whose core the field is slice-assigned (no ``np.pad``
-call); the buffer holds exactly what padding with zeros would, so the
-stencil arithmetic is unchanged.  A domain computes its spacing, cell
-volume and sine symbol once and keeps them.  Stencils that yield more than
-one value per node return plain arrays: ``half_order`` has shape (m,) +
-nodes with m = 1 for even order and dim for odd, and ``gradient_centered``
-shape (dim,) + nodes.
+call).  In C order the interior spans one flat run of that buffer, and the
+neighbours along axis a lie in the same run moved by the axis's flat
+stride: each operation of a stencil is one contiguous pass over runs into
+the run of a work buffer, and one copy takes the interior out.  Each node
+meets the operands and operations of the per-node formula in its order, so
+the bits are unchanged.  ``random_smooth_field`` is one contraction with
+per-axis sine tables.  A domain computes its spacing, cell volume and sine
+symbol once and keeps them, and rejects extents that make h^2 or the cell
+volume 0 or inf.  Stencils that yield more than one value per node return
+plain arrays: ``half_order`` has shape (m,) + nodes with m = 1 for even
+order and dim for odd, and ``gradient_centered`` shape (dim,) + nodes.
 
 The Hessian is computed once, by one stencil, as its dim(dim+1)/2 unique
 entries: ``hessian_entries`` has shape (dim(dim+1)/2,) + nodes, the
@@ -75,7 +80,6 @@ seminorm consistently on both sides of every comparison.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -112,6 +116,8 @@ class BoxDomain:
             raise ValueError(f"need at least 8 interior nodes per axis, got {self.nodes}")
         if not all(0.0 < e < math.inf for e in self.extent):
             raise ValueError(f"extents must be positive and finite, got {self.extent}")
+        if not all(0.0 < x < math.inf for x in [h * h for h in self.spacing] + [self.cell_volume]):
+            raise ValueError(f"extents {self.extent} make h^2 or the cell volume 0 or inf")
 
     @property
     def dim(self) -> int:
@@ -125,7 +131,7 @@ class BoxDomain:
 
     @functools.cached_property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)  # an overflow is inf for __init__ to reject, not a warning
 
     @functools.cached_property
     def sine_symbol(self) -> np.ndarray:
@@ -208,48 +214,52 @@ def from_function(domain: BoxDomain, fn: Callable) -> ScalarField:
 def _zero_extended(vals: np.ndarray) -> np.ndarray:
     """The values inside a one-node border of zeros (what ``np.pad(vals, 1)`` gives)."""
     p = np.zeros(tuple(n + 2 for n in vals.shape))
-    p[(slice(1, -1),) * vals.ndim] = vals
+    _interior(p)[...] = vals
     return p
 
 
-def _shifted(p: np.ndarray, moves: dict[int, int]) -> np.ndarray:
-    """View of zero-extended values ``p`` moved ``moves[a]`` (+1 or -1) nodes
-    along each axis a named in ``moves``: the neighbour of every interior node."""
-    index = [slice(1, -1)] * p.ndim
-    for a, m in moves.items():
-        index[a] = slice(1 + m, p.shape[a] - 1 + m)
-    return p[tuple(index)]
+def _run(p: np.ndarray, shift: int = 0) -> np.ndarray:
+    """The flat run of C-contiguous zero-extended values ``p`` from its first
+    interior node to its last, moved ``shift`` places: a shift of
+    +-``p.strides[a] // p.itemsize`` reads each node's neighbours along axis a."""
+    flat = p.ravel()
+    lo = sum(p.strides) // p.itemsize
+    return flat[lo + shift:flat.size - lo + shift]
 
 
-def _second_difference(p: np.ndarray, vals: np.ndarray, axis: int, h: float,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Centered second difference along one axis; ``p`` is ``vals`` zero-extended.
-
-    The four operations of (p[+1] - 2 vals + p[-1]) / h^2 run in that order
-    through one output array (``out``, or a new one)."""
-    out = np.multiply(vals, 2.0, out=out)
-    np.subtract(_shifted(p, {axis: 1}), out, out=out)
-    np.add(out, _shifted(p, {axis: -1}), out=out)
-    return np.divide(out, h ** 2, out=out)
+def _interior(work: np.ndarray) -> np.ndarray:
+    """The interior nodes of a buffer shaped like the zero-extended values."""
+    return work[(slice(1, -1),) * work.ndim]
 
 
-def _cross_difference(p: np.ndarray, a: int, b: int, h: tuple, out: np.ndarray) -> np.ndarray:
-    """4-point mixed second difference along axes a and b into ``out``:
+def _second_difference(p: np.ndarray, axis: int, h: float, w: np.ndarray) -> np.ndarray:
+    """(p[+1] - 2 p + p[-1]) / h^2 along one axis of zero-extended values
+    ``p``, its four operations in that order, into the run ``w``."""
+    s = p.strides[axis] // p.itemsize
+    np.multiply(_run(p), 2.0, out=w)
+    np.subtract(_run(p, s), w, out=w)
+    np.add(w, _run(p, -s), out=w)
+    return np.divide(w, h ** 2, out=w)
+
+
+def _cross_difference(p: np.ndarray, a: int, b: int, h: tuple, w: np.ndarray) -> np.ndarray:
+    """4-point mixed second difference along axes a and b into the run ``w``:
     (p[+1,+1] - p[+1,-1] - p[-1,+1] + p[-1,-1]) / (4 h_a h_b), in that order."""
-    np.subtract(_shifted(p, {a: 1, b: 1}), _shifted(p, {a: 1, b: -1}), out=out)
-    np.subtract(out, _shifted(p, {a: -1, b: 1}), out=out)
-    np.add(out, _shifted(p, {a: -1, b: -1}), out=out)
-    return np.divide(out, 4.0 * h[a] * h[b], out=out)
+    sa, sb = p.strides[a] // p.itemsize, p.strides[b] // p.itemsize
+    np.subtract(_run(p, sa + sb), _run(p, sa - sb), out=w)
+    np.subtract(w, _run(p, sb - sa), out=w)
+    np.add(w, _run(p, -sa - sb), out=w)
+    return np.divide(w, 4.0 * h[a] * h[b], out=w)
 
 
 def _laplacian_values(vals: np.ndarray, spacing) -> np.ndarray:
-    """The second differences summed in axis order; the first axis's is the
-    accumulator."""
+    """The second differences summed in axis order, the first axis's the accumulator."""
     p = _zero_extended(vals)
-    out = _second_difference(p, vals, 0, spacing[0])
+    acc, work = np.empty_like(p), np.empty_like(p)
+    total = _second_difference(p, 0, spacing[0], _run(acc))
     for a in range(1, vals.ndim):
-        out += _second_difference(p, vals, a, spacing[a])
-    return out
+        total += _second_difference(p, a, spacing[a], _run(work))
+    return _interior(acc).copy()
 
 
 def laplacian(u: ScalarField) -> ScalarField:
@@ -284,37 +294,43 @@ def laplacian_power(u: ScalarField, ents: np.ndarray, alpha: int) -> ScalarField
     return ScalarField(u.domain, vals)
 
 
-def _centered_difference(p: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered first difference along one axis of zero-extended node values ``p``."""
-    return (_shifted(p, {axis: 1}) - _shifted(p, {axis: -1})) / (2.0 * h)
+def _centered_difference(p: np.ndarray, axis: int, h: float, w: np.ndarray) -> np.ndarray:
+    """(p[+1] - p[-1]) / (2 h) along one axis of ``p`` into the run ``w``."""
+    s = p.strides[axis] // p.itemsize
+    return np.divide(np.subtract(_run(p, s), _run(p, -s), out=w), 2.0 * h, out=w)
 
 
 def gradient_centered(u: ScalarField) -> np.ndarray:
     """Centered first differences, shape (dim,) + nodes, zero extension."""
     p = _zero_extended(u.values)
-    h = u.domain.spacing
+    work = np.empty_like(p)
     comps = np.empty((u.domain.dim,) + u.domain.nodes)
     for a in range(u.domain.dim):
-        comps[a] = _centered_difference(p, a, h[a])
+        _centered_difference(p, a, u.domain.spacing[a], _run(work))
+        comps[a] = _interior(work)
     return comps
 
 
 def divergence_centered(flux: np.ndarray, domain: BoxDomain) -> np.ndarray:
     """Sum over a of the centered difference of ``flux[a]`` along axis a, zero extension."""
-    div = np.zeros(domain.nodes)
+    p = np.zeros(tuple(n + 2 for n in domain.nodes))
+    acc, work = np.zeros_like(p), np.empty_like(p)
+    total = _run(acc)
     for a in range(domain.dim):
-        div += _centered_difference(_zero_extended(flux[a]), a, domain.spacing[a])
-    return div
+        _interior(p)[...] = flux[a]
+        total += _centered_difference(p, a, domain.spacing[a], _run(work))
+    return _interior(acc).copy()
 
 
-def _entries_into(p: np.ndarray, vals: np.ndarray, h: tuple, out: np.ndarray) -> np.ndarray:
-    """The unique Hessian entries of ``vals`` into ``out``, component-first in
-    ``entry_pairs`` order; ``p`` is ``vals`` zero-extended."""
-    for e, (a, b) in enumerate(entry_pairs(vals.ndim)):
+def _entries_into(p: np.ndarray, h: tuple, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The unique Hessian entries of zero-extended ``p`` into ``out`` in
+    ``entry_pairs`` order, each computed in the run of ``work`` and copied out."""
+    for e, (a, b) in enumerate(entry_pairs(p.ndim)):
         if a == b:
-            _second_difference(p, vals, a, h[a], out=out[e])
+            _second_difference(p, a, h[a], _run(work))
         else:
-            _cross_difference(p, a, b, h, out[e])
+            _cross_difference(p, a, b, h, _run(work))
+        out[e] = _interior(work)
     return out
 
 
@@ -322,10 +338,10 @@ def hessian_entries(u: ScalarField) -> np.ndarray:
     """Unique entries of the discrete Hessian, component-first: shape
     (dim(dim+1)/2,) + nodes, the centered second differences first and then
     the 4-point cross differences of the axis pairs a < b (``entry_pairs`` order)."""
-    vals = u.values
     d = u.domain.dim
-    out = np.empty((d * (d + 1) // 2,) + u.domain.nodes)
-    return _entries_into(_zero_extended(vals), vals, u.domain.spacing, out)
+    p = _zero_extended(u.values)
+    return _entries_into(p, u.domain.spacing, np.empty((d * (d + 1) // 2,) + u.domain.nodes),
+                         np.empty_like(p))
 
 
 def hessian(u: ScalarField) -> np.ndarray:
@@ -351,6 +367,7 @@ def sk_fields(u: ScalarField, orders: Sequence[int]) -> tuple[ScalarField, ...]:
     count = d * (d + 1) // 2
     rows = max(1, min(n, _SLAB_BYTES // (count * vals[0].nbytes)))
     p = np.zeros((rows + 2,) + tuple(m + 2 for m in vals.shape[1:]))
+    work = np.empty_like(p)
     ents = np.empty((count, rows) + vals.shape[1:])
     outs = [np.empty(vals.shape) for _ in orders]
     core = (slice(1, -1),) * (d - 1)
@@ -360,7 +377,7 @@ def sk_fields(u: ScalarField, orders: Sequence[int]) -> tuple[ScalarField, ...]:
         slab = p[:stop - start + 2]
         slab[0] = slab[-1] = 0.0  # the halo at a wall; field rows overwrite it inside
         slab[(slice(lo - start + 1, hi - start + 1),) + core] = vals[lo:hi]
-        block = _entries_into(slab, vals[start:stop], u.domain.spacing, ents[:, :stop - start])
+        block = _entries_into(slab, u.domain.spacing, ents[:, :stop - start], work[:len(slab)])
         for out, k in zip(outs, orders):
             out[start:stop] = sk_of_entries(block, k)
     return tuple(ScalarField(u.domain, out) for out in outs)
@@ -444,16 +461,15 @@ def random_smooth_field(domain: BoxDomain, rng: np.random.Generator,
                         modes: int = 3, amplitude: float = 1.0) -> ScalarField:
     """Random low-frequency sine combination, normalized to the given sup amplitude.
 
-    Mode coefficients fall off like 1/prod(multi).
+    Mode coefficients fall off like 1/prod(multi), drawn in the C order of their
+    tensor, contracted with sin(pi m t) an axis at a time by ``np.add.reduce`` (no BLAS).
     """
-    vals = np.zeros(domain.nodes)
-    axes = [domain.axis_coords(a) / domain.extent[a] for a in range(domain.dim)]
-    for multi in itertools.product(range(1, modes + 1), repeat=domain.dim):
-        coeff = rng.standard_normal() / float(np.prod(multi))
-        term = coeff
-        for m, t in zip(multi, np.ix_(*axes)):
-            term = term * np.sin(np.pi * m * t)
-        vals = vals + term
+    d = domain.dim
+    m = np.arange(1, modes + 1)
+    vals = rng.standard_normal((modes,) * d) / functools.reduce(np.multiply.outer, [m] * d)
+    for a in range(d):  # sum the leading mode axis away; node axis a joins at the end
+        table = np.sin(np.multiply.outer(np.pi * m, domain.axis_coords(a) / domain.extent[a]))
+        vals = np.add.reduce(vals[..., None] * np.expand_dims(table, tuple(range(1, d))), axis=0)
     top = np.max(np.abs(vals))
     if top > 0:
         vals *= amplitude / top
@@ -479,27 +495,28 @@ def _dst1(values: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = No
     ``general_nd``), which is why the result equals scipy's ``dstn`` and
     ``idstn(type=1, norm="ortho")`` bit for bit.  Each pass works along the
     native axis: the extension is filled by slab assignments and the FFT
-    runs with ``axis=a``, with no transposes or flipped copies.  Every pass
-    reuses the extension and spectrum of ``buffers`` (``_dst1_buffers``,
-    allocated here when not given); pocketfft transforms each line alike
-    wherever its output lands, so they do not change the bits.
+    runs with ``axis=a``, with no transposes or flipped copies; each pass's
+    extraction is written straight into the core of the next pass's
+    extension.  Every pass reuses the extension and spectrum of ``buffers``
+    (``_dst1_buffers``, allocated here when not given); pocketfft transforms
+    each line alike wherever its output lands, so they do not change the bits.
     """
     ext_buf, spec_buf = _dst1_buffers(values.shape) if buffers is None else buffers
-    total = np.longdouble(math.prod(2 * (n + 1) for n in values.shape))
-    scale = float(np.longdouble(1) / np.sqrt(total))
-    x = values
-    for a, n in enumerate(values.shape):
+    dims = values.shape
+    scale = float(np.longdouble(1) / np.sqrt(np.longdouble(math.prod(2 * (n + 1) for n in dims))))
+    x, factor = values, 1.0  # each pass's extraction is x * factor, into the next pass's core
+    for a, n in enumerate(dims):
         lead = (slice(None),) * a
-        shape = x.shape[:a] + (2 * (n + 1),) + x.shape[a + 1:]
+        shape = dims[:a] + (2 * (n + 1),) + dims[a + 1:]
         ext = ext_buf[:math.prod(shape)].reshape(shape)
         ext[lead + (0,)] = 0.0
         ext[lead + (n + 1,)] = 0.0
-        ext[lead + (slice(1, n + 1),)] = x
-        np.negative(x[lead + (slice(None, None, -1),)], out=ext[lead + (slice(n + 2, None),)])
-        shape = x.shape[:a] + (n + 2,) + x.shape[a + 1:]
+        core = np.multiply(x, factor, out=ext[lead + (slice(1, n + 1),)])
+        np.negative(core[lead + (slice(None, None, -1),)], out=ext[lead + (slice(n + 2, None),)])
+        shape = dims[:a] + (n + 2,) + dims[a + 1:]
         spectrum = np.fft.rfft(ext, axis=a, out=spec_buf[:math.prod(shape)].reshape(shape))
-        x = np.multiply(spectrum.imag[lead + (slice(1, n + 1),)], -scale if a == 0 else -1.0)
-    return x
+        x, factor = spectrum.imag[lead + (slice(1, n + 1),)], -scale if a == 0 else -1.0
+    return np.multiply(x, factor)
 
 
 def invert_polyharmonic(u: ScalarField, alpha: int) -> ScalarField:

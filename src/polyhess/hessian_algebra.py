@@ -220,17 +220,22 @@ def sk_of_entries(entries, k: int) -> np.ndarray:
         for i in range(1, n):
             total += entries[i]
         return total
+    if k in (2, 3):  # the closed forms' operations in Python's order, into reused buffers
+        total, x, y, z = np.zeros(batch), np.empty(batch), np.empty(batch), np.empty(batch)
     if k == 2:
-        total = np.zeros(batch)
         for e, (i, j) in enumerate(entry_pairs(n)[n:], start=n):
-            total += entries[i] * entries[j] - entries[e] * entries[e]
+            np.multiply(entries[i], entries[j], out=x)
+            total += np.subtract(x, np.multiply(entries[e], entries[e], out=y), out=x)
         return total
-    if k == 3:
-        total = np.zeros(batch)
+    if k == 3:  # the sum of a (d f - e e) - b (b f - c e) + c (b e - c d)
         for block in _block_entries(n, 3).tolist():  # [[a, b, c], [b, d, e], [c, e, f]]
-            a, b, c = (entries[x] for x in block[0])
+            a, b, c = (entries[i] for i in block[0])
             d, e, f = entries[block[1][1]], entries[block[1][2]], entries[block[2][2]]
-            total += a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+            np.subtract(np.multiply(d, f, out=x), np.multiply(e, e, out=y), out=x)
+            np.subtract(np.multiply(b, f, out=y), np.multiply(c, e, out=z), out=y)
+            np.subtract(np.multiply(a, x, out=x), np.multiply(b, y, out=y), out=x)
+            np.subtract(np.multiply(b, e, out=y), np.multiply(c, d, out=z), out=y)
+            total += np.add(x, np.multiply(c, y, out=y), out=x)
         return total
     gathered = np.asarray(entries)[_block_entries(n, k)]  # (subsets, k, k) + batch
     blocks = gathered.transpose(tuple(range(3, gathered.ndim)) + (0, 1, 2))
@@ -269,13 +274,13 @@ def newton_flux(vectors: np.ndarray, entries, k: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise ValueError(f"order k={k} out of range for dimension {n}")
     table = entry_table(n)
-    flux = vectors
+    flux, product = vectors, None  # product: one buffer for every A_ab F_b
     for j in range(1, k):
         prev = flux
         flux = sk_of_entries(entries, j) * vectors
         for a in range(n):
             for b in range(n):
-                flux[a] -= entries[table[a, b]] * prev[b]
+                flux[a] -= (product := np.multiply(entries[table[a, b]], prev[b], out=product))
     return flux
 
 

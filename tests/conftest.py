@@ -4,6 +4,8 @@ The solver runs are session-scoped so the expensive pairs are computed once
 and shared between the unit tests and the acceptance suite.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from polyhess import (
     solve_run,
     unit_box,
 )
+from polyhess.hessian_algebra import entry_pairs
 
 
 def constant_datum(dom, value=1.0):
@@ -46,6 +49,70 @@ def partials_polynomial_loop(mats, k):
         if j + 1 < k:
             power = power @ m
     return out
+
+
+# The stencils as one expression each over shifted views of np.pad(vals, 1):
+# oracles for grid's flat-run stencils, which must give their bytes.
+
+def shifted(p, moves):
+    """View of zero-extended values ``p`` moved ``moves[a]`` (+1 or -1) nodes
+    along each axis a named in ``moves``: the neighbour of every interior node."""
+    index = [slice(1, -1)] * p.ndim
+    for a, m in moves.items():
+        index[a] = slice(1 + m, p.shape[a] - 1 + m)
+    return p[tuple(index)]
+
+
+def hessian_entries_expr(vals, h):
+    """Unique Hessian entries in ``entry_pairs`` order: (p[+1] - 2 vals +
+    p[-1]) / h^2 on the diagonal, the 4-point cross difference off it."""
+    p = np.pad(vals, 1)
+    out = []
+    for a, b in entry_pairs(vals.ndim):
+        if a == b:
+            out.append((shifted(p, {a: 1}) - 2.0 * vals + shifted(p, {a: -1})) / h[a] ** 2)
+        else:
+            out.append((shifted(p, {a: 1, b: 1}) - shifted(p, {a: 1, b: -1})
+                        - shifted(p, {a: -1, b: 1}) + shifted(p, {a: -1, b: -1}))
+                       / (4.0 * h[a] * h[b]))
+    return np.stack(out)
+
+
+def laplacian_expr(vals, h):
+    """The second differences summed in axis order."""
+    ents = hessian_entries_expr(vals, h)
+    total = ents[0]
+    for a in range(1, vals.ndim):
+        total = total + ents[a]
+    return total
+
+
+def gradient_expr(vals, h):
+    p = np.pad(vals, 1)
+    return np.stack([(shifted(p, {a: 1}) - shifted(p, {a: -1})) / (2.0 * h[a])
+                     for a in range(vals.ndim)])
+
+
+def divergence_expr(flux, h):
+    """Zeros plus the centered difference of each flux[a] along axis a, in axis order."""
+    total = np.zeros(flux.shape[1:])
+    for a in range(len(flux)):
+        total = total + gradient_expr(flux[a], h)[a]
+    return total
+
+
+def smooth_field_loop(domain, rng, modes=3, amplitude=1.0):
+    """``random_smooth_field`` as a loop over the modes in ``itertools.product``
+    order, one full-grid product per mode, with the products, the sum and the
+    normalization in long double from the float64 coefficients and sines."""
+    vals = np.zeros(domain.nodes, dtype=np.longdouble)
+    axes = [domain.axis_coords(a) / domain.extent[a] for a in range(domain.dim)]
+    for multi in itertools.product(range(1, modes + 1), repeat=domain.dim):
+        term = np.longdouble(rng.standard_normal() / float(np.prod(multi)))
+        for m, t in zip(multi, np.ix_(*axes)):
+            term = term * np.sin(np.pi * m * t).astype(np.longdouble)
+        vals = vals + term
+    return vals * (np.longdouble(amplitude) / np.max(np.abs(vals)))
 
 
 @pytest.fixture(scope="session")

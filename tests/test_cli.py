@@ -313,6 +313,8 @@ def test_cmd_solve_config_error_exit_code(tmp_path, capsys):
     ("seed = 0\n", "seed = 0\nnewton_max = -1\n"),
     ("nodes = 32\n", "nodes = 32\nextent = nan\n"),
     ("nodes = 32\n", "nodes = 32\nextent = inf\n"),
+    ("nodes = 32\n", "nodes = 32\nextent = 1e300\n"),
+    ("nodes = 32\n", "nodes = 32\nextent = 1e100\n"),
     ("value = 1.0\n", "value = nan\n"),
     ("kind = constant\n", "kind = gaussian\nwidth = 0.0\n"),
     ("kind = constant\n", "kind = gaussian\nwidth = 5e-324\n"),
@@ -325,7 +327,8 @@ def test_cmd_solve_config_error_exit_code(tmp_path, capsys):
     ("kind = constant\n", "kind = file\n"),
 ], ids=["negative-alpha", "nan-lambda", "inf-schedule", "missing-datum-file",
         "few-fit-samples", "zero-krylov-restart", "zero-krylov-outer", "negative-krylov-rtol",
-        "negative-newton-max", "nan-extent", "inf-extent", "nan-datum-value",
+        "negative-newton-max", "nan-extent", "inf-extent", "huge-extent-h2-overflows",
+        "huge-extent-symbol-underflows", "nan-datum-value",
         "zero-gaussian-width", "subnormal-gaussian-width", "narrow-gaussian-width",
         "zero-checker-blocks", "negative-checker-blocks",
         "schedule-not-from-zero", "schedule-not-increasing", "node-counts-not-N",

@@ -34,16 +34,17 @@ from polyhess import (
     zeros,
 )
 from polyhess import grid
-from polyhess.grid import (
-    _cross_difference,
-    _dst1,
-    _second_difference,
-    _shifted,
-    _zero_extended,
-    laplacian_power,
-)
+from polyhess.grid import _dst1, divergence_centered, laplacian_power
 from polyhess.hessian_algebra import entry_pairs, sk_of_entries, stack_of_entries
 from polyhess.verify import divergence_values, observed_order
+
+from conftest import (
+    divergence_expr,
+    gradient_expr,
+    hessian_entries_expr,
+    laplacian_expr,
+    smooth_field_loop,
+)
 
 
 def sinsin(dom):
@@ -224,24 +225,59 @@ def test_hessian_entries_equal_padded(nodes, extent):
 
 
 @_STENCIL_GRIDS
-def test_chained_differences_equal_their_expressions(nodes, extent):
-    """_second_difference and the cross difference run through one output
-    array; each equals its one-expression form bit for bit, with or without
-    a given output buffer."""
+def test_chained_differences_equal_their_expressions(nodes, extent, monkeypatch):
+    """Each stencil runs its operations as contiguous passes over flat runs
+    of the zero extension and copies the interior out; the Hessian entries,
+    Laplacian, centered gradient and divergence, and sigma_k from sk_fields
+    slabs of 1 and 3 rows and of the default budget, equal their
+    one-expression forms over shifted views byte for byte, signs of zeros
+    included (mixed scales, signed zeros, a negated bump)."""
     rng = np.random.default_rng(28)
+    dom = BoxDomain(nodes=nodes, extent=extent)
+    h = dom.spacing
     vals = rng.standard_normal(nodes) * 10.0 ** rng.uniform(-4, 4, nodes)
-    h = BoxDomain(nodes=nodes, extent=extent).spacing
-    p = _zero_extended(vals)
-    for a in range(len(nodes)):
-        expr = (_shifted(p, {a: 1}) - 2.0 * vals + _shifted(p, {a: -1})) / h[a] ** 2
-        assert np.array_equal(_second_difference(p, vals, a, h[a]), expr)
-        buf = np.full(nodes, np.nan)
-        assert _second_difference(p, vals, a, h[a], out=buf) is buf
-        assert np.array_equal(buf, expr)
-        for b in range(a + 1, len(nodes)):
-            expr = (_shifted(p, {a: 1, b: 1}) - _shifted(p, {a: 1, b: -1})
-                    - _shifted(p, {a: -1, b: 1}) + _shifted(p, {a: -1, b: -1})) / (4.0 * h[a] * h[b])
-            assert np.array_equal(_cross_difference(p, a, b, h, np.full(nodes, np.nan)), expr)
+    vals[rng.random(nodes) < 0.2] = 0.0
+    vals[rng.random(nodes) < 0.2] = -0.0
+    bump = -bump_field(dom, tuple(0.5 * e for e in extent), 0.3 * min(extent), 1.0, 1).values
+    d = dom.dim
+    orders = tuple(range(1, d + 1))
+    default = grid._SLAB_BYTES
+    for v in (vals, bump):
+        u = ScalarField(dom, v)
+        ents = hessian_entries_expr(v, h)
+        assert hessian_entries(u).tobytes() == ents.tobytes()
+        assert laplacian(u).values.tobytes() == laplacian_expr(v, h).tobytes()
+        grads = gradient_expr(v, h)
+        assert gradient_centered(u).tobytes() == grads.tobytes()
+        assert divergence_centered(grads, dom).tobytes() == divergence_expr(grads, h).tobytes()
+        refs = [sk_of_entries(ents, k).tobytes() for k in orders]
+        for rows in (1, 3, None):
+            budget = rows * (d * (d + 1) // 2) * 8 * math.prod(nodes[1:]) if rows else default
+            monkeypatch.setattr(grid, "_SLAB_BYTES", budget)
+            assert [f.values.tobytes() for f in sk_fields(u, orders)] == refs
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the loop oracle sums in long double, here no wider than float64")
+@pytest.mark.parametrize("nodes, extent", [
+    ((32, 32), (1.0, 1.0)),
+    ((40, 33), (1.3, 0.6)),
+    ((24, 24, 24), (1.0, 1.0, 1.0)),
+    ((12, 9, 10), (1.0, 2.0, 0.7)),
+], ids=["2d", "2d-aniso", "3d", "3d-aniso"])
+def test_random_smooth_field_equals_the_mode_loop(nodes, extent):
+    """The contraction with per-axis sine tables is the per-mode sum to
+    4 eps max|u| (the loop summed in long double), draws what the loop
+    draws, and leaves the generator where the loop leaves it."""
+    dom = BoxDomain(nodes=nodes, extent=extent)
+    eps = np.finfo(float).eps
+    for seed in range(4):
+        for modes, amplitude in ((2, 0.3), (3, 1.0), (4, 1.7)):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_smooth_field(dom, rng, modes=modes, amplitude=amplitude).values
+            ref = smooth_field_loop(dom, rng_ref, modes=modes, amplitude=amplitude)
+            assert np.max(np.abs(got - ref)) <= 4 * eps * np.max(np.abs(ref))
+            assert rng.random() == rng_ref.random()
 
 
 @_STENCIL_GRIDS

@@ -68,14 +68,16 @@ def test_segment_actions_match_action(case):
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_buffered_segment_actions_equal_unbuffered(case):
     """The reused buffers give the values of images built by one expression,
-    a + t * b, into fresh arrays, bit for bit, also at t outside [0, 1]."""
+    a + t * b, into fresh arrays, bit for bit, also at t outside [0, 1]; at
+    every t = 0 (first, inside ts, or -0.0) the J(base) computed once per
+    ``ray_actions`` is J(a + 0 b) bit for bit."""
     s, path = case_path(*case)
-    ts = SAMPLES + (0.1, 0.9, 2.6)
+    ts = SAMPLES + (0.1, 0.0, 0.9, -0.0, 2.6)
     for start, direction, _, _ in segments(s, path):
         a, b = _images(start, s), _images(direction, s)
-        ref = [_J_of(tuple(None if p is None else p + t * q for p, q in zip(a, b)), s)
-               for t in ts]
-        assert np.array_equal(ray_actions(start, s)(direction, ts), ref)
+        ref = np.array([_J_of(tuple(None if p is None else p + t * q for p, q in zip(a, b)), s)
+                        for t in ts])
+        assert ray_actions(start, s)(direction, ts).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
