@@ -181,16 +181,6 @@ class EnergyReport:
     seminorm: float
     form: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "J": self.J,
-            "quadratic_term": self.quadratic_term,
-            "datum_term": self.datum_term,
-            "nonlinear_term": self.nonlinear_term,
-            "seminorm": self.seminorm,
-            "form": self.form,
-        }
-
 
 def _sign(n: int) -> float:
     """(-1)^n."""

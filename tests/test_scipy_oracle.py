@@ -73,11 +73,14 @@ def _cube_setting(n, k, lam):
     lambda: _cube_setting(10, 3, 0.02),
 ], ids=["strong-2d", "weak-2d", "strong-3d", "strong-3d-k3"])
 def test_gmres_equals_scipy_on_newton_systems(make, monkeypatch):
+    # scipy with maxiter=5 restarts when its first cycle misses the
+    # tolerance; equal bits there too show that these systems need no restart
     matvec, b = _first_newton_system(make(), monkeypatch)
     for rtol in (1e-3, solvers._KRYLOV_RTOL):
-        ours = solvers.gmres(matvec, b, rtol, solvers._KRYLOV_RESTART, solvers._KRYLOV_OUTER)
-        theirs = _scipy_gmres(matvec, b, rtol, solvers._KRYLOV_RESTART, solvers._KRYLOV_OUTER)
-        assert np.array_equal(ours, theirs)
+        ours = solvers.gmres(matvec, b, rtol, solvers._KRYLOV_RESTART)
+        for maxiter in (1, 5):
+            theirs = _scipy_gmres(matvec, b, rtol, solvers._KRYLOV_RESTART, maxiter)
+            assert ours.tobytes() == theirs.tobytes()
 
 
 def _ill_conditioned(rng, n):
@@ -86,30 +89,29 @@ def _ill_conditioned(rng, n):
     return (q * np.logspace(0, 8, n)) @ q.T + rng.standard_normal((n, n))
 
 
-def test_gmres_equals_scipy_across_restarts():
-    # Several restart cycles: the restart residual is recomputed and the
-    # inner tolerance adapts both ways (on the ill-conditioned matrix the
-    # rotated residual estimate passes where the true residual does not).
+def test_gmres_equals_scipy_in_one_cycle():
+    # Cycles of 3 to 40 steps on well- and ill-conditioned matrices, ending
+    # at the tolerance or at the end of the cycle short of it.
     rng = np.random.default_rng(5)
     well = np.eye(60) + 0.4 * rng.standard_normal((60, 60)) / np.sqrt(60)
     ill = _ill_conditioned(np.random.default_rng(6), 40)
-    cases = [(well, 1e-3, 40, 5), (well, 1e-10, 5, 3), (well, 1e-12, 3, 50),
-             (well, 1e-16, 4, 6), (ill, 1e-14, 40, 5), (ill, 1e-10, 10, 20)]
-    for a, rtol, restart, maxiter in cases:
+    cases = [(well, 1e-3, 40), (well, 1e-10, 5), (well, 1e-12, 3),
+             (well, 1e-16, 4), (ill, 1e-14, 40), (ill, 1e-10, 10)]
+    for a, rtol, restart in cases:
         b = rng.standard_normal(a.shape[0])
-        ours = solvers.gmres(lambda v: a @ v, b, rtol, restart, maxiter)
-        assert np.array_equal(ours, _scipy_gmres(lambda v: a @ v, b, rtol, restart, maxiter))
+        ours = solvers.gmres(lambda v: a @ v, b, rtol, restart)
+        assert ours.tobytes() == _scipy_gmres(lambda v: a @ v, b, rtol, restart, 1).tobytes()
 
 
 def test_gmres_equals_scipy_on_zero_rhs_and_breakdown():
     b = np.random.default_rng(6).standard_normal(50)
     zero = np.zeros(50)
-    assert np.array_equal(solvers.gmres(np.copy, zero, 1e-3, 40, 5),
-                          _scipy_gmres(np.copy, zero, 1e-3, 40, 5))
+    assert (solvers.gmres(np.copy, zero, 1e-3, 40).tobytes()
+            == _scipy_gmres(np.copy, zero, 1e-3, 40, 1).tobytes())
     # the identity's Krylov space is spanned by b: the second Arnoldi vector
     # vanishes, which is the breakdown (exact solution) exit
-    ours = solvers.gmres(np.copy, b, 1e-7, 40, 5)
-    assert np.array_equal(ours, _scipy_gmres(np.copy, b, 1e-7, 40, 5))
+    ours = solvers.gmres(np.copy, b, 1e-7, 40)
+    assert ours.tobytes() == _scipy_gmres(np.copy, b, 1e-7, 40, 1).tobytes()
     assert np.allclose(ours, b)
 
 

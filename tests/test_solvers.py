@@ -31,9 +31,11 @@ from polyhess import (
     residual_weak_field,
     residual_weak_pairing,
     inner,
+    invert_polyharmonic,
     l2_norm,
     random_smooth_field,
     seminorm,
+    solve_run,
     two_solutions,
     unit_box,
     with_lambda,
@@ -101,6 +103,23 @@ def test_minimize_local_trivial_at_lambda_zero():
     assert np.all(u.values == 0.0)
     assert len(rec) == 1
     assert rec.residual_norm[0] == 0.0
+
+
+@pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
+def test_small_lambda_descent_leaves_the_zero_field(form):
+    # at lambda = 9e-7 the zero field's residual, -lambda f, is already below
+    # grad_tol; the descent still steps off it, to J_m near -lambda^2 <f, G f> / 2
+    lam = 9e-7
+    s = flagship_setting(64, lam=lam, form=form)
+    cfg = SolverConfig(seed=0)
+    run = solve_run(s, cfg)
+    rec = run.record_minimize
+    assert rec.residual_norm[0] <= cfg.grad_tol and len(rec) >= 2
+    g = invert_polyharmonic(s.f, s.alpha)
+    assert run.pair.J_m == pytest.approx(-0.5 * lam ** 2 * inner(s.f, g), rel=1e-6)
+    assert run.pair.J_m < 0.0 < run.pair.J_star
+    tab = continuation_in_lambda(with_lambda(s, 0.0), [0.0, 5e-7, 9e-7, 2e-6], cfg)
+    assert [r.converged for r in tab.rows] == [True] * 4
 
 
 def test_minimize_local_start_validation(run32):
@@ -265,6 +284,22 @@ def test_strong128_newton_iteration_is_one_gmres_solve(tmp_path, monkeypatch):
     assert main(["solve", "--config", str(cfg_path), "--seed", "0", "--out", str(tmp_path)]) == 0
     phases = json.loads((tmp_path / "run.json").read_text())["results"]["record_mountain"]["phase"]
     assert calls["gmres"] == calls["jacobian"] >= phases.count("newton") > 0
+
+
+def test_gmres_applies_the_operator_once_per_arnoldi_step():
+    # the Krylov space of I + a c^T from the right-hand side has dimension 2,
+    # so the one cycle ends after 2 steps: 2 products, none of them of x
+    a, c, b = np.random.default_rng(3).standard_normal((3, 30))
+    applied = []
+
+    def matvec(v):
+        applied.append(v.copy())
+        return v + a * (c @ v)
+
+    x = solvers.gmres(matvec, b, 1e-7, solvers._KRYLOV_RESTART)
+    assert len(applied) == 2
+    assert not any(np.array_equal(v, x) for v in applied)
+    assert np.allclose(x + a * (c @ x), b)
 
 
 def test_strong_flagship_solve_needs_no_einsum(monkeypatch, cfg0):
