@@ -376,6 +376,7 @@ def cmd_solve(args) -> int:
         "sep": pair.sep,
         "residual_m": pair.residual_m,
         "residual_star": pair.residual_star,
+        "residual_star_stencil": pair.residual_star_stencil,
         "minorant": {"C1": run.fit.C1, "C2": run.fit.C2, "k": run.fit.k},
         "radii": {"R0": run.geometry.R0, "R1": run.geometry.R1,
                   "R_M": run.geometry.R_M, "h_max": run.geometry.h_max},

@@ -42,10 +42,10 @@ degree k + 1 in t in both forms: ``ray_actions`` reads its values from the
 images of base and v as a + t b, ``solvers`` fixes the polynomial from
 k + 2 of them, and ``polynomial_peak`` finds its highest local maximum.
 Both residuals share one Euler-Lagrange assembly,
-(-1)^alpha Delta^alpha u - nonlinear - lambda f.  Wherever the Hessian
-entries are computed (``_images``, both residuals, the weak pairing, both
-Jacobian actions), the first Laplacian is their diagonal, through
-``grid.laplacian_power``, bit for bit equal to the stencil's.
+(-1)^alpha Delta^alpha u - N(u) - lambda f.  Wherever the Hessian entries
+are computed (``_images``, both residuals, the weak pairing), the first
+Laplacian is their diagonal, through ``grid.laplacian_power``, bit for bit
+equal to the stencil's.
 
 The Newton tensor T_{k-1}(Hu), the derivative of sigma_k at Hu, comes from
 one kernel, ``hessian_algebra.newton_flux``: F_a = sum_b S_k^{ab}[u] g_b
@@ -57,10 +57,7 @@ whose flux is T itself.
 Hessian layout.  Everything above reads the entries (``hessian_entries``):
 sigma_k and the flux read whole contiguous planes, and a value on a ray
 combines d(d+1)/2 planes instead of d^2 strided ones; no node-major stack
-is built.  The strong Jacobian's sum_a (sum_b T_ab (Hv)_ab) adds in index
-order, which for 2 x 2 blocks is the einsum order it replaced,
-(p00 + p01) + (p10 + p11): the strong solves at the residual roundoff
-floor need those bits, and other orders move the n = 128 solve's rows.
+is built.
 
 The truncation ``CutoffSpec`` is the quintic smoothstep between R0 and R1;
 it is exactly 1 inside the R0 ball, where ``evaluate_H`` equals the action.
@@ -84,9 +81,9 @@ own checks, as when each lambda fitted its own.
 
 Form dispatch.  This module makes every strong-versus-weak choice:
 ``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
-``ray_actions``, ``residual`` and ``residual_jacobian`` select the form's
-action, its values along a ray, residual and Jacobian action for the
-solvers.
+``ray_actions``, ``residual``, ``nonlinear`` and ``nonlinear_jacobian``
+select the form's action, its values along a ray, residual, nonlinear term
+N and the Jacobian action of N for the solvers.
 """
 
 from __future__ import annotations
@@ -259,21 +256,28 @@ def energy_report(u: ScalarField, s: EnergySetting) -> EnergyReport:
     )
 
 
-def _euler_lagrange(u: ScalarField, ents: np.ndarray, s: EnergySetting,
-                    nonlinear: np.ndarray) -> ScalarField:
-    """(-1)^alpha Delta^alpha u - ``nonlinear`` - lambda f, from ``u`` and
-    its Hessian entries ``ents``."""
+def _nonlinear_field(u: ScalarField, ents: np.ndarray, s: EnergySetting,
+                     form: Form) -> np.ndarray:
+    """N(u) in ``form`` from the Hessian entries ``ents`` of ``u``."""
+    k = s.params.k
+    if form is Form.WEAK:
+        flux = newton_flux(gradient_centered(u), ents, k)
+        return _sign(k) / k * divergence_centered(flux, u.domain)
+    return _sign(k) * sk_of_entries(ents, k)
+
+
+def _euler_lagrange(u: ScalarField, s: EnergySetting, form: Form) -> ScalarField:
+    """(-1)^alpha Delta^alpha u - N(u) - lambda f in ``form``."""
+    s.check_field(u)
+    ents = hessian_entries(u)
     vals = (_sign(s.alpha) * laplacian_power(u, ents, s.alpha).values
-            - nonlinear - s.lam * s.f.values)
+            - _nonlinear_field(u, ents, s, form) - s.lam * s.f.values)
     return ScalarField(u.domain, vals)
 
 
 def residual_strong(u: ScalarField, s: EnergySetting) -> ScalarField:
     """(-1)^alpha Delta^alpha u - (-1)^k S_k[u] - lambda f."""
-    s.check_field(u)
-    k = s.params.k
-    ents = hessian_entries(u)
-    return _euler_lagrange(u, ents, s, _sign(k) * sk_of_entries(ents, k))
+    return _euler_lagrange(u, s, Form.STRONG)
 
 
 def residual_weak_pairing(u: ScalarField, w: ScalarField, s: EnergySetting) -> float:
@@ -297,11 +301,7 @@ def residual_weak_field(u: ScalarField, s: EnergySetting) -> ScalarField:
     Uses the exact skew-adjointness of the centered first difference under
     zero extension, so the identity with the pairing holds to roundoff.
     """
-    s.check_field(u)
-    k = s.params.k
-    ents = hessian_entries(u)
-    flux = newton_flux(gradient_centered(u), ents, k)
-    return _euler_lagrange(u, ents, s, _sign(k) / k * divergence_centered(flux, u.domain))
+    return _euler_lagrange(u, s, Form.WEAK)
 
 
 def action(u: ScalarField, s: EnergySetting) -> float:
@@ -362,8 +362,16 @@ def residual(u: ScalarField, s: EnergySetting) -> ScalarField:
     return residual_strong(u, s)
 
 
-def residual_jacobian(u: ScalarField, s: EnergySetting):
-    """Jacobian action v -> R'(u) v of the setting's residual, on node arrays.
+def nonlinear(u: ScalarField, s: EnergySetting) -> np.ndarray:
+    """N(u) = (-1)^k S_k[u], or (-1)^k/k div F in the divergence form, with
+    (-Delta_h)^alpha u = N(u) + lambda f: evaluated directly, since the
+    stencil minus the residual cancels."""
+    s.check_field(u)
+    return _nonlinear_field(u, hessian_entries(u), s, s.form)
+
+
+def nonlinear_jacobian(u: ScalarField, s: EnergySetting):
+    """Jacobian action v -> N'(u) v of the setting's ``nonlinear``, on node arrays.
 
     The pointwise form reads d sigma_k(Hu)[Hv] = sum_ab T_ab (Hv)_ab off the
     Newton tensor T = T_{k-1}(Hu), built once as ``newton_flux`` of the
@@ -373,11 +381,8 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
     half difference is the exact H-derivative of a quadratic.
     """
     dom = u.domain
-    alpha = s.alpha
     k = s.params.k
-    sign_a = _sign(alpha)
     sign_k = _sign(k)
-
     ents_u = hessian_entries(u)
     if s.form is Form.STRONG:
         dim = dom.dim
@@ -386,8 +391,7 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
         tensor = newton_flux(eye, ents_u, k)  # [a, b] = T_ab
 
         def apply(v_vals: np.ndarray) -> np.ndarray:
-            v = ScalarField(dom, v_vals)
-            ents_v = hessian_entries(v)
+            ents_v = hessian_entries(ScalarField(dom, v_vals))
             # sum_a (sum_b T_ab (Hv)_ab), both sums in index order: for 2 x 2
             # blocks einsum's (p00 + p01) + (p10 + p11), bit for bit
             dsk = None
@@ -396,7 +400,7 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
                 for b in range(1, dim):
                     row += tensor[a, b] * ents_v[table[a, b]]
                 dsk = row if dsk is None else np.add(dsk, row, out=dsk)
-            return sign_a * laplacian_power(v, ents_v, alpha).values - sign_k * dsk
+            return sign_k * dsk
         return apply
 
     grads_u = gradient_centered(u)
@@ -406,8 +410,7 @@ def residual_jacobian(u: ScalarField, s: EnergySetting):
         ents_v = hessian_entries(v)
         dflux = newton_flux(gradient_centered(v), ents_u, k) + 0.5 * (
             newton_flux(grads_u, ents_u + ents_v, k) - newton_flux(grads_u, ents_u - ents_v, k))
-        return (sign_a * laplacian_power(v, ents_v, alpha).values
-                - sign_k / k * divergence_centered(dflux, dom))
+        return sign_k / k * divergence_centered(dflux, dom)
     return apply
 
 

@@ -56,8 +56,8 @@ bit-identical values.
 
 The grid is a tensor product, so the discrete Dirichlet Laplacian is
 diagonal in the sine basis; ``invert_polyharmonic`` exploits this to apply
-the exact inverse of (-Delta)^alpha with a pair of DSTs.  This is the
-"diagonal polyharmonic preconditioner" used by the solvers.  The
+the exact inverse of (-Delta)^alpha with a pair of DSTs: the solvers'
+descent preconditioner and the map u = G w of their Newton step.  The
 orthonormal type-I DST is its own inverse; ``_dst1`` computes it with numpy
 alone, one axis at a time, as the imaginary part of a real FFT of the odd
 extension [0, x, 0, -reverse(x)] of length 2(n+1) (the classical reduction

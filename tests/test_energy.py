@@ -32,7 +32,7 @@ from polyhess import (
     zeros,
 )
 from polyhess.energy import _sign, minorant_sample_family
-from polyhess.energy import action, ray_actions, residual, residual_jacobian
+from polyhess.energy import action, nonlinear, nonlinear_jacobian, ray_actions
 from polyhess.grid import (
     BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian, hessian_entries,
     laplacian_power,
@@ -454,9 +454,11 @@ def test_domain_mismatch_errors(s64):
     (Form.STRONG, 3, 2), (Form.WEAK, 3, 2), (Form.STRONG, 3, 3), (Form.WEAK, 3, 3),
 ], ids=["strong", "weak", "strong-3d-k2", "weak-3d-k2", "strong-3d-k3", "weak-3d-k3"])
 def test_residual_jacobian_matches_central_difference(form, dim, k):
-    # The residuals are polynomials of degree k in u.  For k = 2 the central
-    # difference D(eps) equals the Jacobian action up to roundoff; for k = 3
-    # its error is c eps^2, which (4 D(eps/2) - D(eps)) / 3 cancels exactly.
+    # The Newton Jacobian I - N'(G w) G of the residual in w reads the
+    # nonlinear term's derivative N'.  N is a polynomial of degree k in u.
+    # For k = 2 the central difference D(eps) equals the Jacobian action up
+    # to roundoff; for k = 3 its error is c eps^2, which
+    # (4 D(eps/2) - D(eps)) / 3 cancels exactly.
     if dim == 2:
         s = flagship_setting(32, form=form)
     else:
@@ -467,12 +469,12 @@ def test_residual_jacobian_matches_central_difference(form, dim, k):
     eps = 1e-3
 
     def central(u, v, e):
-        return (residual(u + e * v, s).values - residual(u - e * v, s).values) / (2.0 * e)
+        return (nonlinear(u + e * v, s) - nonlinear(u - e * v, s)) / (2.0 * e)
 
     for _ in range(3):
         u = random_smooth_field(dom, rng, amplitude=0.5)
         v = random_smooth_field(dom, rng, amplitude=0.5)
-        jv = residual_jacobian(u, s)(v.values)
+        jv = nonlinear_jacobian(u, s)(v.values)
         fd = central(u, v, eps)
         if k == 3:
             fd = (4.0 * central(u, v, 0.5 * eps) - fd) / 3.0
@@ -480,15 +482,13 @@ def test_residual_jacobian_matches_central_difference(form, dim, k):
 
 
 def _strong_action_by_einsum(u, s, v_vals):
-    """The strong Jacobian action as first written: the node-major gradient
-    matrices of sigma_k (by the power series) contracted with the Hessian of
-    v by ``np.einsum``."""
+    """The strong nonlinear term's Jacobian action as first written: the
+    node-major gradient matrices of sigma_k (by the power series) contracted
+    with the Hessian of v by ``np.einsum``."""
     k = s.params.k
-    v = ScalarField(u.domain, v_vals)
-    ents_v = hessian_entries(v)
+    ents_v = hessian_entries(ScalarField(u.domain, v_vals))
     partials = partials_polynomial_loop(hessian(u), k)
-    dsk = np.einsum("...ab,...ab->...", partials, stack_of_entries(ents_v))
-    return _sign(s.alpha) * laplacian_power(v, ents_v, s.alpha).values - _sign(k) * dsk
+    return _sign(k) * np.einsum("...ab,...ab->...", partials, stack_of_entries(ents_v))
 
 
 @pytest.mark.parametrize("nodes, k", [
@@ -504,7 +504,7 @@ def test_strong_jacobian_action_equals_einsum_contraction(nodes, k):
     for _ in range(3):
         u = random_smooth_field(dom, rng, modes=4, amplitude=2.0)
         v = rng.standard_normal(nodes)
-        got = residual_jacobian(u, s)(v)
+        got = nonlinear_jacobian(u, s)(v)
         want = _strong_action_by_einsum(u, s, v)
         if len(nodes) == 2:
             assert got.tobytes() == want.tobytes()

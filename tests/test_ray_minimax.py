@@ -111,7 +111,7 @@ def test_stalled_search_then_newton_without_a_step_raises(run32, monkeypatch):
     s = flagship_setting(32)
     monkeypatch.setattr(solvers, "inner", lambda a, b: 1e30)  # no Armijo test passes
     monkeypatch.setattr(solvers, "_newton_refine",
-                        lambda u, r, rn, s, cfg, rec: (u, rn, False))
+                        lambda u, s, cfg, rec: (u, False))
     with pytest.raises(NonconvergenceError, match="stalled") as info:
         mountain_pass(s, run32.pair.u_m, _far_point(run32), SolverConfig(seed=0))
     assert info.value.record.phase == ["minimax"]

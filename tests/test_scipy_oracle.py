@@ -42,7 +42,7 @@ def _scipy_gmres(matvec, b, rtol, restart, maxiter):
 
 
 def _first_newton_system(s, monkeypatch):
-    """The preconditioned Jacobian action and right-hand side of the first
+    """The Jacobian action I - N'(G w) G and right-hand side of the first
     Newton step of a solve of ``s``."""
     systems = []
     gmres = solvers.gmres

@@ -7,6 +7,9 @@ cannot trip them while genuine regressions do.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,7 @@ from polyhess import (
     minimize_local,
     minorant_geometry,
     mountain_pass,
+    polyharmonic,
     residual_strong,
     residual_weak_field,
     residual_weak_pairing,
@@ -34,6 +38,7 @@ from polyhess import (
     invert_polyharmonic,
     l2_norm,
     random_smooth_field,
+    ScalarField,
     seminorm,
     solve_run,
     two_solutions,
@@ -47,6 +52,8 @@ from polyhess.errors import ContractError, FitError, GeometryError, PolyhessErro
 
 from conftest import constant_datum, flagship_setting
 from polyhess.cli import main
+
+_REPO = Path(__file__).resolve().parents[1]
 
 
 def test_solver_config_validation():
@@ -168,10 +175,19 @@ def test_flagship_pair_regression(run32, run64):
 
 
 def test_pair_validates_against_energy_module(run64):
+    """u_m is accepted on its stencil residual; u_star = G w on the residual
+    in w, R(w) = w - N(G w) - lambda f, the mountain record's last row, and
+    its stencil residual is kept beside it."""
     s = flagship_setting(64)
     p = run64.pair
     assert abs(l2_norm(residual_strong(p.u_m, s)) - p.residual_m) <= 1e-12
-    assert abs(l2_norm(residual_strong(p.u_star, s)) - p.residual_star) <= 1e-12
+    assert abs(l2_norm(residual_strong(p.u_star, s)) - p.residual_star_stencil) <= 1e-12
+    assert p.residual_star == run64.record_mountain.residual_norm[-1] <= 1e-6
+    w = polyharmonic(p.u_star, 2)
+    gw = invert_polyharmonic(w, 2)
+    assert np.max(np.abs(gw.values - p.u_star.values)) <= 1e-12 * np.max(np.abs(p.u_star.values))
+    r_w = w - ScalarField(s.f.domain, energy.nonlinear(gw, s) + s.lam * s.f.values)
+    assert l2_norm(r_w) <= 1e-6
 
 
 def test_weak_pair_validates_against_pairing(run64_weak):
@@ -179,7 +195,7 @@ def test_weak_pair_validates_against_pairing(run64_weak):
     p = run64_weak.pair
     assert p.residual_m <= 1e-6 and p.residual_star <= 1e-6
     g = residual_weak_field(p.u_star, s)
-    assert abs(l2_norm(g) - p.residual_star) <= 1e-12
+    assert abs(l2_norm(g) - p.residual_star_stencil) <= 1e-12
     rng = np.random.default_rng(50)
     for _ in range(20):
         w = random_smooth_field(s.f.domain, rng)
@@ -251,24 +267,35 @@ def test_mountain_pass_returns_at_a_minimax_row(run32):
 
 def test_newton_refine_records_each_accepted_iterate_once(run32):
     """The caller records the start point; the refinement appends one row
-    per accepted iterate, never the start point again."""
+    per accepted iterate, never the start point again, with its residual in
+    w = (-Delta_h)^alpha u, strictly decreasing."""
     s = flagship_setting(32)
     cfg = SolverConfig(seed=0)
     rng = np.random.default_rng(51)
     u = run32.pair.u_star + 1e-3 * random_smooth_field(s.f.domain, rng)
-    r = residual_strong(u, s)
-    rn = l2_norm(r)
+    rn = l2_norm(residual_strong(u, s))
     rec = PSRecord()
-    u_ref, rn_ref, ok = solvers._newton_refine(u, r, rn, s, cfg, rec)
-    assert ok and rn_ref <= cfg.grad_tol
-    assert len(rec) >= 1
-    assert rec.residual_norm[-1] == rn_ref
+    u_ref, ok = solvers._newton_refine(u, s, cfg, rec)
+    assert ok and rec.residual_norm[-1] <= cfg.grad_tol
+    assert len(rec) >= 1 and set(rec.phase) == {"newton"}
     assert all(b < a for a, b in zip([rn] + rec.residual_norm, rec.residual_norm))
+    assert rec.J[-1] == energy.action(u_ref, s)
+
+
+def test_newton_refine_accepts_a_source_residual_already_at_tolerance(run32):
+    """A peak whose residual in w already meets grad_tol is accepted without
+    a step on that residual: G w gets one row, and no GMRES solve runs."""
+    s = flagship_setting(32)
+    cfg = SolverConfig(seed=0)
+    rec = PSRecord()
+    u_ref, ok = solvers._newton_refine(run32.pair.u_star, s, cfg, rec)
+    assert ok and rec.phase == ["newton"] and rec.residual_norm[0] <= cfg.grad_tol
+    assert np.max(np.abs(u_ref.values - run32.pair.u_star.values)) <= 1e-9
 
 
 def test_strong128_newton_iteration_is_one_gmres_solve(tmp_path, monkeypatch):
-    """On the n = 128 flagship, at the residual roundoff floor, every Newton
-    iteration (one Jacobian built at its iterate) runs exactly one GMRES solve."""
+    """On the n = 128 flagship every Newton iteration (one Jacobian of the
+    nonlinear term built at its iterate) runs exactly one GMRES solve."""
     cfg_path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "strong128.cfg"
     calls = {"jacobian": 0, "gmres": 0}
 
@@ -278,8 +305,8 @@ def test_strong128_newton_iteration_is_one_gmres_solve(tmp_path, monkeypatch):
             return fn(*args)
         return counted
 
-    monkeypatch.setattr(solvers, "residual_jacobian",
-                        counting("jacobian", solvers.residual_jacobian))
+    monkeypatch.setattr(solvers, "nonlinear_jacobian",
+                        counting("jacobian", solvers.nonlinear_jacobian))
     monkeypatch.setattr(solvers, "gmres", counting("gmres", solvers.gmres))
     assert main(["solve", "--config", str(cfg_path), "--seed", "0", "--out", str(tmp_path)]) == 0
     phases = json.loads((tmp_path / "run.json").read_text())["results"]["record_mountain"]["phase"]
@@ -306,7 +333,7 @@ def test_strong_flagship_solve_needs_no_einsum(monkeypatch, cfg0):
     """The strong Jacobian reads Hessian entries, so the n = 32 flagship
     solve, Newton polish included, converges with ``np.einsum`` unavailable."""
     built = {"jacobian": 0}
-    jacobian = solvers.residual_jacobian
+    jacobian = solvers.nonlinear_jacobian
 
     def counted(*args):
         built["jacobian"] += 1
@@ -315,7 +342,7 @@ def test_strong_flagship_solve_needs_no_einsum(monkeypatch, cfg0):
     def refuse(*args, **kwargs):
         raise AssertionError("np.einsum is not part of the solver")
 
-    monkeypatch.setattr(solvers, "residual_jacobian", counted)
+    monkeypatch.setattr(solvers, "nonlinear_jacobian", counted)
     monkeypatch.setattr(np, "einsum", refuse)
     pair = solvers.solve_run(flagship_setting(32), cfg0).pair
     assert built["jacobian"] > 0
@@ -347,15 +374,83 @@ def test_three_dimensional_weak_pair():
 
 
 def test_odd_alpha_pair():
-    # N = k = 3 selects alpha = 3; the Delta^3 evaluation floor at n = 16 is
-    # ~ eps * |u| * (6/h^2)^3 ~ 5e-6, so the tolerance sits just above it
+    # N = k = 3 selects alpha = 3
     dom = unit_box(3, 16)
     s = make_setting(ProblemParams(3, 3), 0.02, constant_datum(dom))
     assert s.alpha == 3
-    p = two_solutions(s, SolverConfig(seed=0, grad_tol=2e-5))
-    assert p.residual_m <= 2e-5 and p.residual_star <= 2e-5
+    p = two_solutions(s, SolverConfig(seed=0))
+    assert p.residual_m <= 1e-6 and p.residual_star <= 1e-6
     assert p.J_m < 0.0 < p.J_star
     assert p.sep > 0.0
+
+
+def _newton_rows(tmp_path, config, *args):
+    """Newton rows of a CLI solve of ``config`` (the text of a config file)
+    with the command-line ``args``; the solve must exit 0 with its u_star
+    accepted at the default grad_tol."""
+    cfg = tmp_path / f"run{len(list(tmp_path.glob('*.cfg')))}.cfg"
+    cfg.write_text(config)
+    out = cfg.with_suffix("")
+    assert main(["solve", "--config", str(cfg), "--out", str(out)] + list(args)) == 0
+    results = json.loads((out / "run.json").read_text())["results"]
+    assert results["residual_star"] <= 1e-6
+    return results["record_mountain"]["phase"].count("newton")
+
+
+@pytest.mark.parametrize("name, coarse, fine, form", [
+    ("ma2d.cfg", "nodes = 64", "nodes = 191", "strong"),
+    ("ma2d.cfg", "nodes = 64", "nodes = 128", "weak"),
+    ("hess3d_k3.cfg", "nodes = 16", "nodes = 20", "strong"),
+    ("hess3d_k3.cfg", "nodes = 16", "nodes = 20", "weak"),
+], ids=["strong-191", "weak-128", "k3-strong-20", "k3-weak-20"])
+def test_fine_grids_converge_in_at_most_twice_the_coarse_newton_steps(tmp_path, name, coarse,
+                                                                      fine, form):
+    """Newton in w = (-Delta_h)^alpha u has no stencil roundoff floor, so the
+    bundled configs refined (the (3, 3) box at lambda = 0.05) converge at
+    grad_tol = 1e-6 in at most twice the Newton steps of the bundled grid."""
+    text = (_REPO / "configs" / name).read_text()
+    assert coarse in text
+    assert "grad_tol = 1e-06" in text or "grad_tol" not in text
+    args = ["--form", form, "--lambda", "0.05"]
+    steps = _newton_rows(tmp_path, text, *args)
+    assert 0 < _newton_rows(tmp_path, text.replace(coarse, fine), *args) <= 2 * steps
+
+
+_COUNTED_SOLVE = """
+import json, sys
+from polyhess import cli, solvers
+iterations = []
+gmres = solvers.gmres
+def counted(matvec, b, *args):
+    iterations.append(0)
+    def applied(v):
+        iterations[-1] += 1
+        return matvec(v)
+    return gmres(applied, b, *args)
+solvers.gmres = counted
+code = cli.main(["solve", "--config", sys.argv[1], "--out", sys.argv[2]])
+phase = json.load(open(sys.argv[2] + "/run.json"))["results"]["record_mountain"]["phase"]
+print(json.dumps({"code": code, "rows": len(phase), "newton": phase.count("newton"),
+                  "gmres_iterations": iterations}))
+"""
+
+
+def test_strong128_counts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """strong128 solved at one and at two BLAS threads takes the same mountain
+    rows, Newton steps and GMRES iterations (its bits may differ)."""
+    counts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [str(Path(solvers.__file__).resolve().parents[1])]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNTED_SOLVE,
+             str(_REPO / "perfbench" / "configs" / "strong128.cfg"), str(tmp_path / threads)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert counts[0]["code"] == 0 and counts[0]["newton"] > 0
+    assert counts[0] == counts[1]
 
 
 def test_ball_uniqueness_probe(run64):
