@@ -18,25 +18,30 @@ points (``energy.ray_actions``, from the images of u_m computed once per
 call and those of v); the peak is the highest local maximum at t > 0 among
 the roots of its derivative, so no ridge between samples can be missed.  A
 ray with no such peak is a rejected step.  From the peak w the search tries
-w - s d, with d the preconditioned residual, and takes the new ray through
-it, v = w - s d - u_m: the first s is min(1, 1/2 |w - u_m| / |d|) in the
-seminorm, and Armijo backtracking on the new ray's peak value shrinks it
-down to 1e-10.  When the line search stalls, or once the peak value is
-stable (relative change below ``deform_tol`` on three consecutive steps),
-the peak is handed to a damped Newton-Krylov refinement.  An unconverged
-refinement that stays separated from u_m restarts the minimax on the ray
-through its last iterate.  The mountain record gets one row per minimax
-step (phase ``minimax``) and one per accepted Newton iterate (``newton``),
-the descent record one per iterate (``descent``); ``max_iters`` bounds the
-rows of each.  A violated precondition of a solver raises
-``ContractError``.
+one step, w - s d, with d the preconditioned residual and
+s = min(1, 1/2 |w - u_m| / |d|) in the seminorm, and takes the ray through
+it, v = w - s d - u_m, when the new ray's peak value passes the Armijo
+test.
+
+One trial step per row.  Neither phase backtracks.  The descent tries the
+full preconditioned step u - G r, the minimax the step above; when the
+trial fails its Armijo test, or once the minimax's peak value is stable
+(relative change below ``deform_tol`` on three consecutive steps), the
+phase hands its iterate to a damped Newton-Krylov refinement.  A
+refinement that accepts no step ends the phase with a
+``NonconvergenceError``; an unconverged one that moved and stays separated
+from u_m restarts the minimax on the ray through its last iterate.  The
+descent record gets one row per iterate (phase ``descent``), the mountain
+record one per minimax step (``minimax``), and both one per accepted Newton
+iterate (``newton``); ``max_iters`` bounds the rows of each.  A violated
+precondition of a solver raises ``ContractError``.
 
 Newton on the source.  The refinement (``_newton_refine``) iterates on
 w = (-Delta_h)^alpha u, u = G w (Knoll and Keyes, J. Comput. Phys.
 193:357, 2004), free of the float64 floor of u's stencil residual, which
-grows like h^(-2 alpha).  Each solution is accepted on the residual of its
-phase, the last row of its record: u_m on the stencil residual, u_star on
-the residual in w when Newton produced it.
+grows like h^(-2 alpha).  Each solution is accepted on the residual of the
+last row of its record: the stencil residual when the descent or the
+minimax met ``grad_tol``, the residual in w when Newton finished it.
 
 Krylov solver.  Each Newton step is one ``gmres`` solve at one constant
 relative tolerance, ``_KRYLOV_RTOL``, with no retry: one GMRES cycle, never
@@ -198,19 +203,18 @@ class SolveRun:
     record_mountain: PSRecord
 
 
-# Backtracking line search of the descent and the minimax: first
-# trial step, shrink factor and Armijo factor.
-_STEP0 = 1.0
-_LS_RHO = 0.5
-_LS_C = 1e-4
+_LS_C = 1e-4  # Armijo factor of the descent's and the minimax's one trial step
 _FIT_SAMPLES = 48  # fields in the minorant fit's sample family
 
 
 def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
                    c: CutoffSpec) -> tuple[ScalarField, PSRecord]:
-    """Backtracking descent on the truncated functional from inside the small ball.
+    """Preconditioned descent on the truncated functional from inside the
+    small ball, one trial step u - G r per row.
 
-    Returns the iterate whose residual L2 norm is at or below ``grad_tol``;
+    A step that fails its Armijo test hands the iterate to the Newton
+    refinement, which appends its ``newton`` rows to the record.  Returns
+    the iterate whose residual L2 norm is at or below ``grad_tol``;
     verifies afterwards that the minimizer stayed inside the R0 ball where
     the truncated functional and the action coincide.
     """
@@ -235,19 +239,14 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
             break
         leave_zero = False
         d = invert_polyharmonic(r, alpha)
-        slope = inner(r, d)  # squared preconditioned norm, positive
-        t = _STEP0
-        accepted = False
-        while t >= 1e-14 * _STEP0:
-            cand = u - t * d
-            h_cand = evaluate_H(cand, s, c)
-            if h_cand <= h_val - _LS_C * t * slope:
-                accepted = True
-                break
-            t *= _LS_RHO
-        if not accepted:
-            raise NonconvergenceError(
-                "backtracking stalled before the residual tolerance", rec)
+        cand = u - d
+        h_cand = evaluate_H(cand, s, c)
+        if not h_cand <= h_val - _LS_C * inner(r, d):
+            u, converged = _newton_refine(u, s, cfg, rec)
+            if not (converged or len(rec) >= cfg.max_iters):
+                raise NonconvergenceError(
+                    "descent step failed its Armijo test and Newton stalled", rec)
+            break
         if not h_cand <= h_val + 1e-12 * (1.0 + abs(h_val)):
             raise NonconvergenceError(
                 f"descent not monotone: H rose from {h_val!r} to {h_cand!r}", rec)
@@ -385,8 +384,9 @@ def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
                    rec: PSRecord) -> tuple[ScalarField, bool]:
     """Damped inexact Newton iterations (Dembo, Eisenstat and Steihaug, SIAM
     J. Numer. Anal. 19:400, 1982) on R(w) = w - N(G w) - lambda f from the
-    source w = (-Delta_h)^alpha u of a minimax peak ``u`` that the caller
-    has recorded; returns (last iterate G w, reached_tolerance).
+    source w = (-Delta_h)^alpha u of a descent iterate or minimax peak ``u``
+    that the caller has recorded; returns (last iterate G w,
+    reached_tolerance), with ``u`` itself when no step was accepted.
 
     Each iteration is one unpreconditioned GMRES solve of (I - N'(G w) G)
     delta = -R(w) and a line search on t = 1, 1/2, ... (at most 10 trials,
@@ -467,23 +467,15 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
         else:
             stable = 0
         j_prev = j_top
-        stalled = False
         if stable < 3:
             d = invert_polyharmonic(r, alpha)
-            slope = inner(r, d)  # squared preconditioned norm, positive
             dn = seminorm(d, alpha)
-            step = _STEP0
-            if dn > 0.0:  # half the distance from u_m caps the first step
+            step = 1.0
+            if dn > 0.0:  # half the distance from u_m caps the step
                 step = min(step, 0.5 * t_top * seminorm(v, alpha) / dn)
-            while step >= 1e-10 * _STEP0:
-                v_cand = w - step * d - u_m
-                cand = _ray_peak(_ray_polynomial(ray, v_cand, k))
-                if cand is not None and cand[1] <= j_top - _LS_C * step * slope:
-                    break
-                step *= _LS_RHO
-            else:
-                stalled = True
-            if not stalled:
+            v_cand = w - step * d - u_m
+            cand = _ray_peak(_ray_polynomial(ray, v_cand, k))
+            if cand is not None and cand[1] <= j_top - _LS_C * step * inner(r, d):
                 v, peak = v_cand, cand
                 continue
         stable = 0
@@ -493,9 +485,8 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
             raise NonconvergenceError("Newton refinement fell back to the minimizer", rec)
         if ok:
             return u_ref, rec
-        if stalled and u_ref is w:
-            raise NonconvergenceError(
-                "minimax line search stalled and Newton accepted no step", rec)
+        if u_ref is w and len(rec) < cfg.max_iters:
+            raise NonconvergenceError("minimax stalled: Newton accepted no step", rec)
         v = u_ref - u_m
         peak = _ray_peak(_ray_polynomial(ray, v, k))
     raise NonconvergenceError("mountain pass exhausted its iteration budget", rec)

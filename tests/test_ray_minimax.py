@@ -2,6 +2,9 @@
 search on it, and the mountain pass built on them.  The ray evaluator's
 buffers and base images are checked in test_path_sweep.py."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -17,11 +20,14 @@ from polyhess import (
     random_smooth_field,
     unit_box,
 )
+from polyhess.cli import main
 from polyhess.energy import action, ray_actions
 import polyhess.solvers as solvers
 from polyhess.solvers import _ray_peak, _ray_polynomial
 
 from conftest import constant_datum, flagship_setting
+
+_REPO = Path(__file__).resolve().parents[1]
 
 CASES = [
     (2, 32, 2, Form.STRONG),
@@ -106,8 +112,9 @@ def test_first_ray_without_a_positive_peak_raises_geometry_error(run32):
 
 
 def test_stalled_search_then_newton_without_a_step_raises(run32, monkeypatch):
-    """A line search that stalls and a refinement that accepts no step would
-    leave the next ray at the same point, so the search stops with a reason."""
+    """A trial step that fails its Armijo test and a refinement that accepts
+    no step would leave the next ray at the same point, so the search stops
+    with a reason."""
     s = flagship_setting(32)
     monkeypatch.setattr(solvers, "inner", lambda a, b: 1e30)  # no Armijo test passes
     monkeypatch.setattr(solvers, "_newton_refine",
@@ -115,6 +122,27 @@ def test_stalled_search_then_newton_without_a_step_raises(run32, monkeypatch):
     with pytest.raises(NonconvergenceError, match="stalled") as info:
         mountain_pass(s, run32.pair.u_m, _far_point(run32), SolverConfig(seed=0))
     assert info.value.record.phase == ["minimax"]
+
+
+def test_one_ray_polynomial_per_minimax_row_and_hand_off(tmp_path, monkeypatch):
+    """The minimax tries one step per row, with no line search: the hess3d
+    solve evaluates at most one ray polynomial per minimax row, plus one per
+    hand-off to Newton (the ray through the refined point)."""
+    calls = []
+    polynomial = solvers._ray_polynomial
+
+    def counted(*args):
+        calls.append(None)
+        return polynomial(*args)
+
+    monkeypatch.setattr(solvers, "_ray_polynomial", counted)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(_REPO / "configs" / "hess3d.cfg"),
+                 "--out", str(out)]) == 0
+    phases = json.loads((out / "run.json").read_text())["results"]["record_mountain"]["phase"]
+    hand_offs = sum(a == "minimax" and b == "newton" for a, b in zip(phases, phases[1:]))
+    assert hand_offs >= 1
+    assert len(calls) <= phases.count("minimax") + hand_offs
 
 
 @pytest.mark.parametrize("max_iters", [1, 5, 10])

@@ -156,6 +156,21 @@ def test_minimize_local_non_monotone_step_raises(run32, monkeypatch):
     assert len(info.value.record) == 1
 
 
+def test_failed_descent_step_then_newton_without_a_step_raises(run32, monkeypatch):
+    """A descent step that fails its Armijo test goes to Newton once, with no
+    backtracking; a refinement that accepts no step ends the descent."""
+    s = flagship_setting(32)
+    cutoff = CutoffSpec(run32.geometry.R0, run32.geometry.R1)
+    handed = []
+    monkeypatch.setattr(solvers, "inner", lambda a, b: 1e30)  # no Armijo test passes
+    monkeypatch.setattr(solvers, "_newton_refine",
+                        lambda u, s, cfg, rec: (handed.append(u) or u, False))
+    with pytest.raises(NonconvergenceError, match="Newton stalled") as info:
+        minimize_local(s, zeros(s.f.domain), SolverConfig(seed=0), cutoff)
+    assert info.value.record.phase == ["descent"]
+    assert len(handed) == 1 and not np.any(handed[0].values)
+
+
 def test_flagship_pair_regression(run32, run64):
     p32, p64 = run32.pair, run64.pair
     for p in (p32, p64):
@@ -472,15 +487,20 @@ def test_probe_lambda_zero_converges_to_origin():
     assert all(abs(e) <= 1e-20 for e in rep.energies)
 
 
-def test_probe_large_lambda_negative_control():
-    # reported, not asserted: either the geometry machinery refuses or the
-    # probe reports failures/dispersal
-    s = flagship_setting(32, lam=50.0)
-    try:
-        rep = ball_uniqueness_probe(s, SolverConfig(seed=0), 5)
-        assert (not rep.success) or rep.max_pairwise > 1e-5 or rep.failures
-    except PolyhessError:
-        pass
+@pytest.mark.parametrize("lam", [50.0, 200.0])
+def test_probe_converges_at_large_lambda(lam):
+    """At lambda = 50 and 200 every random start in the R0 ball reaches one
+    minimizer: a descent step that fails its Armijo test hands the iterate
+    to the Newton polish in w instead of stalling."""
+    rep = ball_uniqueness_probe(flagship_setting(32, lam=lam), SolverConfig(seed=0), 5)
+    assert rep.converged == 5 and not rep.failures
+    assert rep.max_pairwise <= 10 * 1e-6
+    assert rep.success
+
+
+def test_probe_refuses_a_lambda_without_the_two_level_geometry():
+    with pytest.raises(GeometryError, match="nonpositive"):
+        ball_uniqueness_probe(flagship_setting(32, lam=300.0), SolverConfig(seed=0), 5)
 
 
 def test_continuation_table():
@@ -500,6 +520,35 @@ def test_continuation_table():
     # bit-for-bit reproducibility under the same seed
     tab2 = continuation_in_lambda(s, [0.0, 0.0125, 0.025, 0.05], SolverConfig(seed=0))
     assert tab2.to_csv_text() == csv
+
+
+@pytest.mark.parametrize("nodes, lam", [(32, 10.0), (32, 50.0), (32, 200.0),
+                                         (64, 10.0), (64, 50.0), (64, 200.0)])
+def test_weak_flagship_converges_at_moderate_lambda(tmp_path, nodes, lam):
+    """The weak residual is not the exact gradient of the weak action, so at
+    moderate lambda the descent's full step fails its Armijo test above
+    grad_tol and the Newton polish in w finishes u_m: the descent record
+    ends in a ``newton`` row and ``residual_m`` is its residual in w.  At
+    n = 64 and lambda = 10 the descent meets grad_tol on its own."""
+    text = (_REPO / "configs" / "ma2d.cfg").read_text()
+    assert "nodes = 64" in text
+    cfg = tmp_path / "ma2d.cfg"
+    cfg.write_text(text.replace("nodes = 64", f"nodes = {nodes}"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--form", "weak", "--lambda", repr(lam),
+                 "--out", str(out)]) == 0
+    results = json.loads((out / "run.json").read_text())["results"]
+    assert results["residual_m"] <= 1e-6 and results["residual_star"] <= 1e-6
+    phases = results["record_minimize"]["phase"]
+    assert phases[0] == "descent"
+    if (nodes, lam) != (64, 10.0):
+        assert phases[-1] == "newton"
+
+
+def test_weak_continuation_converges_on_every_row_to_lambda_50():
+    s = flagship_setting(32, lam=0.0, form=Form.WEAK)
+    tab = continuation_in_lambda(s, [0.0, 5.0, 10.0, 25.0, 50.0], SolverConfig(seed=0))
+    assert [r.converged for r in tab.rows] == [True] * 5, [r.reason for r in tab.rows]
 
 
 # The minorant fit and the geometry witnesses as they were computed for
