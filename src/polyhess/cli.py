@@ -375,6 +375,7 @@ def cmd_solve(args) -> int:
         "J_star": pair.J_star,
         "sep": pair.sep,
         "residual_m": pair.residual_m,
+        "residual_m_stencil": pair.residual_m_stencil,
         "residual_star": pair.residual_star,
         "residual_star_stencil": pair.residual_star_stencil,
         "minorant": {"C1": run.fit.C1, "C2": run.fit.C2, "k": run.fit.k},

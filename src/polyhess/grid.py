@@ -65,7 +65,8 @@ of a sine transform to an FFT; see e.g. Press et al., *Numerical Recipes*,
 section 12.3).  It performs, operation for operation, what pocketfft's
 ``T_dst1`` does inside ``scipy.fft.dstn(..., type=1, norm="ortho")``, so its
 output matches that of scipy bit for bit (the tests compare the two).  The
-inverse runs both of its transforms on one pair of work buffers.
+inverse runs both of its transforms on one pair of work buffers, which a
+caller making many inverses on one grid may pass in.
 
 For even alpha the seminorm built from ``half_order`` satisfies
 seminorm(u)^2 == integrate(u * (-1)^alpha * polyharmonic(u, alpha)) exactly
@@ -519,17 +520,20 @@ def _dst1(values: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = No
     return np.multiply(x, factor)
 
 
-def invert_polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
+def invert_polyharmonic(u: ScalarField, alpha: int,
+                        buffers: tuple[np.ndarray, np.ndarray] | None = None) -> ScalarField:
     """Exact inverse of the discrete (-Delta)^alpha with zero extension.
 
     Diagonalizes the operator with a type-I DST per axis (``_dst1``, both
-    transforms on one pair of work buffers) and divides by the symbol;
-    applying (-1)^alpha * polyharmonic to the result reproduces the input
-    to roundoff.
+    transforms on one pair of work buffers: ``buffers`` from
+    ``_dst1_buffers(u.domain.nodes)``, allocated here when not given, which
+    leave the bits unchanged) and divides by the symbol; applying
+    (-1)^alpha * polyharmonic to the result reproduces the input to roundoff.
     """
     _check_order(alpha)
     sym = u.domain.sine_symbol ** alpha
-    buffers = _dst1_buffers(u.domain.nodes)
+    if buffers is None:
+        buffers = _dst1_buffers(u.domain.nodes)
     coeffs = _dst1(u.values, buffers)
     coeffs /= sym
     vals = _dst1(coeffs, buffers)

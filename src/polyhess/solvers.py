@@ -25,23 +25,25 @@ test.
 
 One trial step per row.  Neither phase backtracks.  The descent tries the
 full preconditioned step u - G r, the minimax the step above; when the
-trial fails its Armijo test, or once the minimax's peak value is stable
-(relative change below ``deform_tol`` on three consecutive steps), the
-phase hands its iterate to a damped Newton-Krylov refinement.  A
-refinement that accepts no step ends the phase with a
-``NonconvergenceError``; an unconverged one that moved and stays separated
-from u_m restarts the minimax on the ray through its last iterate.  The
-descent record gets one row per iterate (phase ``descent``), the mountain
-record one per minimax step (``minimax``), and both one per accepted Newton
-iterate (``newton``); ``max_iters`` bounds the rows of each.  A violated
-precondition of a solver raises ``ContractError``.
+trial fails its Armijo test, or at the first minimax row whose peak value
+moved by at most ``deform_tol`` (relative) from the previous row's (a
+restart compares from its second row on), the phase hands its iterate and
+its residual to a damped Newton-Krylov refinement.  A refinement that
+accepts no step ends the phase with a ``NonconvergenceError``; an
+unconverged one that moved and stays separated from u_m restarts the
+minimax on the ray through its last iterate.  The descent record gets one
+row per iterate (phase ``descent``), the mountain record one per minimax
+step (``minimax``), and both one per accepted Newton iterate (``newton``);
+``max_iters`` bounds the rows of each.  A violated precondition of a
+solver raises ``ContractError``.
 
 Newton on the source.  The refinement (``_newton_refine``) iterates on
 w = (-Delta_h)^alpha u, u = G w (Knoll and Keyes, J. Comput. Phys.
 193:357, 2004), free of the float64 floor of u's stencil residual, which
 grows like h^(-2 alpha).  Each solution is accepted on the residual of the
 last row of its record: the stencil residual when the descent or the
-minimax met ``grad_tol``, the residual in w when Newton finished it.
+minimax met ``grad_tol``, the residual in w when Newton finished it;
+``SolutionPair`` keeps the stencil residual of each solution beside it.
 
 Krylov solver.  Each Newton step is one ``gmres`` solve at one constant
 relative tolerance, ``_KRYLOV_RTOL``, with no retry: one GMRES cycle, never
@@ -93,6 +95,7 @@ from .energy import (
 from .errors import ContractError, GeometryError, NonconvergenceError, PolyhessError
 from .grid import (
     ScalarField,
+    _dst1_buffers,
     invert_polyharmonic,
     inner,
     l2_norm,
@@ -186,6 +189,7 @@ class SolutionPair:
     J_star: float
     sep: float
     residual_m: float
+    residual_m_stencil: float
     residual_star: float
     residual_star_stencil: float
 
@@ -242,7 +246,7 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
         cand = u - d
         h_cand = evaluate_H(cand, s, c)
         if not h_cand <= h_val - _LS_C * inner(r, d):
-            u, converged = _newton_refine(u, s, cfg, rec)
+            u, converged = _newton_refine(u, r, s, cfg, rec)
             if not (converged or len(rec) >= cfg.max_iters):
                 raise NonconvergenceError(
                     "descent step failed its Armijo test and Newton stalled", rec)
@@ -380,37 +384,42 @@ _NEWTON_MAX = 60
 _KRYLOV_RTOL = 1e-7  # GMRES stops at an estimated |b - A x| <= _KRYLOV_RTOL |b|: a fixed forcing term
 
 
-def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
+def _newton_refine(u: ScalarField, r: ScalarField, s: EnergySetting, cfg: SolverConfig,
                    rec: PSRecord) -> tuple[ScalarField, bool]:
     """Damped inexact Newton iterations (Dembo, Eisenstat and Steihaug, SIAM
     J. Numer. Anal. 19:400, 1982) on R(w) = w - N(G w) - lambda f from the
     source w = (-Delta_h)^alpha u of a descent iterate or minimax peak ``u``
-    that the caller has recorded; returns (last iterate G w,
-    reached_tolerance), with ``u`` itself when no step was accepted.
+    that the caller has recorded, with ``r = residual(u, s)``; returns (last
+    iterate G w, reached_tolerance), with ``u`` itself when no step was
+    accepted.
 
-    Each iteration is one unpreconditioned GMRES solve of (I - N'(G w) G)
-    delta = -R(w) and a line search on t = 1, 1/2, ... (at most 10 trials,
-    each one evaluated) for a strict decrease of |R|, so the refinement never
-    runs away from the starting basin; a step without one ends it, with no
-    retry.  Each accepted iterate, and G w when R(w) meets ``grad_tol`` at
-    once, appends a row with its |R| to ``rec``, at most until it holds
-    ``max_iters`` rows.
+    The start needs no sine inverse: G w is ``u`` itself there, and R(w)
+    equals the stencil residual ``r`` bit for bit.  Each iteration is one
+    unpreconditioned GMRES solve of (I - N'(G w) G) delta = -R(w) and a line
+    search on t = 1, 1/2, ... (at most 10 trials, each one evaluated) for a
+    strict decrease of |R|, so the refinement never runs away from the
+    starting basin; a step without one ends it, with no retry.  Each
+    accepted iterate, and G w when R(w) meets ``grad_tol`` at once, appends
+    a row with its |R| to ``rec``, at most until it holds ``max_iters``
+    rows.  Every sine inverse of the call shares one pair of DST work
+    buffers.
     """
     dom = u.domain
     alpha = s.alpha
+    buffers = _dst1_buffers(dom.nodes)
 
     def at(w: np.ndarray) -> tuple:  # (w, G w, R(w), |R(w)|)
-        gw = invert_polyharmonic(ScalarField(dom, w), alpha)
+        gw = invert_polyharmonic(ScalarField(dom, w), alpha, buffers)
         r = ScalarField(dom, w - nonlinear(gw, s) - s.lam * s.f.values)
         return w, gw, r, l2_norm(r)
 
-    w, gw, r, rn = at((-1) ** alpha * polyharmonic(u, alpha).values)
+    w, gw, rn = (-1) ** alpha * polyharmonic(u, alpha).values, u, l2_norm(r)
     for _ in range(min(_NEWTON_MAX, cfg.max_iters - len(rec))):
         if rn > cfg.grad_tol:
             jac = nonlinear_jacobian(gw, s)
 
             def matvec(v: np.ndarray) -> np.ndarray:
-                gv = invert_polyharmonic(ScalarField(dom, v.reshape(dom.nodes)), alpha)
+                gv = invert_polyharmonic(ScalarField(dom, v.reshape(dom.nodes)), alpha, buffers)
                 return v - jac(gv.values).reshape(v.shape)
 
             delta = gmres(matvec, -r.values.ravel(), _KRYLOV_RTOL, _KRYLOV_RESTART)
@@ -451,7 +460,6 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
     peak = _ray_peak(_ray_polynomial(ray, v, k))
     rec = PSRecord()
     j_prev = None
-    stable = 0
     while len(rec) < cfg.max_iters:
         if peak is None:
             raise GeometryError("the ray from the minimizer has no positive peak")
@@ -462,12 +470,8 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
         rec.append(j_top, rn, seminorm(w, alpha), "minimax")
         if rn <= cfg.grad_tol:
             return w, rec
-        if j_prev is not None and abs(j_top - j_prev) <= cfg.deform_tol * (1.0 + abs(j_top)):
-            stable += 1
-        else:
-            stable = 0
-        j_prev = j_top
-        if stable < 3:
+        if j_prev is None or abs(j_top - j_prev) > cfg.deform_tol * (1.0 + abs(j_top)):
+            j_prev = j_top
             d = invert_polyharmonic(r, alpha)
             dn = seminorm(d, alpha)
             step = 1.0
@@ -478,9 +482,8 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
             if cand is not None and cand[1] <= j_top - _LS_C * step * inner(r, d):
                 v, peak = v_cand, cand
                 continue
-        stable = 0
         j_prev = None
-        u_ref, ok = _newton_refine(w, s, cfg, rec)
+        u_ref, ok = _newton_refine(w, r, s, cfg, rec)
         if not seminorm(u_ref - u_m, alpha) > 100.0 * cfg.grad_tol:
             raise NonconvergenceError("Newton refinement fell back to the minimizer", rec)
         if ok:
@@ -534,12 +537,16 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     u_m, rec_min = minimize_local(s, u0, cfg, cutoff)
     j_m = action(u_m, s)
 
+    # J(t psi) = t^2 Q - t D - t^(k+1) N from psi's terms, and every t is a
+    # power of two, so each test reads what action(t psi) and
+    # seminorm(t psi) return, bit for bit.
+    rep = energy_report(wit.psi, s)
+    q, d, nl, k = rep.quadratic_term, rep.datum_term, rep.nonlinear_term, s.params.k
     far = None
     t = 1.0
     for _ in range(64):
-        cand = t * wit.psi
-        if action(cand, s) < j_m and seminorm(cand, alpha) > geom.R_M:
-            far = cand
+        if t * t * q - t * d - t ** (k + 1) * nl < j_m and t * rep.seminorm > geom.R_M:
+            far = t * wit.psi
             break
         t *= 2.0
     if far is None:
@@ -563,8 +570,11 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
             raise GeometryError(
                 f"lambda = 0 run must pair the trivial minimizer with a positive "
                 f"level, got J_m={j_m}, J_star={j_star}")
+    residual_m = rec_min.residual_norm[-1]
+    residual_m_stencil = (l2_norm(residual(u_m, s)) if rec_min.phase[-1] == "newton"
+                          else residual_m)
     pair = SolutionPair(u_m=u_m, u_star=u_star, J_m=j_m, J_star=j_star, sep=sep,
-                        residual_m=rec_min.residual_norm[-1],
+                        residual_m=residual_m, residual_m_stencil=residual_m_stencil,
                         residual_star=rec_mp.residual_norm[-1],
                         residual_star_stencil=l2_norm(residual(u_star, s)))
     return SolveRun(pair=pair, fit=fit, geometry=geom, witnesses=wit,

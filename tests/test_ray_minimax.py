@@ -3,6 +3,7 @@ search on it, and the mountain pass built on them.  The ray evaluator's
 buffers and base images are checked in test_path_sweep.py."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from polyhess import (
     random_smooth_field,
     unit_box,
 )
-from polyhess.cli import main
+from polyhess.cli import build_setting, load_config, main
 from polyhess.energy import action, ray_actions
 import polyhess.solvers as solvers
 from polyhess.solvers import _ray_peak, _ray_polynomial
@@ -118,7 +119,7 @@ def test_stalled_search_then_newton_without_a_step_raises(run32, monkeypatch):
     s = flagship_setting(32)
     monkeypatch.setattr(solvers, "inner", lambda a, b: 1e30)  # no Armijo test passes
     monkeypatch.setattr(solvers, "_newton_refine",
-                        lambda u, s, cfg, rec: (u, False))
+                        lambda u, r, s, cfg, rec: (u, False))
     with pytest.raises(NonconvergenceError, match="stalled") as info:
         mountain_pass(s, run32.pair.u_m, _far_point(run32), SolverConfig(seed=0))
     assert info.value.record.phase == ["minimax"]
@@ -143,6 +144,30 @@ def test_one_ray_polynomial_per_minimax_row_and_hand_off(tmp_path, monkeypatch):
     hand_offs = sum(a == "minimax" and b == "newton" for a, b in zip(phases, phases[1:]))
     assert hand_offs >= 1
     assert len(calls) <= phases.count("minimax") + hand_offs
+
+
+def test_warm_rows_hand_off_at_the_first_stable_peak(monkeypatch):
+    """A warm-started row of the weak continuation starts on the ray through
+    the previous u_star, whose peak value is stable to deform_tol from its
+    first step, so the minimax hands its peak to Newton after at most 2
+    rows: the first row, and the one whose peak moved by at most deform_tol."""
+    cfg = load_config(_REPO / "configs" / "ma2d.cfg")
+    s = build_setting(replace(cfg, form="weak"), sweep=True)
+    records = []
+    minimax = solvers.mountain_pass
+
+    def recorded(*args, **kwargs):
+        w, rec = minimax(*args, **kwargs)
+        records.append((kwargs.get("through") is not None, rec.phase))
+        return w, rec
+
+    monkeypatch.setattr(solvers, "mountain_pass", recorded)
+    table = solvers.continuation_in_lambda(s, cfg.lambda_schedule, cfg.solver)
+    assert [r.converged for r in table.rows] == [True] * len(cfg.lambda_schedule)
+    warm = [phase for through, phase in records if through]
+    assert len(warm) == len(cfg.lambda_schedule) - 1
+    for phase in warm:
+        assert "newton" in phase and phase.index("newton") <= 2
 
 
 @pytest.mark.parametrize("max_iters", [1, 5, 10])

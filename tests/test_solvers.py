@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from polyhess import (
     inner,
     invert_polyharmonic,
     l2_norm,
+    load_field,
     random_smooth_field,
     ScalarField,
     seminorm,
@@ -51,7 +53,7 @@ import polyhess.solvers as solvers
 from polyhess.errors import ContractError, FitError, GeometryError, PolyhessError
 
 from conftest import constant_datum, flagship_setting
-from polyhess.cli import main
+from polyhess.cli import build_setting, load_config, main
 
 _REPO = Path(__file__).resolve().parents[1]
 
@@ -164,7 +166,7 @@ def test_failed_descent_step_then_newton_without_a_step_raises(run32, monkeypatc
     handed = []
     monkeypatch.setattr(solvers, "inner", lambda a, b: 1e30)  # no Armijo test passes
     monkeypatch.setattr(solvers, "_newton_refine",
-                        lambda u, s, cfg, rec: (handed.append(u) or u, False))
+                        lambda u, r, s, cfg, rec: (handed.append(u) or u, False))
     with pytest.raises(NonconvergenceError, match="Newton stalled") as info:
         minimize_local(s, zeros(s.f.domain), SolverConfig(seed=0), cutoff)
     assert info.value.record.phase == ["descent"]
@@ -290,7 +292,7 @@ def test_newton_refine_records_each_accepted_iterate_once(run32):
     u = run32.pair.u_star + 1e-3 * random_smooth_field(s.f.domain, rng)
     rn = l2_norm(residual_strong(u, s))
     rec = PSRecord()
-    u_ref, ok = solvers._newton_refine(u, s, cfg, rec)
+    u_ref, ok = solvers._newton_refine(u, residual_strong(u, s), s, cfg, rec)
     assert ok and rec.residual_norm[-1] <= cfg.grad_tol
     assert len(rec) >= 1 and set(rec.phase) == {"newton"}
     assert all(b < a for a, b in zip([rn] + rec.residual_norm, rec.residual_norm))
@@ -303,7 +305,8 @@ def test_newton_refine_accepts_a_source_residual_already_at_tolerance(run32):
     s = flagship_setting(32)
     cfg = SolverConfig(seed=0)
     rec = PSRecord()
-    u_ref, ok = solvers._newton_refine(run32.pair.u_star, s, cfg, rec)
+    u_ref, ok = solvers._newton_refine(run32.pair.u_star, residual_strong(run32.pair.u_star, s),
+                                       s, cfg, rec)
     assert ok and rec.phase == ["newton"] and rec.residual_norm[0] <= cfg.grad_tol
     assert np.max(np.abs(u_ref.values - run32.pair.u_star.values)) <= 1e-9
 
@@ -549,6 +552,58 @@ def test_weak_continuation_converges_on_every_row_to_lambda_50():
     s = flagship_setting(32, lam=0.0, form=Form.WEAK)
     tab = continuation_in_lambda(s, [0.0, 5.0, 10.0, 25.0, 50.0], SolverConfig(seed=0))
     assert [r.converged for r in tab.rows] == [True] * 5, [r.reason for r in tab.rows]
+
+
+def _far_scan_as_first_written(s, j_m, psi, r_m):
+    """The doubling scan over the action and seminorm of t psi, t = 1, 2,
+    4, ...: the oracle of the scan from psi's terms.  Returns (t, t psi)."""
+    t = 1.0
+    for _ in range(64):
+        cand = t * psi
+        if energy.action(cand, s) < j_m and seminorm(cand, s.alpha) > r_m:
+            return t, cand
+        t *= 2.0
+    raise AssertionError("the oracle scan found no far point")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name, form", [("hess3d.cfg", "strong"), ("ma2d.cfg", "strong"),
+                                        ("ma2d.cfg", "weak")])
+def test_far_scan_from_psi_terms_matches_the_action_scan(monkeypatch, name, form, seed):
+    """Every scale of the far scan is a power of two, so J(t psi) read from
+    psi's terms is action(t psi) bit for bit: the scan picks the oracle's
+    scale and hands the mountain pass the oracle's far point, byte for byte."""
+    cfg = replace(load_config(_REPO / "configs" / name), form=form)
+    s = build_setting(cfg)
+    handed = []
+    minimax = solvers.mountain_pass
+
+    def recorded(s, u_m, v_far, *args, **kwargs):
+        handed.append(v_far)
+        return minimax(s, u_m, v_far, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "mountain_pass", recorded)
+    run = solve_run(s, replace(cfg.solver, seed=seed))
+    t, far = _far_scan_as_first_written(s, run.pair.J_m, run.witnesses.psi, run.geometry.R_M)
+    assert run.far_scale == t
+    assert len(handed) == 1 and handed[0].values.tobytes() == far.values.tobytes()
+
+
+def test_stencil_residual_of_a_polished_minimizer(tmp_path, run32):
+    """When Newton finishes u_m, ``residual_m`` is its residual in w and
+    ``residual_m_stencil`` the stencil residual of u_m, both in run.json;
+    when the descent meets grad_tol itself the two are one value."""
+    assert run32.record_minimize.phase[-1] == "descent"
+    assert run32.pair.residual_m_stencil == run32.pair.residual_m
+    cfg = replace(load_config(_REPO / "configs" / "ma2d.cfg"), form="weak")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(_REPO / "configs" / "ma2d.cfg"), "--form", "weak",
+                 "--lambda", "50", "--out", str(out)]) == 0
+    results = json.loads((out / "run.json").read_text())["results"]
+    assert results["record_minimize"]["phase"][-1] == "newton"
+    u_m = load_field(out / "u_m")
+    stencil = l2_norm(energy.residual(u_m, build_setting(cfg, lam=50.0)))
+    assert results["residual_m_stencil"] == stencil != results["residual_m"]
 
 
 # The minorant fit and the geometry witnesses as they were computed for
