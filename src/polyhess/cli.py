@@ -405,7 +405,8 @@ def cmd_continuation(args) -> int:
         "largest_converged_lambda": table.largest_converged_lambda(),
         "table": [
             {"lambda": r.lam, "J_m": r.J_m, "J_star": r.J_star,
-             "sep": r.sep, "converged": r.converged, "reason": r.reason}
+             "sep": r.sep, "converged": r.converged, "reason": r.reason,
+             "method": r.method}
             for r in table.rows
         ],
     }

@@ -45,20 +45,33 @@ last row of its record: the stencil residual when the descent or the
 minimax met ``grad_tol``, the residual in w when Newton finished it;
 ``SolutionPair`` keeps the stencil residual of each solution beside it.
 
-Krylov solver.  Each Newton step is one ``gmres`` solve at one constant
-relative tolerance, ``_KRYLOV_RTOL``, with no retry: one GMRES cycle, never
-restarted, on numpy, bit for bit scipy's ``sparse.linalg.gmres`` with
-``maxiter=1``.
+Krylov solver.  Each Newton step is one ``gmres`` solve, with no retry,
+that stops once its linear residual is below a tenth of ``grad_tol``: at
+relative tolerance max(``_KRYLOV_RTOL``, grad_tol / (10 |R|)).  The
+iterate is accepted on |R| <= grad_tol, so a linear residual far below
+that buys nothing (an inexact Newton step).  ``gmres`` is one GMRES cycle,
+never restarted, on numpy, bit for bit scipy's ``sparse.linalg.gmres``
+with ``maxiter=1``.
+
+Continuation.  A predictor-corrector in lambda (Keller, 1977).  Each row
+after the first predicts both solutions from the last two converged rows
+by the secant u_i = u_(i-1) + c (u_(i-1) - u_(i-2)),
+c = (lambda_i - lambda_(i-1)) / (lambda_(i-1) - lambda_(i-2)), or takes the
+one converged row's pair.  The descent starts at the predicted u_m when it
+lies in the R0 ball, else at zero; u_star is the Newton refinement of the
+predicted u_star, with no minimax, and only a refinement that misses
+``grad_tol`` or falls back to u_m hands the row to the minimax on the ray
+through the previous row's u_star.
 
 Determinism: all randomness flows from ``SolverConfig.seed`` through a
 single generator per call; identical configs and inputs reproduce outputs
 bit for bit.  Only the minorant fit draws from the generator of a solve
 (``calibrate``).  Continuation rows share one read-only ``Calibration``,
 built once from a fresh generator, so every row sees the sample family a
-solve of its own would draw.  A single solve is sequential; independent
-solves (probe trials, continuation rows run without warm starts) own their
-fields and generators, only read a shared calibration, and may run
-concurrently.
+solve of its own would draw; each row starts from the rows before it, so
+the rows of one continuation run in order.  A single solve is sequential;
+independent solves (probe trials) own their fields and generators, only
+read a shared calibration, and may run concurrently.
 """
 
 from __future__ import annotations
@@ -381,28 +394,29 @@ def gmres(matvec, b: np.ndarray, rtol: float, restart: int) -> np.ndarray:
 
 
 _NEWTON_MAX = 60
-_KRYLOV_RTOL = 1e-7  # GMRES stops at an estimated |b - A x| <= _KRYLOV_RTOL |b|: a fixed forcing term
+_KRYLOV_RTOL = 1e-7  # the smallest forcing term: GMRES stops by |b - A x| <= _KRYLOV_RTOL |b|
 
 
 def _newton_refine(u: ScalarField, r: ScalarField, s: EnergySetting, cfg: SolverConfig,
                    rec: PSRecord) -> tuple[ScalarField, bool]:
     """Damped inexact Newton iterations (Dembo, Eisenstat and Steihaug, SIAM
     J. Numer. Anal. 19:400, 1982) on R(w) = w - N(G w) - lambda f from the
-    source w = (-Delta_h)^alpha u of a descent iterate or minimax peak ``u``
-    that the caller has recorded, with ``r = residual(u, s)``; returns (last
-    iterate G w, reached_tolerance), with ``u`` itself when no step was
-    accepted.
+    source w = (-Delta_h)^alpha u of a descent iterate, a minimax peak or a
+    continuation row's predicted u_star ``u``, with ``r = residual(u, s)``;
+    returns (last iterate G w, reached_tolerance), with ``u`` itself when no
+    step was accepted.
 
     The start needs no sine inverse: G w is ``u`` itself there, and R(w)
     equals the stencil residual ``r`` bit for bit.  Each iteration is one
     unpreconditioned GMRES solve of (I - N'(G w) G) delta = -R(w) and a line
     search on t = 1, 1/2, ... (at most 10 trials, each one evaluated) for a
     strict decrease of |R|, so the refinement never runs away from the
-    starting basin; a step without one ends it, with no retry.  Each
-    accepted iterate, and G w when R(w) meets ``grad_tol`` at once, appends
-    a row with its |R| to ``rec``, at most until it holds ``max_iters``
-    rows.  Every sine inverse of the call shares one pair of DST work
-    buffers.
+    starting basin; a step without one ends it, with no retry.  GMRES stops
+    at the relative tolerance max(``_KRYLOV_RTOL``, grad_tol / (10 |R(w)|)),
+    a linear residual a tenth of ``grad_tol``.  Each accepted iterate, and
+    G w when R(w) meets ``grad_tol`` at once, appends a row with its |R| to
+    ``rec``, at most until it holds ``max_iters`` rows.  Every sine inverse
+    of the call shares one pair of DST work buffers.
     """
     dom = u.domain
     alpha = s.alpha
@@ -422,7 +436,8 @@ def _newton_refine(u: ScalarField, r: ScalarField, s: EnergySetting, cfg: Solver
                 gv = invert_polyharmonic(ScalarField(dom, v.reshape(dom.nodes)), alpha, buffers)
                 return v - jac(gv.values).reshape(v.shape)
 
-            delta = gmres(matvec, -r.values.ravel(), _KRYLOV_RTOL, _KRYLOV_RESTART)
+            rtol = max(_KRYLOV_RTOL, cfg.grad_tol / (10.0 * rn))
+            delta = gmres(matvec, -r.values.ravel(), rtol, _KRYLOV_RESTART)
             t = 1.0
             for _ in range(10):
                 cand = at(w + t * delta.reshape(w.shape))
@@ -444,8 +459,9 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
                   cfg: SolverConfig,
                   through: Optional[ScalarField] = None) -> tuple[ScalarField, PSRecord]:
     """Local minimax on rays from the minimizer ``u_m``, starting on the ray
-    through ``through`` (a warm-start point, used by the continuation driver)
-    or else through the far point ``v_far``, which must lie below ``u_m``.
+    through ``through`` (the previous row's u_star, when a continuation row's
+    Newton correction fails) or else through the far point ``v_far``, which
+    must lie below ``u_m``.
     """
     s.check_field(u_m)
     s.check_field(v_far)
@@ -513,13 +529,31 @@ def calibrate(s: EnergySetting, cfg: SolverConfig) -> Calibration:
     return Calibration(fit, basis)
 
 
+@dataclass(frozen=True)
+class WarmStart:
+    """Where a continuation row starts: the predicted pair, and the previous
+    row's ``u_star``, whose ray the minimax takes when the Newton correction
+    of ``u_star`` fails."""
+
+    u_m: ScalarField
+    u_star: ScalarField
+    through: ScalarField
+
+
 def solve_run(s: EnergySetting, cfg: SolverConfig,
-              warm: Optional[SolutionPair] = None,
+              warm: Optional[WarmStart] = None,
               calibration: Optional[Calibration] = None) -> SolveRun:
     """Full orchestration: minorant fit, witnesses, descent, far scan, minimax.
 
     ``calibration`` is ``calibrate(s, cfg)`` (computed here when omitted)
-    or that of a setting differing from ``s`` only in lambda.
+    or that of a setting differing from ``s`` only in lambda.  With
+    ``warm``, the descent starts at ``warm.u_m`` when it lies in the R0
+    ball (else at zero), and u_star is the Newton refinement of
+    ``warm.u_star``; only a refinement that does not reach ``grad_tol``,
+    or that lands within 100 grad_tol of u_m in the seminorm, runs the
+    minimax, on the ray through ``warm.through``.  The mountain record
+    then holds that refinement's ``newton`` rows alone, or else the
+    minimax's record.
     """
     s.validate_grid()
     if calibration is None:
@@ -552,8 +586,15 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     if far is None:
         raise GeometryError("doubling scan failed to reach the downhill region")
 
-    through = warm.u_star if warm is not None else None
-    u_star, rec_mp = mountain_pass(s, u_m, far, cfg, through=through)
+    u_star = None
+    if warm is not None:
+        rec_mp = PSRecord()
+        u_ref, ok = _newton_refine(warm.u_star, residual(warm.u_star, s), s, cfg, rec_mp)
+        if ok and seminorm(u_ref - u_m, alpha) > 100.0 * cfg.grad_tol:
+            u_star = u_ref
+    if u_star is None:
+        through = warm.through if warm is not None else None
+        u_star, rec_mp = mountain_pass(s, u_m, far, cfg, through=through)
 
     j_star = action(u_star, s)
     sep = seminorm(u_m - u_star, alpha)
@@ -642,6 +683,7 @@ class ContinuationRow:
     sep: float
     converged: bool
     reason: Optional[str] = None  # why the row failed; None when it converged
+    method: Optional[str] = None  # "minimax" or "newton": how u_star was found; None when failed
 
 
 @dataclass
@@ -678,9 +720,12 @@ def check_lambda_schedule(lambdas) -> list:
 
 
 def continuation_in_lambda(s: EnergySetting, lambdas, cfg: SolverConfig) -> ContinuationTable:
-    """Run the two-solution orchestration along an increasing lambda schedule,
-    warm-starting each row from the previous pair; every row shares one
-    calibration.  Failures are recorded per row, never raised; a failed
+    """Run the two-solution orchestration along an increasing lambda schedule;
+    every row shares one calibration.  Each row after the first starts from
+    the prediction of ``_predict`` (``solve_run``'s ``warm``), and its
+    ``method`` says how u_star was found: ``"newton"`` by the Newton
+    correction alone, ``"minimax"`` by the ray minimax.  Failures are
+    recorded per row, never raised, and predict nothing; a failed
     calibration fails every row with its reason."""
     lams = check_lambda_schedule(lambdas)
     try:
@@ -688,14 +733,29 @@ def continuation_in_lambda(s: EnergySetting, lambdas, cfg: SolverConfig) -> Cont
     except PolyhessError as exc:
         return ContinuationTable([_failed_row(lam, exc) for lam in lams])
     rows = []
-    warm = None
+    done = []  # (lambda, pair) of the last two converged rows
     for lam in lams:
         s_i = with_lambda(s, lam)
         try:
-            run = solve_run(s_i, cfg, warm=warm, calibration=cal)
+            run = solve_run(s_i, cfg, warm=_predict(done, lam), calibration=cal)
             p = run.pair
-            rows.append(ContinuationRow(lam, p.J_m, p.J_star, p.sep, True))
-            warm = p
+            method = "minimax" if "minimax" in run.record_mountain.phase else "newton"
+            rows.append(ContinuationRow(lam, p.J_m, p.J_star, p.sep, True, method=method))
+            done = done[-1:] + [(lam, p)]
         except PolyhessError as exc:
             rows.append(_failed_row(lam, exc))
     return ContinuationTable(rows)
+
+
+def _predict(done: list, lam: float) -> Optional[WarmStart]:
+    """The secant predictor of the pair at ``lam`` from the last two
+    converged rows ``done``; with one, that row's pair; with none, None."""
+    if not done:
+        return None
+    lam1, p1 = done[-1]
+    if len(done) == 1:
+        return WarmStart(p1.u_m, p1.u_star, p1.u_star)
+    lam0, p0 = done[0]
+    c = (lam - lam1) / (lam1 - lam0)
+    return WarmStart(p1.u_m + c * (p1.u_m - p0.u_m),
+                     p1.u_star + c * (p1.u_star - p0.u_star), p1.u_star)

@@ -410,6 +410,20 @@ def test_failed_continuation_rows_are_null_in_strict_run_json(tmp_path):
     assert "nan" in (out / "continuation.csv").read_text()
 
 
+def test_continuation_rows_record_how_u_star_was_found(tmp_path):
+    """The first row runs the minimax, a warm row is a Newton correction of
+    its prediction, and a failed row has no method; the CSV keeps its header."""
+    out = tmp_path / "out"
+    assert main(["continuation", "--config", str(write_cfg(tmp_path))]) == 0
+    table = json.loads((out / "run.json").read_text())["results"]["table"]
+    assert [row["method"] for row in table] == ["minimax", "newton"]
+    assert (out / "continuation.csv").read_text().splitlines()[0] == "lambda,J_m,J_star,sep,converged"
+    text = SMALL_INI.replace("grad_tol = 1e-06", "grad_tol = 1e-06\nmax_iters = 1")
+    assert main(["continuation", "--config", str(write_cfg(tmp_path, text=text))]) == 3
+    table = json.loads((out / "run.json").read_text())["results"]["table"]
+    assert [row["method"] for row in table] == [None, None]
+
+
 def test_continuation_rows_record_why_they_failed(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, text=SMALL_INI.replace("nodes = 32", "nodes = 8"))
     out = tmp_path / "out"

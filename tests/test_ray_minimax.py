@@ -146,28 +146,34 @@ def test_one_ray_polynomial_per_minimax_row_and_hand_off(tmp_path, monkeypatch):
     assert len(calls) <= phases.count("minimax") + hand_offs
 
 
-def test_warm_rows_hand_off_at_the_first_stable_peak(monkeypatch):
-    """A warm-started row of the weak continuation starts on the ray through
-    the previous u_star, whose peak value is stable to deform_tol from its
-    first step, so the minimax hands its peak to Newton after at most 2
-    rows: the first row, and the one whose peak moved by at most deform_tol."""
+@pytest.mark.parametrize("form", ["strong", "weak"])
+def test_warm_rows_are_newton_corrections(monkeypatch, form):
+    """Every warm row of the bundled continuation finds u_star by the Newton
+    correction of its predicted u_star alone: only the first row runs the
+    minimax, and each warm row's mountain record is ``newton`` rows only."""
     cfg = load_config(_REPO / "configs" / "ma2d.cfg")
-    s = build_setting(replace(cfg, form="weak"), sweep=True)
-    records = []
-    minimax = solvers.mountain_pass
+    s = build_setting(replace(cfg, form=form), sweep=True)
+    minimax_calls, records = [], []
+    minimax, solve = solvers.mountain_pass, solvers.solve_run
+
+    def counted(*args, **kwargs):
+        minimax_calls.append(kwargs.get("through"))
+        return minimax(*args, **kwargs)
 
     def recorded(*args, **kwargs):
-        w, rec = minimax(*args, **kwargs)
-        records.append((kwargs.get("through") is not None, rec.phase))
-        return w, rec
+        run = solve(*args, **kwargs)
+        records.append((kwargs.get("warm") is not None, run.record_mountain.phase))
+        return run
 
-    monkeypatch.setattr(solvers, "mountain_pass", recorded)
+    monkeypatch.setattr(solvers, "mountain_pass", counted)
+    monkeypatch.setattr(solvers, "solve_run", recorded)
     table = solvers.continuation_in_lambda(s, cfg.lambda_schedule, cfg.solver)
     assert [r.converged for r in table.rows] == [True] * len(cfg.lambda_schedule)
-    warm = [phase for through, phase in records if through]
-    assert len(warm) == len(cfg.lambda_schedule) - 1
-    for phase in warm:
-        assert "newton" in phase and phase.index("newton") <= 2
+    assert [r.method for r in table.rows] == ["minimax"] + ["newton"] * (len(table.rows) - 1)
+    assert minimax_calls == [None]
+    assert [warm for warm, _ in records] == [False] + [True] * (len(records) - 1)
+    for _, phase in records[1:]:
+        assert phase and set(phase) == {"newton"}
 
 
 @pytest.mark.parametrize("max_iters", [1, 5, 10])

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -552,6 +553,106 @@ def test_weak_continuation_converges_on_every_row_to_lambda_50():
     s = flagship_setting(32, lam=0.0, form=Form.WEAK)
     tab = continuation_in_lambda(s, [0.0, 5.0, 10.0, 25.0, 50.0], SolverConfig(seed=0))
     assert [r.converged for r in tab.rows] == [True] * 5, [r.reason for r in tab.rows]
+
+
+def _force_minimax(monkeypatch):
+    """Fail every Newton correction of a predicted u_star: the corrector is
+    the one caller of ``_newton_refine`` that hands it an empty record."""
+    refine = solvers._newton_refine
+
+    def failing(u, r, s, cfg, rec):
+        return (u, False) if len(rec) == 0 else refine(u, r, s, cfg, rec)
+
+    monkeypatch.setattr(solvers, "_newton_refine", failing)
+
+
+def _assert_same_table(tab, ref, rel):
+    assert [r.converged for r in tab.rows] == [True] * len(ref.rows), [r.reason for r in tab.rows]
+    for row, ref_row in zip(tab.rows, ref.rows):
+        assert row.lam == ref_row.lam
+        for key in ("J_m", "J_star", "sep"):
+            assert getattr(row, key) == pytest.approx(getattr(ref_row, key), rel=rel)
+
+
+@pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
+def test_failed_correction_falls_back_to_the_minimax_through_the_previous_u_star(
+        monkeypatch, form):
+    s = flagship_setting(32, lam=0.0, form=form)
+    lams = [0.0, 0.0125, 0.025, 0.05]
+    cfg = SolverConfig(seed=0)
+    ref = continuation_in_lambda(s, lams, cfg)
+    _force_minimax(monkeypatch)
+    throughs, pairs = [], []
+    minimax, solve = solvers.mountain_pass, solvers.solve_run
+
+    def recorded_minimax(*args, **kwargs):
+        throughs.append(kwargs.get("through"))
+        return minimax(*args, **kwargs)
+
+    def recorded_solve(*args, **kwargs):
+        run = solve(*args, **kwargs)
+        pairs.append(run.pair)
+        return run
+
+    monkeypatch.setattr(solvers, "mountain_pass", recorded_minimax)
+    monkeypatch.setattr(solvers, "solve_run", recorded_solve)
+    tab = continuation_in_lambda(s, lams, cfg)
+    _assert_same_table(tab, ref, 1e-8)
+    assert [r.method for r in tab.rows] == ["minimax"] * len(lams)
+    assert throughs[0] is None and len(throughs) == len(lams)
+    for through, previous in zip(throughs[1:], pairs):
+        assert np.array_equal(through.values, previous.u_star.values)
+
+
+def test_prediction_is_the_secant_through_the_last_two_converged_rows():
+    dom = unit_box(2, 8)
+    rng = np.random.default_rng(3)
+    rows = [(lam, SimpleNamespace(u_m=random_smooth_field(dom, rng),
+                                  u_star=random_smooth_field(dom, rng)))
+            for lam in (0.5, 1.0)]
+    assert solvers._predict([], 0.0) is None
+    one = solvers._predict(rows[:1], 1.0)
+    assert one.u_m is rows[0][1].u_m and one.u_star is one.through is rows[0][1].u_star
+    two = solvers._predict(rows, 2.0)  # c = (2 - 1) / (1 - 0.5) = 2
+    (_, p0), (_, p1) = rows
+    assert np.allclose(two.u_m.values, 3.0 * p1.u_m.values - 2.0 * p0.u_m.values, rtol=0, atol=1e-14)
+    assert np.allclose(two.u_star.values, 3.0 * p1.u_star.values - 2.0 * p0.u_star.values,
+                       rtol=0, atol=1e-14)
+    assert two.through is p1.u_star
+
+
+def test_prediction_outside_the_r0_ball_starts_the_descent_from_zero(run32, monkeypatch):
+    s = flagship_setting(32)
+    cfg = SolverConfig(seed=0)
+    starts = []
+    descent = solvers.minimize_local
+
+    def recorded(s, u0, cfg, c):
+        starts.append((u0, c.R0))
+        return descent(s, u0, cfg, c)
+
+    monkeypatch.setattr(solvers, "minimize_local", recorded)
+    pair = run32.pair
+    far_u_m = pair.u_m + run32.far_scale * run32.witnesses.psi
+    run = solve_run(s, cfg, warm=solvers.WarmStart(far_u_m, pair.u_star, pair.u_star))
+    (u0, r0), = starts
+    assert seminorm(far_u_m, s.alpha) > r0
+    assert not np.any(u0.values)
+    assert run.pair.J_m == pytest.approx(pair.J_m, rel=1e-8)
+    assert run.pair.J_star == pytest.approx(pair.J_star, rel=1e-8)
+
+
+@pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
+@pytest.mark.parametrize("lams", [[0.0, 5.0, 10.0, 25.0, 50.0],
+                                  [0.0, 50.0, 100.0, 150.0, 200.0, 220.0]],
+                         ids=["to50", "to220"])
+def test_predictor_corrector_rows_equal_the_minimax_rows(monkeypatch, form, lams):
+    s = flagship_setting(32, lam=0.0, form=form)
+    cfg = SolverConfig(seed=0)
+    tab = continuation_in_lambda(s, lams, cfg)
+    assert [r.method for r in tab.rows] == ["minimax"] + ["newton"] * (len(lams) - 1)
+    _force_minimax(monkeypatch)
+    _assert_same_table(tab, continuation_in_lambda(s, lams, cfg), 1e-8)
 
 
 def _far_scan_as_first_written(s, j_m, psi, r_m):
