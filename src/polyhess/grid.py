@@ -59,14 +59,13 @@ diagonal in the sine basis; ``invert_polyharmonic`` exploits this to apply
 the exact inverse of (-Delta)^alpha with a pair of DSTs: the solvers'
 descent preconditioner and the map u = G w of their Newton step.  The
 orthonormal type-I DST is its own inverse; ``_dst1`` computes it with numpy
-alone, one axis at a time, as the imaginary part of a real FFT of the odd
-extension [0, x, 0, -reverse(x)] of length 2(n+1) (the classical reduction
-of a sine transform to an FFT; see e.g. Press et al., *Numerical Recipes*,
-section 12.3).  It performs, operation for operation, what pocketfft's
-``T_dst1`` does inside ``scipy.fft.dstn(..., type=1, norm="ortho")``, so its
-output matches that of scipy bit for bit (the tests compare the two).  The
-inverse runs both of its transforms on one pair of work buffers, which a
-caller making many inverses on one grid may pass in.
+alone, one axis at a time, as a product with the dense n x n sine matrix of
+the axis (``_sine_matrix``, built once per length on first use).  Each
+product is one BLAS-3 call, so its cost does not depend on the prime
+factors of n + 1 as an FFT's does.  Its output agrees with
+``scipy.fft.dstn(..., type=1, norm="ortho")`` to roundoff, not bit for bit
+(the tests compare the two), and its bits are fixed for a given OpenBLAS
+thread count; on some shapes they differ between thread counts.
 
 For even alpha the seminorm built from ``half_order`` satisfies
 seminorm(u)^2 == integrate(u * (-1)^alpha * polyharmonic(u, alpha)) exactly
@@ -477,67 +476,48 @@ def random_smooth_field(domain: BoxDomain, rng: np.random.Generator,
     return ScalarField(domain, vals)
 
 
-def _dst1_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat work buffers for ``_dst1`` on arrays of ``shape``: room for the
-    odd extension (float) and the spectrum (complex) of the largest axis pass."""
-    def size(a, m):
-        return math.prod(shape[:a] + (m,) + shape[a + 1:])
-    return (np.empty(max(size(a, 2 * (n + 1)) for a, n in enumerate(shape))),
-            np.empty(max(size(a, n + 2) for a, n in enumerate(shape)), dtype=complex))
+@functools.cache
+def _sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal type-I DST of length n as a matrix (read-only):
+    S_jk = sqrt(2/(n+1)) sin(pi (jk mod 2(n+1)) / (n+1)) for j, k = 1..n.
 
-
-def _dst1(values: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Orthonormal type-I DST over every axis of ``values``, its own inverse.
-
-    Along each axis a in turn, the n_a values x of a line are transformed as
-    -Im rfft([0, x, 0, -reverse(x)])[1:n_a + 1]; the orthonormal scale
-    1/sqrt(prod 2(n_a + 1)), rounded once from long double, is applied on
-    the first axis only.  Those are pocketfft's steps (``T_dst1`` under
-    ``general_nd``), which is why the result equals scipy's ``dstn`` and
-    ``idstn(type=1, norm="ortho")`` bit for bit.  Each pass works along the
-    native axis: the extension is filled by slab assignments and the FFT
-    runs with ``axis=a``, with no transposes or flipped copies; each pass's
-    extraction is written straight into the core of the next pass's
-    extension.  Every pass reuses the extension and spectrum of ``buffers``
-    (``_dst1_buffers``, allocated here when not given); pocketfft transforms
-    each line alike wherever its output lands, so they do not change the bits.
+    Reducing jk by the sine's period before scaling keeps every argument
+    below 2 pi, where the rounding of pi jk/(n+1) would otherwise grow with
+    jk.  S is symmetric, bit for bit, and orthogonal, so it is its own inverse.
     """
-    ext_buf, spec_buf = _dst1_buffers(values.shape) if buffers is None else buffers
+    m = np.arange(1, n + 1)
+    reduced = np.multiply.outer(m, m) % (2 * (n + 1))
+    table = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * reduced / (n + 1))
+    table.flags.writeable = False
+    return table
+
+
+def _dst1(values: np.ndarray) -> np.ndarray:
+    """Orthonormal type-I DST over every axis of 2-D or 3-D ``values``, its own inverse.
+
+    Each axis is one BLAS-3 product with ``_sine_matrix`` on a C-contiguous
+    operand: S @ x.reshape(n_0, -1) on the first axis, x.reshape(-1, n) @ S
+    on the last (S is symmetric), and np.matmul(S, x), batched over the
+    first axis, on the middle axis of a 3-D array.
+    """
     dims = values.shape
-    scale = float(np.longdouble(1) / np.sqrt(np.longdouble(math.prod(2 * (n + 1) for n in dims))))
-    x, factor = values, 1.0  # each pass's extraction is x * factor, into the next pass's core
-    for a, n in enumerate(dims):
-        lead = (slice(None),) * a
-        shape = dims[:a] + (2 * (n + 1),) + dims[a + 1:]
-        ext = ext_buf[:math.prod(shape)].reshape(shape)
-        ext[lead + (0,)] = 0.0
-        ext[lead + (n + 1,)] = 0.0
-        core = np.multiply(x, factor, out=ext[lead + (slice(1, n + 1),)])
-        np.negative(core[lead + (slice(None, None, -1),)], out=ext[lead + (slice(n + 2, None),)])
-        shape = dims[:a] + (n + 2,) + dims[a + 1:]
-        spectrum = np.fft.rfft(ext, axis=a, out=spec_buf[:math.prod(shape)].reshape(shape))
-        x, factor = spectrum.imag[lead + (slice(1, n + 1),)], -scale if a == 0 else -1.0
-    return np.multiply(x, factor)
+    x = _sine_matrix(dims[0]) @ values.reshape(dims[0], -1)
+    if len(dims) == 3:
+        x = np.matmul(_sine_matrix(dims[1]), x.reshape(dims))
+    return (x.reshape(-1, dims[-1]) @ _sine_matrix(dims[-1])).reshape(dims)
 
 
-def invert_polyharmonic(u: ScalarField, alpha: int,
-                        buffers: tuple[np.ndarray, np.ndarray] | None = None) -> ScalarField:
+def invert_polyharmonic(u: ScalarField, alpha: int) -> ScalarField:
     """Exact inverse of the discrete (-Delta)^alpha with zero extension.
 
-    Diagonalizes the operator with a type-I DST per axis (``_dst1``, both
-    transforms on one pair of work buffers: ``buffers`` from
-    ``_dst1_buffers(u.domain.nodes)``, allocated here when not given, which
-    leave the bits unchanged) and divides by the symbol; applying
-    (-1)^alpha * polyharmonic to the result reproduces the input to roundoff.
+    Diagonalizes the operator with a type-I DST per axis (``_dst1``) and
+    divides by the symbol; applying (-1)^alpha * polyharmonic to the result
+    reproduces the input to roundoff.
     """
     _check_order(alpha)
-    sym = u.domain.sine_symbol ** alpha
-    if buffers is None:
-        buffers = _dst1_buffers(u.domain.nodes)
-    coeffs = _dst1(u.values, buffers)
-    coeffs /= sym
-    vals = _dst1(coeffs, buffers)
-    return ScalarField(u.domain, vals)
+    coeffs = _dst1(u.values)
+    coeffs /= u.domain.sine_symbol ** alpha
+    return ScalarField(u.domain, _dst1(coeffs))
 
 
 def dump_field(u: ScalarField, base: str | Path) -> tuple[Path, Path]:

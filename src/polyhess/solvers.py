@@ -65,7 +65,8 @@ through the previous row's u_star.
 
 Determinism: all randomness flows from ``SolverConfig.seed`` through a
 single generator per call; identical configs and inputs reproduce outputs
-bit for bit.  Only the minorant fit draws from the generator of a solve
+bit for bit at a fixed OpenBLAS thread count (the reductions and the sine
+inverse's products go through BLAS).  Only the minorant fit draws from the generator of a solve
 (``calibrate``).  Continuation rows share one read-only ``Calibration``,
 built once from a fresh generator, so every row sees the sample family a
 solve of its own would draw; each row starts from the rows before it, so
@@ -108,7 +109,6 @@ from .energy import (
 from .errors import ContractError, GeometryError, NonconvergenceError, PolyhessError
 from .grid import (
     ScalarField,
-    _dst1_buffers,
     invert_polyharmonic,
     inner,
     l2_norm,
@@ -415,15 +415,13 @@ def _newton_refine(u: ScalarField, r: ScalarField, s: EnergySetting, cfg: Solver
     at the relative tolerance max(``_KRYLOV_RTOL``, grad_tol / (10 |R(w)|)),
     a linear residual a tenth of ``grad_tol``.  Each accepted iterate, and
     G w when R(w) meets ``grad_tol`` at once, appends a row with its |R| to
-    ``rec``, at most until it holds ``max_iters`` rows.  Every sine inverse
-    of the call shares one pair of DST work buffers.
+    ``rec``, at most until it holds ``max_iters`` rows.
     """
     dom = u.domain
     alpha = s.alpha
-    buffers = _dst1_buffers(dom.nodes)
 
     def at(w: np.ndarray) -> tuple:  # (w, G w, R(w), |R(w)|)
-        gw = invert_polyharmonic(ScalarField(dom, w), alpha, buffers)
+        gw = invert_polyharmonic(ScalarField(dom, w), alpha)
         r = ScalarField(dom, w - nonlinear(gw, s) - s.lam * s.f.values)
         return w, gw, r, l2_norm(r)
 
@@ -433,7 +431,7 @@ def _newton_refine(u: ScalarField, r: ScalarField, s: EnergySetting, cfg: Solver
             jac = nonlinear_jacobian(gw, s)
 
             def matvec(v: np.ndarray) -> np.ndarray:
-                gv = invert_polyharmonic(ScalarField(dom, v.reshape(dom.nodes)), alpha, buffers)
+                gv = invert_polyharmonic(ScalarField(dom, v.reshape(dom.nodes)), alpha)
                 return v - jac(gv.values).reshape(v.shape)
 
             rtol = max(_KRYLOV_RTOL, cfg.grad_tol / (10.0 * rn))

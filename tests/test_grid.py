@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -34,7 +37,7 @@ from polyhess import (
     zeros,
 )
 from polyhess import grid
-from polyhess.grid import _dst1, _dst1_buffers, divergence_centered, laplacian_power
+from polyhess.grid import _dst1, divergence_centered, laplacian_power
 from polyhess.hessian_algebra import entry_pairs, sk_of_entries, stack_of_entries
 from polyhess.verify import divergence_values, observed_order
 
@@ -520,8 +523,7 @@ def test_invert_polyharmonic_roundtrip():
 
 @pytest.mark.parametrize("nodes", [(32, 32), (30, 17), (9, 8, 11), (12, 12, 12)])
 def test_invert_polyharmonic_is_two_dsts_bitwise(nodes):
-    """The inverse on one pair of shared DST work buffers is the pair of
-    transforms with their own buffers around the symbol division, byte for byte."""
+    """The inverse is the pair of transforms around the symbol division, byte for byte."""
     dom = BoxDomain(nodes=nodes)
     x = np.random.default_rng(sum(nodes)).standard_normal(nodes)
     for alpha in (1, 2, 3):
@@ -529,17 +531,32 @@ def test_invert_polyharmonic_is_two_dsts_bitwise(nodes):
         assert invert_polyharmonic(ScalarField(dom, x), alpha).values.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("nodes", [(32, 32), (30, 17), (9, 8, 11)])
-def test_invert_polyharmonic_on_caller_buffers_is_bitwise(nodes):
-    """Inverses sharing one caller-owned pair of DST work buffers, as the
-    Newton refinement's do, give the bytes of inverses with their own."""
-    dom = BoxDomain(nodes=nodes)
-    rng = np.random.default_rng(sum(nodes))
-    buffers = _dst1_buffers(nodes)
-    for alpha in (1, 2, 3, 2):
-        u = ScalarField(dom, rng.standard_normal(nodes))
-        ref = invert_polyharmonic(u, alpha).values.tobytes()
-        assert invert_polyharmonic(u, alpha, buffers).values.tobytes() == ref
+_INVERSE_BYTES = """
+import hashlib, sys
+import numpy as np
+from polyhess import BoxDomain, ScalarField, invert_polyharmonic
+for nodes in [(191, 191), (47, 47, 47)]:
+    x = np.random.default_rng(sum(nodes)).standard_normal(nodes)
+    out = invert_polyharmonic(ScalarField(BoxDomain(nodes=nodes), x), 2).values
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_invert_polyharmonic_bytes_repeat_in_fresh_processes():
+    """Same input, same bits: two fresh processes at two BLAS threads give
+    byte-identical inverses on the shapes whose bytes change with the
+    thread count (191^2 and 47^3)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        [str(Path(grid.__file__).resolve().parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    digests = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-c", _INVERSE_BYTES],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
 
 
 def test_field_dump_roundtrip(tmp_path):

@@ -1,9 +1,13 @@
-"""scipy as the oracle of the numpy-only kernels, compared bit for bit.
+"""scipy as the oracle of the numpy-only kernels.
 
-polyhess runs on numpy alone; its type-I DST and its GMRES perform scipy's
-operations in scipy's order, so their outputs must equal scipy's exactly,
-not to a tolerance.  scipy is a test dependency only: without it these
-tests are skipped.
+polyhess runs on numpy alone.  Its GMRES and its Givens rotation perform
+scipy's (and LAPACK's ``dlartg``) operations in their order, so their
+outputs must equal scipy's exactly, not to a tolerance.  Its type-I DST is
+a product with a dense sine matrix, not pocketfft's FFT of the odd
+extension, so it matches scipy's ``dstn`` and ``idstn`` to 1e-14 of the
+largest input value; its sine matrix is checked symmetric bit for bit and
+the transform its own inverse to the same tolerance.  scipy is a test
+dependency only: without it these tests are skipped.
 """
 
 import numpy as np
@@ -11,7 +15,7 @@ import pytest
 
 from polyhess import Form, ProblemParams, PolyhessError, make_setting, solve_run, unit_box
 from polyhess import solvers
-from polyhess.grid import _dst1
+from polyhess.grid import _dst1, _sine_matrix
 
 from conftest import constant_datum, flagship_setting
 
@@ -28,9 +32,14 @@ scipy_sparse_linalg = pytest.importorskip("scipy.sparse.linalg")
 ])
 def test_dst1_equals_scipy_dstn_and_idstn(shape):
     x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    tol = 1e-14 * np.max(np.abs(x))
     ours = _dst1(x)
-    assert np.array_equal(ours, scipy_fft.dstn(x, type=1, norm="ortho"))
-    assert np.array_equal(ours, scipy_fft.idstn(x, type=1, norm="ortho"))
+    assert np.max(np.abs(ours - scipy_fft.dstn(x, type=1, norm="ortho"))) <= tol
+    assert np.max(np.abs(ours - scipy_fft.idstn(x, type=1, norm="ortho"))) <= tol
+    assert np.max(np.abs(_dst1(ours) - x)) <= tol
+    for n in shape:
+        table = _sine_matrix(n)
+        assert table.tobytes() == np.ascontiguousarray(table.T).tobytes()
 
 
 def _scipy_gmres(matvec, b, rtol, restart, maxiter):
