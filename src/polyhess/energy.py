@@ -65,16 +65,18 @@ it is exactly 1 inside the R0 ball, where ``evaluate_H`` equals the action.
 Mountain-pass geometry from exact forms: the minorant h is a polynomial, so
 its radii come from ``polynomial_peak`` and the roots of h(R)/R, and the
 datum witness is phi = sign(lambda) G f, G the sine-basis inverse of
-(-Delta)^alpha.
+(-Delta)^alpha.  The minorant is fitted on six fixed fields (the center
+bumps, +-G f and +-phi_1, the lowest sine mode), so a fit draws no random
+number and a solve reads none.
 
 Lambda enters the action only through the datum term lambda int f u, so the
 geometry is calibrated in two steps.  The lambda-free step does all the
-stencil work: ``fit_minorant`` reads each sample's seminorm r and
+stencil work: ``fit_minorant`` reads each fixed field's seminorm r and
 nonlinear term (hence C2) and int f a and r of the anchor a = G f /
 max|G f|, and ``geometry_witnesses`` searches psi and computes G f.  The
 lambda step is cheap: ``MinorantFit.coefficients`` forms C1 from
-|lambda| int f a / r, the largest lambda int f u / r of the samples, bit
-for bit what fitting at that lambda gives, and ``WitnessBasis.witnesses``
+|lambda| int f a / r, which bounds lambda int f u / r over every field,
+bit for bit what fitting at that lambda gives, and ``WitnessBasis.witnesses``
 signs phi and checks lambda int f phi > 0.  A psi search that found no bump
 is kept as psi = None and raised by ``witnesses``, after the minorant's
 own checks, as when each lambda fitted its own.
@@ -89,6 +91,7 @@ N and the Jacobian action of N for the solvers.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,7 +109,6 @@ from .grid import (
     inner,
     invert_polyharmonic,
     laplacian_power,
-    random_smooth_field,
     seminorm,
     seminorm_of,
     sk_field,
@@ -494,47 +496,34 @@ def minorant_geometry(m: MinorantCoefficients) -> MinorantGeometry:
     return MinorantGeometry(R0=r0, R1=r1, R_M=r_m, h_max=h_max)
 
 
-# safety factor applied to the fitted constants so fresh samples from the
-# same family stay above the minorant
+# safety factor applied to the fitted constants, so fields outside the fixed
+# family, whose ratios the fit does not read, stay above the minorant
 _FIT_MARGIN = 1.25
 _C_FLOOR = 1e-12
 
 
-def minorant_sample_family(s: EnergySetting, samples: int, rng: np.random.Generator,
-                           gf: ScalarField | None = None) -> list[ScalarField]:
-    """Field family used to calibrate the minorant.
+def minorant_sample_family(s: EnergySetting, gf: ScalarField | None = None) -> list[ScalarField]:
+    """The six fixed fields the minorant is fitted on.
 
-    Deterministic anchors (center bump of either sign, the polyharmonic
-    inverse G f of the datum, passed as ``gf`` or computed here) are always
-    included so the constants that control the inner ball are reproduced by
-    every draw; the remainder are random bumps, smooth fields, and pairwise
-    combinations.
+    The center bump of either sign, +-G f / max|G f| (G f the polyharmonic
+    inverse of the datum, passed as ``gf`` or computed here; left out for a
+    zero datum) and +-phi_1 / max|phi_1|, phi_1 = prod_a sin(pi x_a / L_a)
+    the lowest sine mode.  phi_1 sets C2 on constant and checker data, the
+    G f anchor on gaussian data; on the bundled data no field of the random
+    family these replace scored above the larger of the two.
     """
     dom = s.f.domain
-    minext = min(dom.extent)
     center = tuple(0.5 * e for e in dom.extent)
-    fam: list[ScalarField] = []
-    for sign_exp in (s.params.k, s.params.k + 1):
-        fam.append(bump_field(dom, center, 0.3 * minext, 1.0, sign_exp))
+    fam = [bump_field(dom, center, 0.3 * min(dom.extent), 1.0, sign_exp)
+           for sign_exp in (s.params.k, s.params.k + 1)]
     pf = invert_polyharmonic(s.f, s.alpha) if gf is None else gf
-    top = float(np.max(np.abs(pf.values)))
-    if top > 0:
-        fam.append(pf * (1.0 / top))
-        fam.append(pf * (-1.0 / top))
-    while len(fam) < samples:
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            c = tuple(e * rng.uniform(0.42, 0.58) for e in dom.extent)
-            r = minext * rng.uniform(0.15, 0.25)
-            fam.append(bump_field(dom, c, r, rng.uniform(0.5, 2.0),
-                                  int(rng.integers(0, 2))))
-        elif kind == 1:
-            fam.append(random_smooth_field(dom, rng, modes=3,
-                                           amplitude=rng.uniform(0.2, 1.5)))
-        else:  # the two center bumps are always in the family
-            i, j = rng.integers(0, len(fam), size=2)
-            fam.append(fam[int(i)] + fam[int(j)])
-    return fam[:samples]
+    phi1 = ScalarField(dom, functools.reduce(np.multiply.outer, (
+        np.sin(np.pi * dom.axis_coords(a) / dom.extent[a]) for a in range(dom.dim))))
+    for u in (pf, phi1):
+        top = float(np.max(np.abs(u.values)))
+        if top > 0:
+            fam += [u * (1.0 / top), u * (-1.0 / top)]
+    return fam
 
 
 @dataclass(frozen=True)
@@ -556,35 +545,32 @@ class MinorantFit:
         return MinorantCoefficients(C1=c1, C2=self.C2, k=self.k)
 
 
-def fit_minorant(s: EnergySetting, samples: int, rng: np.random.Generator,
-                 gf: ScalarField | None = None) -> MinorantFit:
-    """Empirical minorant constants for the sampled family and all its scalings.
+def fit_minorant(s: EnergySetting, gf: ScalarField | None = None) -> MinorantFit:
+    """Minorant constants for the fixed family and all its scalings.
 
     Because the datum and nonlinear terms are homogeneous of degree 1 and
-    k+1 in the field, requiring the bound along every ray through a sample
+    k+1 in the field, requiring the bound along every ray through a field
     splits exactly into the two termwise ratios: C2 is maximized over the
-    samples here, C1 is read off the G f anchor (``MinorantFit``), and a
-    fixed margin then covers fresh draws from the same family.  The
-    setting's lambda is not read: ``MinorantFit.coefficients`` applies it.
-    ``gf`` is G f (computed here when omitted).
+    fields of ``minorant_sample_family`` here, C1 is read off the G f anchor
+    (``MinorantFit``), and a fixed margin then covers fields outside the
+    family.  The setting's lambda is not read: ``MinorantFit.coefficients``
+    applies it.  ``gf`` is G f (computed here when omitted).
     """
-    if samples < 10:
-        raise ValueError("need at least 10 samples for the minorant fit")
     s.validate_grid()
     k = s.params.k
     if gf is None:
         gf = invert_polyharmonic(s.f, s.alpha)
     c2 = 0.0
     usable = 0
-    for u in minorant_sample_family(s, samples, rng, gf):
+    for u in minorant_sample_family(s, gf):
         images = _images(u, s)
         r = seminorm_of(images[1], u.domain)
         if r <= 0.0:
             continue
         usable += 1
         c2 = max(c2, _nonlinear(images, s) / r ** (k + 1))
-    if usable < 10:
-        raise FitError("minorant fit degenerate: fewer than 10 nonzero samples")
+    if usable < 2:
+        raise FitError("minorant fit degenerate: fewer than 2 nonzero samples")
     top = float(np.max(np.abs(gf.values)))
     fa, r = 0.0, 1.0
     if top > 0:

@@ -63,16 +63,17 @@ predicted u_star, with no minimax, and only a refinement that misses
 ``grad_tol`` or falls back to u_m hands the row to the minimax on the ray
 through the previous row's u_star.
 
-Determinism: all randomness flows from ``SolverConfig.seed`` through a
-single generator per call; identical configs and inputs reproduce outputs
-bit for bit at a fixed OpenBLAS thread count (the reductions and the sine
-inverse's products go through BLAS).  Only the minorant fit draws from the generator of a solve
-(``calibrate``).  Continuation rows share one read-only ``Calibration``,
-built once from a fresh generator, so every row sees the sample family a
-solve of its own would draw; each row starts from the rows before it, so
-the rows of one continuation run in order.  A single solve is sequential;
-independent solves (probe trials) own their fields and generators, only
-read a shared calibration, and may run concurrently.
+Determinism: a solve and a continuation read no random number (the
+minorant is fitted on fixed fields), so identical inputs reproduce outputs
+bit for bit, whatever ``SolverConfig.seed``, at a fixed OpenBLAS thread
+count (the reductions and the sine inverse's products go through BLAS).
+Only the probe draws random numbers, its trial starts, from
+``default_rng(cfg.seed)``.  Continuation rows share one read-only
+``Calibration``, built once: the calibration a solve of each row would
+build.  Each row starts from the rows before it, so the rows of one
+continuation run in order.  A single solve is sequential; independent
+solves (probe trials) own their fields, only read a shared calibration,
+and may run concurrently.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ from .grid import (
 class SolverConfig:
     """What a run sets.  ``path_points`` is validated but no longer read: the
     mountain pass has no discrete path.  ``max_iters`` bounds the rows of
-    each phase record."""
+    each phase record; ``seed`` reaches only the probe's trial starts."""
 
     grad_tol: float = 1e-6
     max_iters: int = 400
@@ -221,7 +222,6 @@ class SolveRun:
 
 
 _LS_C = 1e-4  # Armijo factor of the descent's and the minimax's one trial step
-_FIT_SAMPLES = 48  # fields in the minorant fit's sample family
 
 
 def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
@@ -511,19 +511,18 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
 
 @dataclass(frozen=True)
 class Calibration:
-    """The lambda-free part of a solve's geometry: the minorant fit's
-    samples and the witness fields.  Every setting that differs only in
+    """The lambda-free part of a solve's geometry: the minorant fit and
+    the witness fields.  Every setting that differs only in
     lambda shares one; it is read, never written."""
 
     fit: MinorantFit
     basis: WitnessBasis
 
 
-def calibrate(s: EnergySetting, cfg: SolverConfig) -> Calibration:
-    """The calibration of ``s`` (its lambda is not read), with the minorant
-    samples drawn from a fresh ``default_rng(cfg.seed)``."""
+def calibrate(s: EnergySetting) -> Calibration:
+    """The calibration of ``s`` (its lambda is not read)."""
     basis = geometry_witnesses(s)
-    fit = fit_minorant(s, _FIT_SAMPLES, np.random.default_rng(cfg.seed), basis.gf)
+    fit = fit_minorant(s, basis.gf)
     return Calibration(fit, basis)
 
 
@@ -543,7 +542,7 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
               calibration: Optional[Calibration] = None) -> SolveRun:
     """Full orchestration: minorant fit, witnesses, descent, far scan, minimax.
 
-    ``calibration`` is ``calibrate(s, cfg)`` (computed here when omitted)
+    ``calibration`` is ``calibrate(s)`` (computed here when omitted)
     or that of a setting differing from ``s`` only in lambda.  With
     ``warm``, the descent starts at ``warm.u_m`` when it lies in the R0
     ball (else at zero), and u_star is the Newton refinement of
@@ -555,7 +554,7 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     """
     s.validate_grid()
     if calibration is None:
-        calibration = calibrate(s, cfg)
+        calibration = calibrate(s)
     fit = calibration.fit.coefficients(s.lam)
     geom = minorant_geometry(fit)
     cutoff = CutoffSpec(geom.R0, geom.R1)
@@ -647,7 +646,7 @@ def ball_uniqueness_probe(s: EnergySetting, cfg: SolverConfig,
         raise ValueError("need at least 5 trials")
     s.validate_grid()
     rng = np.random.default_rng(cfg.seed)
-    geom = minorant_geometry(fit_minorant(s, _FIT_SAMPLES, rng).coefficients(s.lam))
+    geom = minorant_geometry(fit_minorant(s).coefficients(s.lam))
     cutoff = CutoffSpec(geom.R0, geom.R1)
     alpha = s.alpha
     dom = s.f.domain
@@ -727,7 +726,7 @@ def continuation_in_lambda(s: EnergySetting, lambdas, cfg: SolverConfig) -> Cont
     calibration fails every row with its reason."""
     lams = check_lambda_schedule(lambdas)
     try:
-        cal = calibrate(s, cfg)
+        cal = calibrate(s)
     except PolyhessError as exc:
         return ContinuationTable([_failed_row(lam, exc) for lam in lams])
     rows = []

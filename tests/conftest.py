@@ -13,8 +13,11 @@ from polyhess import (
     Form,
     ProblemParams,
     SolverConfig,
+    bump_field,
     from_function,
+    invert_polyharmonic,
     make_setting,
+    random_smooth_field,
     sk_of_stack,
     solve_run,
     unit_box,
@@ -113,6 +116,34 @@ def smooth_field_loop(domain, rng, modes=3, amplitude=1.0):
             term = term * np.sin(np.pi * m * t).astype(np.longdouble)
         vals = vals + term
     return vals * (np.longdouble(amplitude) / np.max(np.abs(vals)))
+
+
+def sampled_minorant_family(s, rng, samples=48):
+    """The minorant's sample family as it was drawn before the fit moved to
+    fixed fields: the center bumps and +-G f / max|G f|, then random bumps,
+    random smooth fields and pairwise sums from ``rng`` up to ``samples``
+    fields.  An oracle of fields the fixed-family minorant must bound."""
+    dom = s.f.domain
+    minext = min(dom.extent)
+    center = tuple(0.5 * e for e in dom.extent)
+    fam = [bump_field(dom, center, 0.3 * minext, 1.0, sign_exp)
+           for sign_exp in (s.params.k, s.params.k + 1)]
+    pf = invert_polyharmonic(s.f, s.alpha)
+    top = float(np.max(np.abs(pf.values)))
+    if top > 0:
+        fam += [pf * (1.0 / top), pf * (-1.0 / top)]
+    while len(fam) < samples:
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            c = tuple(e * rng.uniform(0.42, 0.58) for e in dom.extent)
+            r = minext * rng.uniform(0.15, 0.25)
+            fam.append(bump_field(dom, c, r, rng.uniform(0.5, 2.0), int(rng.integers(0, 2))))
+        elif kind == 1:
+            fam.append(random_smooth_field(dom, rng, modes=3, amplitude=rng.uniform(0.2, 1.5)))
+        else:
+            i, j = rng.integers(0, len(fam), size=2)
+            fam.append(fam[int(i)] + fam[int(j)])
+    return fam[:samples]
 
 
 @pytest.fixture(scope="session")

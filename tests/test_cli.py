@@ -27,6 +27,8 @@ from polyhess.cli import (
     parse_config_text,
 )
 
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 SMALL_INI = """\
 [problem]
 n = 2
@@ -247,6 +249,34 @@ def test_cmd_solve_nonconvergence_exit_code(tmp_path, capsys):
     summary = json.loads((out / "run.json").read_text())
     assert "error" in summary
     assert summary["partial_record"]["total_iterations"] >= 1
+
+
+@pytest.mark.parametrize("form", ["strong", "weak"])
+def test_flagship_beyond_the_geometry_edge_exits_3(tmp_path, capsys, form):
+    """The n = 32 flagship's two-level geometry ends at lambda = 211.83
+    (strong) and 213.76 (weak), so a solve at 220 is refused with the reason."""
+    reason = "fitted minorant maximum is nonpositive; the two-level geometry is absent"
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(write_cfg(tmp_path)), "--lambda", "220",
+                 "--form", form]) == 3
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+    assert reason in json.loads((out / "run.json").read_text())["error"]
+
+
+@pytest.mark.parametrize("name, datum", [("hess3d.cfg", "constant"), ("ma2d.cfg", "checker")])
+def test_seed_does_not_change_a_solve(tmp_path, name, datum):
+    """A solve reads no random number: its results are byte-identical at
+    every seed."""
+    text = (_CONFIGS / name).read_text()
+    cfg_path = tmp_path / name
+    cfg_path.write_text(text.replace("kind = constant", f"kind = {datum}"))
+    results = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"seed{seed}"
+        assert main(["solve", "--config", str(cfg_path), "--seed", seed, "--out", str(out)]) == 0
+        results.append(json.dumps(json.loads((out / "run.json").read_text())["results"]))
+    assert results[0] == results[1]
 
 
 def _poison_after(monkeypatch, phase):

@@ -1,6 +1,8 @@
 """Action evaluation, residual pairings, truncation, minorant, and witnesses."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from polyhess import (
     evaluate_J,
     evaluate_J_weak,
     fit_minorant,
+    from_function,
     geometry_witnesses,
     inner,
     make_setting,
@@ -31,6 +34,7 @@ from polyhess import (
     unit_box,
     zeros,
 )
+from polyhess.cli import build_setting, load_config
 from polyhess.energy import _sign, minorant_sample_family
 from polyhess.energy import action, nonlinear, nonlinear_jacobian, ray_actions
 from polyhess.grid import (
@@ -40,7 +44,11 @@ from polyhess.grid import (
 from polyhess.hessian_algebra import entry_table, newton_flux, sk_of_entries, stack_of_entries
 from polyhess.verify import consistency_worst_errors
 
-from conftest import constant_datum, flagship_setting, partials_polynomial_loop
+from conftest import (
+    constant_datum, flagship_setting, partials_polynomial_loop, sampled_minorant_family,
+)
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -346,44 +354,55 @@ def test_minorant_geometry_infeasible_when_c1_large():
 
 
 def test_fit_minorant_properties(s64):
-    rng = np.random.default_rng(40)
-    with pytest.raises(ValueError):
-        fit_minorant(s64, 5, rng)
-    fit = fit_minorant(s64, 24, np.random.default_rng(40)).coefficients(s64.lam)
+    fit = fit_minorant(s64).coefficients(s64.lam)
     assert fit.C1 > 0 and fit.C2 > 0
     # lambda = 0 family: no datum term, C1 collapses to the positivity floor
     s0 = flagship_setting(64, lam=0.0)
-    fit0 = fit_minorant(s0, 24, np.random.default_rng(40)).coefficients(s0.lam)
+    fit0 = fit_minorant(s0).coefficients(s0.lam)
     assert fit0.C1 <= 1e-11
-    # doubling lambda doubles C1 (same seeded family)
+    # doubling lambda doubles C1 (same fixed family)
     s2 = flagship_setting(64, lam=0.1)
-    fit2 = fit_minorant(s2, 24, np.random.default_rng(40)).coefficients(s2.lam)
+    fit2 = fit_minorant(s2).coefficients(s2.lam)
     assert fit2.C1 == pytest.approx(2.0 * fit.C1, rel=1e-12)
     assert fit2.C2 == pytest.approx(fit.C2, rel=1e-12)
 
 
-def test_fit_minorant_verification_on_fresh_samples(s64):
-    m = fit_minorant(s64, 32, np.random.default_rng(41)).coefficients(s64.lam)
-    fresh = minorant_sample_family(s64, 32, np.random.default_rng(97))
-    for u in fresh:
-        r = seminorm(u, s64.alpha)
-        if r == 0.0:
-            continue
-        gap = evaluate_J(u, s64) - radial_minorant(r, m)
-        scale = max(abs(evaluate_J(u, s64)), 1.0)
-        assert gap >= -1e-12 * scale
+@pytest.mark.parametrize("form", ["strong", "weak"])
+@pytest.mark.parametrize("name, datum", [("ma2d.cfg", "constant"), ("ma2d.cfg", "gaussian"),
+                                         ("ma2d.cfg", "checker"), ("hess3d.cfg", "constant"),
+                                         ("hess3d_k3.cfg", "constant")])
+def test_fit_minorant_bounds_phi1_and_the_sampled_family(name, datum, form):
+    """N(u) <= C2 |u|^(k+1), and so J(u) >= h(|u|), for the lowest sine mode
+    phi_1 and for every field the random sample family drew at seeds 0-9
+    (48 each): the fixed six fields, with the margin, bound what the draws
+    found."""
+    cfg = replace(load_config(_CONFIGS / name), form=form, datum_kind=datum, datum_width=0.15)
+    s = build_setting(cfg)
+    k = s.params.k
+    m = fit_minorant(s).coefficients(s.lam)
+    c2 = m.C2
+    dom = s.f.domain
+    phi1 = from_function(dom, lambda *x: math.prod(
+        np.sin(np.pi * xa / ext) for xa, ext in zip(x, dom.extent)))
+    assert len(minorant_sample_family(s)) == 6
+    fields = [phi1] + [u for seed in range(10)
+                       for u in sampled_minorant_family(s, np.random.default_rng(seed))]
+    for u in fields:
+        rep = energy_report(u, s)
+        assert rep.nonlinear_term <= c2 * rep.seminorm ** (k + 1)
+        assert rep.J >= radial_minorant(rep.seminorm, m) - 1e-12 * max(abs(rep.J), 1.0)
 
 
 def test_truncation_confines_negative_levels(s64):
     # discrete restatement of the confinement property: whenever the fitted
     # minorant certifies h >= 0 on [R0, R1], a negative truncated level
     # forces the seminorm inside the R0 ball
-    fit = fit_minorant(s64, 24, np.random.default_rng(42)).coefficients(s64.lam)
+    fit = fit_minorant(s64).coefficients(s64.lam)
     geom = minorant_geometry(fit)
     c = CutoffSpec(geom.R0, geom.R1)
     assert radial_minorant(geom.R0, fit) == pytest.approx(0.0, abs=1e-9)
     assert radial_minorant(geom.R1, fit) > 0.0
-    for u in minorant_sample_family(s64, 24, np.random.default_rng(43)):
+    for u in sampled_minorant_family(s64, np.random.default_rng(43), 24):
         for t in (1e-3, 0.3, 1.0, 3.0):
             v = t * u
             if evaluate_H(v, s64, c) < 0.0:
@@ -392,7 +411,7 @@ def test_truncation_confines_negative_levels(s64):
 
 def test_small_ball_nonnegative_at_lambda_zero():
     s0 = flagship_setting(64, lam=0.0)
-    for u in minorant_sample_family(s0, 16, np.random.default_rng(44)):
+    for u in sampled_minorant_family(s0, np.random.default_rng(44), 16):
         sn = seminorm(u, s0.alpha)
         if sn == 0.0:
             continue
