@@ -87,7 +87,6 @@ from .energy import (
     geometry_witnesses,
     make_setting,
     minorant_geometry,
-    radial_minorant,
     residual_strong,
     residual_weak_field,
     residual_weak_pairing,
@@ -108,7 +107,6 @@ from .solvers import (
     minimize_local,
     mountain_pass,
     solve_run,
-    two_solutions,
 )
 
 __version__ = "0.1.0"

@@ -457,12 +457,6 @@ class MinorantCoefficients:
             raise ValueError("k must be >= 2")
 
 
-def radial_minorant(R: float, m: MinorantCoefficients) -> float:
-    if R < 0:
-        raise ValueError("R must be nonnegative")
-    return 0.5 * R * R - m.C1 * R - m.C2 * R ** (m.k + 1)
-
-
 @dataclass(frozen=True)
 class MinorantGeometry:
     """Radii extracted from the minorant: lower zero R0, cutoff edge R1,
@@ -475,9 +469,11 @@ class MinorantGeometry:
 
 
 def minorant_geometry(m: MinorantCoefficients) -> MinorantGeometry:
-    """(R_M, h_max) from ``polynomial_peak``, R0 the smallest positive real
-    root of h(R)/R; a ``GeometryError`` when the positive hump does not exist
-    (the smallness condition on lambda fails) or is too flat to resolve."""
+    """(R_M, h_max) from ``polynomial_peak``; R0, the smaller root of the
+    concave g(R) = h(R)/R, g(0) = -C1 < 0 < g(R_M), by Newton from R = 0 to
+    the first iterate that does not climb, exact to roundoff even at the C1
+    floor.  A ``GeometryError`` when the positive hump does not exist (the
+    smallness condition on lambda fails) or is too flat to resolve."""
     coefs = np.r_[0.0, -m.C1, 0.5, np.zeros(m.k - 2), -m.C2]
     peak = polynomial_peak(coefs)
     if peak is None:
@@ -487,8 +483,10 @@ def minorant_geometry(m: MinorantCoefficients) -> MinorantGeometry:
     if h_max <= 0.0:
         raise GeometryError("fitted minorant maximum is nonpositive; the two-level "
                             "geometry is absent at this lambda — reduce lambda")
-    roots = npoly.polyroots(coefs[1:])
-    r0 = float(np.min(roots.real[(roots.imag == 0.0) & (roots.real > 0.0)], initial=np.inf))
+    r0, nxt = -1.0, 0.0
+    while nxt > r0:  # past g's top (slope <= 0) there is no zero to climb to
+        r0, slope = nxt, 0.5 - m.k * m.C2 * nxt ** (m.k - 1)
+        nxt = r0 - (0.5 * r0 - m.C1 - m.C2 * r0 ** m.k) / slope if slope > 0.0 else np.inf
     r1 = 0.5 * (r0 + r_m)
     if not r0 < r1 < r_m:
         raise GeometryError("fitted minorant has no real zero below its maximizer R_M "

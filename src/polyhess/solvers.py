@@ -26,16 +26,15 @@ test.
 One trial step per row.  Neither phase backtracks.  The descent tries the
 full preconditioned step u - G r, the minimax the step above; when the
 trial fails its Armijo test, or at the first minimax row whose peak value
-moved by at most ``deform_tol`` (relative) from the previous row's (a
-restart compares from its second row on), the phase hands its iterate and
-its residual to a damped Newton-Krylov refinement.  A refinement that
-accepts no step ends the phase with a ``NonconvergenceError``; an
-unconverged one that moved and stays separated from u_m restarts the
-minimax on the ray through its last iterate.  The descent record gets one
-row per iterate (phase ``descent``), the mountain record one per minimax
-step (``minimax``), and both one per accepted Newton iterate (``newton``);
-``max_iters`` bounds the rows of each.  A violated precondition of a
-solver raises ``ContractError``.
+moved by at most ``deform_tol`` (relative) from the previous row's, the
+phase hands its iterate and its residual to a damped Newton-Krylov
+refinement, once.  The phase returns the refined iterate when it met
+``grad_tol`` (and, in the minimax, stays separated from u_m); otherwise it
+ends with a ``NonconvergenceError`` that says why.  The descent record gets
+one row per iterate (phase ``descent``), the mountain record one per
+minimax step (``minimax``), and both one per accepted Newton iterate
+(``newton``); ``max_iters`` bounds the rows of each.  A violated
+precondition of a solver raises ``ContractError``.
 
 Newton on the source.  The refinement (``_newton_refine``) iterates on
 w = (-Delta_h)^alpha u, u = G w (Knoll and Keyes, J. Comput. Phys.
@@ -59,9 +58,8 @@ by the secant u_i = u_(i-1) + c (u_(i-1) - u_(i-2)),
 c = (lambda_i - lambda_(i-1)) / (lambda_(i-1) - lambda_(i-2)), or takes the
 one converged row's pair.  The descent starts at the predicted u_m when it
 lies in the R0 ball, else at zero; u_star is the Newton refinement of the
-predicted u_star, with no minimax, and only a refinement that misses
-``grad_tol`` or falls back to u_m hands the row to the minimax on the ray
-through the previous row's u_star.
+predicted u_star, with no minimax; a refinement that misses ``grad_tol``
+or falls back to u_m hands the row to the minimax of a cold solve.
 
 Determinism: a solve and a continuation read no random number (the
 minorant is fitted on fixed fields), so identical inputs reproduce outputs
@@ -453,30 +451,32 @@ def _newton_refine(u: ScalarField, r: ScalarField, s: EnergySetting, cfg: Solver
     return u, False
 
 
+def _separated(u: ScalarField, u_m: ScalarField, s: EnergySetting, cfg: SolverConfig) -> bool:
+    """False when a refinement ``u`` fell back to the minimizer ``u_m``."""
+    return seminorm(u - u_m, s.alpha) > 100.0 * cfg.grad_tol
+
+
 def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
-                  cfg: SolverConfig,
-                  through: Optional[ScalarField] = None) -> tuple[ScalarField, PSRecord]:
+                  cfg: SolverConfig) -> tuple[ScalarField, PSRecord]:
     """Local minimax on rays from the minimizer ``u_m``, starting on the ray
-    through ``through`` (the previous row's u_star, when a continuation row's
-    Newton correction fails) or else through the far point ``v_far``, which
-    must lie below ``u_m``.
-    """
+    through the far point ``v_far``, which must lie below ``u_m``: returns
+    the first row that meets ``grad_tol``, or the one Newton refinement of
+    the row that hands off when it converged away from ``u_m``; anything
+    else raises a ``NonconvergenceError`` with its reason."""
     s.check_field(u_m)
     s.check_field(v_far)
     alpha = s.alpha
     k = s.params.k
     if not action(v_far, s) < action(u_m, s):
         raise ContractError("far endpoint must have energy below the minimizer")
-    if through is not None:
-        s.check_field(through)
     ray = ray_actions(u_m, s)
-    v = (v_far if through is None else through) - u_m
+    v = v_far - u_m
     peak = _ray_peak(_ray_polynomial(ray, v, k))
+    if peak is None:
+        raise GeometryError("the ray from the minimizer has no positive peak")
     rec = PSRecord()
     j_prev = None
     while len(rec) < cfg.max_iters:
-        if peak is None:
-            raise GeometryError("the ray from the minimizer has no positive peak")
         t_top, j_top = peak
         w = u_m + t_top * v
         r = residual(w, s)
@@ -484,29 +484,29 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
         rec.append(j_top, rn, seminorm(w, alpha), "minimax")
         if rn <= cfg.grad_tol:
             return w, rec
-        if j_prev is None or abs(j_top - j_prev) > cfg.deform_tol * (1.0 + abs(j_top)):
-            j_prev = j_top
-            d = invert_polyharmonic(r, alpha)
-            dn = seminorm(d, alpha)
-            step = 1.0
-            if dn > 0.0:  # half the distance from u_m caps the step
-                step = min(step, 0.5 * t_top * seminorm(v, alpha) / dn)
-            v_cand = w - step * d - u_m
-            cand = _ray_peak(_ray_polynomial(ray, v_cand, k))
-            if cand is not None and cand[1] <= j_top - _LS_C * step * inner(r, d):
-                v, peak = v_cand, cand
-                continue
-        j_prev = None
-        u_ref, ok = _newton_refine(w, r, s, cfg, rec)
-        if not seminorm(u_ref - u_m, alpha) > 100.0 * cfg.grad_tol:
-            raise NonconvergenceError("Newton refinement fell back to the minimizer", rec)
-        if ok:
-            return u_ref, rec
-        if u_ref is w and len(rec) < cfg.max_iters:
-            raise NonconvergenceError("minimax stalled: Newton accepted no step", rec)
-        v = u_ref - u_m
-        peak = _ray_peak(_ray_polynomial(ray, v, k))
-    raise NonconvergenceError("mountain pass exhausted its iteration budget", rec)
+        if j_prev is not None and abs(j_top - j_prev) <= cfg.deform_tol * (1.0 + abs(j_top)):
+            break
+        j_prev = j_top
+        d = invert_polyharmonic(r, alpha)
+        dn = seminorm(d, alpha)
+        step = 1.0
+        if dn > 0.0:  # half the distance from u_m caps the step
+            step = min(step, 0.5 * t_top * seminorm(v, alpha) / dn)
+        v_cand = w - step * d - u_m
+        cand = _ray_peak(_ray_polynomial(ray, v_cand, k))
+        if cand is None or not cand[1] <= j_top - _LS_C * step * inner(r, d):
+            break
+        v, peak = v_cand, cand
+    else:
+        raise NonconvergenceError("mountain pass exhausted its iteration budget", rec)
+    u_star, ok = _newton_refine(w, r, s, cfg, rec)
+    if not _separated(u_star, u_m, s, cfg):
+        raise NonconvergenceError("Newton refinement fell back to the minimizer", rec)
+    if not ok:
+        raise NonconvergenceError("mountain pass exhausted its iteration budget"
+                                  if len(rec) >= cfg.max_iters else
+                                  "minimax stalled: Newton stopped above grad_tol", rec)
+    return u_star, rec
 
 
 @dataclass(frozen=True)
@@ -528,13 +528,10 @@ def calibrate(s: EnergySetting) -> Calibration:
 
 @dataclass(frozen=True)
 class WarmStart:
-    """Where a continuation row starts: the predicted pair, and the previous
-    row's ``u_star``, whose ray the minimax takes when the Newton correction
-    of ``u_star`` fails."""
+    """Where a continuation row starts: the predicted pair."""
 
     u_m: ScalarField
     u_star: ScalarField
-    through: ScalarField
 
 
 def solve_run(s: EnergySetting, cfg: SolverConfig,
@@ -546,10 +543,10 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     or that of a setting differing from ``s`` only in lambda.  With
     ``warm``, the descent starts at ``warm.u_m`` when it lies in the R0
     ball (else at zero), and u_star is the Newton refinement of
-    ``warm.u_star``; only a refinement that does not reach ``grad_tol``,
-    or that lands within 100 grad_tol of u_m in the seminorm, runs the
-    minimax, on the ray through ``warm.through``.  The mountain record
-    then holds that refinement's ``newton`` rows alone, or else the
+    ``warm.u_star``; a refinement that does not reach ``grad_tol``, or
+    that lands within 100 grad_tol of u_m in the seminorm, falls back to
+    the minimax from the far point, as a cold solve does.  The mountain
+    record then holds that refinement's ``newton`` rows alone, or else the
     minimax's record.
     """
     s.validate_grid()
@@ -583,15 +580,13 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     if far is None:
         raise GeometryError("doubling scan failed to reach the downhill region")
 
-    u_star = None
+    ok = False
     if warm is not None:
         rec_mp = PSRecord()
-        u_ref, ok = _newton_refine(warm.u_star, residual(warm.u_star, s), s, cfg, rec_mp)
-        if ok and seminorm(u_ref - u_m, alpha) > 100.0 * cfg.grad_tol:
-            u_star = u_ref
-    if u_star is None:
-        through = warm.through if warm is not None else None
-        u_star, rec_mp = mountain_pass(s, u_m, far, cfg, through=through)
+        u_star, ok = _newton_refine(warm.u_star, residual(warm.u_star, s), s, cfg, rec_mp)
+        ok = ok and _separated(u_star, u_m, s, cfg)
+    if not ok:
+        u_star, rec_mp = mountain_pass(s, u_m, far, cfg)
 
     j_star = action(u_star, s)
     sep = seminorm(u_m - u_star, alpha)
@@ -617,12 +612,6 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
                         residual_star_stencil=l2_norm(residual(u_star, s)))
     return SolveRun(pair=pair, fit=fit, geometry=geom, witnesses=wit,
                     far_scale=t, record_minimize=rec_min, record_mountain=rec_mp)
-
-
-def two_solutions(s: EnergySetting, cfg: SolverConfig) -> SolutionPair:
-    """The pair promised by the existence theory: a negative-level local
-    minimizer and a positive-level minimax point, distinct in seminorm."""
-    return solve_run(s, cfg).pair
 
 
 @dataclass
@@ -721,7 +710,8 @@ def continuation_in_lambda(s: EnergySetting, lambdas, cfg: SolverConfig) -> Cont
     every row shares one calibration.  Each row after the first starts from
     the prediction of ``_predict`` (``solve_run``'s ``warm``), and its
     ``method`` says how u_star was found: ``"newton"`` by the Newton
-    correction alone, ``"minimax"`` by the ray minimax.  Failures are
+    correction alone, ``"minimax"`` by the cold path's ray minimax (the
+    first row, and a row whose correction failed).  Failures are
     recorded per row, never raised, and predict nothing; a failed
     calibration fails every row with its reason."""
     lams = check_lambda_schedule(lambdas)
@@ -751,8 +741,7 @@ def _predict(done: list, lam: float) -> Optional[WarmStart]:
         return None
     lam1, p1 = done[-1]
     if len(done) == 1:
-        return WarmStart(p1.u_m, p1.u_star, p1.u_star)
+        return WarmStart(p1.u_m, p1.u_star)
     lam0, p0 = done[0]
     c = (lam - lam1) / (lam1 - lam0)
-    return WarmStart(p1.u_m + c * (p1.u_m - p0.u_m),
-                     p1.u_star + c * (p1.u_star - p0.u_star), p1.u_star)
+    return WarmStart(p1.u_m + c * (p1.u_m - p0.u_m), p1.u_star + c * (p1.u_star - p0.u_star))

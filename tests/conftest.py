@@ -118,6 +118,12 @@ def smooth_field_loop(domain, rng, modes=3, amplitude=1.0):
     return vals * (np.longdouble(amplitude) / np.max(np.abs(vals)))
 
 
+def minorant_h(R, m):
+    """The radial minorant h(R) = R^2/2 - C1 R - C2 R^(k+1) of the
+    coefficients ``m``: the oracle of the radii ``minorant_geometry`` reads."""
+    return 0.5 * R * R - m.C1 * R - m.C2 * R ** (m.k + 1)
+
+
 def sampled_minorant_family(s, rng, samples=48):
     """The minorant's sample family as it was drawn before the fit moved to
     fixed fields: the center bumps and +-G f / max|G f|, then random bumps,

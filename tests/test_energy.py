@@ -25,7 +25,6 @@ from polyhess import (
     inner,
     make_setting,
     minorant_geometry,
-    radial_minorant,
     random_smooth_field,
     residual_strong,
     residual_weak_field,
@@ -45,7 +44,8 @@ from polyhess.hessian_algebra import entry_table, newton_flux, sk_of_entries, st
 from polyhess.verify import consistency_worst_errors
 
 from conftest import (
-    constant_datum, flagship_setting, partials_polynomial_loop, sampled_minorant_family,
+    constant_datum, flagship_setting, minorant_h, partials_polynomial_loop,
+    sampled_minorant_family,
 )
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -285,16 +285,42 @@ def test_cutoff_spec_validation():
 
 
 def test_radial_minorant_formula():
+    """R0 is a zero of h(R) = R^2/2 - C1 R - C2 R^(k+1) to roundoff (the
+    bisection oracle below checks R_M and h_max)."""
     m = MinorantCoefficients(C1=0.01, C2=0.1, k=2)
-    assert radial_minorant(0.0, m) == 0.0
-    assert radial_minorant(2.0, m) == pytest.approx(0.5 * 4 - 0.01 * 2 - 0.1 * 8)
-    # vanishing constants leave the pure quadratic (floored to stay positive)
-    tiny = MinorantCoefficients(C1=1e-300, C2=1e-300, k=2)
-    assert radial_minorant(2.0, tiny) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        radial_minorant(-1.0, m)
+    assert minorant_h(minorant_geometry(m).R0, m) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         MinorantCoefficients(C1=0.0, C2=0.1, k=2)
+
+
+def _lambda_zero_coefficients(name):
+    if name == "unit_box(2, 8), alpha = 4":
+        s = make_setting(ProblemParams(2, 2), 0.0, constant_datum(unit_box(2, 8)), alpha=4)
+    elif name == "flagship n = 32":
+        s = flagship_setting(32, lam=0.0)
+    else:
+        s = make_setting(ProblemParams(3, 3), 0.0, constant_datum(unit_box(3, 16)))
+    return fit_minorant(s).coefficients(0.0)
+
+
+@pytest.mark.parametrize("name", ["unit_box(2, 8), alpha = 4", "flagship n = 32"])
+def test_r0_at_lambda_zero_is_the_closed_form_root(name):
+    """At lambda = 0 C1 sits at its 1e-12 floor, far below C2, where the
+    companion-matrix roots of h(R)/R lose R0's relative accuracy (57x too
+    large on the 8 x 8 box); for k = 2 R0 is 4 C1 / (1 + sqrt(1 - 16 C1 C2))."""
+    m = _lambda_zero_coefficients(name)
+    assert m.k == 2 and m.C1 == 1e-12
+    closed = 4.0 * m.C1 / (1.0 + math.sqrt(1.0 - 16.0 * m.C1 * m.C2))
+    assert minorant_geometry(m).R0 == pytest.approx(closed, rel=1e-15, abs=0.0)
+
+
+def test_r0_at_lambda_zero_is_a_root_to_roundoff_for_k3():
+    """On the 16^3 (3, 3) setting at lambda = 0, g(R) = R/2 - C1 - C2 R^3
+    vanishes at R0 to roundoff in C1."""
+    m = _lambda_zero_coefficients("16^3 (3, 3)")
+    assert m.k == 3
+    r0 = minorant_geometry(m).R0
+    assert abs(0.5 * r0 - m.C1 - m.C2 * r0 ** 3) <= 4.0 * np.finfo(float).eps * m.C1
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -390,7 +416,7 @@ def test_fit_minorant_bounds_phi1_and_the_sampled_family(name, datum, form):
     for u in fields:
         rep = energy_report(u, s)
         assert rep.nonlinear_term <= c2 * rep.seminorm ** (k + 1)
-        assert rep.J >= radial_minorant(rep.seminorm, m) - 1e-12 * max(abs(rep.J), 1.0)
+        assert rep.J >= minorant_h(rep.seminorm, m) - 1e-12 * max(abs(rep.J), 1.0)
 
 
 def test_truncation_confines_negative_levels(s64):
@@ -400,8 +426,8 @@ def test_truncation_confines_negative_levels(s64):
     fit = fit_minorant(s64).coefficients(s64.lam)
     geom = minorant_geometry(fit)
     c = CutoffSpec(geom.R0, geom.R1)
-    assert radial_minorant(geom.R0, fit) == pytest.approx(0.0, abs=1e-9)
-    assert radial_minorant(geom.R1, fit) > 0.0
+    assert minorant_h(geom.R0, fit) == pytest.approx(0.0, abs=1e-9)
+    assert minorant_h(geom.R1, fit) > 0.0
     for u in sampled_minorant_family(s64, np.random.default_rng(43), 24):
         for t in (1e-3, 0.3, 1.0, 3.0):
             v = t * u

@@ -103,13 +103,11 @@ def _far_point(run):
     return run.far_scale * run.witnesses.psi
 
 
-def test_first_ray_without_a_positive_peak_raises_geometry_error(run32):
+def test_first_ray_without_a_positive_peak_raises_geometry_error(run32, monkeypatch):
     s = flagship_setting(32)
-    u_m = run32.pair.u_m
-    through = u_m - run32.witnesses.psi  # J rises along -psi for even k
-    assert _ray_peak(_ray_polynomial(ray_actions(u_m, s), through - u_m, 2)) is None
+    monkeypatch.setattr(solvers, "_ray_peak", lambda coefs: None)
     with pytest.raises(GeometryError, match="no positive peak"):
-        mountain_pass(s, u_m, _far_point(run32), SolverConfig(seed=0), through=through)
+        mountain_pass(s, run32.pair.u_m, _far_point(run32), SolverConfig(seed=0))
 
 
 def test_stalled_search_then_newton_without_a_step_raises(run32, monkeypatch):
@@ -125,10 +123,31 @@ def test_stalled_search_then_newton_without_a_step_raises(run32, monkeypatch):
     assert info.value.record.phase == ["minimax"]
 
 
+def test_one_newton_refinement_per_mountain_pass(run32, monkeypatch):
+    """The minimax hands off to Newton once: a refinement that moves (one
+    accepted step here) but stops above grad_tol ends the search with its
+    reason, and no second minimax runs from the refined point."""
+    s = flagship_setting(32)
+    calls = []
+    refine = solvers._newton_refine
+
+    def one_step(u, r, s, cfg, rec):
+        calls.append(len(rec))
+        u_ref, _ = refine(u, r, s, replace(cfg, max_iters=len(rec) + 1), rec)
+        return u_ref, False
+
+    monkeypatch.setattr(solvers, "_newton_refine", one_step)
+    with pytest.raises(NonconvergenceError, match="stalled") as info:
+        mountain_pass(s, run32.pair.u_m, _far_point(run32), SolverConfig(seed=0))
+    phase = info.value.record.phase
+    assert len(calls) == 1
+    assert phase == ["minimax"] * calls[0] + ["newton"]
+
+
 def test_one_ray_polynomial_per_minimax_row_and_hand_off(tmp_path, monkeypatch):
     """The minimax tries one step per row, with no line search: the hess3d
-    solve evaluates at most one ray polynomial per minimax row, plus one per
-    hand-off to Newton (the ray through the refined point)."""
+    solve evaluates at most one ray polynomial per minimax row, plus the
+    first ray's."""
     calls = []
     polynomial = solvers._ray_polynomial
 
@@ -142,8 +161,8 @@ def test_one_ray_polynomial_per_minimax_row_and_hand_off(tmp_path, monkeypatch):
                  "--out", str(out)]) == 0
     phases = json.loads((out / "run.json").read_text())["results"]["record_mountain"]["phase"]
     hand_offs = sum(a == "minimax" and b == "newton" for a, b in zip(phases, phases[1:]))
-    assert hand_offs >= 1
-    assert len(calls) <= phases.count("minimax") + hand_offs
+    assert hand_offs == 1
+    assert len(calls) <= phases.count("minimax") + 1
 
 
 @pytest.mark.parametrize("form", ["strong", "weak"])
@@ -157,7 +176,7 @@ def test_warm_rows_are_newton_corrections(monkeypatch, form):
     minimax, solve = solvers.mountain_pass, solvers.solve_run
 
     def counted(*args, **kwargs):
-        minimax_calls.append(kwargs.get("through"))
+        minimax_calls.append(args[2])
         return minimax(*args, **kwargs)
 
     def recorded(*args, **kwargs):
@@ -170,7 +189,7 @@ def test_warm_rows_are_newton_corrections(monkeypatch, form):
     table = solvers.continuation_in_lambda(s, cfg.lambda_schedule, cfg.solver)
     assert [r.converged for r in table.rows] == [True] * len(cfg.lambda_schedule)
     assert [r.method for r in table.rows] == ["minimax"] + ["newton"] * (len(table.rows) - 1)
-    assert minimax_calls == [None]
+    assert len(minimax_calls) == 1
     assert [warm for warm, _ in records] == [False] + [True] * (len(records) - 1)
     for _, phase in records[1:]:
         assert phase and set(phase) == {"newton"}

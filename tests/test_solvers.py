@@ -44,7 +44,6 @@ from polyhess import (
     ScalarField,
     seminorm,
     solve_run,
-    two_solutions,
     unit_box,
     with_lambda,
     zeros,
@@ -256,8 +255,8 @@ def test_sign_symmetry_of_energy_levels():
     # k even, f and the box symmetric: paired runs at +/- lambda reach the
     # same minimizer energy level (not the same field)
     cfg = SolverConfig(seed=0)
-    jp = two_solutions(flagship_setting(32, lam=0.05), cfg).J_m
-    jm = two_solutions(flagship_setting(32, lam=-0.05), cfg).J_m
+    jp = solve_run(flagship_setting(32, lam=0.05), cfg).pair.J_m
+    jm = solve_run(flagship_setting(32, lam=-0.05), cfg).pair.J_m
     assert jm == pytest.approx(jp, rel=1e-2)
 
 
@@ -271,13 +270,15 @@ def test_mountain_pass_far_endpoint_precondition(run32):
 
 
 def test_mountain_pass_returns_at_a_minimax_row(run32):
-    """On the ray through u_star at a loose tolerance the first peak's
-    residual already passes, so the minimax returns it: one ``minimax`` row
-    and no Newton refinement."""
+    """From a far point on the ray through u_star, at a loose tolerance, the
+    first peak's residual already passes, so the minimax returns it: one
+    ``minimax`` row and no Newton refinement."""
     s = flagship_setting(32)
-    far = run32.far_scale * run32.witnesses.psi
-    w, rec = mountain_pass(s, run32.pair.u_m, far, SolverConfig(grad_tol=1e-4),
-                           through=run32.pair.u_star)
+    u_m, u_star = run32.pair.u_m, run32.pair.u_star
+    scale = 1.0
+    while not energy.action(u_m + scale * (u_star - u_m), s) < run32.pair.J_m:
+        scale *= 2.0
+    w, rec = mountain_pass(s, u_m, u_m + scale * (u_star - u_m), SolverConfig(grad_tol=1e-4))
     assert rec.phase == ["minimax"]
     assert rec.residual_norm == [l2_norm(residual_strong(w, s))]
     assert rec.residual_norm[0] <= 1e-4
@@ -377,7 +378,7 @@ def test_mountain_record_has_no_repeated_rows(run32, run64, run32_weak):
 def test_three_dimensional_pair():
     dom = unit_box(3, 24)
     s = make_setting(ProblemParams(3, 2), 0.05, constant_datum(dom))
-    p = two_solutions(s, SolverConfig(seed=0))
+    p = solve_run(s, SolverConfig(seed=0)).pair
     assert p.residual_m <= 1e-6 and p.residual_star <= 1e-6
     assert p.J_m < 0.0 < p.J_star
     assert p.sep > 0.0
@@ -387,7 +388,7 @@ def test_three_dimensional_weak_pair():
     dom = unit_box(3, 16)
     s = make_setting(ProblemParams(3, 2), 0.05, constant_datum(dom), form=Form.WEAK)
     assert s.alpha == 2  # ceil(11/6)
-    p = two_solutions(s, SolverConfig(seed=0))
+    p = solve_run(s, SolverConfig(seed=0)).pair
     assert p.residual_m <= 1e-6 and p.residual_star <= 1e-6
     assert p.J_m < 0.0 < p.J_star
 
@@ -397,7 +398,7 @@ def test_odd_alpha_pair():
     dom = unit_box(3, 16)
     s = make_setting(ProblemParams(3, 3), 0.02, constant_datum(dom))
     assert s.alpha == 3
-    p = two_solutions(s, SolverConfig(seed=0))
+    p = solve_run(s, SolverConfig(seed=0)).pair
     assert p.residual_m <= 1e-6 and p.residual_star <= 1e-6
     assert p.J_m < 0.0 < p.J_star
     assert p.sep > 0.0
@@ -580,33 +581,30 @@ def _assert_same_table(tab, ref, rel):
 
 
 @pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
-def test_failed_correction_falls_back_to_the_minimax_through_the_previous_u_star(
-        monkeypatch, form):
+def test_failed_correction_falls_back_to_the_cold_minimax(monkeypatch, form):
+    """A row whose Newton correction fails runs what a cold solve at its
+    lambda runs: the minimax from the same far point, to the same pair."""
     s = flagship_setting(32, lam=0.0, form=form)
     lams = [0.0, 0.0125, 0.025, 0.05]
     cfg = SolverConfig(seed=0)
-    ref = continuation_in_lambda(s, lams, cfg)
+    fars = {}
+    minimax = solvers.mountain_pass
+
+    def recorded(s, u_m, v_far, cfg):
+        fars.setdefault(s.lam, []).append(v_far)
+        return minimax(s, u_m, v_far, cfg)
+
+    monkeypatch.setattr(solvers, "mountain_pass", recorded)
+    cold = [solve_run(with_lambda(s, lam), cfg).pair for lam in lams]
     _force_minimax(monkeypatch)
-    throughs, pairs = [], []
-    minimax, solve = solvers.mountain_pass, solvers.solve_run
-
-    def recorded_minimax(*args, **kwargs):
-        throughs.append(kwargs.get("through"))
-        return minimax(*args, **kwargs)
-
-    def recorded_solve(*args, **kwargs):
-        run = solve(*args, **kwargs)
-        pairs.append(run.pair)
-        return run
-
-    monkeypatch.setattr(solvers, "mountain_pass", recorded_minimax)
-    monkeypatch.setattr(solvers, "solve_run", recorded_solve)
     tab = continuation_in_lambda(s, lams, cfg)
-    _assert_same_table(tab, ref, 1e-8)
-    assert [r.method for r in tab.rows] == ["minimax"] * len(lams)
-    assert throughs[0] is None and len(throughs) == len(lams)
-    for through, previous in zip(throughs[1:], pairs):
-        assert np.array_equal(through.values, previous.u_star.values)
+    assert [r.method for r in tab.rows] == ["minimax"] * len(lams), [r.reason for r in tab.rows]
+    for row, pair in zip(tab.rows, cold):
+        for key in ("J_m", "J_star", "sep"):
+            assert getattr(row, key) == pytest.approx(getattr(pair, key), rel=1e-10, abs=0.0)
+    for lam in lams:
+        cold_far, warm_far = fars[lam]
+        assert warm_far.values.tobytes() == cold_far.values.tobytes()
 
 
 def test_prediction_is_the_secant_through_the_last_two_converged_rows():
@@ -617,13 +615,12 @@ def test_prediction_is_the_secant_through_the_last_two_converged_rows():
             for lam in (0.5, 1.0)]
     assert solvers._predict([], 0.0) is None
     one = solvers._predict(rows[:1], 1.0)
-    assert one.u_m is rows[0][1].u_m and one.u_star is one.through is rows[0][1].u_star
+    assert one.u_m is rows[0][1].u_m and one.u_star is rows[0][1].u_star
     two = solvers._predict(rows, 2.0)  # c = (2 - 1) / (1 - 0.5) = 2
     (_, p0), (_, p1) = rows
     assert np.allclose(two.u_m.values, 3.0 * p1.u_m.values - 2.0 * p0.u_m.values, rtol=0, atol=1e-14)
     assert np.allclose(two.u_star.values, 3.0 * p1.u_star.values - 2.0 * p0.u_star.values,
                        rtol=0, atol=1e-14)
-    assert two.through is p1.u_star
 
 
 def test_prediction_outside_the_r0_ball_starts_the_descent_from_zero(run32, monkeypatch):
@@ -639,7 +636,7 @@ def test_prediction_outside_the_r0_ball_starts_the_descent_from_zero(run32, monk
     monkeypatch.setattr(solvers, "minimize_local", recorded)
     pair = run32.pair
     far_u_m = pair.u_m + run32.far_scale * run32.witnesses.psi
-    run = solve_run(s, cfg, warm=solvers.WarmStart(far_u_m, pair.u_star, pair.u_star))
+    run = solve_run(s, cfg, warm=solvers.WarmStart(far_u_m, pair.u_star))
     (u0, r0), = starts
     assert seminorm(far_u_m, s.alpha) > r0
     assert not np.any(u0.values)
@@ -862,8 +859,8 @@ def test_continuation_schedule_validation():
 
 def test_solver_determinism_bitwise():
     s = flagship_setting(32)
-    p1 = two_solutions(s, SolverConfig(seed=7))
-    p2 = two_solutions(s, SolverConfig(seed=7))
+    p1 = solve_run(s, SolverConfig(seed=7)).pair
+    p2 = solve_run(s, SolverConfig(seed=7)).pair
     assert np.array_equal(p1.u_m.values, p2.u_m.values)
     assert np.array_equal(p1.u_star.values, p2.u_star.values)
     assert p1.J_star == p2.J_star and p1.J_m == p2.J_m
@@ -882,16 +879,15 @@ def test_capability_rejection_high_dimension():
                       form=Form.WEAK)
     assert s5.alpha == 3
     with pytest.raises(CapabilityError):
-        two_solutions(s5, SolverConfig(seed=0))
+        solve_run(s5, SolverConfig(seed=0))
     with pytest.raises(CapabilityError):
-        two_solutions(make_setting(ProblemParams(5, 2), 0.05,
-                                   constant_datum(dom)),
-                      SolverConfig(seed=0))
+        solve_run(make_setting(ProblemParams(5, 2), 0.05, constant_datum(dom)),
+                  SolverConfig(seed=0))
 
 
 def test_weak_lambda_zero_pair():
     s = flagship_setting(32, lam=0.0, form=Form.WEAK)
-    p = two_solutions(s, SolverConfig(seed=0))
+    p = solve_run(s, SolverConfig(seed=0)).pair
     assert np.all(p.u_m.values == 0.0)
     assert p.J_m == 0.0
     assert p.J_star > 0.0
