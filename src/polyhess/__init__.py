@@ -70,15 +70,12 @@ from .grid import (
     zeros,
 )
 from .energy import (
-    CutoffSpec,
+    Calibration,
     EnergyReport,
     EnergySetting,
     Form,
-    GeometryWitnesses,
-    MinorantCoefficients,
-    MinorantFit,
     MinorantGeometry,
-    WitnessBasis,
+    cutoff,
     energy_report,
     evaluate_H,
     evaluate_J,
@@ -93,7 +90,6 @@ from .energy import (
     with_lambda,
 )
 from .solvers import (
-    Calibration,
     ContinuationRow,
     ContinuationTable,
     PSRecord,

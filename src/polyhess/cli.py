@@ -364,7 +364,7 @@ def cmd_solve(args) -> int:
         path = _finish(out_dir, summary, t0)
         print(f"solve failed: {exc} (summary at {path})", file=sys.stderr)
         return 3
-    pair = run.pair
+    pair, geom = run.pair, run.geometry
     artifacts = []
     if cfg.dump_fields:
         for name, fld in (("u_m", pair.u_m), ("u_star", pair.u_star)):
@@ -378,9 +378,8 @@ def cmd_solve(args) -> int:
         "residual_m_stencil": pair.residual_m_stencil,
         "residual_star": pair.residual_star,
         "residual_star_stencil": pair.residual_star_stencil,
-        "minorant": {"C1": run.fit.C1, "C2": run.fit.C2, "k": run.fit.k},
-        "radii": {"R0": run.geometry.R0, "R1": run.geometry.R1,
-                  "R_M": run.geometry.R_M, "h_max": run.geometry.h_max},
+        "minorant": {"C1": geom.C1, "C2": geom.C2, "k": geom.k},
+        "radii": {"R0": geom.R0, "R1": geom.R1, "R_M": geom.R_M, "h_max": geom.h_max},
         "far_scale": run.far_scale,
         "record_minimize": run.record_minimize.to_json_dict(),
         "record_mountain": run.record_mountain.to_json_dict(),

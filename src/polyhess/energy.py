@@ -59,8 +59,8 @@ sigma_k and the flux read whole contiguous planes, and a value on a ray
 combines d(d+1)/2 planes instead of d^2 strided ones; no node-major stack
 is built.
 
-The truncation ``CutoffSpec`` is the quintic smoothstep between R0 and R1;
-it is exactly 1 inside the R0 ball, where ``evaluate_H`` equals the action.
+The truncation is ``cutoff``, the quintic smoothstep between R0 and R1; it
+is exactly 1 inside the R0 ball, where ``evaluate_H`` equals the action.
 
 Mountain-pass geometry from exact forms: the minorant h is a polynomial, so
 its radii come from ``polynomial_peak`` and the roots of h(R)/R, and the
@@ -70,16 +70,16 @@ bumps, +-G f and +-phi_1, the lowest sine mode), so a fit draws no random
 number and a solve reads none.
 
 Lambda enters the action only through the datum term lambda int f u, so the
-geometry is calibrated in two steps.  The lambda-free step does all the
-stencil work: ``fit_minorant`` reads each fixed field's seminorm r and
-nonlinear term (hence C2) and int f a and r of the anchor a = G f /
-max|G f|, and ``geometry_witnesses`` searches psi and computes G f.  The
-lambda step is cheap: ``MinorantFit.coefficients`` forms C1 from
-|lambda| int f a / r, which bounds lambda int f u / r over every field,
-bit for bit what fitting at that lambda gives, and ``WitnessBasis.witnesses``
-signs phi and checks lambda int f phi > 0.  A psi search that found no bump
-is kept as psi = None and raised by ``witnesses``, after the minorant's
-own checks, as when each lambda fitted its own.
+stencil work of the geometry is lambda-free and done once, into a
+``Calibration``: ``fit_minorant`` reads each fixed field's seminorm and
+nonlinear term (hence C2) and int f a and the seminorm of the anchor
+a = G f / max|G f|, and ``geometry_witnesses`` searches psi.  The lambda
+step, ``Calibration.geometry``, reads no field: C1 from
+|lambda| int f a / |a|, bit for bit what fitting at that lambda gives, the
+radii of ``minorant_geometry``, and the datum check lambda int f phi =
+|lambda| <f, G f> > 0, bit for bit, with no phi built.  A psi search that found no
+bump is kept as psi = None and raised after the minorant's own checks, as
+when each lambda fitted its own.
 
 Form dispatch.  This module makes every strong-versus-weak choice:
 ``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
@@ -112,7 +112,6 @@ from .grid import (
     seminorm,
     seminorm_of,
     sk_field,
-    zeros,
 )
 from .hessian_algebra import entry_table, newton_flux, sk_of_entries
 
@@ -416,65 +415,43 @@ def nonlinear_jacobian(u: ScalarField, s: EnergySetting):
     return apply
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Radial cutoff: 1 on [0, R0], 0 on [R1, inf), and between them the
-    quintic smoothstep (C^2, monotone) rescaled to [R0, R1]."""
-
-    R0: float
-    R1: float
-
-    def __post_init__(self):
-        if not 0.0 < self.R0 < self.R1:
-            raise ValueError(f"need 0 < R0 < R1, got R0={self.R0}, R1={self.R1}")
-
-    def profile(self, r: float) -> float:
-        """Exactly 1.0 for r <= R0 and exactly 0.0 for r >= R1."""
-        x = min(max((r - self.R0) / (self.R1 - self.R0), 0.0), 1.0)
-        return 1.0 - x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
+def cutoff(r: float, R0: float, R1: float) -> float:
+    """Radial cutoff: exactly 1.0 on [0, R0], exactly 0.0 on [R1, inf), and
+    between them the quintic smoothstep (C^2, monotone) rescaled to [R0, R1]."""
+    x = min(max((r - R0) / (R1 - R0), 0.0), 1.0)
+    return 1.0 - x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
 
 
-def evaluate_H(u: ScalarField, s: EnergySetting, c: CutoffSpec) -> float:
+def evaluate_H(u: ScalarField, s: EnergySetting, R0: float, R1: float) -> float:
     """Truncated action: quadratic and datum terms kept, nonlinear term scaled
     by the cutoff of the seminorm.  Coincides with the action inside the R0 ball."""
     images = _images(u, s)
     quad, datum, nl = _terms(images, s)
-    return quad - datum - c.profile(seminorm_of(images[1], u.domain)) * nl
-
-
-@dataclass(frozen=True)
-class MinorantCoefficients:
-    """Constants of the radial lower bound h(R) = R^2/2 - C1 R - C2 R^(k+1)."""
-
-    C1: float
-    C2: float
-    k: int
-
-    def __post_init__(self):
-        if self.C1 <= 0 or self.C2 <= 0:
-            raise ValueError("minorant constants must be positive")
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
+    return quad - datum - cutoff(seminorm_of(images[1], u.domain), R0, R1) * nl
 
 
 @dataclass(frozen=True)
 class MinorantGeometry:
-    """Radii extracted from the minorant: lower zero R0, cutoff edge R1,
-    maximizer R_M, and the positive maximum value."""
+    """The radial lower bound h(R) = R^2/2 - C1 R - C2 R^(k+1) and its radii:
+    lower zero R0, cutoff edge R1, maximizer R_M, and the positive maximum
+    value."""
 
+    C1: float
+    C2: float
+    k: int
     R0: float
     R1: float
     R_M: float
     h_max: float
 
 
-def minorant_geometry(m: MinorantCoefficients) -> MinorantGeometry:
+def minorant_geometry(C1: float, C2: float, k: int) -> MinorantGeometry:
     """(R_M, h_max) from ``polynomial_peak``; R0, the smaller root of the
     concave g(R) = h(R)/R, g(0) = -C1 < 0 < g(R_M), by Newton from R = 0 to
     the first iterate that does not climb, exact to roundoff even at the C1
     floor.  A ``GeometryError`` when the positive hump does not exist (the
     smallness condition on lambda fails) or is too flat to resolve."""
-    coefs = np.r_[0.0, -m.C1, 0.5, np.zeros(m.k - 2), -m.C2]
+    coefs = np.r_[0.0, -C1, 0.5, np.zeros(k - 2), -C2]
     peak = polynomial_peak(coefs)
     if peak is None:
         raise GeometryError("fitted minorant has no positive hump (h' <= 0 everywhere); "
@@ -485,13 +462,13 @@ def minorant_geometry(m: MinorantCoefficients) -> MinorantGeometry:
                             "geometry is absent at this lambda — reduce lambda")
     r0, nxt = -1.0, 0.0
     while nxt > r0:  # past g's top (slope <= 0) there is no zero to climb to
-        r0, slope = nxt, 0.5 - m.k * m.C2 * nxt ** (m.k - 1)
-        nxt = r0 - (0.5 * r0 - m.C1 - m.C2 * r0 ** m.k) / slope if slope > 0.0 else np.inf
+        r0, slope = nxt, 0.5 - k * C2 * nxt ** (k - 1)
+        nxt = r0 - (0.5 * r0 - C1 - C2 * r0 ** k) / slope if slope > 0.0 else np.inf
     r1 = 0.5 * (r0 + r_m)
     if not r0 < r1 < r_m:
         raise GeometryError("fitted minorant has no real zero below its maximizer R_M "
                             "(the hump is flat to roundoff); reduce lambda")
-    return MinorantGeometry(R0=r0, R1=r1, R_M=r_m, h_max=h_max)
+    return MinorantGeometry(C1=C1, C2=C2, k=k, R0=r0, R1=r1, R_M=r_m, h_max=h_max)
 
 
 # safety factor applied to the fitted constants, so fields outside the fixed
@@ -524,35 +501,19 @@ def minorant_sample_family(s: EnergySetting, gf: ScalarField | None = None) -> l
     return fam
 
 
-@dataclass(frozen=True)
-class MinorantFit:
-    """The lambda-free part of the minorant fit: C2, and int f a and the
-    seminorm r of the anchor a = G f / max|G f| (0 and 1 for a zero datum),
-    from which ``coefficients`` forms C1 at any lambda.  For even alpha
-    int f u is the seminorm's inner product of G f and u, so by
-    Cauchy-Schwarz +-a bound int f u / |u| over every field."""
-
-    k: int
-    C2: float
-    anchor_pairing: float
-    anchor_seminorm: float
-
-    def coefficients(self, lam: float) -> MinorantCoefficients:
-        c1 = max(_FIT_MARGIN * (abs(lam) * self.anchor_pairing / self.anchor_seminorm),
-                 _C_FLOOR * (1.0 + abs(lam)))
-        return MinorantCoefficients(C1=c1, C2=self.C2, k=self.k)
-
-
-def fit_minorant(s: EnergySetting, gf: ScalarField | None = None) -> MinorantFit:
-    """Minorant constants for the fixed family and all its scalings.
+def fit_minorant(s: EnergySetting, gf: ScalarField | None = None) -> tuple[float, float, float]:
+    """(C2, int f a, |a|) for the fixed family and all its scalings, a = G f /
+    max|G f| the anchor (int f a = 0 and |a| = 1 for a zero datum).
 
     Because the datum and nonlinear terms are homogeneous of degree 1 and
     k+1 in the field, requiring the bound along every ray through a field
     splits exactly into the two termwise ratios: C2 is maximized over the
-    fields of ``minorant_sample_family`` here, C1 is read off the G f anchor
-    (``MinorantFit``), and a fixed margin then covers fields outside the
-    family.  The setting's lambda is not read: ``MinorantFit.coefficients``
-    applies it.  ``gf`` is G f (computed here when omitted).
+    fields of ``minorant_sample_family`` here, C1 is read off the anchor at
+    each lambda (``Calibration.geometry``), and a fixed margin then covers
+    fields outside the family.  For even alpha int f u is the seminorm's
+    inner product of G f and u, so by Cauchy-Schwarz +-a bound int f u / |u|
+    over every field.  The setting's lambda is not read.  ``gf`` is G f
+    (computed here when omitted).
     """
     s.validate_grid()
     k = s.params.k
@@ -574,53 +535,12 @@ def fit_minorant(s: EnergySetting, gf: ScalarField | None = None) -> MinorantFit
     if top > 0:
         anchor = gf * (1.0 / top)
         fa, r = _datum_pairing(anchor.values, s), seminorm(anchor, s.alpha)
-    return MinorantFit(k, max(_FIT_MARGIN * c2, _C_FLOOR), fa, r)
+    return max(_FIT_MARGIN * c2, _C_FLOOR), fa, r
 
 
-@dataclass(frozen=True)
-class GeometryWitnesses:
-    """Fields certifying the two sign conditions of the mountain-pass geometry."""
-
-    phi: ScalarField
-    psi: ScalarField
-    datum_pairing: float      # lambda * int f phi  (0 when lambda == 0)
-    nonlinear_pairing: float  # (-1)^k * int psi S_k[psi]
-    phi_trivial: bool
-
-
-@dataclass(frozen=True)
-class WitnessBasis:
-    """The lambda-free part of the geometry witnesses: psi with its
-    nonlinear pairing (psi None when no bump verified), and G f, from which
-    ``witnesses`` forms phi at any lambda."""
-
-    psi: ScalarField | None
-    nonlinear_pairing: float
-    gf: ScalarField
-
-    def witnesses(self, s: EnergySetting) -> GeometryWitnesses:
-        """The witnesses at ``s.lam``; a ``GeometryError`` when psi or phi
-        does not verify."""
-        if self.psi is None:
-            raise GeometryError("no bump orientation/radius produced a positive nonlinear pairing")
-        if s.lam == 0.0:
-            return GeometryWitnesses(zeros(s.f.domain), self.psi, 0.0, self.nonlinear_pairing, True)
-        phi = self.gf * (1.0 if s.lam > 0 else -1.0)
-        val = s.lam * inner(s.f, phi)
-        if not val > 0.0:
-            raise GeometryError("lambda * int f phi is not positive: the datum is zero "
-                                "(or too small to pair with lambda), so no datum witness exists")
-        return GeometryWitnesses(phi, self.psi, val, self.nonlinear_pairing, False)
-
-
-def geometry_witnesses(s: EnergySetting) -> WitnessBasis:
-    """Search psi and compute G f; ``WitnessBasis.witnesses`` verifies them at a lambda.
-
-    psi is the compact radial bump with the sign flip that makes
-    (-1)^k int psi S_k[psi] positive; phi is the polyharmonic inverse G f of
-    the datum, signed by lambda.  G is symmetric positive definite, so
-    lambda int f phi = |lambda| <f, G f> > 0 for every nonzero datum.
-    """
+def geometry_witnesses(s: EnergySetting) -> ScalarField | None:
+    """psi, the compact radial bump with the sign flip that makes
+    (-1)^k int psi S_k[psi] positive, or None when no bump verifies."""
     s.validate_grid()
     dom = s.f.domain
     k = s.params.k
@@ -639,10 +559,40 @@ def geometry_witnesses(s: EnergySetting) -> WitnessBasis:
             continue
         for sign_exp in (k, k + 1):
             cand = bump_field(dom, center, r, 1.0, sign_exp)
-            val = _sign(k) * inner(cand, sk_field(cand, k))
-            if val > 0.0:
-                return WitnessBasis(cand, val, invert_polyharmonic(s.f, s.alpha))
-    return WitnessBasis(None, 0.0, invert_polyharmonic(s.f, s.alpha))
+            if _sign(k) * inner(cand, sk_field(cand, k)) > 0.0:
+                return cand
+    return None
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """The lambda-free part of the mountain-pass geometry, shared by every
+    setting that differs only in lambda: C2 and the anchor's int f a and
+    |a| (``fit_minorant``), <f, G f>, and psi (``geometry_witnesses``; None
+    when no bump verified)."""
+
+    k: int
+    C2: float
+    anchor_pairing: float
+    anchor_seminorm: float
+    datum_pairing: float
+    psi: ScalarField | None
+
+    def geometry(self, lam: float) -> MinorantGeometry:
+        """The geometry at ``lam``, or a ``GeometryError`` from the first of
+        its checks that fails: the minorant's hump, psi, then the datum
+        witness phi = sign(lambda) G f, whose lambda int f phi is
+        |lambda| <f, G f>.  C1 = |lambda| int f a / |a| with the margin is
+        bit for bit what fitting at that lambda gives."""
+        c1 = max(_FIT_MARGIN * (abs(lam) * self.anchor_pairing / self.anchor_seminorm),
+                 _C_FLOOR * (1.0 + abs(lam)))
+        geom = minorant_geometry(c1, self.C2, self.k)
+        if self.psi is None:
+            raise GeometryError("no bump orientation/radius produced a positive nonlinear pairing")
+        if lam != 0.0 and not abs(lam) * self.datum_pairing > 0.0:
+            raise GeometryError("lambda * int f phi is not positive: the datum is zero "
+                                "(or too small to pair with lambda), so no datum witness exists")
+        return geom
 
 
 def make_setting(params: ProblemParams, lam: float, f: ScalarField,

@@ -67,11 +67,13 @@ bit for bit, whatever ``SolverConfig.seed``, at a fixed OpenBLAS thread
 count (the reductions and the sine inverse's products go through BLAS).
 Only the probe draws random numbers, its trial starts, from
 ``default_rng(cfg.seed)``.  Continuation rows share one read-only
-``Calibration``, built once: the calibration a solve of each row would
-build.  Each row starts from the rows before it, so the rows of one
-continuation run in order.  A single solve is sequential; independent
-solves (probe trials) own their fields, only read a shared calibration,
-and may run concurrently.
+``energy.Calibration``, built once by ``calibrate``: the calibration a
+solve of each row would build.  A solve, each row and the probe take their
+geometry from one ``Calibration.geometry`` call at their lambda.  Each row
+starts from the rows before it, so the rows of one continuation run in
+order.  A single solve is sequential; independent solves (probe trials)
+own their fields, only read a shared calibration, and may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -85,19 +87,14 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .energy import (
-    CutoffSpec,
+    Calibration,
     EnergySetting,
-    GeometryWitnesses,
-    MinorantCoefficients,
-    MinorantFit,
     MinorantGeometry,
-    WitnessBasis,
     action,
     energy_report,
     evaluate_H,
     fit_minorant,
     geometry_witnesses,
-    minorant_geometry,
     polynomial_peak as _ray_peak,
     ray_actions,
     nonlinear,
@@ -211,9 +208,8 @@ class SolveRun:
     """Full two-solution orchestration record (the pair plus diagnostics)."""
 
     pair: SolutionPair
-    fit: MinorantCoefficients
     geometry: MinorantGeometry
-    witnesses: GeometryWitnesses
+    psi: ScalarField
     far_scale: float
     record_minimize: PSRecord
     record_mountain: PSRecord
@@ -223,9 +219,10 @@ _LS_C = 1e-4  # Armijo factor of the descent's and the minimax's one trial step
 
 
 def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
-                   c: CutoffSpec) -> tuple[ScalarField, PSRecord]:
+                   R0: float, R1: float) -> tuple[ScalarField, PSRecord]:
     """Preconditioned descent on the truncated functional from inside the
-    small ball, one trial step u - G r per row.
+    small ball, one trial step u - G r per row; the cutoff runs from ``R0``
+    to ``R1``.
 
     A step that fails its Armijo test hands the iterate to the Newton
     refinement, which appends its ``newton`` rows to the record.  Returns
@@ -236,11 +233,11 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
     s.check_field(u0)
     alpha = s.alpha
     sn0 = seminorm(u0, alpha)
-    if sn0 > c.R0 and float(np.max(np.abs(u0.values))) != 0.0:
+    if sn0 > R0 and float(np.max(np.abs(u0.values))) != 0.0:
         raise ContractError("start point must be the zero field or lie inside the R0 ball")
     rec = PSRecord()
     u = u0
-    h_val = evaluate_H(u, s, c)
+    h_val = evaluate_H(u, s, R0, R1)
     converged = False
     # At lambda != 0 the zero field is no minimizer, even when its residual,
     # -lambda f, is below grad_tol: the first step, lambda G f, lowers J.
@@ -255,7 +252,7 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
         leave_zero = False
         d = invert_polyharmonic(r, alpha)
         cand = u - d
-        h_cand = evaluate_H(cand, s, c)
+        h_cand = evaluate_H(cand, s, R0, R1)
         if not h_cand <= h_val - _LS_C * inner(r, d):
             u, converged = _newton_refine(u, r, s, cfg, rec)
             if not (converged or len(rec) >= cfg.max_iters):
@@ -266,12 +263,12 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
             raise NonconvergenceError(
                 f"descent not monotone: H rose from {h_val!r} to {h_cand!r}", rec)
         u, h_val = cand, h_cand
-        if seminorm(u, alpha) >= c.R1:
+        if seminorm(u, alpha) >= R1:
             raise GeometryError(
                 "descent iterate escaped the cutoff ball; lambda is too large")
     if not converged:
         raise NonconvergenceError("minimize_local exhausted max_iters", rec)
-    if seminorm(u, alpha) >= c.R0:
+    if seminorm(u, alpha) >= R0:
         raise GeometryError(
             "converged minimizer sits outside the R0 ball where H equals J; "
             "lambda is too large")
@@ -509,21 +506,10 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
     return u_star, rec
 
 
-@dataclass(frozen=True)
-class Calibration:
-    """The lambda-free part of a solve's geometry: the minorant fit and
-    the witness fields.  Every setting that differs only in
-    lambda shares one; it is read, never written."""
-
-    fit: MinorantFit
-    basis: WitnessBasis
-
-
 def calibrate(s: EnergySetting) -> Calibration:
-    """The calibration of ``s`` (its lambda is not read)."""
-    basis = geometry_witnesses(s)
-    fit = fit_minorant(s, basis.gf)
-    return Calibration(fit, basis)
+    """The calibration of ``s`` (its lambda is not read), from one G f."""
+    gf = invert_polyharmonic(s.f, s.alpha)
+    return Calibration(s.params.k, *fit_minorant(s, gf), inner(s.f, gf), geometry_witnesses(s))
 
 
 @dataclass(frozen=True)
@@ -537,7 +523,7 @@ class WarmStart:
 def solve_run(s: EnergySetting, cfg: SolverConfig,
               warm: Optional[WarmStart] = None,
               calibration: Optional[Calibration] = None) -> SolveRun:
-    """Full orchestration: minorant fit, witnesses, descent, far scan, minimax.
+    """Full orchestration: geometry, descent, far scan, minimax.
 
     ``calibration`` is ``calibrate(s)`` (computed here when omitted)
     or that of a setting differing from ``s`` only in lambda.  With
@@ -552,29 +538,27 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     s.validate_grid()
     if calibration is None:
         calibration = calibrate(s)
-    fit = calibration.fit.coefficients(s.lam)
-    geom = minorant_geometry(fit)
-    cutoff = CutoffSpec(geom.R0, geom.R1)
-    wit = calibration.basis.witnesses(s)
+    geom = calibration.geometry(s.lam)
+    psi = calibration.psi
     alpha = s.alpha
     dom = s.f.domain
 
     u0 = zeros(dom)
     if warm is not None and seminorm(warm.u_m, alpha) <= geom.R0:
         u0 = warm.u_m
-    u_m, rec_min = minimize_local(s, u0, cfg, cutoff)
+    u_m, rec_min = minimize_local(s, u0, cfg, geom.R0, geom.R1)
     j_m = action(u_m, s)
 
     # J(t psi) = t^2 Q - t D - t^(k+1) N from psi's terms, and every t is a
     # power of two, so each test reads what action(t psi) and
     # seminorm(t psi) return, bit for bit.
-    rep = energy_report(wit.psi, s)
+    rep = energy_report(psi, s)
     q, d, nl, k = rep.quadratic_term, rep.datum_term, rep.nonlinear_term, s.params.k
     far = None
     t = 1.0
     for _ in range(64):
         if t * t * q - t * d - t ** (k + 1) * nl < j_m and t * rep.seminorm > geom.R_M:
-            far = t * wit.psi
+            far = t * psi
             break
         t *= 2.0
     if far is None:
@@ -610,8 +594,8 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
                         residual_m=residual_m, residual_m_stencil=residual_m_stencil,
                         residual_star=rec_mp.residual_norm[-1],
                         residual_star_stencil=l2_norm(residual(u_star, s)))
-    return SolveRun(pair=pair, fit=fit, geometry=geom, witnesses=wit,
-                    far_scale=t, record_minimize=rec_min, record_mountain=rec_mp)
+    return SolveRun(pair=pair, geometry=geom, psi=psi, far_scale=t,
+                    record_minimize=rec_min, record_mountain=rec_mp)
 
 
 @dataclass
@@ -635,8 +619,7 @@ def ball_uniqueness_probe(s: EnergySetting, cfg: SolverConfig,
         raise ValueError("need at least 5 trials")
     s.validate_grid()
     rng = np.random.default_rng(cfg.seed)
-    geom = minorant_geometry(fit_minorant(s).coefficients(s.lam))
-    cutoff = CutoffSpec(geom.R0, geom.R1)
+    geom = calibrate(s).geometry(s.lam)
     alpha = s.alpha
     dom = s.f.domain
     minimizers = []
@@ -648,7 +631,7 @@ def ball_uniqueness_probe(s: EnergySetting, cfg: SolverConfig,
         rho = rng.uniform(0.1, 0.8)
         u0 = w * (rho * geom.R0 / sn) if sn > 0 else zeros(dom)
         try:
-            u, _ = minimize_local(s, u0, cfg, cutoff)
+            u, _ = minimize_local(s, u0, cfg, geom.R0, geom.R1)
             minimizers.append(u)
             energies.append(action(u, s))
         except PolyhessError as exc:

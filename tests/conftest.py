@@ -120,7 +120,8 @@ def smooth_field_loop(domain, rng, modes=3, amplitude=1.0):
 
 def minorant_h(R, m):
     """The radial minorant h(R) = R^2/2 - C1 R - C2 R^(k+1) of the
-    coefficients ``m``: the oracle of the radii ``minorant_geometry`` reads."""
+    constants of ``m`` (a ``MinorantGeometry``): the oracle of the radii
+    ``minorant_geometry`` reads."""
     return 0.5 * R * R - m.C1 * R - m.C2 * R ** (m.k + 1)
 
 

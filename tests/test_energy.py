@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from polyhess import (
-    CutoffSpec,
+    Calibration,
     EnergySetting,
     Form,
     GeometryError,
-    MinorantCoefficients,
     ProblemParams,
     bump_field,
+    calibrate,
+    cutoff,
     energy_report,
     evaluate_H,
     evaluate_J,
@@ -23,6 +24,7 @@ from polyhess import (
     from_function,
     geometry_witnesses,
     inner,
+    invert_polyharmonic,
     make_setting,
     minorant_geometry,
     random_smooth_field,
@@ -30,6 +32,7 @@ from polyhess import (
     residual_weak_field,
     residual_weak_pairing,
     seminorm,
+    sk_field,
     unit_box,
     zeros,
 )
@@ -110,7 +113,7 @@ def test_action_entry_points_agree_exactly(dim, n, form):
         r = seminorm(u, s.alpha)
         assert energy_report(u, s).J == j
         assert energy_report(u, s).seminorm == r
-        assert evaluate_H(u, s, CutoffSpec(2.0 * r, 3.0 * r)) == j
+        assert evaluate_H(u, s, 2.0 * r, 3.0 * r) == j
         assert ray_actions(u, s)(v, (0.0,))[0] == j
 
 
@@ -240,7 +243,7 @@ def test_nonlinear_term_homogeneity(s64, s64w):
 
 def test_J_scan_in_t_lambda_zero():
     s0 = flagship_setting(64, lam=0.0)
-    psi = geometry_witnesses(s0).psi
+    psi = geometry_witnesses(s0)
     # sign flip under doubling (frozen from the first successful run)
     t = 1.0
     while evaluate_J(t * psi, s0) >= 0.0:
@@ -264,33 +267,30 @@ def test_J_axis_permutation_invariance_even_k(s64):
 
 def test_evaluate_H_truncation(s64):
     dom = s64.f.domain
-    c = CutoffSpec(0.01, 0.02)
     psi = bump_field(dom, (0.5, 0.5), 0.3, 1.0, 2)
     small = psi * (0.005 / seminorm(psi, 2))
-    assert evaluate_H(small, s64, c) == evaluate_J(small, s64)
+    assert evaluate_H(small, s64, 0.01, 0.02) == evaluate_J(small, s64)
     big = psi  # seminorm far above R1
     report = energy_report(big, s64)
     expected = report.quadratic_term - report.datum_term
-    assert evaluate_H(big, s64, c) == pytest.approx(expected, rel=1e-14)
-    assert evaluate_H(zeros(dom), s64, c) == 0.0
+    assert evaluate_H(big, s64, 0.01, 0.02) == pytest.approx(expected, rel=1e-14)
+    assert evaluate_H(zeros(dom), s64, 0.01, 0.02) == 0.0
 
 
-def test_cutoff_spec_validation():
-    with pytest.raises(ValueError):
-        CutoffSpec(0.5, 0.2)
-    c = CutoffSpec(1.0, 2.0)
-    assert c.profile(0.5) == 1.0
-    assert c.profile(2.5) == 0.0
-    assert 0.0 < c.profile(1.5) < 1.0
+def test_cutoff_profile():
+    assert cutoff(0.5, 1.0, 2.0) == 1.0
+    assert cutoff(1.0, 1.0, 2.0) == 1.0
+    assert cutoff(2.0, 1.0, 2.0) == 0.0
+    assert cutoff(2.5, 1.0, 2.0) == 0.0
+    assert 0.0 < cutoff(1.5, 1.0, 2.0) < 1.0
 
 
 def test_radial_minorant_formula():
     """R0 is a zero of h(R) = R^2/2 - C1 R - C2 R^(k+1) to roundoff (the
     bisection oracle below checks R_M and h_max)."""
-    m = MinorantCoefficients(C1=0.01, C2=0.1, k=2)
-    assert minorant_h(minorant_geometry(m).R0, m) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        MinorantCoefficients(C1=0.0, C2=0.1, k=2)
+    m = minorant_geometry(0.01, 0.1, 2)
+    assert (m.C1, m.C2, m.k) == (0.01, 0.1, 2)
+    assert minorant_h(m.R0, m) == pytest.approx(0.0, abs=1e-15)
 
 
 def _lambda_zero_coefficients(name):
@@ -300,7 +300,9 @@ def _lambda_zero_coefficients(name):
         s = flagship_setting(32, lam=0.0)
     else:
         s = make_setting(ProblemParams(3, 3), 0.0, constant_datum(unit_box(3, 16)))
-    return fit_minorant(s).coefficients(0.0)
+    # psi is a placeholder: at n = 8 and alpha = 4 no bump verifies, and only
+    # the minorant is read here
+    return Calibration(s.params.k, *fit_minorant(s), 0.0, zeros(s.f.domain)).geometry(0.0)
 
 
 @pytest.mark.parametrize("name", ["unit_box(2, 8), alpha = 4", "flagship n = 32"])
@@ -311,7 +313,7 @@ def test_r0_at_lambda_zero_is_the_closed_form_root(name):
     m = _lambda_zero_coefficients(name)
     assert m.k == 2 and m.C1 == 1e-12
     closed = 4.0 * m.C1 / (1.0 + math.sqrt(1.0 - 16.0 * m.C1 * m.C2))
-    assert minorant_geometry(m).R0 == pytest.approx(closed, rel=1e-15, abs=0.0)
+    assert m.R0 == pytest.approx(closed, rel=1e-15, abs=0.0)
 
 
 def test_r0_at_lambda_zero_is_a_root_to_roundoff_for_k3():
@@ -319,14 +321,13 @@ def test_r0_at_lambda_zero_is_a_root_to_roundoff_for_k3():
     vanishes at R0 to roundoff in C1."""
     m = _lambda_zero_coefficients("16^3 (3, 3)")
     assert m.k == 3
-    r0 = minorant_geometry(m).R0
+    r0 = m.R0
     assert abs(0.5 * r0 - m.C1 - m.C2 * r0 ** 3) <= 4.0 * np.finfo(float).eps * m.C1
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_minorant_geometry_against_bisection_oracle(k):
-    m = MinorantCoefficients(C1=0.01, C2=0.1, k=k)
-    geom = minorant_geometry(m)
+    geom = minorant_geometry(0.01, 0.1, k)
 
     def h(r):
         return 0.5 * r * r - 0.01 * r - 0.1 * r**(k + 1)
@@ -366,7 +367,7 @@ def test_minorant_geometry_flat_hump(k, c2, rel):
     r_star = (1.0 / (2 * k * c2)) ** (1.0 / (k - 1))  # argmax of h(R)/R
     c1 = 0.5 * r_star * (1.0 - 1.0 / k) * (1.0 + rel)  # h(R)/R peaks at 0 there
     try:
-        geom = minorant_geometry(MinorantCoefficients(C1=c1, C2=c2, k=k))
+        geom = minorant_geometry(c1, c2, k)
     except GeometryError as exc:
         assert str(exc)
         return
@@ -376,19 +377,19 @@ def test_minorant_geometry_flat_hump(k, c2, rel):
 
 def test_minorant_geometry_infeasible_when_c1_large():
     with pytest.raises(GeometryError):
-        minorant_geometry(MinorantCoefficients(C1=10.0, C2=0.1, k=2))
+        minorant_geometry(10.0, 0.1, 2)
 
 
 def test_fit_minorant_properties(s64):
-    fit = fit_minorant(s64).coefficients(s64.lam)
+    fit = calibrate(s64).geometry(s64.lam)
     assert fit.C1 > 0 and fit.C2 > 0
     # lambda = 0 family: no datum term, C1 collapses to the positivity floor
     s0 = flagship_setting(64, lam=0.0)
-    fit0 = fit_minorant(s0).coefficients(s0.lam)
+    fit0 = calibrate(s0).geometry(s0.lam)
     assert fit0.C1 <= 1e-11
     # doubling lambda doubles C1 (same fixed family)
     s2 = flagship_setting(64, lam=0.1)
-    fit2 = fit_minorant(s2).coefficients(s2.lam)
+    fit2 = calibrate(s2).geometry(s2.lam)
     assert fit2.C1 == pytest.approx(2.0 * fit.C1, rel=1e-12)
     assert fit2.C2 == pytest.approx(fit.C2, rel=1e-12)
 
@@ -405,7 +406,7 @@ def test_fit_minorant_bounds_phi1_and_the_sampled_family(name, datum, form):
     cfg = replace(load_config(_CONFIGS / name), form=form, datum_kind=datum, datum_width=0.15)
     s = build_setting(cfg)
     k = s.params.k
-    m = fit_minorant(s).coefficients(s.lam)
+    m = calibrate(s).geometry(s.lam)
     c2 = m.C2
     dom = s.f.domain
     phi1 = from_function(dom, lambda *x: math.prod(
@@ -423,15 +424,13 @@ def test_truncation_confines_negative_levels(s64):
     # discrete restatement of the confinement property: whenever the fitted
     # minorant certifies h >= 0 on [R0, R1], a negative truncated level
     # forces the seminorm inside the R0 ball
-    fit = fit_minorant(s64).coefficients(s64.lam)
-    geom = minorant_geometry(fit)
-    c = CutoffSpec(geom.R0, geom.R1)
-    assert minorant_h(geom.R0, fit) == pytest.approx(0.0, abs=1e-9)
-    assert minorant_h(geom.R1, fit) > 0.0
+    geom = calibrate(s64).geometry(s64.lam)
+    assert minorant_h(geom.R0, geom) == pytest.approx(0.0, abs=1e-9)
+    assert minorant_h(geom.R1, geom) > 0.0
     for u in sampled_minorant_family(s64, np.random.default_rng(43), 24):
         for t in (1e-3, 0.3, 1.0, 3.0):
             v = t * u
-            if evaluate_H(v, s64, c) < 0.0:
+            if evaluate_H(v, s64, geom.R0, geom.R1) < 0.0:
                 assert seminorm(v, s64.alpha) < geom.R0
 
 
@@ -448,33 +447,31 @@ def test_small_ball_nonnegative_at_lambda_zero():
 def test_geometry_witnesses_all_cases():
     # flagship 2-D even k
     s = flagship_setting(64)
-    wit = geometry_witnesses(s).witnesses(s)
-    assert wit.datum_pairing > 0.0
-    assert wit.nonlinear_pairing > 0.0
-    assert not wit.phi_trivial
-    # re-verify the certificates independently
-    from polyhess import sk_field
-    assert s.lam * inner(s.f, wit.phi) > 0.0
-    assert inner(wit.psi, sk_field(wit.psi, 2)) > 0.0  # (-1)^2 = +1
-    # negative lambda flips phi's sign but keeps the pairing positive
-    sm = flagship_setting(64, lam=-0.05)
-    witm = geometry_witnesses(sm).witnesses(sm)
-    assert witm.datum_pairing > 0.0
-    # lambda = 0 returns the flagged trivial phi
-    s0 = flagship_setting(64, lam=0.0)
-    wit0 = geometry_witnesses(s0).witnesses(s0)
-    assert wit0.phi_trivial
-    assert np.all(wit0.phi.values == 0.0)
-    assert wit0.nonlinear_pairing > 0.0
+    cal = calibrate(s)
+    psi = cal.psi
+    assert np.array_equal(psi.values, geometry_witnesses(s).values)
+    # re-verify the certificates independently: psi, and the datum witness
+    # phi = sign(lambda) G f, whose lambda int f phi the check reads as
+    # |lambda| <f, G f>, bit for bit
+    assert inner(psi, sk_field(psi, 2)) > 0.0  # (-1)^2 = +1
+    for lam in (0.05, -0.05):
+        phi = invert_polyharmonic(s.f, s.alpha) * (1.0 if lam > 0 else -1.0)
+        assert lam * inner(s.f, phi) == abs(lam) * cal.datum_pairing > 0.0
+        # negative lambda flips phi's sign but keeps the pairing positive
+        cal.geometry(lam)
+    # lambda = 0 needs no datum witness
+    cal.geometry(0.0)
     # a zero datum at nonzero lambda has no datum witness
     sz = make_setting(ProblemParams(2, 2), 0.05, zeros(s.f.domain))
+    calz = calibrate(sz)
+    calz.geometry(0.0)
     with pytest.raises(GeometryError, match="datum"):
-        geometry_witnesses(sz).witnesses(sz)
+        calz.geometry(sz.lam)
     # odd k in 3-D
     dom3 = unit_box(3, 16)
     s3 = make_setting(ProblemParams(3, 3), 0.05, constant_datum(dom3))
-    wit3 = geometry_witnesses(s3).witnesses(s3)
-    assert wit3.nonlinear_pairing > 0.0
+    psi3 = calibrate(s3).psi
+    assert -inner(psi3, sk_field(psi3, 3)) > 0.0  # (-1)^3 = -1
 
 
 @pytest.mark.parametrize("n, alpha, radius", [(16, 2, 0.3), (8, 2, 0.25), (12, 3, 0.25)])
@@ -483,7 +480,7 @@ def test_geometry_witnesses_keep_psi_alpha_nodes_from_the_walls(n, alpha, radius
     1.8 < 2 at n = 8 and 2.6 < 3 at n = 12, where 0.25 is the next try."""
     dom = unit_box(2, n)
     s = make_setting(ProblemParams(2, 2), 0.05, constant_datum(dom), alpha=alpha)
-    psi = geometry_witnesses(s).psi
+    psi = geometry_witnesses(s)
     support = bump_field(dom, (0.5, 0.5), radius, 1.0, 0).values != 0.0
     assert np.array_equal(psi.values != 0.0, support)
 

@@ -100,7 +100,7 @@ def test_ray_peak_of_polynomials_with_known_critical_points():
 
 
 def _far_point(run):
-    return run.far_scale * run.witnesses.psi
+    return run.far_scale * run.psi
 
 
 def test_first_ray_without_a_positive_peak_raises_geometry_error(run32, monkeypatch):

@@ -19,15 +19,14 @@ import pytest
 
 from polyhess import (
     CapabilityError,
-    CutoffSpec,
     Form,
     NonconvergenceError,
     ProblemParams,
     PSRecord,
     SolverConfig,
     ball_uniqueness_probe,
+    calibrate,
     continuation_in_lambda,
-    fit_minorant,
     make_setting,
     minimize_local,
     minorant_geometry,
@@ -107,8 +106,7 @@ def test_psrecord_contract(run64):
 def test_minimize_local_trivial_at_lambda_zero():
     s = flagship_setting(32, lam=0.0)
     cfg = SolverConfig(seed=0)
-    cutoff = CutoffSpec(1e-6, 2e-6)
-    u, rec = minimize_local(s, zeros(s.f.domain), cfg, cutoff)
+    u, rec = minimize_local(s, zeros(s.f.domain), cfg, 1e-6, 2e-6)
     assert np.all(u.values == 0.0)
     assert len(rec) == 1
     assert rec.residual_norm[0] == 0.0
@@ -134,10 +132,9 @@ def test_small_lambda_descent_leaves_the_zero_field(form):
 def test_minimize_local_start_validation(run32):
     s = flagship_setting(32)
     cfg = SolverConfig(seed=0)
-    cutoff = CutoffSpec(run32.geometry.R0, run32.geometry.R1)
-    far = 100.0 * run32.witnesses.psi
+    far = 100.0 * run32.psi
     with pytest.raises(ContractError):
-        minimize_local(s, far, cfg, cutoff)
+        minimize_local(s, far, cfg, run32.geometry.R0, run32.geometry.R1)
 
 
 def test_minimize_local_monotone_descent(run64):
@@ -148,13 +145,13 @@ def test_minimize_local_monotone_descent(run64):
 def test_minimize_local_non_monotone_step_raises(run32, monkeypatch):
     """The monotone-descent guard is an explicit check, not an assert."""
     s = flagship_setting(32)
-    cutoff = CutoffSpec(run32.geometry.R0, run32.geometry.R1)
+    geom = run32.geometry
     energies = iter([0.0])
     # a negative slope makes the Armijo test accept the rising candidate
-    monkeypatch.setattr(solvers, "evaluate_H", lambda u, s, c: next(energies, 1.0))
+    monkeypatch.setattr(solvers, "evaluate_H", lambda u, s, r0, r1: next(energies, 1.0))
     monkeypatch.setattr(solvers, "inner", lambda a, b: -1e12)
     with pytest.raises(NonconvergenceError, match=r"0\.0 to 1\.0") as info:
-        minimize_local(s, zeros(s.f.domain), SolverConfig(seed=0), cutoff)
+        minimize_local(s, zeros(s.f.domain), SolverConfig(seed=0), geom.R0, geom.R1)
     assert len(info.value.record) == 1
 
 
@@ -162,13 +159,13 @@ def test_failed_descent_step_then_newton_without_a_step_raises(run32, monkeypatc
     """A descent step that fails its Armijo test goes to Newton once, with no
     backtracking; a refinement that accepts no step ends the descent."""
     s = flagship_setting(32)
-    cutoff = CutoffSpec(run32.geometry.R0, run32.geometry.R1)
+    geom = run32.geometry
     handed = []
     monkeypatch.setattr(solvers, "inner", lambda a, b: 1e30)  # no Armijo test passes
     monkeypatch.setattr(solvers, "_newton_refine",
                         lambda u, r, s, cfg, rec: (handed.append(u) or u, False))
     with pytest.raises(NonconvergenceError, match="Newton stalled") as info:
-        minimize_local(s, zeros(s.f.domain), SolverConfig(seed=0), cutoff)
+        minimize_local(s, zeros(s.f.domain), SolverConfig(seed=0), geom.R0, geom.R1)
     assert info.value.record.phase == ["descent"]
     assert len(handed) == 1 and not np.any(handed[0].values)
 
@@ -264,7 +261,7 @@ def test_mountain_pass_far_endpoint_precondition(run32):
     s = flagship_setting(32)
     cfg = SolverConfig(seed=0)
     u_m = run32.pair.u_m
-    bad_far = 0.1 * run32.witnesses.psi  # J(bad_far) > J(u_m)
+    bad_far = 0.1 * run32.psi  # J(bad_far) > J(u_m)
     with pytest.raises(ContractError):
         mountain_pass(s, u_m, bad_far, cfg)
 
@@ -629,13 +626,13 @@ def test_prediction_outside_the_r0_ball_starts_the_descent_from_zero(run32, monk
     starts = []
     descent = solvers.minimize_local
 
-    def recorded(s, u0, cfg, c):
-        starts.append((u0, c.R0))
-        return descent(s, u0, cfg, c)
+    def recorded(s, u0, cfg, r0, r1):
+        starts.append((u0, r0))
+        return descent(s, u0, cfg, r0, r1)
 
     monkeypatch.setattr(solvers, "minimize_local", recorded)
     pair = run32.pair
-    far_u_m = pair.u_m + run32.far_scale * run32.witnesses.psi
+    far_u_m = pair.u_m + run32.far_scale * run32.psi
     run = solve_run(s, cfg, warm=solvers.WarmStart(far_u_m, pair.u_star))
     (u0, r0), = starts
     assert seminorm(far_u_m, s.alpha) > r0
@@ -687,7 +684,7 @@ def test_far_scan_from_psi_terms_matches_the_action_scan(monkeypatch, name, form
 
     monkeypatch.setattr(solvers, "mountain_pass", recorded)
     run = solve_run(s, replace(cfg.solver, seed=seed))
-    t, far = _far_scan_as_first_written(s, run.pair.J_m, run.witnesses.psi, run.geometry.R_M)
+    t, far = _far_scan_as_first_written(s, run.pair.J_m, run.psi, run.geometry.R_M)
     assert run.far_scale == t
     assert len(handed) == 1 and handed[0].values.tobytes() == far.values.tobytes()
 
@@ -731,7 +728,7 @@ def _fit_as_first_written(s):
         raise FitError("minorant fit degenerate: fewer than 2 nonzero samples")
     c1 = max(energy._FIT_MARGIN * c1, energy._C_FLOOR * (1.0 + abs(s.lam)))
     c2 = max(energy._FIT_MARGIN * c2, energy._C_FLOOR)
-    return energy.MinorantCoefficients(C1=c1, C2=c2, k=k)
+    return c1, c2, k
 
 
 def _witnesses_as_first_written(s):
@@ -740,7 +737,6 @@ def _witnesses_as_first_written(s):
     minext = min(dom.extent)
     center = tuple(0.5 * e for e in dom.extent)
     psi = None
-    psi_pairing = 0.0
     for frac in (0.3, 0.25, 0.35, 0.2, 0.4):
         r = frac * minext
         if min(min(c - r, e - (c + r)) / h
@@ -748,29 +744,26 @@ def _witnesses_as_first_written(s):
             continue
         for sign_exp in (k, k + 1):
             cand = energy.bump_field(dom, center, r, 1.0, sign_exp)
-            val = energy._sign(k) * inner(cand, energy.sk_field(cand, k))
-            if val > 0.0:
-                psi, psi_pairing = cand, val
+            if energy._sign(k) * inner(cand, energy.sk_field(cand, k)) > 0.0:
+                psi = cand
                 break
         if psi is not None:
             break
     if psi is None:
         raise GeometryError("no bump orientation/radius produced a positive nonlinear pairing")
     if s.lam == 0.0:
-        return energy.GeometryWitnesses(zeros(dom), psi, 0.0, psi_pairing, True)
+        return psi
     phi = energy.invert_polyharmonic(s.f, s.alpha) * (1.0 if s.lam > 0 else -1.0)
-    val = s.lam * inner(s.f, phi)
-    if not val > 0.0:
+    if not s.lam * inner(s.f, phi) > 0.0:
         raise GeometryError("lambda * int f phi is not positive: the datum is zero "
                             "(or too small to pair with lambda), so no datum witness exists")
-    return energy.GeometryWitnesses(phi, psi, val, psi_pairing, False)
+    return psi
 
 
 def _first_failure_as_first_written(s):
     """The reason a solve of ``s`` fails in its fit or geometry, or None."""
     try:
-        fit = _fit_as_first_written(s)
-        minorant_geometry(fit)
+        minorant_geometry(*_fit_as_first_written(s))
         _witnesses_as_first_written(s)
     except PolyhessError as exc:
         return str(exc)
@@ -784,15 +777,10 @@ def test_calibration_equals_per_lambda_fit_bitwise(form):
     for lam in (0.0, 0.0125, 0.05, -0.05):
         s = with_lambda(base, lam)
         want = _fit_as_first_written(s)
-        got = cal.fit.coefficients(lam)
-        assert (got.C1, got.C2, got.k) == (want.C1, want.C2, want.k)
-        want_w = _witnesses_as_first_written(s)
-        got_w = cal.basis.witnesses(s)
-        assert np.array_equal(got_w.phi.values, want_w.phi.values)
-        assert np.array_equal(got_w.psi.values, want_w.psi.values)
-        assert got_w.datum_pairing == want_w.datum_pairing
-        assert got_w.nonlinear_pairing == want_w.nonlinear_pairing
-        assert got_w.phi_trivial == want_w.phi_trivial
+        got = cal.geometry(lam)
+        assert (got.C1, got.C2, got.k) == want
+        assert got == minorant_geometry(*want)
+        assert np.array_equal(cal.psi.values, _witnesses_as_first_written(s).values)
 
 
 def test_continuation_calibrates_once(monkeypatch):
@@ -812,8 +800,9 @@ def test_continuation_calibrates_once(monkeypatch):
     s = flagship_setting(32, lam=0.0)
     cfg = SolverConfig(seed=0)
     monkeypatch.setattr(energy, "invert_polyharmonic", counted_invert)
+    monkeypatch.setattr(solvers, "invert_polyharmonic", counted_invert)
     solvers.calibrate(s)
-    assert calls == {"family": 1, "G": 1}  # one G f for the fit's anchors and the witnesses
+    assert calls == {"family": 1, "G": 1}  # one G f for the fit's anchor and the datum check
     calls["family"] = 0
     tab = continuation_in_lambda(s, [0.0, 0.0125, 0.025, 0.05], cfg)
     assert [r.converged for r in tab.rows] == [True] * 4
@@ -906,9 +895,8 @@ def test_weak_strong_minimizer_agreement(run32, run64, run32_weak, run64_weak):
 def test_nonconvergence_carries_record():
     s = flagship_setting(32)
     cfg = SolverConfig(seed=0, max_iters=1, grad_tol=1e-14)
-    geom = minorant_geometry(fit_minorant(s).coefficients(s.lam))
-    cutoff = CutoffSpec(geom.R0, geom.R1)
+    geom = calibrate(s).geometry(s.lam)
     with pytest.raises(NonconvergenceError) as err:
-        minimize_local(s, zeros(s.f.domain), cfg, cutoff)
+        minimize_local(s, zeros(s.f.domain), cfg, geom.R0, geom.R1)
     assert err.value.record is not None
     assert len(err.value.record) >= 1
