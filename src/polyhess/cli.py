@@ -380,7 +380,6 @@ def cmd_solve(args) -> int:
         "residual_star_stencil": pair.residual_star_stencil,
         "minorant": {"C1": geom.C1, "C2": geom.C2, "k": geom.k},
         "radii": {"R0": geom.R0, "R1": geom.R1, "R_M": geom.R_M, "h_max": geom.h_max},
-        "far_scale": run.far_scale,
         "record_minimize": run.record_minimize.to_json_dict(),
         "record_mountain": run.record_mountain.to_json_dict(),
     }

@@ -34,9 +34,9 @@ One evaluation path.  ``_images`` computes a field's linear stencil images
 component-first, and in the divergence form the centered gradient), and
 ``_terms`` turns images into the quadratic, datum and nonlinear terms.
 ``evaluate_J``, ``evaluate_J_weak``, ``energy_report``, ``evaluate_H``,
-``fit_minorant`` and every value of ``ray_actions`` go through these two,
-and the seminorm they report or cut off is taken from the same half-order
-components, so equal inputs give bit-identical values in all of them.
+``fit_minorant``, ``geometry_witnesses`` and ``ray_actions`` go through
+these two, and the seminorm they report or cut off is taken from the same
+half-order components, so equal inputs give bit-identical values in all.
 Every image is linear in the field, so J(base + t v) is a polynomial of
 degree k + 1 in t in both forms: ``ray_actions`` reads its values from the
 images of base and v as a + t b, ``solvers`` fixes the polynomial from
@@ -73,13 +73,14 @@ Lambda enters the action only through the datum term lambda int f u, so the
 stencil work of the geometry is lambda-free and done once, into a
 ``Calibration``: ``fit_minorant`` reads each fixed field's seminorm and
 nonlinear term (hence C2) and int f a and the seminorm of the anchor
-a = G f / max|G f|, and ``geometry_witnesses`` searches psi.  The lambda
-step, ``Calibration.geometry``, reads no field: C1 from
-|lambda| int f a / |a|, bit for bit what fitting at that lambda gives, the
-radii of ``minorant_geometry``, and the datum check lambda int f phi =
-|lambda| <f, G f> > 0, bit for bit, with no phi built.  A psi search that found no
-bump is kept as psi = None and raised after the minorant's own checks, as
-when each lambda fitted its own.
+a = G f / max|G f|, and ``geometry_witnesses`` searches psi, the first
+ray's direction, for N(psi) > 0 in the setting's form.  The lambda step,
+``Calibration.geometry``, reads no field: C1 from |lambda| int f a / |a|,
+bit for bit what fitting at that lambda gives, the radii of
+``minorant_geometry``, and the datum check lambda int f phi =
+|lambda| <f, G f> > 0, bit for bit, with no phi built.  A psi search that
+found no bump is kept as psi = None and raised after the minorant's own
+checks, as when each lambda fitted its own.
 
 Form dispatch.  This module makes every strong-versus-weak choice:
 ``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
@@ -106,12 +107,10 @@ from .grid import (
     gradient_centered,
     hessian_entries,
     half_order,
-    inner,
     invert_polyharmonic,
     laplacian_power,
     seminorm,
     seminorm_of,
-    sk_field,
 )
 from .hessian_algebra import entry_table, newton_flux, sk_of_entries
 
@@ -539,17 +538,18 @@ def fit_minorant(s: EnergySetting, gf: ScalarField | None = None) -> tuple[float
 
 
 def geometry_witnesses(s: EnergySetting) -> ScalarField | None:
-    """psi, the compact radial bump with the sign flip that makes
-    (-1)^k int psi S_k[psi] positive, or None when no bump verifies."""
+    """psi, the compact radial bump with the sign flip that makes N(psi) in
+    the setting's form positive, or None when no bump verifies: -N(psi) is
+    the t^(k+1) coefficient of J along the minimax's first ray u_m + t psi."""
     s.validate_grid()
     dom = s.f.domain
     k = s.params.k
     minext = min(dom.extent)
     center = tuple(0.5 * e for e in dom.extent)
-    # Both bump orientations are tried and the quadrature decides: for odd k
-    # the pairing is sign-invariant, while for even k only the positive bump
-    # verifies (sigma_k of the negative-definite Hessian at the peak is then
-    # positive, so the radial computation gives int psi S_k[psi] > 0 there).
+    # Both bump orientations are tried and the quadrature decides: N is
+    # homogeneous of degree k + 1, so for odd k it is sign-invariant, while
+    # for even k only the positive bump verifies (sigma_k of the
+    # negative-definite Hessian at the peak is then positive).
     # psi's support keeps at least alpha nodes clear of every wall: a radius
     # that leaves fewer is skipped.
     for frac in (0.3, 0.25, 0.35, 0.2, 0.4):
@@ -559,7 +559,7 @@ def geometry_witnesses(s: EnergySetting) -> ScalarField | None:
             continue
         for sign_exp in (k, k + 1):
             cand = bump_field(dom, center, r, 1.0, sign_exp)
-            if _sign(k) * inner(cand, sk_field(cand, k)) > 0.0:
+            if _nonlinear(_images(cand, s), s) > 0.0:
                 return cand
     return None
 
@@ -568,8 +568,8 @@ def geometry_witnesses(s: EnergySetting) -> ScalarField | None:
 class Calibration:
     """The lambda-free part of the mountain-pass geometry, shared by every
     setting that differs only in lambda: C2 and the anchor's int f a and
-    |a| (``fit_minorant``), <f, G f>, and psi (``geometry_witnesses``; None
-    when no bump verified)."""
+    |a| (``fit_minorant``), <f, G f>, and psi, the minimax's first ray
+    direction (``geometry_witnesses``; None when no bump verified)."""
 
     k: int
     C2: float

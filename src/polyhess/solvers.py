@@ -12,6 +12,8 @@ shapes directions.
 Mountain pass.  A local minimax on rays from the minimizer u_m (Li and
 Zhou, SIAM J. Sci. Comput. 23:840, 2001): one direction field v replaces a
 discrete path, and each iterate is the peak of J on the ray u_m + t v.
+The first ray is u_m + t psi (``Calibration.psi``), on which J falls
+without bound: its t^(k+1) coefficient is -N(psi) < 0.
 Every stencil image is linear in t, so J(u_m + t v) is a polynomial of
 degree k + 1 in t in both forms, fixed exactly by its values at k + 2
 points (``energy.ray_actions``, from the images of u_m computed once per
@@ -210,7 +212,6 @@ class SolveRun:
     pair: SolutionPair
     geometry: MinorantGeometry
     psi: ScalarField
-    far_scale: float
     record_minimize: PSRecord
     record_mountain: PSRecord
 
@@ -453,21 +454,17 @@ def _separated(u: ScalarField, u_m: ScalarField, s: EnergySetting, cfg: SolverCo
     return seminorm(u - u_m, s.alpha) > 100.0 * cfg.grad_tol
 
 
-def mountain_pass(s: EnergySetting, u_m: ScalarField, v_far: ScalarField,
+def mountain_pass(s: EnergySetting, u_m: ScalarField, direction: ScalarField,
                   cfg: SolverConfig) -> tuple[ScalarField, PSRecord]:
     """Local minimax on rays from the minimizer ``u_m``, starting on the ray
-    through the far point ``v_far``, which must lie below ``u_m``: returns
-    the first row that meets ``grad_tol``, or the one Newton refinement of
-    the row that hands off when it converged away from ``u_m``; anything
-    else raises a ``NonconvergenceError`` with its reason."""
-    s.check_field(u_m)
-    s.check_field(v_far)
+    u_m + t ``direction``: returns the first row that meets ``grad_tol``, or
+    the one Newton refinement of the row that hands off when it converged
+    away from ``u_m``; a first ray without a peak raises a ``GeometryError``,
+    anything else a ``NonconvergenceError`` with its reason."""
     alpha = s.alpha
     k = s.params.k
-    if not action(v_far, s) < action(u_m, s):
-        raise ContractError("far endpoint must have energy below the minimizer")
     ray = ray_actions(u_m, s)
-    v = v_far - u_m
+    v = direction
     peak = _ray_peak(_ray_polynomial(ray, v, k))
     if peak is None:
         raise GeometryError("the ray from the minimizer has no positive peak")
@@ -523,7 +520,7 @@ class WarmStart:
 def solve_run(s: EnergySetting, cfg: SolverConfig,
               warm: Optional[WarmStart] = None,
               calibration: Optional[Calibration] = None) -> SolveRun:
-    """Full orchestration: geometry, descent, far scan, minimax.
+    """Full orchestration: geometry, descent, minimax from u_m along psi.
 
     ``calibration`` is ``calibrate(s)`` (computed here when omitted)
     or that of a setting differing from ``s`` only in lambda.  With
@@ -531,7 +528,7 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     ball (else at zero), and u_star is the Newton refinement of
     ``warm.u_star``; a refinement that does not reach ``grad_tol``, or
     that lands within 100 grad_tol of u_m in the seminorm, falls back to
-    the minimax from the far point, as a cold solve does.  The mountain
+    the minimax from u_m along psi, as a cold solve does.  The mountain
     record then holds that refinement's ``newton`` rows alone, or else the
     minimax's record.
     """
@@ -549,28 +546,13 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     u_m, rec_min = minimize_local(s, u0, cfg, geom.R0, geom.R1)
     j_m = action(u_m, s)
 
-    # J(t psi) = t^2 Q - t D - t^(k+1) N from psi's terms, and every t is a
-    # power of two, so each test reads what action(t psi) and
-    # seminorm(t psi) return, bit for bit.
-    rep = energy_report(psi, s)
-    q, d, nl, k = rep.quadratic_term, rep.datum_term, rep.nonlinear_term, s.params.k
-    far = None
-    t = 1.0
-    for _ in range(64):
-        if t * t * q - t * d - t ** (k + 1) * nl < j_m and t * rep.seminorm > geom.R_M:
-            far = t * psi
-            break
-        t *= 2.0
-    if far is None:
-        raise GeometryError("doubling scan failed to reach the downhill region")
-
     ok = False
     if warm is not None:
         rec_mp = PSRecord()
         u_star, ok = _newton_refine(warm.u_star, residual(warm.u_star, s), s, cfg, rec_mp)
         ok = ok and _separated(u_star, u_m, s, cfg)
     if not ok:
-        u_star, rec_mp = mountain_pass(s, u_m, far, cfg)
+        u_star, rec_mp = mountain_pass(s, u_m, psi, cfg)
 
     j_star = action(u_star, s)
     sep = seminorm(u_m - u_star, alpha)
@@ -594,7 +576,7 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
                         residual_m=residual_m, residual_m_stencil=residual_m_stencil,
                         residual_star=rec_mp.residual_norm[-1],
                         residual_star_stencil=l2_norm(residual(u_star, s)))
-    return SolveRun(pair=pair, geometry=geom, psi=psi, far_scale=t,
+    return SolveRun(pair=pair, geometry=geom, psi=psi,
                     record_minimize=rec_min, record_mountain=rec_mp)
 
 

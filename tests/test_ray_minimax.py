@@ -99,15 +99,11 @@ def test_ray_peak_of_polynomials_with_known_critical_points():
     assert _ray_peak(quartic)[0] == pytest.approx([0.5, 2.0][int(np.argmax(values))], rel=1e-12)
 
 
-def _far_point(run):
-    return run.far_scale * run.psi
-
-
 def test_first_ray_without_a_positive_peak_raises_geometry_error(run32, monkeypatch):
     s = flagship_setting(32)
     monkeypatch.setattr(solvers, "_ray_peak", lambda coefs: None)
     with pytest.raises(GeometryError, match="no positive peak"):
-        mountain_pass(s, run32.pair.u_m, _far_point(run32), SolverConfig(seed=0))
+        mountain_pass(s, run32.pair.u_m, run32.psi, SolverConfig(seed=0))
 
 
 def test_stalled_search_then_newton_without_a_step_raises(run32, monkeypatch):
@@ -119,7 +115,7 @@ def test_stalled_search_then_newton_without_a_step_raises(run32, monkeypatch):
     monkeypatch.setattr(solvers, "_newton_refine",
                         lambda u, r, s, cfg, rec: (u, False))
     with pytest.raises(NonconvergenceError, match="stalled") as info:
-        mountain_pass(s, run32.pair.u_m, _far_point(run32), SolverConfig(seed=0))
+        mountain_pass(s, run32.pair.u_m, run32.psi, SolverConfig(seed=0))
     assert info.value.record.phase == ["minimax"]
 
 
@@ -138,7 +134,7 @@ def test_one_newton_refinement_per_mountain_pass(run32, monkeypatch):
 
     monkeypatch.setattr(solvers, "_newton_refine", one_step)
     with pytest.raises(NonconvergenceError, match="stalled") as info:
-        mountain_pass(s, run32.pair.u_m, _far_point(run32), SolverConfig(seed=0))
+        mountain_pass(s, run32.pair.u_m, run32.psi, SolverConfig(seed=0))
     phase = info.value.record.phase
     assert len(calls) == 1
     assert phase == ["minimax"] * calls[0] + ["newton"]
@@ -199,7 +195,7 @@ def test_warm_rows_are_newton_corrections(monkeypatch, form):
 def test_max_iters_bounds_the_mountain_record(run32, max_iters):
     s = flagship_setting(32)
     try:
-        _, rec = mountain_pass(s, run32.pair.u_m, _far_point(run32),
+        _, rec = mountain_pass(s, run32.pair.u_m, run32.psi,
                                SolverConfig(seed=0, max_iters=max_iters))
     except NonconvergenceError as exc:
         rec = exc.record

@@ -48,6 +48,7 @@ from polyhess import (
     zeros,
 )
 import polyhess.energy as energy
+import polyhess.grid as grid
 import polyhess.solvers as solvers
 from polyhess.errors import ContractError, FitError, GeometryError, PolyhessError
 
@@ -257,25 +258,13 @@ def test_sign_symmetry_of_energy_levels():
     assert jm == pytest.approx(jp, rel=1e-2)
 
 
-def test_mountain_pass_far_endpoint_precondition(run32):
-    s = flagship_setting(32)
-    cfg = SolverConfig(seed=0)
-    u_m = run32.pair.u_m
-    bad_far = 0.1 * run32.psi  # J(bad_far) > J(u_m)
-    with pytest.raises(ContractError):
-        mountain_pass(s, u_m, bad_far, cfg)
-
-
 def test_mountain_pass_returns_at_a_minimax_row(run32):
-    """From a far point on the ray through u_star, at a loose tolerance, the
-    first peak's residual already passes, so the minimax returns it: one
+    """On the ray from u_m through u_star, at a loose tolerance, the first
+    peak's residual already passes, so the minimax returns it: one
     ``minimax`` row and no Newton refinement."""
     s = flagship_setting(32)
     u_m, u_star = run32.pair.u_m, run32.pair.u_star
-    scale = 1.0
-    while not energy.action(u_m + scale * (u_star - u_m), s) < run32.pair.J_m:
-        scale *= 2.0
-    w, rec = mountain_pass(s, u_m, u_m + scale * (u_star - u_m), SolverConfig(grad_tol=1e-4))
+    w, rec = mountain_pass(s, u_m, u_star - u_m, SolverConfig(grad_tol=1e-4))
     assert rec.phase == ["minimax"]
     assert rec.residual_norm == [l2_norm(residual_strong(w, s))]
     assert rec.residual_norm[0] <= 1e-4
@@ -580,16 +569,16 @@ def _assert_same_table(tab, ref, rel):
 @pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
 def test_failed_correction_falls_back_to_the_cold_minimax(monkeypatch, form):
     """A row whose Newton correction fails runs what a cold solve at its
-    lambda runs: the minimax from the same far point, to the same pair."""
+    lambda runs: the minimax in the same first direction, to the same pair."""
     s = flagship_setting(32, lam=0.0, form=form)
     lams = [0.0, 0.0125, 0.025, 0.05]
     cfg = SolverConfig(seed=0)
-    fars = {}
+    directions = {}
     minimax = solvers.mountain_pass
 
-    def recorded(s, u_m, v_far, cfg):
-        fars.setdefault(s.lam, []).append(v_far)
-        return minimax(s, u_m, v_far, cfg)
+    def recorded(s, u_m, direction, cfg):
+        directions.setdefault(s.lam, []).append(direction)
+        return minimax(s, u_m, direction, cfg)
 
     monkeypatch.setattr(solvers, "mountain_pass", recorded)
     cold = [solve_run(with_lambda(s, lam), cfg).pair for lam in lams]
@@ -600,8 +589,8 @@ def test_failed_correction_falls_back_to_the_cold_minimax(monkeypatch, form):
         for key in ("J_m", "J_star", "sep"):
             assert getattr(row, key) == pytest.approx(getattr(pair, key), rel=1e-10, abs=0.0)
     for lam in lams:
-        cold_far, warm_far = fars[lam]
-        assert warm_far.values.tobytes() == cold_far.values.tobytes()
+        cold, warm = directions[lam]
+        assert warm.values.tobytes() == cold.values.tobytes()
 
 
 def test_prediction_is_the_secant_through_the_last_two_converged_rows():
@@ -632,7 +621,7 @@ def test_prediction_outside_the_r0_ball_starts_the_descent_from_zero(run32, monk
 
     monkeypatch.setattr(solvers, "minimize_local", recorded)
     pair = run32.pair
-    far_u_m = pair.u_m + run32.far_scale * run32.psi
+    far_u_m = pair.u_m + run32.psi
     run = solve_run(s, cfg, warm=solvers.WarmStart(far_u_m, pair.u_star))
     (u0, r0), = starts
     assert seminorm(far_u_m, s.alpha) > r0
@@ -654,39 +643,47 @@ def test_predictor_corrector_rows_equal_the_minimax_rows(monkeypatch, form, lams
     _assert_same_table(tab, continuation_in_lambda(s, lams, cfg), 1e-8)
 
 
-def _far_scan_as_first_written(s, j_m, psi, r_m):
-    """The doubling scan over the action and seminorm of t psi, t = 1, 2,
-    4, ...: the oracle of the scan from psi's terms.  Returns (t, t psi)."""
-    t = 1.0
-    for _ in range(64):
-        cand = t * psi
-        if energy.action(cand, s) < j_m and seminorm(cand, s.alpha) > r_m:
-            return t, cand
-        t *= 2.0
-    raise AssertionError("the oracle scan found no far point")
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name, form", [("hess3d.cfg", "strong"), ("ma2d.cfg", "strong"),
                                         ("ma2d.cfg", "weak")])
-def test_far_scan_from_psi_terms_matches_the_action_scan(monkeypatch, name, form, seed):
-    """Every scale of the far scan is a power of two, so J(t psi) read from
-    psi's terms is action(t psi) bit for bit: the scan picks the oracle's
-    scale and hands the mountain pass the oracle's far point, byte for byte."""
+def test_minimax_starts_on_the_ray_through_psi(monkeypatch, name, form, seed):
+    """The minimax is handed the calibration's psi, byte for byte, and the
+    action along u_m + t psi has the top coefficient -N(psi) < 0, so it
+    falls without bound on the first ray."""
     cfg = replace(load_config(_REPO / "configs" / name), form=form)
     s = build_setting(cfg)
     handed = []
     minimax = solvers.mountain_pass
 
-    def recorded(s, u_m, v_far, *args, **kwargs):
-        handed.append(v_far)
-        return minimax(s, u_m, v_far, *args, **kwargs)
+    def recorded(s, u_m, direction, *args, **kwargs):
+        handed.append(direction)
+        return minimax(s, u_m, direction, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "mountain_pass", recorded)
     run = solve_run(s, replace(cfg.solver, seed=seed))
-    t, far = _far_scan_as_first_written(s, run.pair.J_m, run.psi, run.geometry.R_M)
-    assert run.far_scale == t
-    assert len(handed) == 1 and handed[0].values.tobytes() == far.values.tobytes()
+    psi = calibrate(s).psi
+    assert len(handed) == 1 and handed[0].values.tobytes() == psi.values.tobytes()
+    k = s.params.k
+    top = solvers._ray_polynomial(energy.ray_actions(run.pair.u_m, s), psi, k)[k + 1]
+    assert top < 0.0
+    assert top == pytest.approx(-energy.energy_report(psi, s).nonlinear_term, rel=1e-9)
+
+
+@pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
+def test_psi_is_checked_without_the_pointwise_sigma_k_field(monkeypatch, form):
+    """psi is verified by its nonlinear term in the setting's own form, read
+    from the action's stencil images: the calibration needs no sigma_k
+    field from ``grid``."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("grid.sk_fields called")
+
+    monkeypatch.setattr(grid, "sk_fields", refused)
+    s = flagship_setting(64, form=form)
+    cal = calibrate(s)
+    assert cal.psi is not None
+    assert energy.energy_report(cal.psi, s).nonlinear_term > 0.0
+    cal.geometry(s.lam)
 
 
 def test_stencil_residual_of_a_polished_minimizer(tmp_path, run32):
@@ -744,7 +741,7 @@ def _witnesses_as_first_written(s):
             continue
         for sign_exp in (k, k + 1):
             cand = energy.bump_field(dom, center, r, 1.0, sign_exp)
-            if energy._sign(k) * inner(cand, energy.sk_field(cand, k)) > 0.0:
+            if energy._sign(k) * inner(cand, grid.sk_field(cand, k)) > 0.0:
                 psi = cand
                 break
         if psi is not None:
