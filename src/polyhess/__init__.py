@@ -15,7 +15,6 @@ from .errors import (
     CapabilityError,
     ConfigError,
     ContractError,
-    FitError,
     GeometryError,
     NonconvergenceError,
     PolyhessError,
@@ -75,6 +74,7 @@ from .energy import (
     EnergySetting,
     Form,
     MinorantGeometry,
+    calibrate,
     cutoff,
     energy_report,
     evaluate_H,
@@ -98,7 +98,6 @@ from .solvers import (
     SolveRun,
     SolverConfig,
     ball_uniqueness_probe,
-    calibrate,
     continuation_in_lambda,
     minimize_local,
     mountain_pass,

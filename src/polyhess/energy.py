@@ -65,16 +65,20 @@ is exactly 1 inside the R0 ball, where ``evaluate_H`` equals the action.
 Mountain-pass geometry from exact forms: the minorant h is a polynomial, so
 its radii come from ``polynomial_peak`` and the roots of h(R)/R, and the
 datum witness is phi = sign(lambda) G f, G the sine-basis inverse of
-(-Delta)^alpha.  The minorant is fitted on six fixed fields (the center
-bumps, +-G f and +-phi_1, the lowest sine mode), so a fit draws no random
-number and a solve reads none.
+(-Delta)^alpha.  The minorant is fitted on three fixed fields and their
+negatives (G f, the center bump and phi_1, the lowest sine mode), so a fit
+draws no random number and a solve reads none.  The images of -u are those
+of u negated, bit for bit, so |-u| = |u| and N(-u) = (-1)^(k+1) N(u): each
+field's images are built once and read for both signs, in the fit and in
+the search for psi alike.
 
 Lambda enters the action only through the datum term lambda int f u, so the
-stencil work of the geometry is lambda-free and done once, into a
-``Calibration``: ``fit_minorant`` reads each fixed field's seminorm and
-nonlinear term (hence C2) and int f a and the seminorm of the anchor
-a = G f / max|G f|, and ``geometry_witnesses`` searches psi, the first
-ray's direction, for N(psi) > 0 in the setting's form.  The lambda step,
+stencil work of the geometry is lambda-free and done once, by ``calibrate``,
+into a ``Calibration``: ``fit_minorant`` reads each fixed field's seminorm
+and nonlinear term (hence C2), and int f a and |a| of the anchor
+a = G f / max|G f| from its own images; ``geometry_witnesses`` searches psi,
+the first ray's direction, for N(psi) > 0 in the setting's form; and
+<f, G f> is the datum term's pairing.  The lambda step,
 ``Calibration.geometry``, reads no field: C1 from |lambda| int f a / |a|,
 bit for bit what fitting at that lambda gives, the radii of
 ``minorant_geometry``, and the datum check lambda int f phi =
@@ -98,7 +102,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .errors import CapabilityError, FitError, GeometryError
+from .errors import CapabilityError, GeometryError
 from .exponents import ProblemParams, alpha_main, alpha_weak
 from .grid import (
     ScalarField,
@@ -109,7 +113,6 @@ from .grid import (
     half_order,
     invert_polyharmonic,
     laplacian_power,
-    seminorm,
     seminorm_of,
 )
 from .hessian_algebra import entry_table, newton_flux, sk_of_entries
@@ -477,68 +480,62 @@ _C_FLOOR = 1e-12
 
 
 def minorant_sample_family(s: EnergySetting, gf: ScalarField | None = None) -> list[ScalarField]:
-    """The six fixed fields the minorant is fitted on.
+    """The three fixed fields the minorant is fitted on, each standing for
+    itself and its negative.
 
-    The center bump of either sign, +-G f / max|G f| (G f the polyharmonic
-    inverse of the datum, passed as ``gf`` or computed here; left out for a
-    zero datum) and +-phi_1 / max|phi_1|, phi_1 = prod_a sin(pi x_a / L_a)
-    the lowest sine mode.  phi_1 sets C2 on constant and checker data, the
-    G f anchor on gaussian data; on the bundled data no field of the random
-    family these replace scored above the larger of the two.
+    G f / max|G f| (G f the polyharmonic inverse of the datum, passed as
+    ``gf`` or computed here; left out for a zero datum, first otherwise),
+    the center bump, and phi_1 / max|phi_1|, phi_1 = prod_a sin(pi x_a /
+    L_a) the lowest sine mode.  phi_1 sets C2 on constant and checker data,
+    the G f anchor on gaussian data; on the bundled data no field of the
+    random family these replace scored above the larger of the two.
     """
     dom = s.f.domain
     center = tuple(0.5 * e for e in dom.extent)
-    fam = [bump_field(dom, center, 0.3 * min(dom.extent), 1.0, sign_exp)
-           for sign_exp in (s.params.k, s.params.k + 1)]
     pf = invert_polyharmonic(s.f, s.alpha) if gf is None else gf
     phi1 = ScalarField(dom, functools.reduce(np.multiply.outer, (
         np.sin(np.pi * dom.axis_coords(a) / dom.extent[a]) for a in range(dom.dim))))
-    for u in (pf, phi1):
-        top = float(np.max(np.abs(u.values)))
-        if top > 0:
-            fam += [u * (1.0 / top), u * (-1.0 / top)]
-    return fam
+    top = float(np.max(np.abs(pf.values)))
+    return ([pf * (1.0 / top)] if top > 0 else []) + [
+        bump_field(dom, center, 0.3 * min(dom.extent), 1.0, s.params.k),
+        phi1 * (1.0 / float(np.max(np.abs(phi1.values))))]
 
 
 def fit_minorant(s: EnergySetting, gf: ScalarField | None = None) -> tuple[float, float, float]:
-    """(C2, int f a, |a|) for the fixed family and all its scalings, a = G f /
-    max|G f| the anchor (int f a = 0 and |a| = 1 for a zero datum).
+    """(C2, int f a, |a|) for the fixed family, the fields' negatives and
+    all their scalings, a = G f / max|G f| the anchor (int f a = 0 and
+    |a| = 1 for a zero datum).
 
     Because the datum and nonlinear terms are homogeneous of degree 1 and
     k+1 in the field, requiring the bound along every ray through a field
     splits exactly into the two termwise ratios: C2 is maximized over the
     fields of ``minorant_sample_family`` here, C1 is read off the anchor at
     each lambda (``Calibration.geometry``), and a fixed margin then covers
-    fields outside the family.  For even alpha int f u is the seminorm's
-    inner product of G f and u, so by Cauchy-Schwarz +-a bound int f u / |u|
-    over every field.  The setting's lambda is not read.  ``gf`` is G f
-    (computed here when omitted).
+    fields outside the family.  Each field's images are built once: the
+    ratio q = N(u) / |u|^(k+1) of -u is (-1)^(k+1) q, bit for bit.  For
+    even alpha int f u is the seminorm's inner product of G f and u, so by
+    Cauchy-Schwarz +-a bound int f u / |u| over every field.  The setting's
+    lambda is not read.  ``gf`` is G f (computed here when omitted).
     """
     s.validate_grid()
     k = s.params.k
     if gf is None:
         gf = invert_polyharmonic(s.f, s.alpha)
-    c2 = 0.0
-    usable = 0
-    for u in minorant_sample_family(s, gf):
+    family = minorant_sample_family(s, gf)
+    c2, fa, ra = 0.0, 0.0, 1.0
+    for i, u in enumerate(family):
         images = _images(u, s)
         r = seminorm_of(images[1], u.domain)
-        if r <= 0.0:
-            continue
-        usable += 1
-        c2 = max(c2, _nonlinear(images, s) / r ** (k + 1))
-    if usable < 2:
-        raise FitError("minorant fit degenerate: fewer than 2 nonzero samples")
-    top = float(np.max(np.abs(gf.values)))
-    fa, r = 0.0, 1.0
-    if top > 0:
-        anchor = gf * (1.0 / top)
-        fa, r = _datum_pairing(anchor.values, s), seminorm(anchor, s.alpha)
-    return max(_FIT_MARGIN * c2, _C_FLOOR), fa, r
+        if i == 0 and len(family) == 3:  # the anchor leads unless the datum is zero
+            fa, ra = _datum_pairing(images[0], s), r
+        if r > 0.0:  # the bump is zero at every node on a long, coarse box
+            q = _nonlinear(images, s) / r ** (k + 1)
+            c2 = max(c2, q if k % 2 else abs(q))
+    return max(_FIT_MARGIN * c2, _C_FLOOR), fa, ra
 
 
 def geometry_witnesses(s: EnergySetting) -> ScalarField | None:
-    """psi, the compact radial bump with the sign flip that makes N(psi) in
+    """psi, the compact radial bump with the sign that makes N(psi) in
     the setting's form positive, or None when no bump verifies: -N(psi) is
     the t^(k+1) coefficient of J along the minimax's first ray u_m + t psi."""
     s.validate_grid()
@@ -546,10 +543,10 @@ def geometry_witnesses(s: EnergySetting) -> ScalarField | None:
     k = s.params.k
     minext = min(dom.extent)
     center = tuple(0.5 * e for e in dom.extent)
-    # Both bump orientations are tried and the quadrature decides: N is
-    # homogeneous of degree k + 1, so for odd k it is sign-invariant, while
-    # for even k only the positive bump verifies (sigma_k of the
-    # negative-definite Hessian at the peak is then positive).
+    # One bump b per radius, and the quadrature decides its sign: N(-b) =
+    # (-1)^(k+1) N(b) bit for bit, so for odd k the sign cannot help, while
+    # for even k b is the negative bump and psi = -b when N(b) < 0 (sigma_k
+    # of the negative-definite Hessian at the positive bump's peak is > 0).
     # psi's support keeps at least alpha nodes clear of every wall: a radius
     # that leaves fewer is skipped.
     for frac in (0.3, 0.25, 0.35, 0.2, 0.4):
@@ -557,19 +554,22 @@ def geometry_witnesses(s: EnergySetting) -> ScalarField | None:
         if min(min(c - r, e - (c + r)) / h
                for c, e, h in zip(center, dom.extent, dom.spacing)) < s.alpha:
             continue
-        for sign_exp in (k, k + 1):
-            cand = bump_field(dom, center, r, 1.0, sign_exp)
-            if _nonlinear(_images(cand, s), s) > 0.0:
-                return cand
+        b = bump_field(dom, center, r, 1.0, k)
+        nl = _nonlinear(_images(b, s), s)
+        if nl > 0.0:
+            return b
+        if k % 2 == 0 and nl < 0.0:
+            return -b
     return None
 
 
 @dataclass(frozen=True)
 class Calibration:
     """The lambda-free part of the mountain-pass geometry, shared by every
-    setting that differs only in lambda: C2 and the anchor's int f a and
-    |a| (``fit_minorant``), <f, G f>, and psi, the minimax's first ray
-    direction (``geometry_witnesses``; None when no bump verified)."""
+    setting that differs only in lambda (built by ``calibrate``): C2 and
+    the anchor's int f a and |a| (``fit_minorant``), <f, G f>, and psi, the
+    minimax's first ray direction (``geometry_witnesses``; None when no
+    bump verified)."""
 
     k: int
     C2: float
@@ -593,6 +593,13 @@ class Calibration:
             raise GeometryError("lambda * int f phi is not positive: the datum is zero "
                                 "(or too small to pair with lambda), so no datum witness exists")
         return geom
+
+
+def calibrate(s: EnergySetting) -> Calibration:
+    """The calibration of ``s`` (its lambda is not read), from one G f."""
+    gf = invert_polyharmonic(s.f, s.alpha)
+    return Calibration(s.params.k, *fit_minorant(s, gf), _datum_pairing(gf.values, s),
+                       geometry_witnesses(s))
 
 
 def make_setting(params: ProblemParams, lam: float, f: ScalarField,

@@ -34,7 +34,3 @@ class NonconvergenceError(PolyhessError):
 
 class ConfigError(PolyhessError):
     """A run configuration failed to parse or validate."""
-
-
-class FitError(PolyhessError):
-    """The empirical radial-minorant fit is infeasible for the sampled family."""

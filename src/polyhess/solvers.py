@@ -64,13 +64,13 @@ predicted u_star, with no minimax; a refinement that misses ``grad_tol``
 or falls back to u_m hands the row to the minimax of a cold solve.
 
 Determinism: a solve and a continuation read no random number (the
-minorant is fitted on fixed fields), so identical inputs reproduce outputs
-bit for bit, whatever ``SolverConfig.seed``, at a fixed OpenBLAS thread
-count (the reductions and the sine inverse's products go through BLAS).
-Only the probe draws random numbers, its trial starts, from
-``default_rng(cfg.seed)``.  Continuation rows share one read-only
-``energy.Calibration``, built once by ``calibrate``: the calibration a
-solve of each row would build.  A solve, each row and the probe take their
+minorant is fitted on three fixed fields and their negatives), so identical
+inputs reproduce outputs bit for bit, whatever ``SolverConfig.seed``, at a
+fixed OpenBLAS thread count (the reductions and the sine inverse's products
+go through BLAS).  Only the probe draws random numbers, its trial starts,
+from ``default_rng(cfg.seed)``.  Continuation rows share one read-only
+``energy.Calibration``, built once by ``energy.calibrate``: the calibration
+a solve of each row would build.  A solve, each row and the probe take their
 geometry from one ``Calibration.geometry`` call at their lambda.  Each row
 starts from the rows before it, so the rows of one continuation run in
 order.  A single solve is sequential; independent solves (probe trials)
@@ -93,10 +93,9 @@ from .energy import (
     EnergySetting,
     MinorantGeometry,
     action,
+    calibrate,
     energy_report,
     evaluate_H,
-    fit_minorant,
-    geometry_witnesses,
     polynomial_peak as _ray_peak,
     ray_actions,
     nonlinear,
@@ -501,12 +500,6 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, direction: ScalarField,
                                   if len(rec) >= cfg.max_iters else
                                   "minimax stalled: Newton stopped above grad_tol", rec)
     return u_star, rec
-
-
-def calibrate(s: EnergySetting) -> Calibration:
-    """The calibration of ``s`` (its lambda is not read), from one G f."""
-    gf = invert_polyharmonic(s.f, s.alpha)
-    return Calibration(s.params.k, *fit_minorant(s, gf), inner(s.f, gf), geometry_witnesses(s))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyhess import solvers
+from polyhess import energy, solvers
 from polyhess import (
-    CapabilityError, ConfigError, FitError, dump_field, load_field, random_smooth_field, unit_box,
+    CapabilityError, ConfigError, GeometryError, dump_field, load_field, random_smooth_field,
+    unit_box,
 )
 from polyhess.cli import (
     _SCHEMA,
@@ -479,9 +480,9 @@ def test_failed_calibration_fails_every_row_and_exits_3(tmp_path, capsys, monkey
     reason = "minorant fit degenerate: fewer than 10 nonzero samples"
 
     def degenerate(*args, **kwargs):
-        raise FitError(reason)
+        raise GeometryError(reason)
 
-    monkeypatch.setattr(solvers, "fit_minorant", degenerate)
+    monkeypatch.setattr(energy, "fit_minorant", degenerate)
     out = tmp_path / "out"
     assert main(["continuation", "--config", str(write_cfg(tmp_path))]) == 3
     err = capsys.readouterr().err

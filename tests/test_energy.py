@@ -37,11 +37,12 @@ from polyhess import (
     zeros,
 )
 from polyhess.cli import build_setting, load_config
+import polyhess.energy as energy
 from polyhess.energy import _sign, minorant_sample_family
 from polyhess.energy import action, nonlinear, nonlinear_jacobian, ray_actions
 from polyhess.grid import (
     BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian, hessian_entries,
-    laplacian_power,
+    laplacian_power, seminorm_of,
 )
 from polyhess.hessian_algebra import entry_table, newton_flux, sk_of_entries, stack_of_entries
 from polyhess.verify import consistency_worst_errors
@@ -399,10 +400,10 @@ def test_fit_minorant_properties(s64):
                                          ("ma2d.cfg", "checker"), ("hess3d.cfg", "constant"),
                                          ("hess3d_k3.cfg", "constant")])
 def test_fit_minorant_bounds_phi1_and_the_sampled_family(name, datum, form):
-    """N(u) <= C2 |u|^(k+1), and so J(u) >= h(|u|), for the lowest sine mode
-    phi_1 and for every field the random sample family drew at seeds 0-9
-    (48 each): the fixed six fields, with the margin, bound what the draws
-    found."""
+    """N(u) <= C2 |u|^(k+1), and so J(u) >= h(|u|), for +-phi_1, phi_1 the
+    lowest sine mode, and for every field the random sample family drew at
+    seeds 0-9 (48 each): the three fixed fields and their negatives, with
+    the margin, bound what the draws found."""
     cfg = replace(load_config(_CONFIGS / name), form=form, datum_kind=datum, datum_width=0.15)
     s = build_setting(cfg)
     k = s.params.k
@@ -411,13 +412,52 @@ def test_fit_minorant_bounds_phi1_and_the_sampled_family(name, datum, form):
     dom = s.f.domain
     phi1 = from_function(dom, lambda *x: math.prod(
         np.sin(np.pi * xa / ext) for xa, ext in zip(x, dom.extent)))
-    assert len(minorant_sample_family(s)) == 6
-    fields = [phi1] + [u for seed in range(10)
+    assert len(minorant_sample_family(s)) == 3
+    fields = [phi1, -phi1] + [u for seed in range(10)
                        for u in sampled_minorant_family(s, np.random.default_rng(seed))]
     for u in fields:
         rep = energy_report(u, s)
         assert rep.nonlinear_term <= c2 * rep.seminorm ** (k + 1)
         assert rep.J >= minorant_h(rep.seminorm, m) - 1e-12 * max(abs(rep.J), 1.0)
+
+
+def _calibration_case(name, form):
+    if name == "flagship32":
+        return flagship_setting(32, form=Form(form))
+    return build_setting(replace(load_config(_CONFIGS / name), form=form))
+
+
+@pytest.mark.parametrize("form", ["strong", "weak"])
+@pytest.mark.parametrize("name", ["flagship32", "hess3d.cfg", "hess3d_k3.cfg"])
+def test_negated_fields_give_negated_images_bit_for_bit(name, form):
+    """For each fixed field of the minorant and for psi, N(-u) =
+    (-1)^(k+1) N(u) and |-u| = |u| with ``==``: one image bundle serves
+    both signs."""
+    s = _calibration_case(name, form)
+    k = s.params.k
+    dom = s.f.domain
+    for u in minorant_sample_family(s) + [geometry_witnesses(s)]:
+        a, b = energy._images(u, s), energy._images(-u, s)
+        assert energy._nonlinear(b, s) == _sign(k + 1) * energy._nonlinear(a, s)
+        assert seminorm_of(b[1], dom) == seminorm_of(a[1], dom)
+
+
+@pytest.mark.parametrize("form", ["strong", "weak"])
+@pytest.mark.parametrize("name", ["flagship32", "hess3d_k3.cfg"])
+def test_calibration_builds_one_image_bundle_per_field(monkeypatch, name, form):
+    """Three fixed fields and psi's bump: four bundles, the first radius
+    giving psi on both cases."""
+    s = _calibration_case(name, form)
+    built = []
+    images = energy._images
+
+    def counted(u, *args, **kwargs):
+        built.append(u)
+        return images(u, *args, **kwargs)
+
+    monkeypatch.setattr(energy, "_images", counted)
+    calibrate(s)
+    assert len(built) == 4
 
 
 def test_truncation_confines_negative_levels(s64):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from polyhess import (
+    BoxDomain,
     CapabilityError,
     Form,
     NonconvergenceError,
@@ -50,7 +51,7 @@ from polyhess import (
 import polyhess.energy as energy
 import polyhess.grid as grid
 import polyhess.solvers as solvers
-from polyhess.errors import ContractError, FitError, GeometryError, PolyhessError
+from polyhess.errors import ContractError, GeometryError, PolyhessError
 
 from conftest import constant_datum, flagship_setting
 from polyhess.cli import build_setting, load_config, main
@@ -643,13 +644,14 @@ def test_predictor_corrector_rows_equal_the_minimax_rows(monkeypatch, form, lams
     _assert_same_table(tab, continuation_in_lambda(s, lams, cfg), 1e-8)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name, form", [("hess3d.cfg", "strong"), ("ma2d.cfg", "strong"),
-                                        ("ma2d.cfg", "weak")])
-def test_minimax_starts_on_the_ray_through_psi(monkeypatch, name, form, seed):
+                                        ("ma2d.cfg", "weak"), ("hess3d_k3.cfg", "strong"),
+                                        ("hess3d_k3.cfg", "weak")])
+def test_minimax_starts_on_the_ray_through_psi(monkeypatch, name, form):
     """The minimax is handed the calibration's psi, byte for byte, and the
     action along u_m + t psi has the top coefficient -N(psi) < 0, so it
-    falls without bound on the first ray."""
+    falls without bound on the first ray: for even k (hess3d, ma2d) psi is
+    the sign-flipped bump, for odd k (hess3d_k3) the bump itself."""
     cfg = replace(load_config(_REPO / "configs" / name), form=form)
     s = build_setting(cfg)
     handed = []
@@ -660,7 +662,7 @@ def test_minimax_starts_on_the_ray_through_psi(monkeypatch, name, form, seed):
         return minimax(s, u_m, direction, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "mountain_pass", recorded)
-    run = solve_run(s, replace(cfg.solver, seed=seed))
+    run = solve_run(s, cfg.solver)
     psi = calibrate(s).psi
     assert len(handed) == 1 and handed[0].values.tobytes() == psi.values.tobytes()
     k = s.params.k
@@ -705,14 +707,15 @@ def test_stencil_residual_of_a_polished_minimizer(tmp_path, run32):
 
 # The minorant fit and the geometry witnesses as they were computed for
 # every setting before the lambda-free part moved into a shared
-# calibration, on the six fixed fields: the oracles of the bit-identity
+# calibration, on the six signed fields (each fixed field and its
+# negative, each evaluated on its own): the oracles of the bit-identity
 # tests below.
 def _fit_as_first_written(s):
     k = s.params.k
     c1 = 0.0
     c2 = 0.0
     usable = 0
-    for u in energy.minorant_sample_family(s):
+    for u in [v for w in energy.minorant_sample_family(s) for v in (w, -w)]:
         images = energy._images(u, s)
         r = energy.seminorm_of(images[1], u.domain)
         if r <= 0.0:
@@ -721,8 +724,7 @@ def _fit_as_first_written(s):
         _, datum, nl = energy._terms(images, s)
         c1 = max(c1, datum / r)
         c2 = max(c2, nl / r ** (k + 1))
-    if usable < 2:
-        raise FitError("minorant fit degenerate: fewer than 2 nonzero samples")
+    assert usable >= 2
     c1 = max(energy._FIT_MARGIN * c1, energy._C_FLOOR * (1.0 + abs(s.lam)))
     c2 = max(energy._FIT_MARGIN * c2, energy._C_FLOOR)
     return c1, c2, k
@@ -780,6 +782,22 @@ def test_calibration_equals_per_lambda_fit_bitwise(form):
         assert np.array_equal(cal.psi.values, _witnesses_as_first_written(s).values)
 
 
+def test_calibration_without_a_center_bump_fails_on_psi():
+    """On nodes (8, 8) with extent (1, 100) no node lies within 0.4 of the
+    center (the y spacing is 100/9), so the center bump and every psi
+    candidate are zero at every node.  G f and phi_1 still fix a finite
+    C2, psi is None, and a solve fails on psi."""
+    dom = BoxDomain((8, 8), (1.0, 100.0))
+    s = make_setting(ProblemParams(2, 2), 0.05, constant_datum(dom))
+    anchor, bump, phi1 = energy.minorant_sample_family(s)
+    assert not np.any(bump.values) and np.all(anchor.values > 0.0) and np.all(phi1.values > 0.0)
+    cal = calibrate(s)
+    assert 1e-12 < cal.C2 < math.inf  # above the floor: read off G f and phi_1
+    assert cal.psi is None
+    with pytest.raises(GeometryError, match="no bump orientation/radius"):
+        solve_run(s, SolverConfig())
+
+
 def test_continuation_calibrates_once(monkeypatch):
     calls = {"family": 0, "G": 0}
     family = energy.minorant_sample_family
@@ -797,7 +815,6 @@ def test_continuation_calibrates_once(monkeypatch):
     s = flagship_setting(32, lam=0.0)
     cfg = SolverConfig(seed=0)
     monkeypatch.setattr(energy, "invert_polyharmonic", counted_invert)
-    monkeypatch.setattr(solvers, "invert_polyharmonic", counted_invert)
     solvers.calibrate(s)
     assert calls == {"family": 1, "G": 1}  # one G f for the fit's anchor and the datum check
     calls["family"] = 0
@@ -808,9 +825,9 @@ def test_continuation_calibrates_once(monkeypatch):
 
 def test_failed_fit_fails_every_continuation_row(monkeypatch):
     def degenerate(*args, **kwargs):
-        raise FitError("minorant fit degenerate: fewer than 10 nonzero samples")
+        raise GeometryError("minorant fit degenerate: fewer than 10 nonzero samples")
 
-    monkeypatch.setattr(solvers, "fit_minorant", degenerate)
+    monkeypatch.setattr(energy, "fit_minorant", degenerate)
     lams = [0.0, 0.0125, 0.025, 0.05]
     tab = continuation_in_lambda(flagship_setting(32, lam=0.0), lams, SolverConfig(seed=0))
     assert [r.lam for r in tab.rows] == lams
