@@ -56,8 +56,8 @@ bit-identical values.
 
 The grid is a tensor product, so the discrete Dirichlet Laplacian is
 diagonal in the sine basis; ``invert_polyharmonic`` exploits this to apply
-the exact inverse of (-Delta)^alpha with a pair of DSTs: the solvers'
-descent preconditioner and the map u = G w of their Newton step.  The
+the exact inverse of (-Delta)^alpha with a pair of DSTs: the minimax's
+preconditioner and the map u = G w of the Newton step.  The
 orthonormal type-I DST is its own inverse; ``_dst1`` computes it with numpy
 alone, one axis at a time, as a product with the dense n x n sine matrix of
 the axis (``_sine_matrix``, built once per length on first use).  Each

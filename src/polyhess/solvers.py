@@ -1,13 +1,9 @@
-"""Two-solution solvers: descent to the isolated local minimizer and a
-local minimax search for the mountain-pass critical point.
+"""Two-solution solvers: Newton to the isolated local minimizer and a local
+minimax search for the mountain-pass critical point.
 
-Descent metric.  The raw L^2 residual of the order-2*alpha operator is
-hopelessly ill-conditioned as a descent direction (condition ~ h^(-2 alpha)),
-so every step is preconditioned with the exact inverse of the discrete
-(-Delta)^alpha, applied via the sine transform in which the operator is
-diagonal.  The descent's and the minimax's residual norms are still the
-plain discrete L^2 norms of the residual field; the preconditioner only
-shapes directions.
+Minimizer.  u_m is the Newton solve below (``minimize_local``), from a
+start inside the R0 ball; from the zero field it starts at lambda G f,
+which is Newton's first step from zero, since N'(0) = 0 for k >= 2.
 
 Mountain pass.  A local minimax on rays from the minimizer u_m (Li and
 Zhou, SIAM J. Sci. Comput. 23:840, 2001): one direction field v replaces a
@@ -20,30 +16,30 @@ points (``energy.ray_actions``, from the images of u_m computed once per
 call and those of v); the peak is the highest local maximum at t > 0 among
 the roots of its derivative, so no ridge between samples can be missed.  A
 ray with no such peak is a rejected step.  From the peak w the search tries
-one step, w - s d, with d the preconditioned residual and
-s = min(1, 1/2 |w - u_m| / |d|) in the seminorm, and takes the ray through
-it, v = w - s d - u_m, when the new ray's peak value passes the Armijo
-test.
+one step, w - s d, and takes the ray through it, v = w - s d - u_m, when
+the new ray's peak value passes the Armijo test.  Here
+s = min(1, 1/2 |w - u_m| / |d|) in the seminorm, and d = G r is the
+residual preconditioned by G, the exact inverse of the discrete
+(-Delta)^alpha, applied in the sine basis where it is diagonal: the raw
+residual of the order-2 alpha operator is conditioned like h^(-2 alpha).
 
-One trial step per row.  Neither phase backtracks.  The descent tries the
-full preconditioned step u - G r, the minimax the step above; when the
-trial fails its Armijo test, or at the first minimax row whose peak value
-moved by at most ``deform_tol`` (relative) from the previous row's, the
-phase hands its iterate and its residual to a damped Newton-Krylov
-refinement, once.  The phase returns the refined iterate when it met
-``grad_tol`` (and, in the minimax, stays separated from u_m); otherwise it
-ends with a ``NonconvergenceError`` that says why.  The descent record gets
-one row per iterate (phase ``descent``), the mountain record one per
-minimax step (``minimax``), and both one per accepted Newton iterate
-(``newton``); ``max_iters`` bounds the rows of each.  A violated
-precondition of a solver raises ``ContractError``.
+One trial step per row.  The minimax does not backtrack: when its trial
+step fails the Armijo test, or at the first row whose peak value moved by
+at most ``deform_tol`` (relative) from the previous row's, it hands its
+peak and residual to the Newton solve, once.  It returns the Newton
+iterate when that met ``grad_tol`` and stays separated from u_m;
+otherwise it ends with a ``NonconvergenceError`` that says why.  The
+minimizer's record gets one row per accepted Newton iterate (phase
+``newton``), the mountain record one per minimax step (``minimax``) and
+then its ``newton`` rows; ``max_iters`` bounds the rows of each.  A
+violated precondition of a solver raises ``ContractError``.
 
-Newton on the source.  The refinement (``_newton_refine``) iterates on
+Newton on the source.  The Newton solve (``_newton_refine``) iterates on
 w = (-Delta_h)^alpha u, u = G w (Knoll and Keyes, J. Comput. Phys.
 193:357, 2004), free of the float64 floor of u's stencil residual, which
 grows like h^(-2 alpha).  Each solution is accepted on the residual of the
-last row of its record: the stencil residual when the descent or the
-minimax met ``grad_tol``, the residual in w when Newton finished it;
+last row of its record: the stencil residual when the minimax or Newton's
+start met ``grad_tol``, the residual in w when a Newton step finished it;
 ``SolutionPair`` keeps the stencil residual of each solution beside it.
 
 Krylov solver.  Each Newton step is one ``gmres`` solve, with no retry,
@@ -58,10 +54,10 @@ Continuation.  A predictor-corrector in lambda (Keller, 1977).  Each row
 after the first predicts both solutions from the last two converged rows
 by the secant u_i = u_(i-1) + c (u_(i-1) - u_(i-2)),
 c = (lambda_i - lambda_(i-1)) / (lambda_(i-1) - lambda_(i-2)), or takes the
-one converged row's pair.  The descent starts at the predicted u_m when it
-lies in the R0 ball, else at zero; u_star is the Newton refinement of the
-predicted u_star, with no minimax; a refinement that misses ``grad_tol``
-or falls back to u_m hands the row to the minimax of a cold solve.
+one converged row's pair.  u_m's Newton starts at the predicted u_m when
+it lies in the R0 ball, else from zero; u_star is the Newton solve from
+the predicted u_star, with no minimax; one that misses ``grad_tol`` or
+falls back to u_m hands the row to the minimax of a cold solve.
 
 Determinism: a solve and a continuation read no random number (the
 minorant is fitted on three fixed fields and their negatives), so identical
@@ -95,7 +91,6 @@ from .energy import (
     action,
     calibrate,
     energy_report,
-    evaluate_H,
     polynomial_peak as _ray_peak,
     ray_actions,
     nonlinear,
@@ -118,9 +113,13 @@ from .grid import (
 
 @dataclass
 class SolverConfig:
-    """What a run sets.  ``path_points`` is validated but no longer read: the
-    mountain pass has no discrete path.  ``max_iters`` bounds the rows of
-    each phase record; ``seed`` reaches only the probe's trial starts."""
+    """What a run sets.  ``grad_tol`` is the residual at which Newton and
+    the minimax stop; ``max_iters`` bounds the rows of each record (u_m's
+    Newton rows, and the minimax's rows with their Newton rows);
+    ``deform_tol`` is the relative change of the minimax's peak value below
+    which it hands off to Newton; ``seed`` reaches only the probe's trial
+    starts.  ``path_points`` is validated but no longer read: the mountain
+    pass has no discrete path."""
 
     grad_tol: float = 1e-6
     max_iters: int = 400
@@ -139,14 +138,14 @@ class SolverConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-PHASES = ("descent", "minimax", "newton")
+PHASES = ("minimax", "newton")
 
 
 @dataclass
 class PSRecord:
     """Per-iterate (energy value, residual L2 norm, seminorm, phase) rows;
-    the phase is one of ``PHASES``.  Every iterate of the descent, the
-    minimax and the Newton refinement is appended here, so a non-finite
+    the phase is one of ``PHASES``.  Every iterate of the minimax and of
+    each Newton solve is appended here, so a non-finite
     energy value or residual norm ends the solve with a
     ``NonconvergenceError`` that names its phase."""
 
@@ -215,60 +214,33 @@ class SolveRun:
     record_mountain: PSRecord
 
 
-_LS_C = 1e-4  # Armijo factor of the descent's and the minimax's one trial step
+_LS_C = 1e-4  # Armijo factor of the minimax's one trial step
 
 
 def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
-                   R0: float, R1: float) -> tuple[ScalarField, PSRecord]:
-    """Preconditioned descent on the truncated functional from inside the
-    small ball, one trial step u - G r per row; the cutoff runs from ``R0``
-    to ``R1``.
+                   R0: float) -> tuple[ScalarField, PSRecord]:
+    """The isolated minimizer u_m inside the R0 ball: ``_newton_refine`` from
+    ``u0``, or from lambda G f when ``u0`` is the zero field.  That start is
+    Newton's first step from zero, where N'(0) = 0 for k >= 2; at lambda = 0
+    it is zero itself, whose residual is 0.
 
-    A step that fails its Armijo test hands the iterate to the Newton
-    refinement, which appends its ``newton`` rows to the record.  Returns
-    the iterate whose residual L2 norm is at or below ``grad_tol``;
-    verifies afterwards that the minimizer stayed inside the R0 ball where
-    the truncated functional and the action coincide.
+    Returns u_m and its record of ``newton`` rows.  Raises a
+    ``NonconvergenceError`` when Newton misses ``grad_tol``, and a
+    ``GeometryError`` when u_m sits outside the R0 ball, where the truncated
+    functional and the action differ.
     """
     s.check_field(u0)
-    alpha = s.alpha
-    sn0 = seminorm(u0, alpha)
-    if sn0 > R0 and float(np.max(np.abs(u0.values))) != 0.0:
+    if not np.any(u0.values):
+        u0 = invert_polyharmonic(s.f * s.lam, s.alpha)
+    elif seminorm(u0, s.alpha) > R0:
         raise ContractError("start point must be the zero field or lie inside the R0 ball")
     rec = PSRecord()
-    u = u0
-    h_val = evaluate_H(u, s, R0, R1)
-    converged = False
-    # At lambda != 0 the zero field is no minimizer, even when its residual,
-    # -lambda f, is below grad_tol: the first step, lambda G f, lowers J.
-    leave_zero = s.lam != 0.0 and not np.any(u0.values)
-    for _ in range(cfg.max_iters):
-        r = residual(u, s)
-        rn = l2_norm(r)
-        rec.append(h_val, rn, seminorm(u, alpha), "descent")
-        if rn <= cfg.grad_tol and not leave_zero:
-            converged = True
-            break
-        leave_zero = False
-        d = invert_polyharmonic(r, alpha)
-        cand = u - d
-        h_cand = evaluate_H(cand, s, R0, R1)
-        if not h_cand <= h_val - _LS_C * inner(r, d):
-            u, converged = _newton_refine(u, r, s, cfg, rec)
-            if not (converged or len(rec) >= cfg.max_iters):
-                raise NonconvergenceError(
-                    "descent step failed its Armijo test and Newton stalled", rec)
-            break
-        if not h_cand <= h_val + 1e-12 * (1.0 + abs(h_val)):
-            raise NonconvergenceError(
-                f"descent not monotone: H rose from {h_val!r} to {h_cand!r}", rec)
-        u, h_val = cand, h_cand
-        if seminorm(u, alpha) >= R1:
-            raise GeometryError(
-                "descent iterate escaped the cutoff ball; lambda is too large")
+    u, converged = _newton_refine(u0, residual(u0, s), s, cfg, rec)
     if not converged:
-        raise NonconvergenceError("minimize_local exhausted max_iters", rec)
-    if seminorm(u, alpha) >= R0:
+        raise NonconvergenceError("minimize_local exhausted max_iters"
+                                  if len(rec) >= cfg.max_iters else
+                                  "minimizer: Newton stalled above grad_tol", rec)
+    if seminorm(u, s.alpha) >= R0:
         raise GeometryError(
             "converged minimizer sits outside the R0 ball where H equals J; "
             "lambda is too large")
@@ -396,8 +368,9 @@ def _newton_refine(u: ScalarField, r: ScalarField, s: EnergySetting, cfg: Solver
                    rec: PSRecord) -> tuple[ScalarField, bool]:
     """Damped inexact Newton iterations (Dembo, Eisenstat and Steihaug, SIAM
     J. Numer. Anal. 19:400, 1982) on R(w) = w - N(G w) - lambda f from the
-    source w = (-Delta_h)^alpha u of a descent iterate, a minimax peak or a
-    continuation row's predicted u_star ``u``, with ``r = residual(u, s)``;
+    source w = (-Delta_h)^alpha u of ``u``: the start of u_m's solve, a
+    minimax peak or a continuation row's predicted u_star, with
+    ``r = residual(u, s)``;
     returns (last iterate G w, reached_tolerance), with ``u`` itself when no
     step was accepted.
 
@@ -513,16 +486,17 @@ class WarmStart:
 def solve_run(s: EnergySetting, cfg: SolverConfig,
               warm: Optional[WarmStart] = None,
               calibration: Optional[Calibration] = None) -> SolveRun:
-    """Full orchestration: geometry, descent, minimax from u_m along psi.
+    """Full orchestration: geometry, u_m by Newton, minimax from u_m along
+    psi.
 
     ``calibration`` is ``calibrate(s)`` (computed here when omitted)
     or that of a setting differing from ``s`` only in lambda.  With
-    ``warm``, the descent starts at ``warm.u_m`` when it lies in the R0
-    ball (else at zero), and u_star is the Newton refinement of
-    ``warm.u_star``; a refinement that does not reach ``grad_tol``, or
+    ``warm``, u_m's Newton starts at ``warm.u_m`` when it lies in the R0
+    ball (else from zero), and u_star is the Newton solve from
+    ``warm.u_star``; one that does not reach ``grad_tol``, or
     that lands within 100 grad_tol of u_m in the seminorm, falls back to
     the minimax from u_m along psi, as a cold solve does.  The mountain
-    record then holds that refinement's ``newton`` rows alone, or else the
+    record then holds that solve's ``newton`` rows alone, or else the
     minimax's record.
     """
     s.validate_grid()
@@ -536,7 +510,7 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     u0 = zeros(dom)
     if warm is not None and seminorm(warm.u_m, alpha) <= geom.R0:
         u0 = warm.u_m
-    u_m, rec_min = minimize_local(s, u0, cfg, geom.R0, geom.R1)
+    u_m, rec_min = minimize_local(s, u0, cfg, geom.R0)
     j_m = action(u_m, s)
 
     ok = False
@@ -562,11 +536,9 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
             raise GeometryError(
                 f"lambda = 0 run must pair the trivial minimizer with a positive "
                 f"level, got J_m={j_m}, J_star={j_star}")
-    residual_m = rec_min.residual_norm[-1]
-    residual_m_stencil = (l2_norm(residual(u_m, s)) if rec_min.phase[-1] == "newton"
-                          else residual_m)
     pair = SolutionPair(u_m=u_m, u_star=u_star, J_m=j_m, J_star=j_star, sep=sep,
-                        residual_m=residual_m, residual_m_stencil=residual_m_stencil,
+                        residual_m=rec_min.residual_norm[-1],
+                        residual_m_stencil=l2_norm(residual(u_m, s)),
                         residual_star=rec_mp.residual_norm[-1],
                         residual_star_stencil=l2_norm(residual(u_star, s)))
     return SolveRun(pair=pair, geometry=geom, psi=psi,
@@ -575,7 +547,7 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
 
 @dataclass
 class ProbeReport:
-    """Outcome of repeated descents from random starts in the small ball."""
+    """Outcome of repeated minimizer solves from random starts in the small ball."""
 
     trials: int
     converged: int
@@ -587,9 +559,9 @@ class ProbeReport:
 
 def ball_uniqueness_probe(s: EnergySetting, cfg: SolverConfig,
                           trials: int) -> ProbeReport:
-    """Restart descent from random points inside the R0 ball and measure the
-    spread of the limits; success means all runs land within 10*grad_tol of
-    one another in seminorm."""
+    """Run ``minimize_local`` from random points inside the R0 ball and
+    measure the spread of the limits; success means all runs land within
+    10*grad_tol of one another in seminorm."""
     if trials < 5:
         raise ValueError("need at least 5 trials")
     s.validate_grid()
@@ -606,7 +578,7 @@ def ball_uniqueness_probe(s: EnergySetting, cfg: SolverConfig,
         rho = rng.uniform(0.1, 0.8)
         u0 = w * (rho * geom.R0 / sn) if sn > 0 else zeros(dom)
         try:
-            u, _ = minimize_local(s, u0, cfg, geom.R0, geom.R1)
+            u, _ = minimize_local(s, u0, cfg, geom.R0)
             minimizers.append(u)
             energies.append(action(u, s))
         except PolyhessError as exc:

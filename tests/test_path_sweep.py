@@ -1,8 +1,12 @@
-"""Segment sweeps: the action along the segments of a path of random rows,
-read from per-field stencil images through ``energy.ray_actions``.
+"""Ray actions: the action along rays between random rows, read from
+per-field stencil images through ``energy.ray_actions``, and the peak that
+``solvers._ray_peak`` finds on the polynomial ``solvers._ray_polynomial``
+fits through those values.
 
-The segment from row a to row b is the ray from a with direction b - a,
-for t in [0, 1]; the mountain pass sweeps rays from u_m the same way."""
+The ray from row a toward row b has direction b - a and reaches b at
+t = 1; the mountain pass reads rays from u_m the same way.  The test names
+keep the words of the discrete path (segments, path maximum) they were
+first written for; each one checks rays."""
 
 import numpy as np
 import pytest

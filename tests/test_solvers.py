@@ -1,4 +1,5 @@
-"""Two-solution solvers: descent, minimax, probe, continuation, determinism.
+"""Two-solution solvers: the minimizer's Newton, minimax, probe, continuation,
+determinism.
 
 Regression values are frozen from the first successful runs at seed 0 and
 asserted with loose relative tolerances (1e-3) so legitimate BLAS spread
@@ -80,11 +81,12 @@ def test_solver_config_rejects_values_a_solve_cannot_use(bad):
 
 def test_psrecord_contract(run64):
     rec = PSRecord()
-    rec.append(1.0, 0.5, 2.0, "descent")
+    rec.append(1.0, 0.5, 2.0, "minimax")
     with pytest.raises(ValueError):
-        rec.append(1.0, -0.5, 2.0, "descent")
-    with pytest.raises(ValueError, match="phase"):
-        rec.append(1.0, 0.5, 2.0, "sweep")
+        rec.append(1.0, -0.5, 2.0, "minimax")
+    for gone in ("sweep", "descent"):
+        with pytest.raises(ValueError, match="phase"):
+            rec.append(1.0, 0.5, 2.0, gone)
     for j, rn in ((math.nan, 0.5), (1.0, math.nan), (-math.inf, 0.5), (1.0, math.inf)):
         with pytest.raises(NonconvergenceError, match="^newton iterate has a non-finite") as err:
             rec.append(j, rn, 2.0, "newton")
@@ -96,10 +98,11 @@ def test_psrecord_contract(run64):
     assert d["total_iterations"] == 2501
     assert d["J"][-1] == 2499.0  # final iterate always kept
     assert len(d["phase"]) == d["rows"]
-    assert (d["phase"][0], d["phase"][-1]) == ("descent", "newton")
-    assert {rec.phase[i] for i in range(1, 2001)} == {"minimax"}
-    # every phase record is tagged, and the mountain pass ends in Newton rows
-    assert set(run64.record_minimize.phase) == {"descent"}
+    assert (d["phase"][0], d["phase"][-1]) == ("minimax", "newton")
+    assert {rec.phase[i] for i in range(2001)} == {"minimax"}
+    # every phase record is tagged: u_m is Newton's alone, and the mountain
+    # pass ends in Newton rows
+    assert set(run64.record_minimize.phase) == {"newton"}
     phases = run64.record_mountain.phase
     assert phases[0] == "minimax" and phases[-1] == "newton"
     assert set(phases) == {"minimax", "newton"}
@@ -108,7 +111,7 @@ def test_psrecord_contract(run64):
 def test_minimize_local_trivial_at_lambda_zero():
     s = flagship_setting(32, lam=0.0)
     cfg = SolverConfig(seed=0)
-    u, rec = minimize_local(s, zeros(s.f.domain), cfg, 1e-6, 2e-6)
+    u, rec = minimize_local(s, zeros(s.f.domain), cfg, 1e-6)
     assert np.all(u.values == 0.0)
     assert len(rec) == 1
     assert rec.residual_norm[0] == 0.0
@@ -117,13 +120,14 @@ def test_minimize_local_trivial_at_lambda_zero():
 @pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
 def test_small_lambda_descent_leaves_the_zero_field(form):
     # at lambda = 9e-7 the zero field's residual, -lambda f, is already below
-    # grad_tol; the descent still steps off it, to J_m near -lambda^2 <f, G f> / 2
+    # grad_tol; u_m still leaves it, from lambda G f, to J_m near
+    # -lambda^2 <f, G f> / 2
     lam = 9e-7
     s = flagship_setting(64, lam=lam, form=form)
     cfg = SolverConfig(seed=0)
     run = solve_run(s, cfg)
-    rec = run.record_minimize
-    assert rec.residual_norm[0] <= cfg.grad_tol and len(rec) >= 2
+    assert l2_norm(energy.residual(zeros(s.f.domain), s)) <= cfg.grad_tol
+    assert np.any(run.pair.u_m.values) and run.record_minimize.phase == ["newton"]
     g = invert_polyharmonic(s.f, s.alpha)
     assert run.pair.J_m == pytest.approx(-0.5 * lam ** 2 * inner(s.f, g), rel=1e-6)
     assert run.pair.J_m < 0.0 < run.pair.J_star
@@ -136,40 +140,34 @@ def test_minimize_local_start_validation(run32):
     cfg = SolverConfig(seed=0)
     far = 100.0 * run32.psi
     with pytest.raises(ContractError):
-        minimize_local(s, far, cfg, run32.geometry.R0, run32.geometry.R1)
+        minimize_local(s, far, cfg, run32.geometry.R0)
 
 
-def test_minimize_local_monotone_descent(run64):
-    js = run64.record_minimize.J
-    assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(js, js[1:]))
-
-
-def test_minimize_local_non_monotone_step_raises(run32, monkeypatch):
-    """The monotone-descent guard is an explicit check, not an assert."""
-    s = flagship_setting(32)
-    geom = run32.geometry
-    energies = iter([0.0])
-    # a negative slope makes the Armijo test accept the rising candidate
-    monkeypatch.setattr(solvers, "evaluate_H", lambda u, s, r0, r1: next(energies, 1.0))
-    monkeypatch.setattr(solvers, "inner", lambda a, b: -1e12)
-    with pytest.raises(NonconvergenceError, match=r"0\.0 to 1\.0") as info:
-        minimize_local(s, zeros(s.f.domain), SolverConfig(seed=0), geom.R0, geom.R1)
-    assert len(info.value.record) == 1
-
-
-def test_failed_descent_step_then_newton_without_a_step_raises(run32, monkeypatch):
-    """A descent step that fails its Armijo test goes to Newton once, with no
-    backtracking; a refinement that accepts no step ends the descent."""
-    s = flagship_setting(32)
-    geom = run32.geometry
+def test_minimize_local_monotone_descent(monkeypatch):
+    """u_m is Newton's from lambda G f, byte for byte the first Newton step
+    from the zero field, in both forms, and its record descends in |R|:
+    every row is ``newton``, and each residual norm is strictly below the
+    one before it, the start's first (the line search promises this)."""
     handed = []
-    monkeypatch.setattr(solvers, "inner", lambda a, b: 1e30)  # no Armijo test passes
-    monkeypatch.setattr(solvers, "_newton_refine",
-                        lambda u, r, s, cfg, rec: (handed.append(u) or u, False))
-    with pytest.raises(NonconvergenceError, match="Newton stalled") as info:
-        minimize_local(s, zeros(s.f.domain), SolverConfig(seed=0), geom.R0, geom.R1)
-    assert info.value.record.phase == ["descent"]
-    assert len(handed) == 1 and not np.any(handed[0].values)
+    refine = solvers._newton_refine
+
+    def recorded(u, r, s, cfg, rec):
+        handed.append((u, l2_norm(r)))
+        return refine(u, r, s, cfg, rec)
+
+    monkeypatch.setattr(solvers, "_newton_refine", recorded)
+    cfg = SolverConfig(seed=0)
+    for form in (Form.STRONG, Form.WEAK):
+        s = flagship_setting(32, lam=200.0, form=form)
+        geom = calibrate(s).geometry(s.lam)
+        _, rec = minimize_local(s, zeros(s.f.domain), cfg, geom.R0)
+        (u0, rn0), = handed
+        handed.clear()
+        assert u0.values.tobytes() == invert_polyharmonic(s.f * s.lam, s.alpha).values.tobytes()
+        assert len(rec) >= 2 and set(rec.phase) == {"newton"}
+        norms = [rn0] + rec.residual_norm
+        assert all(b < a for a, b in zip(norms, norms[1:]))
+        assert norms[-1] <= cfg.grad_tol < norms[-2]
 
 
 def test_flagship_pair_regression(run32, run64):
@@ -191,12 +189,13 @@ def test_flagship_pair_regression(run32, run64):
 
 
 def test_pair_validates_against_energy_module(run64):
-    """u_m is accepted on its stencil residual; u_star = G w on the residual
-    in w, R(w) = w - N(G w) - lambda f, the mountain record's last row, and
-    its stencil residual is kept beside it."""
+    """Each solution G w is accepted on the residual in w,
+    R(w) = w - N(G w) - lambda f, the last row of its record, and its
+    stencil residual is kept beside it."""
     s = flagship_setting(64)
     p = run64.pair
-    assert abs(l2_norm(residual_strong(p.u_m, s)) - p.residual_m) <= 1e-12
+    assert abs(l2_norm(residual_strong(p.u_m, s)) - p.residual_m_stencil) <= 1e-12
+    assert p.residual_m == run64.record_minimize.residual_norm[-1] <= 1e-6
     assert abs(l2_norm(residual_strong(p.u_star, s)) - p.residual_star_stencil) <= 1e-12
     assert p.residual_star == run64.record_mountain.residual_norm[-1] <= 1e-6
     w = polyharmonic(p.u_star, 2)
@@ -482,8 +481,7 @@ def test_probe_lambda_zero_converges_to_origin():
 @pytest.mark.parametrize("lam", [50.0, 200.0])
 def test_probe_converges_at_large_lambda(lam):
     """At lambda = 50 and 200 every random start in the R0 ball reaches one
-    minimizer: a descent step that fails its Armijo test hands the iterate
-    to the Newton polish in w instead of stalling."""
+    minimizer by the Newton solve in w."""
     rep = ball_uniqueness_probe(flagship_setting(32, lam=lam), SolverConfig(seed=0), 5)
     assert rep.converged == 5 and not rep.failures
     assert rep.max_pairwise <= 10 * 1e-6
@@ -522,11 +520,9 @@ def test_continuation_table():
 @pytest.mark.parametrize("nodes, lam", [(32, 10.0), (32, 50.0), (32, 200.0),
                                          (64, 10.0), (64, 50.0), (64, 200.0)])
 def test_weak_flagship_converges_at_moderate_lambda(tmp_path, nodes, lam):
-    """The weak residual is not the exact gradient of the weak action, so at
-    moderate lambda the descent's full step fails its Armijo test above
-    grad_tol and the Newton polish in w finishes u_m: the descent record
-    ends in a ``newton`` row and ``residual_m`` is its residual in w.  At
-    n = 64 and lambda = 10 the descent meets grad_tol on its own."""
+    """The weak residual is not the exact gradient of the weak action; u_m
+    is found by Newton in w all the same: every row of its record is
+    ``newton`` and ``residual_m`` is the last one's residual in w."""
     text = (_REPO / "configs" / "ma2d.cfg").read_text()
     assert "nodes = 64" in text
     cfg = tmp_path / "ma2d.cfg"
@@ -536,10 +532,8 @@ def test_weak_flagship_converges_at_moderate_lambda(tmp_path, nodes, lam):
                  "--out", str(out)]) == 0
     results = json.loads((out / "run.json").read_text())["results"]
     assert results["residual_m"] <= 1e-6 and results["residual_star"] <= 1e-6
-    phases = results["record_minimize"]["phase"]
-    assert phases[0] == "descent"
-    if (nodes, lam) != (64, 10.0):
-        assert phases[-1] == "newton"
+    assert set(results["record_minimize"]["phase"]) == {"newton"}
+    assert results["residual_m"] == results["record_minimize"]["residual_norm"][-1]
 
 
 def test_weak_continuation_converges_on_every_row_to_lambda_50():
@@ -550,12 +544,20 @@ def test_weak_continuation_converges_on_every_row_to_lambda_50():
 
 def _force_minimax(monkeypatch):
     """Fail every Newton correction of a predicted u_star: the corrector is
-    the one caller of ``_newton_refine`` that hands it an empty record."""
-    refine = solvers._newton_refine
+    the one call of ``_newton_refine`` that starts at the predicted u_star."""
+    refine, predict = solvers._newton_refine, solvers._predict
+    predicted = []
+
+    def recorded(done, lam):
+        warm = predict(done, lam)
+        if warm is not None:
+            predicted.append(warm.u_star)
+        return warm
 
     def failing(u, r, s, cfg, rec):
-        return (u, False) if len(rec) == 0 else refine(u, r, s, cfg, rec)
+        return (u, False) if any(u is p for p in predicted) else refine(u, r, s, cfg, rec)
 
+    monkeypatch.setattr(solvers, "_predict", recorded)
     monkeypatch.setattr(solvers, "_newton_refine", failing)
 
 
@@ -614,11 +616,11 @@ def test_prediction_outside_the_r0_ball_starts_the_descent_from_zero(run32, monk
     s = flagship_setting(32)
     cfg = SolverConfig(seed=0)
     starts = []
-    descent = solvers.minimize_local
+    minimize = solvers.minimize_local
 
-    def recorded(s, u0, cfg, r0, r1):
+    def recorded(s, u0, cfg, r0):
         starts.append((u0, r0))
-        return descent(s, u0, cfg, r0, r1)
+        return minimize(s, u0, cfg, r0)
 
     monkeypatch.setattr(solvers, "minimize_local", recorded)
     pair = run32.pair
@@ -689,11 +691,11 @@ def test_psi_is_checked_without_the_pointwise_sigma_k_field(monkeypatch, form):
 
 
 def test_stencil_residual_of_a_polished_minimizer(tmp_path, run32):
-    """When Newton finishes u_m, ``residual_m`` is its residual in w and
-    ``residual_m_stencil`` the stencil residual of u_m, both in run.json;
-    when the descent meets grad_tol itself the two are one value."""
-    assert run32.record_minimize.phase[-1] == "descent"
-    assert run32.pair.residual_m_stencil == run32.pair.residual_m
+    """Newton finishes u_m: ``residual_m`` is its residual in w and
+    ``residual_m_stencil`` the stencil residual of u_m, both in run.json."""
+    s32 = flagship_setting(32)
+    assert run32.pair.residual_m == run32.record_minimize.residual_norm[-1]
+    assert run32.pair.residual_m_stencil == l2_norm(energy.residual(run32.pair.u_m, s32))
     cfg = replace(load_config(_REPO / "configs" / "ma2d.cfg"), form="weak")
     out = tmp_path / "out"
     assert main(["solve", "--config", str(_REPO / "configs" / "ma2d.cfg"), "--form", "weak",
@@ -907,10 +909,16 @@ def test_weak_strong_minimizer_agreement(run32, run64, run32_weak, run64_weak):
 
 
 def test_nonconvergence_carries_record():
-    s = flagship_setting(32)
-    cfg = SolverConfig(seed=0, max_iters=1, grad_tol=1e-14)
+    # at lambda = 200 u_m takes three Newton rows; a budget of one misses grad_tol
+    s = flagship_setting(32, lam=200.0)
+    cfg = SolverConfig(seed=0, max_iters=1)
     geom = calibrate(s).geometry(s.lam)
-    with pytest.raises(NonconvergenceError) as err:
-        minimize_local(s, zeros(s.f.domain), cfg, geom.R0, geom.R1)
+    with pytest.raises(NonconvergenceError, match="exhausted") as err:
+        minimize_local(s, zeros(s.f.domain), cfg, geom.R0)
     assert err.value.record is not None
-    assert len(err.value.record) >= 1
+    assert len(err.value.record) == 1 and err.value.record.residual_norm[0] > cfg.grad_tol
+    # a grad_tol below the roundoff floor stalls the line search inside the budget
+    cfg = SolverConfig(seed=0, grad_tol=1e-300)
+    with pytest.raises(NonconvergenceError, match="Newton stalled") as err:
+        minimize_local(s, zeros(s.f.domain), cfg, geom.R0)
+    assert 1 <= len(err.value.record) < cfg.max_iters
