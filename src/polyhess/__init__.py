@@ -14,7 +14,6 @@ selects alpha and the datum space.
 from .errors import (
     CapabilityError,
     ConfigError,
-    ContractError,
     GeometryError,
     NonconvergenceError,
     PolyhessError,

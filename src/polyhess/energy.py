@@ -34,13 +34,13 @@ One evaluation path.  ``_images`` computes a field's linear stencil images
 component-first, and in the divergence form the centered gradient), and
 ``_terms`` turns images into the quadratic, datum and nonlinear terms.
 ``evaluate_J``, ``evaluate_J_weak``, ``energy_report``, ``evaluate_H``,
-``fit_minorant``, ``geometry_witnesses`` and ``ray_actions`` go through
+``fit_minorant``, ``geometry_witnesses`` and ``ray_polynomial`` go through
 these two, and the seminorm they report or cut off is taken from the same
 half-order components, so equal inputs give bit-identical values in all.
 Every image is linear in the field, so J(base + t v) is a polynomial of
-degree k + 1 in t in both forms: ``ray_actions`` reads its values from the
-images of base and v as a + t b, ``solvers`` fixes the polynomial from
-k + 2 of them, and ``polynomial_peak`` finds its highest local maximum.
+degree k + 1 in t in both forms: ``ray_polynomial`` fixes it from its
+values at k + 2 points, read from the images of base and v as a + t b, and
+``polynomial_peak`` finds its highest local maximum.
 Both residuals share one Euler-Lagrange assembly,
 (-1)^alpha Delta^alpha u - N(u) - lambda f.  Wherever the Hessian entries
 are computed (``_images``, both residuals, the weak pairing), the first
@@ -88,8 +88,8 @@ checks, as when each lambda fitted its own.
 
 Form dispatch.  This module makes every strong-versus-weak choice:
 ``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
-``ray_actions``, ``residual``, ``nonlinear`` and ``nonlinear_jacobian``
-select the form's action, its values along a ray, residual, nonlinear term
+``ray_polynomial``, ``residual``, ``nonlinear`` and ``nonlinear_jacobian``
+select the form's action, its polynomial along a ray, residual, nonlinear term
 N and the Jacobian action of N for the solvers.
 """
 
@@ -134,7 +134,8 @@ class EnergySetting:
 
     An ``alpha`` other than the regime formula's value for the chosen form
     is an override, reported by ``alpha_overridden`` so runs stay auditable.
-    The weak form admits no override.
+    The weak form admits no override.  A problem dimension N other than the
+    datum's box dimension raises a ``CapabilityError``: no grid exists for it.
     """
 
     params: ProblemParams
@@ -144,6 +145,11 @@ class EnergySetting:
     form: Form = Form.STRONG
 
     def __post_init__(self):
+        if self.params.N != self.f.domain.dim:
+            raise CapabilityError(
+                f"problem dimension N={self.params.N} has no grid support "
+                f"(datum lives on a {self.f.domain.dim}-D box; boxes exist for dim 2 and 3 only)"
+            )
         if self.alpha < 2:
             raise ValueError(f"alpha={self.alpha} violates the sharp bound alpha >= 2")
         if self.form is Form.WEAK and self.alpha_overridden:
@@ -159,15 +165,7 @@ class EnergySetting:
     def alpha_overridden(self) -> bool:
         return self.alpha != self.form.alpha_formula(self.params)
 
-    def validate_grid(self):
-        if self.params.N != self.f.domain.dim:
-            raise CapabilityError(
-                f"problem dimension N={self.params.N} has no grid support "
-                f"(datum lives on a {self.f.domain.dim}-D box; boxes exist for dim 2 and 3 only)"
-            )
-
     def check_field(self, u: ScalarField):
-        self.validate_grid()
         if u.domain != self.f.domain:
             raise ValueError("field and datum live on different domains")
 
@@ -314,33 +312,34 @@ def action(u: ScalarField, s: EnergySetting) -> float:
     return evaluate_J(u, s)
 
 
-def ray_actions(base: ScalarField, s: EnergySetting):
-    """Action of the setting's form along rays from ``base``.
+def ray_polynomial(base: ScalarField, s: EnergySetting):
+    """The action of the setting's form along rays from ``base``, as a polynomial.
 
-    Returns ``along(v, ts)``, the action at ``base + t v`` for each ``t`` in
-    ``ts``.  The stencil images are linear, so the images a of ``base`` and
-    J(base) = ``action(base)`` are computed here once, those of ``v`` once per
-    call, and each value at t != 0 through ``_J_of`` from a + t b in buffers
-    that every call reuses; only sigma_k (or the flux) and the reductions
-    run per ``t``.  At t = 0 it returns J(base): a + 0 b differs from a only
-    in signs of zero, which J does not see.
+    Returns ``coefs(v)``, the coefficients, lowest degree first, of
+    t -> J(base + t v): every stencil image is linear, so this is the
+    polynomial of degree k + 1 through its values at ``linspace(0, 2, k + 2)``.
+    The images a of ``base`` and J(base) = ``action(base)`` are computed here
+    once, those of ``v`` once per call, and each value at t > 0 through
+    ``_J_of`` from a + t b in buffers that every call reuses; only sigma_k (or
+    the flux) and the reductions run per t.
     """
+    k = s.params.k
+    ts = np.linspace(0.0, 2.0, k + 2)
     a = _images(base, s)
     j_base = _J_of(a, s)
     x = tuple(None if p is None else np.empty_like(p) for p in a)
 
-    def along(v: ScalarField, ts) -> np.ndarray:
+    def coefs(v: ScalarField) -> np.ndarray:
         b = _images(v, s)
-        out = np.full(len(ts), j_base)
-        for j, t in enumerate(ts):
-            if t != 0.0:
-                for p, q, y in zip(a, b, x):
-                    if p is not None:  # y = a + t b
-                        np.multiply(q, t, out=y)
-                        np.add(p, y, out=y)
-                out[j] = _J_of(x, s)
-        return out
-    return along
+        values = np.full(len(ts), j_base)
+        for j in range(1, len(ts)):
+            for p, q, y in zip(a, b, x):
+                if p is not None:  # y = a + t b
+                    np.multiply(q, ts[j], out=y)
+                    np.add(p, y, out=y)
+            values[j] = _J_of(x, s)
+        return npoly.polyfit(ts, values, k + 1)
+    return coefs
 
 
 def polynomial_peak(coefs: np.ndarray) -> tuple[float, float] | None:
@@ -517,7 +516,6 @@ def fit_minorant(s: EnergySetting, gf: ScalarField | None = None) -> tuple[float
     Cauchy-Schwarz +-a bound int f u / |u| over every field.  The setting's
     lambda is not read.  ``gf`` is G f (computed here when omitted).
     """
-    s.validate_grid()
     k = s.params.k
     if gf is None:
         gf = invert_polyharmonic(s.f, s.alpha)
@@ -538,7 +536,6 @@ def geometry_witnesses(s: EnergySetting) -> ScalarField | None:
     """psi, the compact radial bump with the sign that makes N(psi) in
     the setting's form positive, or None when no bump verifies: -N(psi) is
     the t^(k+1) coefficient of J along the minimax's first ray u_m + t psi."""
-    s.validate_grid()
     dom = s.f.domain
     k = s.params.k
     minext = min(dom.extent)

@@ -9,15 +9,16 @@ class CapabilityError(PolyhessError):
     """A request is outside the documented capability envelope (e.g. N > 3 grids)."""
 
 
-class ContractError(PolyhessError):
-    """A caller violated an operation precondition (e.g. a start point outside the R0 ball)."""
-
-
 class GeometryError(PolyhessError):
     """The two-level landscape required by the solver is absent or escaped.
 
-    Typically means lambda is too large for the fitted radii, or a search
-    path degenerated (max collapsed onto an endpoint).
+    Raised when the fitted minorant has no positive hump or no zero below
+    its maximizer (lambda is too large for the radii), when no bump psi has
+    a positive nonlinear term, when the datum gives no witness (lambda int
+    f phi is not positive), when the converged minimizer sits outside the R0
+    ball, when the first ray from it has no positive peak, and when the two
+    solutions coincide or break the energy ordering J_m < J_star (with
+    J_m < 0 < J_star for lambda != 0, J_m = 0 at lambda = 0).
     """
 
 

@@ -2,8 +2,9 @@
 minimax search for the mountain-pass critical point.
 
 Minimizer.  u_m is the Newton solve below (``minimize_local``), from a
-start inside the R0 ball; from the zero field it starts at lambda G f,
-which is Newton's first step from zero, since N'(0) = 0 for k >= 2.
+start inside the R0 ball; from the zero field or a start outside that ball
+it starts at lambda G f, which is Newton's first step from zero, since
+N'(0) = 0 for k >= 2.
 
 Mountain pass.  A local minimax on rays from the minimizer u_m (Li and
 Zhou, SIAM J. Sci. Comput. 23:840, 2001): one direction field v replaces a
@@ -12,7 +13,7 @@ The first ray is u_m + t psi (``Calibration.psi``), on which J falls
 without bound: its t^(k+1) coefficient is -N(psi) < 0.
 Every stencil image is linear in t, so J(u_m + t v) is a polynomial of
 degree k + 1 in t in both forms, fixed exactly by its values at k + 2
-points (``energy.ray_actions``, from the images of u_m computed once per
+points (``energy.ray_polynomial``, from the images of u_m computed once per
 call and those of v); the peak is the highest local maximum at t > 0 among
 the roots of its derivative, so no ridge between samples can be missed.  A
 ray with no such peak is a rejected step.  From the peak w the search tries
@@ -31,8 +32,7 @@ iterate when that met ``grad_tol`` and stays separated from u_m;
 otherwise it ends with a ``NonconvergenceError`` that says why.  The
 minimizer's record gets one row per accepted Newton iterate (phase
 ``newton``), the mountain record one per minimax step (``minimax``) and
-then its ``newton`` rows; ``max_iters`` bounds the rows of each.  A
-violated precondition of a solver raises ``ContractError``.
+then its ``newton`` rows; ``max_iters`` bounds the rows of each.
 
 Newton on the source.  The Newton solve (``_newton_refine``) iterates on
 w = (-Delta_h)^alpha u, u = G w (Knoll and Keyes, J. Comput. Phys.
@@ -55,7 +55,7 @@ after the first predicts both solutions from the last two converged rows
 by the secant u_i = u_(i-1) + c (u_(i-1) - u_(i-2)),
 c = (lambda_i - lambda_(i-1)) / (lambda_(i-1) - lambda_(i-2)), or takes the
 one converged row's pair.  u_m's Newton starts at the predicted u_m when
-it lies in the R0 ball, else from zero; u_star is the Newton solve from
+it lies in the R0 ball, else at lambda G f; u_star is the Newton solve from
 the predicted u_star, with no minimax; one that misses ``grad_tol`` or
 falls back to u_m hands the row to the minimax of a cold solve.
 
@@ -82,7 +82,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .energy import (
     Calibration,
@@ -92,13 +91,13 @@ from .energy import (
     calibrate,
     energy_report,
     polynomial_peak as _ray_peak,
-    ray_actions,
+    ray_polynomial,
     nonlinear,
     nonlinear_jacobian,
     residual,
     with_lambda,
 )
-from .errors import ContractError, GeometryError, NonconvergenceError, PolyhessError
+from .errors import GeometryError, NonconvergenceError, PolyhessError
 from .grid import (
     ScalarField,
     invert_polyharmonic,
@@ -220,9 +219,9 @@ _LS_C = 1e-4  # Armijo factor of the minimax's one trial step
 def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
                    R0: float) -> tuple[ScalarField, PSRecord]:
     """The isolated minimizer u_m inside the R0 ball: ``_newton_refine`` from
-    ``u0``, or from lambda G f when ``u0`` is the zero field.  That start is
-    Newton's first step from zero, where N'(0) = 0 for k >= 2; at lambda = 0
-    it is zero itself, whose residual is 0.
+    ``u0``, or from lambda G f when ``u0`` is the zero field or lies outside
+    the R0 ball.  That start is Newton's first step from zero, where N'(0) = 0
+    for k >= 2; at lambda = 0 it is zero itself, whose residual is 0.
 
     Returns u_m and its record of ``newton`` rows.  Raises a
     ``NonconvergenceError`` when Newton misses ``grad_tol``, and a
@@ -230,10 +229,8 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
     functional and the action differ.
     """
     s.check_field(u0)
-    if not np.any(u0.values):
+    if not (np.any(u0.values) and seminorm(u0, s.alpha) <= R0):
         u0 = invert_polyharmonic(s.f * s.lam, s.alpha)
-    elif seminorm(u0, s.alpha) > R0:
-        raise ContractError("start point must be the zero field or lie inside the R0 ball")
     rec = PSRecord()
     u, converged = _newton_refine(u0, residual(u0, s), s, cfg, rec)
     if not converged:
@@ -245,14 +242,6 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
             "converged minimizer sits outside the R0 ball where H equals J; "
             "lambda is too large")
     return u, rec
-
-
-def _ray_polynomial(ray, v: ScalarField, k: int) -> np.ndarray:
-    """Coefficients, lowest degree first, of t -> J(u_m + t v), the
-    polynomial of degree k + 1 through its values at ``linspace(0, 2, k + 2)``
-    (``ray`` from ``energy.ray_actions(u_m, s)``)."""
-    ts = np.linspace(0.0, 2.0, k + 2)
-    return npoly.polyfit(ts, ray(v, ts), k + 1)
 
 
 _KRYLOV_RESTART = 40
@@ -434,10 +423,9 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, direction: ScalarField,
     away from ``u_m``; a first ray without a peak raises a ``GeometryError``,
     anything else a ``NonconvergenceError`` with its reason."""
     alpha = s.alpha
-    k = s.params.k
-    ray = ray_actions(u_m, s)
+    ray = ray_polynomial(u_m, s)
     v = direction
-    peak = _ray_peak(_ray_polynomial(ray, v, k))
+    peak = _ray_peak(ray(v))
     if peak is None:
         raise GeometryError("the ray from the minimizer has no positive peak")
     rec = PSRecord()
@@ -459,7 +447,7 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, direction: ScalarField,
         if dn > 0.0:  # half the distance from u_m caps the step
             step = min(step, 0.5 * t_top * seminorm(v, alpha) / dn)
         v_cand = w - step * d - u_m
-        cand = _ray_peak(_ray_polynomial(ray, v_cand, k))
+        cand = _ray_peak(ray(v_cand))
         if cand is None or not cand[1] <= j_top - _LS_C * step * inner(r, d):
             break
         v, peak = v_cand, cand
@@ -492,24 +480,20 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     ``calibration`` is ``calibrate(s)`` (computed here when omitted)
     or that of a setting differing from ``s`` only in lambda.  With
     ``warm``, u_m's Newton starts at ``warm.u_m`` when it lies in the R0
-    ball (else from zero), and u_star is the Newton solve from
+    ball (else at lambda G f, ``minimize_local``'s rule), and u_star is the Newton solve from
     ``warm.u_star``; one that does not reach ``grad_tol``, or
     that lands within 100 grad_tol of u_m in the seminorm, falls back to
     the minimax from u_m along psi, as a cold solve does.  The mountain
     record then holds that solve's ``newton`` rows alone, or else the
     minimax's record.
     """
-    s.validate_grid()
     if calibration is None:
         calibration = calibrate(s)
     geom = calibration.geometry(s.lam)
     psi = calibration.psi
     alpha = s.alpha
-    dom = s.f.domain
 
-    u0 = zeros(dom)
-    if warm is not None and seminorm(warm.u_m, alpha) <= geom.R0:
-        u0 = warm.u_m
+    u0 = zeros(s.f.domain) if warm is None else warm.u_m
     u_m, rec_min = minimize_local(s, u0, cfg, geom.R0)
     j_m = action(u_m, s)
 
@@ -564,7 +548,6 @@ def ball_uniqueness_probe(s: EnergySetting, cfg: SolverConfig,
     10*grad_tol of one another in seminorm."""
     if trials < 5:
         raise ValueError("need at least 5 trials")
-    s.validate_grid()
     rng = np.random.default_rng(cfg.seed)
     geom = calibrate(s).geometry(s.lam)
     alpha = s.alpha

@@ -39,7 +39,7 @@ from polyhess import (
 from polyhess.cli import build_setting, load_config
 import polyhess.energy as energy
 from polyhess.energy import _sign, minorant_sample_family
-from polyhess.energy import action, nonlinear, nonlinear_jacobian, ray_actions
+from polyhess.energy import action, nonlinear, nonlinear_jacobian
 from polyhess.grid import (
     BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian, hessian_entries,
     laplacian_power, seminorm_of,
@@ -109,13 +109,12 @@ def test_action_entry_points_agree_exactly(dim, n, form):
     rng = np.random.default_rng(35)
     fields = [random_smooth_field(dom, rng, amplitude=a)
               for a in (0.3, 1.0, 2.5)]
-    for u, v in zip(fields, fields[1:] + fields[:1]):
+    for u in fields:
         j = action(u, s)
         r = seminorm(u, s.alpha)
         assert energy_report(u, s).J == j
         assert energy_report(u, s).seminorm == r
         assert evaluate_H(u, s, 2.0 * r, 3.0 * r) == j
-        assert ray_actions(u, s)(v, (0.0,))[0] == j
 
 
 def test_residual_strong_trivials(s64):

@@ -1,14 +1,12 @@
-"""Ray actions: the action along rays between random rows, read from
-per-field stencil images through ``energy.ray_actions``, and the peak that
-``solvers._ray_peak`` finds on the polynomial ``solvers._ray_polynomial``
-fits through those values.
+"""Ray polynomials: the action along rays between random rows, as the
+coefficients ``energy.ray_polynomial`` fixes from per-field stencil images,
+and the peak that ``solvers._ray_peak`` finds on them.
 
 The ray from row a toward row b has direction b - a and reaches b at
-t = 1; the mountain pass reads rays from u_m the same way.  The test names
-keep the words of the discrete path (segments, path maximum) they were
-first written for; each one checks rays."""
+t = 1; the mountain pass reads rays from u_m the same way."""
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from polyhess import (
@@ -19,8 +17,8 @@ from polyhess import (
     random_smooth_field,
     unit_box,
 )
-from polyhess.energy import _images, _J_of, action, ray_actions
-from polyhess.solvers import _ray_peak, _ray_polynomial
+from polyhess.energy import _images, _J_of, action, ray_polynomial
+from polyhess.solvers import _ray_peak
 
 from conftest import constant_datum
 
@@ -38,7 +36,7 @@ SAMPLES = (0.0, 0.25, 0.5, 2.0 / 3.0, 0.75, 1.0)
 
 
 def case_path(dim, n, k, form, points=6):
-    """A setting and a path of random smooth rows of mixed amplitude."""
+    """A setting and a sequence of random smooth rows of mixed amplitude."""
     dom = unit_box(dim, n)
     s = make_setting(ProblemParams(dim, k), 0.05, constant_datum(dom), form=form)
     rng = np.random.default_rng(100 * dim + 10 * k + (form is Form.WEAK))
@@ -52,49 +50,50 @@ def wrap(s, row):
 
 
 def segments(s, path):
-    """(start field, direction field, start row, end row) of each segment."""
+    """(start field, direction field, start row, end row) of each ray between rows."""
     for a, b in zip(path[:-1], path[1:]):
         yield wrap(s, a), wrap(s, b - a), a, b
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-def test_segment_actions_match_action(case):
+def test_ray_values_match_action_between_rows(case):
     s, path = case_path(*case)
     for start, direction, a, b in segments(s, path):
-        got = ray_actions(start, s)(direction, SAMPLES)
-        assert got.shape == (len(SAMPLES),)
-        assert got[0] == action(start, s)  # bit for bit
-        for t, value in zip(SAMPLES, got):
+        coefs = ray_polynomial(start, s)(direction)
+        assert coefs.shape == (s.params.k + 2,)
+        for t in SAMPLES:
             direct = action(wrap(s, (1.0 - t) * a + t * b), s)
-            assert value == pytest.approx(direct, rel=1e-12)
+            assert npoly.polyval(t, coefs) == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-def test_buffered_segment_actions_equal_unbuffered(case):
-    """The reused buffers give the values of images built by one expression,
-    a + t * b, into fresh arrays, bit for bit, also at t outside [0, 1]; at
-    every t = 0 (first, inside ts, or -0.0) the J(base) computed once per
-    ``ray_actions`` is J(a + 0 b) bit for bit."""
+def test_reused_buffers_match_fresh_images_bitwise(case):
+    """The reused buffers give the coefficients that ``polyfit`` reads off
+    values of images built by one expression, a + t * b, into fresh arrays,
+    bit for bit."""
     s, path = case_path(*case)
-    ts = SAMPLES + (0.1, 0.0, 0.9, -0.0, 2.6)
+    k = s.params.k
+    ts = np.linspace(0.0, 2.0, k + 2)
     for start, direction, _, _ in segments(s, path):
         a, b = _images(start, s), _images(direction, s)
-        ref = np.array([_J_of(tuple(None if p is None else p + t * q for p, q in zip(a, b)), s)
-                        for t in ts])
-        assert ray_actions(start, s)(direction, ts).tobytes() == ref.tobytes()
+        values = [_J_of(tuple(None if p is None else p + t * q for p, q in zip(a, b)), s)
+                  for t in ts]
+        ref = npoly.polyfit(ts, values, k + 1)
+        assert ray_polynomial(start, s)(direction).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-def test_locate_path_max_matches_brute_force(case):
-    """On every ray from a path row toward the next, the peak lies within one
+def test_ray_peak_matches_a_dense_scan(case):
+    """On every ray from a row toward the next, the peak lies within one
     step of the highest local maximum of a dense scan of ``action``, no scan
     value rises above it, and its value is the action at its t up to
     roundoff; a ray without a peak shows no local maximum in the scan."""
     s, path = case_path(*case)
+    k = s.params.k
     found = 0
     for start, direction, _, _ in segments(s, path):
-        along = ray_actions(start, s)
-        peak = _ray_peak(_ray_polynomial(along, direction, s.params.k))
+        coefs = ray_polynomial(start, s)(direction)
+        peak = _ray_peak(coefs)
         t_end = 4.0 if peak is None else 2.0 * peak[0]
         ts = np.linspace(0.0, t_end, 201)
         scan = np.array([action(wrap(s, start.values + t * direction.values), s)
@@ -110,26 +109,24 @@ def test_locate_path_max_matches_brute_force(case):
         assert scan[best] <= j_top + 1e-12 * np.max(np.abs(scan))
         # a far peak is extrapolated from the samples at t in [0, 2], so the
         # roundoff grows with their size times (1 + t) ** (k + 1)
-        sampled = along(direction, np.linspace(0.0, 2.0, s.params.k + 2))
-        growth = np.max(np.abs(sampled)) * (1.0 + t_top) ** (s.params.k + 1)
+        sampled = npoly.polyval(np.linspace(0.0, 2.0, k + 2), coefs)
+        growth = np.max(np.abs(sampled)) * (1.0 + t_top) ** (k + 1)
         direct = action(wrap(s, start.values + t_top * direction.values), s)
         assert j_top == pytest.approx(direct, abs=1e-14 * growth)
     assert found >= 1
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-def test_end_images_stand_in_for_the_end_rows(case):
-    """The images of the fixed end row, computed once, serve every ray from
-    it: evaluating other rays leaves them untouched, so one evaluator gives a
-    fresh one's values bit for bit, and at t = 0 the action of that row."""
+def test_base_images_serve_every_ray_unchanged(case):
+    """The images of the fixed base row, computed once, serve every ray from
+    it: evaluating other rays leaves them untouched, so one closure gives a
+    fresh one's coefficients bit for bit."""
     s, path = case_path(*case)
-    end = wrap(s, path[0])
-    ts = np.linspace(0.0, 2.0, s.params.k + 2)
-    along = ray_actions(end, s)
+    base = wrap(s, path[0])
+    coefs = ray_polynomial(base, s)
     for row in path[1:]:
         direction = wrap(s, row - path[0])
-        fresh = ray_actions(end, s)(direction, ts)
-        assert np.array_equal(along(direction, ts), fresh)
-        along(wrap(s, -0.5 * row), (0.7,))
-        assert np.array_equal(along(direction, ts), fresh)
-        assert fresh[0] == action(end, s)
+        fresh = ray_polynomial(base, s)(direction)
+        assert np.array_equal(coefs(direction), fresh)
+        coefs(wrap(s, -0.5 * row))
+        assert np.array_equal(coefs(direction), fresh)

@@ -52,7 +52,7 @@ from polyhess import (
 import polyhess.energy as energy
 import polyhess.grid as grid
 import polyhess.solvers as solvers
-from polyhess.errors import ContractError, GeometryError, PolyhessError
+from polyhess.errors import GeometryError, PolyhessError
 
 from conftest import constant_datum, flagship_setting
 from polyhess.cli import build_setting, load_config, main
@@ -136,11 +136,17 @@ def test_small_lambda_descent_leaves_the_zero_field(form):
 
 
 def test_minimize_local_start_validation(run32):
+    """A start outside the R0 ball is replaced by the zero start's lambda G f:
+    both give the same u_m, byte for byte."""
     s = flagship_setting(32)
     cfg = SolverConfig(seed=0)
+    r0 = run32.geometry.R0
     far = 100.0 * run32.psi
-    with pytest.raises(ContractError):
-        minimize_local(s, far, cfg, run32.geometry.R0)
+    assert seminorm(far, s.alpha) > r0
+    u_far, rec_far = minimize_local(s, far, cfg, r0)
+    u_zero, rec_zero = minimize_local(s, zeros(s.f.domain), cfg, r0)
+    assert u_far.values.tobytes() == u_zero.values.tobytes()
+    assert rec_far.residual_norm == rec_zero.residual_norm
 
 
 def test_minimize_local_monotone_descent(monkeypatch):
@@ -616,19 +622,20 @@ def test_prediction_outside_the_r0_ball_starts_the_descent_from_zero(run32, monk
     s = flagship_setting(32)
     cfg = SolverConfig(seed=0)
     starts = []
-    minimize = solvers.minimize_local
+    refine = solvers._newton_refine
 
-    def recorded(s, u0, cfg, r0):
-        starts.append((u0, r0))
-        return minimize(s, u0, cfg, r0)
+    def recorded(u, r, s, cfg, rec):
+        starts.append(u)
+        return refine(u, r, s, cfg, rec)
 
-    monkeypatch.setattr(solvers, "minimize_local", recorded)
+    monkeypatch.setattr(solvers, "_newton_refine", recorded)
     pair = run32.pair
     far_u_m = pair.u_m + run32.psi
     run = solve_run(s, cfg, warm=solvers.WarmStart(far_u_m, pair.u_star))
-    (u0, r0), = starts
-    assert seminorm(far_u_m, s.alpha) > r0
-    assert not np.any(u0.values)
+    assert seminorm(far_u_m, s.alpha) > run.geometry.R0
+    # u_m's Newton comes first and is handed lambda G f, byte for byte
+    lam_gf = invert_polyharmonic(s.f * s.lam, s.alpha)
+    assert starts[0].values.tobytes() == lam_gf.values.tobytes()
     assert run.pair.J_m == pytest.approx(pair.J_m, rel=1e-8)
     assert run.pair.J_star == pytest.approx(pair.J_star, rel=1e-8)
 
@@ -668,7 +675,7 @@ def test_minimax_starts_on_the_ray_through_psi(monkeypatch, name, form):
     psi = calibrate(s).psi
     assert len(handed) == 1 and handed[0].values.tobytes() == psi.values.tobytes()
     k = s.params.k
-    top = solvers._ray_polynomial(energy.ray_actions(run.pair.u_m, s), psi, k)[k + 1]
+    top = energy.ray_polynomial(run.pair.u_m, s)(psi)[k + 1]
     assert top < 0.0
     assert top == pytest.approx(-energy.energy_report(psi, s).nonlinear_term, rel=1e-9)
 
@@ -878,16 +885,14 @@ def test_weak_two_solutions_guards():
 
 
 def test_capability_rejection_high_dimension():
-    # N = 5 problem on a 2-D surrogate grid is refused outright
+    # N = 5 problem on a 2-D surrogate grid is refused outright, by the
+    # setting itself, in both forms (the weak one with its alpha = 3)
     dom = unit_box(2, 32)
-    s5 = make_setting(ProblemParams(5, 2), 0.05, constant_datum(dom),
-                      form=Form.WEAK)
-    assert s5.alpha == 3
-    with pytest.raises(CapabilityError):
-        solve_run(s5, SolverConfig(seed=0))
-    with pytest.raises(CapabilityError):
-        solve_run(make_setting(ProblemParams(5, 2), 0.05, constant_datum(dom)),
-                  SolverConfig(seed=0))
+    assert Form.WEAK.alpha_formula(ProblemParams(5, 2)) == 3
+    with pytest.raises(CapabilityError, match="N=5 has no grid support"):
+        make_setting(ProblemParams(5, 2), 0.05, constant_datum(dom), form=Form.WEAK)
+    with pytest.raises(CapabilityError, match="N=5 has no grid support"):
+        make_setting(ProblemParams(5, 2), 0.05, constant_datum(dom))
 
 
 def test_weak_lambda_zero_pair():
