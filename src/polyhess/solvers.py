@@ -24,23 +24,24 @@ residual preconditioned by G, the exact inverse of the discrete
 (-Delta)^alpha, applied in the sine basis where it is diagonal: the raw
 residual of the order-2 alpha operator is conditioned like h^(-2 alpha).
 
-One trial step per row.  The minimax does not backtrack: when its trial
-step fails the Armijo test, or at the first row whose peak value moved by
-at most ``deform_tol`` (relative) from the previous row's, it hands its
-peak and residual to the Newton solve, once.  It returns the Newton
-iterate when that met ``grad_tol`` and stays separated from u_m;
-otherwise it ends with a ``NonconvergenceError`` that says why.  The
-minimizer's record gets one row per accepted Newton iterate (phase
+One trial step per row.  The minimax does not backtrack: at the first row
+whose residual meets ``grad_tol`` or whose peak value moved by at most
+``deform_tol`` (relative) from the previous row's, or when its trial step
+fails the Armijo test, it hands its peak to the Newton solve, once.  It
+returns the Newton iterate when that met ``grad_tol`` and stays separated
+from u_m; otherwise it ends with a ``NonconvergenceError`` that says why.
+The minimizer's record gets one row per accepted Newton iterate (phase
 ``newton``), the mountain record one per minimax step (``minimax``) and
-then its ``newton`` rows; ``max_iters`` bounds the rows of each.
+then its ``newton`` rows, so each ends at its solution, with its J;
+``max_iters`` bounds the rows of each.
 
 Newton on the source.  The Newton solve (``_newton_refine``) iterates on
 w = (-Delta_h)^alpha u, u = G w (Knoll and Keyes, J. Comput. Phys.
 193:357, 2004), free of the float64 floor of u's stencil residual, which
-grows like h^(-2 alpha).  Each solution is accepted on the residual of the
-last row of its record: the stencil residual when the minimax or Newton's
-start met ``grad_tol``, the residual in w when a Newton step finished it;
-``SolutionPair`` keeps the stencil residual of each solution beside it.
+grows like h^(-2 alpha).  Each solution is accepted on the residual in w
+of the last row of its record, which at Newton's start is the stencil
+residual bit for bit; ``SolutionPair`` keeps the stencil residual of each
+solution beside it.
 
 Krylov solver.  Each Newton step is one ``gmres`` solve, with no retry,
 that stops once its linear residual is below a tenth of ``grad_tol``: at
@@ -87,7 +88,6 @@ from .energy import (
     Calibration,
     EnergySetting,
     MinorantGeometry,
-    action,
     calibrate,
     energy_report,
     polynomial_peak as _ray_peak,
@@ -223,21 +223,21 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
     the R0 ball.  That start is Newton's first step from zero, where N'(0) = 0
     for k >= 2; at lambda = 0 it is zero itself, whose residual is 0.
 
-    Returns u_m and its record of ``newton`` rows.  Raises a
-    ``NonconvergenceError`` when Newton misses ``grad_tol``, and a
-    ``GeometryError`` when u_m sits outside the R0 ball, where the truncated
-    functional and the action differ.
+    Returns u_m and its record of ``newton`` rows, the last of which holds
+    J(u_m) and |u_m|.  Raises a ``NonconvergenceError`` when Newton misses
+    ``grad_tol``, and a ``GeometryError`` when u_m sits outside the R0 ball,
+    where the truncated functional and the action differ.
     """
     s.check_field(u0)
     if not (np.any(u0.values) and seminorm(u0, s.alpha) <= R0):
         u0 = invert_polyharmonic(s.f * s.lam, s.alpha)
     rec = PSRecord()
-    u, converged = _newton_refine(u0, residual(u0, s), s, cfg, rec)
+    u, converged = _newton_refine(u0, s, cfg, rec)
     if not converged:
         raise NonconvergenceError("minimize_local exhausted max_iters"
                                   if len(rec) >= cfg.max_iters else
                                   "minimizer: Newton stalled above grad_tol", rec)
-    if seminorm(u, s.alpha) >= R0:
+    if rec.seminorm[-1] >= R0:
         raise GeometryError(
             "converged minimizer sits outside the R0 ball where H equals J; "
             "lambda is too large")
@@ -353,18 +353,18 @@ _NEWTON_MAX = 60
 _KRYLOV_RTOL = 1e-7  # the smallest forcing term: GMRES stops by |b - A x| <= _KRYLOV_RTOL |b|
 
 
-def _newton_refine(u: ScalarField, r: ScalarField, s: EnergySetting, cfg: SolverConfig,
+def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
                    rec: PSRecord) -> tuple[ScalarField, bool]:
     """Damped inexact Newton iterations (Dembo, Eisenstat and Steihaug, SIAM
     J. Numer. Anal. 19:400, 1982) on R(w) = w - N(G w) - lambda f from the
     source w = (-Delta_h)^alpha u of ``u``: the start of u_m's solve, a
-    minimax peak or a continuation row's predicted u_star, with
-    ``r = residual(u, s)``;
-    returns (last iterate G w, reached_tolerance), with ``u`` itself when no
-    step was accepted.
+    minimax peak or a continuation row's predicted u_star; returns (last
+    iterate G w, reached_tolerance), with ``u`` itself when no step was
+    accepted.
 
-    The start needs no sine inverse: G w is ``u`` itself there, and R(w)
-    equals the stencil residual ``r`` bit for bit.  Each iteration is one
+    The start needs no sine inverse: G w is ``u`` itself there, and R(w),
+    formed by the operations of ``residual(u, s)`` in the same order,
+    equals that stencil residual bit for bit.  Each iteration is one
     unpreconditioned GMRES solve of (I - N'(G w) G) delta = -R(w) and a line
     search on t = 1, 1/2, ... (at most 10 trials, each one evaluated) for a
     strict decrease of |R|, so the refinement never runs away from the
@@ -377,12 +377,13 @@ def _newton_refine(u: ScalarField, r: ScalarField, s: EnergySetting, cfg: Solver
     dom = u.domain
     alpha = s.alpha
 
-    def at(w: np.ndarray) -> tuple:  # (w, G w, R(w), |R(w)|)
-        gw = invert_polyharmonic(ScalarField(dom, w), alpha)
+    def at(w: np.ndarray, gw: Optional[ScalarField] = None) -> tuple:  # (w, G w, R(w), |R(w)|)
+        if gw is None:
+            gw = invert_polyharmonic(ScalarField(dom, w), alpha)
         r = ScalarField(dom, w - nonlinear(gw, s) - s.lam * s.f.values)
         return w, gw, r, l2_norm(r)
 
-    w, gw, rn = (-1) ** alpha * polyharmonic(u, alpha).values, u, l2_norm(r)
+    w, gw, r, rn = at((-1) ** alpha * polyharmonic(u, alpha).values, u)
     for _ in range(min(_NEWTON_MAX, cfg.max_iters - len(rec))):
         if rn > cfg.grad_tol:
             jac = nonlinear_jacobian(gw, s)
@@ -418,10 +419,10 @@ def _separated(u: ScalarField, u_m: ScalarField, s: EnergySetting, cfg: SolverCo
 def mountain_pass(s: EnergySetting, u_m: ScalarField, direction: ScalarField,
                   cfg: SolverConfig) -> tuple[ScalarField, PSRecord]:
     """Local minimax on rays from the minimizer ``u_m``, starting on the ray
-    u_m + t ``direction``: returns the first row that meets ``grad_tol``, or
-    the one Newton refinement of the row that hands off when it converged
-    away from ``u_m``; a first ray without a peak raises a ``GeometryError``,
-    anything else a ``NonconvergenceError`` with its reason."""
+    u_m + t ``direction``: returns the one Newton refinement of the row that
+    hands off when it met ``grad_tol`` away from ``u_m``; a first ray
+    without a peak raises a ``GeometryError``, anything else a
+    ``NonconvergenceError`` with its reason."""
     alpha = s.alpha
     ray = ray_polynomial(u_m, s)
     v = direction
@@ -436,9 +437,8 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, direction: ScalarField,
         r = residual(w, s)
         rn = l2_norm(r)
         rec.append(j_top, rn, seminorm(w, alpha), "minimax")
-        if rn <= cfg.grad_tol:
-            return w, rec
-        if j_prev is not None and abs(j_top - j_prev) <= cfg.deform_tol * (1.0 + abs(j_top)):
+        if rn <= cfg.grad_tol or (
+                j_prev is not None and abs(j_top - j_prev) <= cfg.deform_tol * (1.0 + abs(j_top))):
             break
         j_prev = j_top
         d = invert_polyharmonic(r, alpha)
@@ -453,7 +453,7 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, direction: ScalarField,
         v, peak = v_cand, cand
     else:
         raise NonconvergenceError("mountain pass exhausted its iteration budget", rec)
-    u_star, ok = _newton_refine(w, r, s, cfg, rec)
+    u_star, ok = _newton_refine(w, s, cfg, rec)
     if not _separated(u_star, u_m, s, cfg):
         raise NonconvergenceError("Newton refinement fell back to the minimizer", rec)
     if not ok:
@@ -485,30 +485,26 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     that lands within 100 grad_tol of u_m in the seminorm, falls back to
     the minimax from u_m along psi, as a cold solve does.  The mountain
     record then holds that solve's ``newton`` rows alone, or else the
-    minimax's record.
+    minimax's record.  J_m and J_star are the J of the records' last rows.
     """
     if calibration is None:
         calibration = calibrate(s)
     geom = calibration.geometry(s.lam)
     psi = calibration.psi
-    alpha = s.alpha
 
     u0 = zeros(s.f.domain) if warm is None else warm.u_m
     u_m, rec_min = minimize_local(s, u0, cfg, geom.R0)
-    j_m = action(u_m, s)
 
     ok = False
     if warm is not None:
         rec_mp = PSRecord()
-        u_star, ok = _newton_refine(warm.u_star, residual(warm.u_star, s), s, cfg, rec_mp)
+        u_star, ok = _newton_refine(warm.u_star, s, cfg, rec_mp)
         ok = ok and _separated(u_star, u_m, s, cfg)
     if not ok:
         u_star, rec_mp = mountain_pass(s, u_m, psi, cfg)
 
-    j_star = action(u_star, s)
-    sep = seminorm(u_m - u_star, alpha)
-    if not sep > 0.0:
-        raise GeometryError("the two solutions coincide")
+    j_m, j_star = rec_min.J[-1], rec_mp.J[-1]
+    sep = seminorm(u_m - u_star, s.alpha)
     if not j_m < j_star:
         raise GeometryError("energy ordering J_m < J_star failed")
     if s.lam != 0.0:
@@ -561,9 +557,9 @@ def ball_uniqueness_probe(s: EnergySetting, cfg: SolverConfig,
         rho = rng.uniform(0.1, 0.8)
         u0 = w * (rho * geom.R0 / sn) if sn > 0 else zeros(dom)
         try:
-            u, _ = minimize_local(s, u0, cfg, geom.R0)
+            u, rec = minimize_local(s, u0, cfg, geom.R0)
             minimizers.append(u)
-            energies.append(action(u, s))
+            energies.append(rec.J[-1])
         except PolyhessError as exc:
             failures.append(f"trial {trial}: {exc}")
     max_pair = 0.0

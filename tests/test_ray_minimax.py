@@ -113,7 +113,7 @@ def test_stalled_search_then_newton_without_a_step_raises(run32, monkeypatch):
     s = flagship_setting(32)
     monkeypatch.setattr(solvers, "inner", lambda a, b: 1e30)  # no Armijo test passes
     monkeypatch.setattr(solvers, "_newton_refine",
-                        lambda u, r, s, cfg, rec: (u, False))
+                        lambda u, s, cfg, rec: (u, False))
     with pytest.raises(NonconvergenceError, match="stalled") as info:
         mountain_pass(s, run32.pair.u_m, run32.psi, SolverConfig(seed=0))
     assert info.value.record.phase == ["minimax"]
@@ -127,9 +127,9 @@ def test_one_newton_refinement_per_mountain_pass(run32, monkeypatch):
     calls = []
     refine = solvers._newton_refine
 
-    def one_step(u, r, s, cfg, rec):
+    def one_step(u, s, cfg, rec):
         calls.append(len(rec))
-        u_ref, _ = refine(u, r, s, replace(cfg, max_iters=len(rec) + 1), rec)
+        u_ref, _ = refine(u, s, replace(cfg, max_iters=len(rec) + 1), rec)
         return u_ref, False
 
     monkeypatch.setattr(solvers, "_newton_refine", one_step)

@@ -118,7 +118,7 @@ def test_minimize_local_trivial_at_lambda_zero():
 
 
 @pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
-def test_small_lambda_descent_leaves_the_zero_field(form):
+def test_small_lambda_minimizer_leaves_the_zero_field(form):
     # at lambda = 9e-7 the zero field's residual, -lambda f, is already below
     # grad_tol; u_m still leaves it, from lambda G f, to J_m near
     # -lambda^2 <f, G f> / 2
@@ -149,17 +149,18 @@ def test_minimize_local_start_validation(run32):
     assert rec_far.residual_norm == rec_zero.residual_norm
 
 
-def test_minimize_local_monotone_descent(monkeypatch):
+def test_minimize_local_newton_rows_decrease_from_lambda_g_f(monkeypatch):
     """u_m is Newton's from lambda G f, byte for byte the first Newton step
     from the zero field, in both forms, and its record descends in |R|:
     every row is ``newton``, and each residual norm is strictly below the
-    one before it, the start's first (the line search promises this)."""
+    one before it, the start's stencil residual first (the line search
+    promises this)."""
     handed = []
     refine = solvers._newton_refine
 
-    def recorded(u, r, s, cfg, rec):
-        handed.append((u, l2_norm(r)))
-        return refine(u, r, s, cfg, rec)
+    def recorded(u, s, cfg, rec):
+        handed.append((u, l2_norm(energy.residual(u, s))))
+        return refine(u, s, cfg, rec)
 
     monkeypatch.setattr(solvers, "_newton_refine", recorded)
     cfg = SolverConfig(seed=0)
@@ -200,6 +201,7 @@ def test_pair_validates_against_energy_module(run64):
     stencil residual is kept beside it."""
     s = flagship_setting(64)
     p = run64.pair
+    assert p.J_m == energy.action(p.u_m, s) and p.J_star == energy.action(p.u_star, s)
     assert abs(l2_norm(residual_strong(p.u_m, s)) - p.residual_m_stencil) <= 1e-12
     assert p.residual_m == run64.record_minimize.residual_norm[-1] <= 1e-6
     assert abs(l2_norm(residual_strong(p.u_star, s)) - p.residual_star_stencil) <= 1e-12
@@ -215,6 +217,7 @@ def test_weak_pair_validates_against_pairing(run64_weak):
     s = flagship_setting(64, form=Form.WEAK)
     p = run64_weak.pair
     assert p.residual_m <= 1e-6 and p.residual_star <= 1e-6
+    assert p.J_m == energy.action(p.u_m, s) and p.J_star == energy.action(p.u_star, s)
     g = residual_weak_field(p.u_star, s)
     assert abs(l2_norm(g) - p.residual_star_stencil) <= 1e-12
     rng = np.random.default_rng(50)
@@ -266,14 +269,18 @@ def test_sign_symmetry_of_energy_levels():
 
 def test_mountain_pass_returns_at_a_minimax_row(run32):
     """On the ray from u_m through u_star, at a loose tolerance, the first
-    peak's residual already passes, so the minimax returns it: one
-    ``minimax`` row and no Newton refinement."""
+    peak's residual already passes, so the minimax hands that peak to
+    Newton, which returns it at its start: one ``minimax`` row, then one
+    ``newton`` row with the same residual, and the peak itself."""
     s = flagship_setting(32)
     u_m, u_star = run32.pair.u_m, run32.pair.u_star
-    w, rec = mountain_pass(s, u_m, u_star - u_m, SolverConfig(grad_tol=1e-4))
-    assert rec.phase == ["minimax"]
-    assert rec.residual_norm == [l2_norm(residual_strong(w, s))]
+    v = u_star - u_m
+    w, rec = mountain_pass(s, u_m, v, SolverConfig(grad_tol=1e-4))
+    assert rec.phase == ["minimax", "newton"]
+    assert rec.residual_norm == [l2_norm(residual_strong(w, s))] * 2
     assert rec.residual_norm[0] <= 1e-4
+    t_top, _ = solvers._ray_peak(energy.ray_polynomial(u_m, s)(v))
+    assert w.values.tobytes() == (u_m + t_top * v).values.tobytes()
 
 
 def test_newton_refine_records_each_accepted_iterate_once(run32):
@@ -286,23 +293,26 @@ def test_newton_refine_records_each_accepted_iterate_once(run32):
     u = run32.pair.u_star + 1e-3 * random_smooth_field(s.f.domain, rng)
     rn = l2_norm(residual_strong(u, s))
     rec = PSRecord()
-    u_ref, ok = solvers._newton_refine(u, residual_strong(u, s), s, cfg, rec)
+    u_ref, ok = solvers._newton_refine(u, s, cfg, rec)
     assert ok and rec.residual_norm[-1] <= cfg.grad_tol
     assert len(rec) >= 1 and set(rec.phase) == {"newton"}
     assert all(b < a for a, b in zip([rn] + rec.residual_norm, rec.residual_norm))
     assert rec.J[-1] == energy.action(u_ref, s)
 
 
-def test_newton_refine_accepts_a_source_residual_already_at_tolerance(run32):
+@pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
+def test_newton_refine_accepts_a_source_residual_already_at_tolerance(run32, run32_weak, form):
     """A peak whose residual in w already meets grad_tol is accepted without
-    a step on that residual: G w gets one row, and no GMRES solve runs."""
-    s = flagship_setting(32)
+    a step on that residual: G w gets one row, and no GMRES solve runs.  The
+    start row's |R| is the stencil residual's norm, bit for bit."""
+    s = flagship_setting(32, form=form)
+    u = (run32 if form is Form.STRONG else run32_weak).pair.u_star
     cfg = SolverConfig(seed=0)
     rec = PSRecord()
-    u_ref, ok = solvers._newton_refine(run32.pair.u_star, residual_strong(run32.pair.u_star, s),
-                                       s, cfg, rec)
+    u_ref, ok = solvers._newton_refine(u, s, cfg, rec)
     assert ok and rec.phase == ["newton"] and rec.residual_norm[0] <= cfg.grad_tol
-    assert np.max(np.abs(u_ref.values - run32.pair.u_star.values)) <= 1e-9
+    assert rec.residual_norm[0] == l2_norm(energy.residual(u, s))
+    assert np.max(np.abs(u_ref.values - u.values)) <= 1e-9
 
 
 def test_strong128_newton_iteration_is_one_gmres_solve(tmp_path, monkeypatch):
@@ -560,8 +570,8 @@ def _force_minimax(monkeypatch):
             predicted.append(warm.u_star)
         return warm
 
-    def failing(u, r, s, cfg, rec):
-        return (u, False) if any(u is p for p in predicted) else refine(u, r, s, cfg, rec)
+    def failing(u, s, cfg, rec):
+        return (u, False) if any(u is p for p in predicted) else refine(u, s, cfg, rec)
 
     monkeypatch.setattr(solvers, "_predict", recorded)
     monkeypatch.setattr(solvers, "_newton_refine", failing)
@@ -618,15 +628,15 @@ def test_prediction_is_the_secant_through_the_last_two_converged_rows():
                        rtol=0, atol=1e-14)
 
 
-def test_prediction_outside_the_r0_ball_starts_the_descent_from_zero(run32, monkeypatch):
+def test_prediction_outside_the_r0_ball_starts_newton_at_lambda_g_f(run32, monkeypatch):
     s = flagship_setting(32)
     cfg = SolverConfig(seed=0)
     starts = []
     refine = solvers._newton_refine
 
-    def recorded(u, r, s, cfg, rec):
+    def recorded(u, s, cfg, rec):
         starts.append(u)
-        return refine(u, r, s, cfg, rec)
+        return refine(u, s, cfg, rec)
 
     monkeypatch.setattr(solvers, "_newton_refine", recorded)
     pair = run32.pair
