@@ -132,7 +132,8 @@ _SCHEMA = _build_schema()
 
 @contextlib.contextmanager
 def _config_values():
-    """Report a value that ``RunConfig`` or ``SolverConfig`` rejects as a ConfigError."""
+    """Report a value that ``RunConfig``, ``SolverConfig`` or ``ProblemParams``
+    rejects as a ConfigError."""
     try:
         yield
     except (ValueError, TypeError) as exc:
@@ -329,11 +330,8 @@ def _finish(out_dir: Path, summary: dict, t0: float) -> Path:
 
 
 def cmd_exponents(args) -> int:
-    try:
+    with _config_values():
         params = ProblemParams(args.n, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(json.dumps(regime_report(params).to_json_dict(), indent=2))
     return 0
 

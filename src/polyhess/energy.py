@@ -41,11 +41,11 @@ Every image is linear in the field, so J(base + t v) is a polynomial of
 degree k + 1 in t in both forms: ``ray_polynomial`` fixes it from its
 values at k + 2 points, read from the images of base and v as a + t b, and
 ``polynomial_peak`` finds its highest local maximum.
-Both residuals share one Euler-Lagrange assembly,
-(-1)^alpha Delta^alpha u - N(u) - lambda f.  Wherever the Hessian entries
-are computed (``_images``, both residuals, the weak pairing), the first
-Laplacian is their diagonal, through ``grid.laplacian_power``, bit for bit
-equal to the stencil's.
+Both residuals and Newton's residual in the source w = (-1)^alpha
+Delta^alpha u share one assembly, ``euler_lagrange``: w - N(u) - lambda f.
+Wherever the Hessian entries are computed (``_images``, ``euler_lagrange``,
+the weak pairing), the first Laplacian is their diagonal, through
+``grid.laplacian_power``, bit for bit equal to the stencil's.
 
 The Newton tensor T_{k-1}(Hu), the derivative of sigma_k at Hu, comes from
 one kernel, ``hessian_algebra.newton_flux``: F_a = sum_b S_k^{ab}[u] g_b
@@ -88,9 +88,10 @@ checks, as when each lambda fitted its own.
 
 Form dispatch.  This module makes every strong-versus-weak choice:
 ``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
-``ray_polynomial``, ``residual``, ``nonlinear`` and ``nonlinear_jacobian``
-select the form's action, its polynomial along a ray, residual, nonlinear term
-N and the Jacobian action of N for the solvers.
+``ray_polynomial``, ``residual``, ``euler_lagrange``, ``nonlinear`` and
+``nonlinear_jacobian`` select the form's action, its polynomial along a ray,
+residual, Euler-Lagrange assembly, nonlinear term N and the Jacobian action
+of N for the solvers.
 """
 
 from __future__ import annotations
@@ -267,18 +268,22 @@ def _nonlinear_field(u: ScalarField, ents: np.ndarray, s: EnergySetting,
     return _sign(k) * sk_of_entries(ents, k)
 
 
-def _euler_lagrange(u: ScalarField, s: EnergySetting, form: Form) -> ScalarField:
-    """(-1)^alpha Delta^alpha u - N(u) - lambda f in ``form``."""
+def euler_lagrange(u: ScalarField, s: EnergySetting, w: np.ndarray | None = None,
+                   form: Form | None = None) -> tuple[np.ndarray, ScalarField]:
+    """(w, R = w - N(u) - lambda f) in ``form`` (default: the setting's);
+    w is (-1)^alpha Delta_h^alpha u unless passed in, as Newton on the
+    source does with ``u`` = G w."""
     s.check_field(u)
     ents = hessian_entries(u)
-    vals = (_sign(s.alpha) * laplacian_power(u, ents, s.alpha).values
-            - _nonlinear_field(u, ents, s, form) - s.lam * s.f.values)
-    return ScalarField(u.domain, vals)
+    if w is None:
+        w = _sign(s.alpha) * laplacian_power(u, ents, s.alpha).values
+    r = w - _nonlinear_field(u, ents, s, form or s.form) - s.lam * s.f.values
+    return w, ScalarField(u.domain, r)
 
 
 def residual_strong(u: ScalarField, s: EnergySetting) -> ScalarField:
     """(-1)^alpha Delta^alpha u - (-1)^k S_k[u] - lambda f."""
-    return _euler_lagrange(u, s, Form.STRONG)
+    return euler_lagrange(u, s, form=Form.STRONG)[1]
 
 
 def residual_weak_pairing(u: ScalarField, w: ScalarField, s: EnergySetting) -> float:
@@ -302,14 +307,12 @@ def residual_weak_field(u: ScalarField, s: EnergySetting) -> ScalarField:
     Uses the exact skew-adjointness of the centered first difference under
     zero extension, so the identity with the pairing holds to roundoff.
     """
-    return _euler_lagrange(u, s, Form.WEAK)
+    return euler_lagrange(u, s, form=Form.WEAK)[1]
 
 
 def action(u: ScalarField, s: EnergySetting) -> float:
     """Action value of the setting's form."""
-    if s.form is Form.WEAK:
-        return evaluate_J_weak(u, s)
-    return evaluate_J(u, s)
+    return _J_of(_images(u, s), s)
 
 
 def ray_polynomial(base: ScalarField, s: EnergySetting):

@@ -17,8 +17,8 @@ class GeometryError(PolyhessError):
     a positive nonlinear term, when the datum gives no witness (lambda int
     f phi is not positive), when the converged minimizer sits outside the R0
     ball, when the first ray from it has no positive peak, and when the two
-    solutions break the energy ordering J_m < J_star (with J_m < 0 < J_star
-    for lambda != 0, J_m = 0 at lambda = 0).
+    solutions fail the energy ordering J_m < 0 < J_star (J_m = 0 at lambda
+    = 0), also when J_m ~ -lambda^2 <f, G f> / 2 underflows to 0.
     """
 
 

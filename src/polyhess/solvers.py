@@ -38,10 +38,10 @@ then its ``newton`` rows, so each ends at its solution, with its J;
 Newton on the source.  The Newton solve (``_newton_refine``) iterates on
 w = (-Delta_h)^alpha u, u = G w (Knoll and Keyes, J. Comput. Phys.
 193:357, 2004), free of the float64 floor of u's stencil residual, which
-grows like h^(-2 alpha).  Each solution is accepted on the residual in w
-of the last row of its record, which at Newton's start is the stencil
-residual bit for bit; ``SolutionPair`` keeps the stencil residual of each
-solution beside it.
+grows like h^(-2 alpha); its residual in w is ``energy.euler_lagrange``
+fed w, and it returns why it stopped.  Each solution is accepted on the
+residual in w of the last row of its record, at Newton's start the stencil
+residual bit for bit; ``SolutionPair`` keeps the stencil residual beside it.
 
 Krylov solver.  Each Newton step is one ``gmres`` solve, with no retry,
 that stops once its linear residual is below a tenth of ``grad_tol``: at
@@ -90,9 +90,9 @@ from .energy import (
     MinorantGeometry,
     calibrate,
     energy_report,
+    euler_lagrange,
     polynomial_peak as _ray_peak,
     ray_polynomial,
-    nonlinear,
     nonlinear_jacobian,
     residual,
     with_lambda,
@@ -103,7 +103,6 @@ from .grid import (
     invert_polyharmonic,
     inner,
     l2_norm,
-    polyharmonic,
     random_smooth_field,
     seminorm,
     zeros,
@@ -224,19 +223,17 @@ def minimize_local(s: EnergySetting, u0: ScalarField, cfg: SolverConfig,
     for k >= 2; at lambda = 0 it is zero itself, whose residual is 0.
 
     Returns u_m and its record of ``newton`` rows, the last of which holds
-    J(u_m) and |u_m|.  Raises a ``NonconvergenceError`` when Newton misses
-    ``grad_tol``, and a ``GeometryError`` when u_m sits outside the R0 ball,
-    where the truncated functional and the action differ.
+    J(u_m) and |u_m|.  Raises a ``NonconvergenceError`` with Newton's stop
+    value when it misses ``grad_tol``, and a ``GeometryError`` when u_m sits
+    outside the R0 ball, where the truncated functional and the action differ.
     """
     s.check_field(u0)
     if not (np.any(u0.values) and seminorm(u0, s.alpha) <= R0):
         u0 = invert_polyharmonic(s.f * s.lam, s.alpha)
     rec = PSRecord()
-    u, converged = _newton_refine(u0, s, cfg, rec)
-    if not converged:
-        raise NonconvergenceError("minimize_local exhausted max_iters"
-                                  if len(rec) >= cfg.max_iters else
-                                  "minimizer: Newton stalled above grad_tol", rec)
+    u, stop = _newton_refine(u0, s, cfg, rec)
+    if stop:
+        raise NonconvergenceError(f"minimizer: Newton {stop}", rec)
     if rec.seminorm[-1] >= R0:
         raise GeometryError(
             "converged minimizer sits outside the R0 ball where H equals J; "
@@ -354,17 +351,18 @@ _KRYLOV_RTOL = 1e-7  # the smallest forcing term: GMRES stops by |b - A x| <= _K
 
 
 def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
-                   rec: PSRecord) -> tuple[ScalarField, bool]:
+                   rec: PSRecord) -> tuple[ScalarField, Optional[str]]:
     """Damped inexact Newton iterations (Dembo, Eisenstat and Steihaug, SIAM
     J. Numer. Anal. 19:400, 1982) on R(w) = w - N(G w) - lambda f from the
     source w = (-Delta_h)^alpha u of ``u``: the start of u_m's solve, a
     minimax peak or a continuation row's predicted u_star; returns (last
-    iterate G w, reached_tolerance), with ``u`` itself when no step was
-    accepted.
+    iterate G w, stop), with ``u`` itself when no step was accepted; stop is
+    None at |R| <= ``grad_tol``, else "exhausted max_iters" (a full record)
+    or "stalled above grad_tol" (no decrease, or ``_NEWTON_MAX`` steps).
 
-    The start needs no sine inverse: G w is ``u`` itself there, and R(w),
-    formed by the operations of ``residual(u, s)`` in the same order,
-    equals that stencil residual bit for bit.  Each iteration is one
+    R(w) is ``energy.euler_lagrange(G w, s, w)``.  The start needs no sine
+    inverse: G w is ``u``, and ``euler_lagrange(u, s)`` gives w and R(w),
+    the stencil residual bit for bit.  Each iteration is one
     unpreconditioned GMRES solve of (I - N'(G w) G) delta = -R(w) and a line
     search on t = 1, 1/2, ... (at most 10 trials, each one evaluated) for a
     strict decrease of |R|, so the refinement never runs away from the
@@ -377,14 +375,15 @@ def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
     dom = u.domain
     alpha = s.alpha
 
-    def at(w: np.ndarray, gw: Optional[ScalarField] = None) -> tuple:  # (w, G w, R(w), |R(w)|)
+    def at(w: Optional[np.ndarray], gw: Optional[ScalarField] = None) -> tuple:  # (w, G w, R, |R|)
         if gw is None:
             gw = invert_polyharmonic(ScalarField(dom, w), alpha)
-        r = ScalarField(dom, w - nonlinear(gw, s) - s.lam * s.f.values)
+        w, r = euler_lagrange(gw, s, w)
         return w, gw, r, l2_norm(r)
 
-    w, gw, r, rn = at((-1) ** alpha * polyharmonic(u, alpha).values, u)
-    for _ in range(min(_NEWTON_MAX, cfg.max_iters - len(rec))):
+    w, gw, r, rn = at(None, u)
+    budget = cfg.max_iters - len(rec)
+    for _ in range(min(_NEWTON_MAX, budget)):
         if rn > cfg.grad_tol:
             jac = nonlinear_jacobian(gw, s)
 
@@ -401,14 +400,14 @@ def _newton_refine(u: ScalarField, s: EnergySetting, cfg: SolverConfig,
                     break
                 t *= 0.5
             else:
-                return u, False
+                return u, "stalled above grad_tol"
             w, gw, r, rn = cand
         u = gw
         report = energy_report(u, s)
         rec.append(report.J, rn, report.seminorm, "newton")
         if rn <= cfg.grad_tol:
-            return u, True
-    return u, False
+            return u, None
+    return u, "exhausted max_iters" if budget <= _NEWTON_MAX else "stalled above grad_tol"
 
 
 def _separated(u: ScalarField, u_m: ScalarField, s: EnergySetting, cfg: SolverConfig) -> bool:
@@ -422,7 +421,8 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, direction: ScalarField,
     u_m + t ``direction``: returns the one Newton refinement of the row that
     hands off when it met ``grad_tol`` away from ``u_m``; a first ray
     without a peak raises a ``GeometryError``, anything else a
-    ``NonconvergenceError`` with its reason."""
+    ``NonconvergenceError`` with its reason: the minimax's budget, a fall
+    back to ``u_m``, or Newton's stop value."""
     alpha = s.alpha
     ray = ray_polynomial(u_m, s)
     v = direction
@@ -453,13 +453,11 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, direction: ScalarField,
         v, peak = v_cand, cand
     else:
         raise NonconvergenceError("mountain pass exhausted its iteration budget", rec)
-    u_star, ok = _newton_refine(w, s, cfg, rec)
+    u_star, stop = _newton_refine(w, s, cfg, rec)
     if not _separated(u_star, u_m, s, cfg):
         raise NonconvergenceError("Newton refinement fell back to the minimizer", rec)
-    if not ok:
-        raise NonconvergenceError("mountain pass exhausted its iteration budget"
-                                  if len(rec) >= cfg.max_iters else
-                                  "minimax stalled: Newton stopped above grad_tol", rec)
+    if stop:
+        raise NonconvergenceError(f"mountain pass: Newton {stop}", rec)
     return u_star, rec
 
 
@@ -481,11 +479,13 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     or that of a setting differing from ``s`` only in lambda.  With
     ``warm``, u_m's Newton starts at ``warm.u_m`` when it lies in the R0
     ball (else at lambda G f, ``minimize_local``'s rule), and u_star is the Newton solve from
-    ``warm.u_star``; one that does not reach ``grad_tol``, or
+    ``warm.u_star``; one that returns a stop value, or
     that lands within 100 grad_tol of u_m in the seminorm, falls back to
     the minimax from u_m along psi, as a cold solve does.  The mountain
     record then holds that solve's ``newton`` rows alone, or else the
-    minimax's record.  J_m and J_star are the J of the records' last rows.
+    minimax's record.  J_m and J_star are the J of the records' last rows,
+    and one ``GeometryError`` reports J_m < 0 < J_star failing (J_m = 0 at
+    lambda = 0), naming J_m's underflow to 0 at a tiny nonzero lambda.
     """
     if calibration is None:
         calibration = calibrate(s)
@@ -498,24 +498,19 @@ def solve_run(s: EnergySetting, cfg: SolverConfig,
     ok = False
     if warm is not None:
         rec_mp = PSRecord()
-        u_star, ok = _newton_refine(warm.u_star, s, cfg, rec_mp)
-        ok = ok and _separated(u_star, u_m, s, cfg)
+        u_star, stop = _newton_refine(warm.u_star, s, cfg, rec_mp)
+        ok = not stop and _separated(u_star, u_m, s, cfg)
     if not ok:
         u_star, rec_mp = mountain_pass(s, u_m, psi, cfg)
 
     j_m, j_star = rec_min.J[-1], rec_mp.J[-1]
     sep = seminorm(u_m - u_star, s.alpha)
-    if not j_m < j_star:
-        raise GeometryError("energy ordering J_m < J_star failed")
-    if s.lam != 0.0:
-        if not (j_m < 0.0 < j_star):
-            raise GeometryError(
-                f"expected J_m < 0 < J_star, got J_m={j_m}, J_star={j_star}")
-    else:
-        if not (j_m == 0.0 and j_star > 0.0):
-            raise GeometryError(
-                f"lambda = 0 run must pair the trivial minimizer with a positive "
-                f"level, got J_m={j_m}, J_star={j_star}")
+    if not (j_star > 0.0 and (j_m < 0.0 if s.lam != 0.0 else j_m == 0.0)):
+        want = ("lambda = 0 run must pair the trivial minimizer with a positive level"
+                if s.lam == 0.0 else "expected J_m < 0 < J_star")
+        why = (f": J_m ~ -lambda^2 <f, G f> / 2 underflows to 0 at lambda = {s.lam!r}"
+               if s.lam != 0.0 and j_m == 0.0 else "")
+        raise GeometryError(f"{want}, got J_m={j_m}, J_star={j_star}{why}")
     pair = SolutionPair(u_m=u_m, u_star=u_star, J_m=j_m, J_star=j_star, sep=sep,
                         residual_m=rec_min.residual_norm[-1],
                         residual_m_stencil=l2_norm(residual(u_m, s)),

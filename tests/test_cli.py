@@ -162,6 +162,7 @@ def test_cmd_exponents(capsys):
     assert main(["exponents", "--n", "4", "--k", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["regime"] == "CRITICAL"
     assert main(["exponents", "--n", "5", "--k", "9"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_cmd_verify_filter_and_determinism(capsys):

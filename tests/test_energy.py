@@ -39,10 +39,10 @@ from polyhess import (
 from polyhess.cli import build_setting, load_config
 import polyhess.energy as energy
 from polyhess.energy import _sign, minorant_sample_family
-from polyhess.energy import action, nonlinear, nonlinear_jacobian
+from polyhess.energy import action, euler_lagrange, nonlinear, nonlinear_jacobian, residual
 from polyhess.grid import (
     BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian, hessian_entries,
-    laplacian_power, seminorm_of,
+    laplacian_power, polyharmonic, seminorm_of,
 )
 from polyhess.hessian_algebra import entry_table, newton_flux, sk_of_entries, stack_of_entries
 from polyhess.verify import consistency_worst_errors
@@ -539,7 +539,9 @@ def test_residual_jacobian_matches_central_difference(form, dim, k):
     # nonlinear term's derivative N'.  N is a polynomial of degree k in u.
     # For k = 2 the central difference D(eps) equals the Jacobian action up
     # to roundoff; for k = 3 its error is c eps^2, which
-    # (4 D(eps/2) - D(eps)) / 3 cancels exactly.
+    # (4 D(eps/2) - D(eps)) / 3 cancels exactly.  Its start, the
+    # Euler-Lagrange assembly with w = (-1)^alpha Delta_h^alpha u, is the
+    # stencil residual bit for bit (alpha = 3 on the (3, 3) settings).
     if dim == 2:
         s = flagship_setting(32, form=form)
     else:
@@ -555,6 +557,9 @@ def test_residual_jacobian_matches_central_difference(form, dim, k):
     for _ in range(3):
         u = random_smooth_field(dom, rng, amplitude=0.5)
         v = random_smooth_field(dom, rng, amplitude=0.5)
+        w, r = euler_lagrange(u, s)
+        assert w.tobytes() == ((-1) ** s.alpha * polyharmonic(u, s.alpha).values).tobytes()
+        assert r.values.tobytes() == residual(u, s).values.tobytes()
         jv = nonlinear_jacobian(u, s)(v.values)
         fd = central(u, v, eps)
         if k == 3:

@@ -113,9 +113,10 @@ def test_stalled_search_then_newton_without_a_step_raises(run32, monkeypatch):
     s = flagship_setting(32)
     monkeypatch.setattr(solvers, "inner", lambda a, b: 1e30)  # no Armijo test passes
     monkeypatch.setattr(solvers, "_newton_refine",
-                        lambda u, s, cfg, rec: (u, False))
+                        lambda u, s, cfg, rec: (u, "stalled above grad_tol"))
     with pytest.raises(NonconvergenceError, match="stalled") as info:
         mountain_pass(s, run32.pair.u_m, run32.psi, SolverConfig(seed=0))
+    assert str(info.value) == "mountain pass: Newton stalled above grad_tol"
     assert info.value.record.phase == ["minimax"]
 
 
@@ -130,7 +131,7 @@ def test_one_newton_refinement_per_mountain_pass(run32, monkeypatch):
     def one_step(u, s, cfg, rec):
         calls.append(len(rec))
         u_ref, _ = refine(u, s, replace(cfg, max_iters=len(rec) + 1), rec)
-        return u_ref, False
+        return u_ref, "stalled above grad_tol"
 
     monkeypatch.setattr(solvers, "_newton_refine", one_step)
     with pytest.raises(NonconvergenceError, match="stalled") as info:

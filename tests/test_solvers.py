@@ -211,6 +211,10 @@ def test_pair_validates_against_energy_module(run64):
     assert np.max(np.abs(gw.values - p.u_star.values)) <= 1e-12 * np.max(np.abs(p.u_star.values))
     r_w = w - ScalarField(s.f.domain, energy.nonlinear(gw, s) + s.lam * s.f.values)
     assert l2_norm(r_w) <= 1e-6
+    # Newton's R(w) is the one Euler-Lagrange assembly, fed the source w
+    _, r_el = energy.euler_lagrange(gw, s, w.values)
+    assert r_el.values.tobytes() == (
+        w.values - energy.nonlinear(gw, s) - s.lam * s.f.values).tobytes()
 
 
 def test_weak_pair_validates_against_pairing(run64_weak):
@@ -267,6 +271,16 @@ def test_sign_symmetry_of_energy_levels():
     assert jm == pytest.approx(jp, rel=1e-2)
 
 
+def test_energy_ordering_names_an_underflowing_minimizer_level():
+    """J_m ~ -lambda^2 <f, G f> / 2: at lambda = 1e-150 it is still a
+    negative float, at 1e-200 it underflows to 0 although u_star is found,
+    and the ordering check says so."""
+    cfg = SolverConfig(seed=0)
+    assert solve_run(flagship_setting(32, lam=1e-150), cfg).pair.J_m < 0.0
+    with pytest.raises(GeometryError, match="underflows to 0 at lambda = 1e-200"):
+        solve_run(flagship_setting(32, lam=1e-200), cfg)
+
+
 def test_mountain_pass_returns_at_a_minimax_row(run32):
     """On the ray from u_m through u_star, at a loose tolerance, the first
     peak's residual already passes, so the minimax hands that peak to
@@ -293,8 +307,8 @@ def test_newton_refine_records_each_accepted_iterate_once(run32):
     u = run32.pair.u_star + 1e-3 * random_smooth_field(s.f.domain, rng)
     rn = l2_norm(residual_strong(u, s))
     rec = PSRecord()
-    u_ref, ok = solvers._newton_refine(u, s, cfg, rec)
-    assert ok and rec.residual_norm[-1] <= cfg.grad_tol
+    u_ref, stop = solvers._newton_refine(u, s, cfg, rec)
+    assert stop is None and rec.residual_norm[-1] <= cfg.grad_tol
     assert len(rec) >= 1 and set(rec.phase) == {"newton"}
     assert all(b < a for a, b in zip([rn] + rec.residual_norm, rec.residual_norm))
     assert rec.J[-1] == energy.action(u_ref, s)
@@ -309,8 +323,8 @@ def test_newton_refine_accepts_a_source_residual_already_at_tolerance(run32, run
     u = (run32 if form is Form.STRONG else run32_weak).pair.u_star
     cfg = SolverConfig(seed=0)
     rec = PSRecord()
-    u_ref, ok = solvers._newton_refine(u, s, cfg, rec)
-    assert ok and rec.phase == ["newton"] and rec.residual_norm[0] <= cfg.grad_tol
+    u_ref, stop = solvers._newton_refine(u, s, cfg, rec)
+    assert stop is None and rec.phase == ["newton"] and rec.residual_norm[0] <= cfg.grad_tol
     assert rec.residual_norm[0] == l2_norm(energy.residual(u, s))
     assert np.max(np.abs(u_ref.values - u.values)) <= 1e-9
 
@@ -571,7 +585,9 @@ def _force_minimax(monkeypatch):
         return warm
 
     def failing(u, s, cfg, rec):
-        return (u, False) if any(u is p for p in predicted) else refine(u, s, cfg, rec)
+        if any(u is p for p in predicted):
+            return u, "stalled above grad_tol"
+        return refine(u, s, cfg, rec)
 
     monkeypatch.setattr(solvers, "_predict", recorded)
     monkeypatch.setattr(solvers, "_newton_refine", failing)
@@ -930,10 +946,12 @@ def test_nonconvergence_carries_record():
     geom = calibrate(s).geometry(s.lam)
     with pytest.raises(NonconvergenceError, match="exhausted") as err:
         minimize_local(s, zeros(s.f.domain), cfg, geom.R0)
+    assert str(err.value) == "minimizer: Newton exhausted max_iters"
     assert err.value.record is not None
     assert len(err.value.record) == 1 and err.value.record.residual_norm[0] > cfg.grad_tol
     # a grad_tol below the roundoff floor stalls the line search inside the budget
     cfg = SolverConfig(seed=0, grad_tol=1e-300)
     with pytest.raises(NonconvergenceError, match="Newton stalled") as err:
         minimize_local(s, zeros(s.f.domain), cfg, geom.R0)
+    assert str(err.value) == "minimizer: Newton stalled above grad_tol"
     assert 1 <= len(err.value.record) < cfg.max_iters
