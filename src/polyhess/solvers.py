@@ -17,9 +17,8 @@ points (``energy.ray_polynomial``, from the images of u_m computed once per
 call and those of v); the peak is the highest local maximum at t > 0 among
 the roots of its derivative, so no ridge between samples can be missed.  A
 ray with no such peak is a rejected step.  From the peak w the search tries
-one step, w - s d, and takes the ray through it, v = w - s d - u_m, when
-the new ray's peak value passes the Armijo test.  Here
-s = min(1, 1/2 |w - u_m| / |d|) in the seminorm, and d = G r is the
+the full step w - d and takes the ray through it, v = w - d - u_m, when
+the new ray's peak value passes the Armijo test.  Here d = G r is the
 residual preconditioned by G, the exact inverse of the discrete
 (-Delta)^alpha, applied in the sine basis where it is diagonal: the raw
 residual of the order-2 alpha operator is conditioned like h^(-2 alpha).
@@ -172,12 +171,9 @@ class PSRecord:
     def to_json_dict(self, max_rows: int = 1000) -> dict:
         n = len(self.J)
         if n <= max_rows:
-            idx = list(range(n))
-        else:
-            stride = -(-n // max_rows)
-            idx = list(range(0, n, stride))
-            if idx[-1] != n - 1:
-                idx.append(n - 1)
+            idx = range(n)
+        else:  # max_rows rows evenly spread, the first and the last among them
+            idx = [i * (n - 1) // (max_rows - 1) for i in range(max_rows)]
         return {
             "rows": len(idx),
             "total_iterations": n,
@@ -418,8 +414,9 @@ def _separated(u: ScalarField, u_m: ScalarField, s: EnergySetting, cfg: SolverCo
 def mountain_pass(s: EnergySetting, u_m: ScalarField, direction: ScalarField,
                   cfg: SolverConfig) -> tuple[ScalarField, PSRecord]:
     """Local minimax on rays from the minimizer ``u_m``, starting on the ray
-    u_m + t ``direction``: returns the one Newton refinement of the row that
-    hands off when it met ``grad_tol`` away from ``u_m``; a first ray
+    u_m + t ``direction``.  Each row tries the full preconditioned step
+    w - G r from its peak w.  Returns the one Newton refinement of the row
+    that hands off when it met ``grad_tol`` away from ``u_m``; a first ray
     without a peak raises a ``GeometryError``, anything else a
     ``NonconvergenceError`` with its reason: the minimax's budget, a fall
     back to ``u_m``, or Newton's stop value."""
@@ -442,13 +439,9 @@ def mountain_pass(s: EnergySetting, u_m: ScalarField, direction: ScalarField,
             break
         j_prev = j_top
         d = invert_polyharmonic(r, alpha)
-        dn = seminorm(d, alpha)
-        step = 1.0
-        if dn > 0.0:  # half the distance from u_m caps the step
-            step = min(step, 0.5 * t_top * seminorm(v, alpha) / dn)
-        v_cand = w - step * d - u_m
+        v_cand = w - d - u_m
         cand = _ray_peak(ray(v_cand))
-        if cand is None or not cand[1] <= j_top - _LS_C * step * inner(r, d):
+        if cand is None or not cand[1] <= j_top - _LS_C * inner(r, d):
             break
         v, peak = v_cand, cand
     else:

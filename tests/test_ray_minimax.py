@@ -22,7 +22,8 @@ from polyhess import (
     unit_box,
 )
 from polyhess.cli import build_setting, load_config, main
-from polyhess.energy import action, ray_polynomial
+from polyhess.energy import action, ray_polynomial, residual
+from polyhess.grid import invert_polyharmonic
 import polyhess.solvers as solvers
 from polyhess.solvers import _ray_peak
 
@@ -141,21 +142,25 @@ def test_one_newton_refinement_per_mountain_pass(run32, monkeypatch):
     assert phase == ["minimax"] * calls[0] + ["newton"]
 
 
+def recording_rays(directions):
+    """``ray_polynomial`` that appends every ray direction it is given to
+    ``directions``."""
+    def rays(base, s):
+        coefs = ray_polynomial(base, s)
+
+        def recorded(v):
+            directions.append(v)
+            return coefs(v)
+        return recorded
+    return rays
+
+
 def test_one_ray_polynomial_per_minimax_row_and_hand_off(tmp_path, monkeypatch):
     """The minimax tries one step per row, with no line search: the hess3d
     solve evaluates at most one ray polynomial per minimax row, plus the
     first ray's."""
     calls = []
-
-    def counted_rays(base, s):
-        coefs = ray_polynomial(base, s)
-
-        def counted(v):
-            calls.append(None)
-            return coefs(v)
-        return counted
-
-    monkeypatch.setattr(solvers, "ray_polynomial", counted_rays)
+    monkeypatch.setattr(solvers, "ray_polynomial", recording_rays(calls))
     out = tmp_path / "out"
     assert main(["solve", "--config", str(_REPO / "configs" / "hess3d.cfg"),
                  "--out", str(out)]) == 0
@@ -163,6 +168,22 @@ def test_one_ray_polynomial_per_minimax_row_and_hand_off(tmp_path, monkeypatch):
     hand_offs = sum(a == "minimax" and b == "newton" for a, b in zip(phases, phases[1:]))
     assert hand_offs == 1
     assert 1 <= len(calls) <= phases.count("minimax") + 1
+
+
+def test_minimax_tries_the_full_preconditioned_step(run32, monkeypatch):
+    """From the first ray's peak w0 the minimax tries the ray through
+    w0 - G r(w0), with no cap on the step: its second ray direction is
+    w0 - G r(w0) - u_m bit for bit."""
+    s = flagship_setting(32)
+    u_m, psi = run32.pair.u_m, run32.psi
+    directions = []
+    monkeypatch.setattr(solvers, "ray_polynomial", recording_rays(directions))
+    mountain_pass(s, u_m, psi, SolverConfig(seed=0))
+    t0 = _ray_peak(ray_polynomial(u_m, s)(psi))[0]
+    w0 = u_m + t0 * psi
+    expected = w0 - invert_polyharmonic(residual(w0, s), s.alpha) - u_m
+    assert len(directions) >= 2
+    assert directions[1].values.tobytes() == expected.values.tobytes()
 
 
 @pytest.mark.parametrize("form", ["strong", "weak"])

@@ -94,7 +94,7 @@ def test_psrecord_contract(run64):
     for i in range(2500):
         rec.append(float(i), 1.0, 1.0, "minimax" if i < 2000 else "newton")
     d = rec.to_json_dict(max_rows=1000)
-    assert d["rows"] <= 1001
+    assert d["rows"] <= 1000
     assert d["total_iterations"] == 2501
     assert d["J"][-1] == 2499.0  # final iterate always kept
     assert len(d["phase"]) == d["rows"]
@@ -106,6 +106,20 @@ def test_psrecord_contract(run64):
     phases = run64.record_mountain.phase
     assert phases[0] == "minimax" and phases[-1] == "newton"
     assert set(phases) == {"minimax", "newton"}
+
+
+@pytest.mark.parametrize("n", [999, 1000, 1001, 1999, 2000, 2500, 3000])
+def test_psrecord_downsampling_keeps_at_most_max_rows(n):
+    """A record longer than ``max_rows`` comes back as ``max_rows`` distinct
+    rows in order, its first and last among them; a shorter one whole."""
+    rec = PSRecord()
+    for i in range(n):
+        rec.append(float(i), 1.0, 1.0, "minimax")
+    d = rec.to_json_dict(max_rows=1000)
+    assert d["rows"] == min(n, 1000) == len(d["J"]) == len(d["phase"])
+    assert d["total_iterations"] == n
+    assert (d["J"][0], d["J"][-1]) == (0.0, float(n - 1))
+    assert all(a < b for a, b in zip(d["J"], d["J"][1:]))
 
 
 def test_minimize_local_trivial_at_lambda_zero():
@@ -438,7 +452,9 @@ def _newton_rows(tmp_path, config, *args):
     ("ma2d.cfg", "nodes = 64", "nodes = 128", "weak"),
     ("hess3d_k3.cfg", "nodes = 16", "nodes = 20", "strong"),
     ("hess3d_k3.cfg", "nodes = 16", "nodes = 20", "weak"),
-], ids=["strong-191", "weak-128", "k3-strong-20", "k3-weak-20"])
+    ("hess3d.cfg", "nodes = 24", "nodes = 47", "strong"),
+    ("hess3d.cfg", "nodes = 24", "nodes = 32", "weak"),
+], ids=["strong-191", "weak-128", "k3-strong-20", "k3-weak-20", "3d-strong-47", "3d-weak-32"])
 def test_fine_grids_converge_in_at_most_twice_the_coarse_newton_steps(tmp_path, name, coarse,
                                                                       fine, form):
     """Newton in w = (-Delta_h)^alpha u has no stencil roundoff floor, so the
