@@ -5,15 +5,17 @@ the action evaluated here is
 
     J[u] = quadratic - datum - nonlinear,
 
-    quadratic = 1/2 * int |half_order(u, alpha)|^2
+    quadratic = 1/2 * int |half_order(u, alpha)|^2 = 1/2 <u, (-Delta_h)^alpha u>
     datum     = lambda * int f u
     nonlinear = (-1)^k/(k+1) * int u S_k[u]                  (pointwise form)
               = -(-1)^k/((k+1)k) * sum_ij int u_i u_j S_k^ij  (divergence form)
 
 so the ``nonlinear_term`` reported for either form always enters J with a
-minus sign.  In the continuum the two nonlinear terms agree after
-integration by parts; discretely they differ by O(h^2), tracked by
-refinement tests rather than eliminated.
+minus sign.  For every alpha the quadratic term is, to roundoff, the form
+of the residual's linear operator (``grid.half_order``), so |u|_alpha^2 =
+<u, (-Delta_h)^alpha u> and int f u = <G f, u>_alpha.  In the continuum the
+two nonlinear terms agree after integration by parts; discretely they
+differ by O(h^2), tracked by refinement tests rather than eliminated.
 
 The strong residual is the pointwise Euler-Lagrange field
 
@@ -75,12 +77,11 @@ the search for psi alike.
 Lambda enters the action only through the datum term lambda int f u, so the
 stencil work of the geometry is lambda-free and done once, by ``calibrate``,
 into a ``Calibration``: ``fit_minorant`` reads each fixed field's seminorm
-and nonlinear term (hence C2), and int f a and |a| of the anchor
-a = G f / max|G f| from its own images; ``geometry_witnesses`` searches psi,
-the first ray's direction, for N(psi) > 0 in the setting's form; and
-<f, G f> is the datum term's pairing.  The lambda step,
-``Calibration.geometry``, reads no field: C1 from |lambda| int f a / |a|,
-bit for bit what fitting at that lambda gives, the radii of
+and nonlinear term (hence C2); ``geometry_witnesses`` searches psi, the
+first ray's direction, for N(psi) > 0 in the setting's form; and <f, G f>
+is the datum term's pairing.  The lambda step, ``Calibration.geometry``,
+reads no field: C1 = |lambda| sqrt(<f, G f>) (with the margin), the
+Cauchy-Schwarz bound on lambda int f u / |u|_alpha, the radii of
 ``minorant_geometry``, and the datum check lambda int f phi =
 |lambda| <f, G f> > 0, bit for bit, with no phi built.  A psi search that
 found no bump is kept as psi = None and raised after the minorant's own
@@ -98,6 +99,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -199,7 +201,7 @@ def _images(u: ScalarField, s: EnergySetting, form: Form | None = None) -> tuple
     weak = (form or s.form) is Form.WEAK
     ents = hessian_entries(u)
     lap = laplacian_power(u, ents, s.alpha // 2)
-    # odd alpha: the centered gradient of Delta^((alpha-1)/2) u
+    # odd alpha: the forward differences of Delta^((alpha-1)/2) u on the edges
     comps = lap.values[None] if s.alpha % 2 == 0 else half_order(lap, 1)
     return (u.values, comps, ents, gradient_centered(u) if weak else None)
 
@@ -475,8 +477,8 @@ def minorant_geometry(C1: float, C2: float, k: int) -> MinorantGeometry:
     return MinorantGeometry(C1=C1, C2=C2, k=k, R0=r0, R1=r1, R_M=r_m, h_max=h_max)
 
 
-# safety factor applied to the fitted constants, so fields outside the fixed
-# family, whose ratios the fit does not read, stay above the minorant
+# safety factor applied to C2, so fields outside the fixed family, whose
+# ratios the fit does not read, stay above the minorant; C1, exact, keeps it too
 _FIT_MARGIN = 1.25
 _C_FLOOR = 1e-12
 
@@ -489,8 +491,8 @@ def minorant_sample_family(s: EnergySetting, gf: ScalarField | None = None) -> l
     ``gf`` or computed here; left out for a zero datum, first otherwise),
     the center bump, and phi_1 / max|phi_1|, phi_1 = prod_a sin(pi x_a /
     L_a) the lowest sine mode.  phi_1 sets C2 on constant and checker data,
-    the G f anchor on gaussian data; on the bundled data no field of the
-    random family these replace scored above the larger of the two.
+    G f on gaussian data; on the bundled data no field of the random family
+    these replace scored above the larger of the two.
     """
     dom = s.f.domain
     center = tuple(0.5 * e for e in dom.extent)
@@ -503,36 +505,29 @@ def minorant_sample_family(s: EnergySetting, gf: ScalarField | None = None) -> l
         phi1 * (1.0 / float(np.max(np.abs(phi1.values))))]
 
 
-def fit_minorant(s: EnergySetting, gf: ScalarField | None = None) -> tuple[float, float, float]:
-    """(C2, int f a, |a|) for the fixed family, the fields' negatives and
-    all their scalings, a = G f / max|G f| the anchor (int f a = 0 and
-    |a| = 1 for a zero datum).
+def fit_minorant(s: EnergySetting, gf: ScalarField | None = None) -> float:
+    """C2 for the fixed family, the fields' negatives and all their scalings.
 
     Because the datum and nonlinear terms are homogeneous of degree 1 and
     k+1 in the field, requiring the bound along every ray through a field
     splits exactly into the two termwise ratios: C2 is maximized over the
-    fields of ``minorant_sample_family`` here, C1 is read off the anchor at
-    each lambda (``Calibration.geometry``), and a fixed margin then covers
-    fields outside the family.  Each field's images are built once: the
-    ratio q = N(u) / |u|^(k+1) of -u is (-1)^(k+1) q, bit for bit.  For
-    even alpha int f u is the seminorm's inner product of G f and u, so by
-    Cauchy-Schwarz +-a bound int f u / |u| over every field.  The setting's
-    lambda is not read.  ``gf`` is G f (computed here when omitted).
+    fields of ``minorant_sample_family`` here, and a fixed margin then
+    covers fields outside the family; C1 is exact at each lambda
+    (``Calibration.geometry``).  Each field's images are built once: the
+    ratio q = N(u) / |u|^(k+1) of -u is (-1)^(k+1) q, bit for bit.  The
+    setting's lambda is not read.  ``gf`` is G f (computed here when omitted).
     """
     k = s.params.k
     if gf is None:
         gf = invert_polyharmonic(s.f, s.alpha)
-    family = minorant_sample_family(s, gf)
-    c2, fa, ra = 0.0, 0.0, 1.0
-    for i, u in enumerate(family):
+    c2 = 0.0
+    for u in minorant_sample_family(s, gf):
         images = _images(u, s)
         r = seminorm_of(images[1], u.domain)
-        if i == 0 and len(family) == 3:  # the anchor leads unless the datum is zero
-            fa, ra = _datum_pairing(images[0], s), r
         if r > 0.0:  # the bump is zero at every node on a long, coarse box
             q = _nonlinear(images, s) / r ** (k + 1)
             c2 = max(c2, q if k % 2 else abs(q))
-    return max(_FIT_MARGIN * c2, _C_FLOOR), fa, ra
+    return max(_FIT_MARGIN * c2, _C_FLOOR)
 
 
 def geometry_witnesses(s: EnergySetting) -> ScalarField | None:
@@ -566,15 +561,12 @@ def geometry_witnesses(s: EnergySetting) -> ScalarField | None:
 @dataclass(frozen=True)
 class Calibration:
     """The lambda-free part of the mountain-pass geometry, shared by every
-    setting that differs only in lambda (built by ``calibrate``): C2 and
-    the anchor's int f a and |a| (``fit_minorant``), <f, G f>, and psi, the
-    minimax's first ray direction (``geometry_witnesses``; None when no
-    bump verified)."""
+    setting that differs only in lambda (built by ``calibrate``): C2
+    (``fit_minorant``), <f, G f>, and psi, the minimax's first ray
+    direction (``geometry_witnesses``; None when no bump verified)."""
 
     k: int
     C2: float
-    anchor_pairing: float
-    anchor_seminorm: float
     datum_pairing: float
     psi: ScalarField | None
 
@@ -582,9 +574,10 @@ class Calibration:
         """The geometry at ``lam``, or a ``GeometryError`` from the first of
         its checks that fails: the minorant's hump, psi, then the datum
         witness phi = sign(lambda) G f, whose lambda int f phi is
-        |lambda| <f, G f>.  C1 = |lambda| int f a / |a| with the margin is
-        bit for bit what fitting at that lambda gives."""
-        c1 = max(_FIT_MARGIN * (abs(lam) * self.anchor_pairing / self.anchor_seminorm),
+        |lambda| <f, G f>.  C1 is the margin times |lambda| sqrt(<f, G f>):
+        int f u = <G f, u>_alpha, so by Cauchy-Schwarz |G f|_alpha =
+        sqrt(<f, G f>) bounds int f u / |u|_alpha over every field."""
+        c1 = max(_FIT_MARGIN * abs(lam) * math.sqrt(max(self.datum_pairing, 0.0)),
                  _C_FLOOR * (1.0 + abs(lam)))
         geom = minorant_geometry(c1, self.C2, self.k)
         if self.psi is None:
@@ -598,7 +591,7 @@ class Calibration:
 def calibrate(s: EnergySetting) -> Calibration:
     """The calibration of ``s`` (its lambda is not read), from one G f."""
     gf = invert_polyharmonic(s.f, s.alpha)
-    return Calibration(s.params.k, *fit_minorant(s, gf), _datum_pairing(gf.values, s),
+    return Calibration(s.params.k, fit_minorant(s, gf), _datum_pairing(gf.values, s),
                        geometry_witnesses(s))
 
 

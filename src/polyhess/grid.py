@@ -22,8 +22,9 @@ the bits are unchanged.  ``random_smooth_field`` is one contraction with
 per-axis sine tables.  A domain computes its spacing, cell volume and sine
 symbol once and keeps them, and rejects extents that make h^2 or the cell
 volume 0 or inf.  Stencils that yield more than one value per node return
-plain arrays: ``half_order`` has shape (m,) + nodes with m = 1 for even
-order and dim for odd, and ``gradient_centered`` shape (dim,) + nodes.
+plain arrays: ``half_order`` has shape (1,) + nodes for even order and
+(dim,) + (n_b + 1 for each axis b), one plane of edges per axis, for odd,
+and ``gradient_centered`` shape (dim,) + nodes.
 
 The Hessian is computed once, by one stencil, as its dim(dim+1)/2 unique
 entries: ``hessian_entries`` has shape (dim(dim+1)/2,) + nodes, the
@@ -67,14 +68,12 @@ factors of n + 1 as an FFT's does.  Its output agrees with
 (the tests compare the two), and its bits are fixed for a given OpenBLAS
 thread count; on some shapes they differ between thread counts.
 
-For even alpha the seminorm built from ``half_order`` satisfies
-seminorm(u)^2 == integrate(u * (-1)^alpha * polyharmonic(u, alpha)) exactly
-(the repeated Laplacian is symmetric).  For odd alpha the two quadratic
-forms differ at first order in h: the node-centered gradient quadrature
-misses the wall half-cells where grad Delta^{(alpha-1)/2} u does not vanish,
-while the operator pairing's exact face-difference factorization includes
-them.  Both are equivalent norms uniformly in h and the solvers use the
-seminorm consistently on both sides of every comparison.
+For every alpha the seminorm built from ``half_order`` satisfies
+seminorm(u)^2 == integrate(u * (-1)^alpha * polyharmonic(u, alpha)) to
+roundoff: the repeated Laplacian is symmetric, and for odd alpha the half
+order is the forward difference of v = Delta^{(alpha-1)/2} u on every edge
+along each axis, the wall edges included, so summation by parts under zero
+extension gives sum |D^+ v|^2 = <v, -Delta_h v> exactly.
 """
 
 from __future__ import annotations
@@ -389,16 +388,24 @@ def sk_field(u: ScalarField, k: int) -> ScalarField:
 
 
 def half_order(u: ScalarField, alpha: int) -> np.ndarray:
-    """Half of the order-2*alpha operator, shape (m,) + nodes: the m = 1
-    component Delta^{alpha/2} u for even alpha, the m = dim components of
-    grad Delta^{(alpha-1)/2} u (centered differences) for odd alpha."""
+    """Half of the order-2*alpha operator: Delta^{alpha/2} u, shape (1,) +
+    nodes, for even alpha; for odd alpha the forward differences of v =
+    Delta^{(alpha-1)/2} u, zero extended, shape (dim,) + (n_b + 1 for each
+    axis b): component a holds (v[i+1] - v[i]) / h_a on the n_a + 1 edges
+    i = 0..n_a along axis a, and zeros in the last slot of every other axis."""
     _check_order(alpha)
     vals = u.values
     for _ in range(alpha // 2):
         vals = _laplacian_values(vals, u.domain.spacing)
     if alpha % 2 == 0:
         return vals[None]
-    return gradient_centered(ScalarField(u.domain, vals))
+    p = _zero_extended(vals)
+    comps = np.empty((vals.ndim,) + tuple(n + 1 for n in vals.shape))
+    upper = (slice(1, None),) * vals.ndim  # past the last node both operands are zero
+    for a, h in enumerate(u.domain.spacing):
+        lower = upper[:a] + (slice(None, -1),) + upper[a + 1:]
+        np.divide(np.subtract(p[upper], p[lower], out=comps[a]), h, out=comps[a])
+    return comps
 
 
 def integrate(u: ScalarField) -> float:

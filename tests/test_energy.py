@@ -302,7 +302,7 @@ def _lambda_zero_coefficients(name):
         s = make_setting(ProblemParams(3, 3), 0.0, constant_datum(unit_box(3, 16)))
     # psi is a placeholder: at n = 8 and alpha = 4 no bump verifies, and only
     # the minorant is read here
-    return Calibration(s.params.k, *fit_minorant(s), 0.0, zeros(s.f.domain)).geometry(0.0)
+    return Calibration(s.params.k, fit_minorant(s), 0.0, zeros(s.f.domain)).geometry(0.0)
 
 
 @pytest.mark.parametrize("name", ["unit_box(2, 8), alpha = 4", "flagship n = 32"])
@@ -392,6 +392,33 @@ def test_fit_minorant_properties(s64):
     fit2 = calibrate(s2).geometry(s2.lam)
     assert fit2.C1 == pytest.approx(2.0 * fit.C1, rel=1e-12)
     assert fit2.C2 == pytest.approx(fit.C2, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [2, 3])
+@pytest.mark.parametrize("dom", [unit_box(2, 32), unit_box(3, 16),
+                                 BoxDomain(nodes=(16, 64), extent=(1.0, 4.0))],
+                         ids=["2d", "3d", "elongated"])
+def test_c1_is_the_cauchy_schwarz_bound(monkeypatch, dom, alpha):
+    """int f u = <G f, u>_alpha for every alpha, so C1 / (1.25 |lambda|) is
+    int f G f / |G f|_alpha, the largest int f u / |u|_alpha; a zero datum
+    gives the floor."""
+    rng = np.random.default_rng(26)
+    lam = 0.05
+    s = make_setting(ProblemParams(dom.dim, 2), lam, random_smooth_field(dom, rng), alpha=alpha)
+    c1 = calibrate(s).geometry(lam).C1
+    gf = invert_polyharmonic(s.f, alpha)
+    bound = inner(s.f, gf) / seminorm(gf, alpha)
+    assert c1 / (energy._FIT_MARGIN * lam) == pytest.approx(bound, rel=1e-12, abs=0.0)
+    for _ in range(4):
+        u = random_smooth_field(dom, rng, modes=5)
+        assert abs(inner(s.f, u)) / seminorm(u, alpha) <= bound * (1.0 + 1e-12)
+    seen = []
+    geometry = energy.minorant_geometry
+    monkeypatch.setattr(energy, "minorant_geometry",
+                        lambda c1, *args: seen.append(c1) or geometry(c1, *args))
+    with pytest.raises(GeometryError, match="datum"):
+        calibrate(replace(s, f=zeros(dom))).geometry(lam)
+    assert seen == [energy._C_FLOOR * (1.0 + lam)]
 
 
 @pytest.mark.parametrize("form", ["strong", "weak"])

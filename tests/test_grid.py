@@ -383,8 +383,15 @@ def test_half_order_variants():
     assert h2.shape == (1,) + dom.nodes
     assert np.allclose(h2[0], laplacian(u).values)
     assert np.allclose(h2[0][5:-5, 5:-5], 16.0, atol=1e-9)
+    # odd order: forward differences of Delta u on the n + 1 edges per axis,
+    # the last slot of the other axis zero
     h3 = half_order(u, 3)
-    assert h3.shape == (2,) + dom.nodes
+    assert h3.shape == (2, 33, 33)
+    lap = np.pad(laplacian(u).values, ((1, 1), (1, 1)))
+    h = dom.spacing[0]
+    assert np.allclose(h3[0, :, :-1], np.diff(lap[:, 1:-1], axis=0) / h)
+    assert np.allclose(h3[1, :-1, :], np.diff(lap[1:-1, :], axis=1) / h)
+    assert np.all(h3[0, :, -1] == 0.0) and np.all(h3[1, -1, :] == 0.0)
     assert np.all(half_order(zeros(dom), 3) == 0.0)
 
 
@@ -470,18 +477,16 @@ def test_even_alpha_quadratic_form_identities():
     assert quad == pytest.approx(seminorm(u, 2) ** 2, rel=1e-13)
 
 
-def test_odd_alpha_half_order_mismatch_first_order():
-    # order-3-clamped polynomial; the normal derivative of its Laplacian is
-    # nonzero on the wall, so the node-centered seminorm quadrature differs
-    # from the operator pairing at first order in h
-    mismatches = []
-    for n in (32, 64, 128):
-        dom = unit_box(2, n)
-        u = from_function(dom, lambda x, y: 4096 * (x * (1 - x) * y * (1 - y)) ** 3)
-        pair = -inner(u, polyharmonic(u, 3))
-        mismatches.append(abs(pair - seminorm(u, 3) ** 2))
-    assert mismatches[0] / mismatches[1] > 1.6
-    assert mismatches[1] / mismatches[2] > 1.6
+def test_seminorm_is_the_operator_form_for_every_alpha():
+    """seminorm(u, alpha)^2 == h^N <u, (-1)^alpha Delta_h^alpha u> to
+    roundoff, odd alpha included: its forward differences on the wall edges
+    are summation by parts of the Dirichlet Laplacian."""
+    rng = np.random.default_rng(25)
+    for dom in (unit_box(2, 32), unit_box(3, 16), BoxDomain(nodes=(24, 40), extent=(1.0, 2.0))):
+        for alpha in (1, 2, 3):
+            u = random_smooth_field(dom, rng)
+            pair = (-1.0) ** alpha * inner(u, polyharmonic(u, alpha))
+            assert seminorm(u, alpha) ** 2 == pytest.approx(pair, rel=1e-12, abs=0.0)
 
 
 def test_stencil_linearity_random():

@@ -434,6 +434,52 @@ def test_odd_alpha_pair():
     assert p.sep > 0.0
 
 
+def _k3_setting(form, n=16):
+    cfg = replace(load_config(_REPO / "configs" / "hess3d_k3.cfg"), form=form, nodes=(n,))
+    return build_setting(cfg), cfg.solver
+
+
+@pytest.mark.parametrize("case", ["hess3d_k3 strong", "hess3d_k3 weak", "flagship alpha = 3"])
+def test_odd_alpha_minimizer_energy_is_the_quadratic_form(case):
+    """For odd alpha J_m = -lambda^2 <f, G f> / 2 up to the nonlinear term:
+    the action's quadratic part is the form of the operator G inverts."""
+    if case == "flagship alpha = 3":
+        base = flagship_setting(64)
+        s, cfg = make_setting(base.params, base.lam, base.f, alpha=3), SolverConfig(seed=0)
+    else:
+        s, cfg = _k3_setting(case.split()[1])
+    assert s.alpha == 3
+    want = -s.lam ** 2 * inner(s.f, invert_polyharmonic(s.f, s.alpha)) / 2
+    assert solve_run(s, cfg).pair.J_m == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
+def _three_point_order(values, hs):
+    """p with (v0 - v1) / (v1 - v2) = (h0^p - h1^p) / (h1^p - h2^p), by bisection."""
+    ratio = (values[0] - values[1]) / (values[1] - values[2])
+    lo, hi = 0.5, 4.0
+    for _ in range(60):
+        p = 0.5 * (lo + hi)
+        if (hs[0] ** p - hs[1] ** p) / (hs[1] ** p - hs[2] ** p) < ratio:
+            lo = p
+        else:
+            hi = p
+    return 0.5 * (lo + hi)
+
+
+def test_odd_alpha_saddle_converges_at_second_order():
+    """(N, k) = (3, 3), alpha = 3: J_star at n = 16, 24 and 32 converges at
+    order 2 in both forms, and their Richardson limits (p = 2, the two
+    finer grids) agree."""
+    ns = (16, 24, 32)
+    hs = [1.0 / (n + 1) for n in ns]
+    limits = []
+    for form in ("strong", "weak"):
+        js = [solve_run(*_k3_setting(form, n)).pair.J_star for n in ns]
+        assert 1.8 <= _three_point_order(js, hs) <= 2.2
+        limits.append((hs[1] ** 2 * js[2] - hs[2] ** 2 * js[1]) / (hs[1] ** 2 - hs[2] ** 2))
+    assert limits[0] == pytest.approx(limits[1], rel=1e-3)
+
+
 def _newton_rows(tmp_path, config, *args):
     """Newton rows of a CLI solve of ``config`` (the text of a config file)
     with the command-line ``args``; the solve must exit 0 with its u_star
@@ -760,7 +806,8 @@ def test_stencil_residual_of_a_polished_minimizer(tmp_path, run32):
 # every setting before the lambda-free part moved into a shared
 # calibration, on the six signed fields (each fixed field and its
 # negative, each evaluated on its own): the oracles of the bit-identity
-# tests below.
+# tests below.  C1 is the Cauchy-Schwarz bound |lambda| |G f|_alpha, which
+# the fields' largest datum ratio, G f's own, reaches to roundoff.
 def _fit_as_first_written(s):
     k = s.params.k
     c1 = 0.0
@@ -776,7 +823,9 @@ def _fit_as_first_written(s):
         c1 = max(c1, datum / r)
         c2 = max(c2, nl / r ** (k + 1))
     assert usable >= 2
-    c1 = max(energy._FIT_MARGIN * c1, energy._C_FLOOR * (1.0 + abs(s.lam)))
+    root = math.sqrt(inner(s.f, energy.invert_polyharmonic(s.f, s.alpha)))
+    assert c1 == pytest.approx(abs(s.lam) * root, rel=1e-12, abs=0.0)
+    c1 = max(energy._FIT_MARGIN * abs(s.lam) * root, energy._C_FLOOR * (1.0 + abs(s.lam)))
     c2 = max(energy._FIT_MARGIN * c2, energy._C_FLOOR)
     return c1, c2, k
 
