@@ -67,25 +67,24 @@ is exactly 1 inside the R0 ball, where ``evaluate_H`` equals the action.
 Mountain-pass geometry from exact forms: the minorant h is a polynomial, so
 its radii come from ``polynomial_peak`` and the roots of h(R)/R, and the
 datum witness is phi = sign(lambda) G f, G the sine-basis inverse of
-(-Delta)^alpha.  The minorant is fitted on three fixed fields and their
-negatives (G f, the center bump and phi_1, the lowest sine mode), so a fit
-draws no random number and a solve reads none.  The images of -u are those
-of u negated, bit for bit, so |-u| = |u| and N(-u) = (-1)^(k+1) N(u): each
-field's images are built once and read for both signs, in the fit and in
-the search for psi alike.
+(-Delta)^alpha.  C2 and psi, the minimax's first direction, come from one
+nonlinear power iteration v <- G N(v) / max|G N(v)| from the center bump,
+whose fixed points up to scale are the critical points of q = N(v) /
+|v|_alpha^(k+1) on the sphere, the lambda = 0 mountain-pass solution among
+them; it draws no random number, so a solve reads none.  The images of -v
+are those of v negated, bit for bit, so |-v| = |v| and N(-v) = (-1)^(k+1)
+N(v): each iterate's images are built once and read for both signs.
 
 Lambda enters the action only through the datum term lambda int f u, so the
 stencil work of the geometry is lambda-free and done once, by ``calibrate``,
-into a ``Calibration``: ``fit_minorant`` reads each fixed field's seminorm
-and nonlinear term (hence C2); ``geometry_witnesses`` searches psi, the
-first ray's direction, for N(psi) > 0 in the setting's form; and <f, G f>
-is the datum term's pairing.  The lambda step, ``Calibration.geometry``,
-reads no field: C1 = |lambda| sqrt(<f, G f>) (with the margin), the
-Cauchy-Schwarz bound on lambda int f u / |u|_alpha, the radii of
-``minorant_geometry``, and the datum check lambda int f phi =
-|lambda| <f, G f> > 0, bit for bit, with no phi built.  A psi search that
-found no bump is kept as psi = None and raised after the minorant's own
-checks, as when each lambda fitted its own.
+into a ``Calibration``: ``geometry_witnesses`` runs the iteration and
+picks psi, ``fit_minorant`` reads C2 off q(psi), and <f, G f> is the
+datum term's pairing.  The lambda step, ``Calibration.geometry``, reads no
+field: C1 = |lambda| sqrt(<f, G f>), the Cauchy-Schwarz supremum of
+lambda int f u / |u|_alpha, the radii of ``minorant_geometry``, and the
+datum check lambda int f phi = |lambda| <f, G f> > 0, bit for bit, with no
+phi built.  An iteration that found no psi is kept as psi = None and raised
+after the minorant's own checks, as when each lambda calibrated on its own.
 
 Form dispatch.  This module makes every strong-versus-weak choice:
 ``Form.alpha_formula`` gives each form's regime alpha, and ``action``,
@@ -98,7 +97,6 @@ of N for the solvers.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -477,93 +475,71 @@ def minorant_geometry(C1: float, C2: float, k: int) -> MinorantGeometry:
     return MinorantGeometry(C1=C1, C2=C2, k=k, R0=r0, R1=r1, R_M=r_m, h_max=h_max)
 
 
-# safety factor applied to C2, so fields outside the fixed family, whose
-# ratios the fit does not read, stay above the minorant; C1, exact, keeps it too
+# safety factor on C2: the power iteration's largest q is a lower estimate
+# of sup q, read at a computed critical point, not a bound
 _FIT_MARGIN = 1.25
 _C_FLOOR = 1e-12
+_POWER_STEPS = 10
 
 
-def minorant_sample_family(s: EnergySetting, gf: ScalarField | None = None) -> list[ScalarField]:
-    """The three fixed fields the minorant is fitted on, each standing for
-    itself and its negative.
+def geometry_witnesses(s: EnergySetting) -> tuple[float, ScalarField | None]:
+    """(q, psi): over the iterates v of the nonlinear power iteration
+    v <- G N(v) / max|G N(v)| in the setting's form, from the center bump
+    of radius 0.3 min(extent), over ``_POWER_STEPS`` steps, psi is the v,
+    or for even k the -v, with the largest q = N(v) / |v|_alpha^(k+1) > 0;
+    (0.0, None) when no iterate has N(v) > 0, or the bump is zero at every
+    node (on a long, coarse box).
 
-    G f / max|G f| (G f the polyharmonic inverse of the datum, passed as
-    ``gf`` or computed here; left out for a zero datum, first otherwise),
-    the center bump, and phi_1 / max|phi_1|, phi_1 = prod_a sin(pi x_a /
-    L_a) the lowest sine mode.  phi_1 sets C2 on constant and checker data,
-    G f on gaussian data; on the bundled data no field of the random family
-    these replace scored above the larger of the two.
-    """
-    dom = s.f.domain
-    center = tuple(0.5 * e for e in dom.extent)
-    pf = invert_polyharmonic(s.f, s.alpha) if gf is None else gf
-    phi1 = ScalarField(dom, functools.reduce(np.multiply.outer, (
-        np.sin(np.pi * dom.axis_coords(a) / dom.extent[a]) for a in range(dom.dim))))
-    top = float(np.max(np.abs(pf.values)))
-    return ([pf * (1.0 / top)] if top > 0 else []) + [
-        bump_field(dom, center, 0.3 * min(dom.extent), 1.0, s.params.k),
-        phi1 * (1.0 / float(np.max(np.abs(phi1.values))))]
-
-
-def fit_minorant(s: EnergySetting, gf: ScalarField | None = None) -> float:
-    """C2 for the fixed family, the fields' negatives and all their scalings.
-
-    Because the datum and nonlinear terms are homogeneous of degree 1 and
-    k+1 in the field, requiring the bound along every ray through a field
-    splits exactly into the two termwise ratios: C2 is maximized over the
-    fields of ``minorant_sample_family`` here, and a fixed margin then
-    covers fields outside the family; C1 is exact at each lambda
-    (``Calibration.geometry``).  Each field's images are built once: the
-    ratio q = N(u) / |u|^(k+1) of -u is (-1)^(k+1) q, bit for bit.  The
-    setting's lambda is not read.  ``gf`` is G f (computed here when omitted).
-    """
-    k = s.params.k
-    if gf is None:
-        gf = invert_polyharmonic(s.f, s.alpha)
-    c2 = 0.0
-    for u in minorant_sample_family(s, gf):
-        images = _images(u, s)
-        r = seminorm_of(images[1], u.domain)
-        if r > 0.0:  # the bump is zero at every node on a long, coarse box
-            q = _nonlinear(images, s) / r ** (k + 1)
-            c2 = max(c2, q if k % 2 else abs(q))
-    return max(_FIT_MARGIN * c2, _C_FLOOR)
-
-
-def geometry_witnesses(s: EnergySetting) -> ScalarField | None:
-    """psi, the compact radial bump with the sign that makes N(psi) in
-    the setting's form positive, or None when no bump verifies: -N(psi) is
-    the t^(k+1) coefficient of J along the minimax's first ray u_m + t psi."""
+    The lambda = 0 mountain-pass solution is, up to scale, a fixed point:
+    a critical point of q on the sphere.  N(-v) = (-1)^(k+1) N(v) bit for
+    bit, so for odd k the sign cannot help.  Each step reads N from the
+    Hessian entries its image bundle already built."""
     dom = s.f.domain
     k = s.params.k
-    minext = min(dom.extent)
-    center = tuple(0.5 * e for e in dom.extent)
-    # One bump b per radius, and the quadrature decides its sign: N(-b) =
-    # (-1)^(k+1) N(b) bit for bit, so for odd k the sign cannot help, while
-    # for even k b is the negative bump and psi = -b when N(b) < 0 (sigma_k
-    # of the negative-definite Hessian at the positive bump's peak is > 0).
-    # psi's support keeps at least alpha nodes clear of every wall: a radius
-    # that leaves fewer is skipped.
-    for frac in (0.3, 0.25, 0.35, 0.2, 0.4):
-        r = frac * minext
-        if min(min(c - r, e - (c + r)) / h
-               for c, e, h in zip(center, dom.extent, dom.spacing)) < s.alpha:
-            continue
-        b = bump_field(dom, center, r, 1.0, k)
-        nl = _nonlinear(_images(b, s), s)
-        if nl > 0.0:
-            return b
-        if k % 2 == 0 and nl < 0.0:
-            return -b
-    return None
+    v = bump_field(dom, tuple(0.5 * e for e in dom.extent), 0.3 * min(dom.extent), 1.0, k)
+    best = (0.0, None)
+    for step in range(_POWER_STEPS + 1):
+        images = _images(v, s)
+        r = seminorm_of(images[1], dom)
+        if r == 0.0:
+            break
+        q = _nonlinear(images, s) / r ** (k + 1)
+        if k % 2 == 0 and -q > best[0]:
+            best = (-q, -v)
+        elif q > best[0]:
+            best = (q, v)
+        if step == _POWER_STEPS:
+            break
+        gn = invert_polyharmonic(ScalarField(dom, _nonlinear_field(v, images[2], s, s.form)),
+                                 s.alpha)
+        top = float(np.max(np.abs(gn.values)))
+        if top == 0.0:
+            break
+        v = gn * (1.0 / top)
+    return best
+
+
+def fit_minorant(s: EnergySetting) -> tuple[float, ScalarField | None]:
+    """(C2, psi), psi from ``geometry_witnesses``.
+
+    The datum and nonlinear terms are homogeneous of degree 1 and k+1 in the
+    field, so the bound along every ray splits into two termwise ratios:
+    C1 is exact at each lambda (``Calibration.geometry``), and C2 is the
+    margin times q(psi), the largest ratio N(v) / |v|^(k+1) the power
+    iteration reached (the floor when psi is None).  -N(psi) is the t^(k+1)
+    coefficient of J along the minimax's first ray u_m + t psi.  The
+    setting's lambda is not read.
+    """
+    q, psi = geometry_witnesses(s)
+    return max(_FIT_MARGIN * q, _C_FLOOR), psi
 
 
 @dataclass(frozen=True)
 class Calibration:
     """The lambda-free part of the mountain-pass geometry, shared by every
-    setting that differs only in lambda (built by ``calibrate``): C2
-    (``fit_minorant``), <f, G f>, and psi, the minimax's first ray
-    direction (``geometry_witnesses``; None when no bump verified)."""
+    setting that differs only in lambda (built by ``calibrate``): C2 and
+    psi, the minimax's first ray direction (``fit_minorant``; psi is None
+    when no iterate has a positive nonlinear term), and <f, G f>."""
 
     k: int
     C2: float
@@ -574,14 +550,16 @@ class Calibration:
         """The geometry at ``lam``, or a ``GeometryError`` from the first of
         its checks that fails: the minorant's hump, psi, then the datum
         witness phi = sign(lambda) G f, whose lambda int f phi is
-        |lambda| <f, G f>.  C1 is the margin times |lambda| sqrt(<f, G f>):
+        |lambda| <f, G f>.  C1 is |lambda| sqrt(<f, G f>), with no margin:
         int f u = <G f, u>_alpha, so by Cauchy-Schwarz |G f|_alpha =
-        sqrt(<f, G f>) bounds int f u / |u|_alpha over every field."""
-        c1 = max(_FIT_MARGIN * abs(lam) * math.sqrt(max(self.datum_pairing, 0.0)),
+        sqrt(<f, G f>) is the supremum of int f u / |u|_alpha over every
+        field, reached at G f."""
+        c1 = max(abs(lam) * math.sqrt(max(self.datum_pairing, 0.0)),
                  _C_FLOOR * (1.0 + abs(lam)))
         geom = minorant_geometry(c1, self.C2, self.k)
         if self.psi is None:
-            raise GeometryError("no bump orientation/radius produced a positive nonlinear pairing")
+            raise GeometryError("no iterate of the nonlinear power iteration from the "
+                                "center bump has a positive nonlinear term")
         if lam != 0.0 and not abs(lam) * self.datum_pairing > 0.0:
             raise GeometryError("lambda * int f phi is not positive: the datum is zero "
                                 "(or too small to pair with lambda), so no datum witness exists")
@@ -589,10 +567,10 @@ class Calibration:
 
 
 def calibrate(s: EnergySetting) -> Calibration:
-    """The calibration of ``s`` (its lambda is not read), from one G f."""
+    """The calibration of ``s`` (its lambda is not read)."""
+    c2, psi = fit_minorant(s)
     gf = invert_polyharmonic(s.f, s.alpha)
-    return Calibration(s.params.k, fit_minorant(s, gf), _datum_pairing(gf.values, s),
-                       geometry_witnesses(s))
+    return Calibration(s.params.k, c2, _datum_pairing(gf.values, s), psi)
 
 
 def make_setting(params: ProblemParams, lam: float, f: ScalarField,

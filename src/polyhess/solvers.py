@@ -9,8 +9,9 @@ N'(0) = 0 for k >= 2.
 Mountain pass.  A local minimax on rays from the minimizer u_m (Li and
 Zhou, SIAM J. Sci. Comput. 23:840, 2001): one direction field v replaces a
 discrete path, and each iterate is the peak of J on the ray u_m + t v.
-The first ray is u_m + t psi (``Calibration.psi``), on which J falls
-without bound: its t^(k+1) coefficient is -N(psi) < 0.
+The first ray is u_m + t psi (``Calibration.psi``, the power iterate
+nearest the lambda = 0 saddle), on which J falls without bound: its
+t^(k+1) coefficient is -N(psi) < 0.
 Every stencil image is linear in t, so J(u_m + t v) is a polynomial of
 degree k + 1 in t in both forms, fixed exactly by its values at k + 2
 points (``energy.ray_polynomial``, from the images of u_m computed once per
@@ -60,7 +61,7 @@ the predicted u_star, with no minimax; one that misses ``grad_tol`` or
 falls back to u_m hands the row to the minimax of a cold solve.
 
 Determinism: a solve and a continuation read no random number (the
-minorant is fitted on three fixed fields and their negatives), so identical
+calibration's power iteration starts from the fixed center bump), so identical
 inputs reproduce outputs bit for bit, whatever ``SolverConfig.seed``, at a
 fixed OpenBLAS thread count (the reductions and the sine inverse's products
 go through BLAS).  Only the probe draws random numbers, its trial starts,

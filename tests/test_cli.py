@@ -255,11 +255,11 @@ def test_cmd_solve_nonconvergence_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("form", ["strong", "weak"])
 def test_flagship_beyond_the_geometry_edge_exits_3(tmp_path, capsys, form):
-    """The n = 32 flagship's two-level geometry ends at lambda = 211.83
-    (strong) and 213.76 (weak), so a solve at 220 is refused with the reason."""
+    """The n = 32 flagship's two-level geometry ends at lambda = 239.67
+    (strong) and 242.13 (weak), so a solve at 250 is refused with the reason."""
     reason = "fitted minorant maximum is nonpositive; the two-level geometry is absent"
     out = tmp_path / "out"
-    assert main(["solve", "--config", str(write_cfg(tmp_path)), "--lambda", "220",
+    assert main(["solve", "--config", str(write_cfg(tmp_path)), "--lambda", "250",
                  "--form", form]) == 3
     err = capsys.readouterr().err
     assert reason in err and "Traceback" not in err

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from polyhess import (
-    Calibration,
     EnergySetting,
     Form,
     GeometryError,
@@ -38,7 +37,7 @@ from polyhess import (
 )
 from polyhess.cli import build_setting, load_config
 import polyhess.energy as energy
-from polyhess.energy import _sign, minorant_sample_family
+from polyhess.energy import _sign
 from polyhess.energy import action, euler_lagrange, nonlinear, nonlinear_jacobian, residual
 from polyhess.grid import (
     BoxDomain, ScalarField, divergence_centered, gradient_centered, hessian, hessian_entries,
@@ -243,13 +242,14 @@ def test_nonlinear_term_homogeneity(s64, s64w):
 
 def test_J_scan_in_t_lambda_zero():
     s0 = flagship_setting(64, lam=0.0)
-    psi = geometry_witnesses(s0)
-    # sign flip under doubling (frozen from the first successful run)
+    psi = calibrate(s0).psi
+    # sign flip under doubling (frozen from the first run of the power
+    # iteration's psi, whose maximum is 1)
     t = 1.0
     while evaluate_J(t * psi, s0) >= 0.0:
         t *= 2.0
         assert t <= 2**40
-    assert t == 128.0
+    assert t == 16.0
     # small-t quadratic domination: log-log slope 2
     ts = np.logspace(-3, -1, 9)
     js = [evaluate_J(t * psi, s0) for t in ts]
@@ -300,9 +300,7 @@ def _lambda_zero_coefficients(name):
         s = flagship_setting(32, lam=0.0)
     else:
         s = make_setting(ProblemParams(3, 3), 0.0, constant_datum(unit_box(3, 16)))
-    # psi is a placeholder: at n = 8 and alpha = 4 no bump verifies, and only
-    # the minorant is read here
-    return Calibration(s.params.k, fit_minorant(s), 0.0, zeros(s.f.domain)).geometry(0.0)
+    return calibrate(s).geometry(0.0)
 
 
 @pytest.mark.parametrize("name", ["unit_box(2, 8), alpha = 4", "flagship n = 32"])
@@ -399,16 +397,16 @@ def test_fit_minorant_properties(s64):
                                  BoxDomain(nodes=(16, 64), extent=(1.0, 4.0))],
                          ids=["2d", "3d", "elongated"])
 def test_c1_is_the_cauchy_schwarz_bound(monkeypatch, dom, alpha):
-    """int f u = <G f, u>_alpha for every alpha, so C1 / (1.25 |lambda|) is
-    int f G f / |G f|_alpha, the largest int f u / |u|_alpha; a zero datum
-    gives the floor."""
+    """int f u = <G f, u>_alpha for every alpha, so C1 / |lambda| is
+    int f G f / |G f|_alpha, the largest int f u / |u|_alpha, with no
+    margin; a zero datum gives the floor."""
     rng = np.random.default_rng(26)
     lam = 0.05
     s = make_setting(ProblemParams(dom.dim, 2), lam, random_smooth_field(dom, rng), alpha=alpha)
     c1 = calibrate(s).geometry(lam).C1
     gf = invert_polyharmonic(s.f, alpha)
     bound = inner(s.f, gf) / seminorm(gf, alpha)
-    assert c1 / (energy._FIT_MARGIN * lam) == pytest.approx(bound, rel=1e-12, abs=0.0)
+    assert c1 / lam == pytest.approx(bound, rel=1e-12, abs=0.0)
     for _ in range(4):
         u = random_smooth_field(dom, rng, modes=5)
         assert abs(inner(s.f, u)) / seminorm(u, alpha) <= bound * (1.0 + 1e-12)
@@ -426,10 +424,11 @@ def test_c1_is_the_cauchy_schwarz_bound(monkeypatch, dom, alpha):
                                          ("ma2d.cfg", "checker"), ("hess3d.cfg", "constant"),
                                          ("hess3d_k3.cfg", "constant")])
 def test_fit_minorant_bounds_phi1_and_the_sampled_family(name, datum, form):
-    """N(u) <= C2 |u|^(k+1), and so J(u) >= h(|u|), for +-phi_1, phi_1 the
-    lowest sine mode, and for every field the random sample family drew at
-    seeds 0-9 (48 each): the three fixed fields and their negatives, with
-    the margin, bound what the draws found."""
+    """N(u) <= C2 |u|^(k+1), and so J(u) >= h(|u|), for +-G f / max|G f|,
+    the center bump and +-phi_1, phi_1 the lowest sine mode (the fixed
+    fields C2 was once fitted on), and for every field the random sample
+    family drew at seeds 0-9 (48 each): the power iteration's C2 bounds
+    what the fixed fields and the draws found."""
     cfg = replace(load_config(_CONFIGS / name), form=form, datum_kind=datum, datum_width=0.15)
     s = build_setting(cfg)
     k = s.params.k
@@ -438,8 +437,10 @@ def test_fit_minorant_bounds_phi1_and_the_sampled_family(name, datum, form):
     dom = s.f.domain
     phi1 = from_function(dom, lambda *x: math.prod(
         np.sin(np.pi * xa / ext) for xa, ext in zip(x, dom.extent)))
-    assert len(minorant_sample_family(s)) == 3
-    fields = [phi1, -phi1] + [u for seed in range(10)
+    gf = invert_polyharmonic(s.f, s.alpha)
+    gf = gf * (1.0 / float(np.max(np.abs(gf.values))))
+    bump = bump_field(dom, tuple(0.5 * e for e in dom.extent), 0.3 * min(dom.extent), 1.0, k)
+    fields = [gf, -gf, bump, -bump, phi1, -phi1] + [u for seed in range(10)
                        for u in sampled_minorant_family(s, np.random.default_rng(seed))]
     for u in fields:
         rep = energy_report(u, s)
@@ -456,34 +457,44 @@ def _calibration_case(name, form):
 @pytest.mark.parametrize("form", ["strong", "weak"])
 @pytest.mark.parametrize("name", ["flagship32", "hess3d.cfg", "hess3d_k3.cfg"])
 def test_negated_fields_give_negated_images_bit_for_bit(name, form):
-    """For each fixed field of the minorant and for psi, N(-u) =
-    (-1)^(k+1) N(u) and |-u| = |u| with ``==``: one image bundle serves
-    both signs."""
+    """For the power iteration's start, the center bump, and for psi,
+    N(-u) = (-1)^(k+1) N(u) and |-u| = |u| with ``==``: one image bundle
+    serves both signs, and psi, for even k an iterate negated when its
+    q < 0, has C2 = 1.25 q(psi) bit for bit."""
     s = _calibration_case(name, form)
     k = s.params.k
     dom = s.f.domain
-    for u in minorant_sample_family(s) + [geometry_witnesses(s)]:
+    bump = bump_field(dom, tuple(0.5 * e for e in dom.extent), 0.3 * min(dom.extent), 1.0, k)
+    c2, psi = fit_minorant(s)
+    for u in (bump, psi):
         a, b = energy._images(u, s), energy._images(-u, s)
         assert energy._nonlinear(b, s) == _sign(k + 1) * energy._nonlinear(a, s)
         assert seminorm_of(b[1], dom) == seminorm_of(a[1], dom)
+    images = energy._images(psi, s)
+    q = energy._nonlinear(images, s) / seminorm_of(images[1], dom) ** (k + 1)
+    assert c2 == energy._FIT_MARGIN * q > 0.0
 
 
 @pytest.mark.parametrize("form", ["strong", "weak"])
 @pytest.mark.parametrize("name", ["flagship32", "hess3d_k3.cfg"])
 def test_calibration_builds_one_image_bundle_per_field(monkeypatch, name, form):
-    """Three fixed fields and psi's bump: four bundles, the first radius
-    giving psi on both cases."""
+    """The center bump and its ``_POWER_STEPS`` power steps: one image
+    bundle, so one Hessian pass, per iterate, each step reading N from the
+    entries its bundle built, and none more for psi, one of the iterates."""
     s = _calibration_case(name, form)
-    built = []
-    images = energy._images
+    built, entries = [], []
+    images, hessian = energy._images, energy.hessian_entries
 
     def counted(u, *args, **kwargs):
         built.append(u)
         return images(u, *args, **kwargs)
 
     monkeypatch.setattr(energy, "_images", counted)
-    calibrate(s)
-    assert len(built) == 4
+    monkeypatch.setattr(energy, "hessian_entries", lambda u: entries.append(u) or hessian(u))
+    psi = calibrate(s).psi
+    assert len(built) == len(entries) == energy._POWER_STEPS + 1
+    assert any(psi.values.tobytes() in (u.values.tobytes(), (-u).values.tobytes())
+               for u in built)
 
 
 def test_truncation_confines_negative_levels(s64):
@@ -515,7 +526,7 @@ def test_geometry_witnesses_all_cases():
     s = flagship_setting(64)
     cal = calibrate(s)
     psi = cal.psi
-    assert np.array_equal(psi.values, geometry_witnesses(s).values)
+    assert np.array_equal(psi.values, geometry_witnesses(s)[1].values)
     # re-verify the certificates independently: psi, and the datum witness
     # phi = sign(lambda) G f, whose lambda int f phi the check reads as
     # |lambda| <f, G f>, bit for bit
@@ -538,17 +549,6 @@ def test_geometry_witnesses_all_cases():
     s3 = make_setting(ProblemParams(3, 3), 0.05, constant_datum(dom3))
     psi3 = calibrate(s3).psi
     assert -inner(psi3, sk_field(psi3, 3)) > 0.0  # (-1)^3 = -1
-
-
-@pytest.mark.parametrize("n, alpha, radius", [(16, 2, 0.3), (8, 2, 0.25), (12, 3, 0.25)])
-def test_geometry_witnesses_keep_psi_alpha_nodes_from_the_walls(n, alpha, radius):
-    """Radius 0.3 leaves 0.2 / h nodes to each wall: 3.4 at n = 16, but
-    1.8 < 2 at n = 8 and 2.6 < 3 at n = 12, where 0.25 is the next try."""
-    dom = unit_box(2, n)
-    s = make_setting(ProblemParams(2, 2), 0.05, constant_datum(dom), alpha=alpha)
-    psi = geometry_witnesses(s)
-    support = bump_field(dom, (0.5, 0.5), radius, 1.0, 0).values != 0.0
-    assert np.array_equal(psi.values != 0.0, support)
 
 
 def test_domain_mismatch_errors(s64):

@@ -580,12 +580,12 @@ def test_probe_converges_at_large_lambda(lam):
     assert rep.success
 
 
-@pytest.mark.parametrize("lam, reason", [(220.0, "nonpositive"), (300.0, "no positive hump")],
-                         ids=["lambda220", "lambda300"])
+@pytest.mark.parametrize("lam, reason", [(250.0, "nonpositive"), (350.0, "no positive hump")],
+                         ids=["lambda250", "lambda350"])
 def test_probe_refuses_a_lambda_without_the_two_level_geometry(lam, reason):
-    """The fixed-family minorant ends the n = 32 flagship's geometry at
-    lambda = 211.83 (strong): at 220 its maximum is nonpositive, and at 300
-    it has no hump at all."""
+    """The minorant ends the n = 32 flagship's geometry at lambda = 239.67
+    (strong): at 250 its maximum is nonpositive, and at 350 it has no hump
+    at all."""
     with pytest.raises(GeometryError, match=reason):
         ball_uniqueness_probe(flagship_setting(32, lam=lam), SolverConfig(seed=0), 5)
 
@@ -747,8 +747,8 @@ def test_predictor_corrector_rows_equal_the_minimax_rows(monkeypatch, form, lams
 def test_minimax_starts_on_the_ray_through_psi(monkeypatch, name, form):
     """The minimax is handed the calibration's psi, byte for byte, and the
     action along u_m + t psi has the top coefficient -N(psi) < 0, so it
-    falls without bound on the first ray: for even k (hess3d, ma2d) psi is
-    the sign-flipped bump, for odd k (hess3d_k3) the bump itself."""
+    falls without bound on the first ray, for even k (hess3d, ma2d) and odd
+    k (hess3d_k3) alike."""
     cfg = replace(load_config(_REPO / "configs" / name), form=form)
     s = build_setting(cfg)
     handed = []
@@ -766,6 +766,41 @@ def test_minimax_starts_on_the_ray_through_psi(monkeypatch, name, form):
     top = energy.ray_polynomial(run.pair.u_m, s)(psi)[k + 1]
     assert top < 0.0
     assert top == pytest.approx(-energy.energy_report(psi, s).nonlinear_term, rel=1e-9)
+
+
+@pytest.mark.parametrize("name, extent, form", [
+    ("ma2d.cfg", (1.0, 1.0), "strong"), ("ma2d.cfg", (1.0, 2.0), "strong"),
+    ("ma2d.cfg", (1.0, 4.0), "strong"), ("ma2d.cfg", (1.0, 4.0), "weak"),
+    ("hess3d.cfg", (1.0, 1.0, 1.0), "strong"), ("hess3d.cfg", (1.0, 2.0, 3.0), "strong")],
+    ids=["64x64-1x1", "64x64-1x2", "64x64-1x4", "64x64-1x4-weak", "24^3-1x1x1", "24^3-1x2x3"])
+def test_minorant_holds_along_the_saddles_own_ray(name, extent, form):
+    """J(R u) >= h(R) = R^2/2 - C1 R - C2 R^(k+1) for every R > 0 along
+    u = +-u_star / |u_star|_alpha, the computed saddle's own ray, checked
+    coefficient by coefficient on J's polynomial along it: the R term is
+    -lambda int f u >= -C1, the R^2 term is 1/2, and the R^(k+1) term is
+    -N(u) >= -C2.  A C2 fitted on fixed fields fell below N(u) on the
+    elongated boxes."""
+    cfg = replace(load_config(_REPO / "configs" / name), form=form, extent=extent)
+    s = build_setting(cfg)
+    run = solve_run(s, cfg.solver)
+    geom, u_star = run.geometry, run.pair.u_star
+    k = s.params.k
+    coefs = energy.ray_polynomial(zeros(s.f.domain), s)
+    for sign in (1.0, -1.0):
+        c = coefs(u_star * (sign / seminorm(u_star, s.alpha)))
+        assert c[1] >= -geom.C1
+        assert c[2] == pytest.approx(0.5, rel=0.0, abs=1e-12)
+        assert c[k + 1] >= -geom.C2
+
+
+@pytest.mark.parametrize("n", [10, 12, 16])
+def test_coarse_3d_strong_minimax_takes_few_rows(n):
+    """The power iteration's psi starts the minimax near the saddle: hess3d
+    strong at n = 10, 12 and 16 takes at most 5 minimax rows (13, 12 and 13
+    from the center bump)."""
+    cfg = replace(load_config(_REPO / "configs" / "hess3d.cfg"), form="strong", nodes=(n,))
+    run = solve_run(build_setting(cfg), cfg.solver)
+    assert run.record_mountain.phase.count("minimax") <= 5
 
 
 @pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK], ids=["strong", "weak"])
@@ -802,71 +837,44 @@ def test_stencil_residual_of_a_polished_minimizer(tmp_path, run32):
     assert results["residual_m_stencil"] == stencil != results["residual_m"]
 
 
-# The minorant fit and the geometry witnesses as they were computed for
-# every setting before the lambda-free part moved into a shared
-# calibration, on the six signed fields (each fixed field and its
-# negative, each evaluated on its own): the oracles of the bit-identity
-# tests below.  C1 is the Cauchy-Schwarz bound |lambda| |G f|_alpha, which
-# the fields' largest datum ratio, G f's own, reaches to roundoff.
+# The calibration as each setting would compute it on its own, from the
+# public functions: the nonlinear power iteration v <- G N(v) / max|G N(v)|
+# from the center bump, psi the iterate of largest q = N(v) / |v|^(k+1)
+# over the iterates and, for even k, their negatives, C2 = 1.25 q(psi), and
+# C1 = |lambda| |G f|_alpha, the Cauchy-Schwarz bound: the oracles of the
+# bit-identity tests below.
+_NO_PSI = ("no iterate of the nonlinear power iteration from the center bump has a "
+           "positive nonlinear term")
+
+
 def _fit_as_first_written(s):
     k = s.params.k
-    c1 = 0.0
-    c2 = 0.0
-    usable = 0
-    for u in [v for w in energy.minorant_sample_family(s) for v in (w, -w)]:
-        images = energy._images(u, s)
-        r = energy.seminorm_of(images[1], u.domain)
-        if r <= 0.0:
-            continue
-        usable += 1
-        _, datum, nl = energy._terms(images, s)
-        c1 = max(c1, datum / r)
-        c2 = max(c2, nl / r ** (k + 1))
-    assert usable >= 2
-    root = math.sqrt(inner(s.f, energy.invert_polyharmonic(s.f, s.alpha)))
-    assert c1 == pytest.approx(abs(s.lam) * root, rel=1e-12, abs=0.0)
-    c1 = max(energy._FIT_MARGIN * abs(s.lam) * root, energy._C_FLOOR * (1.0 + abs(s.lam)))
-    c2 = max(energy._FIT_MARGIN * c2, energy._C_FLOOR)
-    return c1, c2, k
-
-
-def _witnesses_as_first_written(s):
     dom = s.f.domain
-    k = s.params.k
-    minext = min(dom.extent)
-    center = tuple(0.5 * e for e in dom.extent)
-    psi = None
-    for frac in (0.3, 0.25, 0.35, 0.2, 0.4):
-        r = frac * minext
-        if min(min(c - r, e - (c + r)) / h
-               for c, e, h in zip(center, dom.extent, dom.spacing)) < s.alpha:
-            continue
-        for sign_exp in (k, k + 1):
-            cand = energy.bump_field(dom, center, r, 1.0, sign_exp)
-            if energy._sign(k) * inner(cand, grid.sk_field(cand, k)) > 0.0:
-                psi = cand
-                break
-        if psi is not None:
+    v = energy.bump_field(dom, tuple(0.5 * e for e in dom.extent), 0.3 * min(dom.extent), 1.0, k)
+    best, psi = 0.0, None
+    for _ in range(energy._POWER_STEPS + 1):
+        r = seminorm(v, s.alpha)
+        if r == 0.0:
             break
-    if psi is None:
-        raise GeometryError("no bump orientation/radius produced a positive nonlinear pairing")
-    if s.lam == 0.0:
-        return psi
-    phi = energy.invert_polyharmonic(s.f, s.alpha) * (1.0 if s.lam > 0 else -1.0)
-    if not s.lam * inner(s.f, phi) > 0.0:
-        raise GeometryError("lambda * int f phi is not positive: the datum is zero "
-                            "(or too small to pair with lambda), so no datum witness exists")
-    return psi
+        q = energy.energy_report(v, s).nonlinear_term / r ** (k + 1)
+        for cand, q_cand in [(v, q), (-v, -q)][:2 if k % 2 == 0 else 1]:
+            if q_cand > best:
+                best, psi = q_cand, cand
+        gn = invert_polyharmonic(ScalarField(dom, energy.nonlinear(v, s)), s.alpha)
+        v = gn * (1.0 / float(np.max(np.abs(gn.values))))
+    root = math.sqrt(inner(s.f, invert_polyharmonic(s.f, s.alpha)))
+    c1 = max(abs(s.lam) * root, energy._C_FLOOR * (1.0 + abs(s.lam)))
+    return (c1, max(energy._FIT_MARGIN * best, energy._C_FLOOR), k), psi
 
 
 def _first_failure_as_first_written(s):
-    """The reason a solve of ``s`` fails in its fit or geometry, or None."""
+    """The reason a solve of ``s`` fails in its calibration, or None."""
+    want, psi = _fit_as_first_written(s)
     try:
-        minorant_geometry(*_fit_as_first_written(s))
-        _witnesses_as_first_written(s)
+        minorant_geometry(*want)
     except PolyhessError as exc:
         return str(exc)
-    return None
+    return None if psi is not None else _NO_PSI
 
 
 @pytest.mark.parametrize("form", [Form.STRONG, Form.WEAK])
@@ -875,52 +883,51 @@ def test_calibration_equals_per_lambda_fit_bitwise(form):
     cal = solvers.calibrate(base)
     for lam in (0.0, 0.0125, 0.05, -0.05):
         s = with_lambda(base, lam)
-        want = _fit_as_first_written(s)
+        want, psi = _fit_as_first_written(s)
         got = cal.geometry(lam)
         assert (got.C1, got.C2, got.k) == want
         assert got == minorant_geometry(*want)
-        assert np.array_equal(cal.psi.values, _witnesses_as_first_written(s).values)
+        assert np.array_equal(cal.psi.values, psi.values)
 
 
 def test_calibration_without_a_center_bump_fails_on_psi():
-    """On nodes (8, 8) with extent (1, 100) no node lies within 0.4 of the
-    center (the y spacing is 100/9), so the center bump and every psi
-    candidate are zero at every node.  G f and phi_1 still fix a finite
-    C2, psi is None, and a solve fails on psi."""
+    """On nodes (8, 8) with extent (1, 100) no node lies within 0.3 of the
+    center (the y spacing is 100/9), so the center bump, the power
+    iteration's start, is zero at every node: there is no iterate, C2 is
+    the floor, psi is None, and a solve fails on psi."""
     dom = BoxDomain((8, 8), (1.0, 100.0))
     s = make_setting(ProblemParams(2, 2), 0.05, constant_datum(dom))
-    anchor, bump, phi1 = energy.minorant_sample_family(s)
-    assert not np.any(bump.values) and np.all(anchor.values > 0.0) and np.all(phi1.values > 0.0)
+    assert energy.geometry_witnesses(s) == (0.0, None)
     cal = calibrate(s)
-    assert 1e-12 < cal.C2 < math.inf  # above the floor: read off G f and phi_1
-    assert cal.psi is None
-    with pytest.raises(GeometryError, match="no bump orientation/radius"):
+    assert cal.C2 == energy._C_FLOOR and cal.psi is None
+    with pytest.raises(GeometryError, match=_NO_PSI):
         solve_run(s, SolverConfig())
 
 
 def test_continuation_calibrates_once(monkeypatch):
-    calls = {"family": 0, "G": 0}
-    family = energy.minorant_sample_family
+    calls = {"iteration": 0, "G": 0}
+    iteration = energy.geometry_witnesses
     invert = energy.invert_polyharmonic
 
-    def counted_family(*args, **kwargs):
-        calls["family"] += 1
-        return family(*args, **kwargs)
+    def counted_iteration(*args, **kwargs):
+        calls["iteration"] += 1
+        return iteration(*args, **kwargs)
 
     def counted_invert(*args, **kwargs):
         calls["G"] += 1
         return invert(*args, **kwargs)
 
-    monkeypatch.setattr(energy, "minorant_sample_family", counted_family)
+    monkeypatch.setattr(energy, "geometry_witnesses", counted_iteration)
     s = flagship_setting(32, lam=0.0)
     cfg = SolverConfig(seed=0)
     monkeypatch.setattr(energy, "invert_polyharmonic", counted_invert)
     solvers.calibrate(s)
-    assert calls == {"family": 1, "G": 1}  # one G f for the fit's anchor and the datum check
-    calls["family"] = 0
+    # one G per power step, and one G f for <f, G f>
+    assert calls == {"iteration": 1, "G": energy._POWER_STEPS + 1}
+    calls["iteration"] = 0
     tab = continuation_in_lambda(s, [0.0, 0.0125, 0.025, 0.05], cfg)
     assert [r.converged for r in tab.rows] == [True] * 4
-    assert calls["family"] == 1
+    assert calls["iteration"] == 1
 
 
 def test_failed_fit_fails_every_continuation_row(monkeypatch):
@@ -938,16 +945,18 @@ def test_failed_fit_fails_every_continuation_row(monkeypatch):
 
 
 def test_witness_failure_keeps_each_rows_reason():
-    """At n = 8 no psi keeps alpha = 4 nodes from the walls.  At lambda = 0
-    the psi search's reason is the row's; at 1e9 the minorant geometry fails
-    first, as it did when each row built its own witnesses."""
-    s = make_setting(ProblemParams(2, 2), 0.0, constant_datum(unit_box(2, 8)), alpha=4)
+    """On nodes (8, 8) with extent (1, 100) the center bump is zero at every
+    node, so the calibration has no psi.  At lambda = 0 the psi check's
+    reason is the row's; at 1e12 the minorant geometry fails first, as it
+    does when each row calibrates on its own."""
+    dom = BoxDomain((8, 8), (1.0, 100.0))
+    s = make_setting(ProblemParams(2, 2), 0.0, constant_datum(dom))
     cfg = SolverConfig(seed=0)
-    lams = [0.0, 1e9]
+    lams = [0.0, 1e12]
     tab = continuation_in_lambda(s, lams, cfg)
     reasons = [_first_failure_as_first_written(with_lambda(s, lam)) for lam in lams]
     assert [r.reason for r in tab.rows] == reasons
-    assert "no bump" in reasons[0] and "no positive hump" in reasons[1]
+    assert reasons[0] == _NO_PSI and "no positive hump" in reasons[1]
     assert not any(r.converged for r in tab.rows)
 
 
